@@ -430,17 +430,21 @@ def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> P
         raise CheckpointError(f"unsupported checkpoint format {payload.get('format')!r}")
     store = ParamStore()
     seen = set()
-    for entry in payload.get("params", []):
-        name = entry["name"]
-        shape = tuple(entry["shape"])
+    for i, entry in enumerate(payload.get("params", [])):
+        try:
+            name, shape, data = entry["name"], tuple(entry["shape"]), entry["data"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"parameter entry {i} lacks name, shape or data: {exc}") from None
         if name not in expected:
             raise CheckpointError(f"unexpected parameter {name!r}")
         if shape != expected[name]:
             raise CheckpointError(
                 f"parameter {name!r} has shape {shape}, expected {expected[name]}"
             )
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        try:
+            arr = np.frombuffer(base64.b64decode(data), dtype="<f8").reshape(shape)
+        except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
+            raise CheckpointError(f"parameter {name!r} has malformed data: {exc}") from None
         store.add(name, arr)
         seen.add(name)
     missing = set(expected) - seen

@@ -6,7 +6,7 @@ Two baselines operating on the same view-graph inputs as the networks:
   the tangent-space L1 median of the candidates proposed by its neighbors.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step a
-  conjugate-gradient solve on the weighted graph Laplacian.
+  Jacobi-preconditioned CG solve on the segment-sum weighted graph Laplacian.
 
 Both keep the root camera exactly fixed to pin the gauge.
 """
@@ -82,16 +82,6 @@ def _weiszfeld_median_rows(cands: np.ndarray, iters: int) -> np.ndarray:
     return m
 
 
-def weiszfeld_median(candidates: list[UnitQuaternion], iters: int = 10) -> UnitQuaternion:
-    """Geodesic L1 median via the tangent-space Weiszfeld iteration."""
-    if not candidates:
-        raise ViewGraphError("median of an empty candidate set")
-    if len(candidates) == 1:
-        return candidates[0]
-    rows = np.stack([q.as_array() for q in candidates])
-    return UnitQuaternion.from_array(_weiszfeld_median_rows(rows, iters))
-
-
 @dataclass
 class WeiszfeldResult:
     orientations: list[UnitQuaternion]
@@ -148,32 +138,67 @@ class IrlsResult:
     iterations: int
     max_step_trace: list[float] = field(default_factory=list)
     cg_residual: float = 0.0
+    converged: bool = False  # the last step was below step_tol, not cut by max_iters
+    cg_iterations: list[int] = field(default_factory=list)  # one per inner solve
 
 
-def _cg_multi(apply_op, rhs: np.ndarray, max_iter: int, tol: float) -> tuple[np.ndarray, float]:
-    """Conjugate gradient for an SPD operator with 3 right-hand sides."""
+def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
+    """Index the root-reduced graph Laplacian once per solve (root ends are -1).
+
+    Returns ``system(w, resid) -> (apply_op, diag, rhs)``, the normal equations
+    of one IRLS step with edge weights ``w`` on (3, n) arrays; ``apply_op`` sums
+    over the off-diagonal entries, kept in both directions and sorted by row.
+    """
+    ends = np.concatenate([v_red, u_red])
+    inc = ends >= 0  # incidence entries: +1 at each edge's v end, -1 at its u end
+    inc_node, inc_edge = ends[inc], np.tile(np.arange(v_red.size), 2)[inc]
+    inc_sign = np.repeat([1.0, -1.0], v_red.size)[inc]
+    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
+    rows = np.concatenate([u_red[both], v_red[both]])
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], np.concatenate([v_red[both], u_red[both]])[order]
+    off_edge = np.tile(both, 2)[order]
+
+    def system(w: np.ndarray, resid: np.ndarray):
+        diag = np.bincount(inc_node, w[inc_edge], n)
+        swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
+        rhs = np.stack([np.bincount(inc_node, c, n) for c in swr.T])
+        w_off = w[off_edge]
+
+        def apply_op(x: np.ndarray) -> np.ndarray:
+            return diag * x - np.stack([np.bincount(rows, w_off * xk.take(cols), n) for xk in x])
+
+        return apply_op, diag, rhs
+
+    return system
+
+
+def _cg_multi(apply_op, rhs, diag, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
+    """Jacobi-preconditioned conjugate gradient for an SPD operator with
+    diagonal ``diag``, one right-hand side per row of ``rhs``.  Stops on the
+    true residuals, ``|r| / |b| <= tol``; returns the solution, the recomputed
+    relative residual and the iteration count."""
     x = np.zeros_like(rhs)
     r = rhs - apply_op(x)
-    p = r.copy()
-    rs = np.sum(r * r, axis=0)
-    norm_b = np.maximum(np.sqrt(np.sum(rhs * rhs, axis=0)), 1e-300)
+    p = r / diag
+    rz = np.sum(r * p, axis=1)
+    norm_b = np.maximum(np.sqrt(np.sum(rhs * rhs, axis=1)), 1e-300)
     for it in range(max_iter):
-        if np.all(np.sqrt(rs) / norm_b <= tol):
+        if np.all(np.sqrt(np.sum(r * r, axis=1)) / norm_b <= tol):
             break
         ap = apply_op(p)
-        denom = np.sum(p * ap, axis=0)
-        alpha = np.where(denom > 0.0, rs / np.maximum(denom, 1e-300), 0.0)
+        denom = np.sum(p * ap, axis=1)
+        alpha = np.where(denom > 0.0, rz / np.maximum(denom, 1e-300), 0.0)[:, None]
         x += alpha * p
         r -= alpha * ap
-        rs_new = np.sum(r * r, axis=0)
-        p = r + (rs_new / np.maximum(rs, 1e-300)) * p
-        rs = rs_new
+        z = r / diag
+        rz_new = np.sum(r * z, axis=1)
+        p = z + (rz_new / np.maximum(rz, 1e-300))[:, None] * p
+        rz = rz_new
     else:
-        raise SolverError(
-            f"conjugate gradient did not converge within {max_iter} iterations"
-        )
-    rel_res = float(np.max(np.sqrt(np.sum((rhs - apply_op(x)) ** 2, axis=0)) / norm_b))
-    return x, rel_res
+        raise SolverError(f"conjugate gradient did not converge within {max_iter} iterations")
+    rel_res = float(np.max(np.sqrt(np.sum((rhs - apply_op(x)) ** 2, axis=1)) / norm_b))
+    return x, rel_res, it
 
 
 def irls_mra(
@@ -190,7 +215,9 @@ def irls_mra(
     per-node tangent updates (``step_v - step_u ~ r_uv``, exact to first
     order for right-multiplicative updates ``q_v <- q_v * exp(step_v)``),
     and solves the weighted normal equations (a graph Laplacian with 3-dof
-    blocks) by conjugate gradient, with the root held fixed.
+    blocks, applied as ``np.bincount`` segment sums) by Jacobi-preconditioned
+    conjugate gradient, with the root held fixed.  Every block is ``w * I3``,
+    so Jacobi equals 3x3 block-Jacobi.
     """
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
@@ -199,72 +226,41 @@ def irls_mra(
     n = g.n_nodes
     root = viewgraph.select_root(g)
     rows = np.stack([q.as_array() for q in init])
-    u_idx = np.array([e.u for e in g.edges], dtype=np.int64)
-    v_idx = np.array([e.v for e in g.edges], dtype=np.int64)
+    u_idx, v_idx = g.endpoint_arrays()
     meas = g.edge_quat_array()
 
     # reduced index map without the anchored root
-    keep = np.array([v for v in range(n) if v != root], dtype=np.int64)
-    red = -np.ones(n, dtype=np.int64)
-    red[keep] = np.arange(n - 1)
-    u_red = red[u_idx]
-    v_red = red[v_idx]
+    red = np.insert(np.arange(n - 1), root, -1)
+    system = _reduced_laplacian(red[u_idx], red[v_idx], n - 1)
 
-    total_iters = 0
     trace: list[float] = []
+    cg_iterations: list[int] = []
     cg_residual = 0.0
-    first_solve = True
     for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
         for _ in range(phase_iters):
-            total_iters += 1
             # body-frame residual; its norm is the edge's geodesic error
             resid = so3.qlog(
                 so3.qmul(so3.qconj(rows[v_idx]), so3.qmul(meas, rows[u_idx]))
             )  # (E, 3)
             norms = np.linalg.norm(resid, axis=1)
-            if first_solve:
-                # plain least squares before any reweighting, as in standard
-                # IRLS; otherwise exactly-consistent tree edges pin the init
-                w = np.ones_like(norms)
-                first_solve = False
-            else:
-                w = 1.0 / np.maximum(norms**exponent, delta)
+            # plain least squares before any reweighting, as in standard
+            # IRLS; otherwise exactly-consistent tree edges pin the init
+            w = 1.0 / np.maximum(norms**exponent, delta) if trace else np.ones_like(norms)
 
-            rhs = np.zeros((n - 1, 3))
-            wr = w[:, None] * resid
-            for e in range(len(g.edges)):
-                if v_red[e] >= 0:
-                    rhs[v_red[e]] += wr[e]
-                if u_red[e] >= 0:
-                    rhs[u_red[e]] -= wr[e]
-
-            diag = np.zeros(n - 1)
-            np.add.at(diag, v_red[v_red >= 0], w[v_red >= 0])
-            np.add.at(diag, u_red[u_red >= 0], w[u_red >= 0])
-
-            both = (u_red >= 0) & (v_red >= 0)
-            uu = u_red[both]
-            vv = v_red[both]
-            ww = w[both]
-
-            def apply_laplacian(x: np.ndarray) -> np.ndarray:
-                out = diag[:, None] * x
-                np.subtract.at(out, uu, ww[:, None] * x[vv])
-                np.subtract.at(out, vv, ww[:, None] * x[uu])
-                return out
-
-            x, cg_residual = _cg_multi(apply_laplacian, rhs, max_iter=10 * n, tol=CG_TOL)
-            step = np.zeros((n, 3))
-            step[keep] = x
+            apply_op, diag, rhs = system(w, resid)
+            x, cg_residual, cg_its = _cg_multi(apply_op, rhs, diag, max_iter=10 * n, tol=CG_TOL)
+            cg_iterations.append(cg_its)
+            step = np.insert(x.T, root, 0.0, axis=0)
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
             max_step = float(np.max(np.linalg.norm(step, axis=1)))
             trace.append(max_step)
             if max_step < step_tol:
                 break
-    out = [UnitQuaternion.from_array(r) for r in rows]
     return IrlsResult(
-        orientations=out,
-        iterations=total_iters,
+        orientations=[UnitQuaternion.from_array(r) for r in rows],
+        iterations=len(trace),
         max_step_trace=trace,
         cg_residual=cg_residual,
+        converged=bool(trace) and trace[-1] < step_tol,
+        cg_iterations=cg_iterations,
     )

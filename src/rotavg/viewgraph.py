@@ -183,7 +183,7 @@ def _parse_quat(parts: list[str], line_no: int) -> UnitQuaternion:
     except ValueError as exc:
         raise ParseError(line_no, f"bad quaternion component: {exc}") from None
     norm = float(np.linalg.norm(vals))
-    if abs(norm - 1.0) > RENORM_TOL:
+    if not abs(norm - 1.0) <= RENORM_TOL:  # written so that a NaN norm fails too
         raise ParseError(line_no, f"quaternion norm {norm:.9g} deviates from 1 beyond {RENORM_TOL}")
     return UnitQuaternion(*vals)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,25 @@ class TestCheckpoint:
             load_checkpoint(path, {"layer.w": (3, 2), "layer.b": (2,), "extra": (1,)})
         with pytest.raises(CheckpointError, match="unexpected"):
             load_checkpoint(path, {"layer.w": (3, 2)})
+
+    def test_malformed_entries(self, tmp_path):
+        store = self._example_store()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(store, path)
+        expected = {name: arr.shape for name, arr in store.params.items()}
+        saved = path.read_text()
+        payload = json.loads(saved)
+        del payload["params"][1]["name"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="entry 1"):
+            load_checkpoint(path, expected)
+        # cut mid-float (9 bytes) and at a float boundary (3 of 6 floats)
+        for cut in (12, 32):
+            payload = json.loads(saved)
+            payload["params"][0]["data"] = payload["params"][0]["data"][:cut]
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError, match="'layer.w'"):
+                load_checkpoint(path, expected)
 
     def test_bad_format(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -84,6 +84,10 @@ class TestFormat:
             viewgraph.parse("VIEWGRAPH v1\nNODE 0\nNODE x\n")
         with pytest.raises(ParseError, match="line 4"):
             viewgraph.parse("VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0\n")
+        with pytest.raises(ParseError, match="line 4"):
+            viewgraph.parse("VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 nan 0 0 0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            viewgraph.parse("VIEWGRAPH v1\nNODE 0 1 nan 0 0\n")
 
     def test_duplicate_edge_rejected(self):
         text = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0\nEDGE 1 0 1 0 0 0\n"
