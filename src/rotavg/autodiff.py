@@ -426,16 +426,20 @@ def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> P
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unsupported checkpoint format {payload.get('format')!r}")
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__
+        raise CheckpointError(f"unsupported checkpoint format {found!r}")
+    params = payload.get("params", [])
+    if not isinstance(params, list):
+        raise CheckpointError(f"checkpoint params must be a list, got {type(params).__name__}")
     store = ParamStore()
     seen = set()
-    for i, entry in enumerate(payload.get("params", [])):
+    for i, entry in enumerate(params):
         try:
             name, shape, data = entry["name"], tuple(entry["shape"]), entry["data"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"parameter entry {i} lacks name, shape or data: {exc}") from None
-        if name not in expected:
+        if not isinstance(name, str) or name not in expected:
             raise CheckpointError(f"unexpected parameter {name!r}")
         if shape != expected[name]:
             raise CheckpointError(

@@ -89,8 +89,7 @@ class WeiszfeldResult:
 
 
 def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
-    u = np.array([e.u for e in g.edges])
-    v = np.array([e.v for e in g.edges])
+    u, v = g.endpoint_arrays()
     rel = so3.qmul(rows[v], so3.qconj(rows[u]))
     return float(np.sum(so3.qangle_deg(rel, g.edge_quat_array())))
 
@@ -109,19 +108,18 @@ def weiszfeld_mra(
         raise ViewGraphError("initialization must cover every node")
     root = viewgraph.select_root(g)
     rows = np.stack([q.as_array() for q in init])
-    adj = g.adjacency()
-    edge_rows = g.edge_quat_array()
-    edges = g.edges
+    # directed edges grouped by target, in edge order within each target
+    uv, quats = viewgraph.directed_arrays(g)
+    by_target = np.lexsort((np.tile(np.arange(len(uv) // 2), 2), uv[:, 1]))
+    src, q_in = uv[by_target, 0], quats[by_target]
+    bounds = np.searchsorted(uv[by_target, 1], np.arange(g.n_nodes + 1))
     trace = [_consistency_objective(g, rows)]
     for _ in range(sweeps):
         for v in range(g.n_nodes):
             if v == root:
                 continue
-            cands = np.empty((len(adj[v]), 4))
-            for k, (u, ei) in enumerate(adj[v]):
-                e = edges[ei]
-                q = edge_rows[ei] if (e.u, e.v) == (u, v) else so3.qconj(edge_rows[ei])
-                cands[k] = so3.qmul(q, rows[u])
+            lo, hi = bounds[v], bounds[v + 1]
+            cands = so3.qmul(q_in[lo:hi], rows[src[lo:hi]])
             rows[v] = _weiszfeld_median_rows(cands, median_iters)
         trace.append(_consistency_objective(g, rows))
     out = [UnitQuaternion.from_array(r) for r in so3.qcanon(rows)]

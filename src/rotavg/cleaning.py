@@ -16,8 +16,7 @@ import numpy as np
 from . import mpnn, so3, viewgraph
 from .autodiff import AutodiffError, ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
-from .so3 import UnitQuaternion
-from .viewgraph import Edge, ViewGraph, ViewGraphError
+from .viewgraph import ViewGraph, ViewGraphError
 
 DEFAULT_CONFIG = MpnnConfig(node_init_dim=0)
 OUTLIER_THRESHOLD_DEG = 20.0   # ground-truth labelling rule
@@ -27,9 +26,9 @@ BCE_WEIGHT_DEFAULT = 10.0
 
 @dataclass
 class CleanPrediction:
-    """Per stored edge: rectified orientation and outlier probability."""
+    """Per stored edge, in edge order: rectified orientation and outlier probability."""
 
-    rect: list[UnitQuaternion]
+    rect: np.ndarray          # (E, 4) canonical rows: corrected measurements
     outlier_prob: np.ndarray  # (E,)
     logits: np.ndarray        # (E,) raw head outputs, kept for stable BCE
 
@@ -103,8 +102,7 @@ def clean_forward(
     degenerate = norms < 1e-12
     delta[degenerate] = (1.0, 0.0, 0.0, 0.0)
     delta = so3.qcanon(delta)
-    rect_rows = so3.qcanon(so3.qmul(delta, g.edge_quat_array()))
-    rect = [UnitQuaternion.from_array(row) for row in rect_rows]
+    rect = so3.qcanon(so3.qmul(delta, g.edge_quat_array()))
     probs = 1.0 / (1.0 + np.exp(-logits.values))
     return CleanPrediction(rect=rect, outlier_prob=probs, logits=logits.values.copy())
 
@@ -154,10 +152,9 @@ def clean_loss(
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
     w = _degree_weights(g)
-    rect_rows = np.stack([q.as_array() for q in pred.rect])
     gt_rel = g.relative_gt_array()
-    d_minus = np.linalg.norm(rect_rows - gt_rel, axis=1)
-    d_plus = np.linalg.norm(rect_rows + gt_rel, axis=1)
+    d_minus = np.linalg.norm(pred.rect - gt_rel, axis=1)
+    d_plus = np.linalg.norm(pred.rect + gt_rel, axis=1)
     mre = float(w @ np.minimum(d_minus, d_plus))
     z = pred.logits
     t = gt_outlier_labels(g)
@@ -175,15 +172,12 @@ def clean_graph(
     """
     if len(pred.rect) != len(g.edges):
         raise ViewGraphError("prediction does not cover every edge")
-    kept = [
-        Edge(e.u, e.v, pred.rect[i])
-        for i, e in enumerate(g.edges)
-        if pred.outlier_prob[i] <= epsilon
-    ]
-    if not kept:
+    keep = pred.outlier_prob <= epsilon
+    if not np.any(keep):
         raise ViewGraphError("empty cleaned graph: every edge was removed")
-    removed = len(g.edges) - len(kept)
-    full = ViewGraph(g.n_nodes, kept, list(g.gt))
+    removed = len(g.edges) - int(np.count_nonzero(keep))
+    u, v = g.endpoint_arrays()
+    full = ViewGraph.from_arrays(g.n_nodes, u[keep], v[keep], pred.rect[keep], gt=g.gt)
     sub, remap = viewgraph.largest_component(full)
     node_ids = sorted(remap, key=remap.get)
     dropped = sorted(set(range(g.n_nodes)) - set(node_ids))

@@ -36,20 +36,16 @@ class TrainConfig:
     weight_decay: float = 1e-4
     edge_dropout: float = 0.25
     seed: int = 0
-    desk_scale: bool = False
-    validation_metric: str = "loss"
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.edge_dropout < 1.0:
             raise ValueError("edge_dropout must lie in [0, 1)")
-        if self.validation_metric != "loss":
-            raise ValueError("only the 'loss' validation metric is supported")
 
     @classmethod
     def desk(cls, seed: int = 0, **overrides) -> "TrainConfig":
-        kwargs = dict(epochs=DESK_EPOCHS, lr=DESK_LR, seed=seed, desk_scale=True)
+        kwargs = dict(epochs=DESK_EPOCHS, lr=DESK_LR, seed=seed)
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -84,7 +80,9 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
     m = len(g.edges)
     keep = max(1, int(round((1.0 - dropout) * m)))
     idx = np.sort(rng.choice(m, size=keep, replace=False))
-    return ViewGraph(g.n_nodes, [g.edges[i] for i in idx], list(g.gt))
+    u, v = g.endpoint_arrays()
+    return ViewGraph.from_arrays(g.n_nodes, u[idx], v[idx], g.edge_quat_array()[idx],
+                                 g.edge_labels()[idx], g.gt)
 
 
 def _finite_or_raise(value: float, epoch: int, graph_index: int) -> float:
@@ -172,7 +170,8 @@ def prepare_refinement_sample(
     # induced_subgraph sorts node ids, so indices line up with `base`
     if observed.has_full_gt:
         gt_ref = viewgraph.rereference(list(observed.gt), root)  # type: ignore[arg-type]
-        observed = ViewGraph(observed.n_nodes, list(observed.edges), gt_ref)
+        observed = ViewGraph.from_arrays(observed.n_nodes, *observed.endpoint_arrays(),
+                                         observed.edge_quat_array(), observed.edge_labels(), gt_ref)
     return observed, boot.orientations, root
 
 

@@ -1,5 +1,11 @@
 """View-graph data model, text interchange format, and tree bootstrapping.
 
+A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
+``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
+and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier).  Every
+solver and network reads these arrays; :class:`Edge` is the per-edge record
+used at the boundary, by the generator and by tests.
+
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
     VIEWGRAPH v1
@@ -13,7 +19,10 @@ direction is flipped (its orientation inverted) on construction.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +56,28 @@ class Edge:
     gt_outlier: bool | None = None
 
 
+class _EdgeRecords(Sequence):
+    """Read-only sequence of :class:`Edge` records, each built on access."""
+
+    def __init__(self, g: "ViewGraph"):
+        self._g = g
+
+    def __len__(self) -> int:
+        return self._g._u.size
+
+    def __getitem__(self, i: int) -> Edge:
+        i = operator.index(i)
+        g = self._g
+        label = int(g._label[i])
+        return Edge(int(g._u[i]), int(g._v[i]), UnitQuaternion.from_array(g._q[i]),
+                    None if label < 0 else bool(label))
+
+
 class ViewGraph:
-    """Immutable view-graph: nodes with optional ground truth, measured edges."""
+    """Immutable view-graph: nodes with optional ground truth, measured edges.
+
+    Built from ``Edge`` records here, or from arrays with :meth:`from_arrays`.
+    """
 
     def __init__(
         self,
@@ -56,32 +85,61 @@ class ViewGraph:
         edges: list[Edge],
         gt: list[UnitQuaternion | None] | None = None,
     ):
-        if n_nodes < 0:
+        edges = list(edges)
+        self._store(n_nodes, [e.u for e in edges], [e.v for e in edges],
+                    [(e.q.w, e.q.x, e.q.y, e.q.z) for e in edges],
+                    [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt)
+
+    @classmethod
+    def from_arrays(cls, n_nodes: int, u, v, q, label=None, gt=None) -> "ViewGraph":
+        """Graph over edges ``(u[i], v[i])`` with orientation rows ``q[i]`` and
+        labels ``label[i]`` (default -1), validated and flipped to ``u < v``
+        like the ``Edge``-list constructor; stores read-only copies."""
+        g = cls.__new__(cls)
+        g._store(n_nodes, u, v, q, label, gt)
+        return g
+
+    def _store(self, n, u, v, q, label, gt) -> None:
+        if n < 0:
             raise ViewGraphError("n_nodes must be non-negative")
-        if gt is None:
-            gt = [None] * n_nodes
-        if len(gt) != n_nodes:
+        gt = (None,) * n if gt is None else tuple(gt)
+        if len(gt) != n:
             raise ViewGraphError("ground-truth list length must equal n_nodes")
-        canonical: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            if not (0 <= e.u < n_nodes and 0 <= e.v < n_nodes):
-                raise ViewGraphError(f"edge ({e.u}, {e.v}) references an unknown node")
-            if e.u == e.v:
-                raise ViewGraphError(f"self-loop at node {e.u}")
-            if e.u > e.v:
-                e = Edge(e.v, e.u, so3.inverse(e.q), e.gt_outlier)
-            key = (e.u, e.v)
-            if key in seen:
-                raise ViewGraphError(f"duplicate edge ({e.u}, {e.v})")
-            seen.add(key)
-            canonical.append(e)
-        self._n = n_nodes
-        self._edges = tuple(canonical)
-        self._gt = tuple(gt)
+        u = np.array(u, dtype=np.int64).reshape(-1)
+        v = np.array(v, dtype=np.int64).reshape(-1)
+        m = u.size
+        q = np.array(q, dtype=np.float64) if m else np.zeros((0, 4))
+        label = np.full(m, -1, dtype=np.int8) if label is None else np.array(label, dtype=np.int8)
+        if v.shape != (m,) or label.shape != (m,) or q.shape != (m, 4):
+            raise ViewGraphError("edge arrays must have one entry per edge")
+        if not np.all(np.isin(label, (-1, 0, 1))):
+            raise ViewGraphError("edge labels must be -1 (unknown), 0 or 1")
+        if not np.all(np.isfinite(q)) or np.any(np.linalg.norm(q, axis=1) < 1e-12):
+            raise ViewGraphError("edge orientations must be finite nonzero rows")
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        out_of_range = (lo < 0) | (hi >= n)
+        loop = u == v
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        repeat = np.zeros(m, dtype=bool)
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        bad = out_of_range | loop | repeat
+        if np.any(bad):
+            i = int(np.argmax(bad))  # the first offending edge, in input order
+            if out_of_range[i]:
+                raise ViewGraphError(f"edge ({u[i]}, {v[i]}) references an unknown node")
+            if loop[i]:
+                raise ViewGraphError(f"self-loop at node {u[i]}")
+            raise ViewGraphError(f"duplicate edge ({lo[i]}, {hi[i]})")
+        q = so3.qcanon(q)
+        flip = u > v
+        q[flip] = so3.qcanon(so3.qconj(q[flip]))
+        for arr in (lo, hi, q, label):
+            arr.flags.writeable = False
+        self._n = n
+        self._u, self._v, self._q, self._label = lo, hi, q, label
+        self._gt = gt
         self._adj: list[list[tuple[int, int]]] | None = None
-        self._edge_array: np.ndarray | None = None
-        self._endpoint_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._gt_rows: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
 
@@ -90,8 +148,9 @@ class ViewGraph:
         return self._n
 
     @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self._edges
+    def edges(self) -> Sequence[Edge]:
+        """Per-edge records for tests and boundary code; solvers use the arrays."""
+        return _EdgeRecords(self)
 
     @property
     def gt(self) -> tuple[UnitQuaternion | None, ...]:
@@ -105,32 +164,23 @@ class ViewGraph:
         """Per node: list of ``(neighbor, edge_index)``, built once."""
         if self._adj is None:
             adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-            for i, e in enumerate(self._edges):
-                adj[e.u].append((e.v, i))
-                adj[e.v].append((e.u, i))
+            for i, (u, v) in enumerate(zip(self._u.tolist(), self._v.tolist())):
+                adj[u].append((v, i))
+                adj[v].append((u, i))
             self._adj = adj
         return self._adj
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
-
-    def oriented(self, edge_index: int, u: int, v: int) -> UnitQuaternion:
-        """Orientation of ``u -> v`` along the stored edge ``edge_index``."""
-        e = self._edges[edge_index]
-        if (e.u, e.v) == (u, v):
-            return e.q
-        if (e.u, e.v) == (v, u):
-            return so3.inverse(e.q)
-        raise ViewGraphError(f"edge {edge_index} does not join ({u}, {v})")
-
     def edge_quat_array(self) -> np.ndarray:
-        """(E, 4) array of stored edge orientations (canonical direction)."""
-        if self._edge_array is None:
-            if self._edges:
-                self._edge_array = np.stack([e.q.as_array() for e in self._edges])
-            else:
-                self._edge_array = np.zeros((0, 4))
-        return self._edge_array
+        """(E, 4) read-only stored edge orientations (canonical direction)."""
+        return self._q
+
+    def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u_idx, v_idx) read-only int64 arrays over the stored edges, u < v."""
+        return self._u, self._v
+
+    def edge_labels(self) -> np.ndarray:
+        """(E,) read-only int8 ground-truth labels: -1 unknown, 0 inlier, 1 outlier."""
+        return self._label
 
     def gt_array(self) -> np.ndarray:
         """(N, 4) ground-truth orientations; errors if any are missing."""
@@ -140,19 +190,10 @@ class ViewGraph:
             self._gt_rows = np.stack([q.as_array() for q in self._gt])  # type: ignore[union-attr]
         return self._gt_rows
 
-    def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u_idx, v_idx) int64 arrays over the stored edges."""
-        if self._endpoint_arrays is None:
-            u = np.fromiter((e.u for e in self._edges), dtype=np.int64, count=len(self._edges))
-            v = np.fromiter((e.v for e in self._edges), dtype=np.int64, count=len(self._edges))
-            self._endpoint_arrays = (u, v)
-        return self._endpoint_arrays
-
     def degree_array(self) -> np.ndarray:
         """Undirected node degrees as a float array."""
         if self._degrees is None:
-            u, v = self.endpoint_arrays()
-            counts = np.bincount(u, minlength=self._n) + np.bincount(v, minlength=self._n)
+            counts = np.bincount(self._u, minlength=self._n) + np.bincount(self._v, minlength=self._n)
             self._degrees = counts.astype(np.float64)
         return self._degrees
 
@@ -165,33 +206,34 @@ class ViewGraph:
     def relative_gt_array(self) -> np.ndarray:
         """(E, 4) ground-truth relative orientations in edge order."""
         gt = self.gt_array()
-        u, v = self.endpoint_arrays()
-        return so3.qcanon(so3.qmul(gt[v], so3.qconj(gt[u])))
+        return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
 
 
 # ---------------------------------------------------------------------------
 # Text interchange
 # ---------------------------------------------------------------------------
 
-def _format_quat(q: UnitQuaternion) -> str:
-    return " ".join(format(c, ".17g") for c in (q.w, q.x, q.y, q.z))
+def _format_quat(components) -> str:
+    return " ".join(format(c, ".17g") for c in components)
 
 
-def _parse_quat(parts: list[str], line_no: int) -> UnitQuaternion:
+def _parse_quat(parts: list[str], line_no: int) -> list[float]:
     try:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(line_no, f"bad quaternion component: {exc}") from None
-    norm = float(np.linalg.norm(vals))
+    norm = math.hypot(*vals)
     if not abs(norm - 1.0) <= RENORM_TOL:  # written so that a NaN norm fails too
         raise ParseError(line_no, f"quaternion norm {norm:.9g} deviates from 1 beyond {RENORM_TOL}")
-    return UnitQuaternion(*vals)
+    return vals
 
 
 def parse(text: str) -> ViewGraph:
     """Parse the text format; raises :class:`ParseError` with line numbers."""
     node_gt: dict[int, UnitQuaternion | None] = {}
-    edges: list[Edge] = []
+    ends: list[tuple[int, int]] = []
+    quats: list[list[float]] = []
+    labels: list[int] = []
     pairs: set[tuple[int, int]] = set()
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -216,7 +258,7 @@ def parse(text: str) -> ViewGraph:
                 raise ParseError(line_no, "node ids must be non-negative")
             if nid in node_gt:
                 raise ParseError(line_no, f"duplicate node {nid}")
-            node_gt[nid] = _parse_quat(parts[2:], line_no) if len(parts) == 6 else None
+            node_gt[nid] = UnitQuaternion(*_parse_quat(parts[2:], line_no)) if len(parts) == 6 else None
         elif kind == "EDGE":
             if len(parts) not in (7, 8):
                 raise ParseError(line_no, "EDGE takes u v qw qx qy qz [gt_outlier]")
@@ -230,13 +272,11 @@ def parse(text: str) -> ViewGraph:
             if key in pairs:
                 raise ParseError(line_no, f"duplicate edge ({u}, {v})")
             pairs.add(key)
-            q = _parse_quat(parts[3:7], line_no)
-            label: bool | None = None
-            if len(parts) == 8:
-                if parts[7] not in ("0", "1"):
-                    raise ParseError(line_no, "gt_outlier must be 0 or 1")
-                label = parts[7] == "1"
-            edges.append(Edge(u, v, q, label))
+            quats.append(_parse_quat(parts[3:7], line_no))
+            if len(parts) == 8 and parts[7] not in ("0", "1"):
+                raise ParseError(line_no, "gt_outlier must be 0 or 1")
+            ends.append((u, v))
+            labels.append(int(parts[7]) if len(parts) == 8 else -1)
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
     if not header_seen:
@@ -244,11 +284,13 @@ def parse(text: str) -> ViewGraph:
     n = len(node_gt)
     if sorted(node_gt) != list(range(n)):
         raise ViewGraphError("node ids must be dense in [0, N)")
-    for e in edges:
-        if e.u >= n or e.v >= n:
-            raise ViewGraphError(f"edge ({e.u}, {e.v}) references an undeclared node")
+    uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    undeclared = np.any(uv >= n, axis=1)
+    if np.any(undeclared):
+        u, v = ends[int(np.argmax(undeclared))]
+        raise ViewGraphError(f"edge ({u}, {v}) references an undeclared node")
     gt = [node_gt[i] for i in range(n)]
-    return ViewGraph(n, edges, gt)
+    return ViewGraph.from_arrays(n, uv[:, 0], uv[:, 1], quats, labels, gt)
 
 
 def serialize(g: ViewGraph, comment: str | None = None) -> str:
@@ -258,10 +300,12 @@ def serialize(g: ViewGraph, comment: str | None = None) -> str:
         lines = [f"# {c}" for c in comment.splitlines()] + lines
     for i in range(g.n_nodes):
         q = g.gt[i]
-        lines.append(f"NODE {i}" if q is None else f"NODE {i} {_format_quat(q)}")
-    for e in g.edges:
-        suffix = "" if e.gt_outlier is None else f" {int(e.gt_outlier)}"
-        lines.append(f"EDGE {e.u} {e.v} {_format_quat(e.q)}{suffix}")
+        lines.append(f"NODE {i}" if q is None else f"NODE {i} {_format_quat((q.w, q.x, q.y, q.z))}")
+    u, v = g.endpoint_arrays()
+    for a, b, q, label in zip(u.tolist(), v.tolist(), g.edge_quat_array().tolist(),
+                              g.edge_labels().tolist()):
+        suffix = "" if label < 0 else f" {label}"
+        lines.append(f"EDGE {a} {b} {_format_quat(q)}{suffix}")
     return "\n".join(lines) + "\n"
 
 
@@ -269,25 +313,15 @@ def serialize(g: ViewGraph, comment: str | None = None) -> str:
 # Directed augmentation
 # ---------------------------------------------------------------------------
 
-def augment_bidirectional(g: ViewGraph) -> list[tuple[int, int, UnitQuaternion]]:
-    """Directed edge list: all stored directions first, then their reverses.
-
-    Exactly ``2 * |E|`` entries; entry ``E + i`` is the reverse of entry ``i``
-    and carries the inverse orientation.
-    """
-    fwd = [(e.u, e.v, e.q) for e in g.edges]
-    rev = [(e.v, e.u, so3.inverse(e.q)) for e in g.edges]
-    return fwd + rev
-
-
 def directed_arrays(g: ViewGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`augment_bidirectional`.
+    """Directed edges: all stored directions first, then their reverses.
 
     Returns ``(uv, quats)`` with ``uv`` of shape (2E, 2) int64 and ``quats``
-    of shape (2E, 4); rows ``[0, E)`` are the stored directions.
+    of shape (2E, 4); rows ``[0, E)`` are the stored directions and row
+    ``E + i`` is the reverse of row ``i``, carrying the inverse orientation.
     """
-    m = len(g.edges)
     u, v = g.endpoint_arrays()
+    m = u.size
     uv = np.empty((2 * m, 2), dtype=np.int64)
     uv[:m, 0] = u
     uv[:m, 1] = v
@@ -334,15 +368,14 @@ def is_connected(g: ViewGraph) -> bool:
 def induced_subgraph(g: ViewGraph, nodes: list[int]) -> tuple[ViewGraph, dict[int, int]]:
     """Node-induced subgraph with dense renumbering; returns old->new map."""
     nodes = sorted(nodes)
-    remap = {old: new for new, old in enumerate(nodes)}
-    keep = set(nodes)
-    edges = [
-        Edge(remap[e.u], remap[e.v], e.q, e.gt_outlier)
-        for e in g.edges
-        if e.u in keep and e.v in keep
-    ]
-    gt = [g.gt[old] for old in nodes]
-    return ViewGraph(len(nodes), edges, gt), remap
+    new_id = np.full(g.n_nodes, -1, dtype=np.int64)
+    new_id[nodes] = np.arange(len(nodes))
+    u, v = g.endpoint_arrays()
+    nu, nv = new_id[u], new_id[v]
+    keep = (nu >= 0) & (nv >= 0)
+    sub = ViewGraph.from_arrays(len(nodes), nu[keep], nv[keep], g.edge_quat_array()[keep],
+                                g.edge_labels()[keep], [g.gt[old] for old in nodes])
+    return sub, {old: new for new, old in enumerate(nodes)}
 
 
 def largest_component(g: ViewGraph) -> tuple[ViewGraph, dict[int, int]]:
@@ -370,8 +403,7 @@ def select_root(g: ViewGraph) -> int:
     """Node of maximum degree; ties broken by smallest id."""
     if g.n_nodes == 0:
         raise ViewGraphError("cannot select a root in an empty graph")
-    degrees = [g.degree(v) for v in range(g.n_nodes)]
-    return int(np.argmax(degrees))  # argmax returns the first (smallest id)
+    return int(np.argmax(g.degree_array()))  # argmax returns the first (smallest id)
 
 
 def shortest_path_tree(g: ViewGraph, root: int) -> SpanningTreeInit:
@@ -408,32 +440,35 @@ def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTree
 
     The root gets the identity; a child ``v`` of ``u`` gets
     ``compose(q_uv, orientations[u])`` with ``q_uv`` the measurement oriented
-    from parent to child.
+    from parent to child.  Each depth level is one array step.
     """
-    edge_of: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(g.edges):
-        edge_of[(e.u, e.v)] = i
-        edge_of[(e.v, e.u)] = i
-    orientations: list[UnitQuaternion | None] = [None] * g.n_nodes
-    orientations[tree.root] = UnitQuaternion.identity()
-    order = sorted(range(g.n_nodes), key=lambda v: tree.depth[v])
-    for v in order:
-        if v == tree.root:
-            continue
-        u = tree.parent[v]
-        idx = edge_of.get((u, v))
-        if idx is None:
-            raise ViewGraphError(f"no stored measurement between {u} and {v}")
-        base = orientations[u]
-        assert base is not None  # parents precede children in depth order
-        orientations[v] = so3.compose(g.oriented(idx, u, v), base)
-    if any(q is None for q in orientations):
+    n = g.n_nodes
+    u, v = g.endpoint_arrays()
+    keys = u * n + v
+    order = np.argsort(keys)
+    sorted_keys = np.append(keys[order], -1)  # padding, so a search past the end reads a value
+    depth, parent = np.asarray(tree.depth), np.asarray(tree.parent)
+    rows = np.full((n, 4), np.nan)
+    rows[tree.root] = (1.0, 0.0, 0.0, 0.0)
+    for d in range(1, max(tree.depth, default=0) + 1):
+        child = np.flatnonzero(depth == d)
+        par = parent[child]
+        want = np.minimum(par, child) * n + np.maximum(par, child)
+        pos = np.searchsorted(sorted_keys[:-1], want)
+        missing = (pos == keys.size) | (sorted_keys[pos] != want)
+        if np.any(missing):
+            i = int(np.argmax(missing))
+            raise ViewGraphError(f"no stored measurement between {par[i]} and {child[i]}")
+        q_pc = g.edge_quat_array()[order[pos]]
+        q_pc = np.where((par > child)[:, None], so3.qconj(q_pc), q_pc)
+        rows[child] = so3.qcanon(so3.qmul(q_pc, rows[par]))
+    if np.any(np.isnan(rows)):
         raise ViewGraphError("tree does not cover every node")
     return SpanningTreeInit(
         root=tree.root,
         parent=list(tree.parent),
         depth=list(tree.depth),
-        orientations=orientations,  # type: ignore[arg-type]
+        orientations=[UnitQuaternion.from_array(r) for r in rows],
     )
 
 
@@ -470,13 +505,13 @@ class GraphStats:
     noise_axes: np.ndarray | None = None
 
 
-def _angles_axes(quats: list[UnitQuaternion]) -> tuple[np.ndarray, np.ndarray]:
-    angles = np.zeros(len(quats))
-    axes = np.zeros((len(quats), 3))
-    for i, q in enumerate(quats):
-        aa = so3.axis_angle(q)
-        angles[i] = np.degrees(aa.angle)
-        axes[i] = aa.axis
+def _angles_axes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation angles (degrees) and unit axes of canonical rows; a row whose
+    vector part has norm below 1e-12 maps to angle 0 about +x."""
+    nv = np.linalg.norm(q[:, 1:], axis=1)
+    small = nv < 1e-12
+    angles = np.where(small, 0.0, np.degrees(np.minimum(2.0 * np.arctan2(nv, q[:, 0]), np.pi)))
+    axes = np.where(small[:, None], (1.0, 0.0, 0.0), q[:, 1:] / np.where(small, 1.0, nv)[:, None])
     return angles, axes
 
 
@@ -489,7 +524,7 @@ def graph_stats(g: ViewGraph, include_noise: bool | None = None) -> GraphStats:
     if include_noise and not g.has_full_gt:
         raise ViewGraphError("noise statistics require full ground truth")
     edges = np.linspace(0.0, 180.0, ANGLE_BINS + 1)
-    rel_angles, rel_axes = _angles_axes([e.q for e in g.edges])
+    rel_angles, rel_axes = _angles_axes(g.edge_quat_array())
     rel_hist, _ = np.histogram(rel_angles, bins=edges)
     stats = GraphStats(
         bin_edges_deg=edges,
@@ -498,9 +533,7 @@ def graph_stats(g: ViewGraph, include_noise: bool | None = None) -> GraphStats:
         rel_axes=rel_axes,
     )
     if include_noise:
-        noise = [
-            so3.compose(so3.inverse(g.relative_gt(e.u, e.v)), e.q) for e in g.edges
-        ]
+        noise = so3.qcanon(so3.qmul(so3.qconj(g.relative_gt_array()), g.edge_quat_array()))
         n_angles, n_axes = _angles_axes(noise)
         n_hist, _ = np.histogram(n_angles, bins=edges)
         stats.noise_angles_deg = n_angles

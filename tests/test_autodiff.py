@@ -362,6 +362,15 @@ class TestCheckpoint:
             path.write_text(json.dumps(payload))
             with pytest.raises(CheckpointError, match="'layer.w'"):
                 load_checkpoint(path, expected)
+        # structurally malformed JSON: a top-level list, non-list params, a list name
+        payload = json.loads(saved)
+        bad_name = json.loads(saved)
+        bad_name["params"][0]["name"] = ["layer.w"]
+        for bad, match in (([payload], "format 'list'"), ({**payload, "params": 5}, "must be a list"),
+                           (bad_name, r"unexpected parameter \['layer.w'\]")):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(path, expected)
 
     def test_bad_format(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -50,15 +50,13 @@ class TestForward:
             store.add(name, np.zeros(shape))
         pred = cleaning.clean_forward(g, store)
         assert not np.any(np.isnan(pred.outlier_prob))
-        for r, e in zip(pred.rect, g.edges):
-            assert so3.geodesic_deg(r, e.q) < 1e-9
+        assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
 
     def test_identity_init_passes_measurements_through(self):
         g = noisy_graph(seed=1)
         pred = cleaning.clean_forward(g, cleaning.new_weights(1))
         assert np.allclose(pred.outlier_prob, 0.5)
-        for r, e in zip(pred.rect, g.edges):
-            assert so3.geodesic_deg(r, e.q) < 1e-9
+        assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
 
     def test_rect_quaternions_canonical_unit(self):
         g = noisy_graph(seed=2)
@@ -67,10 +65,10 @@ class TestForward:
         for name, shape in cleaning.weight_spec().items():
             store.add(name, rng.normal(0.0, 0.4, size=shape))
         pred = cleaning.clean_forward(g, store)
-        for r in pred.rect:
-            arr = r.as_array()
-            assert abs(np.linalg.norm(arr) - 1.0) < 1e-9
-            assert arr[0] >= 0.0
+        assert pred.rect.shape == (len(g.edges), 4)
+        assert np.max(np.abs(np.linalg.norm(pred.rect, axis=1) - 1.0)) < 1e-9
+        assert np.all(pred.rect[:, 0] >= 0.0)
+        assert np.array_equal(so3.qcanon(pred.rect), pred.rect)
 
     def test_empty_graph_rejected(self):
         g = ViewGraph(2, [])
@@ -118,7 +116,7 @@ class TestLoss:
     def test_perfect_predictions_hit_bce_floor(self):
         g = noisy_graph(seed=6)
         labels = cleaning.gt_outlier_labels(g)
-        rect = [g.relative_gt(e.u, e.v) for e in g.edges]
+        rect = g.relative_gt_array()
         logits = np.where(labels > 0.5, 50.0, -50.0)
         pred = cleaning.CleanPrediction(
             rect=rect, outlier_prob=1.0 / (1.0 + np.exp(-logits)), logits=logits
@@ -132,7 +130,7 @@ class TestLoss:
         orient_only = cleaning.clean_loss(pred, g, bce_weight=0.0)
         w = cleaning._degree_weights(g)
         expected = sum(
-            wi * so3.quat_dist(r, g.relative_gt(e.u, e.v))
+            wi * so3.quat_dist(UnitQuaternion.from_array(r), g.relative_gt(e.u, e.v))
             for wi, r, e in zip(w, pred.rect, g.edges)
         )
         assert abs(orient_only - expected) < 1e-12
@@ -174,8 +172,9 @@ class TestCleanGraph:
         assert len(cg.graph.edges) == len(g.edges)
         assert cg.removed_edges == 0 and cg.dropped_nodes == []
         for e_new, r in zip(cg.graph.edges, pred.rect):
-            assert so3.geodesic_deg(e_new.q, r) < 1e-12
+            assert so3.geodesic_deg(e_new.q, UnitQuaternion.from_array(r)) < 1e-12
             assert e_new.gt_outlier is None
+        assert np.array_equal(cg.graph.edge_quat_array(), pred.rect)
 
     def test_high_probability_edge_removed(self):
         g = noisy_graph(seed=11)
@@ -199,7 +198,7 @@ class TestCleanGraph:
         edges = [Edge(0, 1, q), Edge(1, 2, q), Edge(2, 3, q), Edge(3, 4, q)]
         g = ViewGraph(5, edges)
         pred = cleaning.CleanPrediction(
-            rect=[e.q for e in edges],
+            rect=np.array([e.q.as_array() for e in edges]),
             outlier_prob=np.array([0.0, 0.9, 0.0, 0.0]),
             logits=np.zeros(4),
         )

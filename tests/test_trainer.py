@@ -1,0 +1,101 @@
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from rotavg import cleaning, refinement, synthgen, trainer
+from rotavg.trainer import TrainConfig, TrainingError
+
+EPOCHS = 2
+
+
+def corpus(seed: int, count: int) -> list:
+    """Small noisy graphs with outliers; the desk schedule, shortened."""
+    cfg = synthgen.SynthConfig(
+        n_cameras=(16, 22), edge_fraction=(0.3, 0.4), sigma_deg=(2.0, 10.0),
+        outlier_fraction=(0.1, 0.1), seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    return [synthgen.generate_graph(cfg, rng) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def data():
+    return corpus(1, 3), corpus(2, 2)
+
+
+@pytest.fixture(scope="module")
+def clean_run(data):
+    train, val = data
+    return trainer.train_cleannet(train, val, TrainConfig.desk(seed=3, epochs=EPOCHS))
+
+
+def same_run(a, b) -> bool:
+    (store_a, log_a), (store_b, log_b) = a, b
+    return (
+        store_a.params.keys() == store_b.params.keys()
+        and all(np.array_equal(store_a.params[k], store_b.params[k]) for k in store_a.params)
+        and [r[:3] for r in log_a.rows] == [r[:3] for r in log_b.rows]
+        and (log_a.best_epoch, log_a.best_val_loss) == (log_b.best_epoch, log_b.best_val_loss)
+    )
+
+
+class TestDeterminism:
+    def test_cleannet_bit_identical_per_seed(self, data, clean_run):
+        train, val = data
+        again = trainer.train_cleannet(train, val, TrainConfig.desk(seed=3, epochs=EPOCHS))
+        assert same_run(clean_run, again)
+        other = trainer.train_cleannet(train, val, TrainConfig.desk(seed=4, epochs=EPOCHS))
+        assert not same_run(clean_run, other)
+
+    def test_finenet_bit_identical_per_seed(self, data, clean_run):
+        train, val = data
+        cfg = TrainConfig.desk(seed=3, epochs=EPOCHS)
+        first = trainer.train_finenet(train, val, cfg, clean_store=clean_run[0])
+        again = trainer.train_finenet(train, val, cfg, clean_store=clean_run[0])
+        assert same_run(first, again)
+
+
+class TestBestEpoch:
+    @pytest.mark.parametrize("net", ["cleannet", "finenet"])
+    def test_best_matches_minimum_row(self, data, net):
+        train, val = data
+        # a large step makes the validation loss rise again before the last epoch
+        cfg = TrainConfig.desk(seed=5, epochs=4, lr=5e-2)
+        if net == "cleannet":
+            store, log = trainer.train_cleannet(train, val, cfg)
+            reevaluated = trainer._clean_val_loss(val, store, cleaning.DEFAULT_CONFIG)
+        else:
+            store, log = trainer.train_finenet(train, val, cfg)
+            reevaluated = trainer._refine_val_loss(val, store, None, refinement.DEFAULT_CONFIG)
+        assert [r[0] for r in log.rows] == list(range(4))
+        val_losses = [r[2] for r in log.rows]
+        first_min = int(np.argmin(val_losses))  # ties keep the earliest epoch
+        assert log.best_epoch == log.rows[first_min][0] < 3
+        assert log.best_val_loss == min(val_losses)
+        # the returned weights are the best epoch's, not the last epoch's
+        assert reevaluated == log.best_val_loss
+
+
+class TestNonFinite:
+    def test_nan_cleannet_loss_raises(self, data, monkeypatch):
+        loss_graph = cleaning.clean_loss_graph
+
+        def nan_loss(tape, g, weights, cfg):
+            return tape.scale(loss_graph(tape, g, weights, cfg), math.nan)
+
+        monkeypatch.setattr(cleaning, "clean_loss_graph", nan_loss)
+        with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
+            trainer.train_cleannet(*data, TrainConfig.desk(epochs=1))
+
+    def test_nan_finenet_loss_raises(self, data, monkeypatch):
+        loss_from_pred = refinement.loss_from_pred
+
+        def nan_loss(tape, pred, g, root):
+            return tape.scale(loss_from_pred(tape, pred, g, root), math.nan)
+
+        monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
+        with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
+            trainer.train_finenet(*data, TrainConfig.desk(epochs=1))

@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotavg import so3, synthgen, viewgraph
 from rotavg.so3 import UnitQuaternion
@@ -38,6 +40,116 @@ def bfs_depths(g: ViewGraph, root: int) -> list[int]:
                 depth[u] = depth[v] + 1
                 queue.append(u)
     return depth
+
+
+def loop_canonical(n: int, edges: list[Edge]) -> list[Edge]:
+    # per-edge validation loop of the Edge-list constructor, kept as the oracle
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for e in edges:
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise ViewGraphError(f"edge ({e.u}, {e.v}) references an unknown node")
+        if e.u == e.v:
+            raise ViewGraphError(f"self-loop at node {e.u}")
+        if e.u > e.v:
+            e = Edge(e.v, e.u, so3.inverse(e.q), e.gt_outlier)
+        if (e.u, e.v) in seen:
+            raise ViewGraphError(f"duplicate edge ({e.u}, {e.v})")
+        seen.add((e.u, e.v))
+        out.append(e)
+    return out
+
+
+@st.composite
+def edge_lists(draw, valid: bool):
+    """(n, edges) with random orientations, labels and directions; with
+    ``valid`` every pair is distinct and in range, otherwise ends may repeat,
+    coincide or fall outside [0, n)."""
+    n = draw(st.integers(1, 8))
+    if valid:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        ends = [(b, a) if draw(st.booleans()) else (a, b) for a, b in picked]
+    else:
+        end = st.integers(-1, n)
+        ends = draw(st.lists(st.tuples(end, end), max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(st.lists(st.sampled_from([None, False, True]),
+                           min_size=len(ends), max_size=len(ends)))
+    return n, [Edge(a, b, so3.sample_uniform(rng), lab) for (a, b), lab in zip(ends, labels)]
+
+
+def from_arrays_of(n: int, edges: list[Edge]) -> ViewGraph:
+    return ViewGraph.from_arrays(
+        n, [e.u for e in edges], [e.v for e in edges], [e.q.as_array() for e in edges],
+        [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges],
+    )
+
+
+def outcome(build):
+    try:
+        g = build()
+    except ViewGraphError as exc:
+        return str(exc)
+    u, v = g.endpoint_arrays()
+    return u.tolist(), v.tolist(), g.edge_quat_array().tolist(), g.edge_labels().tolist()
+
+
+class TestArrayStore:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists(valid=True))
+    def test_constructors_agree_with_loop_oracle(self, case):
+        n, edges = case
+        canon = loop_canonical(n, edges)
+        expected = (
+            [e.u for e in canon], [e.v for e in canon], [e.q.as_array().tolist() for e in canon],
+            [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in canon],
+        )
+        assert outcome(lambda: ViewGraph(n, edges)) == expected
+        assert outcome(lambda: from_arrays_of(n, edges)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(valid=False))
+    def test_errors_agree_with_loop_oracle(self, case):
+        n, edges = case
+        try:
+            loop_canonical(n, edges)
+            expected = None
+        except ViewGraphError as exc:
+            expected = str(exc)
+        for build in (lambda: ViewGraph(n, edges), lambda: from_arrays_of(n, edges)):
+            got = outcome(build)
+            assert (got if isinstance(got, str) else None) == expected
+
+    def test_stored_arrays_are_read_only(self):
+        u = np.array([1, 0])
+        q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        g = ViewGraph.from_arrays(3, u, [0, 2], q, [1, -1])
+        for arr in (*g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        # the inputs were copied, not frozen or aliased
+        u[0] = 2
+        q[0, 0] = 5.0
+        assert g.endpoint_arrays()[0].tolist() == [0, 0] and g.edge_quat_array()[0, 0] == 1.0
+
+    def test_edge_records(self):
+        g = ViewGraph.from_arrays(3, [1, 0], [0, 2], so3.qcanon(np.eye(4)[:2]), [1, -1])
+        assert len(g.edges) == 2 and [e.gt_outlier for e in g.edges] == [True, None]
+        assert (g.edges[-1].u, g.edges[-1].v) == (0, 2)
+        with pytest.raises(IndexError):
+            g.edges[2]
+
+    def test_malformed_arrays_rejected(self):
+        q = np.array([[1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ViewGraphError, match="one entry per edge"):
+            ViewGraph.from_arrays(2, [0], [1], q[:, :3])
+        with pytest.raises(ViewGraphError, match="labels"):
+            ViewGraph.from_arrays(2, [0], [1], q, [2])
+        with pytest.raises(ViewGraphError, match="finite nonzero"):
+            ViewGraph.from_arrays(2, [0], [1], q * np.nan)
+        with pytest.raises(ViewGraphError, match="finite nonzero"):
+            ViewGraph.from_arrays(2, [0], [1], q * 0.0)
 
 
 class TestFormat:
@@ -89,6 +201,13 @@ class TestFormat:
         with pytest.raises(ParseError, match="line 2"):
             viewgraph.parse("VIEWGRAPH v1\nNODE 0 1 nan 0 0\n")
 
+    def test_first_bad_line_wins(self):
+        head = "VIEWGRAPH v1\nNODE 0\nNODE 1\nNODE 2\n"
+        with pytest.raises(ParseError, match="line 5: quaternion norm"):
+            viewgraph.parse(head + "EDGE 0 1 2 0 0 0\nEDGE 1 1 1 0 0 0\n")
+        with pytest.raises(ParseError, match="line 6: duplicate edge"):
+            viewgraph.parse(head + "EDGE 0 1 1 0 0 0\nEDGE 1 0 1 0 0 0\nEDGE 2 0 1 0 0 0 7\n")
+
     def test_duplicate_edge_rejected(self):
         text = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0\nEDGE 1 0 1 0 0 0\n"
         with pytest.raises(ParseError, match="duplicate edge"):
@@ -122,29 +241,25 @@ class TestStructure:
 
     def test_augment_bidirectional(self):
         g = small_graph()
-        directed = viewgraph.augment_bidirectional(g)
+        uv, quats = viewgraph.directed_arrays(g)
         m = len(g.edges)
-        assert len(directed) == 2 * m
+        assert uv.shape == (2 * m, 2) and quats.shape == (2 * m, 4)
         for i, e in enumerate(g.edges):
-            u, v, q = directed[i]
-            ru, rv, rq = directed[m + i]
-            assert (u, v) == (e.u, e.v) and (ru, rv) == (e.v, e.u)
-            assert so3.geodesic_deg(so3.compose(q, rq), UnitQuaternion.identity()) < 1e-9
+            assert tuple(uv[i]) == (e.u, e.v) and tuple(uv[m + i]) == (e.v, e.u)
+            assert np.array_equal(quats[i], e.q.as_array())
+            rq = UnitQuaternion.from_array(quats[m + i])
+            assert so3.geodesic_deg(so3.compose(e.q, rq), UnitQuaternion.identity()) < 1e-9
 
     def test_augment_involution(self):
         g = small_graph()
-        directed = viewgraph.augment_bidirectional(g)
+        uv, quats = viewgraph.directed_arrays(g)
         m = len(g.edges)
-        rev = ViewGraph(
-            g.n_nodes, [Edge(u, v, q) for (u, v, q) in directed[m:]], list(g.gt)
-        )
-        again = viewgraph.augment_bidirectional(rev)[len(rev.edges):]
+        # the reverse block, stored as a graph, is flipped back on construction
+        rev = ViewGraph.from_arrays(g.n_nodes, uv[m:, 0], uv[m:, 1], quats[m:], gt=g.gt)
+        assert np.array_equal(rev.edge_quat_array(), g.edge_quat_array())
+        uv2, quats2 = viewgraph.directed_arrays(rev)
         # reversing the reversed set reproduces the forward measurements
-        fwd = {(e.u, e.v): e.q for e in g.edges}
-        for (u, v, q) in again:
-            key = (min(u, v), max(u, v))
-            ref = fwd[key] if (u, v) == key else so3.inverse(fwd[key])
-            assert so3.geodesic_deg(q, ref) < 1e-9
+        assert np.array_equal(uv2, uv) and np.array_equal(quats2, quats)
 
     def test_directed_arrays_blocks(self):
         g = small_graph()
@@ -283,6 +398,41 @@ class TestBootstrap:
                 assert so3.geodesic_deg(reproduced, e.q) < 1e-9
 
 
+    def test_matches_compose_chain_oracle(self):
+        # the per-node compose chain the array bootstrap replaced, kept as the oracle
+        def compose_chain(g, tree):
+            out = [None] * g.n_nodes
+            out[tree.root] = UnitQuaternion.identity()
+            edges = list(g.edges)
+            for v in sorted(range(g.n_nodes), key=lambda x: tree.depth[x]):
+                if v == tree.root:
+                    continue
+                u = tree.parent[v]
+                e = next(e for e in edges if {e.u, e.v} == {u, v})
+                q = e.q if (e.u, e.v) == (u, v) else so3.inverse(e.q)
+                out[v] = so3.compose(q, out[u])
+            return out
+
+        for seed in range(6):
+            cfg = synthgen.SynthConfig(n_cameras=(5, 30), edge_fraction=(0.1, 0.5), seed=seed)
+            g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 900))
+            # stored order need not be sorted: shuffle the edges
+            perm = np.random.default_rng(seed).permutation(len(g.edges))
+            g = ViewGraph(g.n_nodes, [g.edges[i] for i in perm], g.gt)
+            for root in (0, viewgraph.select_root(g)):
+                tree = viewgraph.shortest_path_tree(g, root)
+                boot = viewgraph.bootstrap_orientations(g, tree)
+                for a, b in zip(boot.orientations, compose_chain(g, tree)):
+                    assert np.array_equal(a.as_array(), b.as_array())
+
+    def test_missing_tree_edge_rejected(self):
+        q = UnitQuaternion.identity()
+        g = ViewGraph(3, [Edge(0, 1, q), Edge(1, 2, q)])
+        tree = viewgraph.SpanningTreeInit(root=0, parent=[-1, 0, 0], depth=[0, 1, 1])
+        with pytest.raises(ViewGraphError, match="between 0 and 2"):
+            viewgraph.bootstrap_orientations(g, tree)
+
+
 class TestRereference:
     def test_already_referenced_unchanged(self):
         rng = np.random.default_rng(20)
@@ -339,6 +489,33 @@ class TestStats:
         st = viewgraph.graph_stats(g)
         rms = float(np.sqrt(np.mean(st.noise_angles_deg**2)))
         assert abs(rms - 10.0) / 10.0 < 0.15
+
+    def test_matches_axis_angle_loop(self):
+        # the per-edge axis_angle loop graph_stats replaced, kept as the oracle
+        def loop(quats):
+            angles, axes = np.zeros(len(quats)), np.zeros((len(quats), 3))
+            for i, q in enumerate(quats):
+                aa = so3.axis_angle(q)
+                angles[i], axes[i] = np.degrees(aa.angle), aa.axis
+            return angles, axes
+
+        cfg = synthgen.SynthConfig(
+            n_cameras=(40, 40), edge_fraction=(0.3, 0.3), sigma_deg=(20.0, 20.0),
+            outlier_fraction=(0.2, 0.2), planar=False, seed=3,
+        )
+        rng = np.random.default_rng(4)
+        gt = [so3.sample_uniform(rng) for _ in range(3)]
+        # zero angles, measured and noise, take the +x axis branch
+        tiny = ViewGraph(3, [Edge(0, 1, UnitQuaternion.identity()),
+                             Edge(1, 2, so3.relative(gt[1], gt[2]))], gt)
+        for g in (synthgen.generate_graph(cfg, np.random.default_rng(3)), tiny):
+            st = viewgraph.graph_stats(g)
+            rel_angles, rel_axes = loop([e.q for e in g.edges])
+            noise = [so3.compose(so3.inverse(g.relative_gt(e.u, e.v)), e.q) for e in g.edges]
+            n_angles, n_axes = loop(noise)
+            for got, want in ((st.rel_angles_deg, rel_angles), (st.rel_axes, rel_axes),
+                              (st.noise_angles_deg, n_angles), (st.noise_axes, n_axes)):
+                assert np.max(np.abs(got - want)) < 1e-12
 
     def test_noise_requires_gt(self):
         g = ViewGraph(2, [Edge(0, 1, UnitQuaternion.identity())])
