@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mpnn, so3, viewgraph
-from .autodiff import AutodiffError, ParamStore, Tape, Tensor
+from .autodiff import ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -123,6 +123,18 @@ def _degree_weights(g: ViewGraph) -> np.ndarray:
     return 1.0 / (degrees[u] * degrees[v])
 
 
+def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph, bce_weight: float) -> Tensor:
+    """Degree-normalized distance of the unit rows ``rect`` to the ground-truth
+    relative orientations plus ``bce_weight`` times the mean outlier
+    cross-entropy of ``logits``."""
+    if not g.has_full_gt:
+        raise ViewGraphError("loss requires full ground truth")
+    dists = tape.quat_dist_loss(rect, tape.constant(g.relative_gt_array()))
+    mre = tape.sum(tape.mul(dists, tape.constant(_degree_weights(g))))
+    bce = tape.mean(tape.bce_with_logits(logits, tape.constant(gt_outlier_labels(g))))
+    return tape.add(mre, tape.scale(bce, bce_weight))
+
+
 def clean_loss_graph(
     tape: Tape,
     g: ViewGraph,
@@ -130,17 +142,10 @@ def clean_loss_graph(
     cfg: MpnnConfig = DEFAULT_CONFIG,
     bce_weight: float = BCE_WEIGHT_DEFAULT,
 ) -> Tensor:
-    """Differentiable loss: degree-normalized rectification error plus
-    ``bce_weight`` times the mean outlier cross-entropy."""
-    if not g.has_full_gt:
-        raise ViewGraphError("training loss requires full ground truth")
+    """Differentiable loss of the network's own prediction on ``g``."""
     delta_raw, logits = _head_tensors(tape, g, weights, cfg)
     rect_raw = tape.quat_compose(delta_raw, tape.constant(g.edge_quat_array()))
-    gt_rel = tape.constant(g.relative_gt_array())
-    dists = tape.quat_dist_loss(tape.quat_normalize(rect_raw), gt_rel)
-    mre = tape.sum(tape.mul(dists, tape.constant(_degree_weights(g))))
-    bce = tape.mean(tape.bce_with_logits(logits, tape.constant(gt_outlier_labels(g))))
-    return tape.add(mre, tape.scale(bce, bce_weight))
+    return _loss_terms(tape, tape.quat_normalize(rect_raw), logits, g, bce_weight)
 
 
 def clean_loss(
@@ -149,17 +154,9 @@ def clean_loss(
     bce_weight: float = BCE_WEIGHT_DEFAULT,
 ) -> float:
     """Loss value for an existing prediction (evaluation path)."""
-    if not g.has_full_gt:
-        raise ViewGraphError("loss requires full ground truth")
-    w = _degree_weights(g)
-    gt_rel = g.relative_gt_array()
-    d_minus = np.linalg.norm(pred.rect - gt_rel, axis=1)
-    d_plus = np.linalg.norm(pred.rect + gt_rel, axis=1)
-    mre = float(w @ np.minimum(d_minus, d_plus))
-    z = pred.logits
-    t = gt_outlier_labels(g)
-    bce = float(np.mean(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
-    return float(mre + bce_weight * bce)
+    tape = Tape(recording=False)
+    loss = _loss_terms(tape, tape.constant(pred.rect), tape.constant(pred.logits), g, bce_weight)
+    return float(loss.values)
 
 
 def clean_graph(

@@ -5,7 +5,10 @@ regresses refined absolute orientations in one shot.  Hidden states start at
 the initial orientation quaternions (zero-padded); the feature of directed
 edge ``u -> v`` is the discrepancy ``init_v^-1 * q_uv * init_u`` between the
 measurement and the initialization.  The head maps final node states to a
-corrective rotation applied on the left of the initialization.
+corrective rotation applied on the left of the initialization.  One head
+serves both paths: ``forward_tensors`` composes its raw output on the tape
+(training and losses), and ``refine_forward`` composes the same values,
+with rows whose norm underflows replaced by the identity (inference).
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
@@ -59,6 +62,20 @@ def _edge_discrepancy(g: ViewGraph, init_rows: np.ndarray) -> tuple[np.ndarray, 
     return uv, feats
 
 
+def _corrections(
+    tape: Tape,
+    g: ViewGraph,
+    uv: np.ndarray,
+    node_init: Tensor,
+    edge_feats: Tensor,
+    weights: dict[str, Tensor],
+    cfg: MpnnConfig,
+) -> Tensor:
+    """The head: raw (N, 4) corrective quaternions from the final node states."""
+    h, _ = mpnn.forward(tape, weights, cfg, uv, edge_feats, node_init, g.n_nodes)
+    return tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
+
+
 def forward_tensors(
     tape: Tape,
     g: ViewGraph,
@@ -76,8 +93,7 @@ def forward_tensors(
     uv, feats = _edge_discrepancy(g, init_rows)
     node_init = init_tensor if init_tensor is not None else tape.constant(init_rows)
     edge_feats = feat_tensor if feat_tensor is not None else tape.constant(feats)
-    h, _ = mpnn.forward(tape, weights, cfg, uv, edge_feats, node_init, g.n_nodes)
-    delta_raw = tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
+    delta_raw = _corrections(tape, g, uv, node_init, edge_feats, weights, cfg)
     return tape.quat_compose(tape.quat_normalize(delta_raw), node_init)
 
 
@@ -94,23 +110,26 @@ def refine_forward(
     to the identity rotation.
     """
     init_rows = _init_rows(g, init)
+    _check_root(g, root)
     if so3.geodesic_deg(init[root], UnitQuaternion.identity()) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     tape = Tape(recording=False)
-    weights = store.bind(tape)
     uv, feats = _edge_discrepancy(g, init_rows)
-    h, _ = mpnn.forward(tape, weights, cfg, uv, tape.constant(feats), tape.constant(init_rows), g.n_nodes)
-    delta = (h.values @ store.params["head_refine.w"]) + store.params["head_refine.b"]
-    norms = np.linalg.norm(delta, axis=1)
-    delta[norms < 1e-12] = (1.0, 0.0, 0.0, 0.0)
+    delta = _corrections(tape, g, uv, tape.constant(init_rows), tape.constant(feats),
+                         store.bind(tape), cfg).values
+    delta[np.linalg.norm(delta, axis=1) < 1e-12] = (1.0, 0.0, 0.0, 0.0)
     pred_rows = so3.qcanon(so3.qmul(so3.qcanon(delta), init_rows))
     pred = [UnitQuaternion.from_array(row) for row in pred_rows]
     return viewgraph.rereference(pred, root)
 
 
-def _check_reference(g: ViewGraph, root: int) -> None:
+def _check_root(g: ViewGraph, root: int) -> None:
     if not 0 <= root < g.n_nodes:
         raise ViewGraphError(f"root {root} out of range")
+
+
+def _check_reference(g: ViewGraph, root: int) -> None:
+    _check_root(g, root)
     gt_root = g.gt[root]
     if gt_root is None:
         raise ViewGraphError("loss requires ground truth at the root")

@@ -96,6 +96,24 @@ def _parse_range(text: str, as_int: bool = False) -> tuple:
     return (vals[0], vals[1])
 
 
+def _parse_bool(text: str) -> bool:
+    flags = {"0": False, "false": False, "1": True, "true": True}
+    if text.lower() not in flags:
+        raise SynthConfigError("expected 0, 1, true or false")
+    return flags[text.lower()]
+
+
+_FIELD_PARSERS = {
+    "n_cameras": lambda text: _parse_range(text, as_int=True),
+    "edge_fraction": _parse_range,
+    "sigma_deg": _parse_range,
+    "outlier_fraction": _parse_range,
+    "planar": _parse_bool,
+    "axis_concentration": float,
+    "seed": int,
+}
+
+
 def load_config(path: str | Path) -> SynthConfig:
     kwargs: dict = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -105,18 +123,12 @@ def load_config(path: str | Path) -> SynthConfig:
         if "=" not in line:
             raise SynthConfigError(f"line {line_no}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "n_cameras":
-            kwargs[key] = _parse_range(value, as_int=True)
-        elif key in ("edge_fraction", "sigma_deg", "outlier_fraction"):
-            kwargs[key] = _parse_range(value)
-        elif key == "planar":
-            kwargs[key] = value not in ("0", "false", "False")
-        elif key == "axis_concentration":
-            kwargs[key] = float(value)
-        elif key == "seed":
-            kwargs[key] = int(value)
-        else:
+        if key not in _FIELD_PARSERS:
             raise SynthConfigError(f"line {line_no}: unknown key {key!r}")
+        try:
+            kwargs[key] = _FIELD_PARSERS[key](value)
+        except ValueError as exc:  # SynthConfigError included
+            raise SynthConfigError(f"line {line_no}: bad {key} value {value!r}: {exc}") from None
     return SynthConfig(**kwargs)
 
 

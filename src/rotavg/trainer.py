@@ -1,28 +1,33 @@
-"""Training loops for the cleaning and refinement networks.
+"""Training of the cleaning and refinement networks.
 
-Both networks train per graph (batch size one) with Adam and decoupled
-weight decay.  Each epoch re-samples an edge-dropout mask per training
-graph; validation always runs on the full graphs, and the parameters with
-the best validation loss are returned.
+One epoch loop (``_fit``) trains both networks per graph (batch size one)
+with Adam and decoupled weight decay; each network only supplies its
+per-graph loss.  Each epoch re-samples an edge-dropout mask per training
+graph; validation always runs on the full graphs with the same loss, and
+the parameters with the best validation loss are returned.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import cleaning, refinement, viewgraph
-from .autodiff import ParamStore, Tape
+from .autodiff import ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
 from .so3 import UnitQuaternion
 from .viewgraph import ViewGraph, ViewGraphError
 
 DESK_LR = 2e-3          # larger steps suit the short desk-scale schedule
 DESK_EPOCHS = 100
+
+# Scalar loss of one graph, recorded on ``tape`` against the bound weights.
+GraphLoss = Callable[[Tape, dict[str, Tensor], ViewGraph], Tensor]
 
 
 class TrainingError(RuntimeError):
@@ -85,35 +90,24 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
                                  g.edge_labels()[idx], g.gt)
 
 
-def _finite_or_raise(value: float, epoch: int, graph_index: int) -> float:
-    if not math.isfinite(value):
-        raise TrainingError(
-            f"non-finite loss at epoch {epoch}, graph {graph_index}: {value!r}"
-        )
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Cleaning network
-# ---------------------------------------------------------------------------
-
-def _clean_val_loss(graphs: list[ViewGraph], store: ParamStore, cfg: MpnnConfig) -> float:
+def _val_loss(store: ParamStore, graph_loss: GraphLoss, graphs: list[ViewGraph]) -> float:
+    """Mean per-graph loss on full graphs, evaluated without recording."""
     total = 0.0
     for g in graphs:
         tape = Tape(recording=False)
-        total += float(cleaning.clean_loss_graph(tape, g, store.bind(tape), cfg).values)
+        total += float(graph_loss(tape, store.bind(tape), g).values)
     return total / len(graphs)
 
 
-def train_cleannet(
+def _fit(
+    store: ParamStore,
+    graph_loss: GraphLoss,
     train_graphs: list[ViewGraph],
     val_graphs: list[ViewGraph],
     cfg: TrainConfig,
-    net_cfg: MpnnConfig = cleaning.DEFAULT_CONFIG,
 ) -> tuple[ParamStore, TrainLog]:
-    """Train the edge-cleaning network; returns the best-validation weights."""
+    """The epoch loop of both networks; returns the best-validation weights."""
     _check_corpus(train_graphs, val_graphs)
-    store = cleaning.new_weights(cfg.seed, net_cfg)
     best = store.copy()
     log = TrainLog()
     for epoch in range(cfg.epochs):
@@ -124,11 +118,17 @@ def train_cleannet(
         for gi in order:
             sub = _dropout_subgraph(train_graphs[gi], cfg.edge_dropout, rng)
             tape = Tape()
-            loss = cleaning.clean_loss_graph(tape, sub, store.bind(tape), net_cfg)
-            epoch_loss += _finite_or_raise(float(loss.values), epoch, int(gi))
+            try:
+                loss = graph_loss(tape, store.bind(tape), sub)
+            except ViewGraphError as exc:
+                raise TrainingError(f"unusable graph at epoch {epoch}, graph {gi}: {exc}") from exc
+            value = float(loss.values)
+            if not math.isfinite(value):
+                raise TrainingError(f"non-finite loss at epoch {epoch}, graph {gi}: {value!r}")
+            epoch_loss += value
             tape.backward(loss)
             store.adam_step(cfg.lr, cfg.weight_decay)
-        val_loss = _clean_val_loss(val_graphs, store, net_cfg)
+        val_loss = _val_loss(store, graph_loss, val_graphs)
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.rows.append((epoch, epoch_loss / len(train_graphs), val_loss, wall_ms))
         if val_loss < log.best_val_loss:
@@ -138,9 +138,19 @@ def train_cleannet(
     return best, log
 
 
-# ---------------------------------------------------------------------------
-# Refinement network
-# ---------------------------------------------------------------------------
+def train_cleannet(
+    train_graphs: list[ViewGraph],
+    val_graphs: list[ViewGraph],
+    cfg: TrainConfig,
+    net_cfg: MpnnConfig = cleaning.DEFAULT_CONFIG,
+) -> tuple[ParamStore, TrainLog]:
+    """Train the edge-cleaning network; returns the best-validation weights."""
+
+    def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
+        return cleaning.clean_loss_graph(tape, g, weights, net_cfg)
+
+    return _fit(cleaning.new_weights(cfg.seed, net_cfg), graph_loss, train_graphs, val_graphs, cfg)
+
 
 def prepare_refinement_sample(
     g: ViewGraph,
@@ -175,23 +185,6 @@ def prepare_refinement_sample(
     return observed, boot.orientations, root
 
 
-def _refine_val_loss(
-    graphs: list[ViewGraph],
-    store: ParamStore,
-    clean_store: ParamStore | None,
-    net_cfg: MpnnConfig,
-) -> float:
-    total = 0.0
-    for g in graphs:
-        sample, init, root = prepare_refinement_sample(g, clean_store)
-        tape = Tape(recording=False)
-        weights = store.bind(tape)
-        init_rows = np.stack([q.as_array() for q in init])
-        pred = refinement.forward_tensors(tape, sample, init_rows, weights, net_cfg)
-        total += float(refinement.loss_from_pred(tape, pred, sample, root).values)
-    return total / len(graphs)
-
-
 def train_finenet(
     train_graphs: list[ViewGraph],
     val_graphs: list[ViewGraph],
@@ -206,36 +199,11 @@ def train_finenet(
     on the raw noisy graphs.  Inits are recomputed per epoch on the
     dropout-filtered edges.
     """
-    _check_corpus(train_graphs, val_graphs)
-    store = refinement.new_weights(cfg.seed, net_cfg)
-    best = store.copy()
-    log = TrainLog()
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(train_graphs))
-        epoch_loss = 0.0
-        for gi in order:
-            sub = _dropout_subgraph(train_graphs[gi], cfg.edge_dropout, rng)
-            try:
-                sample, init, root = prepare_refinement_sample(sub, clean_store)
-            except ViewGraphError as exc:
-                raise TrainingError(
-                    f"cannot build init at epoch {epoch}, graph {gi}: {exc}"
-                ) from exc
-            tape = Tape()
-            weights = store.bind(tape)
-            init_rows = np.stack([q.as_array() for q in init])
-            pred = refinement.forward_tensors(tape, sample, init_rows, weights, net_cfg)
-            loss = refinement.loss_from_pred(tape, pred, sample, root)
-            epoch_loss += _finite_or_raise(float(loss.values), epoch, int(gi))
-            tape.backward(loss)
-            store.adam_step(cfg.lr, cfg.weight_decay)
-        val_loss = _refine_val_loss(val_graphs, store, clean_store, net_cfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        log.rows.append((epoch, epoch_loss / len(train_graphs), val_loss, wall_ms))
-        if val_loss < log.best_val_loss:
-            log.best_val_loss = val_loss
-            log.best_epoch = epoch
-            best = store.copy()
-    return best, log
+
+    def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
+        sample, init, root = prepare_refinement_sample(g, clean_store)
+        init_rows = np.stack([q.as_array() for q in init])
+        pred = refinement.forward_tensors(tape, sample, init_rows, weights, net_cfg)
+        return refinement.loss_from_pred(tape, pred, sample, root)
+
+    return _fit(refinement.new_weights(cfg.seed, net_cfg), graph_loss, train_graphs, val_graphs, cfg)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -139,7 +138,6 @@ class ViewGraph:
         self._n = n
         self._u, self._v, self._q, self._label = lo, hi, q, label
         self._gt = gt
-        self._adj: list[list[tuple[int, int]]] | None = None
         self._gt_rows: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
 
@@ -159,16 +157,6 @@ class ViewGraph:
     @property
     def has_full_gt(self) -> bool:
         return self._n > 0 and all(q is not None for q in self._gt)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per node: list of ``(neighbor, edge_index)``, built once."""
-        if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-            for i, (u, v) in enumerate(zip(self._u.tolist(), self._v.tolist())):
-                adj[u].append((v, i))
-                adj[v].append((u, i))
-            self._adj = adj
-        return self._adj
 
     def edge_quat_array(self) -> np.ndarray:
         """(E, 4) read-only stored edge orientations (canonical direction)."""
@@ -232,6 +220,7 @@ def parse(text: str) -> ViewGraph:
     """Parse the text format; raises :class:`ParseError` with line numbers."""
     node_gt: dict[int, UnitQuaternion | None] = {}
     ends: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     quats: list[list[float]] = []
     labels: list[int] = []
     pairs: set[tuple[int, int]] = set()
@@ -276,6 +265,7 @@ def parse(text: str) -> ViewGraph:
             if len(parts) == 8 and parts[7] not in ("0", "1"):
                 raise ParseError(line_no, "gt_outlier must be 0 or 1")
             ends.append((u, v))
+            edge_lines.append(line_no)
             labels.append(int(parts[7]) if len(parts) == 8 else -1)
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
@@ -285,10 +275,10 @@ def parse(text: str) -> ViewGraph:
     if sorted(node_gt) != list(range(n)):
         raise ViewGraphError("node ids must be dense in [0, N)")
     uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    undeclared = np.any(uv >= n, axis=1)
-    if np.any(undeclared):
-        u, v = ends[int(np.argmax(undeclared))]
-        raise ViewGraphError(f"edge ({u}, {v}) references an undeclared node")
+    undeclared = np.any((uv < 0) | (uv >= n), axis=1)
+    if np.any(undeclared):  # nodes may follow edges, so this waits for the last line
+        i = int(np.argmax(undeclared))
+        raise ParseError(edge_lines[i], f"edge {ends[i]} references an undeclared node")
     gt = [node_gt[i] for i in range(n)]
     return ViewGraph.from_arrays(n, uv[:, 0], uv[:, 1], quats, labels, gt)
 
@@ -336,33 +326,27 @@ def directed_arrays(g: ViewGraph) -> tuple[np.ndarray, np.ndarray]:
 # Connectivity
 # ---------------------------------------------------------------------------
 
-def connected_components(g: ViewGraph) -> list[list[int]]:
-    """Components as sorted node lists, ordered by (-size, smallest id)."""
-    seen = [False] * g.n_nodes
-    comps: list[list[int]] = []
-    adj = g.adjacency()
-    for start in range(g.n_nodes):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u, _ in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+def _component_labels(g: ViewGraph) -> np.ndarray:
+    """Per node, the smallest node id of its connected component.
+
+    Each pass lowers both ends of every edge to their smaller label and then
+    follows labels one hop (pointer jumping) until nothing changes.
+    """
+    u, v = g.endpoint_arrays()
+    label = np.arange(g.n_nodes)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def is_connected(g: ViewGraph) -> bool:
-    if g.n_nodes == 0:
-        return True
-    return len(connected_components(g)[0]) == g.n_nodes
+    return not np.any(_component_labels(g))
 
 
 def induced_subgraph(g: ViewGraph, nodes: list[int]) -> tuple[ViewGraph, dict[int, int]]:
@@ -382,7 +366,9 @@ def largest_component(g: ViewGraph) -> tuple[ViewGraph, dict[int, int]]:
     """Subgraph on the largest component (ties: smallest contained id)."""
     if g.n_nodes == 0:
         return g, {}
-    return induced_subgraph(g, connected_components(g)[0])
+    label = _component_labels(g)
+    sizes = np.bincount(label, minlength=g.n_nodes)  # nonzero only at each component's smallest id
+    return induced_subgraph(g, np.flatnonzero(label == np.argmax(sizes)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -414,25 +400,24 @@ def shortest_path_tree(g: ViewGraph, root: int) -> SpanningTreeInit:
     """
     if not 0 <= root < g.n_nodes:
         raise ViewGraphError(f"root {root} out of range")
-    adj = g.adjacency()
-    depth = [-1] * g.n_nodes
+    n = g.n_nodes
+    u, v = g.endpoint_arrays()
+    depth = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, n, dtype=np.int64)
     depth[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u, _ in adj[v]:
-            if depth[u] < 0:
-                depth[u] = depth[v] + 1
-                queue.append(u)
-    if any(d < 0 for d in depth):
+    for d in range(n):  # one pass over the edges per depth level
+        du, dv = depth[u], depth[v]
+        down_v = (du == d) & (dv < 0)  # u on level d reaches unvisited v
+        down_u = (dv == d) & (du < 0)
+        child = np.concatenate([v[down_v], u[down_u]])
+        if child.size == 0:
+            break
+        depth[child] = d + 1
+        np.minimum.at(parent, child, np.concatenate([u[down_v], v[down_u]]))
+    if np.any(depth < 0):
         raise ViewGraphError("graph is disconnected; bootstrap requires connectivity")
-    parent = [-1] * g.n_nodes
-    for v in range(g.n_nodes):
-        if v == root:
-            continue
-        ups = [u for u, _ in adj[v] if depth[u] == depth[v] - 1]
-        parent[v] = min(ups)
-    return SpanningTreeInit(root=root, parent=parent, depth=depth)
+    parent[root] = -1
+    return SpanningTreeInit(root=root, parent=parent.tolist(), depth=depth.tolist())
 
 
 def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTreeInit:

@@ -124,11 +124,12 @@ class TestNoiseFreeRecovery:
         for seed in range(3):
             g = make_graph(seed=seed)
             root = viewgraph.select_root(g)
-            adj = g.adjacency()
+            u, v = g.endpoint_arrays()
             chosen: list[int] = []
-            for v in range(g.n_nodes):
-                if v != root and all(u not in chosen for u, _ in adj[v]):
-                    chosen.append(v)
+            for node in range(g.n_nodes):
+                nbrs = np.concatenate([v[u == node], u[v == node]])
+                if node != root and not np.isin(nbrs, chosen).any():
+                    chosen.append(node)
             rows = g.gt_array().copy()
             rng = np.random.default_rng(seed)
             rows[chosen] = so3.qmul(rows[chosen], so3.qexp(rng.normal(scale=0.3, size=(len(chosen), 3))))

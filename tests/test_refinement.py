@@ -85,6 +85,13 @@ class TestForward:
         with pytest.raises(ViewGraphError, match="cover"):
             refinement.refine_forward(g, [UnitQuaternion.identity()], tiny_refine_weights(5), root, TINY_CFG)
 
+    def test_root_out_of_range_rejected(self):
+        g, root = referenced_graph(seed=5)
+        init = spt_init(g, root)
+        for bad in (g.n_nodes, -1):
+            with pytest.raises(ViewGraphError, match=f"root {bad} out of range"):
+                refinement.refine_forward(g, init, tiny_refine_weights(5), bad, TINY_CFG)
+
 
 class TestLoss:
     def test_ground_truth_scores_zero(self):

@@ -56,6 +56,22 @@ class TestConfig:
         with pytest.raises(SynthConfigError):
             synthgen.load_config(path)
 
+    @pytest.mark.parametrize("line", ["seed=abc", "axis_concentration=x", "planar=no",
+                                      "planar=", "sigma_deg=1:x"])
+    def test_bad_values_name_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# header\nseed=3\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(SynthConfigError, match=f"line 3: bad {key} value"):
+            synthgen.load_config(path)
+
+    def test_planar_flags(self, tmp_path):
+        path = tmp_path / "flags.cfg"
+        for text, planar in (("0", False), ("false", False), ("False", False),
+                             ("1", True), ("true", True), ("TRUE", True)):
+            path.write_text(f"planar={text}\n")
+            assert synthgen.load_config(path).planar is planar
+
 
 class TestGenerateGraph:
     def test_clean_graph_is_exact(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -58,6 +59,18 @@ class TestDeterminism:
         assert same_run(first, again)
 
 
+def clean_graph_loss(tape, weights, g):
+    return cleaning.clean_loss_graph(tape, g, weights)
+
+
+def fine_graph_loss(tape, weights, g):
+    # the loss of FineNet without a cleaner: bootstrap on the largest component
+    sample, init, root = trainer.prepare_refinement_sample(g, None)
+    init_rows = np.stack([q.as_array() for q in init])
+    pred = refinement.forward_tensors(tape, sample, init_rows, weights)
+    return refinement.loss_from_pred(tape, pred, sample, root)
+
+
 class TestBestEpoch:
     @pytest.mark.parametrize("net", ["cleannet", "finenet"])
     def test_best_matches_minimum_row(self, data, net):
@@ -66,10 +79,10 @@ class TestBestEpoch:
         cfg = TrainConfig.desk(seed=5, epochs=4, lr=5e-2)
         if net == "cleannet":
             store, log = trainer.train_cleannet(train, val, cfg)
-            reevaluated = trainer._clean_val_loss(val, store, cleaning.DEFAULT_CONFIG)
+            reevaluated = trainer._val_loss(store, clean_graph_loss, val)
         else:
             store, log = trainer.train_finenet(train, val, cfg)
-            reevaluated = trainer._refine_val_loss(val, store, None, refinement.DEFAULT_CONFIG)
+            reevaluated = trainer._val_loss(store, fine_graph_loss, val)
         assert [r[0] for r in log.rows] == list(range(4))
         val_losses = [r[2] for r in log.rows]
         first_min = int(np.argmin(val_losses))  # ties keep the earliest epoch
@@ -99,3 +112,20 @@ class TestNonFinite:
         monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
             trainer.train_finenet(*data, TrainConfig.desk(epochs=1))
+
+
+class TestLogCsv:
+    def test_write_csv_round_trip(self, clean_run, tmp_path):
+        _, log = clean_run
+        path = tmp_path / "log.csv"
+        log.write_csv(path)
+        with path.open(newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["epoch", "train_loss", "val_loss", "wall_ms"]
+        assert len(rows) == 1 + len(log.rows) == 1 + EPOCHS
+        for (epoch, train_loss, val_loss, wall_ms), row in zip(log.rows, rows[1:]):
+            # losses keep 9 significant digits, wall time 3 decimals
+            assert int(row[0]) == epoch
+            assert float(row[1]) == float(f"{train_loss:.9g}")
+            assert float(row[2]) == float(f"{val_loss:.9g}")
+            assert abs(float(row[3]) - wall_ms) <= 5e-4

@@ -42,6 +42,71 @@ def bfs_depths(g: ViewGraph, root: int) -> list[int]:
     return depth
 
 
+def neighbour_lists(g: ViewGraph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n_nodes)]
+    for a, b in zip(*(x.tolist() for x in g.endpoint_arrays())):
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def deque_components(g: ViewGraph) -> list[list[int]]:
+    # the deque BFS labelling the array code replaced, kept as the oracle
+    adj = neighbour_lists(g)
+    seen = [False] * g.n_nodes
+    comps: list[list[int]] = []
+    for start in range(g.n_nodes):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    queue.append(u)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
+
+
+def deque_tree(g: ViewGraph, root: int) -> tuple[list[int], list[int]]:
+    # the deque BFS tree the array code replaced, kept as the oracle;
+    # depths are -1 and parents None where the root does not reach
+    adj = neighbour_lists(g)
+    depth = [-1] * g.n_nodes
+    depth[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if depth[u] < 0:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    parent = [-1 if v == root else min((u for u in adj[v] if depth[u] == depth[v] - 1), default=None)
+              for v in range(g.n_nodes)]
+    return depth, parent
+
+
+@st.composite
+def random_graphs(draw) -> ViewGraph:
+    """Random simple graphs, often disconnected, with isolated nodes; half of
+    them are two relabelled copies of one graph, so equal-size components tie."""
+    n = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        picked = picked + [(a + n, b + n) for a, b in picked]
+        n *= 2
+    perm = draw(st.permutations(range(n)))
+    ends = np.array([(perm[a], perm[b]) for a, b in picked], dtype=np.int64).reshape(-1, 2)
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (len(ends), 1))
+    return ViewGraph.from_arrays(n, ends[:, 0], ends[:, 1], q)
+
+
 def loop_canonical(n: int, edges: list[Edge]) -> list[Edge]:
     # per-edge validation loop of the Edge-list constructor, kept as the oracle
     seen: set[tuple[int, int]] = set()
@@ -200,6 +265,12 @@ class TestFormat:
             viewgraph.parse("VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 nan 0 0 0\n")
         with pytest.raises(ParseError, match="line 2"):
             viewgraph.parse("VIEWGRAPH v1\nNODE 0 1 nan 0 0\n")
+        # nodes may be declared after edges: the first bad edge is named at the end
+        with pytest.raises(ParseError, match=r"line 3: edge \(-1, 1\) references an undeclared"):
+            viewgraph.parse("VIEWGRAPH v1\nNODE 0\nEDGE -1 1 1 0 0 0\nNODE 1\n")
+        with pytest.raises(ParseError, match=r"line 4: edge \(0, 5\) references an undeclared"):
+            viewgraph.parse("VIEWGRAPH v1\nNODE 0\nEDGE 1 0 1 0 0 0\nEDGE 0 5 1 0 0 0\n"
+                            "EDGE 0 -2 1 0 0 0\nNODE 1\n")
 
     def test_first_bad_line_wins(self):
         head = "VIEWGRAPH v1\nNODE 0\nNODE 1\nNODE 2\n"
@@ -297,6 +368,26 @@ class TestConnectivity:
         g = ViewGraph(0, [])
         sub, remap = viewgraph.largest_component(g)
         assert sub.n_nodes == 0 and remap == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_matches_deque_oracle(self, g):
+        comps = deque_components(g)
+        assert viewgraph.is_connected(g) == (len(comps) == 1)
+        sub, remap = viewgraph.largest_component(g)
+        assert sorted(remap, key=remap.get) == comps[0]
+        assert sub.n_nodes == len(comps[0])
+        for root in range(g.n_nodes):
+            depth, parent = deque_tree(g, root)
+            if min(depth) < 0:
+                with pytest.raises(ViewGraphError, match="disconnected"):
+                    viewgraph.shortest_path_tree(g, root)
+            else:
+                tree = viewgraph.shortest_path_tree(g, root)
+                assert (tree.depth, tree.parent) == (depth, parent)
+        for root in range(sub.n_nodes):
+            tree = viewgraph.shortest_path_tree(sub, root)
+            assert (tree.depth, tree.parent) == deque_tree(sub, root)
 
 
 class TestRootAndTree:
