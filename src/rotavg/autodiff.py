@@ -350,10 +350,6 @@ class ParamStore:
         }
         return self._bound
 
-    @property
-    def n_params(self) -> int:
-        return int(sum(arr.size for arr in self.params.values()))
-
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, arr in self.params.items():

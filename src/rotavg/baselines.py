@@ -8,7 +8,8 @@ Two baselines operating on the same view-graph inputs as the networks:
   tangent space, an L1 phase followed by an L1/2 phase, each inner step a
   Jacobi-preconditioned CG solve on the segment-sum weighted graph Laplacian.
 
-Both keep the root camera exactly fixed to pin the gauge.
+Both keep the root camera exactly fixed to pin the gauge, take (N, 4)
+initial rows and return a read-only ``so3.Orientations`` view.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import so3, viewgraph
-from .so3 import UnitQuaternion
 from .viewgraph import ViewGraph, ViewGraphError
 
 WEISZFELD_FLOOR = 1e-6   # radians; caps the 1/distance weights
@@ -84,7 +85,7 @@ def _weiszfeld_median_rows(cands: np.ndarray, iters: int) -> np.ndarray:
 
 @dataclass
 class WeiszfeldResult:
-    orientations: list[UnitQuaternion]
+    orientations: so3.Orientations
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -96,7 +97,7 @@ def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
 
 def weiszfeld_mra(
     g: ViewGraph,
-    init: list[UnitQuaternion],
+    init: ArrayLike,
     sweeps: int = 50,
     median_iters: int = 10,
 ) -> WeiszfeldResult:
@@ -104,10 +105,8 @@ def weiszfeld_mra(
     ascending id order, in place (Gauss-Seidel)."""
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
-    if len(init) != g.n_nodes:
-        raise ViewGraphError("initialization must cover every node")
+    rows = viewgraph.orientation_rows(g, init)
     root = viewgraph.select_root(g)
-    rows = np.stack([q.as_array() for q in init])
     # directed edges grouped by target, in edge order within each target
     uv, quats = viewgraph.directed_arrays(g)
     by_target = np.lexsort((np.tile(np.arange(len(uv) // 2), 2), uv[:, 1]))
@@ -122,8 +121,7 @@ def weiszfeld_mra(
             cands = so3.qmul(q_in[lo:hi], rows[src[lo:hi]])
             rows[v] = _weiszfeld_median_rows(cands, median_iters)
         trace.append(_consistency_objective(g, rows))
-    out = [UnitQuaternion.from_array(r) for r in so3.qcanon(rows)]
-    return WeiszfeldResult(orientations=out, objective_trace=trace)
+    return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ def weiszfeld_mra(
 
 @dataclass
 class IrlsResult:
-    orientations: list[UnitQuaternion]
+    orientations: so3.Orientations
     iterations: int
     max_step_trace: list[float] = field(default_factory=list)
     cg_residual: float = 0.0
@@ -201,7 +199,7 @@ def _cg_multi(apply_op, rhs, diag, max_iter: int, tol: float) -> tuple[np.ndarra
 
 def irls_mra(
     g: ViewGraph,
-    init: list[UnitQuaternion],
+    init: ArrayLike,
     max_iters: tuple[int, int] = (5, 20),
     delta: float = IRLS_DELTA,
     step_tol: float = IRLS_STEP_TOL,
@@ -219,11 +217,9 @@ def irls_mra(
     """
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
-    if len(init) != g.n_nodes:
-        raise ViewGraphError("initialization must cover every node")
+    rows = viewgraph.orientation_rows(g, init)
     n = g.n_nodes
     root = viewgraph.select_root(g)
-    rows = np.stack([q.as_array() for q in init])
     u_idx, v_idx = g.endpoint_arrays()
     meas = g.edge_quat_array()
 
@@ -255,7 +251,7 @@ def irls_mra(
             if max_step < step_tol:
                 break
     return IrlsResult(
-        orientations=[UnitQuaternion.from_array(r) for r in rows],
+        orientations=so3.Orientations(rows),
         iterations=len(trace),
         max_step_trace=trace,
         cg_residual=cg_residual,

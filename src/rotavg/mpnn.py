@@ -9,7 +9,7 @@ per node by the mean, and updates node states:
     h_v        = relu(Wg @ [h_v, m_v])
 
 The message transform is a two-layer perceptron and the update a single
-layer, with per-round (unshared) weights by default; this lands the two
+layer, with per-round (unshared) weights; this lands the two
 networks plus their heads at ~43K parameters, inside the intended budget
 while keeping serialized checkpoints under half a megabyte.
 """
@@ -30,7 +30,6 @@ class MpnnConfig:
     msg_dim: int = 32
     edge_feat_dim: int = 4
     node_init_dim: int = 0  # 0: zero-initialized hidden states; 4: quaternion init
-    per_step_weights: bool = True
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -42,17 +41,11 @@ class MpnnConfig:
             raise ValueError("node_init_dim must lie in [0, hidden_dim]")
 
 
-def _step_names(cfg: MpnnConfig) -> list[str]:
-    if cfg.per_step_weights:
-        return [f"step{t}" for t in range(cfg.rounds)]
-    return ["step0"] * cfg.rounds
-
-
 def weight_spec(cfg: MpnnConfig) -> dict[str, tuple[int, ...]]:
     """Parameter name -> shape map for the message-passing stack."""
     spec: dict[str, tuple[int, ...]] = {}
     in_msg = 2 * cfg.hidden_dim + cfg.edge_feat_dim
-    for step in dict.fromkeys(_step_names(cfg)):
+    for step in (f"step{t}" for t in range(cfg.rounds)):
         spec[f"{step}.msg1.w"] = (in_msg, cfg.msg_dim)
         spec[f"{step}.msg1.b"] = (cfg.msg_dim,)
         spec[f"{step}.msg2.w"] = (cfg.msg_dim, cfg.msg_dim)
@@ -70,13 +63,6 @@ def init_weights(cfg: MpnnConfig, rng: np.random.Generator, store: ParamStore) -
         else:
             fan_in = shape[0]
             store.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
-
-
-def param_count(cfg: MpnnConfig, head_dims: list[tuple[int, int]]) -> int:
-    """Scalar count of one stack plus heads given as (fan_in, fan_out)."""
-    total = sum(int(np.prod(shape)) for shape in weight_spec(cfg).values())
-    total += sum(fi * fo + fo for fi, fo in head_dims)
-    return total
 
 
 def forward(
@@ -119,7 +105,7 @@ def forward(
         h = tape.concat([node_init, pad], axis=1)
 
     msgs = None
-    for step in _step_names(cfg):
+    for step in (f"step{t}" for t in range(cfg.rounds)):
         h_dst = tape.gather(h, dst)
         h_src = tape.gather(h, src)
         pre = tape.concat([h_dst, h_src, edge_feats], axis=1)

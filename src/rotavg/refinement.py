@@ -9,6 +9,8 @@ corrective rotation applied on the left of the initialization.  One head
 serves both paths: ``forward_tensors`` composes its raw output on the tape
 (training and losses), and ``refine_forward`` composes the same values,
 with rows whose norm underflows replaced by the identity (inference).
+Initializations and predictions are (N, 4) rows; ``refine_forward``
+returns a read-only ``so3.Orientations`` view.
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
@@ -18,16 +20,17 @@ trainer arranges by re-referencing.
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import mpnn, so3, viewgraph
 from .autodiff import ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
-from .so3 import UnitQuaternion
 from .viewgraph import ViewGraph, ViewGraphError
 
 DEFAULT_CONFIG = MpnnConfig(node_init_dim=4)
 BETA_DEFAULT = 0.1      # weight of the per-node anchoring term
 REFERENCE_TOL = 1e-6    # max angle (deg) tolerated for "identity at the root"
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def weight_spec(cfg: MpnnConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
@@ -45,12 +48,6 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = DEFAULT_CONFIG) -> ParamStore:
     store.add("head_refine.w", np.zeros((cfg.hidden_dim, 4)))
     store.add("head_refine.b", np.array([1.0, 0.0, 0.0, 0.0]))
     return store
-
-
-def _init_rows(g: ViewGraph, init: list[UnitQuaternion]) -> np.ndarray:
-    if len(init) != g.n_nodes:
-        raise ViewGraphError("initialization must cover every node")
-    return np.stack([q.as_array() for q in init])
 
 
 def _edge_discrepancy(g: ViewGraph, init_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,44 +96,32 @@ def forward_tensors(
 
 def refine_forward(
     g: ViewGraph,
-    init: list[UnitQuaternion],
+    init: ArrayLike,
     store: ParamStore,
     root: int,
     cfg: MpnnConfig = DEFAULT_CONFIG,
-) -> list[UnitQuaternion]:
-    """Refine an initialization; the result is re-referenced at ``root``.
+) -> so3.Orientations:
+    """Refine (N, 4) initial rows; the result is re-referenced at ``root``.
 
     Total on valid inputs: corrective rows whose norm underflows fall back
     to the identity rotation.
     """
-    init_rows = _init_rows(g, init)
+    init_rows = viewgraph.orientation_rows(g, init)
     _check_root(g, root)
-    if so3.geodesic_deg(init[root], UnitQuaternion.identity()) > REFERENCE_TOL:
+    if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     tape = Tape(recording=False)
     uv, feats = _edge_discrepancy(g, init_rows)
     delta = _corrections(tape, g, uv, tape.constant(init_rows), tape.constant(feats),
                          store.bind(tape), cfg).values
-    delta[np.linalg.norm(delta, axis=1) < 1e-12] = (1.0, 0.0, 0.0, 0.0)
+    delta[np.linalg.norm(delta, axis=1) < 1e-12] = _IDENTITY
     pred_rows = so3.qcanon(so3.qmul(so3.qcanon(delta), init_rows))
-    pred = [UnitQuaternion.from_array(row) for row in pred_rows]
-    return viewgraph.rereference(pred, root)
+    return so3.Orientations(viewgraph.rereference(pred_rows, root))
 
 
 def _check_root(g: ViewGraph, root: int) -> None:
     if not 0 <= root < g.n_nodes:
         raise ViewGraphError(f"root {root} out of range")
-
-
-def _check_reference(g: ViewGraph, root: int) -> None:
-    _check_root(g, root)
-    gt_root = g.gt[root]
-    if gt_root is None:
-        raise ViewGraphError("loss requires ground truth at the root")
-    if so3.geodesic_deg(gt_root, UnitQuaternion.identity()) > REFERENCE_TOL:
-        raise ViewGraphError(
-            "ground truth is not referenced at the root; re-reference before the loss"
-        )
 
 
 def loss_from_pred(
@@ -154,7 +139,10 @@ def loss_from_pred(
     """
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
-    _check_reference(g, root)
+    _check_root(g, root)
+    if so3.qangle_deg(g.gt[root], _IDENTITY) > REFERENCE_TOL:
+        raise ViewGraphError("ground truth is not referenced at the root; "
+                             "re-reference before the loss")
     degrees = g.degree_array()
 
     u_idx, v_idx = g.endpoint_arrays()
@@ -172,12 +160,12 @@ def loss_from_pred(
 
 
 def refine_loss(
-    pred: list[UnitQuaternion],
+    pred: ArrayLike,
     g: ViewGraph,
     root: int,
     beta: float = BETA_DEFAULT,
 ) -> float:
-    """Loss value for concrete predictions (evaluation path)."""
+    """Loss value for concrete (N, 4) predicted rows (evaluation path)."""
     tape = Tape(recording=False)
-    rows = tape.constant(np.stack([q.as_array() for q in pred]))
+    rows = tape.constant(viewgraph.orientation_rows(g, pred))
     return float(loss_from_pred(tape, rows, g, root, beta).values)

@@ -11,14 +11,17 @@ Conventions used throughout the package:
   orientations ``q_u, q_v`` is ``compose(q_v, inverse(q_u))``.
 
 Array kernels (``qmul``, ``qconj``, ``qlog``, ...) operate on float64 arrays
-whose last axis has length 4 (or 3 for rotation vectors) and are the fast
-path used by the solvers and networks.  :class:`UnitQuaternion` is the
-value-semantics wrapper used at module boundaries.
+whose last axis has length 4 (or 3 for rotation vectors).  Orientations
+travel through the package as (N, 4) canonical rows; :class:`UnitQuaternion`
+is the value-semantics type of the boundary and of the test oracles, and
+:class:`Orientations` hands out rows as ``UnitQuaternion`` items.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +173,27 @@ class UnitQuaternion:
 
     def __repr__(self) -> str:
         return f"UnitQuaternion({self.w:.9g}, {self.x:.9g}, {self.y:.9g}, {self.z:.9g})"
+
+
+class Orientations(Sequence):
+    """Read-only sequence of :class:`UnitQuaternion` over (N, 4) rows.
+
+    Items are built on access; ``np.asarray`` returns the rows themselves,
+    without a copy, so a view passes on to the next solver as rows.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = np.asarray(rows, dtype=np.float64).view()
+        self._rows.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> UnitQuaternion:
+        return UnitQuaternion.from_array(self._rows[operator.index(i)])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._rows, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ labelled as outliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import so3, viewgraph
-from .so3 import UnitQuaternion
-from .viewgraph import Edge, ViewGraph
+from .viewgraph import ViewGraph
 
 
 class SynthConfigError(ValueError):
@@ -56,11 +55,6 @@ class SynthConfig:
     def desk(cls, seed: int = 0) -> "SynthConfig":
         """Small-camera profile that keeps CI runs in minutes."""
         return cls(n_cameras=(60, 150), seed=seed)
-
-    @classmethod
-    def paper_scale(cls, seed: int = 0) -> "SynthConfig":
-        """Full-scale profile (250-1000 cameras)."""
-        return cls(seed=seed)
 
 
 # --- flat key=value config files ------------------------------------------
@@ -151,12 +145,9 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
     if cfg.planar:
         # yaw-only scenes: rotations about the +y axis, so qx = qz = 0
         yaw = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        gt = [
-            UnitQuaternion(math.cos(0.5 * a), 0.0, math.sin(0.5 * a), 0.0)
-            for a in yaw
-        ]
+        gt = so3.qcanon([(math.cos(0.5 * a), 0.0, math.sin(0.5 * a), 0.0) for a in yaw])
     else:
-        gt = [UnitQuaternion.from_array(row) for row in so3.sample_uniform_rows(rng, n)]
+        gt = so3.sample_uniform_rows(rng, n)
 
     # random spanning tree over a random permutation guarantees connectivity
     pairs: set[tuple[int, int]] = set()
@@ -175,20 +166,25 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
         if a != b:
             pairs.add((min(a, b), max(a, b)))
 
-    edge_list = sorted(pairs)
+    u, v = np.array(sorted(pairs), dtype=np.int64).T
+    m = u.size
     sigma = _sample_range(rng, cfg.sigma_deg)
     out_frac = _sample_range(rng, cfg.outlier_fraction)
-    n_out = int(round(out_frac * len(edge_list)))
-    out_idx = set(rng.choice(len(edge_list), size=n_out, replace=False).tolist()) if n_out else set()
+    n_out = int(round(out_frac * m))
+    outlier = np.zeros(m, dtype=bool)
+    if n_out:
+        outlier[rng.choice(m, size=n_out, replace=False)] = True
 
-    edges: list[Edge] = []
-    for i, (u, v) in enumerate(edge_list):
-        if i in out_idx:
-            edges.append(Edge(u, v, so3.sample_uniform(rng), True))
-        else:
-            noise = so3.sample_noise(sigma, cfg.planar, rng, cfg.axis_concentration)
-            edges.append(Edge(u, v, so3.compose(noise, so3.relative(gt[u], gt[v])), False))
-    return ViewGraph(n, edges, gt)
+    # one draw per edge, in edge order (random or noise rotation): it fixes the corpus bytes
+    q = np.empty((m, 4))
+    for i in range(m):
+        draw = (so3.sample_uniform(rng) if outlier[i]
+                else so3.sample_noise(sigma, cfg.planar, rng, cfg.axis_concentration))
+        q[i] = draw.as_array()
+    inlier = ~outlier
+    rel = so3.qcanon(so3.qmul(gt[v[inlier]], so3.qcanon(so3.qconj(gt[u[inlier]]))))
+    q[inlier] = so3.qcanon(so3.qmul(q[inlier], rel))
+    return ViewGraph.from_arrays(n, u, v, q, outlier, gt)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 from . import cleaning, refinement, viewgraph
 from .autodiff import ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
-from .so3 import UnitQuaternion
 from .viewgraph import ViewGraph, ViewGraphError
 
 DESK_LR = 2e-3          # larger steps suit the short desk-scale schedule
@@ -73,9 +72,12 @@ class TrainLog:
 def _check_corpus(train_graphs: list[ViewGraph], val_graphs: list[ViewGraph]) -> None:
     if not train_graphs or not val_graphs:
         raise TrainingError("training and validation sets must be nonempty")
-    for i, g in enumerate(train_graphs + val_graphs):
-        if not g.has_full_gt:
-            raise TrainingError(f"graph {i} lacks ground-truth orientations")
+    for split, graphs in (("training", train_graphs), ("validation", val_graphs)):
+        for i, g in enumerate(graphs):
+            if not g.has_full_gt:
+                raise TrainingError(f"{split} graph {i} lacks ground-truth orientations")
+            if not g.edges:
+                raise TrainingError(f"{split} graph {i} has no edges")
 
 
 def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) -> ViewGraph:
@@ -157,13 +159,14 @@ def prepare_refinement_sample(
     clean_store: ParamStore | None,
     epsilon: float = cleaning.EPSILON_DEFAULT,
     clean_cfg: MpnnConfig = cleaning.DEFAULT_CONFIG,
-) -> tuple[ViewGraph, list[UnitQuaternion], int]:
+) -> tuple[ViewGraph, np.ndarray, int]:
     """Build one refinement training/eval sample from a (sub)graph.
 
     With a cleaning network: clean, bootstrap on the cleaned graph, then pair
     the init with the graph of *observed* measurements over the surviving
     nodes.  Without one: bootstrap directly on the noisy graph's largest
-    component.  Ground truth is re-referenced at the tree root.
+    component.  Ground truth is re-referenced at the tree root.  Returns
+    the observed graph, the (N, 4) initial rows and the root.
     """
     if clean_store is not None:
         pred = cleaning.clean_forward(g, clean_store, clean_cfg)
@@ -179,10 +182,10 @@ def prepare_refinement_sample(
     observed, _ = viewgraph.induced_subgraph(g, node_ids)
     # induced_subgraph sorts node ids, so indices line up with `base`
     if observed.has_full_gt:
-        gt_ref = viewgraph.rereference(list(observed.gt), root)  # type: ignore[arg-type]
         observed = ViewGraph.from_arrays(observed.n_nodes, *observed.endpoint_arrays(),
-                                         observed.edge_quat_array(), observed.edge_labels(), gt_ref)
-    return observed, boot.orientations, root
+                                         observed.edge_quat_array(), observed.edge_labels(),
+                                         viewgraph.rereference(observed.gt, root))
+    return observed, np.asarray(boot.orientations), root
 
 
 def train_finenet(
@@ -201,8 +204,7 @@ def train_finenet(
     """
 
     def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
-        sample, init, root = prepare_refinement_sample(g, clean_store)
-        init_rows = np.stack([q.as_array() for q in init])
+        sample, init_rows, root = prepare_refinement_sample(g, clean_store)
         pred = refinement.forward_tensors(tape, sample, init_rows, weights, net_cfg)
         return refinement.loss_from_pred(tape, pred, sample, root)
 

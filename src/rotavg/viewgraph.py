@@ -2,9 +2,11 @@
 
 A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
 ``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
-and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier).  Every
-solver and network reads these arrays; :class:`Edge` is the per-edge record
-used at the boundary, by the generator and by tests.
+and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier); ground
+truth is (N, 4) canonical rows, NaN where unknown.  Every solver and network
+reads these arrays; :class:`Edge` is the per-edge record of the boundary and
+the tests.  Solver orientations are (N, 4) rows too: :func:`orientation_rows`
+checks them on input, and :class:`~rotavg.so3.Orientations` hands them out.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -22,9 +24,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import so3
 from .so3 import UnitQuaternion
@@ -75,7 +78,8 @@ class _EdgeRecords(Sequence):
 class ViewGraph:
     """Immutable view-graph: nodes with optional ground truth, measured edges.
 
-    Built from ``Edge`` records here, or from arrays with :meth:`from_arrays`.
+    Built from ``Edge`` records and ``UnitQuaternion | None`` ground truth
+    here, or from arrays with :meth:`from_arrays`.
     """
 
     def __init__(
@@ -85,15 +89,18 @@ class ViewGraph:
         gt: list[UnitQuaternion | None] | None = None,
     ):
         edges = list(edges)
+        gt_rows = None if gt is None else np.reshape(
+            [(math.nan,) * 4 if q is None else (q.w, q.x, q.y, q.z) for q in gt], (-1, 4))
         self._store(n_nodes, [e.u for e in edges], [e.v for e in edges],
                     [(e.q.w, e.q.x, e.q.y, e.q.z) for e in edges],
-                    [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt)
+                    [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt_rows)
 
     @classmethod
     def from_arrays(cls, n_nodes: int, u, v, q, label=None, gt=None) -> "ViewGraph":
         """Graph over edges ``(u[i], v[i])`` with orientation rows ``q[i]`` and
         labels ``label[i]`` (default -1), validated and flipped to ``u < v``
-        like the ``Edge``-list constructor; stores read-only copies."""
+        like the ``Edge``-list constructor; ``gt`` is (N, 4) rows, each all
+        NaN (unknown) or finite and nonzero.  Stores read-only copies."""
         g = cls.__new__(cls)
         g._store(n_nodes, u, v, q, label, gt)
         return g
@@ -101,9 +108,13 @@ class ViewGraph:
     def _store(self, n, u, v, q, label, gt) -> None:
         if n < 0:
             raise ViewGraphError("n_nodes must be non-negative")
-        gt = (None,) * n if gt is None else tuple(gt)
-        if len(gt) != n:
-            raise ViewGraphError("ground-truth list length must equal n_nodes")
+        gt = np.full((n, 4), np.nan) if gt is None else np.array(gt, dtype=np.float64)
+        if gt.shape != (n, 4):
+            raise ViewGraphError("ground truth must have one (w, x, y, z) row per node")
+        known = ~np.all(np.isnan(gt), axis=1)
+        if not np.all(np.isfinite(gt[known])) or np.any(np.linalg.norm(gt[known], axis=1) < 1e-12):
+            raise ViewGraphError("ground-truth rows must be all NaN or finite nonzero")
+        gt[known] = so3.qcanon(gt[known])
         u = np.array(u, dtype=np.int64).reshape(-1)
         v = np.array(v, dtype=np.int64).reshape(-1)
         m = u.size
@@ -133,12 +144,11 @@ class ViewGraph:
         q = so3.qcanon(q)
         flip = u > v
         q[flip] = so3.qcanon(so3.qconj(q[flip]))
-        for arr in (lo, hi, q, label):
+        for arr in (lo, hi, q, label, gt):
             arr.flags.writeable = False
         self._n = n
         self._u, self._v, self._q, self._label = lo, hi, q, label
         self._gt = gt
-        self._gt_rows: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
 
     @property
@@ -151,12 +161,13 @@ class ViewGraph:
         return _EdgeRecords(self)
 
     @property
-    def gt(self) -> tuple[UnitQuaternion | None, ...]:
+    def gt(self) -> np.ndarray:
+        """(N, 4) read-only ground-truth rows; NaN rows where it is unknown."""
         return self._gt
 
     @property
     def has_full_gt(self) -> bool:
-        return self._n > 0 and all(q is not None for q in self._gt)
+        return self._n > 0 and not np.any(np.isnan(self._gt))
 
     def edge_quat_array(self) -> np.ndarray:
         """(E, 4) read-only stored edge orientations (canonical direction)."""
@@ -172,11 +183,9 @@ class ViewGraph:
 
     def gt_array(self) -> np.ndarray:
         """(N, 4) ground-truth orientations; errors if any are missing."""
-        if self._gt_rows is None:
-            if not self.has_full_gt:
-                raise ViewGraphError("graph has no complete ground-truth orientations")
-            self._gt_rows = np.stack([q.as_array() for q in self._gt])  # type: ignore[union-attr]
-        return self._gt_rows
+        if not self.has_full_gt:
+            raise ViewGraphError("graph has no complete ground-truth orientations")
+        return self._gt
 
     def degree_array(self) -> np.ndarray:
         """Undirected node degrees as a float array."""
@@ -184,12 +193,6 @@ class ViewGraph:
             counts = np.bincount(self._u, minlength=self._n) + np.bincount(self._v, minlength=self._n)
             self._degrees = counts.astype(np.float64)
         return self._degrees
-
-    def relative_gt(self, u: int, v: int) -> UnitQuaternion:
-        qu, qv = self._gt[u], self._gt[v]
-        if qu is None or qv is None:
-            raise ViewGraphError(f"missing ground truth on nodes {u} or {v}")
-        return so3.relative(qu, qv)
 
     def relative_gt_array(self) -> np.ndarray:
         """(E, 4) ground-truth relative orientations in edge order."""
@@ -218,7 +221,7 @@ def _parse_quat(parts: list[str], line_no: int) -> list[float]:
 
 def parse(text: str) -> ViewGraph:
     """Parse the text format; raises :class:`ParseError` with line numbers."""
-    node_gt: dict[int, UnitQuaternion | None] = {}
+    node_gt: dict[int, list[float]] = {}
     ends: list[tuple[int, int]] = []
     edge_lines: list[int] = []
     quats: list[list[float]] = []
@@ -247,7 +250,7 @@ def parse(text: str) -> ViewGraph:
                 raise ParseError(line_no, "node ids must be non-negative")
             if nid in node_gt:
                 raise ParseError(line_no, f"duplicate node {nid}")
-            node_gt[nid] = UnitQuaternion(*_parse_quat(parts[2:], line_no)) if len(parts) == 6 else None
+            node_gt[nid] = _parse_quat(parts[2:], line_no) if len(parts) == 6 else [math.nan] * 4
         elif kind == "EDGE":
             if len(parts) not in (7, 8):
                 raise ParseError(line_no, "EDGE takes u v qw qx qy qz [gt_outlier]")
@@ -279,7 +282,7 @@ def parse(text: str) -> ViewGraph:
     if np.any(undeclared):  # nodes may follow edges, so this waits for the last line
         i = int(np.argmax(undeclared))
         raise ParseError(edge_lines[i], f"edge {ends[i]} references an undeclared node")
-    gt = [node_gt[i] for i in range(n)]
+    gt = np.reshape([node_gt[i] for i in range(n)], (n, 4))
     return ViewGraph.from_arrays(n, uv[:, 0], uv[:, 1], quats, labels, gt)
 
 
@@ -288,9 +291,8 @@ def serialize(g: ViewGraph, comment: str | None = None) -> str:
     lines = [FORMAT_HEADER]
     if comment:
         lines = [f"# {c}" for c in comment.splitlines()] + lines
-    for i in range(g.n_nodes):
-        q = g.gt[i]
-        lines.append(f"NODE {i}" if q is None else f"NODE {i} {_format_quat((q.w, q.x, q.y, q.z))}")
+    for i, q in enumerate(g.gt.tolist()):
+        lines.append(f"NODE {i}" if math.isnan(q[0]) else f"NODE {i} {_format_quat(q)}")
     u, v = g.endpoint_arrays()
     for a, b, q, label in zip(u.tolist(), v.tolist(), g.edge_quat_array().tolist(),
                               g.edge_labels().tolist()):
@@ -358,7 +360,7 @@ def induced_subgraph(g: ViewGraph, nodes: list[int]) -> tuple[ViewGraph, dict[in
     nu, nv = new_id[u], new_id[v]
     keep = (nu >= 0) & (nv >= 0)
     sub = ViewGraph.from_arrays(len(nodes), nu[keep], nv[keep], g.edge_quat_array()[keep],
-                                g.edge_labels()[keep], [g.gt[old] for old in nodes])
+                                g.edge_labels()[keep], g.gt[nodes])
     return sub, {old: new for new, old in enumerate(nodes)}
 
 
@@ -380,9 +382,9 @@ class SpanningTreeInit:
     """Breadth-first spanning tree plus propagated orientations."""
 
     root: int
-    parent: list[int]  # -1 for the root
-    depth: list[int]
-    orientations: list[UnitQuaternion] | None = field(default=None)
+    parent: np.ndarray  # int64, -1 for the root
+    depth: np.ndarray   # int64
+    orientations: so3.Orientations | None = None
 
 
 def select_root(g: ViewGraph) -> int:
@@ -417,15 +419,15 @@ def shortest_path_tree(g: ViewGraph, root: int) -> SpanningTreeInit:
     if np.any(depth < 0):
         raise ViewGraphError("graph is disconnected; bootstrap requires connectivity")
     parent[root] = -1
-    return SpanningTreeInit(root=root, parent=parent.tolist(), depth=depth.tolist())
+    return SpanningTreeInit(root=root, parent=parent, depth=depth)
 
 
 def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTreeInit:
     """Chain edge orientations outward from the root along the tree.
 
-    The root gets the identity; a child ``v`` of ``u`` gets
-    ``compose(q_uv, orientations[u])`` with ``q_uv`` the measurement oriented
-    from parent to child.  Each depth level is one array step.
+    The root gets the identity; a child ``v`` of ``u`` gets ``q_uv * q_u``
+    with ``q_uv`` the measurement oriented from parent to child.  Each depth
+    level is one array step.
     """
     n = g.n_nodes
     u, v = g.endpoint_arrays()
@@ -435,7 +437,7 @@ def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTree
     depth, parent = np.asarray(tree.depth), np.asarray(tree.parent)
     rows = np.full((n, 4), np.nan)
     rows[tree.root] = (1.0, 0.0, 0.0, 0.0)
-    for d in range(1, max(tree.depth, default=0) + 1):
+    for d in range(1, int(depth.max(initial=0)) + 1):
         child = np.flatnonzero(depth == d)
         par = parent[child]
         want = np.minimum(par, child) * n + np.maximum(par, child)
@@ -449,25 +451,31 @@ def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTree
         rows[child] = so3.qcanon(so3.qmul(q_pc, rows[par]))
     if np.any(np.isnan(rows)):
         raise ViewGraphError("tree does not cover every node")
-    return SpanningTreeInit(
-        root=tree.root,
-        parent=list(tree.parent),
-        depth=list(tree.depth),
-        orientations=[UnitQuaternion.from_array(r) for r in rows],
-    )
+    return SpanningTreeInit(root=tree.root, parent=parent, depth=depth,
+                            orientations=so3.Orientations(rows))
 
 
-def rereference(
-    orientations: list[UnitQuaternion], c: int
-) -> list[UnitQuaternion]:
-    """Right-multiply all orientations by ``q_c^-1`` so node ``c`` is identity.
+def orientation_rows(g: ViewGraph, orientations: ArrayLike) -> np.ndarray:
+    """Canonical (N, 4) rows of per-node orientations given to a solver (an
+    ``Orientations`` view or any array-like); each row must be finite, nonzero."""
+    try:
+        rows = np.asarray(orientations, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric input
+        rows = None
+    if rows is None or rows.shape != (g.n_nodes, 4):
+        raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4) rows covering every node")
+    if not np.all(np.isfinite(rows)) or np.any(np.linalg.norm(rows, axis=1) < 1e-12):
+        raise ViewGraphError("orientations must be finite nonzero rows")
+    return so3.qcanon(rows)
 
-    A pure gauge action: every pairwise relative orientation is unchanged.
-    """
-    if not 0 <= c < len(orientations):
+
+def rereference(rows: np.ndarray, c: int) -> np.ndarray:
+    """Right-multiply (N, 4) orientation rows by ``q_c^-1`` so node ``c`` is
+    the identity.  A pure gauge action: every pairwise relative orientation
+    is unchanged."""
+    if not 0 <= c < len(rows):
         raise ViewGraphError(f"reference node {c} out of range")
-    inv_c = so3.inverse(orientations[c])
-    return [so3.compose(q, inv_c) for q in orientations]
+    return so3.qcanon(so3.qmul(rows, so3.qcanon(so3.qconj(rows[c]))))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +510,7 @@ def _angles_axes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def graph_stats(g: ViewGraph, include_noise: bool | None = None) -> GraphStats:
     """Histogram bundle of measurement angles/axes and, with ground truth,
-    of the per-edge discrepancy rotations ``relative_gt(u,v)^-1 * measured``.
+    of the per-edge discrepancy rotations ``(q_v q_u^-1)^-1 * measured``.
     """
     if include_noise is None:
         include_noise = g.has_full_gt

@@ -129,8 +129,9 @@ class TestLoss:
         full = cleaning.clean_loss(pred, g)
         orient_only = cleaning.clean_loss(pred, g, bce_weight=0.0)
         w = cleaning._degree_weights(g)
+        gt = [UnitQuaternion.from_array(r) for r in g.gt]
         expected = sum(
-            wi * so3.quat_dist(UnitQuaternion.from_array(r), g.relative_gt(e.u, e.v))
+            wi * so3.quat_dist(UnitQuaternion.from_array(r), so3.relative(gt[e.u], gt[e.v]))
             for wi, r, e in zip(w, pred.rect, g.edges)
         )
         assert abs(orient_only - expected) < 1e-12

@@ -127,16 +127,6 @@ class TestGradients:
 
 
 class TestParamCount:
-    def test_hand_counted_tiny_config(self):
-        cfg = MpnnConfig(rounds=1, hidden_dim=1, msg_dim=1, edge_feat_dim=1)
-        # msg1: (3x1)+1, msg2: (1x1)+1, upd: (2x1)+1 -> 9; head (1,1): 2
-        assert mpnn.param_count(cfg, [(1, 1)]) == 11
-
-    def test_shared_weights_config(self):
-        cfg = MpnnConfig(rounds=4, per_step_weights=False)
-        cfg_per = MpnnConfig(rounds=4, per_step_weights=True)
-        assert mpnn.param_count(cfg, []) * 4 == mpnn.param_count(cfg_per, [])
-
     def test_combined_networks_in_budget(self):
         total = sum(
             int(np.prod(s)) for s in cleaning.weight_spec().values()

@@ -35,8 +35,19 @@ def referenced_graph(seed=0, n=14, sigma=6.0, outliers=0.0):
     )
     g = synthgen.generate_graph(cfg, np.random.default_rng(seed))
     root = viewgraph.select_root(g)
-    gt_ref = viewgraph.rereference(list(g.gt), root)
-    return ViewGraph(g.n_nodes, list(g.edges), gt_ref), root
+    gt_ref = viewgraph.rereference(g.gt, root)
+    return with_gt(g, gt_ref), root
+
+
+def with_gt(g, gt):
+    return ViewGraph.from_arrays(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array(),
+                                 g.edge_labels(), gt)
+
+
+def noisy_rows(g, rng):
+    """Ground truth with a 5-degree noise rotation composed on the left of each node."""
+    noise = np.stack([so3.sample_noise(5.0, False, rng).as_array() for _ in range(g.n_nodes)])
+    return so3.qcanon(so3.qmul(noise, g.gt))
 
 
 def spt_init(g, root):
@@ -46,9 +57,7 @@ def spt_init(g, root):
 class TestForward:
     def test_perfect_init_on_clean_graph_gives_identity_features(self):
         g, root = referenced_graph(sigma=0.0)
-        init = list(g.gt)
-        rows = np.stack([q.as_array() for q in init])
-        _, feats = refinement._edge_discrepancy(g, rows)
+        _, feats = refinement._edge_discrepancy(g, g.gt)
         ident = np.zeros_like(feats)
         ident[:, 0] = 1.0
         assert np.max(so3.qangle_deg(feats, ident)) < 1e-9
@@ -75,15 +84,16 @@ class TestForward:
 
     def test_unreferenced_init_rejected(self):
         g, root = referenced_graph(seed=4)
-        init = spt_init(g, root)
-        init[root] = so3.yaw_deg(10.0)
+        init = np.array(spt_init(g, root))
+        init[root] = so3.yaw_deg(10.0).as_array()
         with pytest.raises(ViewGraphError, match="referenced"):
             refinement.refine_forward(g, init, tiny_refine_weights(4), root, TINY_CFG)
 
     def test_missing_init_rejected(self):
         g, root = referenced_graph(seed=5)
         with pytest.raises(ViewGraphError, match="cover"):
-            refinement.refine_forward(g, [UnitQuaternion.identity()], tiny_refine_weights(5), root, TINY_CFG)
+            refinement.refine_forward(g, np.array([[1.0, 0.0, 0.0, 0.0]]), tiny_refine_weights(5),
+                                      root, TINY_CFG)
 
     def test_root_out_of_range_rejected(self):
         g, root = referenced_graph(seed=5)
@@ -96,37 +106,36 @@ class TestForward:
 class TestLoss:
     def test_ground_truth_scores_zero(self):
         g, root = referenced_graph(seed=6)
-        assert refinement.refine_loss(list(g.gt), g, root) < 1e-9
+        assert refinement.refine_loss(g.gt, g, root) < 1e-9
 
     def test_beta_zero_is_gauge_invariant(self):
         g, root = referenced_graph(seed=7)
         rng = np.random.default_rng(7)
-        pred = [so3.compose(so3.sample_noise(5.0, False, rng), q) for q in g.gt]
+        pred = noisy_rows(g, rng)
         base = refinement.refine_loss(pred, g, root, beta=0.0)
         r = so3.sample_uniform(np.random.default_rng(8))
-        shifted = [so3.compose(q, r) for q in pred]
+        shifted = so3.qcanon(so3.qmul(pred, r.as_array()))
         assert abs(refinement.refine_loss(shifted, g, root, beta=0.0) - base) < 1e-9
 
     def test_beta_positive_breaks_gauge_invariance(self):
         g, root = referenced_graph(seed=9)
         rng = np.random.default_rng(9)
-        pred = [so3.compose(so3.sample_noise(5.0, False, rng), q) for q in g.gt]
+        pred = noisy_rows(g, rng)
         base = refinement.refine_loss(pred, g, root, beta=0.1)
         r = so3.sample_uniform(np.random.default_rng(10))
-        shifted = [so3.compose(q, r) for q in pred]
+        shifted = so3.qcanon(so3.qmul(pred, r.as_array()))
         assert abs(refinement.refine_loss(shifted, g, root, beta=0.1) - base) > 1e-4
 
     def test_reference_mismatch_errors(self):
         g, root = referenced_graph(seed=11)
-        bad_gt = [so3.compose(q, so3.yaw_deg(25.0)) for q in g.gt]
-        bad_graph = ViewGraph(g.n_nodes, list(g.edges), bad_gt)
+        bad_graph = with_gt(g, so3.qmul(g.gt, so3.yaw_deg(25.0).as_array()))
         with pytest.raises(ViewGraphError, match="referenced"):
-            refinement.refine_loss(list(bad_graph.gt), bad_graph, root)
+            refinement.refine_loss(bad_graph.gt, bad_graph, root)
 
     def test_gradient_vs_finite_differences(self):
         g, root = referenced_graph(seed=12, n=8)
         store = tiny_refine_weights(12, random_head=True)
-        init_rows = np.stack([q.as_array() for q in spt_init(g, root)])
+        init_rows = np.asarray(spt_init(g, root))
         params = dict(store.params)
 
         def build(tape, p):
@@ -138,7 +147,7 @@ class TestLoss:
     def test_gradient_flows_to_init_and_features(self):
         g, root = referenced_graph(seed=13, n=8)
         store = tiny_refine_weights(13, random_head=True)
-        init_rows = np.stack([q.as_array() for q in spt_init(g, root)])
+        init_rows = np.asarray(spt_init(g, root))
         uv, feats = refinement._edge_discrepancy(g, init_rows)
         tape = Tape()
         weights = store.bind(tape)

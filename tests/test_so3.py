@@ -245,3 +245,26 @@ class TestSampling:
             so3.sample_noise(-1.0, True, rng)
         with pytest.raises(ValueError):
             so3.sample_noise(1.0, True, rng, axis_concentration=2.0)
+
+
+class TestOrientations:
+    def test_items_and_buffer(self):
+        rows = so3.sample_uniform_rows(np.random.default_rng(30), 5)
+        view = so3.Orientations(rows)
+        assert len(view) == 5
+        for i, q in enumerate(view):
+            assert isinstance(q, UnitQuaternion)
+            assert np.array_equal(q.as_array(), UnitQuaternion.from_array(rows[i]).as_array())
+        assert np.array_equal(view[-1].as_array(), rows[4])
+        with pytest.raises(IndexError):
+            view[5]
+        # np.asarray hands out the stored buffer itself, read-only
+        arr = np.asarray(view)
+        assert arr is np.asarray(view) and np.shares_memory(arr, rows)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+        assert rows.flags.writeable  # the caller's array is not frozen
+        # a requested copy is a writable copy
+        copied = np.array(view)
+        assert not np.shares_memory(copied, rows) and copied.flags.writeable
+        assert np.array_equal(copied, rows)

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
 from rotavg import so3, synthgen, viewgraph
+from rotavg.so3 import UnitQuaternion
 from rotavg.synthgen import SynthConfig, SynthConfigError
+from rotavg.viewgraph import Edge, ViewGraph
+
+
+def relative_gt(g, u, v):
+    """Ground-truth relative orientation of edge u -> v, from the quaternion oracle."""
+    return so3.relative(UnitQuaternion.from_array(g.gt[u]), UnitQuaternion.from_array(g.gt[v]))
 
 
 def is_connected_oracle(g) -> bool:
@@ -25,6 +33,44 @@ def is_connected_oracle(g) -> bool:
                 seen.add(u)
                 queue.append(u)
     return len(seen) == g.n_nodes
+
+
+def generate_graph_oracle(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
+    # the per-edge Edge/compose construction the row generator replaced, kept as the oracle
+    lo, hi = cfg.n_cameras
+    n = int(rng.integers(lo, hi + 1))
+    if cfg.planar:
+        yaw = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        gt = [UnitQuaternion(math.cos(0.5 * a), 0.0, math.sin(0.5 * a), 0.0) for a in yaw]
+    else:
+        gt = [UnitQuaternion.from_array(row) for row in so3.sample_uniform_rows(rng, n)]
+    pairs: set[tuple[int, int]] = set()
+    order = rng.permutation(n)
+    for i in range(1, n):
+        a = int(order[i])
+        b = int(order[int(rng.integers(0, i))])
+        pairs.add((min(a, b), max(a, b)))
+    total_pairs = n * (n - 1) // 2
+    frac = synthgen._sample_range(rng, cfg.edge_fraction)
+    target = min(max(int(round(frac * total_pairs)), n - 1), total_pairs)
+    while len(pairs) < target:
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(0, n))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    edge_list = sorted(pairs)
+    sigma = synthgen._sample_range(rng, cfg.sigma_deg)
+    out_frac = synthgen._sample_range(rng, cfg.outlier_fraction)
+    n_out = int(round(out_frac * len(edge_list)))
+    out_idx = set(rng.choice(len(edge_list), size=n_out, replace=False).tolist()) if n_out else set()
+    edges = []
+    for i, (u, v) in enumerate(edge_list):
+        if i in out_idx:
+            edges.append(Edge(u, v, so3.sample_uniform(rng), True))
+        else:
+            noise = so3.sample_noise(sigma, cfg.planar, rng, cfg.axis_concentration)
+            edges.append(Edge(u, v, so3.compose(noise, so3.relative(gt[u], gt[v])), False))
+    return ViewGraph(n, edges, gt)
 
 
 class TestConfig:
@@ -82,18 +128,17 @@ class TestGenerateGraph:
         g = synthgen.generate_graph(cfg, np.random.default_rng(0))
         for e in g.edges:
             assert e.gt_outlier is False
-            assert so3.geodesic_deg(e.q, g.relative_gt(e.u, e.v)) < 1e-9
+            assert so3.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) < 1e-9
 
     def test_planar_gt_is_pure_yaw(self):
         cfg = SynthConfig(n_cameras=(30, 30), planar=True, seed=1)
         g = synthgen.generate_graph(cfg, np.random.default_rng(1))
-        for q in g.gt:
-            assert abs(q.x) < 1e-12 and abs(q.z) < 1e-12
+        assert np.all(np.abs(g.gt[:, [1, 3]]) < 1e-12)
 
     def test_nonplanar_gt_is_not_yaw(self):
         cfg = SynthConfig(n_cameras=(30, 30), planar=False, seed=2)
         g = synthgen.generate_graph(cfg, np.random.default_rng(2))
-        assert max(abs(q.x) for q in g.gt) > 0.05
+        assert np.max(np.abs(g.gt[:, 1])) > 0.05
 
     def test_edge_and_outlier_fractions(self):
         cfg = SynthConfig(
@@ -124,10 +169,22 @@ class TestGenerateGraph:
         # verify every edge is reproduced by the shifted truth + same noise
         for e1, e2 in zip(g1.edges, g2.edges):
             assert np.array_equal(e1.q.as_array(), e2.q.as_array())
-        shifted = [so3.compose(q, r) for q in g1.gt]
+        shifted = [so3.compose(UnitQuaternion.from_array(q), r) for q in g1.gt]
         for e in g1.edges:
             rel_shift = so3.relative(shifted[e.u], shifted[e.v])
-            assert so3.geodesic_deg(rel_shift, g1.relative_gt(e.u, e.v)) < 1e-9
+            assert so3.geodesic_deg(rel_shift, relative_gt(g1, e.u, e.v)) < 1e-9
+
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_edge_oracle(self, planar, seed):
+        cfg = SynthConfig(n_cameras=(8, 40), edge_fraction=(0.05, 0.6), sigma_deg=(0.0, 30.0),
+                          outlier_fraction=(0.0, 0.3), planar=planar,
+                          axis_concentration=0.3 * seed, seed=seed)
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        text = viewgraph.serialize(synthgen.generate_graph(cfg, rng))
+        assert text == viewgraph.serialize(generate_graph_oracle(cfg, rng_oracle))
+        # both consumed the same draws, so the stream continues in step
+        assert rng.integers(2**62) == rng_oracle.integers(2**62)
 
     def test_outlier_labels_match_angle_rule(self):
         # injected outliers are uniformly random, so they sit > 20 degrees
@@ -142,7 +199,7 @@ class TestGenerateGraph:
             )
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 10))
             for e in g.edges:
-                rule = so3.geodesic_deg(e.q, g.relative_gt(e.u, e.v)) > 20.0
+                rule = so3.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) > 20.0
                 agree += int(rule == e.gt_outlier)
                 total += 1
         assert agree / total >= 0.97

@@ -8,6 +8,7 @@ import pytest
 
 from rotavg import cleaning, refinement, synthgen, trainer
 from rotavg.trainer import TrainConfig, TrainingError
+from rotavg.viewgraph import ViewGraph
 
 EPOCHS = 2
 
@@ -65,8 +66,7 @@ def clean_graph_loss(tape, weights, g):
 
 def fine_graph_loss(tape, weights, g):
     # the loss of FineNet without a cleaner: bootstrap on the largest component
-    sample, init, root = trainer.prepare_refinement_sample(g, None)
-    init_rows = np.stack([q.as_array() for q in init])
+    sample, init_rows, root = trainer.prepare_refinement_sample(g, None)
     pred = refinement.forward_tensors(tape, sample, init_rows, weights)
     return refinement.loss_from_pred(tape, pred, sample, root)
 
@@ -112,6 +112,35 @@ class TestNonFinite:
         monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
             trainer.train_finenet(*data, TrainConfig.desk(epochs=1))
+
+
+def edgeless(g):
+    return ViewGraph.from_arrays(g.n_nodes, [], [], np.zeros((0, 4)), gt=g.gt)
+
+
+def without_gt(g):
+    return ViewGraph.from_arrays(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array())
+
+
+@pytest.mark.parametrize("train_fn", [trainer.train_cleannet, trainer.train_finenet],
+                         ids=["cleannet", "finenet"])
+class TestCorpusCheck:
+    def test_edgeless_training_graph(self, data, train_fn):
+        train, val = data
+        with pytest.raises(TrainingError, match="training graph 1 has no edges"):
+            train_fn([train[0], edgeless(train[1])], val, TrainConfig.desk(epochs=1))
+
+    def test_edgeless_validation_graph(self, data, train_fn):
+        train, val = data
+        with pytest.raises(TrainingError, match="validation graph 0 has no edges"):
+            train_fn(train, [edgeless(val[0]), val[1]], TrainConfig.desk(epochs=1))
+
+    def test_missing_ground_truth_names_the_split(self, data, train_fn):
+        train, val = data
+        with pytest.raises(TrainingError, match="validation graph 1 lacks ground-truth"):
+            train_fn(train, [val[0], without_gt(val[1])], TrainConfig.desk(epochs=1))
+        with pytest.raises(TrainingError, match="training graph 2 lacks ground-truth"):
+            train_fn(train[:2] + [without_gt(train[2])], val, TrainConfig.desk(epochs=1))
 
 
 class TestLogCsv:

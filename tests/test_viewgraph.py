@@ -24,6 +24,11 @@ def small_graph(with_gt=True):
     return ViewGraph(4, edges, gt if with_gt else None)
 
 
+def gt_quats(g: ViewGraph) -> list[UnitQuaternion]:
+    """Ground-truth rows as the quaternion oracle's values."""
+    return [UnitQuaternion.from_array(r) for r in g.gt]
+
+
 def bfs_depths(g: ViewGraph, root: int) -> list[int]:
     # independent BFS oracle kept free of the library's tree code
     nbrs: list[set[int]] = [set() for _ in range(g.n_nodes)]
@@ -235,7 +240,7 @@ class TestFormat:
         for a, b in zip(g.edges, g2.edges):
             assert (a.u, a.v) == (b.u, b.v)
             assert so3.geodesic_deg(a.q, b.q) < 1e-9
-        for a, b in zip(g.gt, g2.gt):
+        for a, b in zip(gt_quats(g), gt_quats(g2)):
             assert so3.geodesic_deg(a, b) < 1e-9
 
     def test_round_trip_fuzz(self):
@@ -296,6 +301,45 @@ class TestFormat:
     def test_non_dense_ids_rejected(self):
         with pytest.raises(ViewGraphError, match="dense"):
             viewgraph.parse("VIEWGRAPH v1\nNODE 0\nNODE 2\n")
+
+
+class TestPartialGroundTruth:
+    TEXT = ("VIEWGRAPH v1\nNODE 0 1 0 0 0\nNODE 1\nNODE 2 0 0 1 0\n"
+            "EDGE 0 1 1 0 0 0\nEDGE 1 2 1 0 0 0 0\n")
+
+    def test_nan_rows_round_trip(self):
+        g = viewgraph.parse(self.TEXT)
+        assert g.gt.shape == (3, 4)
+        assert np.all(np.isnan(g.gt[1])) and not np.any(np.isnan(g.gt[[0, 2]]))
+        assert np.array_equal(g.gt[2], [0.0, 0.0, 1.0, 0.0])
+        assert viewgraph.serialize(g) == self.TEXT
+        assert not g.has_full_gt
+        with pytest.raises(ViewGraphError, match="complete ground-truth"):
+            g.gt_array()
+        with pytest.raises(ValueError, match="read-only"):
+            g.gt[0, 0] = 0.5
+
+    def test_edge_constructor_packs_missing_as_nan(self):
+        q = UnitQuaternion.identity()
+        g = ViewGraph(3, [Edge(0, 1, q)], [q, None, so3.yaw_deg(30.0)])
+        assert np.all(np.isnan(g.gt[1])) and np.array_equal(g.gt[0], q.as_array())
+        assert np.array_equal(g.gt[2], so3.yaw_deg(30.0).as_array())
+        assert np.all(np.isnan(ViewGraph(2, [Edge(0, 1, q)]).gt))
+
+    def test_from_arrays_checks_rows(self):
+        q = np.array([[1.0, 0.0, 0.0, 0.0]])
+        ok = ViewGraph.from_arrays(2, [0], [1], q, gt=[[2.0, 0.0, 0.0, 0.0], [np.nan] * 4])
+        assert np.array_equal(ok.gt[0], [1.0, 0.0, 0.0, 0.0])  # canonicalised
+        assert np.array_equal(ViewGraph.from_arrays(2, [0], [1], q, gt=[[-1.0, 0, 0, 0]] * 2).gt,
+                              [[1.0, 0.0, 0.0, 0.0]] * 2)
+        for bad in ([[1.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                    [[np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                    [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]):
+            with pytest.raises(ViewGraphError, match="all NaN or finite nonzero"):
+                ViewGraph.from_arrays(2, [0], [1], q, gt=bad)
+        for bad in ([[1.0, 0.0, 0.0, 0.0]], np.ones((2, 3))):
+            with pytest.raises(ViewGraphError, match="one .* row per node"):
+                ViewGraph.from_arrays(2, [0], [1], q, gt=bad)
 
 
 class TestStructure:
@@ -384,10 +428,10 @@ class TestConnectivity:
                     viewgraph.shortest_path_tree(g, root)
             else:
                 tree = viewgraph.shortest_path_tree(g, root)
-                assert (tree.depth, tree.parent) == (depth, parent)
+                assert (tree.depth.tolist(), tree.parent.tolist()) == (depth, parent)
         for root in range(sub.n_nodes):
             tree = viewgraph.shortest_path_tree(sub, root)
-            assert (tree.depth, tree.parent) == deque_tree(sub, root)
+            assert (tree.depth.tolist(), tree.parent.tolist()) == deque_tree(sub, root)
 
 
 class TestRootAndTree:
@@ -419,7 +463,7 @@ class TestRootAndTree:
         q = UnitQuaternion.identity()
         g = ViewGraph(3, [Edge(0, 1, q), Edge(1, 2, q)])
         tree = viewgraph.shortest_path_tree(g, 0)
-        assert tree.depth == [0, 1, 2]
+        assert tree.depth.tolist() == [0, 1, 2]
 
     def test_complete_graph_depths(self):
         q = so3.yaw_deg(5.0)
@@ -434,7 +478,7 @@ class TestRootAndTree:
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 500))
             root = viewgraph.select_root(g)
             tree = viewgraph.shortest_path_tree(g, root)
-            assert tree.depth == bfs_depths(g, root)
+            assert tree.depth.tolist() == bfs_depths(g, root)
 
     def test_parent_is_smallest_id_predecessor(self):
         q = UnitQuaternion.identity()
@@ -472,8 +516,9 @@ class TestBootstrap:
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 50))
             root = viewgraph.select_root(g)
             boot = viewgraph.bootstrap_orientations(g, viewgraph.shortest_path_tree(g, root))
+            gt = gt_quats(g)
             for v in range(g.n_nodes):
-                expected = so3.compose(g.gt[v], so3.inverse(g.gt[root]))
+                expected = so3.compose(gt[v], so3.inverse(gt[root]))
                 assert so3.geodesic_deg(boot.orientations[v], expected) < 1e-9
 
     def test_reproduces_all_relatives_on_clean_graph(self):
@@ -509,7 +554,7 @@ class TestBootstrap:
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 900))
             # stored order need not be sorted: shuffle the edges
             perm = np.random.default_rng(seed).permutation(len(g.edges))
-            g = ViewGraph(g.n_nodes, [g.edges[i] for i in perm], g.gt)
+            g = ViewGraph(g.n_nodes, [g.edges[i] for i in perm], gt_quats(g))
             for root in (0, viewgraph.select_root(g)):
                 tree = viewgraph.shortest_path_tree(g, root)
                 boot = viewgraph.bootstrap_orientations(g, tree)
@@ -525,33 +570,48 @@ class TestBootstrap:
 
 
 class TestRereference:
+    @staticmethod
+    def rows(qs):
+        return np.stack([q.as_array() for q in qs])
+
     def test_already_referenced_unchanged(self):
         rng = np.random.default_rng(20)
         qs = [UnitQuaternion.identity()] + [so3.sample_uniform(rng) for _ in range(3)]
-        out = viewgraph.rereference(qs, 0)
+        out = so3.Orientations(viewgraph.rereference(self.rows(qs), 0))
         for a, b in zip(out, qs):
             assert so3.geodesic_deg(a, b) < 1e-12
 
     def test_two_nodes(self):
         rng = np.random.default_rng(21)
         q0, q1 = so3.sample_uniform(rng), so3.sample_uniform(rng)
-        out = viewgraph.rereference([q0, q1], 0)
+        out = so3.Orientations(viewgraph.rereference(self.rows([q0, q1]), 0))
         assert so3.geodesic_deg(out[0], UnitQuaternion.identity()) < 1e-12
         assert so3.geodesic_deg(out[1], so3.compose(q1, so3.inverse(q0))) < 1e-12
 
     def test_relatives_preserved(self):
         rng = np.random.default_rng(22)
         qs = [so3.sample_uniform(rng) for _ in range(6)]
-        out = viewgraph.rereference(qs, 3)
+        out = so3.Orientations(viewgraph.rereference(self.rows(qs), 3))
         for u in range(6):
             for v in range(6):
                 before = so3.relative(qs[u], qs[v])
                 after = so3.relative(out[u], out[v])
                 assert so3.geodesic_deg(before, after) < 1e-9
 
+    def test_matches_compose_loop_oracle(self):
+        # the per-node compose loop the row kernel replaced, kept as the oracle
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 7, 40):
+            qs = [so3.sample_uniform(rng) for _ in range(n)]
+            for c in {0, n // 2, n - 1}:
+                inv_c = so3.inverse(qs[c])
+                expected = self.rows([so3.compose(q, inv_c) for q in qs])
+                assert np.array_equal(viewgraph.rereference(self.rows(qs), c), expected)
+
     def test_out_of_range(self):
-        with pytest.raises(ViewGraphError):
-            viewgraph.rereference([UnitQuaternion.identity()], 1)
+        for c in (1, -1):
+            with pytest.raises(ViewGraphError, match="out of range"):
+                viewgraph.rereference(np.array([[1.0, 0.0, 0.0, 0.0]]), c)
 
 
 class TestStats:
@@ -602,7 +662,9 @@ class TestStats:
         for g in (synthgen.generate_graph(cfg, np.random.default_rng(3)), tiny):
             st = viewgraph.graph_stats(g)
             rel_angles, rel_axes = loop([e.q for e in g.edges])
-            noise = [so3.compose(so3.inverse(g.relative_gt(e.u, e.v)), e.q) for e in g.edges]
+            gt_q = gt_quats(g)
+            noise = [so3.compose(so3.inverse(so3.relative(gt_q[e.u], gt_q[e.v])), e.q)
+                     for e in g.edges]
             n_angles, n_axes = loop(noise)
             for got, want in ((st.rel_angles_deg, rel_angles), (st.rel_axes, rel_axes),
                               (st.noise_angles_deg, n_angles), (st.noise_axes, n_axes)):
