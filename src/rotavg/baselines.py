@@ -155,14 +155,19 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     rows, cols = rows[order], np.concatenate([v_red[both], u_red[both]])[order]
     off_edge = np.tile(both, 2)[order]
 
+    # one bincount serves all three tangent components: row k of a (3, n)
+    # array is the flat index range [k * n, (k + 1) * n)
+    inc_bins, off_bins, off_cols = ((np.arange(3)[:, None] * n + i).ravel()
+                                    for i in (inc_node, rows, cols))
+
     def system(w: np.ndarray, resid: np.ndarray):
         diag = np.bincount(inc_node, w[inc_edge], n)
         swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
-        rhs = np.stack([np.bincount(inc_node, c, n) for c in swr.T])
-        w_off = w[off_edge]
+        rhs = np.bincount(inc_bins, swr.T.ravel(), 3 * n).reshape(3, n)
+        w_off = np.tile(w[off_edge], 3)
 
         def apply_op(x: np.ndarray) -> np.ndarray:
-            return diag * x - np.stack([np.bincount(rows, w_off * xk.take(cols), n) for xk in x])
+            return diag * x - np.bincount(off_bins, w_off * x.take(off_cols), 3 * n).reshape(3, n)
 
         return apply_op, diag, rhs
 

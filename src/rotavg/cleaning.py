@@ -97,12 +97,7 @@ def clean_forward(
     tape = Tape(recording=False)
     weights = store.bind(tape)
     delta_raw, logits = _head_tensors(tape, g, weights, cfg)
-    delta = delta_raw.values.copy()
-    norms = np.linalg.norm(delta, axis=1)
-    degenerate = norms < 1e-12
-    delta[degenerate] = (1.0, 0.0, 0.0, 0.0)
-    delta = so3.qcanon(delta)
-    rect = so3.qcanon(so3.qmul(delta, g.edge_quat_array()))
+    rect = so3._left_correct(delta_raw.values, g.edge_quat_array())
     probs = 1.0 / (1.0 + np.exp(-logits.values))
     return CleanPrediction(rect=rect, outlier_prob=probs, logits=logits.values.copy())
 
@@ -116,13 +111,6 @@ def gt_outlier_labels(g: ViewGraph) -> np.ndarray:
     return (angles > OUTLIER_THRESHOLD_DEG).astype(np.float64)
 
 
-def _degree_weights(g: ViewGraph) -> np.ndarray:
-    """Per-edge 1 / (deg(u) * deg(v)) for the orientation-error term."""
-    degrees = g.degree_array()
-    u, v = g.endpoint_arrays()
-    return 1.0 / (degrees[u] * degrees[v])
-
-
 def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph, bce_weight: float) -> Tensor:
     """Degree-normalized distance of the unit rows ``rect`` to the ground-truth
     relative orientations plus ``bce_weight`` times the mean outlier
@@ -130,7 +118,7 @@ def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph, bce_weig
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
     dists = tape.quat_dist_loss(rect, tape.constant(g.relative_gt_array()))
-    mre = tape.sum(tape.mul(dists, tape.constant(_degree_weights(g))))
+    mre = tape.sum(tape.mul(dists, tape.constant(viewgraph._degree_weights(g))))
     bce = tape.mean(tape.bce_with_logits(logits, tape.constant(gt_outlier_labels(g))))
     return tape.add(mre, tape.scale(bce, bce_weight))
 
@@ -174,7 +162,8 @@ def clean_graph(
         raise ViewGraphError("empty cleaned graph: every edge was removed")
     removed = len(g.edges) - int(np.count_nonzero(keep))
     u, v = g.endpoint_arrays()
-    full = ViewGraph.from_arrays(g.n_nodes, u[keep], v[keep], pred.rect[keep], gt=g.gt)
+    full = ViewGraph._from_valid(g.n_nodes, u[keep], v[keep], pred.rect[keep],
+                                 np.full(int(keep.sum()), -1, dtype=np.int8), g.gt)
     sub, remap = viewgraph.largest_component(full)
     node_ids = sorted(remap, key=remap.get)
     dropped = sorted(set(range(g.n_nodes)) - set(node_ids))

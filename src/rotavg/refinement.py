@@ -114,8 +114,7 @@ def refine_forward(
     uv, feats = _edge_discrepancy(g, init_rows)
     delta = _corrections(tape, g, uv, tape.constant(init_rows), tape.constant(feats),
                          store.bind(tape), cfg).values
-    delta[np.linalg.norm(delta, axis=1) < 1e-12] = _IDENTITY
-    pred_rows = so3.qcanon(so3.qmul(so3.qcanon(delta), init_rows))
+    pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 
 
@@ -150,7 +149,7 @@ def loss_from_pred(
     pred_v = tape.gather(pred, v_idx)
     rel = tape.quat_normalize(tape.quat_compose(pred_v, tape.quat_conjugate(pred_u)))
     gt_rel = tape.constant(g.relative_gt_array())
-    edge_w = tape.constant(1.0 / (degrees[u_idx] * degrees[v_idx]))
+    edge_w = tape.constant(viewgraph._degree_weights(g))
     edge_term = tape.sum(tape.mul(tape.quat_dist_loss(rel, gt_rel), edge_w))
 
     gt_abs = tape.constant(g.gt_array())

@@ -1,4 +1,4 @@
-"""Synthetic view-graph corpus generator.
+"""Synthetic view-graph corpus generator (corpus v2).
 
 A graph is generated by (1) sampling a camera count and per-camera absolute
 orientations (yaw-only about +y when planar, Haar-uniform otherwise),
@@ -7,6 +7,16 @@ target edge fraction is reached, (3) corrupting every edge measurement with
 a small rotation whose angle std sigma is drawn once per graph, and
 (4) replacing a sampled fraction of edges with fully random orientations,
 labelled as outliers.
+
+Every step draws a block of values at once.  The draw order fixes the
+corpus bytes: the camera count; the N yaw angles (planar) or N uniform rows;
+the edge fraction; the tree (a permutation of the cameras, then for tree
+node ``i`` the index of its parent among the first ``i``); batches of extra
+endpoint pairs ``(a[], b[])``, each pair accepted, in draw order, when new
+and not a self-loop; sigma; the outlier fraction; the outlier edges
+(``choice`` without replacement); one uniform row per outlier in edge
+order; and one noise row per inlier in edge order (``so3.sample_noise_rows``:
+all angles, then all axes).
 """
 
 from __future__ import annotations
@@ -34,7 +44,6 @@ class SynthConfig:
     sigma_deg: tuple[float, float] = (5.0, 30.0)
     outlier_fraction: tuple[float, float] = (0.0, 0.30)
     planar: bool = True
-    axis_concentration: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +57,6 @@ class SynthConfig:
         a, b = self.sigma_deg
         if not (0.0 <= a <= b):
             raise SynthConfigError("sigma_deg range must satisfy 0 <= lo <= hi")
-        if not 0.0 <= self.axis_concentration <= 1.0:
-            raise SynthConfigError("axis_concentration must lie in [0, 1]")
 
     @classmethod
     def desk(cls, seed: int = 0) -> "SynthConfig":
@@ -71,7 +78,6 @@ def save_config(cfg: SynthConfig, path: str | Path) -> None:
         f"sigma_deg={_format_range(cfg.sigma_deg)}",
         f"outlier_fraction={_format_range(cfg.outlier_fraction)}",
         f"planar={int(cfg.planar)}",
-        f"axis_concentration={cfg.axis_concentration:g}",
         f"seed={cfg.seed}",
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -103,7 +109,6 @@ _FIELD_PARSERS = {
     "sigma_deg": _parse_range,
     "outlier_fraction": _parse_range,
     "planar": _parse_bool,
-    "axis_concentration": float,
     "seed": int,
 }
 
@@ -135,38 +140,44 @@ def _sample_range(rng: np.random.Generator, bounds: tuple[float, float]) -> floa
     return lo if lo == hi else float(rng.uniform(lo, hi))
 
 
+def _pair_keys(n: int, target: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted keys ``u * n + v`` (u < v) of ``target`` distinct pairs: a random
+    spanning tree over a random permutation (connectivity), then uniform
+    extra pairs by batched rejection, accepted in draw order."""
+    order = rng.permutation(n)
+    a, b = order[1:], order[rng.integers(0, np.arange(1, n))]
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    free_pairs = n * (n - 1) // 2 - keys.size
+    while keys.size < target:
+        need = target - keys.size
+        # enough draws for ``need`` acceptances in expectation, with slack
+        size = int(need * n * n / (2 * free_pairs) * 1.1) + 16
+        a, b = rng.integers(0, n, size=size), rng.integers(0, n, size=size)
+        new = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+        _, first = np.unique(new, return_index=True)
+        new = new[np.sort(first)]  # first draw of each pair, in draw order
+        new = new[~np.isin(new, keys)][:need]
+        keys = np.sort(np.concatenate([keys, new]))
+        free_pairs -= new.size
+    return keys
+
+
 def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
     """One synthetic view-graph with ground truth and outlier labels."""
     lo, hi = cfg.n_cameras
     n = int(rng.integers(lo, hi + 1))
-    if n < 3:
-        raise SynthConfigError("camera count must be at least 3")
-
     if cfg.planar:
-        # yaw-only scenes: rotations about the +y axis, so qx = qz = 0
-        yaw = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        gt = so3.qcanon([(math.cos(0.5 * a), 0.0, math.sin(0.5 * a), 0.0) for a in yaw])
+        half_yaw = 0.5 * rng.uniform(0.0, 2.0 * math.pi, size=n)
+        zero = np.zeros(n)
+        gt = so3.qcanon(np.stack([np.cos(half_yaw), zero, np.sin(half_yaw), zero], axis=1))
     else:
         gt = so3.sample_uniform_rows(rng, n)
 
-    # random spanning tree over a random permutation guarantees connectivity
-    pairs: set[tuple[int, int]] = set()
-    order = rng.permutation(n)
-    for i in range(1, n):
-        a = int(order[i])
-        b = int(order[int(rng.integers(0, i))])
-        pairs.add((min(a, b), max(a, b)))
     total_pairs = n * (n - 1) // 2
     frac = _sample_range(rng, cfg.edge_fraction)
-    target = max(int(round(frac * total_pairs)), n - 1)
-    target = min(target, total_pairs)
-    while len(pairs) < target:
-        a = int(rng.integers(0, n))
-        b = int(rng.integers(0, n))
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-
-    u, v = np.array(sorted(pairs), dtype=np.int64).T
+    target = min(max(int(round(frac * total_pairs)), n - 1), total_pairs)
+    keys = _pair_keys(n, target, rng)
+    u, v = keys // n, keys % n
     m = u.size
     sigma = _sample_range(rng, cfg.sigma_deg)
     out_frac = _sample_range(rng, cfg.outlier_fraction)
@@ -175,15 +186,12 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
     if n_out:
         outlier[rng.choice(m, size=n_out, replace=False)] = True
 
-    # one draw per edge, in edge order (random or noise rotation): it fixes the corpus bytes
     q = np.empty((m, 4))
-    for i in range(m):
-        draw = (so3.sample_uniform(rng) if outlier[i]
-                else so3.sample_noise(sigma, cfg.planar, rng, cfg.axis_concentration))
-        q[i] = draw.as_array()
+    q[outlier] = so3.sample_uniform_rows(rng, n_out)
     inlier = ~outlier
     rel = so3.qcanon(so3.qmul(gt[v[inlier]], so3.qcanon(so3.qconj(gt[u[inlier]]))))
-    q[inlier] = so3.qcanon(so3.qmul(q[inlier], rel))
+    noise = so3.sample_noise_rows(sigma, cfg.planar, rng, m - n_out)
+    q[inlier] = so3.qcanon(so3.qmul(noise, rel))
     return ViewGraph.from_arrays(n, u, v, q, outlier, gt)
 
 

@@ -88,7 +88,7 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
     keep = max(1, int(round((1.0 - dropout) * m)))
     idx = np.sort(rng.choice(m, size=keep, replace=False))
     u, v = g.endpoint_arrays()
-    return ViewGraph.from_arrays(g.n_nodes, u[idx], v[idx], g.edge_quat_array()[idx],
+    return ViewGraph._from_valid(g.n_nodes, u[idx], v[idx], g.edge_quat_array()[idx],
                                  g.edge_labels()[idx], g.gt)
 
 
@@ -182,7 +182,7 @@ def prepare_refinement_sample(
     observed, _ = viewgraph.induced_subgraph(g, node_ids)
     # induced_subgraph sorts node ids, so indices line up with `base`
     if observed.has_full_gt:
-        observed = ViewGraph.from_arrays(observed.n_nodes, *observed.endpoint_arrays(),
+        observed = ViewGraph._from_valid(observed.n_nodes, *observed.endpoint_arrays(),
                                          observed.edge_quat_array(), observed.edge_labels(),
                                          viewgraph.rereference(observed.gt, root))
     return observed, np.asarray(boot.orientations), root

@@ -17,6 +17,10 @@ Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 Node ids must be dense in ``[0, N)``.  Edges are stored once per unordered
 pair in the canonical ``u < v`` direction; an edge given in the opposite
 direction is flipped (its orientation inverted) on construction.
+
+:func:`parse` converts the NODE and EDGE blocks as arrays and checks them
+with masks, through the same edge-structure rule (range, self-loop, repeat)
+as ``from_arrays``; a :class:`ParseError` names the first offending line.
 """
 
 from __future__ import annotations
@@ -46,6 +50,20 @@ class ParseError(ViewGraphError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
+
+
+def _edge_faults(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge-structure rule, as masks over edges ``(u[i], v[i])``: an end
+    outside ``[0, n)``, a self-loop, and a repeat of an earlier in-range pair
+    (either direction).  Out-of-range pairs get distinct negative keys, so
+    ``lo * n + hi`` cannot alias one with a valid pair."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    out_of_range = (lo < 0) | (hi >= n)
+    keys = np.where(out_of_range, -1 - np.arange(u.size), lo * n + hi)
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return out_of_range, u == v, repeat
 
 
 @dataclass(frozen=True)
@@ -105,6 +123,15 @@ class ViewGraph:
         g._store(n_nodes, u, v, q, label, gt)
         return g
 
+    @classmethod
+    def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
+        """Graph over arrays that already hold every invariant ``from_arrays``
+        establishes (rows taken from a valid graph), stored read-only as
+        given, without checks or copies."""
+        g = cls.__new__(cls)
+        g._keep(n_nodes, u, v, q, label, gt)
+        return g
+
     def _store(self, n, u, v, q, label, gt) -> None:
         if n < 0:
             raise ViewGraphError("n_nodes must be non-negative")
@@ -126,14 +153,9 @@ class ViewGraph:
             raise ViewGraphError("edge labels must be -1 (unknown), 0 or 1")
         if not np.all(np.isfinite(q)) or np.any(np.linalg.norm(q, axis=1) < 1e-12):
             raise ViewGraphError("edge orientations must be finite nonzero rows")
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        out_of_range = (lo < 0) | (hi >= n)
-        loop = u == v
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        repeat = np.zeros(m, dtype=bool)
-        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        out_of_range, loop, repeat = _edge_faults(n, u, v)
         bad = out_of_range | loop | repeat
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
         if np.any(bad):
             i = int(np.argmax(bad))  # the first offending edge, in input order
             if out_of_range[i]:
@@ -144,10 +166,13 @@ class ViewGraph:
         q = so3.qcanon(q)
         flip = u > v
         q[flip] = so3.qcanon(so3.qconj(q[flip]))
-        for arr in (lo, hi, q, label, gt):
+        self._keep(n, lo, hi, q, label, gt)
+
+    def _keep(self, n, u, v, q, label, gt) -> None:
+        for arr in (u, v, q, label, gt):
             arr.flags.writeable = False
         self._n = n
-        self._u, self._v, self._q, self._label = lo, hi, q, label
+        self._u, self._v, self._q, self._label = u, v, q, label
         self._gt = gt
         self._degrees: np.ndarray | None = None
 
@@ -200,6 +225,14 @@ class ViewGraph:
         return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
 
 
+def _degree_weights(g: ViewGraph) -> np.ndarray:
+    """Per-edge ``1 / (deg(u) * deg(v))``: the weight of an edge's orientation
+    error in the cleaning and refinement losses."""
+    degrees = g.degree_array()
+    u, v = g.endpoint_arrays()
+    return 1.0 / (degrees[u] * degrees[v])
+
+
 # ---------------------------------------------------------------------------
 # Text interchange
 # ---------------------------------------------------------------------------
@@ -208,82 +241,122 @@ def _format_quat(components) -> str:
     return " ".join(format(c, ".17g") for c in components)
 
 
-def _parse_quat(parts: list[str], line_no: int) -> list[float]:
+def _conversion_error(tokens, dtype) -> Exception | None:
+    """What converting ``tokens`` to ``dtype`` raises, or None."""
     try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(line_no, f"bad quaternion component: {exc}") from None
-    norm = math.hypot(*vals)
-    if not abs(norm - 1.0) <= RENORM_TOL:  # written so that a NaN norm fails too
-        raise ParseError(line_no, f"quaternion norm {norm:.9g} deviates from 1 beyond {RENORM_TOL}")
-    return vals
+        np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        return exc
+    return None
+
+
+def _convert(recs: list[list[str]], lo: int, hi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens ``lo:hi`` of each record as a (len(recs), hi - lo) array, and a
+    mask of the records whose tokens do not convert.
+
+    The block converts in one ``np.array`` call over its flattened tokens;
+    only when that fails is each record tried alone, to mark the bad ones,
+    which then read as zeros.
+    """
+    try:
+        flat = np.array([tok for rec in recs for tok in rec[lo:hi]], dtype=dtype)
+        return flat.reshape(len(recs), hi - lo), np.zeros(len(recs), dtype=bool)
+    except (ValueError, OverflowError):
+        bad = np.array([_conversion_error(rec[lo:hi], dtype) is not None for rec in recs])
+        return np.array([["0"] * (hi - lo) if b else rec[lo:hi] for rec, b in zip(recs, bad)],
+                        dtype=dtype), bad
 
 
 def parse(text: str) -> ViewGraph:
-    """Parse the text format; raises :class:`ParseError` with line numbers."""
-    node_gt: dict[int, list[float]] = {}
-    ends: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
-    quats: list[list[float]] = []
-    labels: list[int] = []
-    pairs: set[tuple[int, int]] = set()
-    header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line != FORMAT_HEADER:
-                raise ParseError(line_no, f"expected header '{FORMAT_HEADER}'")
-            header_seen = True
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "NODE":
-            if len(parts) not in (2, 6):
-                raise ParseError(line_no, "NODE takes an id and optionally 4 quaternion components")
-            try:
-                nid = int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad node id {parts[1]!r}") from None
-            if nid < 0:
-                raise ParseError(line_no, "node ids must be non-negative")
-            if nid in node_gt:
-                raise ParseError(line_no, f"duplicate node {nid}")
-            node_gt[nid] = _parse_quat(parts[2:], line_no) if len(parts) == 6 else [math.nan] * 4
-        elif kind == "EDGE":
-            if len(parts) not in (7, 8):
-                raise ParseError(line_no, "EDGE takes u v qw qx qy qz [gt_outlier]")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(line_no, "bad edge endpoints") from None
-            if u == v:
-                raise ParseError(line_no, f"self-loop at node {u}")
-            key = (min(u, v), max(u, v))
-            if key in pairs:
-                raise ParseError(line_no, f"duplicate edge ({u}, {v})")
-            pairs.add(key)
-            quats.append(_parse_quat(parts[3:7], line_no))
-            if len(parts) == 8 and parts[7] not in ("0", "1"):
-                raise ParseError(line_no, "gt_outlier must be 0 or 1")
-            ends.append((u, v))
-            edge_lines.append(line_no)
-            labels.append(int(parts[7]) if len(parts) == 8 else -1)
-        else:
-            raise ParseError(line_no, f"unknown record {kind!r}")
-    if not header_seen:
+    """Parse the text format; raises :class:`ParseError` with line numbers.
+
+    The text is split once, the NODE and EDGE blocks are converted with one
+    ``np.array`` call per column group, and every check is a mask over a
+    block.  The error names the first offending line; within a line the
+    checks rank as the record reads (token count, ids, self-loop, duplicate,
+    quaternion components, norm, label).  An edge whose end is not a
+    declared node is reported at its line, but only after the last line,
+    since nodes may follow edges; non-dense node ids raise
+    :class:`ViewGraphError`.
+    """
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    tokens = [line.split() for line in lines]
+    filled = [i for i, t in enumerate(tokens) if t]
+    if not filled:
         raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
-    n = len(node_gt)
-    if sorted(node_gt) != list(range(n)):
+    if lines[filled[0]].strip() != FORMAT_HEADER:
+        raise ParseError(filled[0] + 1, f"expected header '{FORMAT_HEADER}'")
+    del lines  # the token lists are all that is read from here on: free the line copies
+    recs = [tokens[i] for i in filled[1:]]
+    line_no = np.array(filled[1:], dtype=np.int64) + 1
+    width = np.array([len(t) for t in recs], dtype=np.int64)
+    kind = np.array([t[0] for t in recs], dtype=object)
+    is_node, is_edge = kind == "NODE", kind == "EDGE"
+    faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
+
+    def first(mask: np.ndarray, rows: np.ndarray, rank: int, reason) -> None:
+        """Note the first of the records ``rows`` at which ``mask`` holds."""
+        if np.any(mask):
+            i = int(np.argmax(mask))
+            faults.append((int(line_no[rows[i]]), rank, reason(i)))
+
+    def quaternions(block: list[list[str]], rows: np.ndarray, lo: int) -> np.ndarray:
+        q, bad = _convert(block, lo, lo + 4, np.float64)
+        first(bad, rows, 5, lambda i: "bad quaternion component: "
+              f"{_conversion_error(block[i][lo:lo + 4], np.float64)}")
+        norm = np.linalg.norm(q, axis=1)
+        first(~(np.abs(norm - 1.0) <= RENORM_TOL), rows, 6,  # so that a NaN norm fails too
+              lambda i: f"quaternion norm {norm[i]:.9g} deviates from 1 beyond {RENORM_TOL}")
+        return q
+
+    every = np.arange(len(recs))
+    node_ok, edge_ok = is_node & np.isin(width, (2, 6)), is_edge & np.isin(width, (7, 8))
+    first(~is_node & ~is_edge, every, 0, lambda i: f"unknown record {kind[i]!r}")
+    first(is_node & ~node_ok, every, 1,
+          lambda i: "NODE takes an id and optionally 4 quaternion components")
+    first(is_edge & ~edge_ok, every, 1, lambda i: "EDGE takes u v qw qx qy qz [gt_outlier]")
+
+    node = np.flatnonzero(node_ok)
+    node_recs = [recs[r] for r in node.tolist()]
+    ids, bad = _convert(node_recs, 1, 2, np.int64)
+    ids = ids[:, 0]
+    first(bad, node, 2, lambda i: f"bad node id {node_recs[i][1]!r}")
+    first(ids < 0, node, 3, lambda i: "node ids must be non-negative")
+    dup = np.ones(node.size, dtype=bool)
+    dup[np.unique(ids, return_index=True)[1]] = False  # all but each id's first line
+    first(dup, node, 4, lambda i: f"duplicate node {ids[i]}")
+    has_gt = width[node] == 6
+    gq = quaternions([r for r, h in zip(node_recs, has_gt.tolist()) if h], node[has_gt], 2)
+
+    n = node.size
+    edge = np.flatnonzero(edge_ok)
+    edge_recs = [recs[r] for r in edge.tolist()]
+    uv, bad = _convert(edge_recs, 1, 3, np.int64)
+    u, v = uv[:, 0], uv[:, 1]
+    first(bad, edge, 2, lambda i: "bad edge endpoints")
+    undeclared, loop, repeat = _edge_faults(n, u, v)
+    first(loop, edge, 3, lambda i: f"self-loop at node {u[i]}")
+    first(repeat, edge, 4, lambda i: f"duplicate edge ({u[i]}, {v[i]})")
+    q = quaternions(edge_recs, edge, 3)
+    labelled = np.flatnonzero(width[edge] == 8)
+    label_tok = np.array([edge_recs[i][7] for i in labelled.tolist()], dtype=object)
+    first((label_tok != "0") & (label_tok != "1"), edge[labelled], 7,
+          lambda i: "gt_outlier must be 0 or 1")
+
+    if faults:
+        line, _, reason = min(faults)
+        raise ParseError(line, reason)
+    if n and ids.max() >= n:  # ids are distinct and non-negative here
         raise ViewGraphError("node ids must be dense in [0, N)")
-    uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    undeclared = np.any((uv < 0) | (uv >= n), axis=1)
-    if np.any(undeclared):  # nodes may follow edges, so this waits for the last line
+    if np.any(undeclared):
         i = int(np.argmax(undeclared))
-        raise ParseError(edge_lines[i], f"edge {ends[i]} references an undeclared node")
-    gt = np.reshape([node_gt[i] for i in range(n)], (n, 4))
-    return ViewGraph.from_arrays(n, uv[:, 0], uv[:, 1], quats, labels, gt)
+        raise ParseError(int(line_no[edge[i]]),
+                         f"edge ({u[i]}, {v[i]}) references an undeclared node")
+    label = np.full(edge.size, -1, dtype=np.int8)
+    label[labelled] = label_tok == "1"
+    gt = np.full((n, 4), np.nan)
+    gt[ids[has_gt]] = gq
+    return ViewGraph.from_arrays(n, u, v, q, label, gt)
 
 
 def serialize(g: ViewGraph, comment: str | None = None) -> str:
@@ -359,7 +432,7 @@ def induced_subgraph(g: ViewGraph, nodes: list[int]) -> tuple[ViewGraph, dict[in
     u, v = g.endpoint_arrays()
     nu, nv = new_id[u], new_id[v]
     keep = (nu >= 0) & (nv >= 0)
-    sub = ViewGraph.from_arrays(len(nodes), nu[keep], nv[keep], g.edge_quat_array()[keep],
+    sub = ViewGraph._from_valid(len(nodes), nu[keep], nv[keep], g.edge_quat_array()[keep],
                                 g.edge_labels()[keep], g.gt[nodes])
     return sub, {old: new for new, old in enumerate(nodes)}
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import so3_oracle
 from rotavg import baselines, so3, synthgen, viewgraph
 from rotavg.baselines import CG_TOL, IRLS_STEP_TOL, SolverError
 from rotavg.viewgraph import Edge, ViewGraph, ViewGraphError
@@ -159,7 +160,9 @@ class TestIrlsReport:
         assert len(res.cg_iterations) == res.iterations == len(res.max_step_trace)
         assert all(0 < k < 10 * g.n_nodes for k in res.cg_iterations)
 
-    @pytest.mark.parametrize("max_iters, converged", [((5, 20), True), ((1, 1), False), ((0, 0), False)])
+    # the seed-6 graph needs 44 iterations to converge (corpus v2)
+    @pytest.mark.parametrize("max_iters, converged",
+                             [((5, 50), True), ((1, 1), False), ((0, 0), False)])
     def test_converged_matches_step_trace(self, max_iters, converged):
         g = make_graph(seed=6, sigma=10.0, outliers=0.1)
         res = baselines.irls_mra(g, bootstrap(g), max_iters=max_iters)
@@ -169,7 +172,7 @@ class TestIrlsReport:
 
 @pytest.mark.parametrize("solver", [baselines.irls_mra, baselines.weiszfeld_mra])
 def test_disconnected_graph_rejected(solver):
-    q = so3.yaw_deg(10.0)
+    q = so3_oracle.yaw_deg(10.0)
     g = ViewGraph(4, [Edge(0, 1, q), Edge(2, 3, q)])
     with pytest.raises(ViewGraphError, match="connected"):
         solver(g, np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)))

@@ -6,7 +6,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rotavg import so3, synthgen, viewgraph
+import so3_oracle
+from rotavg import so3, synthgen
 from rotavg.so3 import UnitQuaternion
 from rotavg.synthgen import SynthConfig, SynthConfigError
 from rotavg.viewgraph import Edge, ViewGraph
@@ -14,7 +15,8 @@ from rotavg.viewgraph import Edge, ViewGraph
 
 def relative_gt(g, u, v):
     """Ground-truth relative orientation of edge u -> v, from the quaternion oracle."""
-    return so3.relative(UnitQuaternion.from_array(g.gt[u]), UnitQuaternion.from_array(g.gt[v]))
+    return so3_oracle.relative(UnitQuaternion.from_array(g.gt[u]),
+                               UnitQuaternion.from_array(g.gt[v]))
 
 
 def is_connected_oracle(g) -> bool:
@@ -36,41 +38,54 @@ def is_connected_oracle(g) -> bool:
 
 
 def generate_graph_oracle(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
-    # the per-edge Edge/compose construction the row generator replaced, kept as the oracle
+    """Corpus v2 replayed one value at a time: every block draw of the
+    generator becomes a loop of scalar draws, pairs are accepted through a
+    Python set and edges are built by composing oracle quaternions."""
     lo, hi = cfg.n_cameras
     n = int(rng.integers(lo, hi + 1))
     if cfg.planar:
-        yaw = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        yaw = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
         gt = [UnitQuaternion(math.cos(0.5 * a), 0.0, math.sin(0.5 * a), 0.0) for a in yaw]
     else:
-        gt = [UnitQuaternion.from_array(row) for row in so3.sample_uniform_rows(rng, n)]
-    pairs: set[tuple[int, int]] = set()
-    order = rng.permutation(n)
-    for i in range(1, n):
-        a = int(order[i])
-        b = int(order[int(rng.integers(0, i))])
-        pairs.add((min(a, b), max(a, b)))
+        gt = [so3_oracle.sample_uniform(rng) for _ in range(n)]
     total_pairs = n * (n - 1) // 2
     frac = synthgen._sample_range(rng, cfg.edge_fraction)
     target = min(max(int(round(frac * total_pairs)), n - 1), total_pairs)
+    order = rng.permutation(n)
+    pairs = set()
+    for i in range(1, n):
+        a, b = int(order[i]), int(order[int(rng.integers(0, i))])
+        pairs.add((min(a, b), max(a, b)))
+    free_pairs = total_pairs - len(pairs)
     while len(pairs) < target:
-        a = int(rng.integers(0, n))
-        b = int(rng.integers(0, n))
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
+        need = target - len(pairs)
+        size = int(need * n * n / (2 * free_pairs) * 1.1) + 16
+        batch = zip(rng.integers(0, n, size=size).tolist(), rng.integers(0, n, size=size).tolist())
+        for a, b in batch:
+            if a != b and (min(a, b), max(a, b)) not in pairs and len(pairs) < target:
+                pairs.add((min(a, b), max(a, b)))
+                free_pairs -= 1
     edge_list = sorted(pairs)
+    m = len(edge_list)
     sigma = synthgen._sample_range(rng, cfg.sigma_deg)
-    out_frac = synthgen._sample_range(rng, cfg.outlier_fraction)
-    n_out = int(round(out_frac * len(edge_list)))
-    out_idx = set(rng.choice(len(edge_list), size=n_out, replace=False).tolist()) if n_out else set()
-    edges = []
-    for i, (u, v) in enumerate(edge_list):
-        if i in out_idx:
-            edges.append(Edge(u, v, so3.sample_uniform(rng), True))
-        else:
-            noise = so3.sample_noise(sigma, cfg.planar, rng, cfg.axis_concentration)
-            edges.append(Edge(u, v, so3.compose(noise, so3.relative(gt[u], gt[v])), False))
-    return ViewGraph(n, edges, gt)
+    n_out = int(round(synthgen._sample_range(rng, cfg.outlier_fraction) * m))
+    outliers = set(rng.choice(m, size=n_out, replace=False).tolist()) if n_out else set()
+    uniform = {i: so3_oracle.sample_uniform(rng) for i in sorted(outliers)}
+    inliers = [i for i in range(m) if i not in outliers]
+    angles = [min(abs(rng.normal(0.0, math.radians(sigma))), math.pi) if sigma > 0.0 else 0.0
+              for _ in inliers]
+    if cfg.planar:
+        axes = [(math.sin(phi), 0.0, math.cos(phi))
+                for phi in [rng.uniform(0.0, 2.0 * math.pi) for _ in inliers]]
+    else:
+        axes = [axis / np.linalg.norm(axis) for axis in [rng.normal(size=3) for _ in inliers]]
+    edges = [Edge(u, v, uniform[i], True) for i, (u, v) in enumerate(edge_list) if i in outliers]
+    for i, axis, angle in zip(inliers, axes, angles):
+        u, v = edge_list[i]
+        noise = so3_oracle.from_axis_angle(axis, angle)
+        q = so3_oracle.compose(noise, so3_oracle.relative(gt[u], gt[v]))
+        edges.append(Edge(u, v, q, False))
+    return ViewGraph(n, sorted(edges, key=lambda e: (e.u, e.v)), gt)
 
 
 class TestConfig:
@@ -87,7 +102,7 @@ class TestConfig:
     def test_config_file_round_trip(self, tmp_path):
         cfg = SynthConfig(
             n_cameras=(60, 150), edge_fraction=(0.1, 0.3), sigma_deg=(5, 30),
-            outlier_fraction=(0.0, 0.3), planar=False, axis_concentration=0.5, seed=9,
+            outlier_fraction=(0.0, 0.3), planar=False, seed=9,
         )
         path = tmp_path / "gen.cfg"
         synthgen.save_config(cfg, path)
@@ -102,7 +117,7 @@ class TestConfig:
         with pytest.raises(SynthConfigError):
             synthgen.load_config(path)
 
-    @pytest.mark.parametrize("line", ["seed=abc", "axis_concentration=x", "planar=no",
+    @pytest.mark.parametrize("line", ["seed=abc", "outlier_fraction=x", "planar=no",
                                       "planar=", "sigma_deg=1:x"])
     def test_bad_values_name_the_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
@@ -128,7 +143,7 @@ class TestGenerateGraph:
         g = synthgen.generate_graph(cfg, np.random.default_rng(0))
         for e in g.edges:
             assert e.gt_outlier is False
-            assert so3.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) < 1e-9
+            assert so3_oracle.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) < 1e-9
 
     def test_planar_gt_is_pure_yaw(self):
         cfg = SynthConfig(n_cameras=(30, 30), planar=True, seed=1)
@@ -164,27 +179,69 @@ class TestGenerateGraph:
         cfg = SynthConfig(n_cameras=(20, 20), edge_fraction=(0.3, 0.3), seed=5)
         g1 = synthgen.generate_graph(cfg, np.random.default_rng(5))
         g2 = synthgen.generate_graph(cfg, np.random.default_rng(5))
-        r = so3.sample_uniform(np.random.default_rng(99))
+        r = so3_oracle.sample_uniform(np.random.default_rng(99))
         # emulate the gauge shift on the second graph's ground truth and
         # verify every edge is reproduced by the shifted truth + same noise
         for e1, e2 in zip(g1.edges, g2.edges):
             assert np.array_equal(e1.q.as_array(), e2.q.as_array())
-        shifted = [so3.compose(UnitQuaternion.from_array(q), r) for q in g1.gt]
+        shifted = [so3_oracle.compose(UnitQuaternion.from_array(q), r) for q in g1.gt]
         for e in g1.edges:
-            rel_shift = so3.relative(shifted[e.u], shifted[e.v])
-            assert so3.geodesic_deg(rel_shift, relative_gt(g1, e.u, e.v)) < 1e-9
+            rel_shift = so3_oracle.relative(shifted[e.u], shifted[e.v])
+            assert so3_oracle.geodesic_deg(rel_shift, relative_gt(g1, e.u, e.v)) < 1e-9
 
     @pytest.mark.parametrize("planar", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_edge_oracle(self, planar, seed):
         cfg = SynthConfig(n_cameras=(8, 40), edge_fraction=(0.05, 0.6), sigma_deg=(0.0, 30.0),
-                          outlier_fraction=(0.0, 0.3), planar=planar,
-                          axis_concentration=0.3 * seed, seed=seed)
+                          outlier_fraction=(0.0, 0.3), planar=planar, seed=seed)
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        text = viewgraph.serialize(synthgen.generate_graph(cfg, rng))
-        assert text == viewgraph.serialize(generate_graph_oracle(cfg, rng_oracle))
+        g, want = synthgen.generate_graph(cfg, rng), generate_graph_oracle(cfg, rng_oracle)
+        assert g.n_nodes == want.n_nodes
+        for a, b in zip(g.endpoint_arrays(), want.endpoint_arrays()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(g.edge_labels(), want.edge_labels())
+        # the oracle renormalizes each noise axis once more, so rows agree to rounding
+        assert np.max(np.abs(g.gt - want.gt)) <= 1e-15
+        assert np.max(np.abs(g.edge_quat_array() - want.edge_quat_array())) <= 1e-15
         # both consumed the same draws, so the stream continues in step
         assert rng.integers(2**62) == rng_oracle.integers(2**62)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_v2_edge_count_labels_and_noise_axes(self, planar, seed):
+        cfg = SynthConfig(n_cameras=(8, 40), edge_fraction=(0.05, 0.6), sigma_deg=(0.0, 30.0),
+                          outlier_fraction=(0.0, 0.3), planar=planar, seed=seed)
+        g = synthgen.generate_graph(cfg, np.random.default_rng(seed))
+        # corpus v2 draws the camera count, the N ground-truth draws, then the edge fraction
+        head = np.random.default_rng(seed)
+        n = int(head.integers(8, 41))
+        head.uniform(size=n) if planar else head.normal(size=(n, 4))
+        frac = head.uniform(0.05, 0.6)
+        pairs = n * (n - 1) // 2
+        assert g.n_nodes == n
+        assert len(g.edges) == min(max(int(round(frac * pairs)), n - 1), pairs)
+        assert is_connected_oracle(g)
+        label = g.edge_labels()
+        assert set(label.tolist()) <= {0, 1}
+        assert label.sum() <= round(0.3 * len(g.edges))
+        # an inlier is its noise rotation times the true relative; planar noise turns about an
+        # axis in the x-z plane, so the noise row has no y component
+        noise = so3.qmul(g.edge_quat_array(), so3.qconj(g.relative_gt_array()))[label == 0]
+        assert np.all(np.abs(np.linalg.norm(noise, axis=1) - 1.0) < 1e-12)
+        if planar:
+            assert np.max(np.abs(noise[:, 2])) < 1e-12
+            assert np.max(np.abs(g.gt[:, [1, 3]])) < 1e-12
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_v2_noise_rms_matches_sigma(self, planar):
+        cfg = SynthConfig(n_cameras=(120, 120), edge_fraction=(0.5, 0.5), sigma_deg=(12.0, 12.0),
+                          outlier_fraction=(0.1, 0.1), planar=planar, seed=4)
+        g = synthgen.generate_graph(cfg, np.random.default_rng(4))
+        inlier = g.edge_labels() == 0
+        assert inlier.sum() == len(g.edges) - round(0.1 * len(g.edges))
+        angles = so3.qangle_deg(g.edge_quat_array(), g.relative_gt_array())[inlier]
+        rms = float(np.sqrt(np.mean(angles**2)))
+        assert abs(rms - 12.0) / 12.0 < 0.03
 
     def test_outlier_labels_match_angle_rule(self):
         # injected outliers are uniformly random, so they sit > 20 degrees
@@ -199,7 +256,7 @@ class TestGenerateGraph:
             )
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 10))
             for e in g.edges:
-                rule = so3.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) > 20.0
+                rule = so3_oracle.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) > 20.0
                 agree += int(rule == e.gt_outlier)
                 total += 1
         assert agree / total >= 0.97

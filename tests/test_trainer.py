@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rotavg import cleaning, refinement, synthgen, trainer
+from rotavg import cleaning, refinement, synthgen, trainer, viewgraph
 from rotavg.trainer import TrainConfig, TrainingError
 from rotavg.viewgraph import ViewGraph
 
@@ -73,16 +74,25 @@ def fine_graph_loss(tape, weights, g):
 
 class TestBestEpoch:
     @pytest.mark.parametrize("net", ["cleannet", "finenet"])
-    def test_best_matches_minimum_row(self, data, net):
+    def test_best_matches_minimum_row(self, data, net, monkeypatch):
         train, val = data
-        # a large step makes the validation loss rise again before the last epoch
+        # every validation but the one after epoch 1 reads 1000 higher, so the
+        # best epoch is not the last one, whatever the shape of the curve
+        real_val_loss = trainer._val_loss
+        calls = []
+
+        def val_loss(store, graph_loss, graphs):
+            calls.append(None)
+            return real_val_loss(store, graph_loss, graphs) + (0.0 if len(calls) == 2 else 1e3)
+
+        monkeypatch.setattr(trainer, "_val_loss", val_loss)
         cfg = TrainConfig.desk(seed=5, epochs=4, lr=5e-2)
         if net == "cleannet":
             store, log = trainer.train_cleannet(train, val, cfg)
-            reevaluated = trainer._val_loss(store, clean_graph_loss, val)
+            reevaluated = real_val_loss(store, clean_graph_loss, val)
         else:
             store, log = trainer.train_finenet(train, val, cfg)
-            reevaluated = trainer._val_loss(store, fine_graph_loss, val)
+            reevaluated = real_val_loss(store, fine_graph_loss, val)
         assert [r[0] for r in log.rows] == list(range(4))
         val_losses = [r[2] for r in log.rows]
         first_min = int(np.argmin(val_losses))  # ties keep the earliest epoch
@@ -141,6 +151,39 @@ class TestCorpusCheck:
             train_fn(train, [val[0], without_gt(val[1])], TrainConfig.desk(epochs=1))
         with pytest.raises(TrainingError, match="training graph 2 lacks ground-truth"):
             train_fn(train[:2] + [without_gt(train[2])], val, TrainConfig.desk(epochs=1))
+
+
+def assert_same_graph(got, want):
+    assert got.n_nodes == want.n_nodes
+    for a, b in zip((*got.endpoint_arrays(), got.edge_quat_array(), got.edge_labels(), got.gt),
+                    (*want.endpoint_arrays(), want.edge_quat_array(), want.edge_labels(), want.gt)):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+        assert not a.flags.writeable and not b.flags.writeable
+
+
+class TestDerivedGraphs:
+    def test_equal_to_validated_rebuild(self, data):
+        # graphs cut from a valid graph's rows skip validation: rebuilding one
+        # through from_arrays must change no bit, dtype or flag
+        rng = np.random.default_rng(8)
+        store = cleaning.new_weights(1)
+        store.params["head_rect.w"] += rng.normal(scale=0.1, size=store.params["head_rect.w"].shape)
+        for g in data[0] + data[1]:
+            nodes = rng.choice(g.n_nodes, size=g.n_nodes // 2, replace=False).tolist()
+            # random removal scores, so the cleaned graph may fall apart
+            pred = dataclasses.replace(cleaning.clean_forward(g, store),
+                                       outlier_prob=rng.uniform(size=len(g.edges)))
+            derived = [
+                viewgraph.induced_subgraph(g, nodes)[0],
+                viewgraph.largest_component(g)[0],
+                cleaning.clean_graph(g, pred, epsilon=0.6).graph,
+                trainer._dropout_subgraph(g, 0.25, rng),
+                trainer.prepare_refinement_sample(g, None)[0],
+                trainer.prepare_refinement_sample(g, store)[0],
+            ]
+            for d in derived:
+                assert_same_graph(d, ViewGraph.from_arrays(
+                    d.n_nodes, *d.endpoint_arrays(), d.edge_quat_array(), d.edge_labels(), d.gt))
 
 
 class TestLogCsv:

@@ -4,9 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import so3_oracle
 from rotavg import so3, synthgen, viewgraph
 from rotavg.so3 import UnitQuaternion
 from rotavg.viewgraph import Edge, ParseError, ViewGraph, ViewGraphError
@@ -14,12 +15,12 @@ from rotavg.viewgraph import Edge, ParseError, ViewGraph, ViewGraphError
 
 def small_graph(with_gt=True):
     rng = np.random.default_rng(0)
-    gt = [so3.sample_uniform(rng) for _ in range(4)]
+    gt = [so3_oracle.sample_uniform(rng) for _ in range(4)]
     edges = [
-        Edge(0, 1, so3.relative(gt[0], gt[1])),
-        Edge(1, 2, so3.relative(gt[1], gt[2])),
-        Edge(2, 3, so3.relative(gt[2], gt[3])),
-        Edge(0, 2, so3.relative(gt[0], gt[2])),
+        Edge(0, 1, so3_oracle.relative(gt[0], gt[1])),
+        Edge(1, 2, so3_oracle.relative(gt[1], gt[2])),
+        Edge(2, 3, so3_oracle.relative(gt[2], gt[3])),
+        Edge(0, 2, so3_oracle.relative(gt[0], gt[2])),
     ]
     return ViewGraph(4, edges, gt if with_gt else None)
 
@@ -122,7 +123,7 @@ def loop_canonical(n: int, edges: list[Edge]) -> list[Edge]:
         if e.u == e.v:
             raise ViewGraphError(f"self-loop at node {e.u}")
         if e.u > e.v:
-            e = Edge(e.v, e.u, so3.inverse(e.q), e.gt_outlier)
+            e = Edge(e.v, e.u, so3_oracle.inverse(e.q), e.gt_outlier)
         if (e.u, e.v) in seen:
             raise ViewGraphError(f"duplicate edge ({e.u}, {e.v})")
         seen.add((e.u, e.v))
@@ -146,7 +147,7 @@ def edge_lists(draw, valid: bool):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = draw(st.lists(st.sampled_from([None, False, True]),
                            min_size=len(ends), max_size=len(ends)))
-    return n, [Edge(a, b, so3.sample_uniform(rng), lab) for (a, b), lab in zip(ends, labels)]
+    return n, [Edge(a, b, so3_oracle.sample_uniform(rng), lab) for (a, b), lab in zip(ends, labels)]
 
 
 def from_arrays_of(n: int, edges: list[Edge]) -> ViewGraph:
@@ -222,6 +223,22 @@ class TestArrayStore:
             ViewGraph.from_arrays(2, [0], [1], q * 0.0)
 
 
+@st.composite
+def labelled_graphs(draw) -> ViewGraph:
+    """Valid graphs from ``edge_lists`` (random directions, orientations and
+    labels) with ground truth, NaN for a random subset of the nodes."""
+    n, edges = draw(edge_lists(valid=True))
+    gt = so3.sample_uniform_rows(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    gt[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = np.nan
+    return ViewGraph.from_arrays(
+        n, [e.u for e in edges], [e.v for e in edges], [e.q.as_array() for e in edges],
+        [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt,
+    )
+
+
+CORRUPTIONS = ("token", "count", "norm", "self-loop", "repeat", "label", "record", "range")
+
+
 class TestFormat:
     def test_empty_graph(self):
         g = viewgraph.parse("VIEWGRAPH v1\n")
@@ -231,7 +248,7 @@ class TestFormat:
         text = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0\n"
         g = viewgraph.parse(text)
         assert g.n_nodes == 2 and len(g.edges) == 1
-        assert so3.geodesic_deg(g.edges[0].q, UnitQuaternion.identity()) == 0.0
+        assert so3_oracle.geodesic_deg(g.edges[0].q, UnitQuaternion.identity()) == 0.0
 
     def test_round_trip_semantics(self):
         g = small_graph()
@@ -239,9 +256,9 @@ class TestFormat:
         assert g2.n_nodes == g.n_nodes
         for a, b in zip(g.edges, g2.edges):
             assert (a.u, a.v) == (b.u, b.v)
-            assert so3.geodesic_deg(a.q, b.q) < 1e-9
+            assert so3_oracle.geodesic_deg(a.q, b.q) < 1e-9
         for a, b in zip(gt_quats(g), gt_quats(g2)):
-            assert so3.geodesic_deg(a, b) < 1e-9
+            assert so3_oracle.geodesic_deg(a, b) < 1e-9
 
     def test_round_trip_fuzz(self):
         for seed in range(100):
@@ -284,6 +301,85 @@ class TestFormat:
         with pytest.raises(ParseError, match="line 6: duplicate edge"):
             viewgraph.parse(head + "EDGE 0 1 1 0 0 0\nEDGE 1 0 1 0 0 0\nEDGE 2 0 1 0 0 0 7\n")
 
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_graphs())
+    def test_round_trip_random_graphs(self, g):
+        text = viewgraph.serialize(g)
+        back = viewgraph.parse(text)
+        assert back.n_nodes == g.n_nodes
+        for a, b in ((g.endpoint_arrays(), back.endpoint_arrays()),
+                     ((g.edge_quat_array(), g.edge_labels(), g.gt),
+                      (back.edge_quat_array(), back.edge_labels(), back.gt))):
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+        assert viewgraph.serialize(back) == text
+
+    @settings(max_examples=400, deadline=None)
+    @given(labelled_graphs(), st.sampled_from(CORRUPTIONS), st.data())
+    def test_corrupted_line_is_named(self, g, how, data):
+        lines = viewgraph.serialize(g, comment="one line of this copy is corrupted").splitlines()
+        first = lines.index(viewgraph.FORMAT_HEADER) + 1
+        records = list(range(first, len(lines)))
+        edges = [i for i in records if lines[i].startswith("EDGE")]
+        pool = {"norm": [i for i in records if len(lines[i].split()) >= 6],
+                "self-loop": edges, "repeat": edges[1:], "label": edges, "range": edges}
+        pool = pool.get(how, records)
+        assume(pool)
+        i = data.draw(st.sampled_from(pool))
+        tok = lines[i].split()
+        if how == "token":  # an id, an endpoint, a component or the label
+            tok[data.draw(st.integers(1, len(tok) - 1))] = "x"
+        elif how == "count":
+            tok = tok + ["0"] if len(tok) == 8 else tok[:-1]
+        elif how == "norm":
+            at = 2 if tok[0] == "NODE" else 3
+            tok[at:at + 4] = [repr(float(c) * 1.001) for c in tok[at:at + 4]]
+        elif how == "self-loop":
+            tok[2] = tok[1]
+        elif how == "repeat":  # an earlier edge again, possibly reversed
+            tok = lines[data.draw(st.sampled_from([j for j in edges if j < i]))].split()
+            if data.draw(st.booleans()):
+                tok[1], tok[2] = tok[2], tok[1]
+        elif how == "label":
+            tok = tok[:7] + [data.draw(st.sampled_from(["2", "-1", "01", "yes"]))]
+        elif how == "record":
+            tok[0] = data.draw(st.sampled_from(["FOO", "edge", "NODES"]))
+        else:  # an endpoint that is not a declared node
+            tok[data.draw(st.sampled_from([1, 2]))] = data.draw(
+                st.sampled_from([str(g.n_nodes), "-1", str(g.n_nodes + 7)]))
+        lines[i] = " ".join(tok)
+        with pytest.raises(ParseError) as info:
+            viewgraph.parse("\n".join(lines) + "\n")
+        assert info.value.line_no == i + 1
+
+    @pytest.mark.parametrize("record, reason", [
+        ("EDGE 0 1 1 0 0", "EDGE takes"),
+        ("EDGE 0 x 2 0 0 0 7", "bad edge endpoints"),
+        ("EDGE 2 2 x 0 0 0", "self-loop at node 2"),
+        ("EDGE 1 0 2 0 0 0", r"duplicate edge \(1, 0\)"),
+        ("EDGE 1 2 x 0 0 0 7", "bad quaternion component"),
+        ("EDGE 1 2 2 0 0 0 7", "quaternion norm 2 "),
+        ("NODE x 2 0 0 0", "bad node id 'x'"),
+        ("NODE -1 x 0 0 0", "node ids must be non-negative"),
+        ("NODE 0 x 0 0 0", "duplicate node 0"),
+        ("NODE 3 1 0 0 nan", "quaternion norm nan"),
+    ])
+    def test_checks_rank_within_a_line(self, record, reason):
+        # each record breaks several rules; the one named is the first the line reaches
+        head = "VIEWGRAPH v1\nNODE 0\nNODE 1\nNODE 2\nEDGE 0 1 1 0 0 0\n"
+        with pytest.raises(ParseError, match=f"line 6: {reason}"):
+            viewgraph.parse(head + record + "\n")
+
+    def test_out_of_range_pairs_do_not_alias(self):
+        # with three nodes, the key lo * 3 + hi of (0, 5) is that of (1, 2), and
+        # (-1, 4) shares (0, 1)'s: an undeclared end is named, not a duplicate
+        head = "VIEWGRAPH v1\nNODE 0\nNODE 1\nNODE 2\n"
+        for first, second in (("0 5", "1 2"), ("1 2", "0 5"), ("-1 4", "0 1"), ("0 1", "-1 4")):
+            text = head + f"EDGE {first} 1 0 0 0\nEDGE {second} 1 0 0 0\n"
+            line = 5 if first in ("0 5", "-1 4") else 6
+            with pytest.raises(ParseError, match=f"line {line}: edge .* undeclared node"):
+                viewgraph.parse(text)
+
     def test_duplicate_edge_rejected(self):
         text = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0\nEDGE 1 0 1 0 0 0\n"
         with pytest.raises(ParseError, match="duplicate edge"):
@@ -321,9 +417,9 @@ class TestPartialGroundTruth:
 
     def test_edge_constructor_packs_missing_as_nan(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(3, [Edge(0, 1, q)], [q, None, so3.yaw_deg(30.0)])
+        g = ViewGraph(3, [Edge(0, 1, q)], [q, None, so3_oracle.yaw_deg(30.0)])
         assert np.all(np.isnan(g.gt[1])) and np.array_equal(g.gt[0], q.as_array())
-        assert np.array_equal(g.gt[2], so3.yaw_deg(30.0).as_array())
+        assert np.array_equal(g.gt[2], so3_oracle.yaw_deg(30.0).as_array())
         assert np.all(np.isnan(ViewGraph(2, [Edge(0, 1, q)]).gt))
 
     def test_from_arrays_checks_rows(self):
@@ -344,11 +440,11 @@ class TestPartialGroundTruth:
 
 class TestStructure:
     def test_canonical_direction_flip(self):
-        q = so3.yaw_deg(40.0)
+        q = so3_oracle.yaw_deg(40.0)
         g = ViewGraph(2, [Edge(1, 0, q)])
         e = g.edges[0]
         assert (e.u, e.v) == (0, 1)
-        assert so3.geodesic_deg(e.q, so3.inverse(q)) < 1e-9
+        assert so3_oracle.geodesic_deg(e.q, so3_oracle.inverse(q)) < 1e-9
 
     def test_self_loop_rejected(self):
         with pytest.raises(ViewGraphError, match="self-loop"):
@@ -363,7 +459,8 @@ class TestStructure:
             assert tuple(uv[i]) == (e.u, e.v) and tuple(uv[m + i]) == (e.v, e.u)
             assert np.array_equal(quats[i], e.q.as_array())
             rq = UnitQuaternion.from_array(quats[m + i])
-            assert so3.geodesic_deg(so3.compose(e.q, rq), UnitQuaternion.identity()) < 1e-9
+            ident = UnitQuaternion.identity()
+            assert so3_oracle.geodesic_deg(so3_oracle.compose(e.q, rq), ident) < 1e-9
 
     def test_augment_involution(self):
         g = small_graph()
@@ -466,7 +563,7 @@ class TestRootAndTree:
         assert tree.depth.tolist() == [0, 1, 2]
 
     def test_complete_graph_depths(self):
-        q = so3.yaw_deg(5.0)
+        q = so3_oracle.yaw_deg(5.0)
         edges = [Edge(u, v, q) for u in range(5) for v in range(u + 1, 5)]
         g = ViewGraph(5, edges)
         tree = viewgraph.shortest_path_tree(g, 2)
@@ -496,12 +593,12 @@ class TestRootAndTree:
 
 class TestBootstrap:
     def test_single_edge(self):
-        q = so3.yaw_deg(33.0)
+        q = so3_oracle.yaw_deg(33.0)
         g = ViewGraph(2, [Edge(0, 1, q)])
         tree = viewgraph.shortest_path_tree(g, 0)
         boot = viewgraph.bootstrap_orientations(g, tree)
-        assert so3.geodesic_deg(boot.orientations[0], UnitQuaternion.identity()) == 0.0
-        assert so3.geodesic_deg(boot.orientations[1], q) < 1e-9
+        assert so3_oracle.geodesic_deg(boot.orientations[0], UnitQuaternion.identity()) == 0.0
+        assert so3_oracle.geodesic_deg(boot.orientations[1], q) < 1e-9
 
     def test_exact_on_clean_graphs(self):
         for seed in range(10):
@@ -518,8 +615,8 @@ class TestBootstrap:
             boot = viewgraph.bootstrap_orientations(g, viewgraph.shortest_path_tree(g, root))
             gt = gt_quats(g)
             for v in range(g.n_nodes):
-                expected = so3.compose(gt[v], so3.inverse(gt[root]))
-                assert so3.geodesic_deg(boot.orientations[v], expected) < 1e-9
+                expected = so3_oracle.compose(gt[v], so3_oracle.inverse(gt[root]))
+                assert so3_oracle.geodesic_deg(boot.orientations[v], expected) < 1e-9
 
     def test_reproduces_all_relatives_on_clean_graph(self):
         cfg = synthgen.SynthConfig(
@@ -530,8 +627,8 @@ class TestBootstrap:
         for root in (0, viewgraph.select_root(g), g.n_nodes - 1):
             boot = viewgraph.bootstrap_orientations(g, viewgraph.shortest_path_tree(g, root))
             for e in g.edges:
-                reproduced = so3.relative(boot.orientations[e.u], boot.orientations[e.v])
-                assert so3.geodesic_deg(reproduced, e.q) < 1e-9
+                reproduced = so3_oracle.relative(boot.orientations[e.u], boot.orientations[e.v])
+                assert so3_oracle.geodesic_deg(reproduced, e.q) < 1e-9
 
 
     def test_matches_compose_chain_oracle(self):
@@ -545,8 +642,8 @@ class TestBootstrap:
                     continue
                 u = tree.parent[v]
                 e = next(e for e in edges if {e.u, e.v} == {u, v})
-                q = e.q if (e.u, e.v) == (u, v) else so3.inverse(e.q)
-                out[v] = so3.compose(q, out[u])
+                q = e.q if (e.u, e.v) == (u, v) else so3_oracle.inverse(e.q)
+                out[v] = so3_oracle.compose(q, out[u])
             return out
 
         for seed in range(6):
@@ -576,36 +673,37 @@ class TestRereference:
 
     def test_already_referenced_unchanged(self):
         rng = np.random.default_rng(20)
-        qs = [UnitQuaternion.identity()] + [so3.sample_uniform(rng) for _ in range(3)]
+        qs = [UnitQuaternion.identity()] + [so3_oracle.sample_uniform(rng) for _ in range(3)]
         out = so3.Orientations(viewgraph.rereference(self.rows(qs), 0))
         for a, b in zip(out, qs):
-            assert so3.geodesic_deg(a, b) < 1e-12
+            assert so3_oracle.geodesic_deg(a, b) < 1e-12
 
     def test_two_nodes(self):
         rng = np.random.default_rng(21)
-        q0, q1 = so3.sample_uniform(rng), so3.sample_uniform(rng)
+        q0, q1 = so3_oracle.sample_uniform(rng), so3_oracle.sample_uniform(rng)
         out = so3.Orientations(viewgraph.rereference(self.rows([q0, q1]), 0))
-        assert so3.geodesic_deg(out[0], UnitQuaternion.identity()) < 1e-12
-        assert so3.geodesic_deg(out[1], so3.compose(q1, so3.inverse(q0))) < 1e-12
+        assert so3_oracle.geodesic_deg(out[0], UnitQuaternion.identity()) < 1e-12
+        expected = so3_oracle.compose(q1, so3_oracle.inverse(q0))
+        assert so3_oracle.geodesic_deg(out[1], expected) < 1e-12
 
     def test_relatives_preserved(self):
         rng = np.random.default_rng(22)
-        qs = [so3.sample_uniform(rng) for _ in range(6)]
+        qs = [so3_oracle.sample_uniform(rng) for _ in range(6)]
         out = so3.Orientations(viewgraph.rereference(self.rows(qs), 3))
         for u in range(6):
             for v in range(6):
-                before = so3.relative(qs[u], qs[v])
-                after = so3.relative(out[u], out[v])
-                assert so3.geodesic_deg(before, after) < 1e-9
+                before = so3_oracle.relative(qs[u], qs[v])
+                after = so3_oracle.relative(out[u], out[v])
+                assert so3_oracle.geodesic_deg(before, after) < 1e-9
 
     def test_matches_compose_loop_oracle(self):
         # the per-node compose loop the row kernel replaced, kept as the oracle
         rng = np.random.default_rng(23)
         for n in (1, 2, 7, 40):
-            qs = [so3.sample_uniform(rng) for _ in range(n)]
+            qs = [so3_oracle.sample_uniform(rng) for _ in range(n)]
             for c in {0, n // 2, n - 1}:
-                inv_c = so3.inverse(qs[c])
-                expected = self.rows([so3.compose(q, inv_c) for q in qs])
+                inv_c = so3_oracle.inverse(qs[c])
+                expected = self.rows([so3_oracle.compose(q, inv_c) for q in qs])
                 assert np.array_equal(viewgraph.rereference(self.rows(qs), c), expected)
 
     def test_out_of_range(self):
@@ -646,7 +744,7 @@ class TestStats:
         def loop(quats):
             angles, axes = np.zeros(len(quats)), np.zeros((len(quats), 3))
             for i, q in enumerate(quats):
-                aa = so3.axis_angle(q)
+                aa = so3_oracle.axis_angle(q)
                 angles[i], axes[i] = np.degrees(aa.angle), aa.axis
             return angles, axes
 
@@ -655,15 +753,16 @@ class TestStats:
             outlier_fraction=(0.2, 0.2), planar=False, seed=3,
         )
         rng = np.random.default_rng(4)
-        gt = [so3.sample_uniform(rng) for _ in range(3)]
+        gt = [so3_oracle.sample_uniform(rng) for _ in range(3)]
         # zero angles, measured and noise, take the +x axis branch
         tiny = ViewGraph(3, [Edge(0, 1, UnitQuaternion.identity()),
-                             Edge(1, 2, so3.relative(gt[1], gt[2]))], gt)
+                             Edge(1, 2, so3_oracle.relative(gt[1], gt[2]))], gt)
         for g in (synthgen.generate_graph(cfg, np.random.default_rng(3)), tiny):
             st = viewgraph.graph_stats(g)
             rel_angles, rel_axes = loop([e.q for e in g.edges])
             gt_q = gt_quats(g)
-            noise = [so3.compose(so3.inverse(so3.relative(gt_q[e.u], gt_q[e.v])), e.q)
+            noise = [so3_oracle.compose(
+                         so3_oracle.inverse(so3_oracle.relative(gt_q[e.u], gt_q[e.v])), e.q)
                      for e in g.edges]
             n_angles, n_axes = loop(noise)
             for got, want in ((st.rel_angles_deg, rel_angles), (st.rel_axes, rel_axes),
