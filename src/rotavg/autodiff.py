@@ -101,19 +101,16 @@ class Tape:
 
         return self._emit(out, (x,), pull)
 
-    def concat(self, xs: list[Tensor], axis: int = 1) -> Tensor:
+    def concat(self, xs: list[Tensor]) -> Tensor:
+        """Column-wise concatenation of (n, d_i) tensors."""
         if not xs:
             raise AutodiffError("concat of an empty list")
-        if axis not in (0, 1):
-            raise AutodiffError("concat supports axis 0 or 1")
-        out = Tensor(np.concatenate([t.values for t in xs], axis=axis))
-        sizes = [t.values.shape[axis] for t in xs]
-        offsets = np.cumsum([0] + sizes)
+        out = Tensor(np.concatenate([t.values for t in xs], axis=1))
+        offsets = np.cumsum([0] + [t.values.shape[1] for t in xs])
 
         def pull(g):
             for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
-                _accumulate(t, piece)
+                _accumulate(t, g[:, lo:hi])
 
         return self._emit(out, tuple(xs), pull)
 
@@ -304,17 +301,11 @@ class Tape:
 
 
 def _segment_sum(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum rows into ``n_rows`` buckets; sort + reduceat beats np.add.at."""
-    out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
-    if index.size == 0:
-        return out
-    order = np.argsort(index, kind="stable")
-    sorted_idx = index[order]
-    boundaries = np.flatnonzero(np.diff(sorted_idx)) + 1
-    starts = np.concatenate(([0], boundaries))
-    sums = np.add.reduceat(rows[order], starts, axis=0)
-    out[sorted_idx[starts]] = sums
-    return out
+    """Sum ``rows[i]`` into bucket ``index[i]`` of ``n_rows``: one flat
+    ``np.bincount`` over ``index * d + column``, unsorted, in input order."""
+    d = rows.shape[1]
+    bins = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, rows.ravel(), n_rows * d).reshape(n_rows, d)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
 
     Returns ``system(w, resid) -> (apply_op, diag, rhs)``, the normal equations
     of one IRLS step with edge weights ``w`` on (3, n) arrays; ``apply_op`` sums
-    over the off-diagonal entries, kept in both directions and sorted by row.
+    over the off-diagonal entries, kept in both directions, unsorted.
     """
     ends = np.concatenate([v_red, u_red])
     inc = ends >= 0  # incidence entries: +1 at each edge's v end, -1 at its u end
@@ -151,9 +151,8 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     inc_sign = np.repeat([1.0, -1.0], v_red.size)[inc]
     both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
     rows = np.concatenate([u_red[both], v_red[both]])
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], np.concatenate([v_red[both], u_red[both]])[order]
-    off_edge = np.tile(both, 2)[order]
+    cols = np.concatenate([v_red[both], u_red[both]])
+    off_edge = np.tile(both, 2)
 
     # one bincount serves all three tangent components: row k of a (3, n)
     # array is the flat index range [k * n, (k + 1) * n)

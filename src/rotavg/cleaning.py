@@ -38,9 +38,9 @@ class CleanedGraph:
     """Cleaned view-graph restricted to its largest component."""
 
     graph: ViewGraph
-    node_ids: list[int]        # new index -> old node id
+    node_ids: np.ndarray       # (M,) int64, new index -> old node id, ascending
     removed_edges: int
-    dropped_nodes: list[int]
+    dropped_nodes: np.ndarray  # int64 ids of the nodes outside the kept component
 
 
 def weight_spec(cfg: MpnnConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
@@ -155,16 +155,16 @@ def clean_graph(
     If the removal disconnects the graph the result is restricted to the
     largest component.  Removing every edge is an error.
     """
-    if len(pred.rect) != len(g.edges):
+    m = len(g.edges)
+    if np.shape(pred.rect) != (m, 4) or np.shape(pred.outlier_prob) != (m,):
         raise ViewGraphError("prediction does not cover every edge")
     keep = pred.outlier_prob <= epsilon
     if not np.any(keep):
         raise ViewGraphError("empty cleaned graph: every edge was removed")
-    removed = len(g.edges) - int(np.count_nonzero(keep))
+    kept = int(np.count_nonzero(keep))
     u, v = g.endpoint_arrays()
     full = ViewGraph._from_valid(g.n_nodes, u[keep], v[keep], pred.rect[keep],
-                                 np.full(int(keep.sum()), -1, dtype=np.int8), g.gt)
-    sub, remap = viewgraph.largest_component(full)
-    node_ids = sorted(remap, key=remap.get)
-    dropped = sorted(set(range(g.n_nodes)) - set(node_ids))
-    return CleanedGraph(graph=sub, node_ids=node_ids, removed_edges=removed, dropped_nodes=dropped)
+                                 np.full(kept, -1, dtype=np.int8), g.gt)
+    sub, node_ids = viewgraph.largest_component(full)
+    return CleanedGraph(graph=sub, node_ids=node_ids, removed_edges=m - kept,
+                        dropped_nodes=np.setdiff1d(np.arange(g.n_nodes), node_ids))

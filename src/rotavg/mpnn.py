@@ -102,17 +102,15 @@ def forward(
                 f"node_init must have shape ({n_nodes}, {cfg.node_init_dim})"
             )
         pad = tape.constant(np.zeros((n_nodes, cfg.hidden_dim - cfg.node_init_dim)))
-        h = tape.concat([node_init, pad], axis=1)
+        h = tape.concat([node_init, pad])
 
     msgs = None
     for step in (f"step{t}" for t in range(cfg.rounds)):
-        h_dst = tape.gather(h, dst)
-        h_src = tape.gather(h, src)
-        pre = tape.concat([h_dst, h_src, edge_feats], axis=1)
-        hid = tape.relu(tape.linear(pre, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]))
-        msgs = tape.relu(tape.linear(hid, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
-        agg = tape.scatter_mean(msgs, dst, n_nodes)
-        upd_in = tape.concat([h, agg], axis=1)
-        h = tape.relu(tape.linear(upd_in, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))
+        # one name for the (2E, .) chain: off the tape, each link is freed once used
+        x = tape.concat([tape.gather(h, dst), tape.gather(h, src), edge_feats])
+        x = tape.relu(tape.linear(x, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]))
+        msgs = tape.relu(tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
+        x = tape.concat([h, tape.scatter_mean(msgs, dst, n_nodes)])
+        h = tape.relu(tape.linear(x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))
     assert msgs is not None
     return h, msgs

@@ -156,31 +156,27 @@ def train_cleannet(
 
 def prepare_refinement_sample(
     g: ViewGraph,
-    clean_store: ParamStore | None,
+    clean_store: ParamStore,
     epsilon: float = cleaning.EPSILON_DEFAULT,
     clean_cfg: MpnnConfig = cleaning.DEFAULT_CONFIG,
 ) -> tuple[ViewGraph, np.ndarray, int]:
     """Build one refinement training/eval sample from a (sub)graph.
 
-    With a cleaning network: clean, bootstrap on the cleaned graph, then pair
-    the init with the graph of *observed* measurements over the surviving
-    nodes.  Without one: bootstrap directly on the noisy graph's largest
-    component.  Ground truth is re-referenced at the tree root.  Returns
-    the observed graph, the (N, 4) initial rows and the root.
+    Clean, bootstrap on the cleaned graph, then pair the init with the graph
+    of *observed* measurements over the surviving nodes; ground truth is
+    re-referenced at the tree root.  An untrained cleaner
+    (``cleaning.new_weights``) removes no edge and corrects none, so its
+    sample bootstraps on the noisy graph's largest component.  Returns the
+    observed graph, the (N, 4) initial rows and the root.
     """
-    if clean_store is not None:
-        pred = cleaning.clean_forward(g, clean_store, clean_cfg)
-        cleaned = cleaning.clean_graph(g, pred, epsilon)
-        base = cleaned.graph
-        node_ids = cleaned.node_ids
-    else:
-        base, remap = viewgraph.largest_component(g)
-        node_ids = sorted(remap, key=remap.get)  # new index -> old id
+    pred = cleaning.clean_forward(g, clean_store, clean_cfg)
+    cleaned = cleaning.clean_graph(g, pred, epsilon)
+    base = cleaned.graph
     root = viewgraph.select_root(base)
     boot = viewgraph.bootstrap_orientations(base, viewgraph.shortest_path_tree(base, root))
 
-    observed, _ = viewgraph.induced_subgraph(g, node_ids)
-    # induced_subgraph sorts node ids, so indices line up with `base`
+    # new id i is old id cleaned.node_ids[i] in both graphs
+    observed = viewgraph.induced_subgraph(g, cleaned.node_ids)
     if observed.has_full_gt:
         observed = ViewGraph._from_valid(observed.n_nodes, *observed.endpoint_arrays(),
                                          observed.edge_quat_array(), observed.edge_labels(),
@@ -192,16 +188,11 @@ def train_finenet(
     train_graphs: list[ViewGraph],
     val_graphs: list[ViewGraph],
     cfg: TrainConfig,
-    clean_store: ParamStore | None = None,
+    clean_store: ParamStore,
     net_cfg: MpnnConfig = refinement.DEFAULT_CONFIG,
 ) -> tuple[ParamStore, TrainLog]:
-    """Train the refinement network.
-
-    ``clean_store`` selects the initialization source: a trained cleaning
-    network (pipeline-faithful) or, when ``None``, spanning-tree bootstraps
-    on the raw noisy graphs.  Inits are recomputed per epoch on the
-    dropout-filtered edges.
-    """
+    """Train the refinement network on inits from the cleaning network
+    ``clean_store``, recomputed per epoch on the dropout-filtered edges."""
 
     def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
         sample, init_rows, root = prepare_refinement_sample(g, clean_store)

@@ -424,26 +424,35 @@ def is_connected(g: ViewGraph) -> bool:
     return not np.any(_component_labels(g))
 
 
-def induced_subgraph(g: ViewGraph, nodes: list[int]) -> tuple[ViewGraph, dict[int, int]]:
-    """Node-induced subgraph with dense renumbering; returns old->new map."""
-    nodes = sorted(nodes)
+def induced_subgraph(g: ViewGraph, nodes: ArrayLike) -> ViewGraph:
+    """Node-induced subgraph on distinct node ids ``nodes`` in ``[0, N)``:
+    new id ``i`` is the ``i``-th smallest of them."""
+    ids = np.asarray(nodes)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ViewGraphError("node ids must be a 1-D integer array")
+    ids = np.sort(ids.astype(np.int64))
+    if ids.size and (ids[0] < 0 or ids[-1] >= g.n_nodes):
+        raise ViewGraphError(f"node ids must lie in [0, {g.n_nodes})")
+    if np.any(ids[1:] == ids[:-1]):
+        raise ViewGraphError("repeated node id")
     new_id = np.full(g.n_nodes, -1, dtype=np.int64)
-    new_id[nodes] = np.arange(len(nodes))
+    new_id[ids] = np.arange(ids.size)
     u, v = g.endpoint_arrays()
     nu, nv = new_id[u], new_id[v]
     keep = (nu >= 0) & (nv >= 0)
-    sub = ViewGraph._from_valid(len(nodes), nu[keep], nv[keep], g.edge_quat_array()[keep],
-                                g.edge_labels()[keep], g.gt[nodes])
-    return sub, {old: new for new, old in enumerate(nodes)}
+    return ViewGraph._from_valid(ids.size, nu[keep], nv[keep], g.edge_quat_array()[keep],
+                                 g.edge_labels()[keep], g.gt[ids])
 
 
-def largest_component(g: ViewGraph) -> tuple[ViewGraph, dict[int, int]]:
-    """Subgraph on the largest component (ties: smallest contained id)."""
+def largest_component(g: ViewGraph) -> tuple[ViewGraph, np.ndarray]:
+    """Subgraph on the largest component (ties: smallest contained id) and
+    its int64 node ids: new id ``i`` is old id ``node_ids[i]``, ascending."""
     if g.n_nodes == 0:
-        return g, {}
+        return g, np.zeros(0, dtype=np.int64)
     label = _component_labels(g)
     sizes = np.bincount(label, minlength=g.n_nodes)  # nonzero only at each component's smallest id
-    return induced_subgraph(g, np.flatnonzero(label == np.argmax(sizes)).tolist())
+    node_ids = np.flatnonzero(label == np.argmax(sizes))
+    return induced_subgraph(g, node_ids), node_ids
 
 
 # ---------------------------------------------------------------------------

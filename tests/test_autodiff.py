@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fd import fd_gradients
-from rotavg import so3
+from rotavg import autodiff, so3
 from rotavg.autodiff import (
     AutodiffError,
     CheckpointError,
@@ -54,16 +56,6 @@ class TestPrimitiveGradients:
         params = {"a": RNG.normal(size=(4, 2)), "b": RNG.normal(size=(4, 3))}
         err = fd_gradients(
             lambda t, p: t.sum(t.mul(t.concat([p["a"], p["b"]]), t.concat([p["a"], p["b"]]))),
-            params,
-        )
-        assert err < 1e-4
-
-    def test_concat_axis0(self):
-        params = {"a": RNG.normal(size=(2, 3)), "b": RNG.normal(size=(4, 3))}
-        err = fd_gradients(
-            lambda t, p: t.sum(
-                t.mul(t.concat([p["a"], p["b"]], axis=0), t.concat([p["a"], p["b"]], axis=0))
-            ),
             params,
         )
         assert err < 1e-4
@@ -184,6 +176,67 @@ class TestForwardSemantics:
         tape.backward(loss)
         expected = (a + b) / np.linalg.norm(a + b)
         assert np.allclose(ta.grad, expected)
+
+
+def reduceat_segment_sum(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+    """The former segment sum (stable argsort, then ``np.add.reduceat``), kept
+    as the oracle of the bincount one."""
+    out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
+    if index.size == 0:
+        return out
+    order = np.argsort(index, kind="stable")
+    sorted_idx = index[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_idx)) + 1))
+    out[sorted_idx[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
+@st.composite
+def segment_inputs(draw):
+    """Rows, an index into ``n_rows`` buckets (possibly empty, often leaving
+    buckets without entries) and row weights, of random shapes."""
+    n_rows = draw(st.integers(0, 12))
+    n_entries = draw(st.integers(0, 40)) if n_rows else 0
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    index = rng.integers(0, max(n_rows, 1), size=n_entries)
+    return rng.normal(scale=scale, size=(n_entries, d)), index, n_rows
+
+
+def assert_segment_close(got: np.ndarray, want: np.ndarray, bound: np.ndarray) -> None:
+    """Within 1e-12 of the summed magnitudes ``bound``; empty buckets exactly 0."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
+
+class TestSegmentSumOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_inputs())
+    def test_segment_sum(self, case):
+        rows, index, n_rows = case
+        got = autodiff._segment_sum(rows, index, n_rows)
+        bound = reduceat_segment_sum(np.abs(rows), index, n_rows)
+        assert_segment_close(got, reduceat_segment_sum(rows, index, n_rows), bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment_inputs())
+    def test_gather_pullback(self, case):
+        g, index, n_rows = case
+        tape = Tape()
+        x = tape.leaf(np.ones((n_rows, g.shape[1])), requires_grad=True)
+        tape.backward(tape.sum(tape.mul(tape.gather(x, index), tape.constant(g))))
+        bound = reduceat_segment_sum(np.abs(g), index, n_rows)
+        assert_segment_close(x.grad, reduceat_segment_sum(g, index, n_rows), bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment_inputs())
+    def test_scatter_mean(self, case):
+        src, index, n_rows = case
+        out = Tape().scatter_mean(Tape().leaf(src), index, n_rows).values
+        denom = np.maximum(np.bincount(index, minlength=n_rows), 1)[:, None]
+        bound = reduceat_segment_sum(np.abs(src), index, n_rows) / denom
+        assert_segment_close(out, reduceat_segment_sum(src, index, n_rows) / denom, bound)
 
 
 class TestErrors:

@@ -173,7 +173,7 @@ class TestCleanGraph:
         pred.outlier_prob[:] = 0.0
         cg = cleaning.clean_graph(g, pred)
         assert len(cg.graph.edges) == len(g.edges)
-        assert cg.removed_edges == 0 and cg.dropped_nodes == []
+        assert cg.removed_edges == 0 and cg.dropped_nodes.size == 0
         for e_new, r in zip(cg.graph.edges, pred.rect):
             assert so3_oracle.geodesic_deg(e_new.q, UnitQuaternion.from_array(r)) < 1e-12
             assert e_new.gt_outlier is None
@@ -206,6 +206,15 @@ class TestCleanGraph:
             logits=np.zeros(4),
         )
         cg = cleaning.clean_graph(g, pred)
-        assert cg.node_ids == [2, 3, 4]
-        assert cg.dropped_nodes == [0, 1]
+        assert cg.node_ids.dtype == cg.dropped_nodes.dtype == np.int64
+        assert cg.node_ids.tolist() == [2, 3, 4]
+        assert cg.dropped_nodes.tolist() == [0, 1]
         assert viewgraph.is_connected(cg.graph)
+
+    @pytest.mark.parametrize("field", ["rect", "outlier_prob"])
+    def test_short_prediction_errors(self, field):
+        g = noisy_graph(seed=13)
+        pred = cleaning.clean_forward(g, cleaning.new_weights(13))
+        setattr(pred, field, getattr(pred, field)[:-1])
+        with pytest.raises(ViewGraphError, match="does not cover every edge"):
+            cleaning.clean_graph(g, pred)

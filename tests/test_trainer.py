@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from rotavg.trainer import TrainConfig, TrainingError
 from rotavg.viewgraph import ViewGraph
 
 EPOCHS = 2
+# zero head weights and an identity bias: no correction, every edge at p = 0.5
+UNTRAINED_CLEANER = cleaning.new_weights()
 
 
 def corpus(seed: int, count: int) -> list:
@@ -66,8 +69,7 @@ def clean_graph_loss(tape, weights, g):
 
 
 def fine_graph_loss(tape, weights, g):
-    # the loss of FineNet without a cleaner: bootstrap on the largest component
-    sample, init_rows, root = trainer.prepare_refinement_sample(g, None)
+    sample, init_rows, root = trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER)
     pred = refinement.forward_tensors(tape, sample, init_rows, weights)
     return refinement.loss_from_pred(tape, pred, sample, root)
 
@@ -91,7 +93,7 @@ class TestBestEpoch:
             store, log = trainer.train_cleannet(train, val, cfg)
             reevaluated = real_val_loss(store, clean_graph_loss, val)
         else:
-            store, log = trainer.train_finenet(train, val, cfg)
+            store, log = trainer.train_finenet(train, val, cfg, UNTRAINED_CLEANER)
             reevaluated = real_val_loss(store, fine_graph_loss, val)
         assert [r[0] for r in log.rows] == list(range(4))
         val_losses = [r[2] for r in log.rows]
@@ -121,7 +123,7 @@ class TestNonFinite:
 
         monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
-            trainer.train_finenet(*data, TrainConfig.desk(epochs=1))
+            trainer.train_finenet(*data, TrainConfig.desk(epochs=1), UNTRAINED_CLEANER)
 
 
 def edgeless(g):
@@ -132,8 +134,10 @@ def without_gt(g):
     return ViewGraph.from_arrays(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array())
 
 
-@pytest.mark.parametrize("train_fn", [trainer.train_cleannet, trainer.train_finenet],
-                         ids=["cleannet", "finenet"])
+@pytest.mark.parametrize(
+    "train_fn",
+    [trainer.train_cleannet, functools.partial(trainer.train_finenet, clean_store=UNTRAINED_CLEANER)],
+    ids=["cleannet", "finenet"])
 class TestCorpusCheck:
     def test_edgeless_training_graph(self, data, train_fn):
         train, val = data
@@ -174,16 +178,43 @@ class TestDerivedGraphs:
             pred = dataclasses.replace(cleaning.clean_forward(g, store),
                                        outlier_prob=rng.uniform(size=len(g.edges)))
             derived = [
-                viewgraph.induced_subgraph(g, nodes)[0],
+                viewgraph.induced_subgraph(g, nodes),
                 viewgraph.largest_component(g)[0],
                 cleaning.clean_graph(g, pred, epsilon=0.6).graph,
                 trainer._dropout_subgraph(g, 0.25, rng),
-                trainer.prepare_refinement_sample(g, None)[0],
+                trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER)[0],
                 trainer.prepare_refinement_sample(g, store)[0],
             ]
             for d in derived:
                 assert_same_graph(d, ViewGraph.from_arrays(
                     d.n_nodes, *d.endpoint_arrays(), d.edge_quat_array(), d.edge_labels(), d.gt))
+
+
+def uncleaned_sample(g):
+    """The refinement sample with no cleaner: bootstrap on the noisy graph's
+    largest component, observed graph and ground truth re-referenced at its root."""
+    base, node_ids = viewgraph.largest_component(g)
+    root = viewgraph.select_root(base)
+    boot = viewgraph.bootstrap_orientations(base, viewgraph.shortest_path_tree(base, root))
+    observed = viewgraph.induced_subgraph(g, node_ids)
+    observed = ViewGraph.from_arrays(observed.n_nodes, *observed.endpoint_arrays(),
+                                     observed.edge_quat_array(), observed.edge_labels(),
+                                     viewgraph.rereference(observed.gt, root))
+    return observed, np.asarray(boot.orientations), root
+
+
+class TestUntrainedCleaner:
+    def test_sample_equals_uncleaned_sample(self, data):
+        # disconnected graphs too: the sample is cut to the largest component
+        rng = np.random.default_rng(9)
+        graphs = data[0] + data[1] + [trainer._dropout_subgraph(g, 0.8, rng) for g in data[0]]
+        assert any(not viewgraph.is_connected(g) for g in graphs)
+        for g in graphs:
+            got, init, root = trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER)
+            want, want_init, want_root = uncleaned_sample(g)
+            assert_same_graph(got, want)
+            assert root == want_root
+            assert init.dtype == want_init.dtype and init.tobytes() == want_init.tobytes()
 
 
 class TestLogCsv:

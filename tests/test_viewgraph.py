@@ -487,16 +487,16 @@ class TestStructure:
 class TestConnectivity:
     def test_connected_graph_is_itself(self):
         g = small_graph()
-        sub, remap = viewgraph.largest_component(g)
+        sub, node_ids = viewgraph.largest_component(g)
         assert sub.n_nodes == g.n_nodes and len(sub.edges) == len(g.edges)
-        assert remap == {i: i for i in range(4)}
+        assert node_ids.dtype == np.int64 and node_ids.tolist() == [0, 1, 2, 3]
 
     def test_two_components(self):
         q = UnitQuaternion.identity()
         g = ViewGraph(5, [Edge(0, 1, q), Edge(1, 2, q), Edge(3, 4, q)])
-        sub, remap = viewgraph.largest_component(g)
+        sub, node_ids = viewgraph.largest_component(g)
         assert sub.n_nodes == 3
-        assert sorted(remap) == [0, 1, 2]
+        assert node_ids.tolist() == [0, 1, 2]
 
     def test_random_graphs_connected_per_bfs(self):
         for seed in range(20):
@@ -507,16 +507,16 @@ class TestConnectivity:
 
     def test_empty_graph(self):
         g = ViewGraph(0, [])
-        sub, remap = viewgraph.largest_component(g)
-        assert sub.n_nodes == 0 and remap == {}
+        sub, node_ids = viewgraph.largest_component(g)
+        assert sub.n_nodes == 0 and node_ids.dtype == np.int64 and node_ids.size == 0
 
     @settings(max_examples=300, deadline=None)
     @given(random_graphs())
     def test_matches_deque_oracle(self, g):
         comps = deque_components(g)
         assert viewgraph.is_connected(g) == (len(comps) == 1)
-        sub, remap = viewgraph.largest_component(g)
-        assert sorted(remap, key=remap.get) == comps[0]
+        sub, node_ids = viewgraph.largest_component(g)
+        assert node_ids.tolist() == comps[0]
         assert sub.n_nodes == len(comps[0])
         for root in range(g.n_nodes):
             depth, parent = deque_tree(g, root)
@@ -529,6 +529,38 @@ class TestConnectivity:
         for root in range(sub.n_nodes):
             tree = viewgraph.shortest_path_tree(sub, root)
             assert (tree.depth.tolist(), tree.parent.tolist()) == deque_tree(sub, root)
+
+
+def desk_graph() -> ViewGraph:
+    return synthgen.generate_graph(synthgen.SynthConfig.desk(seed=3), np.random.default_rng(3))
+
+
+class TestInducedSubgraph:
+    def test_new_ids_are_sorted_old_ids(self):
+        g = small_graph()
+        sub = viewgraph.induced_subgraph(g, np.array([3, 0, 2]))
+        # new ids 0, 1, 2 are old ids 0, 2, 3: edges (0, 2) and (2, 3) survive
+        assert sub.n_nodes == 3
+        assert [(e.u, e.v) for e in sub.edges] == [(1, 2), (0, 1)]
+        assert np.array_equal(sub.gt, g.gt[[0, 2, 3]])
+        assert np.array_equal(sub.edge_quat_array(), g.edge_quat_array()[[2, 3]])
+
+    @pytest.mark.parametrize("nodes, match", [
+        ([0, 0, 1, 2], "repeated node id"),
+        ([-1, 0, 1], r"node ids must lie in \[0, "),
+        ([0, 1, "N"], r"node ids must lie in \[0, "),
+        ([0.0, 1.0], "1-D integer"),
+        ([[0, 1]], "1-D integer"),
+    ], ids=["repeated", "negative", "beyond", "float", "2-D"])
+    def test_bad_ids_raise(self, nodes, match):
+        g = desk_graph()
+        nodes = [g.n_nodes if c == "N" else c for c in nodes]
+        with pytest.raises(ViewGraphError, match=match):
+            viewgraph.induced_subgraph(g, nodes)
+
+    def test_empty_selection(self):
+        sub = viewgraph.induced_subgraph(small_graph(), [])
+        assert sub.n_nodes == 0 and len(sub.edges) == 0
 
 
 class TestRootAndTree:
