@@ -83,23 +83,70 @@ class Tape:
             raise AutodiffError(
                 f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
             )
-        out = Tensor(x.values @ w.values + b.values)
+        out = x.values @ w.values
+        out += b.values
 
         def pull(g):
             _accumulate(x, g @ w.values.T)
             _accumulate(w, x.values.T @ g)
             _accumulate(b, g.sum(axis=0))
 
-        return self._emit(out, (x, w, b), pull)
+        return self._emit(Tensor(out), (x, w, b), pull)
 
-    def relu(self, x: Tensor) -> Tensor:
-        mask = x.values > 0.0
-        out = Tensor(np.where(mask, x.values, 0.0))
+    def edge_linear(
+        self, h: Tensor, dst: np.ndarray, src: np.ndarray, e: Tensor, w: Tensor, b: Tensor
+    ) -> Tensor:
+        """``concat([h[dst], h[src], e]) @ w + b`` without building the concat.
+
+        With ``w`` split by rows into ``wd, ws, we`` (H, H and F rows), the
+        result is ``(h @ wd + b)[dst] + (h @ ws)[src] + e @ we``: the first two
+        products run over the N node rows and are then taken by edge.  The
+        pullback sums the edge gradient into node rows first, so it too works
+        on N rows except for ``e``.
+        """
+        dst = np.asarray(dst, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        if h.values.ndim != 2 or e.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
+            raise AutodiffError("edge_linear expects h (n,H), e (m,F), w (2H+F,o), b (o,)")
+        n, hid = h.shape
+        m = e.shape[0]
+        if dst.shape != (m,) or src.shape != (m,):
+            raise AutodiffError(f"edge_linear expects dst and src of shape ({m},)")
+        if w.shape[0] != 2 * hid + e.shape[1] or b.shape[0] != w.shape[1]:
+            raise AutodiffError(
+                f"edge_linear shape mismatch: h {h.shape}, e {e.shape}, w {w.shape}, b {b.shape}"
+            )
+        for index in (dst, src):
+            if m and (index.min() < 0 or index.max() >= n):
+                raise AutodiffError("edge_linear index out of range")
+        wd, ws, we = w.values[:hid], w.values[hid:2 * hid], w.values[2 * hid:]
+        node_d = h.values @ wd
+        node_d += b.values
+        out = np.take(node_d, dst, axis=0)
+        out += np.take(h.values @ ws, src, axis=0)
+        out += e.values @ we
 
         def pull(g):
-            _accumulate(x, np.where(mask, g, 0.0))
+            g_dst = _segment_sum(g, dst, n)
+            g_src = _segment_sum(g, src, n)
+            gh = g_dst @ wd.T
+            gh += g_src @ ws.T
+            _accumulate(h, gh)
+            _accumulate(e, g @ we.T)
+            _accumulate(w, np.concatenate([h.values.T @ g_dst, h.values.T @ g_src, e.values.T @ g]))
+            _accumulate(b, g.sum(axis=0))
 
-        return self._emit(out, (x,), pull)
+        return self._emit(Tensor(out), (h, e, w, b), pull)
+
+    def relu(self, x: Tensor) -> Tensor:
+        """``max(x, 0)`` in one pass.  The subgradient at 0 is 0.  NaN
+        propagates: a NaN input gives a NaN output and a zero gradient."""
+        out = np.maximum(x.values, 0.0)
+
+        def pull(g):
+            _accumulate(x, np.where(out > 0.0, g, 0.0))
+
+        return self._emit(Tensor(out), (x,), pull)
 
     def concat(self, xs: list[Tensor]) -> Tensor:
         """Column-wise concatenation of (n, d_i) tensors."""
@@ -408,7 +455,8 @@ def save_checkpoint(store: ParamStore, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> ParamStore:
-    """Load a checkpoint, validating names and shapes against ``expected``."""
+    """Load a checkpoint, validating names and shapes against ``expected``
+    and that every value is finite."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -436,6 +484,8 @@ def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> P
             arr = np.frombuffer(base64.b64decode(data), dtype="<f8").reshape(shape)
         except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
             raise CheckpointError(f"parameter {name!r} has malformed data: {exc}") from None
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"parameter {name!r} has non-finite values")
         store.add(name, arr)
         seen.add(name)
     missing = set(expected) - seen

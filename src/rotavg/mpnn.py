@@ -8,6 +8,15 @@ per node by the mean, and updates node states:
     m_v        = mean over incoming directed edges
     h_v        = relu(Wg @ [h_v, m_v])
 
+The first message layer runs factorised.  With ``W1`` split by columns into
+``W1a, W1b, W1c`` (hidden, hidden and edge-feature columns),
+
+    W1 @ [h_v, h_u, e_uv] = (W1a @ h_v) + (W1b @ h_u) + W1c @ e_uv
+
+so the two hidden-state products run once per node and are then taken per
+directed edge (``Tape.edge_linear``); the (2E, 2H+F) concatenation is never
+built.
+
 The message transform is a two-layer perceptron and the update a single
 layer, with per-round (unshared) weights; this lands the two
 networks plus their heads at ~43K parameters, inside the intended budget
@@ -107,8 +116,9 @@ def forward(
     msgs = None
     for step in (f"step{t}" for t in range(cfg.rounds)):
         # one name for the (2E, .) chain: off the tape, each link is freed once used
-        x = tape.concat([tape.gather(h, dst), tape.gather(h, src), edge_feats])
-        x = tape.relu(tape.linear(x, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]))
+        x = tape.relu(tape.edge_linear(
+            h, dst, src, edge_feats, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]
+        ))
         msgs = tape.relu(tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
         x = tape.concat([h, tape.scatter_mean(msgs, dst, n_nodes)])
         h = tape.relu(tape.linear(x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))

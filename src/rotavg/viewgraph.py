@@ -237,10 +237,6 @@ def _degree_weights(g: ViewGraph) -> np.ndarray:
 # Text interchange
 # ---------------------------------------------------------------------------
 
-def _format_quat(components) -> str:
-    return " ".join(format(c, ".17g") for c in components)
-
-
 def _conversion_error(tokens, dtype) -> Exception | None:
     """What converting ``tokens`` to ``dtype`` raises, or None."""
     try:
@@ -361,17 +357,26 @@ def parse(text: str) -> ViewGraph:
 
 def serialize(g: ViewGraph, comment: str | None = None) -> str:
     """Render the text format; ``comment`` becomes leading ``#`` lines."""
-    lines = [FORMAT_HEADER]
-    if comment:
-        lines = [f"# {c}" for c in comment.splitlines()] + lines
-    for i, q in enumerate(g.gt.tolist()):
-        lines.append(f"NODE {i}" if math.isnan(q[0]) else f"NODE {i} {_format_quat(q)}")
+    blocks = [f"# {c}" for c in comment.splitlines()] if comment else []
+    blocks.append(FORMAT_HEADER)
+    quat = " %.17g %.17g %.17g %.17g"
+    nodes = np.column_stack([np.arange(g.n_nodes), g.gt])
+    blocks.append(_format_block(nodes, "NODE %d" + quat, "NODE %d", ~np.isnan(g.gt[:, 0])))
     u, v = g.endpoint_arrays()
-    for a, b, q, label in zip(u.tolist(), v.tolist(), g.edge_quat_array().tolist(),
-                              g.edge_labels().tolist()):
-        suffix = "" if label < 0 else f" {label}"
-        lines.append(f"EDGE {a} {b} {_format_quat(q)}{suffix}")
-    return "\n".join(lines) + "\n"
+    label = g.edge_labels()
+    edges = np.column_stack([u, v, g.edge_quat_array(), label])
+    blocks.append(_format_block(edges, "EDGE %d %d" + quat + " %d", "EDGE %d %d" + quat,
+                                label >= 0))
+    return "\n".join(b for b in blocks if b) + "\n"
+
+
+def _format_block(cells: np.ndarray, full: str, short: str, is_full: np.ndarray) -> str:
+    """The float64 rows of ``cells`` as text lines, in one ``%`` call: row
+    ``i`` fills ``full`` with all its cells where ``is_full[i]``, else
+    ``short`` with its leading ones.  Ids and labels pass through float64,
+    exact below 2**53, and print by ``%d``."""
+    keep = is_full[:, None] | (np.arange(cells.shape[1]) < short.count("%"))
+    return "\n".join(np.where(is_full, full, short).tolist()) % tuple(cells[keep].tolist())
 
 
 # ---------------------------------------------------------------------------

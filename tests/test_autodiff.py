@@ -47,10 +47,10 @@ class TestPrimitiveGradients:
 
     def test_relu_subgradient_sides(self):
         tape = Tape()
-        x = tape.leaf(np.array([[2.0, -3.0]]), requires_grad=True)
+        x = tape.leaf(np.array([[2.0, -3.0, 0.0, -0.0]]), requires_grad=True)
         y = tape.sum(tape.relu(x))
         tape.backward(y)
-        assert x.grad.tolist() == [[1.0, 0.0]]
+        assert x.grad.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_concat_axis1(self):
         params = {"a": RNG.normal(size=(4, 2)), "b": RNG.normal(size=(4, 3))}
@@ -67,6 +67,21 @@ class TestPrimitiveGradients:
             lambda t, p: t.sum(t.mul(t.gather(p["x"], idx), t.gather(p["x"], idx))), params
         )
         assert err < 1e-4
+
+    def test_edge_linear(self):
+        dst, src = np.array([0, 2, 1, 2, 0]), np.array([2, 0, 2, 1, 1])
+        params = {
+            "h": RNG.normal(size=(4, 3)),  # node 3 is isolated
+            "e": RNG.normal(size=(5, 2)),
+            "w": RNG.normal(size=(8, 3)),
+            "b": RNG.normal(size=3),
+        }
+
+        def build(t, p):
+            out = t.edge_linear(p["h"], dst, src, p["e"], p["w"], p["b"])
+            return t.sum(t.mul(out, out))
+
+        assert fd_gradients(build, params) < 1e-4
 
     def test_scatter_mean(self):
         idx = np.array([0, 0, 1, 3, 3, 3])
@@ -204,8 +219,8 @@ def segment_inputs(draw):
     return rng.normal(scale=scale, size=(n_entries, d)), index, n_rows
 
 
-def assert_segment_close(got: np.ndarray, want: np.ndarray, bound: np.ndarray) -> None:
-    """Within 1e-12 of the summed magnitudes ``bound``; empty buckets exactly 0."""
+def assert_close(got: np.ndarray, want: np.ndarray, bound: np.ndarray) -> None:
+    """Within 1e-12 of the summed magnitudes ``bound``; exactly 0 where ``bound`` is 0."""
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * bound)
 
@@ -217,7 +232,7 @@ class TestSegmentSumOracle:
         rows, index, n_rows = case
         got = autodiff._segment_sum(rows, index, n_rows)
         bound = reduceat_segment_sum(np.abs(rows), index, n_rows)
-        assert_segment_close(got, reduceat_segment_sum(rows, index, n_rows), bound)
+        assert_close(got, reduceat_segment_sum(rows, index, n_rows), bound)
 
     @settings(max_examples=200, deadline=None)
     @given(segment_inputs())
@@ -227,7 +242,7 @@ class TestSegmentSumOracle:
         x = tape.leaf(np.ones((n_rows, g.shape[1])), requires_grad=True)
         tape.backward(tape.sum(tape.mul(tape.gather(x, index), tape.constant(g))))
         bound = reduceat_segment_sum(np.abs(g), index, n_rows)
-        assert_segment_close(x.grad, reduceat_segment_sum(g, index, n_rows), bound)
+        assert_close(x.grad, reduceat_segment_sum(g, index, n_rows), bound)
 
     @settings(max_examples=200, deadline=None)
     @given(segment_inputs())
@@ -236,7 +251,86 @@ class TestSegmentSumOracle:
         out = Tape().scatter_mean(Tape().leaf(src), index, n_rows).values
         denom = np.maximum(np.bincount(index, minlength=n_rows), 1)[:, None]
         bound = reduceat_segment_sum(np.abs(src), index, n_rows) / denom
-        assert_segment_close(out, reduceat_segment_sum(src, index, n_rows) / denom, bound)
+        assert_close(out, reduceat_segment_sum(src, index, n_rows) / denom, bound)
+
+
+def concat_edge_linear(tape, h, dst, src, e, w, b):
+    """The former first message layer, the (m, 2H+F) concat of gathered rows
+    and ``linear``, kept as the oracle of ``Tape.edge_linear``."""
+    return tape.linear(tape.concat([tape.gather(h, dst), tape.gather(h, src), e]), w, b)
+
+
+@st.composite
+def edge_linear_inputs(draw):
+    """Node rows, edge rows (possibly none) with random ends, which often
+    leave nodes isolated, and weights of random shapes."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 40)) if n else 0
+    hid, f, o = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    values = {
+        "h": rng.normal(scale=scale, size=(n, hid)),
+        "e": rng.normal(scale=scale, size=(m, f)),
+        "w": rng.normal(size=(2 * hid + f, o)),
+        "b": rng.normal(size=o),
+    }
+    dst, src = rng.integers(0, max(n, 1), size=(2, m))
+    return values, dst, src, rng.normal(size=(m, o))
+
+
+def edge_linear_run(op, values, dst, src, upstream):
+    """Output and gradients of ``sum(op(...) * upstream)``."""
+    tape = Tape()
+    t = {k: tape.leaf(v, requires_grad=True) for k, v in values.items()}
+    out = op(tape, t["h"], dst, src, t["e"], t["w"], t["b"])
+    tape.backward(tape.sum(tape.mul(out, tape.constant(upstream))))
+    return {"out": out.values, **{k: t[k].grad for k in values}}
+
+
+class TestEdgeLinearOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_linear_inputs())
+    def test_matches_concat_path(self, case):
+        values, dst, src, upstream = case
+        got = edge_linear_run(Tape.edge_linear, values, dst, src, upstream)
+        want = edge_linear_run(concat_edge_linear, values, dst, src, upstream)
+        # the oracle on magnitudes bounds every sum the two paths reorder
+        bound = edge_linear_run(concat_edge_linear, {k: np.abs(v) for k, v in values.items()},
+                                dst, src, np.abs(upstream))
+        for key in want:
+            assert_close(got[key], want[key], bound[key])
+
+
+def where_relu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former two-pass relu (a mask, then ``np.where``) and its pullback,
+    kept as the oracle of the one-pass one."""
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), np.where(mask, g, 0.0)
+
+
+class TestRelu:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=30),
+           st.integers(0, 2**32 - 1))
+    def test_matches_where_relu_on_finite_input(self, xs, seed):
+        x = np.array(xs)
+        g = np.random.default_rng(seed).normal(size=x.shape)
+        tape = Tape()
+        xt = tape.leaf(x, requires_grad=True)
+        out = tape.relu(xt)
+        tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
+        want_out, want_grad = where_relu(x, g)
+        assert np.array_equal(out.values, want_out)
+        assert np.array_equal(xt.grad, want_grad)
+
+    def test_nan_propagates_with_zero_gradient(self):
+        tape = Tape()
+        x = tape.leaf(np.array([np.nan, 1.0, -1.0]), requires_grad=True)
+        out = tape.relu(x)
+        assert np.array_equal(out.values, [np.nan, 1.0, 0.0], equal_nan=True)
+        tape.backward(tape.sum(tape.mul(tape.constant(np.ones(3)), out)))
+        assert x.grad.tolist() == [0.0, 1.0, 0.0]
 
 
 class TestErrors:
@@ -246,6 +340,15 @@ class TestErrors:
             tape.linear(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((4, 2))), tape.leaf(np.ones(2)))
         with pytest.raises(AutodiffError):
             tape.add(tape.leaf(np.ones(2)), tape.leaf(np.ones(3)))
+        h, e = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((2, 1)))
+        w, b = tape.leaf(np.ones((5, 2))), tape.leaf(np.ones(2))
+        ends = np.array([0, 1])
+        for args in ((h, ends, ends, e, tape.leaf(np.ones((4, 2))), b),  # w rows != 2H + F
+                     (h, ends, ends, e, w, tape.leaf(np.ones(3))),
+                     (h, ends[:1], ends, e, w, b),
+                     (h, ends, ends, tape.leaf(np.ones(2)), w, b)):
+            with pytest.raises(AutodiffError, match="edge_linear"):
+                tape.edge_linear(*args)
 
     def test_index_out_of_range(self):
         tape = Tape()
@@ -253,6 +356,11 @@ class TestErrors:
             tape.gather(tape.leaf(np.ones((2, 2))), np.array([0, 2]))
         with pytest.raises(AutodiffError):
             tape.scatter_mean(tape.leaf(np.ones((2, 2))), np.array([0, 5]), 3)
+        h, e = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((2, 1)))
+        w, b = tape.leaf(np.ones((5, 2))), tape.leaf(np.ones(2))
+        for dst, src in (([0, 3], [1, 2]), ([0, 1], [-1, 2])):
+            with pytest.raises(AutodiffError, match="out of range"):
+                tape.edge_linear(h, np.array(dst), np.array(src), e, w, b)
 
     def test_non_scalar_backward(self):
         tape = Tape()
@@ -424,6 +532,15 @@ class TestCheckpoint:
             path.write_text(json.dumps(bad))
             with pytest.raises(CheckpointError, match=match):
                 load_checkpoint(path, expected)
+
+    def test_non_finite_values(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        for bad in (np.nan, np.inf):
+            store = self._example_store()
+            store.params["layer.w"][1, 0] = bad
+            save_checkpoint(store, path)
+            with pytest.raises(CheckpointError, match="'layer.w' has non-finite"):
+                load_checkpoint(path, {"layer.w": (3, 2), "layer.b": (2,)})
 
     def test_bad_format(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ class TestForward:
         assert np.max(np.abs(np.linalg.norm(pred.rect, axis=1) - 1.0)) < 1e-9
         assert np.all(pred.rect[:, 0] >= 0.0)
         assert np.array_equal(so3.qcanon(pred.rect), pred.rect)
+
+    def test_peak_memory_within_edge_budget(self):
+        # a dense-shaped graph: off the tape each round keeps only a few
+        # (2E, H) arrays alive, never the (2E, 2H + F) concat
+        cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
+                                   sigma_deg=(5.0, 5.0), outlier_fraction=(0.1, 0.1))
+        g = synthgen.generate_graph(cfg, np.random.default_rng(0))
+        store = cleaning.new_weights(0)
+        tracemalloc.start()
+        try:
+            cleaning.clean_forward(g, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_edge_array = 2 * len(g.edges) * cleaning.DEFAULT_CONFIG.hidden_dim * 8
+        assert peak < 5 * one_edge_array
 
     def test_empty_graph_rejected(self):
         g = ViewGraph(2, [])

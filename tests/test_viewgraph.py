@@ -236,6 +236,26 @@ def labelled_graphs(draw) -> ViewGraph:
     )
 
 
+def loop_serialize(g: ViewGraph, comment: str | None = None) -> str:
+    """The former serializer (an f-string and four ``format(c, ".17g")`` calls
+    per line), kept as the oracle of the block one."""
+    lines = [viewgraph.FORMAT_HEADER]
+    if comment:
+        lines = [f"# {c}" for c in comment.splitlines()] + lines
+
+    def quat(components) -> str:
+        return " ".join(format(c, ".17g") for c in components)
+
+    for i, q in enumerate(g.gt.tolist()):
+        lines.append(f"NODE {i}" if np.isnan(q[0]) else f"NODE {i} {quat(q)}")
+    u, v = g.endpoint_arrays()
+    for a, b, q, label in zip(u.tolist(), v.tolist(), g.edge_quat_array().tolist(),
+                              g.edge_labels().tolist()):
+        suffix = "" if label < 0 else f" {label}"
+        lines.append(f"EDGE {a} {b} {quat(q)}{suffix}")
+    return "\n".join(lines) + "\n"
+
+
 CORRUPTIONS = ("token", "count", "norm", "self-loop", "repeat", "label", "record", "range")
 
 
@@ -313,6 +333,13 @@ class TestFormat:
             for x, y in zip(a, b):
                 assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
         assert viewgraph.serialize(back) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_graphs(), st.sampled_from([None, "one line", "two\nlines"]))
+    def test_serialize_matches_per_line_loop(self, g, comment):
+        assert viewgraph.serialize(g, comment) == loop_serialize(g, comment)
+        empty = viewgraph.parse("VIEWGRAPH v1\n")
+        assert viewgraph.serialize(empty, comment) == loop_serialize(empty, comment)
 
     @settings(max_examples=400, deadline=None)
     @given(labelled_graphs(), st.sampled_from(CORRUPTIONS), st.data())
