@@ -140,8 +140,13 @@ class Tape:
 
     def relu(self, x: Tensor) -> Tensor:
         """``max(x, 0)`` in one pass.  The subgradient at 0 is 0.  NaN
-        propagates: a NaN input gives a NaN output and a zero gradient."""
-        out = np.maximum(x.values, 0.0)
+        propagates: a NaN input gives a NaN output and a zero gradient.
+
+        Off the tape it writes into ``x.values`` and returns that array, so
+        ``x`` must be a fresh intermediate that nothing reads afterwards.
+        Its one caller in the package, ``mpnn.forward``, passes ``linear``
+        and ``edge_linear`` outputs that it never reads again."""
+        out = np.maximum(x.values, 0.0, out=None if self.recording else x.values)
 
         def pull(g):
             _accumulate(x, np.where(out > 0.0, g, 0.0))

@@ -4,6 +4,9 @@ Two baselines operating on the same view-graph inputs as the networks:
 
 * ``weiszfeld_mra`` -- Gauss-Seidel sweeps where each camera is replaced by
   the tangent-space L1 median of the candidates proposed by its neighbors.
+  A sweep runs as a level schedule: nodes are grouped into wavefronts of
+  mutually non-adjacent nodes that read the same rows as in the sequential
+  ascending-id sweep, and each wavefront takes one batched median.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step a
   Jacobi-preconditioned CG solve on the segment-sum weighted graph Laplacian.
@@ -14,7 +17,6 @@ initial rows and return a read-only ``so3.Orientations`` view.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ WEISZFELD_FLOOR = 1e-6   # radians; caps the 1/distance weights
 IRLS_DELTA = 1e-5        # residual floor in the IRLS weights
 IRLS_STEP_TOL = 1e-3     # radians; stop when the largest update is below
 CG_TOL = 1e-12           # relative residual target of the inner CG solve
+MEDOID_CELLS = 1 << 21   # padded distances of one batched Weiszfeld medoid (16 MB)
 
 
 class SolverError(RuntimeError):
@@ -37,49 +40,54 @@ class SolverError(RuntimeError):
 # Weiszfeld
 # ---------------------------------------------------------------------------
 
-def _weiszfeld_median_rows(cands: np.ndarray, iters: int) -> np.ndarray:
-    """Tangent-space Weiszfeld iteration over unit quaternion rows.
+# M = m[:, _CONJ_INDEX] * _CONJ_SIGN is the 4x4 matrix of quaternion row m with
+# rows @ M = rows * conj(m) and M @ e = e * m
+_CONJ_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_CONJ_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
+                       [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
 
-    Inlined quaternion math: this sits in the innermost loop of the solver
-    sweeps, where the generic kernels' canonicalization overhead dominates.
+
+def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
+    """Tangent-space L1 medians of padded candidate sets, one per node.
+
+    ``cands`` is (n, D, 4) unit rows and ``valid`` (n, D) marks the real
+    ones.  Each median starts at its medoid and takes ``iters`` Weiszfeld
+    steps; a node whose step falls below 1e-12 stays where it is.  The
+    medoid minimises the summed distance to and from the other candidates,
+    ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
+    ``d`` cannot break a tie, and an exact tie goes to the first candidate.
     """
-    aw, ax, ay, az = cands[:, 0], cands[:, 1], cands[:, 2], cands[:, 3]
-    # start at the candidate with the smallest summed geodesic distance
-    dots = np.abs(cands @ cands.T)
-    np.clip(dots, -1.0, 1.0, out=dots)
-    m = cands[int(np.argmin(np.arccos(dots).sum(axis=1)))].copy()
+    n, d = valid.shape
+    cols = cands.transpose(0, 2, 1).copy()  # (n, 4, D)
+    dist = cands @ cols
+    np.abs(dist, out=dist)
+    np.minimum(dist, 1.0, out=dist)
+    dist[:, np.arange(d), np.arange(d)] = 1.0
+    np.arccos(dist, out=dist)
+    w = valid.astype(np.float64)
+    sums = (dist @ w[:, :, None])[:, :, 0] + (w[:, None, :] @ dist)[:, 0]
+    m = cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
+    frozen = np.zeros(n, dtype=bool)
     for _ in range(iters):
-        w, x, y, z = m
-        # rel = cands * conj(m)
-        cw = aw * w + ax * x + ay * y + az * z
-        cx = -aw * x + ax * w - ay * z + az * y
-        cy = -aw * y + ax * z + ay * w - az * x
-        cz = -aw * z - ax * y + ay * x + az * w
-        nv = np.sqrt(cx * cx + cy * cy + cz * cz)
+        mat = m[:, _CONJ_INDEX] * _CONJ_SIGN
+        rel = mat.transpose(0, 2, 1) @ cols  # candidates * conj(m), (n, 4, D)
+        cw, vec = rel[:, 0], rel[:, 1:]
+        nv = np.sqrt(np.einsum("nkd,nkd->nd", vec, vec))
         ang = 2.0 * np.arctan2(nv, np.abs(cw))
         # log-map direction, sign-corrected so the angle stays in [0, pi]
         scale = np.where(nv > 1e-12, np.copysign(ang, cw) / np.maximum(nv, 1e-300), 0.0)
-        weights = 1.0 / np.maximum(ang, WEISZFELD_FLOOR)
-        coef = weights * scale / weights.sum()
-        sx = float(coef @ cx)
-        sy = float(coef @ cy)
-        sz = float(coef @ cz)
-        step = math.sqrt(sx * sx + sy * sy + sz * sz)
-        if step < 1e-12:
-            break
+        weights = w / np.maximum(ang, WEISZFELD_FLOOR)
+        coef = weights * scale / weights.sum(axis=1, keepdims=True)
+        s = (vec @ coef[:, :, None])[:, :, 0]
+        step = np.sqrt(np.einsum("nk,nk->n", s, s))
+        frozen |= step < 1e-12
         half = 0.5 * step
-        s = math.sin(half) / step
-        ew, ex, ey, ez = math.cos(half), sx * s, sy * s, sz * s
-        # m = exp(step) * m
-        m = np.array(
-            [
-                ew * w - ex * x - ey * y - ez * z,
-                ew * x + ex * w + ey * z - ez * y,
-                ew * y - ex * z + ey * w + ez * x,
-                ew * z + ex * y - ey * x + ez * w,
-            ]
-        )
-        m /= math.sqrt(float(m @ m))
+        e = np.empty((n, 4))  # exp(s)
+        e[:, 0] = np.cos(half)
+        e[:, 1:] = s * (np.sin(half) / np.where(frozen, 1.0, step))[:, None]
+        new = (mat @ e[:, :, None])[:, :, 0]  # exp(s) * m
+        new /= np.sqrt(np.einsum("ni,ni->n", new, new))[:, None]
+        m = np.where(frozen[:, None], m, new)
     return m
 
 
@@ -95,6 +103,62 @@ def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
     return float(np.sum(so3.qangle_deg(rel, g.edge_quat_array())))
 
 
+def _weiszfeld_levels(g: ViewGraph, root: int) -> np.ndarray:
+    """Wavefront level of every node, -1 at the root.
+
+    ``level(v) = 1 + max level(u)`` over the non-root neighbours ``u < v``,
+    or 0 without one: one pass in id order, O(E) in all.
+    """
+    n = g.n_nodes
+    u, v = g.endpoint_arrays()  # u < v
+    inner = (u != root) & (v != root)
+    upper, lower = v[inner], u[inner]
+    by_upper = np.argsort(upper, kind="stable")
+    lower = lower[by_upper]
+    starts = np.searchsorted(upper[by_upper], np.arange(n + 1))
+    level = np.full(n, -1, dtype=np.int64)
+    for node in range(n):
+        if node != root:
+            below = level[lower[starts[node]:starts[node + 1]]]
+            level[node] = below.max() + 1 if below.size else 0
+    return level
+
+
+def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
+    """Batches of the level schedule, in level order: ``(nodes, src, q_in,
+    valid)``, the nodes of one level and their incoming candidates padded to
+    the batch's maximum degree.
+
+    Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, in edge
+    order; padding repeats the first candidate and is masked by ``valid``.
+    A level is one batch unless its padded (n, D, D) medoid distances would
+    pass ``MEDOID_CELLS``; then its nodes, by ascending degree, are cut into
+    runs that fit, or single nodes.
+    """
+    n = g.n_nodes
+    uv, quats = viewgraph.directed_arrays(g)
+    by_target = np.lexsort((np.tile(np.arange(len(uv) // 2), 2), uv[:, 1]))
+    src, q_in = uv[by_target, 0], quats[by_target]
+    bounds = np.searchsorted(uv[by_target, 1], np.arange(n + 1))
+    degree = np.diff(bounds)
+    level = _weiszfeld_levels(g, root)
+    order = np.lexsort((degree, level))  # by level, then by degree
+    cuts = np.searchsorted(level[order], np.arange(level.max() + 2))
+    plan = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        while lo < hi:
+            end = lo + 1
+            while end < hi and (end + 1 - lo) * degree[order[end]] ** 2 <= MEDOID_CELLS:
+                end += 1
+            nodes = order[lo:end]
+            col = np.arange(degree[nodes[-1]])
+            valid = col < degree[nodes, None]
+            idx = bounds[nodes, None] + np.where(valid, col, 0)
+            plan.append((nodes, src[idx], q_in[idx], valid))
+            lo = end
+    return plan
+
+
 def weiszfeld_mra(
     g: ViewGraph,
     init: ArrayLike,
@@ -102,24 +166,28 @@ def weiszfeld_mra(
     median_iters: int = 10,
 ) -> WeiszfeldResult:
     """L1 averaging sweeps; one sweep updates every non-root node once, in
-    ascending id order, in place (Gauss-Seidel)."""
+    ascending id order, in place (Gauss-Seidel).
+
+    The sweep runs as a level schedule (the wavefront order of sparse
+    triangular solves): level ``k`` holds the nodes whose smaller-id
+    non-root neighbours all sit on levels below ``k``.  Nodes of one level
+    are never adjacent, each node's smaller-id neighbours are on earlier
+    levels and its larger-id ones on later levels, so updating a whole
+    level at once reads exactly the rows the sequential sweep reads.  Each
+    level takes one batched median (more only past ``MEDOID_CELLS``).
+    """
+    if sweeps < 0:
+        raise ValueError("sweeps must be >= 0")
+    if median_iters < 0:
+        raise ValueError("median_iters must be >= 0")
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)
-    root = viewgraph.select_root(g)
-    # directed edges grouped by target, in edge order within each target
-    uv, quats = viewgraph.directed_arrays(g)
-    by_target = np.lexsort((np.tile(np.arange(len(uv) // 2), 2), uv[:, 1]))
-    src, q_in = uv[by_target, 0], quats[by_target]
-    bounds = np.searchsorted(uv[by_target, 1], np.arange(g.n_nodes + 1))
+    plan = _weiszfeld_plan(g, viewgraph.select_root(g))
     trace = [_consistency_objective(g, rows)]
     for _ in range(sweeps):
-        for v in range(g.n_nodes):
-            if v == root:
-                continue
-            lo, hi = bounds[v], bounds[v + 1]
-            cands = so3.qmul(q_in[lo:hi], rows[src[lo:hi]])
-            rows[v] = _weiszfeld_median_rows(cands, median_iters)
+        for nodes, src, q_in, valid in plan:
+            rows[nodes] = _weiszfeld_medians(so3.qmul(q_in, rows[src]), valid, median_iters)
         trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 
@@ -219,6 +287,8 @@ def irls_mra(
     conjugate gradient, with the root held fixed.  Every block is ``w * I3``,
     so Jacobi equals 3x3 block-Jacobi.
     """
+    if min(max_iters) < 0:
+        raise ValueError("max_iters entries must be >= 0")
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)

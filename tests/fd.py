@@ -17,7 +17,8 @@ def fd_gradients(build, params: dict[str, np.ndarray], h: float = 1e-5):
 
     def value() -> float:
         tape = Tape(recording=False)
-        tensors = {k: tape.leaf(v) for k, v in params.items()}
+        # copies: off the tape, ``relu`` writes into its input
+        tensors = {k: tape.leaf(v.copy()) for k, v in params.items()}
         return float(build(tape, tensors).values)
 
     tape = Tape()

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import so3_oracle
 from rotavg import baselines, so3, synthgen, viewgraph
@@ -183,3 +187,181 @@ def test_weiszfeld_objective_never_increases():
     trace = baselines.weiszfeld_mra(g, bootstrap(g), sweeps=5).objective_trace
     assert len(trace) == 6
     assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Weiszfeld: the per-node sweep as the oracle of the level schedule
+# ---------------------------------------------------------------------------
+
+def median_oracle(cands, iters):
+    """One node's tangent-space Weiszfeld median, scalar step by step.  The
+    medoid start minimises ``sum_j d_ij + d_ji`` with ``d_ii = 0``."""
+    aw, ax, ay, az = cands[:, 0], cands[:, 1], cands[:, 2], cands[:, 3]
+    dist = np.arccos(np.minimum(np.abs(cands @ cands.T), 1.0))
+    np.fill_diagonal(dist, 0.0)
+    m = cands[int(np.argmin(dist.sum(axis=1) + dist.sum(axis=0)))].copy()
+    for _ in range(iters):
+        w, x, y, z = m
+        # rel = cands * conj(m)
+        cw = aw * w + ax * x + ay * y + az * z
+        cx = -aw * x + ax * w - ay * z + az * y
+        cy = -aw * y + ax * z + ay * w - az * x
+        cz = -aw * z - ax * y + ay * x + az * w
+        nv = np.sqrt(cx * cx + cy * cy + cz * cz)
+        ang = 2.0 * np.arctan2(nv, np.abs(cw))
+        scale = np.where(nv > 1e-12, np.copysign(ang, cw) / np.maximum(nv, 1e-300), 0.0)
+        weights = 1.0 / np.maximum(ang, baselines.WEISZFELD_FLOOR)
+        coef = weights * scale / weights.sum()
+        sx, sy, sz = float(coef @ cx), float(coef @ cy), float(coef @ cz)
+        step = math.sqrt(sx * sx + sy * sy + sz * sz)
+        if step < 1e-12:
+            break
+        half = 0.5 * step
+        s = math.sin(half) / step
+        ew, ex, ey, ez = math.cos(half), sx * s, sy * s, sz * s
+        # m = exp(step) * m
+        m = np.array([
+            ew * w - ex * x - ey * y - ez * z,
+            ew * x + ex * w + ey * z - ez * y,
+            ew * y - ex * z + ey * w + ez * x,
+            ew * z + ex * y - ey * x + ez * w,
+        ])
+        m /= math.sqrt(float(m @ m))
+    return m
+
+
+def incoming_candidates(g, rows, node):
+    """``q_uv * rows[u]`` over the edges at ``node``, in edge order."""
+    u, v = g.endpoint_arrays()
+    q = g.edge_quat_array()
+    at = np.flatnonzero((u == node) | (v == node))
+    into = (v[at] == node)[:, None]
+    return np.where(into, so3.qmul(q[at], rows[u[at]]), so3.qmul(so3.qconj(q[at]), rows[v[at]]))
+
+
+def weiszfeld_oracle(g, init, sweeps, median_iters):
+    """Gauss-Seidel sweeps one node at a time, in ascending id order."""
+    rows = viewgraph.orientation_rows(g, init)
+    root = viewgraph.select_root(g)
+    u, v = g.endpoint_arrays()
+
+    def objective():
+        rel = so3.qmul(rows[v], so3.qconj(rows[u]))
+        return float(np.sum(so3.qangle_deg(rel, g.edge_quat_array())))
+
+    trace = [objective()]
+    for _ in range(sweeps):
+        for node in range(g.n_nodes):
+            if node != root:
+                rows[node] = median_oracle(incoming_candidates(g, rows, node), median_iters)
+        trace.append(objective())
+    return so3.qcanon(rows), trace
+
+
+@st.composite
+def weiszfeld_cases(draw):
+    """A random connected graph (path, star or near-complete, ids shuffled),
+    measurements with 1-30 deg of noise each, a perturbed init, a budget."""
+    kind = draw(st.sampled_from(["path", "star", "near_complete"]))
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(n)
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(ids[:-1], ids[1:])}
+    if kind == "star":
+        pairs = {(min(ids[0], b), max(ids[0], b)) for b in ids[1:]}
+    elif kind == "near_complete":
+        pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.8}
+    u, v = np.array(sorted(pairs)).T
+    order = rng.permutation(u.size)  # edge order sets the candidate order
+    u, v = u[order], v[order]
+    gt = so3.sample_uniform_rows(rng, n)
+    axis = rng.normal(size=(u.size, 3))
+    angle = np.radians(rng.uniform(1.0, 30.0, size=u.size))
+    noise = so3.qexp(axis / np.linalg.norm(axis, axis=1, keepdims=True) * angle[:, None])
+    q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
+    init = so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(n, 3))))
+    g = ViewGraph.from_arrays(n, u, v, so3.qcanon(q))
+    return g, so3.qcanon(init), draw(st.integers(0, 3)), draw(st.integers(0, 10))
+
+
+class TestWeiszfeldLevelSchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(weiszfeld_cases())
+    def test_matches_per_node_sweep(self, case):
+        g, init, sweeps, median_iters = case
+        res = baselines.weiszfeld_mra(g, init, sweeps=sweeps, median_iters=median_iters)
+        rows, trace = weiszfeld_oracle(g, init, sweeps, median_iters)
+        assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= 1e-10
+        assert len(res.objective_trace) == len(trace) == sweeps + 1
+        assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weiszfeld_cases())
+    def test_levels_are_a_wavefront_order(self, case):
+        g = case[0]
+        root = viewgraph.select_root(g)
+        level = baselines._weiszfeld_levels(g, root)
+        u, v = g.endpoint_arrays()
+        inner = (u != root) & (v != root)
+        assert level[root] == -1 and np.all(np.delete(level, root) >= 0)
+        # neighbours sit on different levels, the smaller id on the lower one
+        assert np.all(level[u[inner]] < level[v[inner]])
+        for node in np.flatnonzero(level > 0):
+            lower = u[inner & (v == node)]
+            assert np.any(level[lower] == level[node] - 1)
+        plan = baselines._weiszfeld_plan(g, root)
+        nodes = np.concatenate([p[0] for p in plan]) if plan else np.zeros(0, dtype=np.int64)
+        assert np.array_equal(np.sort(nodes), np.delete(np.arange(g.n_nodes), root))
+        # each batch is one level, and the batches run in level order
+        batch_level = [level[members] for members, *_ in plan]
+        assert all(np.all(lv == lv[0]) for lv in batch_level)
+        assert np.all(np.diff([lv[0] for lv in batch_level]) >= 0)
+
+    def test_levels_cut_to_the_medoid_budget_match_per_node_sweep(self, monkeypatch):
+        monkeypatch.setattr(baselines, "MEDOID_CELLS", 200)
+        g = make_graph(seed=8, n=30, sigma=10.0, outliers=0.1)
+        root = viewgraph.select_root(g)
+        plan = baselines._weiszfeld_plan(g, root)
+        assert len(plan) > baselines._weiszfeld_levels(g, root).max() + 1
+        assert all(len(nodes) == 1 or valid.size * valid.shape[1] <= 200
+                   for nodes, _, _, valid in plan)
+        rng = np.random.default_rng(8)
+        init = so3.qcanon(so3.qmul(g.gt_array(), so3.qexp(rng.normal(scale=0.2, size=(30, 3)))))
+        res = baselines.weiszfeld_mra(g, init, sweeps=2)
+        rows, trace = weiszfeld_oracle(g, init, 2, 10)
+        assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= 1e-10
+        assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
+
+    def test_level_counts_of_path_and_star(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (7, 1))
+        path = ViewGraph.from_arrays(8, np.arange(7), np.arange(1, 8), q)
+        assert baselines._weiszfeld_levels(path, 0).max() + 1 == 7  # N - 1
+        star = ViewGraph.from_arrays(8, np.full(7, 3), np.delete(np.arange(8), 3), q)
+        assert viewgraph.select_root(star) == 3
+        assert np.array_equal(baselines._weiszfeld_levels(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
+
+    def test_degree_two_medoid_is_the_first_candidate(self):
+        # a triangle rooted at 0: node 1 sees edge (0, 1) before edge (1, 2)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rows = so3.sample_uniform_rows(rng, 3)
+            q = so3.sample_uniform_rows(rng, 3)
+            g = ViewGraph.from_arrays(3, np.array([0, 1, 0]), np.array([1, 2, 2]), q)
+            out = baselines.weiszfeld_mra(g, rows, sweeps=1, median_iters=0).orientations
+            first = so3.qmul(q[0], viewgraph.orientation_rows(g, rows)[0])
+            assert so3.qangle_deg(np.asarray(out)[1], first) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "solve, name",
+    [
+        (lambda g, init: baselines.weiszfeld_mra(g, init, sweeps=-1), "sweeps"),
+        (lambda g, init: baselines.weiszfeld_mra(g, init, median_iters=-1), "median_iters"),
+        (lambda g, init: baselines.irls_mra(g, init, max_iters=(-1, 0)), "max_iters"),
+        (lambda g, init: baselines.irls_mra(g, init, max_iters=(0, -1)), "max_iters"),
+    ],
+)
+def test_negative_budget_rejected(solve, name):
+    g = make_graph(seed=0, n=10)
+    with pytest.raises(ValueError, match=name):
+        solve(g, bootstrap(g))

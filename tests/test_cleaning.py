@@ -87,7 +87,7 @@ class TestForward:
         finally:
             tracemalloc.stop()
         one_edge_array = 2 * len(g.edges) * cleaning.DEFAULT_CONFIG.hidden_dim * 8
-        assert peak < 5 * one_edge_array
+        assert peak < 4 * one_edge_array
 
     def test_empty_graph_rejected(self):
         g = ViewGraph(2, [])
