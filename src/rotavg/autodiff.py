@@ -25,14 +25,19 @@ class AutodiffError(RuntimeError):
 
 
 class Tensor:
-    """Array node on a tape.  ``grad`` is populated by ``Tape.backward``."""
+    """Array node on a tape.  ``grad`` is populated by ``Tape.backward``.
 
-    __slots__ = ("values", "requires_grad", "grad")
+    ``produced`` is true when ``values`` is an array a tape primitive made,
+    never a caller's array or a view of one (leaves, constants, ``reshape``).
+    """
+
+    __slots__ = ("values", "requires_grad", "grad", "produced")
 
     def __init__(self, values: np.ndarray, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.produced = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -40,10 +45,13 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``.  The first gradient becomes ``t.grad``
+    itself, so ``g`` must be a float64 array nothing else holds: a pullback
+    that passes its own ``g`` or a view of it passes a copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g
     else:
         t.grad += g
 
@@ -68,8 +76,9 @@ class Tape:
     def constant(self, values) -> Tensor:
         return Tensor(np.asarray(values, dtype=np.float64), False)
 
-    def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], pullback) -> Tensor:
+    def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], pullback, produced: bool = True) -> Tensor:
         out.requires_grad = any(t.requires_grad for t in inputs)
+        out.produced = produced
         if self.recording and out.requires_grad:
             self._records.append((out, inputs, pullback))
         return out
@@ -142,11 +151,14 @@ class Tape:
         """``max(x, 0)`` in one pass.  The subgradient at 0 is 0.  NaN
         propagates: a NaN input gives a NaN output and a zero gradient.
 
-        Off the tape it writes into ``x.values`` and returns that array, so
-        ``x`` must be a fresh intermediate that nothing reads afterwards.
-        Its one caller in the package, ``mpnn.forward``, passes ``linear``
-        and ``edge_linear`` outputs that it never reads again."""
-        out = np.maximum(x.values, 0.0, out=None if self.recording else x.values)
+        Off the tape, when a tape primitive made ``x.values``
+        (``x.produced``), it writes into that array and returns it, so such
+        an ``x`` must be an intermediate that nothing reads afterwards.  Its
+        one caller in the package, ``mpnn.forward``, passes ``linear`` and
+        ``edge_linear`` outputs that it never reads again.  A leaf's or a
+        constant's array, the caller's data, is never written."""
+        in_place = not self.recording and x.produced
+        out = np.maximum(x.values, 0.0, out=x.values if in_place else None)
 
         def pull(g):
             _accumulate(x, np.where(out > 0.0, g, 0.0))
@@ -162,7 +174,7 @@ class Tape:
 
         def pull(g):
             for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                _accumulate(t, g[:, lo:hi])
+                _accumulate(t, g[:, lo:hi].copy())
 
         return self._emit(out, tuple(xs), pull)
 
@@ -274,8 +286,8 @@ class Tape:
         out = Tensor(a.values + b.values)
 
         def pull(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+            _accumulate(a, g.copy())
+            _accumulate(b, g.copy())
 
         return self._emit(out, (a, b), pull)
 
@@ -322,9 +334,9 @@ class Tape:
         out = Tensor(x.values.reshape(shape))
 
         def pull(g):
-            _accumulate(x, g.reshape(x.values.shape))
+            _accumulate(x, g.reshape(x.values.shape).copy())
 
-        return self._emit(out, (x,), pull)
+        return self._emit(out, (x,), pull, produced=False)  # a view of x
 
     # -- backward ------------------------------------------------------
 

@@ -8,8 +8,9 @@ Two baselines operating on the same view-graph inputs as the networks:
   mutually non-adjacent nodes that read the same rows as in the sequential
   ascending-id sweep, and each wavefront takes one batched median.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
-  tangent space, an L1 phase followed by an L1/2 phase, each inner step a
-  Jacobi-preconditioned CG solve on the segment-sum weighted graph Laplacian.
+  tangent space, an L1 phase followed by an L1/2 phase, each inner step a CG
+  solve on the segment-sum weighted graph Laplacian, preconditioned by the
+  exact inverse of its diagonal plus a maximum-weight spanning tree.
 
 Both keep the root camera exactly fixed to pin the gauge, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view.
@@ -206,12 +207,110 @@ class IrlsResult:
     cg_iterations: list[int] = field(default_factory=list)  # one per inner solve
 
 
+def _max_spanning_tree(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Edge ids, ascending, of the maximum-weight spanning tree of a connected
+    graph on ``n`` nodes (a spanning forest if it is not connected).
+
+    Edges are ranked by a stable sort of ``-w``, so equal weights go to the
+    lower edge id; under that strict order the tree is unique, the one
+    Kruskal's algorithm picks.  Boruvka rounds: each component takes its
+    best-ranked outgoing edge (a segment minimum of the ranks) and hooks
+    onto the component across it; of two components that picked the same
+    edge the smaller label stays a root, and pointer jumping relabels every
+    merged component by its root.  Edges inside a component leave the search.
+    """
+    by_rank = np.argsort(-w, kind="stable")
+    ru, rv = u[by_rank], v[by_rank]
+    live = np.arange(w.size)  # ranks of the edges between components
+    label = np.arange(n)
+    ids = np.arange(n)
+    picked = np.zeros(w.size, dtype=bool)
+    while True:
+        lu, lv = label[ru[live]], label[rv[live]]
+        cross = lu != lv
+        if not cross.any():
+            return np.flatnonzero(picked)
+        live, lu, lv = live[cross], lu[cross], lv[cross]
+        best = np.full(n, w.size)
+        np.minimum.at(best, lu, live)
+        np.minimum.at(best, lv, live)
+        comp = np.flatnonzero(best < w.size)
+        pick = best[comp]
+        picked[by_rank[pick]] = True
+        hook = ids.copy()
+        hook[comp] = label[ru[pick]] + label[rv[pick]] - comp  # the component across
+        hook = np.where((hook[hook] == ids) & (ids < hook), ids, hook)
+        while not np.array_equal(hook[hook], hook):
+            hook = hook[hook]
+        label = hook[label]
+
+
+def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.ndarray):
+    """``precond(r)``: the exact inverse of ``M = diag(diag) - A_T`` on (3, n)
+    arrays, where ``T`` is the maximum-weight spanning tree of the edges
+    ``(u, v)`` with weights ``w`` on nodes ``0..n``.  Node ``n`` is the
+    ground: the root camera, whose row and column ``M`` leaves out.
+
+    Eliminated children before parents, ``M = (I - N) P (I - N)^T`` with no
+    fill.  The pivots come bottom-up by depth, ``p_c = diag_c - sum_k
+    w_kc^2 / p_k`` over the children ``k`` of ``c``; ``N`` maps each child
+    ``c`` to its parent with multiplier ``w_c / p_c``, where ``w_c`` weighs
+    the edge up (children of the ground have no entry).  Every ``p_c`` is at
+    least ``w_c``, so no multiplier exceeds 1.  An apply is
+    ``(I - N^T)^-1 P^-1 (I - N)^-1 r``; each inverse is the product of
+    ``I + N^(2^k)`` over jump tables built by pointer doubling: ceil(log2
+    depth) ``bincount``s, as many gathers and no loop over tree levels.
+    """
+    n = diag.size
+    tree = _max_spanning_tree(u, v, w, n + 1)
+    tu, tv = u[tree], v[tree]
+    parent, depth = viewgraph.bfs_levels(n + 1, tu, tv, n)
+    w_up = np.empty(n + 1)
+    w_up[np.where(depth[tu] > depth[tv], tu, tv)] = w[tree]
+    parent, depth, w_up = parent[:n], depth[:n], w_up[:n]
+
+    pivot = diag.copy()
+    by_depth = np.argsort(depth, kind="stable")
+    starts = np.searchsorted(depth[by_depth], np.arange(depth.max(initial=0) + 2))
+    for d in range(depth.max(initial=0), 1, -1):
+        nodes = by_depth[starts[d]:starts[d + 1]]
+        np.subtract.at(pivot, parent[nodes], w_up[nodes] ** 2 / pivot[nodes])
+
+    # N^(2^k) maps node c to its ancestor 2^k levels up; the ground n is a
+    # sink.  The tables index flat (3 * n) arrays: row k of a (3, n) array
+    # is the index range [k * n, (k + 1) * n), as in ``_reduced_laplacian``.
+    anc = np.append(parent, n)
+    mult = np.append(np.where(depth > 1, w_up / pivot, 0.0), 0.0)
+    rows = np.arange(3)[:, None] * n
+    jumps = []
+    reach = 1
+    while reach < depth.max(initial=0):
+        src = np.flatnonzero(depth > reach)  # nodes with an ancestor ``reach`` up
+        jumps.append(((rows + src).ravel(), (rows + anc[src]).ravel(), np.tile(mult[src], 3)))
+        mult = mult * mult[anc]
+        anc = anc[anc]
+        reach *= 2
+    pivot = np.tile(pivot, 3)
+
+    def precond(r: np.ndarray) -> np.ndarray:
+        y = r.ravel()
+        for src, dst, m in jumps:  # (I - N)^-1
+            y = y + np.bincount(dst, y.take(src) * m, 3 * n)
+        y = y / pivot
+        for src, dst, m in jumps:  # (I - N^T)^-1
+            y[src] += y.take(dst) * m
+        return y.reshape(3, n)
+
+    return precond
+
+
 def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     """Index the root-reduced graph Laplacian once per solve (root ends are -1).
 
-    Returns ``system(w, resid) -> (apply_op, diag, rhs)``, the normal equations
-    of one IRLS step with edge weights ``w`` on (3, n) arrays; ``apply_op`` sums
-    over the off-diagonal entries, kept in both directions, unsorted.
+    Returns ``system(w, resid) -> (apply_op, precond, rhs)``, the normal
+    equations of one IRLS step with edge weights ``w`` on (3, n) arrays and
+    their maximum-spanning-tree preconditioner; ``apply_op`` sums over the
+    off-diagonal entries, kept in both directions, unsorted.
     """
     ends = np.concatenate([v_red, u_red])
     inc = ends >= 0  # incidence entries: +1 at each edge's v end, -1 at its u end
@@ -221,6 +320,7 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     rows = np.concatenate([u_red[both], v_red[both]])
     cols = np.concatenate([v_red[both], u_red[both]])
     off_edge = np.tile(both, 2)
+    ground_u, ground_v = np.where(u_red < 0, n, u_red), np.where(v_red < 0, n, v_red)
 
     # one bincount serves all three tangent components: row k of a (3, n)
     # array is the flat index range [k * n, (k + 1) * n)
@@ -236,19 +336,20 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
         def apply_op(x: np.ndarray) -> np.ndarray:
             return diag * x - np.bincount(off_bins, w_off * x.take(off_cols), 3 * n).reshape(3, n)
 
-        return apply_op, diag, rhs
+        return apply_op, _tree_preconditioner(ground_u, ground_v, w, diag), rhs
 
     return system
 
 
-def _cg_multi(apply_op, rhs, diag, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
-    """Jacobi-preconditioned conjugate gradient for an SPD operator with
-    diagonal ``diag``, one right-hand side per row of ``rhs``.  Stops on the
-    true residuals, ``|r| / |b| <= tol``; returns the solution, the recomputed
-    relative residual and the iteration count."""
+def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
+    """Preconditioned conjugate gradient for an SPD operator, one right-hand
+    side per row of ``rhs``; ``precond`` applies the inverse of an SPD
+    approximation.  Stops on the true residuals, ``|r| / |b| <= tol``;
+    returns the solution, the recomputed relative residual and the
+    iteration count."""
     x = np.zeros_like(rhs)
     r = rhs - apply_op(x)
-    p = r / diag
+    p = precond(r)
     rz = np.sum(r * p, axis=1)
     norm_b = np.maximum(np.sqrt(np.sum(rhs * rhs, axis=1)), 1e-300)
     for it in range(max_iter):
@@ -259,7 +360,7 @@ def _cg_multi(apply_op, rhs, diag, max_iter: int, tol: float) -> tuple[np.ndarra
         alpha = np.where(denom > 0.0, rz / np.maximum(denom, 1e-300), 0.0)[:, None]
         x += alpha * p
         r -= alpha * ap
-        z = r / diag
+        z = precond(r)
         rz_new = np.sum(r * z, axis=1)
         p = z + (rz_new / np.maximum(rz, 1e-300))[:, None] * p
         rz = rz_new
@@ -283,9 +384,12 @@ def irls_mra(
     per-node tangent updates (``step_v - step_u ~ r_uv``, exact to first
     order for right-multiplicative updates ``q_v <- q_v * exp(step_v)``),
     and solves the weighted normal equations (a graph Laplacian with 3-dof
-    blocks, applied as ``np.bincount`` segment sums) by Jacobi-preconditioned
-    conjugate gradient, with the root held fixed.  Every block is ``w * I3``,
-    so Jacobi equals 3x3 block-Jacobi.
+    blocks, applied as ``np.bincount`` segment sums) by conjugate gradient,
+    with the root held fixed.  The preconditioner is a support graph rebuilt
+    every iteration: the full diagonal plus the off-diagonals of a
+    maximum-weight spanning tree of the current weights, grounded at the
+    root, which factors exactly with no fill.  Every block is ``w * I3``, so
+    the three tangent components share it.
     """
     if min(max_iters) < 0:
         raise ValueError("max_iters entries must be >= 0")
@@ -315,8 +419,8 @@ def irls_mra(
             # IRLS; otherwise exactly-consistent tree edges pin the init
             w = 1.0 / np.maximum(norms**exponent, delta) if trace else np.ones_like(norms)
 
-            apply_op, diag, rhs = system(w, resid)
-            x, cg_residual, cg_its = _cg_multi(apply_op, rhs, diag, max_iter=10 * n, tol=CG_TOL)
+            apply_op, precond, rhs = system(w, resid)
+            x, cg_residual, cg_its = _cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
             cg_iterations.append(cg_its)
             step = np.insert(x.T, root, 0.0, axis=0)
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))

@@ -489,24 +489,30 @@ def shortest_path_tree(g: ViewGraph, root: int) -> SpanningTreeInit:
     """
     if not 0 <= root < g.n_nodes:
         raise ViewGraphError(f"root {root} out of range")
-    n = g.n_nodes
-    u, v = g.endpoint_arrays()
+    parent, depth = bfs_levels(g.n_nodes, *g.endpoint_arrays(), root)
+    if np.any(depth < 0):
+        raise ViewGraphError("graph is disconnected; bootstrap requires connectivity")
+    return SpanningTreeInit(root=root, parent=parent, depth=depth)
+
+
+def bfs_levels(n: int, u: np.ndarray, v: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-by-level breadth-first search over the edges ``(u, v)`` of an
+    ``n``-node graph: int64 ``(parent, depth)``.  Each node's parent is its
+    smallest-id neighbour one level up, -1 at the root; unreached nodes have
+    depth -1 (and parent ``n``).  One pass over the edges per level."""
+    head, tail = np.concatenate([u, v]), np.concatenate([v, u])  # both directions
     depth = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, n, dtype=np.int64)
     depth[root] = 0
-    for d in range(n):  # one pass over the edges per depth level
-        du, dv = depth[u], depth[v]
-        down_v = (du == d) & (dv < 0)  # u on level d reaches unvisited v
-        down_u = (dv == d) & (du < 0)
-        child = np.concatenate([v[down_v], u[down_u]])
+    for d in range(n):
+        down = (depth[head] == d) & (depth[tail] < 0)  # level d reaches an unvisited node
+        child = tail[down]
         if child.size == 0:
             break
         depth[child] = d + 1
-        np.minimum.at(parent, child, np.concatenate([u[down_v], v[down_u]]))
-    if np.any(depth < 0):
-        raise ViewGraphError("graph is disconnected; bootstrap requires connectivity")
+        np.minimum.at(parent, child, head[down])
     parent[root] = -1
-    return SpanningTreeInit(root=root, parent=parent, depth=depth)
+    return parent, depth
 
 
 def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTreeInit:

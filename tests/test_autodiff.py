@@ -332,6 +332,18 @@ class TestRelu:
         tape.backward(tape.sum(tape.mul(tape.constant(np.ones(3)), out)))
         assert x.grad.tolist() == [0.0, 1.0, 0.0]
 
+    def test_off_tape_leaves_caller_arrays_alone(self):
+        tape = Tape(recording=False)
+        data = np.array([[-1.0, 2.0], [3.0, -4.0]])
+        for x in (tape.leaf(data), tape.constant(data), tape.reshape(tape.leaf(data), (4,))):
+            assert tape.relu(x).values.tolist() in ([[0.0, 2.0], [3.0, 0.0]], [0.0, 2.0, 3.0, 0.0])
+        assert data.tolist() == [[-1.0, 2.0], [3.0, -4.0]]
+
+    def test_off_tape_writes_into_a_produced_intermediate(self):
+        tape = Tape(recording=False)
+        y = tape.scale(tape.leaf(np.array([-1.0, 2.0])), 1.0)
+        assert tape.relu(y).values is y.values
+
 
 class TestErrors:
     def test_shape_mismatch(self):
@@ -408,6 +420,19 @@ class TestBackwardClosedForms:
         loss = tape.sum(tape.add(x, x))
         tape.backward(loss)
         assert x.grad.tolist() == [2.0]
+
+    def test_pass_through_gradients_are_not_shared(self):
+        # add hands the same upstream array to both inputs; each gets its own
+        tape = Tape()
+        a = tape.leaf(np.ones(3), requires_grad=True)
+        b = tape.leaf(np.ones(3), requires_grad=True)
+        c = tape.leaf(np.ones(3), requires_grad=True)
+        s = tape.add(a, b)
+        loss = tape.sum(tape.mul(tape.add(s, c), tape.constant(np.arange(3.0))))
+        tape.backward(loss)
+        grads = [a.grad, b.grad, c.grad, s.grad]
+        assert all(not np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
+        assert all(g.tolist() == [0.0, 1.0, 2.0] for g in grads)
 
     def test_determinism_bitwise(self):
         def run():

@@ -86,9 +86,10 @@ class TestReducedLaplacian:
         w = rng.uniform(0.1, 10.0, size=len(u_red))
         resid = rng.normal(size=(len(u_red), 3))
         x = rng.normal(size=(n, 3))
-        apply_op, diag, rhs = baselines._reduced_laplacian(u_red, v_red, n)(w, resid)
+        apply_op, _, rhs = baselines._reduced_laplacian(u_red, v_red, n)(w, resid)
         ref_op, ref_diag, ref_rhs = normal_equations_oracle(u_red, v_red, w, resid, n)
-        assert_rel_close(diag, ref_diag)
+        dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
+        assert_rel_close(np.diag(dense), ref_diag)
         assert_rel_close(rhs.T, ref_rhs)
         assert_rel_close(apply_op(x.T).T, ref_op(x))
 
@@ -97,15 +98,211 @@ class TestReducedLaplacian:
         u_red, v_red = reduced_index(g)
         n = g.n_nodes - 1
         rng = np.random.default_rng(3)
-        apply_op, diag, rhs = baselines._reduced_laplacian(u_red, v_red, n)(
+        apply_op, precond, rhs = baselines._reduced_laplacian(u_red, v_red, n)(
             rng.uniform(0.1, 10.0, size=len(u_red)), rng.normal(size=(len(u_red), 3))
         )
         with pytest.raises(SolverError, match="did not converge"):
-            baselines._cg_multi(apply_op, rhs, diag, max_iter=2, tol=CG_TOL)
-        x, rel_res, iters = baselines._cg_multi(apply_op, rhs, diag, max_iter=10 * n, tol=CG_TOL)
+            baselines._cg_multi(apply_op, rhs, precond, max_iter=2, tol=CG_TOL)
+        x, rel_res, iters = baselines._cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
         assert rel_res <= CG_TOL and 2 <= iters < 10 * n
         dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
         assert_rel_close(x.T, np.linalg.solve(dense, rhs.T), rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# IRLS: the maximum-spanning-tree preconditioner and Jacobi CG as its oracle
+# ---------------------------------------------------------------------------
+
+def kruskal_oracle(u, v, w, n):
+    """Edge ids of the maximum-weight spanning forest: Kruskal's algorithm
+    with a scalar union-find, edges by descending weight, ties by edge id."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    tree = []
+    for e in sorted(range(len(w)), key=lambda e: (-w[e], e)):
+        a, b = find(int(u[e])), find(int(v[e]))
+        if a != b:
+            root[a] = b
+            tree.append(e)
+    return sorted(tree)
+
+
+def tree_system_oracle(u, v, w, n):
+    """Dense ``M = diag(L) - A_T`` on the unknowns ``0..n-1`` of a graph whose
+    node ``n`` is the ground, with the full Laplacian diagonal ``diag(L)``
+    and ``T`` the Kruskal tree."""
+    diag = np.zeros(n + 1)
+    np.add.at(diag, u, w)
+    np.add.at(diag, v, w)
+    m = np.diag(diag[:n])
+    for e in kruskal_oracle(u, v, w, n + 1):
+        if u[e] < n and v[e] < n:
+            m[u[e], v[e]] -= w[e]
+            m[v[e], u[e]] -= w[e]
+    return diag[:n], m
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A connected graph on nodes ``0..n`` (node ``n`` the ground): a random
+    tree plus random extra edges, with tied or spread weights."""
+    n = draw(st.integers(0, 14))
+    density = draw(st.floats(0.0, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(n + 1)
+    pairs = set()
+    for i in range(1, n + 1):
+        a, b = ids[i], ids[rng.integers(0, i)]
+        pairs.add((min(a, b), max(a, b)))
+    pairs |= {(a, b) for a in range(n + 1) for b in range(a + 1, n + 1) if rng.random() < density}
+    u, v = (np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)[rng.permutation(len(pairs))].T
+            if pairs else (np.zeros(0, dtype=np.int64),) * 2)
+    if draw(st.booleans()):
+        w = rng.choice([0.5, 1.0, 2.0, 3.0], size=u.size)  # many ties
+    else:
+        w = np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=u.size))
+    return u, v, w, n
+
+
+def assert_precond_matches_dense_solve(u, v, w, n, seed=0):
+    """The apply equals ``np.linalg.solve`` on the dense ``M`` within 1e-12
+    relative while ``cond(M) <= 1e3``.  Both solves carry a forward error of
+    order ``cond(M) * eps``, and weights over four decades on a deep tree
+    reach ``cond(M) ~ 1e5``, so past 1e3 the bound grows with ``cond(M)``;
+    the normwise backward error stays at rounding level throughout."""
+    diag, m = tree_system_oracle(u, v, w, n)
+    r = np.random.default_rng(seed).normal(size=(3, n))
+    z = baselines._tree_preconditioner(u, v, w, diag)(r)
+    assert z.shape == (3, n)
+    if n:
+        assert_rel_close(z, np.linalg.solve(m, r.T).T,
+                         rtol=1e-12 * max(1.0, np.linalg.cond(m) / 1e3))
+        backward = np.max(np.abs(r.T - m @ z.T)) / (
+            np.max(np.abs(m)) * np.max(np.abs(z)) + np.max(np.abs(r)))
+        assert backward <= 1e-14
+    return diag, r, z
+
+
+class TestTreePreconditioner:
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_graphs())
+    def test_tree_matches_kruskal(self, case):
+        u, v, w, n = case
+        tree = baselines._max_spanning_tree(u, v, w, n + 1)
+        assert tree.tolist() == kruskal_oracle(u, v, w, n + 1)
+        # it spans: every node reaches the ground over tree edges
+        _, depth = viewgraph.bfs_levels(n + 1, u[tree], v[tree], n)
+        assert tree.size == n and np.all(depth >= 0)
+        assert np.sum(w[tree]) == np.sum(w[kruskal_oracle(u, v, w, n + 1)])
+
+    def test_all_ones_weights_of_the_first_iteration(self):
+        g = make_graph(seed=9, n=60, edge_fraction=0.2)
+        u, v = g.endpoint_arrays()
+        w = np.ones(u.size)
+        tree = baselines._max_spanning_tree(u, v, w, g.n_nodes)
+        assert tree.tolist() == kruskal_oracle(u, v, w, g.n_nodes)
+        assert np.sum(w[tree]) == g.n_nodes - 1
+        _, depth = viewgraph.bfs_levels(g.n_nodes, u[tree], v[tree], viewgraph.select_root(g))
+        assert np.all(depth >= 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_graphs())
+    def test_apply_matches_dense_solve(self, case):
+        assert_precond_matches_dense_solve(*case)
+
+    def test_star_on_the_ground_is_jacobi(self):
+        # every node at depth 1: no doubling round, the apply is r / diag
+        n = 9
+        w = np.random.default_rng(1).uniform(0.1, 10.0, size=n)
+        diag, r, z = assert_precond_matches_dense_solve(np.arange(n), np.full(n, n), w, n)
+        assert np.array_equal(z, r / diag)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_path_from_the_ground(self, ties):
+        # ground n - 0 - 1 - ... - (n-1): depth N - 1 = n, the deepest doubling
+        n = 40
+        rng = np.random.default_rng(2)
+        w = np.ones(n) if ties else rng.uniform(0.5, 2.0, size=n)
+        assert_precond_matches_dense_solve(np.arange(-1, n - 1) % (n + 1), np.arange(n), w, n)
+
+    @pytest.mark.parametrize("n", [0, 1])  # graphs of N = 1 and N = 2 nodes
+    def test_smallest_graphs(self, n):
+        u, v = np.arange(n), np.full(n, n)
+        assert_precond_matches_dense_solve(u, v, np.full(n, 2.5), n)
+
+
+def jacobi_cg_oracle(apply_op, rhs, diag, max_iter, tol):
+    """The former Jacobi-preconditioned CG of ``irls_mra``: the same stopping
+    rule on the true residuals, ``z = r / diag`` as the preconditioner."""
+    x = np.zeros_like(rhs)
+    r = rhs - apply_op(x)
+    p = r / diag
+    rz = np.sum(r * p, axis=1)
+    norm_b = np.maximum(np.sqrt(np.sum(rhs * rhs, axis=1)), 1e-300)
+    for it in range(max_iter):
+        if np.all(np.sqrt(np.sum(r * r, axis=1)) / norm_b <= tol):
+            break
+        ap = apply_op(p)
+        denom = np.sum(p * ap, axis=1)
+        alpha = np.where(denom > 0.0, rz / np.maximum(denom, 1e-300), 0.0)[:, None]
+        x += alpha * p
+        r -= alpha * ap
+        z = r / diag
+        rz_new = np.sum(r * z, axis=1)
+        p = z + (rz_new / np.maximum(rz, 1e-300))[:, None] * p
+        rz = rz_new
+    else:
+        raise SolverError(f"conjugate gradient did not converge within {max_iter} iterations")
+    return x, it
+
+
+def irls_oracle(g, init, max_iters=(5, 20)):
+    """``irls_mra`` on the loop/``ufunc.at`` normal equations, solved by
+    Jacobi CG: (rows, iterations, CG iterations per inner solve)."""
+    rows = viewgraph.orientation_rows(g, init)
+    n = g.n_nodes
+    root = viewgraph.select_root(g)
+    u, v = g.endpoint_arrays()
+    u_red, v_red = reduced_index(g)
+    trace, cg_iterations = [], []
+    for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
+        for _ in range(phase_iters):
+            resid = so3.qlog(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
+            norms = np.linalg.norm(resid, axis=1)
+            w = 1.0 / np.maximum(norms**exponent, baselines.IRLS_DELTA) if trace else np.ones_like(norms)
+            op, diag, rhs = normal_equations_oracle(u_red, v_red, w, resid, n - 1)
+            x, its = jacobi_cg_oracle(lambda y: op(y.T).T, rhs.T, diag, 10 * n, CG_TOL)
+            cg_iterations.append(its)
+            step = np.insert(x.T, root, 0.0, axis=0)
+            rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
+            trace.append(float(np.max(np.linalg.norm(step, axis=1))))
+            if trace[-1] < IRLS_STEP_TOL:
+                break
+    return rows, len(trace), cg_iterations
+
+
+class TestIrlsJacobiOracle:
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_matches_jacobi_cg_irls(self, seed):
+        g = make_graph(seed=seed, n=40, edge_fraction=0.2, sigma=10.0, outliers=0.1)
+        res = baselines.irls_mra(g, bootstrap(g))
+        rows, iterations, _ = irls_oracle(g, bootstrap(g))
+        assert res.iterations == iterations
+        assert np.max(so3.qangle_deg(np.asarray(res.orientations), rows)) <= 1e-9
+
+    def test_sparse_graph_needs_a_third_of_the_cg_iterations(self):
+        g = make_graph(seed=13, n=120, edge_fraction=0.08, sigma=20.0, outliers=0.1)
+        res = baselines.irls_mra(g, bootstrap(g))
+        rows, iterations, oracle_cg = irls_oracle(g, bootstrap(g))
+        assert res.iterations == iterations
+        assert np.max(so3.qangle_deg(np.asarray(res.orientations), rows)) <= 1e-9
+        assert 3 * sum(res.cg_iterations) <= sum(oracle_cg)
 
 
 class TestNoiseFreeRecovery:
