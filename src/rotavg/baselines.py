@@ -9,8 +9,10 @@ Two baselines operating on the same view-graph inputs as the networks:
   ascending-id sweep, and each wavefront takes one batched median.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step a CG
-  solve on the segment-sum weighted graph Laplacian, preconditioned by the
-  exact inverse of its diagonal plus a maximum-weight spanning tree.
+  solve on the weighted graph Laplacian, its off-diagonal entries sorted by
+  row once per solve so that an apply is one gather and one
+  ``np.add.reduceat``, preconditioned by the exact inverse of its diagonal
+  plus a maximum-weight spanning tree.
 
 Both keep the root camera exactly fixed to pin the gauge, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view.
@@ -211,15 +213,28 @@ def _max_spanning_tree(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> n
     """Edge ids, ascending, of the maximum-weight spanning tree of a connected
     graph on ``n`` nodes (a spanning forest if it is not connected).
 
-    Edges are ranked by a stable sort of ``-w``, so equal weights go to the
-    lower edge id; under that strict order the tree is unique, the one
-    Kruskal's algorithm picks.  Boruvka rounds: each component takes its
+    Edges are ranked by descending weight with ties to the lower edge id;
+    under that strict order the tree is unique, the one Kruskal's algorithm
+    picks.  The ranking is the default (unstable) argsort of ``-w`` with
+    only the runs of tied weights re-sorted by edge id, cheaper than a
+    stable sort of every weight; ties are common (every weight is 1 in the
+    first IRLS iteration, and residuals clamped at ``delta`` share the
+    weight ``1 / delta``).  Boruvka rounds: each component takes its
     best-ranked outgoing edge (a segment minimum of the ranks) and hooks
     onto the component across it; of two components that picked the same
     edge the smaller label stays a root, and pointer jumping relabels every
     merged component by its root.  Edges inside a component leave the search.
     """
-    by_rank = np.argsort(-w, kind="stable")
+    by_rank = np.argsort(-w)
+    ranked = w[by_rank]
+    same = ranked[1:] == ranked[:-1]
+    tied = np.zeros(w.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    at = np.flatnonzero(tied)
+    run = np.cumsum(np.append(0, ~same))[at]
+    # keys run * E + id sort each run within its own positions, by edge id
+    by_rank[at] = np.sort(run * w.size + by_rank[at]) % w.size
     ru, rv = u[by_rank], v[by_rank]
     live = np.arange(w.size)  # ranks of the edges between components
     label = np.arange(n)
@@ -309,36 +324,58 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
 
     Returns ``system(w, resid) -> (apply_op, precond, rhs)``, the normal
     equations of one IRLS step with edge weights ``w`` on (3, n) arrays and
-    their maximum-spanning-tree preconditioner; ``apply_op`` sums over the
-    off-diagonal entries, kept in both directions, unsorted.
+    their maximum-spanning-tree preconditioner.  The off-diagonal entries,
+    kept in both directions, are sorted by row with a stable sort, so each
+    row is one contiguous run in edge order; ``apply_op`` gathers ``x`` at
+    their columns, scales by the row-sorted weights and sums each row with
+    one ``np.add.reduceat`` along the contiguous axis.  Some rows have no
+    entry (nodes whose only neighbour is the root; every row when N = 2),
+    and ``reduceat`` returns the element at an empty segment's start, so
+    those rows are masked to 0.  When the last row is empty, one padding
+    entry at the end keeps the starts of the trailing empty rows in range
+    without cutting short the last non-empty row.
     """
     ends = np.concatenate([v_red, u_red])
     inc = ends >= 0  # incidence entries: +1 at each edge's v end, -1 at its u end
     inc_node, inc_edge = ends[inc], np.tile(np.arange(v_red.size), 2)[inc]
     inc_sign = np.repeat([1.0, -1.0], v_red.size)[inc]
-    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
-    rows = np.concatenate([u_red[both], v_red[both]])
-    cols = np.concatenate([v_red[both], u_red[both]])
-    off_edge = np.tile(both, 2)
-    ground_u, ground_v = np.where(u_red < 0, n, u_red), np.where(v_red < 0, n, v_red)
-
     # one bincount serves all three tangent components: row k of a (3, n)
     # array is the flat index range [k * n, (k + 1) * n)
-    inc_bins, off_bins, off_cols = ((np.arange(3)[:, None] * n + i).ravel()
-                                    for i in (inc_node, rows, cols))
+    inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
+
+    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
+    rows = np.concatenate([u_red[both], v_red[both]])
+    by_row = np.argsort(rows, kind="stable")
+    cols = np.concatenate([v_red[both], u_red[both]])[by_row]
+    off_edge = np.tile(both, 2)[by_row]
+    count = np.bincount(rows, minlength=n)
+    starts = np.cumsum(count) - count
+    empty = np.flatnonzero(count == 0)
+    if n and count[-1] == 0:  # padding read only by the (masked) trailing empty rows
+        cols, off_edge = np.append(cols, 0), np.append(off_edge, 0)
+    ground_u, ground_v = np.where(u_red < 0, n, u_red), np.where(v_red < 0, n, v_red)
 
     def system(w: np.ndarray, resid: np.ndarray):
         diag = np.bincount(inc_node, w[inc_edge], n)
         swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
         rhs = np.bincount(inc_bins, swr.T.ravel(), 3 * n).reshape(3, n)
-        w_off = np.tile(w[off_edge], 3)
+        w_off = w[off_edge]
 
         def apply_op(x: np.ndarray) -> np.ndarray:
-            return diag * x - np.bincount(off_bins, w_off * x.take(off_cols), 3 * n).reshape(3, n)
+            entries = x.take(cols, axis=1)
+            entries *= w_off
+            off = np.add.reduceat(entries, starts, axis=1)
+            off[:, empty] = 0.0
+            return diag * x - off
 
         return apply_op, _tree_preconditioner(ground_u, ground_v, w, diag), rhs
 
     return system
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (k, n) arrays."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
@@ -348,20 +385,20 @@ def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.nda
     returns the solution, the recomputed relative residual and the
     iteration count."""
     x = np.zeros_like(rhs)
-    r = rhs - apply_op(x)
+    r = rhs.copy()  # the residual of x = 0
     p = precond(r)
-    rz = np.sum(r * p, axis=1)
-    norm_b = np.maximum(np.sqrt(np.sum(rhs * rhs, axis=1)), 1e-300)
+    rz = _rowdot(r, p)
+    norm_b = np.maximum(np.sqrt(_rowdot(rhs, rhs)), 1e-300)
     for it in range(max_iter):
-        if np.all(np.sqrt(np.sum(r * r, axis=1)) / norm_b <= tol):
+        if np.all(np.sqrt(_rowdot(r, r)) / norm_b <= tol):
             break
         ap = apply_op(p)
-        denom = np.sum(p * ap, axis=1)
+        denom = _rowdot(p, ap)
         alpha = np.where(denom > 0.0, rz / np.maximum(denom, 1e-300), 0.0)[:, None]
         x += alpha * p
         r -= alpha * ap
         z = precond(r)
-        rz_new = np.sum(r * z, axis=1)
+        rz_new = _rowdot(r, z)
         p = z + (rz_new / np.maximum(rz, 1e-300))[:, None] * p
         rz = rz_new
     else:
@@ -384,15 +421,21 @@ def irls_mra(
     per-node tangent updates (``step_v - step_u ~ r_uv``, exact to first
     order for right-multiplicative updates ``q_v <- q_v * exp(step_v)``),
     and solves the weighted normal equations (a graph Laplacian with 3-dof
-    blocks, applied as ``np.bincount`` segment sums) by conjugate gradient,
-    with the root held fixed.  The preconditioner is a support graph rebuilt
-    every iteration: the full diagonal plus the off-diagonals of a
-    maximum-weight spanning tree of the current weights, grounded at the
-    root, which factors exactly with no fill.  Every block is ``w * I3``, so
-    the three tangent components share it.
+    blocks, applied as row-sorted ``np.add.reduceat`` segment sums) by
+    conjugate gradient, with the root held fixed.  The preconditioner is a
+    support graph rebuilt every iteration: the full diagonal plus the
+    off-diagonals of a maximum-weight spanning tree of the current weights,
+    grounded at the root, which factors exactly with no fill.  Every block
+    is ``w * I3``, so the three tangent components share it.  ``delta``
+    (the residual floor of the weights) must be finite and positive and
+    ``step_tol`` finite and non-negative.
     """
     if min(max_iters) < 0:
         raise ValueError("max_iters entries must be >= 0")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    if not (np.isfinite(step_tol) and step_tol >= 0.0):
+        raise ValueError(f"step_tol must be finite and >= 0, got {step_tol!r}")
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)

@@ -39,25 +39,31 @@ SMALL_ANGLE = 1e-6        # series fallback threshold for log/exp maps (rad)
 # ---------------------------------------------------------------------------
 
 def qcanon(q: np.ndarray) -> np.ndarray:
-    """Normalize rows to unit norm and apply the canonical sign.
+    """Normalize rows to unit norm and apply the canonical sign; always a
+    fresh array.
 
     Idempotent bit-for-bit: rows already within ``NORM_SKIP_TOL`` of unit
-    norm are not rescaled again.
+    norm are not rescaled again.  The common cases skip work without
+    changing a bit: when every row is within ``NORM_SKIP_TOL`` there is no
+    division, and when no row has ``|w| <= ZERO_SIGN_TOL`` the sign is
+    decided by ``w`` alone, without the x, y, z cascade.
     """
     q = np.asarray(q, dtype=np.float64)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(n < 1e-12):
         raise ValueError("cannot normalize a near-zero quaternion")
-    out = np.where(np.abs(n - 1.0) <= NORM_SKIP_TOL, q, q / n)
+    unit = np.abs(n - 1.0) <= NORM_SKIP_TOL
+    out = q.copy() if unit.all() else np.where(unit, q, q / n)
     w = out[..., 0]
     flip = w < -ZERO_SIGN_TOL
     undecided = np.abs(w) <= ZERO_SIGN_TOL
-    for j in (1, 2, 3):
-        c = out[..., j]
-        significant = np.abs(c) > ZERO_SIGN_TOL
-        flip = flip | (undecided & significant & (c < 0.0))
-        undecided = undecided & ~significant
-    return np.where(flip[..., None], -out, out)
+    if undecided.any():
+        for j in (1, 2, 3):
+            c = out[..., j]
+            significant = np.abs(c) > ZERO_SIGN_TOL
+            flip = flip | (undecided & significant & (c < 0.0))
+            undecided = undecided & ~significant
+    return np.negative(out, out=out, where=flip[..., None])
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ The package works on (N, 4) rows only (``rotavg.so3``).  This per-value API
 (composition, metrics, the matrix bridge, axis/angle and the scalar
 samplers) has no caller in the package; tests use it as the reference that
 row kernels, samplers and the corpus generator are checked against, one
-quaternion at a time.
+quaternion at a time.  ``qcanon`` is the row kernel without its fast paths:
+it always divides the off-unit rows out and always runs the zero-sign
+cascade, the reference for the package's ``qcanon`` bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotavg.so3 import UnitQuaternion, qangle_deg, qmul
+from rotavg.so3 import NORM_SKIP_TOL, ZERO_SIGN_TOL, UnitQuaternion, qangle_deg, qmul
 
 MATRIX_TOL = 1e-8         # orthogonality/determinant invariant of outputs
 MATRIX_INPUT_TOL = 1e-6   # rejection threshold for matrix inputs
@@ -35,6 +37,32 @@ class AxisAngle:
         if not 0.0 <= self.angle <= math.pi + 1e-12:
             raise ValueError("angle must lie in [0, pi]")
         object.__setattr__(self, "axis", axis)
+
+
+# ---------------------------------------------------------------------------
+# Row canonicalization, every step taken
+# ---------------------------------------------------------------------------
+
+def qcanon(q: np.ndarray) -> np.ndarray:
+    """Normalize rows to unit norm and apply the canonical sign.
+
+    Idempotent bit-for-bit: rows already within ``NORM_SKIP_TOL`` of unit
+    norm are not rescaled again.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    if np.any(n < 1e-12):
+        raise ValueError("cannot normalize a near-zero quaternion")
+    out = np.where(np.abs(n - 1.0) <= NORM_SKIP_TOL, q, q / n)
+    w = out[..., 0]
+    flip = w < -ZERO_SIGN_TOL
+    undecided = np.abs(w) <= ZERO_SIGN_TOL
+    for j in (1, 2, 3):
+        c = out[..., j]
+        significant = np.abs(c) > ZERO_SIGN_TOL
+        flip = flip | (undecided & significant & (c < 0.0))
+        undecided = undecided & ~significant
+    return np.where(flip[..., None], -out, out)
 
 
 # ---------------------------------------------------------------------------

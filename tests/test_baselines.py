@@ -76,22 +76,70 @@ def assert_rel_close(actual, expected, rtol=1e-12):
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
 
 
+def assert_system_matches_oracle(u_red, v_red, n, seed=0):
+    """The segment-sum system against ``normal_equations_oracle``: the whole
+    dense operator, ``apply_op(x)`` and the right-hand side; and the
+    operator maps 0 to exactly 0, which CG's ``r = rhs`` start relies on."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 10.0, size=len(u_red))
+    resid = rng.normal(size=(len(u_red), 3))
+    x = rng.normal(size=(n, 3))
+    apply_op, _, rhs = baselines._reduced_laplacian(u_red, v_red, n)(w, resid)
+    ref_op, _, ref_rhs = normal_equations_oracle(u_red, v_red, w, resid, n)
+    dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
+    ref_dense = np.stack([ref_op(np.tile(e[:, None], (1, 3)))[:, 0] for e in np.eye(n)], axis=1)
+    assert_rel_close(dense, ref_dense)
+    assert_rel_close(rhs.T, ref_rhs)
+    assert_rel_close(apply_op(x.T).T, ref_op(x))
+    zero = apply_op(np.zeros((3, n)))
+    assert zero.shape == (3, n) and not np.any(zero)
+
+
+@st.composite
+def root_only_neighbour_graphs(draw):
+    """Reduced edge lists (root ends -1) on ``n`` unknowns, connected through
+    the root, in which a random subset of nodes touches only the root: their
+    off-diagonal rows are empty, anywhere in the numbering, last included."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    only_root = rng.random(n) < draw(st.floats(0.1, 0.9))
+    inner = rng.permutation(np.flatnonzero(~only_root))
+    pairs = [(-1, a) for a in np.flatnonzero(only_root)]
+    pairs += [(-1 if i == 0 or rng.random() < 0.2 else inner[rng.integers(0, i)], a)
+              for i, a in enumerate(inner)]  # a random tree over the rest and the root
+    pairs += [(a, b) for i, a in enumerate(inner) for b in inner[:i] if rng.random() < 0.3]
+    u, v = np.array(pairs, dtype=np.int64)[rng.permutation(len(pairs))].T
+    swap = rng.random(u.size) < 0.5  # either end may be the root
+    return np.where(swap, v, u), np.where(swap, u, v), n
+
+
 class TestReducedLaplacian:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loop_and_ufunc_at_oracle(self, seed):
         g = make_graph(seed=seed, n=40, edge_fraction=0.2)
-        u_red, v_red = reduced_index(g)
-        n = g.n_nodes - 1
-        rng = np.random.default_rng(seed)
-        w = rng.uniform(0.1, 10.0, size=len(u_red))
-        resid = rng.normal(size=(len(u_red), 3))
-        x = rng.normal(size=(n, 3))
-        apply_op, _, rhs = baselines._reduced_laplacian(u_red, v_red, n)(w, resid)
-        ref_op, ref_diag, ref_rhs = normal_equations_oracle(u_red, v_red, w, resid, n)
-        dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
-        assert_rel_close(np.diag(dense), ref_diag)
-        assert_rel_close(rhs.T, ref_rhs)
-        assert_rel_close(apply_op(x.T).T, ref_op(x))
+        assert_system_matches_oracle(*reduced_index(g), g.n_nodes - 1, seed)
+
+    def test_star_on_the_root_has_only_empty_rows(self):
+        n = 7
+        assert_system_matches_oracle(np.full(n, -1), np.arange(n), n)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_path_from_the_root(self, ascending):
+        # root - 0 - 1 - ... - (n-1), or numbered from the far end
+        n = 9
+        u, v = np.arange(-1, n - 1), np.arange(n)
+        if not ascending:
+            u, v = np.where(u < 0, -1, n - 1 - u), n - 1 - v
+        assert_system_matches_oracle(u, v, n)
+
+    @pytest.mark.parametrize("u, v", [([-1], [0]), ([0], [-1])])
+    def test_two_nodes(self, u, v):
+        assert_system_matches_oracle(np.array(u), np.array(v), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_only_neighbour_graphs(), st.integers(0, 2**32 - 1))
+    def test_nodes_touching_only_the_root(self, case, seed):
+        assert_system_matches_oracle(*case, seed)
 
     def test_cg_iteration_cap_raises(self):
         g = make_graph(seed=3, n=40, edge_fraction=0.2)
@@ -209,6 +257,22 @@ class TestTreePreconditioner:
         assert tree.tolist() == kruskal_oracle(u, v, w, g.n_nodes)
         assert np.sum(w[tree]) == g.n_nodes - 1
         _, depth = viewgraph.bfs_levels(g.n_nodes, u[tree], v[tree], viewgraph.select_root(g))
+        assert np.all(depth >= 0)
+
+    def test_clamped_bootstrap_tree_edges_of_the_first_l1_weights(self):
+        # weights 1 / max(|r|, delta) at the bootstrap: the N - 1 tree edges
+        # are exactly consistent and tie at 1 / delta among spread weights
+        g = make_graph(seed=9, n=60, edge_fraction=0.2, sigma=10.0, outliers=0.1)
+        root = viewgraph.select_root(g)
+        rows = np.asarray(bootstrap(g))
+        u, v = g.endpoint_arrays()
+        resid = so3.qlog(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
+        w = 1.0 / np.maximum(np.linalg.norm(resid, axis=1), baselines.IRLS_DELTA)
+        clamped = np.flatnonzero(w == 1.0 / baselines.IRLS_DELTA)
+        assert clamped.size == g.n_nodes - 1 and np.unique(w).size > g.n_nodes
+        tree = baselines._max_spanning_tree(u, v, w, g.n_nodes)
+        assert tree.tolist() == kruskal_oracle(u, v, w, g.n_nodes) == clamped.tolist()
+        _, depth = viewgraph.bfs_levels(g.n_nodes, u[tree], v[tree], root)
         assert np.all(depth >= 0)
 
     @settings(max_examples=150, deadline=None)
@@ -556,6 +620,13 @@ class TestWeiszfeldLevelSchedule:
         (lambda g, init: baselines.weiszfeld_mra(g, init, median_iters=-1), "median_iters"),
         (lambda g, init: baselines.irls_mra(g, init, max_iters=(-1, 0)), "max_iters"),
         (lambda g, init: baselines.irls_mra(g, init, max_iters=(0, -1)), "max_iters"),
+        (lambda g, init: baselines.irls_mra(g, init, delta=0.0), "delta"),
+        (lambda g, init: baselines.irls_mra(g, init, delta=-1.0), "delta"),
+        (lambda g, init: baselines.irls_mra(g, init, delta=math.inf), "delta"),
+        (lambda g, init: baselines.irls_mra(g, init, delta=math.nan), "delta"),
+        (lambda g, init: baselines.irls_mra(g, init, step_tol=-1e-3), "step_tol"),
+        (lambda g, init: baselines.irls_mra(g, init, step_tol=math.inf), "step_tol"),
+        (lambda g, init: baselines.irls_mra(g, init, step_tol=math.nan), "step_tol"),
     ],
 )
 def test_negative_budget_rejected(solve, name):

@@ -161,6 +161,65 @@ class TestCanonicalization:
         norms = np.linalg.norm(so3.qcanon(raw), axis=1)
         assert np.max(np.abs(norms - 1.0)) < so3.UNIT_TOL
 
+    @staticmethod
+    def assert_matches_oracle(q):
+        out = so3.qcanon(q)
+        ref = so3_oracle.qcanon(q)
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))  # signed zeros too
+        assert not np.shares_memory(out, q)
+
+    @staticmethod
+    def half_turn_rows():
+        """w = 0 or +-1e-13 (below ZERO_SIGN_TOL): the sign goes to x, then y,
+        then z, skipping components that are zero or below the tolerance."""
+        rows = []
+        for w in (0.0, 1e-13, -1e-13):
+            for tiny in (0.0, 1e-13, -1e-13):
+                for s in (1.0, -1.0):
+                    rows += [(w, s * 0.6, 0.8, 0.0), (w, tiny, s * 0.6, -0.8),
+                             (w, tiny, -tiny, s * 1.0), (w, s * 1.0, 0.0, 0.0)]
+        return np.array(rows)
+
+    @staticmethod
+    def near_unit_rows(rng):
+        """Rows just inside and just outside NORM_SKIP_TOL of unit norm."""
+        unit = so3_oracle.qcanon(rng.normal(size=(8, 4)))
+        unit[::2] *= -1.0
+        scale = np.array([1 + 5e-13, 1 - 5e-13, 1 + 4e-12, 1 - 4e-12, 1.0, 1 + 2e-12, 1 - 2e-12, 1.0])
+        rows = unit * scale[:, None]
+        inside = np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= so3.NORM_SKIP_TOL
+        assert inside.tolist() == [True, True, False, False, True, False, False, True]
+        return rows
+
+    def test_half_turn_sign_cascade_matches_oracle(self):
+        rows = self.half_turn_rows()
+        self.assert_matches_oracle(rows)  # unit rows: no division, full cascade
+        self.assert_matches_oracle(rows * 1.5)  # and every row rescaled
+        out = so3.qcanon(rows)
+        first = np.array([next(c for c in row[1:] if abs(c) > so3.ZERO_SIGN_TOL) for row in out])
+        assert np.all(first > 0.0)
+
+    def test_norm_skip_boundary_matches_oracle(self):
+        rng = np.random.default_rng(15)
+        rows = self.near_unit_rows(rng)
+        self.assert_matches_oracle(rows)
+        self.assert_matches_oracle(rows[[0, 1, 4, 7]])  # all inside: no division
+        self.assert_matches_oracle(rows[[2, 3, 5, 6]])  # all outside
+
+    def test_mixed_rows_match_oracle(self):
+        rng = np.random.default_rng(16)
+        ordinary = rng.normal(size=(40, 4))
+        rows = np.concatenate([ordinary, self.half_turn_rows(), self.near_unit_rows(rng),
+                               so3_oracle.qcanon(ordinary), -so3_oracle.qcanon(ordinary)])
+        rows = rows[rng.permutation(len(rows))]
+        self.assert_matches_oracle(rows)
+        self.assert_matches_oracle(rows.reshape(-1, 2, 4))
+        self.assert_matches_oracle(so3_oracle.qcanon(ordinary))  # both fast paths
+        for row in rows[:12]:
+            self.assert_matches_oracle(row)  # a single (4,) row
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             UnitQuaternion(0.0, 0.0, 0.0, 0.0)
