@@ -25,19 +25,14 @@ class AutodiffError(RuntimeError):
 
 
 class Tensor:
-    """Array node on a tape.  ``grad`` is populated by ``Tape.backward``.
+    """Array node on a tape.  ``grad`` is populated by ``Tape.backward``."""
 
-    ``produced`` is true when ``values`` is an array a tape primitive made,
-    never a caller's array or a view of one (leaves, constants, ``reshape``).
-    """
-
-    __slots__ = ("values", "requires_grad", "grad", "produced")
+    __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values: np.ndarray, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.produced = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,9 +71,8 @@ class Tape:
     def constant(self, values) -> Tensor:
         return Tensor(np.asarray(values, dtype=np.float64), False)
 
-    def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], pullback, produced: bool = True) -> Tensor:
+    def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], pullback) -> Tensor:
         out.requires_grad = any(t.requires_grad for t in inputs)
-        out.produced = produced
         if self.recording and out.requires_grad:
             self._records.append((out, inputs, pullback))
         return out
@@ -149,16 +143,8 @@ class Tape:
 
     def relu(self, x: Tensor) -> Tensor:
         """``max(x, 0)`` in one pass.  The subgradient at 0 is 0.  NaN
-        propagates: a NaN input gives a NaN output and a zero gradient.
-
-        Off the tape, when a tape primitive made ``x.values``
-        (``x.produced``), it writes into that array and returns it, so such
-        an ``x`` must be an intermediate that nothing reads afterwards.  Its
-        one caller in the package, ``mpnn.forward``, passes ``linear`` and
-        ``edge_linear`` outputs that it never reads again.  A leaf's or a
-        constant's array, the caller's data, is never written."""
-        in_place = not self.recording and x.produced
-        out = np.maximum(x.values, 0.0, out=x.values if in_place else None)
+        propagates: a NaN input gives a NaN output and a zero gradient."""
+        out = np.maximum(x.values, 0.0)
 
         def pull(g):
             _accumulate(x, np.where(out > 0.0, g, 0.0))
@@ -336,7 +322,7 @@ class Tape:
         def pull(g):
             _accumulate(x, g.reshape(x.values.shape).copy())
 
-        return self._emit(out, (x,), pull, produced=False)  # a view of x
+        return self._emit(out, (x,), pull)
 
     # -- backward ------------------------------------------------------
 

@@ -73,15 +73,12 @@ def _head_tensors(
 ) -> tuple[Tensor, Tensor]:
     """Raw head outputs: correction quaternions (E, 4) and logits (E,)."""
     uv, quats = viewgraph.directed_arrays(g)
-    feats = tape.constant(quats)
-    _, msgs = mpnn.forward(tape, weights, cfg, uv, feats, None, g.n_nodes)
     m = len(g.edges)
-    fwd = tape.gather(msgs, np.arange(m))
-    delta_raw = tape.linear(fwd, weights["head_rect.w"], weights["head_rect.b"])
-    logits = tape.reshape(
-        tape.linear(fwd, weights["head_out.w"], weights["head_out.b"]), (m,)
-    )
-    return delta_raw, logits
+    heads = [(weights["head_rect.w"], weights["head_rect.b"]),
+             (weights["head_out.w"], weights["head_out.b"])]
+    delta_raw, logits = mpnn.forward(tape, weights, cfg, uv, tape.constant(quats), None,
+                                     g.n_nodes, heads, head_rows=m)
+    return delta_raw, tape.reshape(logits, (m,))
 
 
 def clean_forward(
@@ -90,7 +87,12 @@ def clean_forward(
     """Predict rectified orientations and outlier probabilities.
 
     Total on any graph with at least one edge: correction rows whose norm
-    underflows are replaced by the identity rotation.
+    underflows are replaced by the identity rotation.  The network runs on a
+    non-recording tape, so ``mpnn.forward`` takes its chunked inference
+    rounds: the final round computes the messages of the E stored directions
+    only, applies both heads run by run and skips the node update.  Beyond
+    the edge arrays, memory is O(N*H + CHUNK_ROWS*M); no (E, M) block is
+    kept.
     """
     if not g.edges:
         raise ViewGraphError("cannot clean a graph without edges")

@@ -46,6 +46,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.edge_dropout < 1.0:
             raise ValueError("edge_dropout must lie in [0, 1)")
+        # a negative lr would run gradient ascent; NaN would surface an epoch
+        # later as a non-finite loss
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
     @classmethod
     def desk(cls, seed: int = 0, **overrides) -> "TrainConfig":

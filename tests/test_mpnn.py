@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fd import fd_gradients
 from rotavg import cleaning, mpnn, refinement
@@ -17,12 +19,16 @@ def tiny_weights(cfg=TINY, seed=0):
     return store
 
 
-def run_forward(cfg, store, uv, feats, n_nodes, node_init=None):
-    tape = Tape(recording=False)
+def run_forward(cfg, store, uv, feats, n_nodes, node_init=None, heads=(), head_rows=0,
+                recording=False):
+    """Final node states, or with ``heads`` (pairs of arrays) their outputs."""
+    tape = Tape(recording=recording)
     weights = store.bind(tape)
     init = tape.constant(node_init) if node_init is not None else None
-    h, msgs = mpnn.forward(tape, weights, cfg, uv, tape.constant(feats), init, n_nodes)
-    return h.values, msgs.values
+    head_tensors = [(tape.constant(w), tape.constant(b)) for w, b in heads]
+    out = mpnn.forward(tape, weights, cfg, uv, tape.constant(feats), init, n_nodes,
+                       head_tensors, head_rows)
+    return [o.values for o in out] if heads else out.values
 
 
 class TestForward:
@@ -30,7 +36,7 @@ class TestForward:
         cfg = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
         store = tiny_weights(cfg)
         uv = np.zeros((0, 2), dtype=np.int64)
-        h, _ = run_forward(cfg, store, uv, np.zeros((0, 2)), 1)
+        h = run_forward(cfg, store, uv, np.zeros((0, 2)), 1)
         # zero initial state, zero aggregate: the update chain on zeros
         tape = Tape(recording=False)
         w = store.bind(tape)
@@ -46,14 +52,14 @@ class TestForward:
         rng = np.random.default_rng(1)
         uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]])
         feats = rng.normal(size=(6, 2))
-        h1, _ = run_forward(cfg, store, uv, feats, 3)
+        h1 = run_forward(cfg, store, uv, feats, 3)
 
         # relabel nodes with a permutation and permute the edge list order
         perm = np.array([2, 0, 1])  # old -> new
         order = np.array([3, 0, 5, 1, 4, 2])
         uv2 = perm[uv][order]
         feats2 = feats[order]
-        h2, _ = run_forward(cfg, store, uv2, feats2, 3)
+        h2 = run_forward(cfg, store, uv2, feats2, 3)
         assert np.array_equal(h2[perm], h1)
 
     def test_isomorphic_graphs_bit_identical(self):
@@ -62,8 +68,11 @@ class TestForward:
         rng = np.random.default_rng(2)
         uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
         feats = rng.normal(size=(4, 2))
-        h1, m1 = run_forward(cfg, store, uv, feats, 3)
-        h2, m2 = run_forward(cfg, store, uv.copy(), feats.copy(), 3)
+        head = [(rng.normal(size=(3, 2)), rng.normal(size=2))]
+        h1 = run_forward(cfg, store, uv, feats, 3)
+        h2 = run_forward(cfg, store, uv.copy(), feats.copy(), 3)
+        (m1,) = run_forward(cfg, store, uv, feats, 3, heads=head, head_rows=4)
+        (m2,) = run_forward(cfg, store, uv.copy(), feats.copy(), 3, heads=head, head_rows=4)
         assert np.array_equal(h1, h2) and np.array_equal(m1, m2)
 
     def test_isolated_node_gets_zero_aggregate(self):
@@ -71,7 +80,7 @@ class TestForward:
         store = tiny_weights(cfg)
         uv = np.array([[0, 1], [1, 0]])
         feats = np.random.default_rng(3).normal(size=(2, 2))
-        h, _ = run_forward(cfg, store, uv, feats, 3)
+        h = run_forward(cfg, store, uv, feats, 3)
         assert np.all(np.isfinite(h))
 
     def test_node_init_padding(self):
@@ -80,25 +89,141 @@ class TestForward:
         uv = np.array([[0, 1], [1, 0]])
         feats = np.zeros((2, 2))
         init = np.array([[1.0, 2.0], [3.0, 4.0]])
-        h, _ = run_forward(cfg, store, uv, feats, 2, node_init=init)
+        h = run_forward(cfg, store, uv, feats, 2, node_init=init)
         assert h.shape == (2, 4)
 
     def test_shape_validation(self):
         cfg = TINY
         store = tiny_weights(cfg)
-        tape = Tape()
-        w = store.bind(tape)
-        with pytest.raises(AutodiffError):
-            mpnn.forward(tape, w, cfg, np.zeros((2, 3)), tape.constant(np.zeros((2, 2))), None, 3)
-        with pytest.raises(AutodiffError):
-            mpnn.forward(
-                tape, w, cfg, np.array([[0, 1]]), tape.constant(np.zeros((1, 5))), None, 2
-            )
-        with pytest.raises(AutodiffError):
-            mpnn.forward(
-                tape, w, cfg, np.array([[0, 1]]), tape.constant(np.zeros((1, 2))),
-                tape.constant(np.zeros((2, 4))), 2,
-            )
+        for recording in (True, False):  # the tape path and the inference rounds
+            tape = Tape(recording=recording)
+            w = store.bind(tape)
+            feats = tape.constant(np.zeros((1, 2)))
+            with pytest.raises(AutodiffError):
+                mpnn.forward(
+                    tape, w, cfg, np.zeros((2, 3)), tape.constant(np.zeros((2, 2))), None, 3
+                )
+            with pytest.raises(AutodiffError):
+                mpnn.forward(
+                    tape, w, cfg, np.array([[0, 1]]), tape.constant(np.zeros((1, 5))), None, 2
+                )
+            with pytest.raises(AutodiffError):
+                mpnn.forward(
+                    tape, w, cfg, np.array([[0, 1]]), feats, tape.constant(np.zeros((2, 4))), 2,
+                )
+            bad = dict(w, **{"step1.msg2.w": tape.constant(np.zeros((3, 4)))})
+            with pytest.raises(AutodiffError, match="step1.msg2.w"):
+                mpnn.forward(tape, bad, cfg, np.array([[0, 1]]), feats, None, 2)
+            # np.take would wrap -1 to the last node; 2 is one past it
+            for uv in ([[-1, 1]], [[0, 2]]):
+                with pytest.raises(AutodiffError, match="out of range"):
+                    mpnn.forward(tape, w, cfg, np.array(uv), feats, None, 2)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_head_validation(self, recording):
+        tape = Tape(recording=recording)
+        w = tiny_weights().bind(tape)
+        uv = np.array([[0, 1], [1, 0]])
+        feats = tape.constant(np.zeros((2, 2)))
+        good = (tape.constant(np.zeros((3, 2))), tape.constant(np.zeros(2)))
+        for heads, rows in (([good], 3), ([good], -1),
+                            ([(tape.constant(np.zeros((4, 2))), good[1])], 1),
+                            ([(good[0], tape.constant(np.zeros(3)))], 1)):
+            with pytest.raises(AutodiffError):
+                mpnn.forward(tape, w, TINY, uv, feats, None, 2, heads, rows)
+
+
+def random_store(cfg, seed):
+    """Weights and biases all drawn at random, so that the relus see both signs."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for name, shape in mpnn.weight_spec(cfg).items():
+        store.add(name, rng.normal(0.0, 0.5, size=shape))
+    return store
+
+
+@st.composite
+def directed_graphs(draw):
+    """Both directions of random (multi-)edges; nodes past the drawn
+    endpoints are isolated, and up to 12 extra edges into node 0 can give it
+    an in-degree past every chunk size tested."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    hub = draw(st.integers(0, 12)) if n > 1 else 0
+    pairs += [(1 + i % (n - 1), 0) for i in range(hub)]
+    e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return n + draw(st.integers(0, 3)), np.concatenate([e, e[:, ::-1]]), len(pairs)
+
+
+class TestInferenceRounds:
+    """The chunked inference rounds against the recording tape."""
+
+    @staticmethod
+    def both_tapes(cfg, store, n, uv, feats, init, heads, head_rows):
+        return [run_forward(cfg, store, uv, feats, n, init, heads, head_rows, recording=rec)
+                for rec in (False, True)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(directed_graphs(), st.sampled_from([1, 3, 7]), st.sampled_from([0, 4]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_recording_tape(self, graph, chunk, init_dim, seed):
+        n, uv, m = graph
+        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4, edge_feat_dim=3,
+                         node_init_dim=init_dim)
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(len(uv), 3))
+        init = rng.normal(size=(n, init_dim)) if init_dim else None
+        heads = [(rng.normal(size=(4, 4)), rng.normal(size=4)),
+                 (rng.normal(size=(4, 1)), rng.normal(size=1))]
+        store = random_store(cfg, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mpnn, "CHUNK_ROWS", chunk)
+            h_run, h_tape = self.both_tapes(cfg, store, n, uv, feats, init, (), 0)
+            outs_run, outs_tape = self.both_tapes(cfg, store, n, uv, feats, init, heads, m)
+        assert h_run.shape == (n, 5)
+        np.testing.assert_allclose(h_run, h_tape, rtol=0, atol=1e-12)
+        for got, want in zip(outs_run, outs_tape):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("init_dim", [0, 4])
+    @pytest.mark.parametrize("m", [0, 21])  # 2E = 42 rows: a multiple of every chunk size
+    def test_edge_counts_at_the_boundaries(self, chunk, init_dim, m, monkeypatch):
+        monkeypatch.setattr(mpnn, "CHUNK_ROWS", chunk)
+        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=3,
+                         node_init_dim=init_dim)
+        rng = np.random.default_rng(m + chunk)
+        n = 8
+        e = np.stack([np.arange(m) % n, (3 * np.arange(m) + 1) % n], axis=1)
+        uv = np.concatenate([e, e[:, ::-1]]).reshape(-1, 2)
+        feats = rng.normal(size=(2 * m, 3))
+        init = rng.normal(size=(n, init_dim)) if init_dim else None
+        heads = [(rng.normal(size=(4, 2)), rng.normal(size=2))]
+        store = random_store(cfg, chunk)
+        h_run, h_tape = self.both_tapes(cfg, store, n, uv, feats, init, (), 0)
+        (out_run,), (out_tape,) = self.both_tapes(cfg, store, n, uv, feats, init, heads, m)
+        np.testing.assert_allclose(h_run, h_tape, rtol=0, atol=1e-12)
+        assert out_run.shape == (m, 2)
+        np.testing.assert_allclose(out_run, out_tape, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_no_state_carries_between_calls(self, chunk, monkeypatch):
+        monkeypatch.setattr(mpnn, "CHUNK_ROWS", chunk)
+        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
+        store = random_store(cfg, 0)
+        rng = np.random.default_rng(1)
+        heads = [(rng.normal(size=(4, 3)), rng.normal(size=3))]
+        graphs = []
+        for n, m in ((6, 9), (11, 30)):
+            e = rng.integers(0, n, size=(m, 2))
+            graphs.append((n, np.concatenate([e, e[:, ::-1]]), rng.normal(size=(2 * m, 3)), m))
+        a, b = graphs
+        runs = [(run_forward(cfg, store, uv, feats, n),
+                 run_forward(cfg, store, uv, feats, n, heads=heads, head_rows=m)[0])
+                for n, uv, feats, m in (a, b, a)]
+        assert np.array_equal(runs[0][0], runs[2][0])
+        assert np.array_equal(runs[0][1], runs[2][1])
 
 
 class TestGradients:
@@ -114,13 +239,17 @@ class TestGradients:
         params = {name: arr for name, arr in store.params.items()}
         params["edge_feats"] = feats
         params["node_init"] = init
+        params["head.w"] = rng.normal(size=(3, 2))
+        params["head.b"] = rng.normal(size=2)
 
         def build(tape, p):
+            # the analytic gradient runs on the recording tape and the
+            # differences on the inference rounds, so they check each other too
             weights = {k: p[k] for k in store.params}
-            h, msgs = mpnn.forward(
-                tape, weights, cfg, uv, p["edge_feats"], p["node_init"], 3
-            )
-            return tape.add(tape.sum(tape.mul(h, h)), tape.sum(msgs))
+            h = mpnn.forward(tape, weights, cfg, uv, p["edge_feats"], p["node_init"], 3)
+            (out,) = mpnn.forward(tape, weights, cfg, uv, p["edge_feats"], p["node_init"], 3,
+                                  [(p["head.w"], p["head.b"])], head_rows=3)
+            return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
 
         err = fd_gradients(build, params)
         assert err < 1e-3

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,24 @@ def spt_init(g, root):
 
 
 class TestForward:
+    def test_peak_memory_within_edge_budget(self):
+        # a dense-shaped graph; as for clean_forward, the final round keeps
+        # no messages and no round builds a (2E, H) array
+        cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
+                                   sigma_deg=(5.0, 5.0), outlier_fraction=(0.1, 0.1))
+        g = synthgen.generate_graph(cfg, np.random.default_rng(0))
+        root = viewgraph.select_root(g)
+        init = spt_init(g, root)
+        store = refinement.new_weights(0)
+        tracemalloc.start()
+        try:
+            refinement.refine_forward(g, init, store, root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_edge_array = 2 * len(g.edges) * refinement.DEFAULT_CONFIG.hidden_dim * 8
+        assert peak < one_edge_array
+
     def test_perfect_init_on_clean_graph_gives_identity_features(self):
         g, root = referenced_graph(sigma=0.0)
         _, feats = refinement._edge_discrepancy(g, g.gt)

@@ -48,6 +48,19 @@ def same_run(a, b) -> bool:
     )
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+        ("weight_decay", -1.0), ("weight_decay", math.inf), ("weight_decay", math.nan),
+    ])
+    def test_bad_optimizer_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_weight_decay_accepted(self):
+        assert TrainConfig.desk(weight_decay=0.0).weight_decay == 0.0
+
+
 class TestDeterminism:
     def test_cleannet_bit_identical_per_seed(self, data, clean_run):
         train, val = data
