@@ -72,19 +72,29 @@ def normal_equations_oracle(u_red, v_red, w, resid, n):
     return apply_laplacian, diag, rhs
 
 
+def irls_on(path, g, init, **kwargs):
+    """``irls_mra`` with its dense solve (``"direct"``) or its CG solve
+    (``"cg"``) taken at every graph size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "DENSE_SOLVE_MAX_N", {"direct": 1 << 62, "cg": -1}[path])
+        return baselines.irls_mra(g, init, **kwargs)
+
+
 def assert_rel_close(actual, expected, rtol=1e-12):
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
 
 
 def assert_system_matches_oracle(u_red, v_red, n, seed=0):
     """The segment-sum system against ``normal_equations_oracle``: the whole
-    dense operator, ``apply_op(x)`` and the right-hand side; and the
-    operator maps 0 to exactly 0, which CG's ``r = rhs`` start relies on."""
+    dense operator, ``apply_op(x)`` and the right-hand side; the operator
+    maps 0 to exactly 0, which CG's ``r = rhs`` start relies on; and the
+    scattered dense matrix of the direct solve is the same operator."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.1, 10.0, size=len(u_red))
     resid = rng.normal(size=(len(u_red), 3))
     x = rng.normal(size=(n, 3))
-    apply_op, _, rhs = baselines._reduced_laplacian(u_red, v_red, n)(w, resid)
+    system, dense_system = baselines._reduced_laplacian(u_red, v_red, n)
+    apply_op, _, rhs = system(w, resid)
     ref_op, _, ref_rhs = normal_equations_oracle(u_red, v_red, w, resid, n)
     dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
     ref_dense = np.stack([ref_op(np.tile(e[:, None], (1, 3)))[:, 0] for e in np.eye(n)], axis=1)
@@ -93,6 +103,9 @@ def assert_system_matches_oracle(u_red, v_red, n, seed=0):
     assert_rel_close(apply_op(x.T).T, ref_op(x))
     zero = apply_op(np.zeros((3, n)))
     assert zero.shape == (3, n) and not np.any(zero)
+    lap, dense_rhs = dense_system(w, resid)
+    assert_rel_close(lap, ref_dense)
+    assert np.array_equal(lap, lap.T) and np.array_equal(dense_rhs, rhs)
 
 
 @st.composite
@@ -146,7 +159,7 @@ class TestReducedLaplacian:
         u_red, v_red = reduced_index(g)
         n = g.n_nodes - 1
         rng = np.random.default_rng(3)
-        apply_op, precond, rhs = baselines._reduced_laplacian(u_red, v_red, n)(
+        apply_op, precond, rhs = baselines._reduced_laplacian(u_red, v_red, n)[0](
             rng.uniform(0.1, 10.0, size=len(u_red)), rng.normal(size=(len(u_red), 3))
         )
         with pytest.raises(SolverError, match="did not converge"):
@@ -352,21 +365,105 @@ def irls_oracle(g, init, max_iters=(5, 20)):
 
 
 class TestIrlsJacobiOracle:
-    @pytest.mark.parametrize("seed", [10, 11, 12])
-    def test_matches_jacobi_cg_irls(self, seed):
+    # ids without a suffix run the dense solve, the size's own choice
+    @pytest.mark.parametrize("seed, path", [
+        *[pytest.param(seed, "direct", id=str(seed)) for seed in (10, 11, 12)],
+        *[pytest.param(seed, "cg", id=f"{seed}-cg") for seed in (10, 11, 12)],
+    ])
+    def test_matches_jacobi_cg_irls(self, seed, path):
         g = make_graph(seed=seed, n=40, edge_fraction=0.2, sigma=10.0, outliers=0.1)
-        res = baselines.irls_mra(g, bootstrap(g))
+        res = irls_on(path, g, bootstrap(g))
         rows, iterations, _ = irls_oracle(g, bootstrap(g))
         assert res.iterations == iterations
         assert np.max(so3.qangle_deg(np.asarray(res.orientations), rows)) <= 1e-9
 
     def test_sparse_graph_needs_a_third_of_the_cg_iterations(self):
         g = make_graph(seed=13, n=120, edge_fraction=0.08, sigma=20.0, outliers=0.1)
-        res = baselines.irls_mra(g, bootstrap(g))
+        res = irls_on("cg", g, bootstrap(g))
         rows, iterations, oracle_cg = irls_oracle(g, bootstrap(g))
         assert res.iterations == iterations
         assert np.max(so3.qangle_deg(np.asarray(res.orientations), rows)) <= 1e-9
         assert 3 * sum(res.cg_iterations) <= sum(oracle_cg)
+
+
+@st.composite
+def irls_cases(draw):
+    """A connected view-graph on 2-60 nodes, ids shuffled, with 1-20 deg of
+    noise per measurement and about 10 % outliers: a star on the root, a
+    path, or a hub (the root) joined to every node plus random edges among a
+    subset, so that the other nodes touch only the root.  Bridges (the edges
+    of those nodes, every edge of a star or a path) stay exactly consistent,
+    so their weights clamp at ``1 / delta`` from the second step on.  The
+    init is the BFS bootstrap or a perturbed ground truth."""
+    kind = draw(st.sampled_from(["star", "path", "root_only"]))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(n)
+    if kind == "path":
+        pairs = list(zip(ids[:-1], ids[1:]))
+    else:
+        pairs = [(ids[0], b) for b in ids[1:]]
+    if kind == "root_only":
+        inner = ids[1:][rng.random(n - 1) < draw(st.floats(0.0, 1.0))]
+        pairs += [(a, b) for i, a in enumerate(inner) for b in inner[:i] if rng.random() < 0.3]
+    u, v = np.sort(np.array(pairs, dtype=np.int64), axis=1)[rng.permutation(len(pairs))].T
+    gt = so3.sample_uniform_rows(rng, n)
+    axis = rng.normal(size=(u.size, 3))
+    angle = np.radians(rng.uniform(1.0, 20.0, size=u.size))
+    noise = so3.qexp(axis / np.linalg.norm(axis, axis=1, keepdims=True) * angle[:, None])
+    q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
+    outlier = rng.random(u.size) < 0.1
+    q[outlier] = so3.sample_uniform_rows(rng, int(outlier.sum()))
+    g = ViewGraph.from_arrays(n, u, v, so3.qcanon(q))
+    if draw(st.booleans()):
+        init = np.asarray(bootstrap(g))
+    else:
+        init = so3.qcanon(so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(n, 3)))))
+    return g, init
+
+
+class TestDenseSolve:
+    # A fixed example set.  On random draws of this family both solves can
+    # end at the rounding floor eps * |L| |x| / |b| of the residual: the last
+    # step's residual exceeds CG_TOL in about 1 run in 1000, on either path
+    # (up to 9e-12 for the dense solve; iterative refinement does not lower
+    # it), and 25 IRLS iterations amplify the CG solve's error past 1e-9 deg
+    # in about 1 run in 3000.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(irls_cases())
+    def test_matches_cg_path(self, case):
+        g, init = case
+        direct, cg = irls_on("direct", g, init), irls_on("cg", g, init)
+        assert direct.iterations == cg.iterations
+        assert np.max(so3.qangle_deg(np.asarray(direct.orientations), np.asarray(cg.orientations))) <= 1e-9
+        assert direct.cg_residual <= CG_TOL
+        assert direct.cg_iterations == [0] * direct.iterations
+
+    def test_selected_by_node_count(self, monkeypatch):
+        g = make_graph(seed=5, sigma=10.0, outliers=0.1)
+        monkeypatch.setattr(baselines, "DENSE_SOLVE_MAX_N", g.n_nodes - 1)
+        res = baselines.irls_mra(g, bootstrap(g))
+        assert res.iterations > 0 and res.cg_iterations == [0] * res.iterations
+        monkeypatch.setattr(baselines, "DENSE_SOLVE_MAX_N", g.n_nodes - 2)
+        res = baselines.irls_mra(g, bootstrap(g))
+        assert res.iterations > 0 and all(k > 0 for k in res.cg_iterations)
+
+    def test_singular_matrix_raises_solver_error(self):
+        with pytest.raises(SolverError, match="dense solve failed"):
+            baselines._dense_solve(np.zeros((3, 3)), np.ones((3, 3)))
+
+    # N = 1 has no unknown: each phase with a budget takes one zero step
+    @pytest.mark.parametrize("path", ["direct", "cg"])
+    @pytest.mark.parametrize("max_iters, iterations", [((5, 20), 2), ((0, 3), 1), ((0, 0), 0)])
+    def test_one_node(self, path, max_iters, iterations):
+        g = ViewGraph.from_arrays(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                  np.zeros((0, 4)))
+        init = np.array([[-0.5, 0.5, -0.5, 0.5]])
+        res = irls_on(path, g, init, max_iters=max_iters)
+        assert np.array_equal(np.asarray(res.orientations), so3.qcanon(init))
+        assert res.iterations == iterations and res.max_step_trace == [0.0] * iterations
+        assert res.converged == (iterations > 0)
+        assert res.cg_iterations == [0] * iterations and res.cg_residual == 0.0
 
 
 class TestNoiseFreeRecovery:
@@ -420,7 +517,7 @@ def test_relative_outputs_are_gauge_invariant(solve):
 class TestIrlsReport:
     def test_cg_residual_and_iterations(self):
         g = make_graph(seed=5, sigma=10.0, outliers=0.1)
-        res = baselines.irls_mra(g, bootstrap(g))
+        res = irls_on("cg", g, bootstrap(g))
         assert res.cg_residual <= CG_TOL
         assert len(res.cg_iterations) == res.iterations == len(res.max_step_trace)
         assert all(0 < k < 10 * g.n_nodes for k in res.cg_iterations)
@@ -627,6 +724,16 @@ class TestWeiszfeldLevelSchedule:
         (lambda g, init: baselines.irls_mra(g, init, step_tol=-1e-3), "step_tol"),
         (lambda g, init: baselines.irls_mra(g, init, step_tol=math.inf), "step_tol"),
         (lambda g, init: baselines.irls_mra(g, init, step_tol=math.nan), "step_tol"),
+        pytest.param(lambda g, init: baselines.weiszfeld_mra(g, init, sweeps=2.5), "sweeps",
+                     id="sweeps-non-integer"),
+        pytest.param(lambda g, init: baselines.weiszfeld_mra(g, init, median_iters=2.5),
+                     "median_iters", id="median_iters-non-integer"),
+        pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(5,)), "max_iters",
+                     id="max_iters-one-phase"),
+        pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(5, 20, 7)), "max_iters",
+                     id="max_iters-three-phases"),
+        pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(2.5, 1)), "max_iters",
+                     id="max_iters-non-integer"),
     ],
 )
 def test_negative_budget_rejected(solve, name):
