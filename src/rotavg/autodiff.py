@@ -196,7 +196,7 @@ class Tape:
     def quat_normalize(self, x: Tensor) -> Tensor:
         if x.values.ndim != 2 or x.shape[1] != 4:
             raise AutodiffError("quat_normalize expects rows of 4")
-        norms = np.linalg.norm(x.values, axis=1, keepdims=True)
+        norms = so3.rownorm(x.values, keepdims=True)
         if np.any(norms < QUAT_NORM_FLOOR):
             raise AutodiffError("quat_normalize: row norm below 1e-12")
         y = x.values / norms
@@ -248,8 +248,8 @@ class Tape:
         self._check_quat_pair(a, b, "quat_dist_loss")
         d_minus = a.values - b.values
         d_plus = a.values + b.values
-        n_minus = np.linalg.norm(d_minus, axis=1)
-        n_plus = np.linalg.norm(d_plus, axis=1)
+        n_minus = so3.rownorm(d_minus)
+        n_plus = so3.rownorm(d_plus)
         take_minus = n_minus < n_plus
         out = Tensor(np.where(take_minus, n_minus, n_plus))
 

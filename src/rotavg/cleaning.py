@@ -73,7 +73,7 @@ def _head_tensors(
 ) -> tuple[Tensor, Tensor]:
     """Raw head outputs: correction quaternions (E, 4) and logits (E,)."""
     uv, quats = viewgraph.directed_arrays(g)
-    m = len(g.edges)
+    m = g.n_edges
     heads = [(weights["head_rect.w"], weights["head_rect.b"]),
              (weights["head_out.w"], weights["head_out.b"])]
     delta_raw, logits = mpnn.forward(tape, weights, cfg, uv, tape.constant(quats), None,
@@ -94,7 +94,7 @@ def clean_forward(
     the edge arrays, memory is O(N*H + CHUNK_ROWS*M); no (E, M) block is
     kept.
     """
-    if not g.edges:
+    if g.n_edges == 0:
         raise ViewGraphError("cannot clean a graph without edges")
     tape = Tape(recording=False)
     weights = store.bind(tape)
@@ -157,7 +157,7 @@ def clean_graph(
     If the removal disconnects the graph the result is restricted to the
     largest component.  Removing every edge is an error.
     """
-    m = len(g.edges)
+    m = g.n_edges
     if np.shape(pred.rect) != (m, 4) or np.shape(pred.outlier_prob) != (m,):
         raise ViewGraphError("prediction does not cover every edge")
     keep = pred.outlier_prob <= epsilon

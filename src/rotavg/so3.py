@@ -17,6 +17,11 @@ Orientations travel through the package as (N, 4) canonical rows.
 :class:`Orientations` hands out rows as ``UnitQuaternion`` items.  The scalar
 per-quaternion API (compose, metrics, matrices, axis/angle, scalar samplers)
 lives in the tests as their oracle.
+
+:func:`rownorm` is the package's one norm kernel; ``rotavg`` makes no
+``np.linalg.norm`` call (a test keeps it so).  Over the short last axes of
+rows it is bit-equal to ``np.linalg.norm(x, axis=-1)`` and a few times
+faster.
 """
 
 from __future__ import annotations
@@ -38,6 +43,22 @@ SMALL_ANGLE = 1e-6        # series fallback threshold for log/exp maps (rad)
 # Array kernels
 # ---------------------------------------------------------------------------
 
+def rownorm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-equal to ``np.linalg.norm(x,
+    axis=-1, keepdims=keepdims)`` for last axes shorter than 8.
+
+    The squared columns are summed left to right, the order numpy's
+    reduction takes over such short axes, without the (..., d) square array
+    and the strided reduction; a 1-D input gives a scalar.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    s = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
+    for j in range(1, x.shape[-1]):
+        s += np.square(x[..., j])
+    np.sqrt(s, out=s)
+    return s[..., None] if keepdims else s[()]
+
+
 def qcanon(q: np.ndarray) -> np.ndarray:
     """Normalize rows to unit norm and apply the canonical sign; always a
     fresh array.
@@ -49,7 +70,7 @@ def qcanon(q: np.ndarray) -> np.ndarray:
     decided by ``w`` alone, without the x, y, z cascade.
     """
     q = np.asarray(q, dtype=np.float64)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    n = rownorm(q, keepdims=True)
     if np.any(n < 1e-12):
         raise ValueError("cannot normalize a near-zero quaternion")
     unit = np.abs(n - 1.0) <= NORM_SKIP_TOL
@@ -95,14 +116,14 @@ def _left_correct(delta: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Canonical ``delta * base`` for raw network corrections ``delta``; a
     correction row whose norm underflows counts as the identity rotation."""
     delta = np.array(delta, dtype=np.float64)
-    delta[np.linalg.norm(delta, axis=1) < 1e-12] = (1.0, 0.0, 0.0, 0.0)
+    delta[rownorm(delta) < 1e-12] = (1.0, 0.0, 0.0, 0.0)
     return qcanon(qmul(qcanon(delta), base))
 
 
 def qangle_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rowwise geodesic angle between unit quaternion rows, in degrees."""
     rel = qmul(qconj(a), b)
-    vec = np.linalg.norm(rel[..., 1:], axis=-1)
+    vec = rownorm(rel[..., 1:])
     ang = 2.0 * np.arctan2(vec, np.abs(rel[..., 0]))
     return np.degrees(ang)
 
@@ -111,25 +132,42 @@ def qlog(q: np.ndarray) -> np.ndarray:
     """Rotation-vector log map of unit rows (radians, angle in [0, pi]).
 
     Uses the series ``2/w * (1 - |v|^2 / (3 w^2))`` below ``SMALL_ANGLE`` to
-    avoid the 0/0 at the identity.
+    avoid the 0/0 at the identity.  The log reads each row as ``qcanon``
+    leaves it, bit for bit, but skips its copy in the common case: when
+    every row is within ``NORM_SKIP_TOL`` of unit norm and no ``|w|`` is
+    within ``ZERO_SIGN_TOL``, canonicalization only negates the rows with
+    ``w < 0``, so the log reads ``|w|`` and puts the sign of ``w`` on its
+    (non-negative) scale.  Without a row below ``SMALL_ANGLE`` the scale is
+    ``ang / |v|`` alone.
     """
-    q = qcanon(q)
+    q = np.asarray(q, dtype=np.float64)
     w = q[..., 0]
+    sign = None
+    if np.all(np.abs(rownorm(q) - 1.0) <= NORM_SKIP_TOL) and not np.any(np.abs(w) <= ZERO_SIGN_TOL):
+        sign, w = w, np.abs(w)
+    else:
+        q = qcanon(q)
+        w = q[..., 0]
     v = q[..., 1:]
-    nv = np.linalg.norm(v, axis=-1)
+    nv = rownorm(v)
     ang = 2.0 * np.arctan2(nv, w)
-    safe_w = np.where(w < 1e-3, 1.0, w)  # series only used where w ~ 1
     small = nv < SMALL_ANGLE
-    scale_series = 2.0 / safe_w * (1.0 - nv * nv / (3.0 * safe_w * safe_w))
-    scale_exact = np.where(small, 1.0, ang) / np.where(small, 1.0, np.maximum(nv, 1e-300))
-    scale = np.where(small, scale_series, scale_exact)
+    if np.any(small):
+        safe_w = np.where(w < 1e-3, 1.0, w)  # series only used where w ~ 1
+        scale_series = 2.0 / safe_w * (1.0 - nv * nv / (3.0 * safe_w * safe_w))
+        scale_exact = np.where(small, 1.0, ang) / np.where(small, 1.0, np.maximum(nv, 1e-300))
+        scale = np.where(small, scale_series, scale_exact)
+    else:
+        scale = ang / nv
+    if sign is not None:
+        scale = np.copysign(scale, sign)
     return v * scale[..., None]
 
 
 def qexp(v: np.ndarray) -> np.ndarray:
     """Exponential map from rotation vectors (radians) to unit rows."""
     v = np.asarray(v, dtype=np.float64)
-    ang = np.linalg.norm(v, axis=-1)
+    ang = rownorm(v)
     half = 0.5 * ang
     small = ang < SMALL_ANGLE
     # sin(ang/2)/ang with series fallback near zero
@@ -215,10 +253,10 @@ class Orientations(Sequence):
 def sample_uniform_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     """Array of ``n`` Haar-uniform unit quaternion rows."""
     g = rng.normal(size=(n, 4))
-    bad = np.linalg.norm(g, axis=1) <= 1e-9
+    bad = rownorm(g) <= 1e-9
     while np.any(bad):  # pragma: no cover - probability ~0
         g[bad] = rng.normal(size=(int(bad.sum()), 4))
-        bad = np.linalg.norm(g, axis=1) <= 1e-9
+        bad = rownorm(g) <= 1e-9
     return qcanon(g)
 
 
@@ -242,10 +280,10 @@ def sample_noise_rows(
         axis = np.stack([np.sin(phi), np.zeros(m), np.cos(phi)], axis=1)
     else:
         axis = rng.normal(size=(m, 3))
-        bad = np.linalg.norm(axis, axis=1) <= 1e-9
+        bad = rownorm(axis) <= 1e-9
         while np.any(bad):  # pragma: no cover - probability ~0
             axis[bad] = rng.normal(size=(int(bad.sum()), 3))
-            bad = np.linalg.norm(axis, axis=1) <= 1e-9
-        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+            bad = rownorm(axis) <= 1e-9
+        axis /= rownorm(axis, keepdims=True)
     half = 0.5 * angle
     return qcanon(np.concatenate([np.cos(half)[:, None], axis * np.sin(half)[:, None]], axis=1))

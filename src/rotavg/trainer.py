@@ -2,9 +2,11 @@
 
 One epoch loop (``_fit``) trains both networks per graph (batch size one)
 with Adam and decoupled weight decay; each network only supplies its
-per-graph loss.  Each epoch re-samples an edge-dropout mask per training
-graph; validation always runs on the full graphs with the same loss, and
-the parameters with the best validation loss are returned.
+per-sample loss and how a graph becomes a sample.  Each epoch re-samples an
+edge-dropout mask per training graph, so training samples are made every
+epoch; validation always runs on the full graphs with the same loss, their
+samples made once, and the parameters with the best validation loss are
+returned.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -25,8 +28,8 @@ from .viewgraph import ViewGraph, ViewGraphError
 DESK_LR = 2e-3          # larger steps suit the short desk-scale schedule
 DESK_EPOCHS = 100
 
-# Scalar loss of one graph, recorded on ``tape`` against the bound weights.
-GraphLoss = Callable[[Tape, dict[str, Tensor], ViewGraph], Tensor]
+# Scalar loss of one sample, recorded on ``tape`` against the bound weights.
+GraphLoss = Callable[[Tape, dict[str, Tensor], Any], Tensor]
 
 
 class TrainingError(RuntimeError):
@@ -82,7 +85,7 @@ def _check_corpus(train_graphs: list[ViewGraph], val_graphs: list[ViewGraph]) ->
         for i, g in enumerate(graphs):
             if not g.has_full_gt:
                 raise TrainingError(f"{split} graph {i} lacks ground-truth orientations")
-            if not g.edges:
+            if g.n_edges == 0:
                 raise TrainingError(f"{split} graph {i} has no edges")
 
 
@@ -90,7 +93,7 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
     """Drop a fraction of undirected edges (both directions together)."""
     if dropout == 0.0:
         return g
-    m = len(g.edges)
+    m = g.n_edges
     keep = max(1, int(round((1.0 - dropout) * m)))
     idx = np.sort(rng.choice(m, size=keep, replace=False))
     u, v = g.endpoint_arrays()
@@ -98,13 +101,14 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
                                  g.edge_labels()[idx], g.gt)
 
 
-def _val_loss(store: ParamStore, graph_loss: GraphLoss, graphs: list[ViewGraph]) -> float:
-    """Mean per-graph loss on full graphs, evaluated without recording."""
+def _val_loss(store: ParamStore, graph_loss: GraphLoss, samples: list) -> float:
+    """Mean per-sample loss on the full graphs' samples, evaluated without
+    recording."""
     total = 0.0
-    for g in graphs:
+    for sample in samples:
         tape = Tape(recording=False)
-        total += float(graph_loss(tape, store.bind(tape), g).values)
-    return total / len(graphs)
+        total += float(graph_loss(tape, store.bind(tape), sample).values)
+    return total / len(samples)
 
 
 def _fit(
@@ -113,9 +117,15 @@ def _fit(
     train_graphs: list[ViewGraph],
     val_graphs: list[ViewGraph],
     cfg: TrainConfig,
+    prepare: Callable[[ViewGraph], Any] = lambda g: g,
 ) -> tuple[ParamStore, TrainLog]:
-    """The epoch loop of both networks; returns the best-validation weights."""
+    """The epoch loop of both networks; returns the best-validation weights.
+
+    ``prepare`` makes the sample ``graph_loss`` reads from a graph: every
+    epoch for each dropout subgraph, once per call for each validation graph.
+    """
     _check_corpus(train_graphs, val_graphs)
+    val_samples = [prepare(g) for g in val_graphs]
     best = store.copy()
     log = TrainLog()
     for epoch in range(cfg.epochs):
@@ -127,7 +137,7 @@ def _fit(
             sub = _dropout_subgraph(train_graphs[gi], cfg.edge_dropout, rng)
             tape = Tape()
             try:
-                loss = graph_loss(tape, store.bind(tape), sub)
+                loss = graph_loss(tape, store.bind(tape), prepare(sub))
             except ViewGraphError as exc:
                 raise TrainingError(f"unusable graph at epoch {epoch}, graph {gi}: {exc}") from exc
             value = float(loss.values)
@@ -136,7 +146,7 @@ def _fit(
             epoch_loss += value
             tape.backward(loss)
             store.adam_step(cfg.lr, cfg.weight_decay)
-        val_loss = _val_loss(store, graph_loss, val_graphs)
+        val_loss = _val_loss(store, graph_loss, val_samples)
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.rows.append((epoch, epoch_loss / len(train_graphs), val_loss, wall_ms))
         if val_loss < log.best_val_loss:
@@ -198,11 +208,14 @@ def train_finenet(
     net_cfg: MpnnConfig = refinement.DEFAULT_CONFIG,
 ) -> tuple[ParamStore, TrainLog]:
     """Train the refinement network on inits from the cleaning network
-    ``clean_store``, recomputed per epoch on the dropout-filtered edges."""
+    ``clean_store``, recomputed per epoch on the dropout-filtered edges; a
+    validation graph's init depends on nothing else, so it is made once."""
 
-    def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
-        sample, init_rows, root = prepare_refinement_sample(g, clean_store)
-        pred = refinement.forward_tensors(tape, sample, init_rows, weights, net_cfg)
-        return refinement.loss_from_pred(tape, pred, sample, root)
+    def graph_loss(tape: Tape, weights: dict[str, Tensor],
+                   sample: tuple[ViewGraph, np.ndarray, int]) -> Tensor:
+        observed, init_rows, root = sample
+        pred = refinement.forward_tensors(tape, observed, init_rows, weights, net_cfg)
+        return refinement.loss_from_pred(tape, pred, observed, root)
 
-    return _fit(refinement.new_weights(cfg.seed, net_cfg), graph_loss, train_graphs, val_graphs, cfg)
+    return _fit(refinement.new_weights(cfg.seed, net_cfg), graph_loss, train_graphs, val_graphs,
+                cfg, lambda g: prepare_refinement_sample(g, clean_store))

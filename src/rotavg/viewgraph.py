@@ -139,7 +139,7 @@ class ViewGraph:
         if gt.shape != (n, 4):
             raise ViewGraphError("ground truth must have one (w, x, y, z) row per node")
         known = ~np.all(np.isnan(gt), axis=1)
-        if not np.all(np.isfinite(gt[known])) or np.any(np.linalg.norm(gt[known], axis=1) < 1e-12):
+        if not np.all(np.isfinite(gt[known])) or np.any(so3.rownorm(gt[known]) < 1e-12):
             raise ViewGraphError("ground-truth rows must be all NaN or finite nonzero")
         gt[known] = so3.qcanon(gt[known])
         u = np.array(u, dtype=np.int64).reshape(-1)
@@ -151,7 +151,7 @@ class ViewGraph:
             raise ViewGraphError("edge arrays must have one entry per edge")
         if not np.all(np.isin(label, (-1, 0, 1))):
             raise ViewGraphError("edge labels must be -1 (unknown), 0 or 1")
-        if not np.all(np.isfinite(q)) or np.any(np.linalg.norm(q, axis=1) < 1e-12):
+        if not np.all(np.isfinite(q)) or np.any(so3.rownorm(q) < 1e-12):
             raise ViewGraphError("edge orientations must be finite nonzero rows")
         out_of_range, loop, repeat = _edge_faults(n, u, v)
         bad = out_of_range | loop | repeat
@@ -179,6 +179,11 @@ class ViewGraph:
     @property
     def n_nodes(self) -> int:
         return self._n
+
+    @property
+    def n_edges(self) -> int:
+        """Number of stored (undirected) edges."""
+        return self._u.size
 
     @property
     def edges(self) -> Sequence[Edge]:
@@ -300,7 +305,7 @@ def parse(text: str) -> ViewGraph:
         q, bad = _convert(block, lo, lo + 4, np.float64)
         first(bad, rows, 5, lambda i: "bad quaternion component: "
               f"{_conversion_error(block[i][lo:lo + 4], np.float64)}")
-        norm = np.linalg.norm(q, axis=1)
+        norm = so3.rownorm(q)
         first(~(np.abs(norm - 1.0) <= RENORM_TOL), rows, 6,  # so that a NaN norm fails too
               lambda i: f"quaternion norm {norm[i]:.9g} deviates from 1 beyond {RENORM_TOL}")
         return q
@@ -557,7 +562,7 @@ def orientation_rows(g: ViewGraph, orientations: ArrayLike) -> np.ndarray:
         rows = None
     if rows is None or rows.shape != (g.n_nodes, 4):
         raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4) rows covering every node")
-    if not np.all(np.isfinite(rows)) or np.any(np.linalg.norm(rows, axis=1) < 1e-12):
+    if not np.all(np.isfinite(rows)) or np.any(so3.rownorm(rows) < 1e-12):
         raise ViewGraphError("orientations must be finite nonzero rows")
     return so3.qcanon(rows)
 
@@ -594,7 +599,7 @@ class GraphStats:
 def _angles_axes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation angles (degrees) and unit axes of canonical rows; a row whose
     vector part has norm below 1e-12 maps to angle 0 about +x."""
-    nv = np.linalg.norm(q[:, 1:], axis=1)
+    nv = so3.rownorm(q[:, 1:])
     small = nv < 1e-12
     angles = np.where(small, 0.0, np.degrees(np.minimum(2.0 * np.arctan2(nv, q[:, 0]), np.pi)))
     axes = np.where(small[:, None], (1.0, 0.0, 0.0), q[:, 1:] / np.where(small, 1.0, nv)[:, None])

@@ -7,6 +7,9 @@ row kernels, samplers and the corpus generator are checked against, one
 quaternion at a time.  ``qcanon`` is the row kernel without its fast paths:
 it always divides the off-unit rows out and always runs the zero-sign
 cascade, the reference for the package's ``qcanon`` bit for bit.
+``qlog``, ``qexp`` and ``qangle_deg`` are frozen copies of the row kernels
+as they stood before ``so3.rownorm`` and ``qlog``'s fast path: every norm
+through ``np.linalg.norm``, every log through ``qcanon``'s copy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotavg.so3 import NORM_SKIP_TOL, ZERO_SIGN_TOL, UnitQuaternion, qangle_deg, qmul
+from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, ZERO_SIGN_TOL, UnitQuaternion, qconj, qmul
 
 MATRIX_TOL = 1e-8         # orthogonality/determinant invariant of outputs
 MATRIX_INPUT_TOL = 1e-6   # rejection threshold for matrix inputs
@@ -63,6 +66,46 @@ def qcanon(q: np.ndarray) -> np.ndarray:
         flip = flip | (undecided & significant & (c < 0.0))
         undecided = undecided & ~significant
     return np.where(flip[..., None], -out, out)
+
+
+def qangle_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise geodesic angle between unit quaternion rows, in degrees."""
+    rel = qmul(qconj(a), b)
+    vec = np.linalg.norm(rel[..., 1:], axis=-1)
+    ang = 2.0 * np.arctan2(vec, np.abs(rel[..., 0]))
+    return np.degrees(ang)
+
+
+def qlog(q: np.ndarray) -> np.ndarray:
+    """Rotation-vector log map of rows, canonicalized first (radians)."""
+    q = qcanon(q)
+    w = q[..., 0]
+    v = q[..., 1:]
+    nv = np.linalg.norm(v, axis=-1)
+    ang = 2.0 * np.arctan2(nv, w)
+    safe_w = np.where(w < 1e-3, 1.0, w)  # series only used where w ~ 1
+    small = nv < SMALL_ANGLE
+    scale_series = 2.0 / safe_w * (1.0 - nv * nv / (3.0 * safe_w * safe_w))
+    scale_exact = np.where(small, 1.0, ang) / np.where(small, 1.0, np.maximum(nv, 1e-300))
+    scale = np.where(small, scale_series, scale_exact)
+    return v * scale[..., None]
+
+
+def qexp(v: np.ndarray) -> np.ndarray:
+    """Exponential map from rotation vectors (radians) to canonical rows."""
+    v = np.asarray(v, dtype=np.float64)
+    ang = np.linalg.norm(v, axis=-1)
+    half = 0.5 * ang
+    small = ang < SMALL_ANGLE
+    scale = np.where(
+        small,
+        0.5 - ang * ang / 48.0,
+        np.sin(half) / np.where(small, 1.0, np.maximum(ang, 1e-300)),
+    )
+    out = np.empty(v.shape[:-1] + (4,), dtype=np.float64)
+    out[..., 0] = np.cos(half)
+    out[..., 1:] = v * scale[..., None]
+    return qcanon(out)
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,81 @@ class TestDenseSolve:
         assert res.cg_iterations == [0] * iterations and res.cg_residual == 0.0
 
 
+def irls_frozen(g, init, path, max_iters=(5, 20)):
+    """``irls_mra``'s step as it stood before the fused step, on the path
+    ``"direct"`` or ``"cg"``: ``so3_oracle``'s log, exp and canonicalization,
+    ``np.linalg.norm``, the E gathered rows conjugated, the right-hand side
+    scattered from its transposed copy and the dense matrix by one
+    ``np.bincount`` over the diagonal and the off-diagonal cells.  The parts
+    the fused step left alone are the package's: ``_dense_solve``,
+    ``_cg_multi`` and the CG operator and preconditioner of
+    ``_reduced_laplacian``.  Returns ``(rows, max_step_trace, cg_residual,
+    cg_iterations)``."""
+    rows = so3_oracle.qcanon(np.asarray(init, dtype=np.float64))
+    n = g.n_nodes - 1
+    root = viewgraph.select_root(g)
+    u, v = g.endpoint_arrays()
+    u_red, v_red = reduced_index(g)
+    ends = np.concatenate([v_red, u_red])
+    inc = ends >= 0
+    inc_node, inc_edge = ends[inc], np.tile(np.arange(u.size), 2)[inc]
+    inc_sign = np.repeat([1.0, -1.0], u.size)[inc]
+    inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
+    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
+    cells = np.concatenate([np.arange(n) * (n + 1), u_red[both] * n + v_red[both],
+                            v_red[both] * n + u_red[both]])
+    system = baselines._reduced_laplacian(u_red, v_red, n)[0]
+    trace, cg_iterations, cg_residual = [], [], 0.0
+    for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
+        for _ in range(phase_iters):
+            resid = so3_oracle.qlog(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
+            norms = np.linalg.norm(resid, axis=1)
+            w = 1.0 / np.maximum(norms**exponent, baselines.IRLS_DELTA) if trace else np.ones_like(norms)
+            diag = np.bincount(inc_node, w[inc_edge], n)
+            swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
+            rhs = np.bincount(inc_bins, swr.T.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
+            if path == "direct":
+                lap = np.bincount(cells, np.concatenate([diag, -w[both], -w[both]]), n * n)
+                x, cg_residual = baselines._dense_solve(lap.reshape(n, n), rhs)
+                its = 0
+            else:
+                apply_op, precond, _ = system(w, resid)
+                x, cg_residual, its = baselines._cg_multi(apply_op, rhs, precond, 10 * g.n_nodes, CG_TOL)
+            cg_iterations.append(its)
+            step = np.insert(x.T, root, 0.0, axis=0)
+            rows = so3_oracle.qcanon(so3.qmul(rows, so3_oracle.qexp(step)))
+            trace.append(float(np.max(np.linalg.norm(step, axis=1))))
+            if trace[-1] < IRLS_STEP_TOL:
+                break
+    return rows, trace, cg_residual, cg_iterations
+
+
+def assert_matches_frozen_step(g, init, path):
+    res = irls_on(path, g, init)
+    rows, trace, cg_residual, cg_iterations = irls_frozen(g, init, path)
+    out = np.asarray(res.orientations)
+    assert out.shape == rows.shape and out.tobytes() == rows.tobytes()
+    assert res.max_step_trace == trace and res.iterations == len(trace)
+    assert res.cg_residual == cg_residual and res.cg_iterations == cg_iterations
+
+
+class TestFrozenIrlsStep:
+    """Rows, step trace, residual and CG iterations equal, bit for bit, those
+    of the step before the row-norm kernel and the fused normal equations."""
+
+    @pytest.mark.parametrize("path", ["direct", "cg"])
+    @settings(max_examples=60, deadline=None)
+    @given(irls_cases())
+    def test_random_graphs(self, path, case):
+        assert_matches_frozen_step(*case, path)
+
+    @pytest.mark.parametrize("path", ["direct", "cg"])
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_noisy_graphs_with_outliers(self, path, seed):
+        g = make_graph(seed=seed, n=80, edge_fraction=0.3, sigma=15.0, outliers=0.1)
+        assert_matches_frozen_step(g, bootstrap(g), path)
+
+
 class TestNoiseFreeRecovery:
     def test_irls_recovers_from_perturbed_init(self):
         for seed in range(3):

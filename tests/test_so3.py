@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +337,139 @@ class TestOrientations:
         copied = np.array(view)
         assert not np.shares_memory(copied, rows) and copied.flags.writeable
         assert np.array_equal(copied, rows)
+
+
+# ---------------------------------------------------------------------------
+# Row kernels against their frozen copies, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(out, ref):
+    out, ref = np.asarray(out), np.asarray(ref)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()  # signed zeros too
+
+
+@st.composite
+def norm_inputs(draw):
+    """Arrays of shape (4,), (k, 3), (k, 4) or (n, d, 4) whose rows have
+    magnitudes from 1e-150 to 1e150 (components within a factor 100 of the
+    row's), some rows all zero."""
+    shape = draw(st.sampled_from(["4", "k3", "k4", "nd4"]))
+    k, n, d = draw(st.integers(0, 40)), draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    shape = {"4": (4,), "k3": (k, 3), "k4": (k, 4), "nd4": (n, d, 4)}[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row_exp = rng.uniform(-150.0, 150.0, size=shape[:-1] + (1,))
+    x = rng.normal(size=shape) * 10.0 ** (row_exp + rng.uniform(-1.0, 1.0, size=shape))
+    x[rng.random(shape[:-1]) < draw(st.floats(0.0, 0.5))] = 0.0
+    return x
+
+
+ROW_KINDS = ("unit", "small", "identity", "half_turn", "non_unit", "near_unit")
+
+
+@st.composite
+def kernel_rows(draw, min_rows=1):
+    """(k, 4) rows mixing every case the log, the exp and canonicalization
+    branch on: random unit rows, rows below ``SMALL_ANGLE``, exact identity
+    rows (vector part 0), half turns (``|w| <= ZERO_SIGN_TOL``, sign decided
+    by a later component), rows far from and just around unit norm; about
+    half of them negated."""
+    k = draw(st.integers(min_rows, 24))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((k, 4))
+    for i, kind in enumerate(kinds):
+        axis = rng.normal(size=3)
+        axis[rng.random(3) < 0.3] = 0.0  # zero components move the sign cascade along
+        axis = axis / np.linalg.norm(axis) if axis.any() else np.array([0.0, 0.0, 1.0])
+        if kind == "small":
+            half = 0.5 * 10.0 ** rng.uniform(-12.0, -6.1)
+            rows[i] = (math.cos(half), *(axis * math.sin(half)))
+        elif kind == "identity":
+            rows[i] = (1.0, 0.0, 0.0, 0.0)
+        elif kind == "half_turn":
+            w = rng.choice([0.0, 1e-13, -1e-13, so3.ZERO_SIGN_TOL, -so3.ZERO_SIGN_TOL])
+            rows[i] = (w, *axis)
+        else:
+            rows[i] = so3_oracle.qcanon(rng.normal(size=4))
+            if kind == "non_unit":
+                rows[i] *= 10.0 ** rng.uniform(-3.0, 3.0)
+            elif kind == "near_unit":
+                rows[i] *= 1.0 + rng.uniform(-4.0, 4.0) * so3.NORM_SKIP_TOL
+    rows[rng.random(k) < 0.5] *= -1.0
+    return rows
+
+
+def shapes_of(rows):
+    """The rows as given, as (k/2, 2, 4) when k is even, and the first row alone."""
+    yield rows
+    if len(rows) % 2 == 0:
+        yield rows.reshape(-1, 2, 4)
+    yield rows[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFrozenKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(norm_inputs(), st.booleans())
+    def test_rownorm_equals_linalg_norm(self, x, keepdims):
+        assert_same_bits(so3.rownorm(x, keepdims=keepdims),
+                         np.linalg.norm(x, axis=-1, keepdims=keepdims))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows())
+    def test_qcanon(self, rows):
+        for q in shapes_of(rows):
+            assert_same_bits(so3.qcanon(q), so3_oracle.qcanon(q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows())
+    def test_qlog(self, rows):
+        for q in shapes_of(rows):
+            assert_same_bits(so3.qlog(q), so3_oracle.qlog(q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows(), st.floats(0.0, 3.0))
+    def test_qexp(self, rows, stretch):
+        # rotation vectors of every kind: 0, below SMALL_ANGLE, up to 3 turns
+        for q in shapes_of(rows):
+            v = so3_oracle.qlog(q) * stretch
+            assert_same_bits(so3.qexp(v), so3_oracle.qexp(v))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows(min_rows=2))
+    def test_qangle_deg(self, rows):
+        half = len(rows) // 2
+        a, b = so3_oracle.qcanon(rows[:half]), so3_oracle.qcanon(rows[half:2 * half])
+        assert_same_bits(so3.qangle_deg(a, b), so3_oracle.qangle_deg(a, b))
+        assert_same_bits(so3.qangle_deg(a[0], b[0]), so3_oracle.qangle_deg(a[0], b[0]))
+
+    def test_identity_rows_take_each_log_path(self):
+        # exact identities (|v| = 0) alone, with a half turn (the qcanon
+        # path) and with an ordinary row (the sign path without a small row)
+        identity = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+        half_turn = np.array([[0.0, -1.0, 0.0, 0.0]])
+        ordinary = np.array([[-0.5, 0.5, -0.5, 0.5]])
+        for q in (identity, np.concatenate([identity, half_turn]), ordinary,
+                  np.concatenate([identity, ordinary]), np.concatenate([ordinary, half_turn])):
+            assert_same_bits(so3.qlog(q), so3_oracle.qlog(q))
+        assert np.signbit(so3.qlog(identity[1])).all()  # -0.0, as the flipped row gives
+
+    def test_zero_row_rejected_like_the_frozen_log(self):
+        q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        for log in (so3.qlog, so3_oracle.qlog):
+            with pytest.raises(ValueError, match="near-zero"):
+                log(q)
+
+
+def test_package_has_one_norm_kernel():
+    """No ``np.linalg.norm`` call in ``src/rotavg``: row norms go through
+    ``so3.rownorm``, so that a norm has one implementation."""
+    calls = []
+    for path in sorted(Path(so3.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "norm"
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"np.linalg.norm called at {', '.join(calls)}; use so3.rownorm"

@@ -230,6 +230,34 @@ class TestUntrainedCleaner:
             assert init.dtype == want_init.dtype and init.tobytes() == want_init.tobytes()
 
 
+class TestValidationSamples:
+    def test_made_once_per_call(self, data, clean_run, monkeypatch):
+        # each epoch cleans every dropout subgraph; each validation graph is
+        # cleaned once, and the run is the one that re-made its sample every
+        # epoch, bit for bit
+        train, val = data
+        cfg = TrainConfig.desk(seed=3, epochs=3)
+        clean_store = clean_run[0]
+
+        def per_epoch_loss(tape, weights, g):
+            sample, init_rows, root = trainer.prepare_refinement_sample(g, clean_store)
+            pred = refinement.forward_tensors(tape, sample, init_rows, weights)
+            return refinement.loss_from_pred(tape, pred, sample, root)
+
+        remade = trainer._fit(refinement.new_weights(cfg.seed), per_epoch_loss, train, val, cfg)
+        calls = []
+        real_clean_forward = cleaning.clean_forward
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_clean_forward(*args, **kwargs)
+
+        monkeypatch.setattr(cleaning, "clean_forward", counted)
+        run = trainer.train_finenet(train, val, cfg, clean_store)
+        assert len(calls) == cfg.epochs * len(train) + len(val)
+        assert same_run(run, remade)
+
+
 class TestLogCsv:
     def test_write_csv_round_trip(self, clean_run, tmp_path):
         _, log = clean_run

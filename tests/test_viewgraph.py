@@ -178,6 +178,8 @@ class TestArrayStore:
         )
         assert outcome(lambda: ViewGraph(n, edges)) == expected
         assert outcome(lambda: from_arrays_of(n, edges)) == expected
+        g = from_arrays_of(n, edges)
+        assert type(g.n_edges) is int and g.n_edges == len(g.edges) == len(canon)
 
     @settings(max_examples=300, deadline=None)
     @given(edge_lists(valid=False))
