@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-The primitive set is exactly what the message-passing networks and their
-losses need; there is no broadcasting beyond the bias add in ``linear``.
-A :class:`Tape` records pullbacks in execution order and replays them once,
-in reverse, from a scalar loss.  Everything is float64 and deterministic in
-single-threaded use.
+The primitives are what the networks' heads and losses need; there is no
+broadcasting beyond the bias add in ``linear``.  The message-passing rounds
+are one operation with its own pullback, ``mpnn.forward``, recorded with
+``Tape.emit``.  A :class:`Tape` records pullbacks in execution order and
+replays them once, in reverse, from a scalar loss.  Everything is float64
+and deterministic in single-threaded use.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Tensor:
         return self.values.shape
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``.  The first gradient becomes ``t.grad``
     itself, so ``g`` must be a float64 array nothing else holds: a pullback
     that passes its own ``g`` or a view of it passes a copy."""
@@ -60,7 +61,7 @@ class Tape:
 
     def __init__(self, recording: bool = True):
         self.recording = recording
-        self._records: list = []  # (output, inputs, pullback) in topological order
+        self._records: list = []  # (outputs, pullback) in topological order
         self._consumed = False
 
     # -- leaves --------------------------------------------------------
@@ -71,10 +72,16 @@ class Tape:
     def constant(self, values) -> Tensor:
         return Tensor(np.asarray(values, dtype=np.float64), False)
 
-    def _emit(self, out: Tensor, inputs: tuple[Tensor, ...], pullback) -> Tensor:
-        out.requires_grad = any(t.requires_grad for t in inputs)
-        if self.recording and out.requires_grad:
-            self._records.append((out, inputs, pullback))
+    def emit(self, out, inputs: tuple[Tensor, ...], pullback):
+        """Record ``out``, a tensor or a tuple of tensors, made from ``inputs``.
+        ``pullback`` gets each output's gradient (``None`` where none reached
+        it) and adds into its inputs' gradients with ``accumulate``."""
+        outs = out if isinstance(out, tuple) else (out,)
+        requires_grad = any(t.requires_grad for t in inputs)
+        for t in outs:
+            t.requires_grad = requires_grad
+        if self.recording and requires_grad:
+            self._records.append((outs, pullback))
         return out
 
     # -- primitives ----------------------------------------------------
@@ -90,79 +97,11 @@ class Tape:
         out += b.values
 
         def pull(g):
-            _accumulate(x, g @ w.values.T)
-            _accumulate(w, x.values.T @ g)
-            _accumulate(b, g.sum(axis=0))
+            accumulate(x, g @ w.values.T)
+            accumulate(w, x.values.T @ g)
+            accumulate(b, g.sum(axis=0))
 
-        return self._emit(Tensor(out), (x, w, b), pull)
-
-    def edge_linear(
-        self, h: Tensor, dst: np.ndarray, src: np.ndarray, e: Tensor, w: Tensor, b: Tensor
-    ) -> Tensor:
-        """``concat([h[dst], h[src], e]) @ w + b`` without building the concat.
-
-        With ``w`` split by rows into ``wd, ws, we`` (H, H and F rows), the
-        result is ``(h @ wd + b)[dst] + (h @ ws)[src] + e @ we``: the first two
-        products run over the N node rows and are then taken by edge.  The
-        pullback sums the edge gradient into node rows first, so it too works
-        on N rows except for ``e``.
-        """
-        dst = np.asarray(dst, dtype=np.int64)
-        src = np.asarray(src, dtype=np.int64)
-        if h.values.ndim != 2 or e.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
-            raise AutodiffError("edge_linear expects h (n,H), e (m,F), w (2H+F,o), b (o,)")
-        n, hid = h.shape
-        m = e.shape[0]
-        if dst.shape != (m,) or src.shape != (m,):
-            raise AutodiffError(f"edge_linear expects dst and src of shape ({m},)")
-        if w.shape[0] != 2 * hid + e.shape[1] or b.shape[0] != w.shape[1]:
-            raise AutodiffError(
-                f"edge_linear shape mismatch: h {h.shape}, e {e.shape}, w {w.shape}, b {b.shape}"
-            )
-        for index in (dst, src):
-            if m and (index.min() < 0 or index.max() >= n):
-                raise AutodiffError("edge_linear index out of range")
-        wd, ws, we = w.values[:hid], w.values[hid:2 * hid], w.values[2 * hid:]
-        node_d = h.values @ wd
-        node_d += b.values
-        out = np.take(node_d, dst, axis=0)
-        out += np.take(h.values @ ws, src, axis=0)
-        out += e.values @ we
-
-        def pull(g):
-            g_dst = _segment_sum(g, dst, n)
-            g_src = _segment_sum(g, src, n)
-            gh = g_dst @ wd.T
-            gh += g_src @ ws.T
-            _accumulate(h, gh)
-            _accumulate(e, g @ we.T)
-            _accumulate(w, np.concatenate([h.values.T @ g_dst, h.values.T @ g_src, e.values.T @ g]))
-            _accumulate(b, g.sum(axis=0))
-
-        return self._emit(Tensor(out), (h, e, w, b), pull)
-
-    def relu(self, x: Tensor) -> Tensor:
-        """``max(x, 0)`` in one pass.  The subgradient at 0 is 0.  NaN
-        propagates: a NaN input gives a NaN output and a zero gradient."""
-        out = np.maximum(x.values, 0.0)
-
-        def pull(g):
-            _accumulate(x, np.where(out > 0.0, g, 0.0))
-
-        return self._emit(Tensor(out), (x,), pull)
-
-    def concat(self, xs: list[Tensor]) -> Tensor:
-        """Column-wise concatenation of (n, d_i) tensors."""
-        if not xs:
-            raise AutodiffError("concat of an empty list")
-        out = Tensor(np.concatenate([t.values for t in xs], axis=1))
-        offsets = np.cumsum([0] + [t.values.shape[1] for t in xs])
-
-        def pull(g):
-            for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                _accumulate(t, g[:, lo:hi].copy())
-
-        return self._emit(out, tuple(xs), pull)
+        return self.emit(Tensor(out), (x, w, b), pull)
 
     def gather(self, x: Tensor, index: np.ndarray) -> Tensor:
         index = np.asarray(index, dtype=np.int64)
@@ -170,28 +109,12 @@ class Tape:
             raise AutodiffError("gather expects x (n,d) and a 1-D index")
         if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
             raise AutodiffError("gather index out of range")
-        out = Tensor(x.values[index])
+        out = Tensor(np.take(x.values, index, axis=0))
 
         def pull(g):
-            _accumulate(x, _segment_sum(g, index, x.shape[0]))
+            accumulate(x, _segment_sum(g, index, x.shape[0]))
 
-        return self._emit(out, (x,), pull)
-
-    def scatter_mean(self, src: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
-        index = np.asarray(index, dtype=np.int64)
-        if src.values.ndim != 2 or index.ndim != 1 or index.shape[0] != src.shape[0]:
-            raise AutodiffError("scatter_mean expects src (e,d) and index (e,)")
-        if index.size and (index.min() < 0 or index.max() >= n_rows):
-            raise AutodiffError("scatter_mean index out of range")
-        counts = np.bincount(index, minlength=n_rows).astype(np.float64)
-        sums = _segment_sum(src.values, index, n_rows)
-        denom = np.maximum(counts, 1.0)  # rows with no incoming entries stay zero
-        out = Tensor(sums / denom[:, None])
-
-        def pull(g):
-            _accumulate(src, g[index] / denom[index, None])
-
-        return self._emit(out, (src,), pull)
+        return self.emit(out, (x,), pull)
 
     def quat_normalize(self, x: Tensor) -> Tensor:
         if x.values.ndim != 2 or x.shape[1] != 4:
@@ -205,19 +128,19 @@ class Tape:
         def pull(g):
             # d(x/|x|) = (g - y (y.g)) / |x|
             proj = np.sum(y * g, axis=1, keepdims=True)
-            _accumulate(x, (g - y * proj) / norms)
+            accumulate(x, (g - y * proj) / norms)
 
-        return self._emit(out, (x,), pull)
+        return self.emit(out, (x,), pull)
 
     def quat_compose(self, a: Tensor, b: Tensor) -> Tensor:
         self._check_quat_pair(a, b, "quat_compose")
         out = Tensor(so3.qmul(a.values, b.values))
 
         def pull(g):
-            _accumulate(a, so3.qmul(g, so3.qconj(b.values)))
-            _accumulate(b, so3.qmul(so3.qconj(a.values), g))
+            accumulate(a, so3.qmul(g, so3.qconj(b.values)))
+            accumulate(b, so3.qmul(so3.qconj(a.values), g))
 
-        return self._emit(out, (a, b), pull)
+        return self.emit(out, (a, b), pull)
 
     def quat_conjugate(self, x: Tensor) -> Tensor:
         if x.values.ndim != 2 or x.shape[1] != 4:
@@ -225,9 +148,9 @@ class Tape:
         out = Tensor(so3.qconj(x.values))
 
         def pull(g):
-            _accumulate(x, so3.qconj(g))
+            accumulate(x, so3.qconj(g))
 
-        return self._emit(out, (x,), pull)
+        return self.emit(out, (x,), pull)
 
     def bce_with_logits(self, logits: Tensor, targets: Tensor) -> Tensor:
         if logits.shape != targets.shape or logits.values.ndim != 1:
@@ -238,9 +161,9 @@ class Tape:
 
         def pull(g):
             sig = 1.0 / (1.0 + np.exp(-z))
-            _accumulate(logits, g * (sig - t))
+            accumulate(logits, g * (sig - t))
 
-        return self._emit(out, (logits, targets), pull)
+        return self.emit(out, (logits, targets), pull)
 
     def quat_dist_loss(self, a: Tensor, b: Tensor) -> Tensor:
         """Per-row ``min(|a - b|, |a + b|)`` with the sign-flip branch taken
@@ -260,11 +183,11 @@ class Tape:
             direction = np.where(
                 (norms > QUAT_NORM_FLOOR)[:, None], chosen / safe[:, None], 0.0
             )
-            _accumulate(a, g[:, None] * direction)
+            accumulate(a, g[:, None] * direction)
             sign_b = np.where(take_minus, -1.0, 1.0)
-            _accumulate(b, (g * sign_b)[:, None] * direction)
+            accumulate(b, (g * sign_b)[:, None] * direction)
 
-        return self._emit(out, (a, b), pull)
+        return self.emit(out, (a, b), pull)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -272,10 +195,10 @@ class Tape:
         out = Tensor(a.values + b.values)
 
         def pull(g):
-            _accumulate(a, g.copy())
-            _accumulate(b, g.copy())
+            accumulate(a, g.copy())
+            accumulate(b, g.copy())
 
-        return self._emit(out, (a, b), pull)
+        return self.emit(out, (a, b), pull)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -283,27 +206,27 @@ class Tape:
         out = Tensor(a.values * b.values)
 
         def pull(g):
-            _accumulate(a, g * b.values)
-            _accumulate(b, g * a.values)
+            accumulate(a, g * b.values)
+            accumulate(b, g * a.values)
 
-        return self._emit(out, (a, b), pull)
+        return self.emit(out, (a, b), pull)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         c = float(c)
         out = Tensor(x.values * c)
 
         def pull(g):
-            _accumulate(x, g * c)
+            accumulate(x, g * c)
 
-        return self._emit(out, (x,), pull)
+        return self.emit(out, (x,), pull)
 
     def sum(self, x: Tensor) -> Tensor:
         out = Tensor(np.asarray(x.values.sum()))
 
         def pull(g):
-            _accumulate(x, np.full_like(x.values, float(g)))
+            accumulate(x, np.full_like(x.values, float(g)))
 
-        return self._emit(out, (x,), pull)
+        return self.emit(out, (x,), pull)
 
     def mean(self, x: Tensor) -> Tensor:
         n = x.values.size
@@ -312,17 +235,17 @@ class Tape:
         out = Tensor(np.asarray(x.values.mean()))
 
         def pull(g):
-            _accumulate(x, np.full_like(x.values, float(g) / n))
+            accumulate(x, np.full_like(x.values, float(g) / n))
 
-        return self._emit(out, (x,), pull)
+        return self.emit(out, (x,), pull)
 
     def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
         out = Tensor(x.values.reshape(shape))
 
         def pull(g):
-            _accumulate(x, g.reshape(x.values.shape).copy())
+            accumulate(x, g.reshape(x.values.shape).copy())
 
-        return self._emit(out, (x,), pull)
+        return self.emit(out, (x,), pull)
 
     # -- backward ------------------------------------------------------
 
@@ -333,10 +256,10 @@ class Tape:
             raise AutodiffError(f"backward requires a scalar loss, got shape {loss.values.shape}")
         self._consumed = True
         loss.grad = np.asarray(1.0)
-        for out, _inputs, pullback in reversed(self._records):
-            if out.grad is None:
-                continue
-            pullback(out.grad)
+        for outs, pullback in reversed(self._records):
+            grads = [t.grad for t in outs]
+            if any(g is not None for g in grads):
+                pullback(*grads)
 
     @staticmethod
     def _check_quat_pair(a: Tensor, b: Tensor, name: str) -> None:

@@ -108,7 +108,7 @@ class WeiszfeldResult:
 
 def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
     u, v = g.endpoint_arrays()
-    rel = so3.qmul(rows[v], so3.qconj(rows[u]))
+    rel = so3.qmul(rows.take(v, axis=0), so3.qconj(rows.take(u, axis=0)))
     return float(np.sum(so3.qangle_deg(rel, g.edge_quat_array())))
 
 
@@ -206,7 +206,8 @@ def weiszfeld_mra(
     trace = [_consistency_objective(g, rows)]
     for _ in range(sweeps):
         for nodes, src, q_in, valid in plan:
-            rows[nodes] = _weiszfeld_medians(so3.qmul(q_in, rows[src]), valid, median_iters)
+            rows[nodes] = _weiszfeld_medians(so3.qmul(q_in, rows.take(src, axis=0)), valid,
+                                             median_iters)
         trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 

@@ -76,8 +76,8 @@ def _head_tensors(
     m = g.n_edges
     heads = [(weights["head_rect.w"], weights["head_rect.b"]),
              (weights["head_out.w"], weights["head_out.b"])]
-    delta_raw, logits = mpnn.forward(tape, weights, cfg, uv, tape.constant(quats), None,
-                                     g.n_nodes, heads, head_rows=m)
+    delta_raw, logits = mpnn.forward(tape, weights, cfg, uv, quats, None, g.n_nodes, heads,
+                                     head_rows=m)
     return delta_raw, tape.reshape(logits, (m,))
 
 
@@ -88,10 +88,10 @@ def clean_forward(
 
     Total on any graph with at least one edge: correction rows whose norm
     underflows are replaced by the identity rotation.  The network runs on a
-    non-recording tape, so ``mpnn.forward`` takes its chunked inference
-    rounds: the final round computes the messages of the E stored directions
-    only, applies both heads run by run and skips the node update.  Beyond
-    the edge arrays, memory is O(N*H + CHUNK_ROWS*M); no (E, M) block is
+    non-recording tape, so ``mpnn.forward`` records no pullback; its final
+    round computes the messages of the E stored directions only, applies
+    both heads run by run and skips the node update.  Beyond the edge
+    arrays, memory is O(rounds*N*(H+M) + CHUNK_ROWS*M); no (E, M) block is
     kept.
     """
     if g.n_edges == 0:

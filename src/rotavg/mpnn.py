@@ -8,34 +8,30 @@ per node by the mean, and updates node states:
     m_v        = mean over incoming directed edges
     h_v        = relu(Wg @ [h_v, m_v])
 
-The first message layer runs factorised.  With ``W1`` split by columns into
-``W1a, W1b, W1c`` (hidden, hidden and edge-feature columns),
+The first message layer runs factorised: with ``W1`` split by columns into
+hidden, hidden and edge-feature parts, ``W1 @ [h_v, h_u, e_uv] = (W1a @ h_v)
++ (W1b @ h_u) + W1c @ e_uv``, so the two hidden-state products run once per
+node and are then taken per directed edge.
 
-    W1 @ [h_v, h_u, e_uv] = (W1a @ h_v) + (W1b @ h_u) + W1c @ e_uv
+``forward`` is one tape operation, the one implementation for training and
+inference.  It sorts the edges by target once and cuts them into runs of
+whole target nodes of at most ``CHUNK_ROWS`` rows, so that one
+``np.add.reduceat`` per run forms each node's sum in one place.  No (2E, M)
+array is built: memory is O(rounds*N*(H+M) + CHUNK_ROWS*M).  With heads
+(CleanNet's per-edge outputs) the final round computes the head rows'
+messages only and skips the node update.
 
-so the two hidden-state products run once per node and are then taken per
-directed edge (``Tape.edge_linear``); the (2E, 2H+F) concatenation is never
-built.
+The call keeps each round's node states and aggregates; on a recording tape
+its one pullback walks the rounds backward and recomputes each run's
+message layers from them (the recompute-in-backward trade of Chen et al.,
+*Training Deep Nets with Sublinear Memory Cost*, 2016).  It sums edge
+gradients into target rows with the same ``reduceat`` runs (the CSR segment
+reduction of PyTorch Geometric) and into source rows with one ``bincount``
+per run.  The tests keep the former loop of generic tape primitives as the
+oracle.
 
-Two paths evaluate these rounds.  On a recording tape (training) each
-round runs on all 2E directed edges at once through the tape's primitives;
-that path is also the test oracle of the other.  On a non-recording tape
-(inference, validation losses) ``_inference_rounds`` runs the same
-operations on arrays over runs of edges, and never builds a (2E, M) array:
-peak memory per round is O(N*H + CHUNK_ROWS*M), not O(E*M).  The edges
-are sorted by target once per forward and cut into runs of whole target
-nodes.  Because no node straddles two runs, one ``np.add.reduceat`` per
-run forms each node's sum in one place; runs cut anywhere would leave
-partial sums to scatter-add across runs.  That path also computes only what
-the caller reads: with heads (CleanNet's per-edge outputs) the final round
-computes the messages of the head rows only, applies the heads run by run
-and skips the node update; without heads (FineNet's node states) the final
-round keeps no messages.
-
-The message transform is a two-layer perceptron and the update a single
-layer, with per-round (unshared) weights; this lands the two
-networks plus their heads at ~43K parameters, inside the intended budget
-while keeping serialized checkpoints under half a megabyte.
+Per-round (unshared) weights land the two networks plus their heads at ~43K
+parameters, with serialized checkpoints under half a megabyte.
 """
 
 from __future__ import annotations
@@ -45,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AutodiffError, ParamStore, Tape, Tensor
+from .autodiff import AutodiffError, ParamStore, Tape, Tensor, _segment_sum, accumulate
 
-CHUNK_ROWS = 1024  # directed edges per run of an inference round
+CHUNK_ROWS = 1024  # directed edges per run of a round
 
 
 @dataclass(frozen=True)
@@ -97,8 +93,8 @@ def forward(
     weights: dict[str, Tensor],
     cfg: MpnnConfig,
     uv: np.ndarray,
-    edge_feats: Tensor,
-    node_init: Tensor | None,
+    edge_feats: np.ndarray,
+    node_init: np.ndarray | None,
     n_nodes: int,
     heads: Sequence[tuple[Tensor, Tensor]] = (),
     head_rows: int = 0,
@@ -106,66 +102,52 @@ def forward(
     """Run the rounds; returns the final node states, or the heads' outputs.
 
     ``uv`` holds directed edges (source, target) and must already contain
-    both directions of every measurement.  ``node_init`` rows, when given,
-    are zero-padded up to the hidden width.  Nodes without incoming edges
-    receive a zero aggregate.
+    both directions of every measurement.  ``edge_feats`` and ``node_init``
+    are arrays, so gradients reach the weights and heads only.
+    ``node_init`` rows, when given, are zero-padded up to the hidden width.
+    Nodes without incoming edges receive a zero aggregate.
 
     Without ``heads`` the result is the (N, H) tensor of final node states.
     ``heads`` are linear layers ``(w, b)`` on the final-round messages of the
     first ``head_rows`` directed edges; with heads the result is the list of
-    their outputs, and the final node update, which nothing reads, is
-    skipped.  A recording tape runs the rounds on the tape's primitives; a
-    non-recording one runs them on arrays, over runs of edges
-    (``_inference_rounds``).
+    their outputs, which share one tape record.
     """
     uv = np.asarray(uv, dtype=np.int64)
-    _check_inputs(weights, cfg, uv, edge_feats, node_init, n_nodes, heads, head_rows)
-    if not tape.recording:
-        out = _inference_rounds(
-            {name: t.values for name, t in weights.items()}, cfg, uv, edge_feats.values,
-            None if node_init is None else node_init.values, n_nodes,
-            [(w.values, b.values) for w, b in heads], head_rows,
-        )
-        return [tape.constant(o) for o in out] if heads else tape.constant(out)
+    feats = np.asarray(edge_feats, dtype=np.float64)
+    init = None if node_init is None else np.asarray(node_init, dtype=np.float64)
+    _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows)
+    w = {name: weights[name].values for name in weight_spec(cfg)}
+    head_w = [(hw.values, hb.values) for hw, hb in heads]
+    runs = _EdgeRuns.build(uv, feats, n_nodes, head_rows)
+    states: list[np.ndarray] = []
+    out = _rounds(w, cfg, runs, init, head_w, head_rows, states)
+    outs = tuple(Tensor(o) for o in out) if heads else (Tensor(out),)
+    inputs = tuple(weights[name] for name in w) + tuple(t for pair in heads for t in pair)
 
-    src = uv[:, 0]
-    dst = uv[:, 1]
-    if node_init is None:
-        h = tape.constant(np.zeros((n_nodes, cfg.hidden_dim)))
-    else:
-        pad = tape.constant(np.zeros((n_nodes, cfg.hidden_dim - cfg.node_init_dim)))
-        h = tape.concat([node_init, pad])
-    for t in range(cfg.rounds):
-        step = f"step{t}"
-        x = tape.relu(tape.edge_linear(
-            h, dst, src, edge_feats, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]
-        ))
-        msgs = tape.relu(tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
-        if heads and t == cfg.rounds - 1:
-            rows = tape.gather(msgs, np.arange(head_rows))
-            return [tape.linear(rows, w, b) for w, b in heads]
-        x = tape.concat([h, tape.scatter_mean(msgs, dst, n_nodes)])
-        h = tape.relu(tape.linear(x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))
-    return h
+    def pull(*grads):
+        for t, g in zip(inputs, _pullback(w, cfg, runs, states, head_w, grads)):
+            accumulate(t, g)
+
+    tape.emit(outs, inputs, pull)
+    return list(outs) if heads else outs[0]
 
 
-def _check_inputs(weights, cfg, uv, edge_feats, node_init, n_nodes, heads, head_rows) -> None:
+def _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows) -> None:
     """Every check of ``forward``'s inputs, once, before any work."""
     if uv.ndim != 2 or uv.shape[1] != 2:
         raise AutodiffError("uv must have shape (n_edges, 2)")
     n_edges = uv.shape[0]
-    if edge_feats.shape != (n_edges, cfg.edge_feat_dim):
+    if feats.shape != (n_edges, cfg.edge_feat_dim):
         raise AutodiffError(
-            f"edge_feats shape {edge_feats.shape} does not match "
-            f"({n_edges}, {cfg.edge_feat_dim})"
+            f"edge_feats shape {feats.shape} does not match ({n_edges}, {cfg.edge_feat_dim})"
         )
-    # np.take, which the inference rounds use, would wrap a negative index
+    # np.take, which the rounds use, would wrap a negative index
     if n_edges and (uv.min() < 0 or uv.max() >= n_nodes):
         raise AutodiffError(f"edge endpoint out of range [0, {n_nodes})")
     if cfg.node_init_dim == 0:
-        if node_init is not None:
+        if init is not None:
             raise AutodiffError("node_init given but node_init_dim is 0")
-    elif node_init is None or node_init.shape != (n_nodes, cfg.node_init_dim):
+    elif init is None or init.shape != (n_nodes, cfg.node_init_dim):
         raise AutodiffError(f"node_init must have shape ({n_nodes}, {cfg.node_init_dim})")
     for name, shape in weight_spec(cfg).items():
         if weights[name].shape != shape:
@@ -179,97 +161,107 @@ def _check_inputs(weights, cfg, uv, edge_feats, node_init, n_nodes, heads, head_
         raise AutodiffError(f"head_rows {head_rows} outside [0, {n_edges}]")
 
 
-def _inference_rounds(
-    w: dict[str, np.ndarray],
-    cfg: MpnnConfig,
-    uv: np.ndarray,
-    feats: np.ndarray,
-    init: np.ndarray | None,
-    n_nodes: int,
-    heads: list[tuple[np.ndarray, np.ndarray]],
-    head_rows: int,
-) -> np.ndarray | list[np.ndarray]:
-    """``forward`` on arrays, for a non-recording tape: the same operations,
-    over runs of directed edges.  Results agree with the tape path to
-    rounding: ``reduceat`` sums a segment pairwise where ``scatter_mean``'s
-    ``bincount`` sums in edge order.
+@dataclass(frozen=True)
+class _EdgeRuns:
+    """The directed edges in their given order, cut into ``chunks`` of head
+    rows, and sorted stably by target, cut into ``runs`` of whole target
+    nodes of at most ``CHUNK_ROWS`` rows unless one node alone has more."""
 
-    The edges are sorted by target once (stably, so each node keeps its
-    edges' order) and cut into runs of whole target nodes, each at most
-    ``CHUNK_ROWS`` rows unless one node alone has more in-edges.  A run's two
-    message layers run in buffers allocated once per forward, and one
-    ``np.add.reduceat`` sums the run into its own nodes' aggregate rows.
-    Because no node straddles two runs, each sum is formed in one place and
-    needs no second pass.  The final round of a heads call computes the
-    messages of the first ``head_rows`` edges only, in their given order,
-    and applies the heads run by run.
-    """
-    hid = cfg.hidden_dim
-    src, dst = uv[:, 0], uv[:, 1]
-    order = np.argsort(dst, kind="stable")
-    s_src, s_dst, s_feats = src[order], dst[order], feats[order]
-    del order
-    counts = np.bincount(dst, minlength=n_nodes)
-    targets = np.flatnonzero(counts)
-    ends = np.cumsum(counts[targets])
-    starts = ends - counts[targets]
-    runs = []  # (first row, end row, first target, end target, segment starts in the run)
-    k = 0
-    while k < targets.size:
-        k_end = max(k + 1, int(np.searchsorted(ends, starts[k] + CHUNK_ROWS, side="right")))
-        runs.append((int(starts[k]), int(ends[k_end - 1]), k, k_end, starts[k:k_end] - starts[k]))
-        k = k_end
-    rows = max([end - a for a, end, *_ in runs] + [min(CHUNK_ROWS, head_rows)])
-    bufs = np.empty((3, rows * cfg.msg_dim))
-    sums = np.empty((cfg.msg_dim, targets.size))  # transposed, as the messages
-    denom = counts[targets, None].astype(np.float64)
-    agg = np.zeros((n_nodes, cfg.msg_dim))  # rows of nodes without in-edges stay zero
+    src: np.ndarray
+    dst: np.ndarray
+    feats: np.ndarray
+    s_src: np.ndarray
+    s_dst: np.ndarray
+    s_feats: np.ndarray
+    targets: np.ndarray  # nodes with in-edges, ascending
+    denom: np.ndarray    # (N, 1) in-degree, 1 without in-edges
+    runs: list           # (first row, end row, first target, end target, segment starts)
+    chunks: list         # (first row, end row)
+    rows: int            # of the largest run or chunk
 
+    @classmethod
+    def build(cls, uv, feats, n_nodes, head_rows) -> "_EdgeRuns":
+        src, dst = uv[:, 0], uv[:, 1]
+        order = np.argsort(dst, kind="stable")
+        counts = np.bincount(dst, minlength=n_nodes)
+        targets = np.flatnonzero(counts)
+        ends = np.cumsum(counts[targets])
+        starts = ends - counts[targets]
+        runs = []
+        k = 0
+        while k < targets.size:
+            k_end = max(k + 1, int(np.searchsorted(ends, starts[k] + CHUNK_ROWS, side="right")))
+            runs.append((int(starts[k]), int(ends[k_end - 1]), k, k_end,
+                         starts[k:k_end] - starts[k]))
+            k = k_end
+        chunks = [(a, min(a + CHUNK_ROWS, head_rows)) for a in range(0, head_rows, CHUNK_ROWS)]
+        rows = max([end - a for a, end, *_ in runs + chunks] + [0])
+        return cls(src, dst, feats, src[order], dst[order], feats[order], targets,
+                   np.maximum(counts, 1).astype(np.float64)[:, None], runs, chunks, rows)
+
+
+def _round(w: dict[str, np.ndarray], t: int, h: np.ndarray) -> tuple:
+    """Round ``t``'s weights (the first message layer's target, source and
+    edge-feature rows and bias, the second layer's, the update layer's) and
+    the first layer's node products of the states ``h``, bias in the target
+    one."""
+    hid = h.shape[1]
+    w1 = w[f"step{t}.msg1.w"]
+    wt = (w1[:hid], w1[hid:2 * hid], w1[2 * hid:],
+          *(w[f"step{t}.{name}"] for name in ("msg1.b", "msg2.w", "msg2.b", "upd.w", "upd.b")))
+    node_d = h @ wt[0]
+    node_d += wt[3]
+    return wt, node_d, h @ wt[1]
+
+
+def _rounds(w, cfg, runs, init, heads, head_rows, states):
+    """The forward: final node states, or the heads' outputs.  Appends each
+    update's input ``[h, agg]`` to ``states``, then the last node states."""
+    hid, n_nodes = cfg.hidden_dim, runs.denom.shape[0]
+    bufs = np.empty((3, runs.rows * cfg.msg_dim))
+    sums = np.empty((cfg.msg_dim, runs.targets.size))  # transposed, as the messages
     h = np.zeros((n_nodes, hid))
     if init is not None:
         h[:, :cfg.node_init_dim] = init
     for t in range(cfg.rounds):
-        step = f"step{t}"
-        w1 = w[f"{step}.msg1.w"]
-        layers = (w1[2 * hid:], w[f"{step}.msg2.w"], w[f"{step}.msg2.b"][:, None])
-        node_d = h @ w1[:hid]
-        node_d += w[f"{step}.msg1.b"]
-        node_s = h @ w1[hid:2 * hid]
+        wt, node_d, node_s = _round(w, t, h)
         if heads and t == cfg.rounds - 1:
-            outs = [np.empty((head_rows, hw.shape[1])) for hw, _ in heads]
-            for a in range(0, head_rows, CHUNK_ROWS):
-                end = min(a + CHUNK_ROWS, head_rows)
-                msgs = _messages(node_d, node_s, dst[a:end], src[a:end], feats[a:end], layers, bufs)
-                for out, (hw, hb) in zip(outs, heads):
-                    np.matmul(msgs.T, hw, out=out[a:end])
-                    out[a:end] += hb
-            return outs
-        for a, end, k, k_end, seg in runs:
-            msgs = _messages(node_d, node_s, s_dst[a:end], s_src[a:end], s_feats[a:end], layers, bufs)
+            break
+        for a, end, k, k_end, seg in runs.runs:
+            msgs = _messages(node_d, node_s, runs.s_dst[a:end], runs.s_src[a:end],
+                             runs.s_feats[a:end], wt, bufs)
             np.add.reduceat(msgs, seg, axis=1, out=sums[:, k:k_end])
-        agg[targets] = sums.T / denom
-        h = np.concatenate([h, agg], axis=1) @ w[f"{step}.upd.w"]
-        h += w[f"{step}.upd.b"]
+        x = np.zeros((n_nodes, hid + cfg.msg_dim))  # nodes without in-edges: zero aggregate
+        x[:, :hid] = h
+        x[runs.targets, hid:] = sums.T / runs.denom[runs.targets]
+        states.append(x)
+        h = x @ wt[6]
+        h += wt[7]
         np.maximum(h, 0.0, out=h)
-    return h
+    states.append(h)
+    if not heads:
+        return h
+    outs = [np.empty((head_rows, hw.shape[1])) for hw, _ in heads]
+    for a, end in runs.chunks:
+        msgs = _messages(node_d, node_s, runs.dst[a:end], runs.src[a:end], runs.feats[a:end],
+                         wt, bufs)
+        for out, (hw, hb) in zip(outs, heads):
+            np.matmul(msgs.T, hw, out=out[a:end])
+            out[a:end] += hb
+    return outs
 
 
-def _messages(node_d, node_s, dst, src, feats, layers, bufs) -> np.ndarray:
+def _messages(node_d, node_s, dst, src, feats, wt, bufs) -> np.ndarray:
     """Both message layers for one run of directed edges, in the leading
-    cells of the three flat buffers ``bufs``; returns the messages
-    transposed, (M, rows), a view of the third buffer.
-
-    ``node_d`` (bias included) and ``node_s`` are the first layer's node
-    products, taken by edge as ``Tape.edge_linear`` takes them.  The second
-    layer writes its output transposed, the same dot products with the
-    operands' roles swapped, so that ``reduceat`` sums each node along the
-    contiguous axis: about three times faster than across rows at degree
-    98."""
-    we, w2, b2 = layers
+    cells of the flat buffers ``bufs``: the first layer's output, (rows, M),
+    stays in the first; the messages are returned as (M, rows), a view of
+    the third, so that ``reduceat`` sums each node along the contiguous
+    axis (three times faster than across rows at degree 98)."""
+    we, w2, b2 = wt[2], wt[4], wt[5]
     rows, width = dst.size, we.shape[1]
     x, y = (buf[:rows * width].reshape(rows, width) for buf in bufs[:2])
     out = bufs[2, :rows * width].reshape(width, rows)
-    # the endpoints were range-checked once per forward, so "clip" never clips
+    # the endpoints were range-checked once per call, so "clip" never clips
     np.take(node_d, dst, axis=0, out=x, mode="clip")
     np.take(node_s, src, axis=0, out=y, mode="clip")
     x += y
@@ -277,6 +269,87 @@ def _messages(node_d, node_s, dst, src, feats, layers, bufs) -> np.ndarray:
     x += y
     np.maximum(x, 0.0, out=x)
     np.matmul(w2.T, x.T, out=out)
-    out += b2
+    out += b2[:, None]
     np.maximum(out, 0.0, out=out)
     return out
+
+
+def _pullback(w, cfg, runs, states, heads, grads):
+    """Gradients of the weights, in ``w``'s order, then of each head's
+    ``w`` and ``b``, from the outputs' gradients ``grads`` (``None`` where an
+    output has none)."""
+    hid, msg, n_nodes = cfg.hidden_dim, cfg.msg_dim, runs.denom.shape[0]
+    g_w = {name: np.zeros(shape) for name, shape in weight_spec(cfg).items()}
+    g_heads = [(np.zeros_like(hw), np.zeros_like(hb)) for hw, hb in heads]
+    bufs = np.empty((3, runs.rows * msg))
+    sums = np.empty((runs.targets.size, msg))
+    # each run's distinct sources, found once for all rounds
+    sources = [np.unique(runs.s_src[a:end], return_inverse=True) for a, end, *_ in runs.runs]
+    g_h = None if heads else grads[0]
+    for t in reversed(range(cfg.rounds)):
+        h = states[t][:, :hid]
+        wt, node_d, node_s = _round(w, t, h)
+        g_d, g_s = np.zeros((n_nodes, msg)), np.zeros((n_nodes, msg))
+        if g_h is None:  # the heads' round, on the head rows in their given order
+            for a, end in runs.chunks:
+                dst, src, feats = runs.dst[a:end], runs.src[a:end], runs.feats[a:end]
+                msgs = _messages(node_d, node_s, dst, src, feats, wt, bufs)
+                g_msgs = bufs[1, :msgs.size].reshape(msgs.shape)
+                g_msgs.fill(0.0)
+                for (hw, _), g_out, (g_hw, g_hb) in zip(heads, grads, g_heads):
+                    if g_out is not None:
+                        g_msgs += hw @ g_out[a:end].T
+                        g_hw += msgs @ g_out[a:end]
+                        g_hb += g_out[a:end].sum(axis=0)
+                d1 = _message_pullback(feats, wt, bufs, g_w, t)
+                _scatter_add(g_d, *np.unique(dst, return_inverse=True), d1)
+                _scatter_add(g_s, *np.unique(src, return_inverse=True), d1)
+            g_h = 0.0  # the heads' round has no node update
+        else:
+            g_up = g_h * (states[t + 1][:, :hid] > 0.0)
+            g_w[f"step{t}.upd.w"] += states[t].T @ g_up
+            g_w[f"step{t}.upd.b"] += g_up.sum(axis=0)
+            g_x = g_up @ wt[6].T
+            g_sum = np.ascontiguousarray((g_x[:, hid:] / runs.denom).T)  # (M, N), as messages
+            for (a, end, k, k_end, seg), (nodes, inv) in zip(runs.runs, sources):
+                dst, feats = runs.s_dst[a:end], runs.s_feats[a:end]
+                msgs = _messages(node_d, node_s, dst, runs.s_src[a:end], feats, wt, bufs)
+                np.take(g_sum, dst, axis=1, out=bufs[1, :msgs.size].reshape(msgs.shape),
+                        mode="clip")
+                d1 = _message_pullback(feats, wt, bufs, g_w, t)
+                np.add.reduceat(d1, seg, axis=0, out=sums[k:k_end])
+                _scatter_add(g_s, nodes, inv, d1)
+            g_d[runs.targets] = sums
+            g_h = g_x[:, :hid]
+        # the node rows and bias of the first message layer; each edge has one target
+        g_w[f"step{t}.msg1.w"][:hid] += h.T @ g_d
+        g_w[f"step{t}.msg1.w"][hid:2 * hid] += h.T @ g_s
+        g_w[f"step{t}.msg1.b"] += g_d.sum(axis=0)
+        g_h = g_h + g_d @ wt[0].T + g_s @ wt[1].T
+    return [g_w[name] for name in w] + [g for pair in g_heads for g in pair]
+
+
+def _message_pullback(feats, wt, bufs, g_w, t) -> np.ndarray:
+    """Back through a run's message layers, after ``_messages`` filled
+    ``bufs[0]`` and ``bufs[2]`` and the caller put the messages' gradient,
+    (M, rows), in ``bufs[1]``.  Adds the second layer's and the
+    edge-feature rows' weight gradients into ``g_w``; returns the first
+    layer's pre-activation gradient, (rows, M), in the third buffer."""
+    w2 = wt[4]
+    rows, width = feats.shape[0], w2.shape[0]
+    x = bufs[0, :rows * width].reshape(rows, width)
+    g2 = bufs[1, :rows * width].reshape(width, rows)
+    g2 *= bufs[2, :rows * width].reshape(width, rows) > 0.0  # the messages' relu
+    g_w[f"step{t}.msg2.w"] += x.T @ g2.T
+    g_w[f"step{t}.msg2.b"] += g2.sum(axis=1)
+    d1 = bufs[2, :rows * width].reshape(rows, width)
+    np.matmul(g2.T, w2.T, out=d1)
+    d1 *= x > 0.0
+    g_w[f"step{t}.msg1.w"][-feats.shape[1]:] += feats.T @ d1
+    return d1
+
+
+def _scatter_add(out: np.ndarray, nodes: np.ndarray, inv: np.ndarray, d: np.ndarray) -> None:
+    """``out[nodes[inv[i]]] += d[i]``, one segment sum over the run's
+    distinct ``nodes``, so its cost follows the run's length, not N."""
+    out[nodes] += _segment_sum(d, inv, nodes.size)

@@ -54,20 +54,16 @@ def _edge_discrepancy(g: ViewGraph, init_rows: np.ndarray) -> tuple[np.ndarray, 
     """Directed edge arrays plus per-edge discrepancy features."""
     uv, quats = viewgraph.directed_arrays(g)
     # conjugating the N rows before the gather saves a (2E, 4) copy
-    return uv, so3.qmul(so3.qconj(init_rows)[uv[:, 1]], so3.qmul(quats, init_rows[uv[:, 0]]))
+    return uv, so3.qmul(so3.qconj(init_rows).take(uv[:, 1], axis=0),
+                        so3.qmul(quats, init_rows.take(uv[:, 0], axis=0)))
 
 
 def _corrections(
-    tape: Tape,
-    g: ViewGraph,
-    uv: np.ndarray,
-    node_init: Tensor,
-    edge_feats: Tensor,
-    weights: dict[str, Tensor],
-    cfg: MpnnConfig,
+    tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor], cfg: MpnnConfig
 ) -> Tensor:
     """The head: raw (N, 4) corrective quaternions from the final node states."""
-    h = mpnn.forward(tape, weights, cfg, uv, edge_feats, node_init, g.n_nodes)
+    uv, feats = _edge_discrepancy(g, init_rows)
+    h = mpnn.forward(tape, weights, cfg, uv, feats, init_rows, g.n_nodes)
     return tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
 
 
@@ -77,19 +73,10 @@ def forward_tensors(
     init_rows: np.ndarray,
     weights: dict[str, Tensor],
     cfg: MpnnConfig = DEFAULT_CONFIG,
-    init_tensor: Tensor | None = None,
-    feat_tensor: Tensor | None = None,
 ) -> Tensor:
-    """Refined orientations as an (N, 4) tensor (not yet re-referenced).
-
-    ``init_tensor``/``feat_tensor`` may be supplied as differentiable leaves
-    for gradient checks; by default they enter as constants.
-    """
-    uv, feats = _edge_discrepancy(g, init_rows)
-    node_init = init_tensor if init_tensor is not None else tape.constant(init_rows)
-    edge_feats = feat_tensor if feat_tensor is not None else tape.constant(feats)
-    delta_raw = _corrections(tape, g, uv, node_init, edge_feats, weights, cfg)
-    return tape.quat_compose(tape.quat_normalize(delta_raw), node_init)
+    """Refined orientations as an (N, 4) tensor (not yet re-referenced)."""
+    delta_raw = _corrections(tape, g, init_rows, weights, cfg)
+    return tape.quat_compose(tape.quat_normalize(delta_raw), tape.constant(init_rows))
 
 
 def refine_forward(
@@ -103,18 +90,16 @@ def refine_forward(
 
     Total on valid inputs: corrective rows whose norm underflows fall back
     to the identity rotation.  The network runs on a non-recording tape, so
-    ``mpnn.forward`` takes its chunked inference rounds, whose final round
-    keeps no messages.  Beyond the edge arrays and features, memory is
-    O(N*H + CHUNK_ROWS*M).
+    ``mpnn.forward`` records no pullback, and its final round keeps no
+    messages.  Beyond the edge arrays and features, memory is
+    O(rounds*N*(H+M) + CHUNK_ROWS*M).
     """
     init_rows = viewgraph.orientation_rows(g, init)
     _check_root(g, root)
     if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     tape = Tape(recording=False)
-    uv, feats = _edge_discrepancy(g, init_rows)
-    delta = _corrections(tape, g, uv, tape.constant(init_rows), tape.constant(feats),
-                         store.bind(tape), cfg).values
+    delta = _corrections(tape, g, init_rows, store.bind(tape), cfg).values
     pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 

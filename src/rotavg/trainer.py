@@ -22,7 +22,6 @@ import numpy as np
 
 from . import cleaning, refinement, viewgraph
 from .autodiff import ParamStore, Tape, Tensor
-from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
 DESK_LR = 2e-3          # larger steps suit the short desk-scale schedule
@@ -160,21 +159,17 @@ def train_cleannet(
     train_graphs: list[ViewGraph],
     val_graphs: list[ViewGraph],
     cfg: TrainConfig,
-    net_cfg: MpnnConfig = cleaning.DEFAULT_CONFIG,
 ) -> tuple[ParamStore, TrainLog]:
     """Train the edge-cleaning network; returns the best-validation weights."""
 
     def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
-        return cleaning.clean_loss_graph(tape, g, weights, net_cfg)
+        return cleaning.clean_loss_graph(tape, g, weights)
 
-    return _fit(cleaning.new_weights(cfg.seed, net_cfg), graph_loss, train_graphs, val_graphs, cfg)
+    return _fit(cleaning.new_weights(cfg.seed), graph_loss, train_graphs, val_graphs, cfg)
 
 
 def prepare_refinement_sample(
-    g: ViewGraph,
-    clean_store: ParamStore,
-    epsilon: float = cleaning.EPSILON_DEFAULT,
-    clean_cfg: MpnnConfig = cleaning.DEFAULT_CONFIG,
+    g: ViewGraph, clean_store: ParamStore
 ) -> tuple[ViewGraph, np.ndarray, int]:
     """Build one refinement training/eval sample from a (sub)graph.
 
@@ -185,8 +180,8 @@ def prepare_refinement_sample(
     sample bootstraps on the noisy graph's largest component.  Returns the
     observed graph, the (N, 4) initial rows and the root.
     """
-    pred = cleaning.clean_forward(g, clean_store, clean_cfg)
-    cleaned = cleaning.clean_graph(g, pred, epsilon)
+    pred = cleaning.clean_forward(g, clean_store)
+    cleaned = cleaning.clean_graph(g, pred)
     base = cleaned.graph
     root = viewgraph.select_root(base)
     boot = viewgraph.bootstrap_orientations(base, viewgraph.shortest_path_tree(base, root))
@@ -205,7 +200,6 @@ def train_finenet(
     val_graphs: list[ViewGraph],
     cfg: TrainConfig,
     clean_store: ParamStore,
-    net_cfg: MpnnConfig = refinement.DEFAULT_CONFIG,
 ) -> tuple[ParamStore, TrainLog]:
     """Train the refinement network on inits from the cleaning network
     ``clean_store``, recomputed per epoch on the dropout-filtered edges; a
@@ -214,8 +208,8 @@ def train_finenet(
     def graph_loss(tape: Tape, weights: dict[str, Tensor],
                    sample: tuple[ViewGraph, np.ndarray, int]) -> Tensor:
         observed, init_rows, root = sample
-        pred = refinement.forward_tensors(tape, observed, init_rows, weights, net_cfg)
+        pred = refinement.forward_tensors(tape, observed, init_rows, weights)
         return refinement.loss_from_pred(tape, pred, observed, root)
 
-    return _fit(refinement.new_weights(cfg.seed, net_cfg), graph_loss, train_graphs, val_graphs,
+    return _fit(refinement.new_weights(cfg.seed), graph_loss, train_graphs, val_graphs,
                 cfg, lambda g: prepare_refinement_sample(g, clean_store))

@@ -7,20 +7,20 @@ import numpy as np
 from rotavg.autodiff import Tape
 
 
-def fd_gradients(build, params: dict[str, np.ndarray], h: float = 1e-5):
+def fd_gradients(build, params: dict[str, np.ndarray], h: float = 1e-5, tape_cls=Tape):
     """Compare analytic gradients against central differences.
 
     ``build(tape, tensors) -> scalar Tensor`` must be a pure function of the
-    parameter values.  Returns the worst relative error over all parameters,
+    parameter values; its tapes are ``tape_cls`` instances.  Returns the worst relative error over all parameters,
     measured as max |analytic - fd| / max(max |fd|, 1e-8).
     """
 
     def value() -> float:
-        tape = Tape(recording=False)
+        tape = tape_cls(recording=False)
         tensors = {k: tape.leaf(v) for k, v in params.items()}
         return float(build(tape, tensors).values)
 
-    tape = Tape()
+    tape = tape_cls()
     tensors = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
     loss = build(tape, tensors)
     tape.backward(loss)

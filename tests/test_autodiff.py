@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd import fd_gradients
+from mpnn_oracle import OracleTape
 from rotavg import autodiff, so3
 from rotavg.autodiff import (
     AutodiffError,
@@ -42,11 +45,12 @@ class TestPrimitiveGradients:
         # keep inputs away from the kink
         x = RNG.normal(size=(5, 4))
         x[np.abs(x) < 0.05] += 0.1
-        err = fd_gradients(lambda t, p: t.sum(t.mul(t.relu(p["x"]), p["x"])), {"x": x})
+        err = fd_gradients(lambda t, p: t.sum(t.mul(t.relu(p["x"]), p["x"])), {"x": x},
+                           tape_cls=OracleTape)
         assert err < 1e-4
 
     def test_relu_subgradient_sides(self):
-        tape = Tape()
+        tape = OracleTape()
         x = tape.leaf(np.array([[2.0, -3.0, 0.0, -0.0]]), requires_grad=True)
         y = tape.sum(tape.relu(x))
         tape.backward(y)
@@ -56,7 +60,7 @@ class TestPrimitiveGradients:
         params = {"a": RNG.normal(size=(4, 2)), "b": RNG.normal(size=(4, 3))}
         err = fd_gradients(
             lambda t, p: t.sum(t.mul(t.concat([p["a"], p["b"]]), t.concat([p["a"], p["b"]]))),
-            params,
+            params, tape_cls=OracleTape,
         )
         assert err < 1e-4
 
@@ -81,14 +85,14 @@ class TestPrimitiveGradients:
             out = t.edge_linear(p["h"], dst, src, p["e"], p["w"], p["b"])
             return t.sum(t.mul(out, out))
 
-        assert fd_gradients(build, params) < 1e-4
+        assert fd_gradients(build, params, tape_cls=OracleTape) < 1e-4
 
     def test_scatter_mean(self):
         idx = np.array([0, 0, 1, 3, 3, 3])
         params = {"src": RNG.normal(size=(6, 2))}
         err = fd_gradients(
             lambda t, p: t.sum(t.mul(t.scatter_mean(p["src"], idx, 5), t.scatter_mean(p["src"], idx, 5))),
-            params,
+            params, tape_cls=OracleTape,
         )
         assert err < 1e-4
 
@@ -150,13 +154,13 @@ class TestPrimitiveGradients:
 
 class TestForwardSemantics:
     def test_scatter_mean_one_edge_per_node_is_copy(self):
-        tape = Tape()
+        tape = OracleTape()
         src = tape.leaf(RNG.normal(size=(4, 3)))
         out = tape.scatter_mean(src, np.array([0, 1, 2, 3]), 4)
         assert np.array_equal(out.values, src.values)
 
     def test_scatter_mean_empty_target_rows_are_zero(self):
-        tape = Tape()
+        tape = OracleTape()
         src = tape.leaf(np.ones((2, 3)))
         out = tape.scatter_mean(src, np.array([0, 0]), 3)
         assert np.array_equal(out.values[1:], np.zeros((2, 3)))
@@ -166,7 +170,7 @@ class TestForwardSemantics:
         rng = np.random.default_rng(5)
         src = rng.normal(size=(50, 8))
         idx = rng.integers(0, 12, size=50)
-        tape = Tape()
+        tape = OracleTape()
         out = tape.scatter_mean(tape.leaf(src), idx, 12).values
         ref = np.zeros((12, 8))
         np.add.at(ref, idx, src)
@@ -248,7 +252,7 @@ class TestSegmentSumOracle:
     @given(segment_inputs())
     def test_scatter_mean(self, case):
         src, index, n_rows = case
-        out = Tape().scatter_mean(Tape().leaf(src), index, n_rows).values
+        out = OracleTape().scatter_mean(OracleTape().leaf(src), index, n_rows).values
         denom = np.maximum(np.bincount(index, minlength=n_rows), 1)[:, None]
         bound = reduceat_segment_sum(np.abs(src), index, n_rows) / denom
         assert_close(out, reduceat_segment_sum(src, index, n_rows) / denom, bound)
@@ -256,7 +260,7 @@ class TestSegmentSumOracle:
 
 def concat_edge_linear(tape, h, dst, src, e, w, b):
     """The former first message layer, the (m, 2H+F) concat of gathered rows
-    and ``linear``, kept as the oracle of ``Tape.edge_linear``."""
+    and ``linear``, kept as the oracle of ``OracleTape.edge_linear``."""
     return tape.linear(tape.concat([tape.gather(h, dst), tape.gather(h, src), e]), w, b)
 
 
@@ -281,7 +285,7 @@ def edge_linear_inputs(draw):
 
 def edge_linear_run(op, values, dst, src, upstream):
     """Output and gradients of ``sum(op(...) * upstream)``."""
-    tape = Tape()
+    tape = OracleTape()
     t = {k: tape.leaf(v, requires_grad=True) for k, v in values.items()}
     out = op(tape, t["h"], dst, src, t["e"], t["w"], t["b"])
     tape.backward(tape.sum(tape.mul(out, tape.constant(upstream))))
@@ -293,7 +297,7 @@ class TestEdgeLinearOracle:
     @given(edge_linear_inputs())
     def test_matches_concat_path(self, case):
         values, dst, src, upstream = case
-        got = edge_linear_run(Tape.edge_linear, values, dst, src, upstream)
+        got = edge_linear_run(OracleTape.edge_linear, values, dst, src, upstream)
         want = edge_linear_run(concat_edge_linear, values, dst, src, upstream)
         # the oracle on magnitudes bounds every sum the two paths reorder
         bound = edge_linear_run(concat_edge_linear, {k: np.abs(v) for k, v in values.items()},
@@ -316,7 +320,7 @@ class TestRelu:
     def test_matches_where_relu_on_finite_input(self, xs, seed):
         x = np.array(xs)
         g = np.random.default_rng(seed).normal(size=x.shape)
-        tape = Tape()
+        tape = OracleTape()
         xt = tape.leaf(x, requires_grad=True)
         out = tape.relu(xt)
         tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
@@ -325,7 +329,7 @@ class TestRelu:
         assert np.array_equal(xt.grad, want_grad)
 
     def test_nan_propagates_with_zero_gradient(self):
-        tape = Tape()
+        tape = OracleTape()
         x = tape.leaf(np.array([np.nan, 1.0, -1.0]), requires_grad=True)
         out = tape.relu(x)
         assert np.array_equal(out.values, [np.nan, 1.0, 0.0], equal_nan=True)
@@ -333,7 +337,7 @@ class TestRelu:
         assert x.grad.tolist() == [0.0, 1.0, 0.0]
 
     def test_off_tape_leaves_caller_arrays_alone(self):
-        tape = Tape(recording=False)
+        tape = OracleTape(recording=False)
         data = np.array([[-1.0, 2.0], [3.0, -4.0]])
         for x in (tape.leaf(data), tape.constant(data), tape.reshape(tape.leaf(data), (4,))):
             assert tape.relu(x).values.tolist() in ([[0.0, 2.0], [3.0, 0.0]], [0.0, 2.0, 3.0, 0.0])
@@ -342,7 +346,7 @@ class TestRelu:
 
 class TestErrors:
     def test_shape_mismatch(self):
-        tape = Tape()
+        tape = OracleTape()
         with pytest.raises(AutodiffError):
             tape.linear(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((4, 2))), tape.leaf(np.ones(2)))
         with pytest.raises(AutodiffError):
@@ -358,7 +362,7 @@ class TestErrors:
                 tape.edge_linear(*args)
 
     def test_index_out_of_range(self):
-        tape = Tape()
+        tape = OracleTape()
         with pytest.raises(AutodiffError):
             tape.gather(tape.leaf(np.ones((2, 2))), np.array([0, 2]))
         with pytest.raises(AutodiffError):
@@ -370,7 +374,7 @@ class TestErrors:
                 tape.edge_linear(h, np.array(dst), np.array(src), e, w, b)
 
     def test_non_scalar_backward(self):
-        tape = Tape()
+        tape = OracleTape()
         x = tape.leaf(np.ones((2, 2)), requires_grad=True)
         y = tape.relu(x)
         with pytest.raises(AutodiffError, match="scalar"):
@@ -432,7 +436,7 @@ class TestBackwardClosedForms:
     def test_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(33)
-            tape = Tape()
+            tape = OracleTape()
             x = tape.leaf(rng.normal(size=(8, 4)), requires_grad=True)
             w = tape.leaf(rng.normal(size=(4, 4)), requires_grad=True)
             y = tape.relu(tape.linear(x, w, tape.constant(np.zeros(4))))
@@ -567,3 +571,19 @@ class TestCheckpoint:
         path.write_text('{"format": "other", "params": []}')
         with pytest.raises(CheckpointError, match="format"):
             load_checkpoint(path, {})
+
+
+def test_every_public_tape_method_has_a_package_caller():
+    """Every public ``Tape`` method is called as ``tape.<method>(...)`` in
+    ``src/rotavg``: a primitive only tests use belongs to the tests'
+    ``mpnn_oracle.OracleTape``, not to the package."""
+    called = set()
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "tape"):
+                called.add(func.attr)
+    public = {name for name, attr in vars(Tape).items()
+              if callable(attr) and not name.startswith("_")}
+    assert public - called == set(), f"Tape methods without a package caller: {public - called}"

@@ -185,6 +185,25 @@ class TestLoss:
             cleaning.clean_loss_graph(tape, g, store.bind(tape), TINY_CFG)
 
 
+    def test_training_step_peak_memory_within_edge_budget(self):
+        # the dense-shaped graph of TestForward; a recording step keeps the
+        # per-round (N, H) states and recomputes each run's messages in the
+        # backward, so its peak is a few (2E, H) arrays, not one per layer
+        cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
+                                   sigma_deg=(5.0, 5.0), outlier_fraction=(0.1, 0.1))
+        g = synthgen.generate_graph(cfg, np.random.default_rng(0))
+        store = cleaning.new_weights(0)
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            tape.backward(cleaning.clean_loss_graph(tape, g, store.bind(tape)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_edge_array = 2 * g.n_edges * cleaning.DEFAULT_CONFIG.hidden_dim * 8
+        assert peak <= 4 * one_edge_array
+
+
 class TestCleanGraph:
     def test_zero_probabilities_keep_topology(self):
         g = noisy_graph(seed=10)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpnn_oracle
 from fd import fd_gradients
 from rotavg import cleaning, mpnn, refinement
 from rotavg.autodiff import AutodiffError, ParamStore, Tape, save_checkpoint
@@ -24,10 +25,8 @@ def run_forward(cfg, store, uv, feats, n_nodes, node_init=None, heads=(), head_r
     """Final node states, or with ``heads`` (pairs of arrays) their outputs."""
     tape = Tape(recording=recording)
     weights = store.bind(tape)
-    init = tape.constant(node_init) if node_init is not None else None
     head_tensors = [(tape.constant(w), tape.constant(b)) for w, b in heads]
-    out = mpnn.forward(tape, weights, cfg, uv, tape.constant(feats), init, n_nodes,
-                       head_tensors, head_rows)
+    out = mpnn.forward(tape, weights, cfg, uv, feats, node_init, n_nodes, head_tensors, head_rows)
     return [o.values for o in out] if heads else out.values
 
 
@@ -95,22 +94,16 @@ class TestForward:
     def test_shape_validation(self):
         cfg = TINY
         store = tiny_weights(cfg)
-        for recording in (True, False):  # the tape path and the inference rounds
+        for recording in (True, False):
             tape = Tape(recording=recording)
             w = store.bind(tape)
-            feats = tape.constant(np.zeros((1, 2)))
+            feats = np.zeros((1, 2))
             with pytest.raises(AutodiffError):
-                mpnn.forward(
-                    tape, w, cfg, np.zeros((2, 3)), tape.constant(np.zeros((2, 2))), None, 3
-                )
+                mpnn.forward(tape, w, cfg, np.zeros((2, 3)), np.zeros((2, 2)), None, 3)
             with pytest.raises(AutodiffError):
-                mpnn.forward(
-                    tape, w, cfg, np.array([[0, 1]]), tape.constant(np.zeros((1, 5))), None, 2
-                )
+                mpnn.forward(tape, w, cfg, np.array([[0, 1]]), np.zeros((1, 5)), None, 2)
             with pytest.raises(AutodiffError):
-                mpnn.forward(
-                    tape, w, cfg, np.array([[0, 1]]), feats, tape.constant(np.zeros((2, 4))), 2,
-                )
+                mpnn.forward(tape, w, cfg, np.array([[0, 1]]), feats, np.zeros((2, 4)), 2)
             bad = dict(w, **{"step1.msg2.w": tape.constant(np.zeros((3, 4)))})
             with pytest.raises(AutodiffError, match="step1.msg2.w"):
                 mpnn.forward(tape, bad, cfg, np.array([[0, 1]]), feats, None, 2)
@@ -124,7 +117,7 @@ class TestForward:
         tape = Tape(recording=recording)
         w = tiny_weights().bind(tape)
         uv = np.array([[0, 1], [1, 0]])
-        feats = tape.constant(np.zeros((2, 2)))
+        feats = np.zeros((2, 2))
         good = (tape.constant(np.zeros((3, 2))), tape.constant(np.zeros(2)))
         for heads, rows in (([good], 3), ([good], -1),
                             ([(tape.constant(np.zeros((4, 2))), good[1])], 1),
@@ -155,13 +148,48 @@ def directed_graphs(draw):
     return n + draw(st.integers(0, 3)), np.concatenate([e, e[:, ::-1]]), len(pairs)
 
 
+def recorded_run(forward, cfg, store, n, uv, feats, init, heads, head_rows, upstream_seed,
+                 used=None):
+    """Outputs of ``forward`` on a recording tape, and the gradients of every
+    weight and head of ``sum(out * upstream)`` over its first ``used``
+    outputs (all by default); leaves the loss does not reach get zeros."""
+    tape = mpnn_oracle.OracleTape()
+    weights = {k: tape.leaf(v, requires_grad=True) for k, v in store.params.items()}
+    head_t = [(tape.leaf(w, requires_grad=True), tape.leaf(b, requires_grad=True))
+              for w, b in heads]
+    out = forward(tape, weights, cfg, uv, feats, init, n, head_t, head_rows)
+    outs = out if heads else [out]
+    rng = np.random.default_rng(upstream_seed)
+    terms = [tape.sum(tape.mul(o, tape.constant(rng.normal(size=o.shape)))) for o in outs[:used]]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = tape.add(loss, term)
+    tape.backward(loss)
+    leaves = dict(weights, **{f"head{i}.{p}": t for i, pair in enumerate(head_t)
+                              for p, t in zip("wb", pair)})
+    grads = {k: np.zeros(t.shape) if t.grad is None else t.grad for k, t in leaves.items()}
+    return [o.values for o in outs], grads
+
+
 class TestInferenceRounds:
-    """The chunked inference rounds against the recording tape."""
+    """``mpnn.forward``, its values and its pullback, against the recording
+    loop of generic tape primitives in ``mpnn_oracle``."""
 
     @staticmethod
-    def both_tapes(cfg, store, n, uv, feats, init, heads, head_rows):
-        return [run_forward(cfg, store, uv, feats, n, init, heads, head_rows, recording=rec)
-                for rec in (False, True)]
+    def assert_matches_oracle(cfg, store, n, uv, feats, init, heads, head_rows, seed=0,
+                              used=None):
+        args = (cfg, store, n, uv, feats, init, heads, head_rows, seed, used)
+        (outs, grads), (want_outs, want_grads) = (
+            recorded_run(f, *args) for f in (mpnn.forward, mpnn_oracle.forward))
+        assert len(outs) == len(want_outs) == max(len(heads), 1)
+        for got, want in zip(outs, want_outs):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+            assert np.max(np.abs(grads[name] - want), initial=0.0) <= 1e-10 * scale, name
+        return outs
 
     @settings(max_examples=60, deadline=None)
     @given(directed_graphs(), st.sampled_from([1, 3, 7]), st.sampled_from([0, 4]),
@@ -178,13 +206,9 @@ class TestInferenceRounds:
         store = random_store(cfg, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mpnn, "CHUNK_ROWS", chunk)
-            h_run, h_tape = self.both_tapes(cfg, store, n, uv, feats, init, (), 0)
-            outs_run, outs_tape = self.both_tapes(cfg, store, n, uv, feats, init, heads, m)
-        assert h_run.shape == (n, 5)
-        np.testing.assert_allclose(h_run, h_tape, rtol=0, atol=1e-12)
-        for got, want in zip(outs_run, outs_tape):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            (h,) = self.assert_matches_oracle(cfg, store, n, uv, feats, init, (), 0, seed)
+            self.assert_matches_oracle(cfg, store, n, uv, feats, init, heads, m, seed)
+        assert h.shape == (n, 5)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize("init_dim", [0, 4])
@@ -201,11 +225,23 @@ class TestInferenceRounds:
         init = rng.normal(size=(n, init_dim)) if init_dim else None
         heads = [(rng.normal(size=(4, 2)), rng.normal(size=2))]
         store = random_store(cfg, chunk)
-        h_run, h_tape = self.both_tapes(cfg, store, n, uv, feats, init, (), 0)
-        (out_run,), (out_tape,) = self.both_tapes(cfg, store, n, uv, feats, init, heads, m)
-        np.testing.assert_allclose(h_run, h_tape, rtol=0, atol=1e-12)
-        assert out_run.shape == (m, 2)
-        np.testing.assert_allclose(out_run, out_tape, rtol=0, atol=1e-12)
+        self.assert_matches_oracle(cfg, store, n, uv, feats, init, (), 0)
+        (out,) = self.assert_matches_oracle(cfg, store, n, uv, feats, init, heads, m)
+        assert out.shape == (m, 2)
+
+    def test_head_outside_the_loss(self, monkeypatch):
+        # a loss that reads one head only: the other head's weights get zeros
+        monkeypatch.setattr(mpnn, "CHUNK_ROWS", 3)
+        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
+        rng = np.random.default_rng(4)
+        e = rng.integers(0, 6, size=(9, 2))
+        uv = np.concatenate([e, e[:, ::-1]])
+        heads = [(rng.normal(size=(4, 4)), rng.normal(size=4)),
+                 (rng.normal(size=(4, 1)), rng.normal(size=1))]
+        args = (cfg, random_store(cfg, 4), 6, uv, rng.normal(size=(18, 3)), None, heads, 9)
+        self.assert_matches_oracle(*args, used=1)
+        _, grads = recorded_run(mpnn.forward, *args, 0, used=1)
+        assert not np.any(grads["head1.w"]) and not np.any(grads["head1.b"])
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_no_state_carries_between_calls(self, chunk, monkeypatch):
@@ -219,11 +255,12 @@ class TestInferenceRounds:
             e = rng.integers(0, n, size=(m, 2))
             graphs.append((n, np.concatenate([e, e[:, ::-1]]), rng.normal(size=(2 * m, 3)), m))
         a, b = graphs
-        runs = [(run_forward(cfg, store, uv, feats, n),
-                 run_forward(cfg, store, uv, feats, n, heads=heads, head_rows=m)[0])
+        runs = [(recorded_run(mpnn.forward, cfg, store, n, uv, feats, None, (), 0, 0),
+                 recorded_run(mpnn.forward, cfg, store, n, uv, feats, None, heads, m, 0))
                 for n, uv, feats, m in (a, b, a)]
-        assert np.array_equal(runs[0][0], runs[2][0])
-        assert np.array_equal(runs[0][1], runs[2][1])
+        for (outs, grads), (outs_again, grads_again) in zip(runs[0], runs[2]):
+            assert all(np.array_equal(x, y) for x, y in zip(outs, outs_again))
+            assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
 
 
 class TestGradients:
@@ -237,17 +274,13 @@ class TestGradients:
         feats = rng.normal(size=(6, 2))
         init = rng.normal(size=(3, 2))
         params = {name: arr for name, arr in store.params.items()}
-        params["edge_feats"] = feats
-        params["node_init"] = init
         params["head.w"] = rng.normal(size=(3, 2))
         params["head.b"] = rng.normal(size=2)
 
         def build(tape, p):
-            # the analytic gradient runs on the recording tape and the
-            # differences on the inference rounds, so they check each other too
             weights = {k: p[k] for k in store.params}
-            h = mpnn.forward(tape, weights, cfg, uv, p["edge_feats"], p["node_init"], 3)
-            (out,) = mpnn.forward(tape, weights, cfg, uv, p["edge_feats"], p["node_init"], 3,
+            h = mpnn.forward(tape, weights, cfg, uv, feats, init, 3)
+            (out,) = mpnn.forward(tape, weights, cfg, uv, feats, init, 3,
                                   [(p["head.w"], p["head.b"])], head_rows=3)
             return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
 

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from rotavg import cleaning, refinement, synthgen, trainer, viewgraph
+import mpnn_oracle
+from rotavg import cleaning, mpnn, refinement, synthgen, trainer, viewgraph
 from rotavg.trainer import TrainConfig, TrainingError
 from rotavg.viewgraph import ViewGraph
 
@@ -117,12 +118,32 @@ class TestBestEpoch:
         assert reevaluated == log.best_val_loss
 
 
+class TestOracleRounds:
+    def test_train_logs_match_the_oracle_loop(self, data, clean_run, monkeypatch):
+        # the fused message-passing operation against the recording loop of
+        # generic tape primitives; the two sum in different orders, so the
+        # logs agree to rounding, not bit for bit
+        train, val = data
+        cfg = TrainConfig.desk(seed=3, epochs=4)
+
+        def logs():
+            return [trainer.train_cleannet(train, val, cfg)[1],
+                    trainer.train_finenet(train, val, cfg, clean_run[0])[1]]
+
+        fused = logs()
+        monkeypatch.setattr(mpnn, "forward", mpnn_oracle.forward)
+        for log, want in zip(fused, logs()):
+            assert log.best_epoch == want.best_epoch
+            np.testing.assert_allclose([r[1:3] for r in log.rows], [r[1:3] for r in want.rows],
+                                       rtol=1e-10, atol=0)
+
+
 class TestNonFinite:
     def test_nan_cleannet_loss_raises(self, data, monkeypatch):
         loss_graph = cleaning.clean_loss_graph
 
-        def nan_loss(tape, g, weights, cfg):
-            return tape.scale(loss_graph(tape, g, weights, cfg), math.nan)
+        def nan_loss(tape, g, weights):
+            return tape.scale(loss_graph(tape, g, weights), math.nan)
 
         monkeypatch.setattr(cleaning, "clean_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
