@@ -17,7 +17,8 @@ Two baselines operating on the same view-graph inputs as the networks:
   plus a maximum-weight spanning tree.
 
 Both keep the root camera exactly fixed to pin the gauge, take (N, 4)
-initial rows and return a read-only ``so3.Orientations`` view.
+initial rows and return a read-only ``so3.Orientations`` view of rows (its
+items are left only for the benchmark adapter).
 """
 
 from __future__ import annotations

@@ -72,6 +72,7 @@ def _head_tensors(
     tape: Tape, g: ViewGraph, weights: dict[str, Tensor], cfg: MpnnConfig
 ) -> tuple[Tensor, Tensor]:
     """Raw head outputs: correction quaternions (E, 4) and logits (E,)."""
+    mpnn.check_weights(weights, weight_spec(cfg))
     uv, quats = viewgraph.directed_arrays(g)
     m = g.n_edges
     heads = [(weights["head_rect.w"], weights["head_rect.b"]),
@@ -109,7 +110,12 @@ def gt_outlier_labels(g: ViewGraph) -> np.ndarray:
     ground-truth relative orientation, else 0.0."""
     if not g.has_full_gt:
         raise ViewGraphError("outlier labels require full ground truth")
-    angles = so3.qangle_deg(g.edge_quat_array(), g.relative_gt_array())
+    return _outlier_labels(g, g.relative_gt_array())
+
+
+def _outlier_labels(g: ViewGraph, rel_gt: np.ndarray) -> np.ndarray:
+    """:func:`gt_outlier_labels` given ``rel_gt = g.relative_gt_array()``."""
+    angles = so3.qangle_deg(g.edge_quat_array(), rel_gt)
     return (angles > OUTLIER_THRESHOLD_DEG).astype(np.float64)
 
 
@@ -119,9 +125,10 @@ def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph, bce_weig
     cross-entropy of ``logits``."""
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
-    dists = tape.quat_dist_loss(rect, tape.constant(g.relative_gt_array()))
+    rel_gt = g.relative_gt_array()
+    dists = tape.quat_dist_loss(rect, tape.constant(rel_gt))
     mre = tape.sum(tape.mul(dists, tape.constant(viewgraph._degree_weights(g))))
-    bce = tape.mean(tape.bce_with_logits(logits, tape.constant(gt_outlier_labels(g))))
+    bce = tape.mean(tape.bce_with_logits(logits, tape.constant(_outlier_labels(g, rel_gt))))
     return tape.add(mre, tape.scale(bce, bce_weight))
 
 

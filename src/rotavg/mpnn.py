@@ -149,9 +149,7 @@ def _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows) -> N
             raise AutodiffError("node_init given but node_init_dim is 0")
     elif init is None or init.shape != (n_nodes, cfg.node_init_dim):
         raise AutodiffError(f"node_init must have shape ({n_nodes}, {cfg.node_init_dim})")
-    for name, shape in weight_spec(cfg).items():
-        if weights[name].shape != shape:
-            raise AutodiffError(f"weight {name!r} has shape {weights[name].shape}, expected {shape}")
+    check_weights(weights, weight_spec(cfg))
     for w, b in heads:
         if w.values.ndim != 2 or w.shape[0] != cfg.msg_dim or b.shape != (w.shape[1],):
             raise AutodiffError(
@@ -159,6 +157,17 @@ def _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows) -> N
             )
     if heads and not 0 <= head_rows <= n_edges:
         raise AutodiffError(f"head_rows {head_rows} outside [0, {n_edges}]")
+
+
+def check_weights(weights: dict[str, Tensor], spec: dict[str, tuple[int, ...]]) -> None:
+    """An :class:`AutodiffError` naming the first weight of ``spec`` that
+    ``weights`` lacks or holds in another shape; a network checks its whole
+    spec, heads included, before it reads a weight."""
+    for name, shape in spec.items():
+        if name not in weights:
+            raise AutodiffError(f"weight {name!r} is missing")
+        if weights[name].shape != shape:
+            raise AutodiffError(f"weight {name!r} has shape {weights[name].shape}, expected {shape}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ serves both paths: ``forward_tensors`` composes its raw output on the tape
 (training and losses), and ``refine_forward`` composes the same values,
 with rows whose norm underflows replaced by the identity (inference).
 Initializations and predictions are (N, 4) rows; ``refine_forward``
-returns a read-only ``so3.Orientations`` view.
+returns a read-only ``so3.Orientations`` view (items for the adapter).
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
@@ -62,6 +62,7 @@ def _corrections(
     tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor], cfg: MpnnConfig
 ) -> Tensor:
     """The head: raw (N, 4) corrective quaternions from the final node states."""
+    mpnn.check_weights(weights, weight_spec(cfg))
     uv, feats = _edge_discrepancy(g, init_rows)
     h = mpnn.forward(tape, weights, cfg, uv, feats, init_rows, g.n_nodes)
     return tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
@@ -95,18 +96,13 @@ def refine_forward(
     O(rounds*N*(H+M) + CHUNK_ROWS*M).
     """
     init_rows = viewgraph.orientation_rows(g, init)
-    _check_root(g, root)
+    root = viewgraph.node_id(root, g.n_nodes, "root")
     if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     tape = Tape(recording=False)
     delta = _corrections(tape, g, init_rows, store.bind(tape), cfg).values
     pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
-
-
-def _check_root(g: ViewGraph, root: int) -> None:
-    if not 0 <= root < g.n_nodes:
-        raise ViewGraphError(f"root {root} out of range")
 
 
 def loss_from_pred(
@@ -124,7 +120,7 @@ def loss_from_pred(
     """
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
-    _check_root(g, root)
+    root = viewgraph.node_id(root, g.n_nodes, "root")
     if so3.qangle_deg(g.gt[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError("ground truth is not referenced at the root; "
                              "re-reference before the loss")

@@ -12,11 +12,11 @@ Conventions used throughout the package:
 
 Every operation here works on rows: float64 arrays whose last axis has
 length 4 (or 3 for rotation vectors), and the samplers draw blocks of rows.
-Orientations travel through the package as (N, 4) canonical rows.
-:class:`UnitQuaternion` is the value type of the boundary, and
-:class:`Orientations` hands out rows as ``UnitQuaternion`` items.  The scalar
-per-quaternion API (compose, metrics, matrices, axis/angle, scalar samplers)
-lives in the tests as their oracle.
+Orientations travel through the package as (N, 4) canonical rows; the
+:class:`Quat` items of :class:`Orientations` are left of the object boundary
+only for the benchmark adapter.  The scalar value type and per-quaternion
+API (compose, metrics, matrices, axis/angle, scalar samplers) live in the
+tests as their oracle.
 
 :func:`rownorm` is the package's one norm kernel; ``rotavg`` makes no
 ``np.linalg.norm`` call (a test keeps it so).  Over the short last axes of
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,53 +184,23 @@ def qexp(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# The solvers' output view
 # ---------------------------------------------------------------------------
 
-class UnitQuaternion:
-    """Immutable unit quaternion with canonical sign.
+class Quat(NamedTuple):
+    """The four floats of one orientation row."""
 
-    The constructor normalizes and canonicalizes; inputs whose norm deviates
-    from 1 by more than ~1e-6 are normally a sign of a bug upstream, but
-    normalization is applied regardless (parsers enforce their own limits).
-    """
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w: float, x: float, y: float, z: float):
-        arr = np.array([w, x, y, z], dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite quaternion components: {arr.tolist()}")
-        arr = qcanon(arr)
-        object.__setattr__(self, "w", float(arr[0]))
-        object.__setattr__(self, "x", float(arr[1]))
-        object.__setattr__(self, "y", float(arr[2]))
-        object.__setattr__(self, "z", float(arr[3]))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("UnitQuaternion is immutable")
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "UnitQuaternion":
-        arr = np.asarray(arr, dtype=np.float64).reshape(4)
-        return cls(arr[0], arr[1], arr[2], arr[3])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
-
-    def __repr__(self) -> str:
-        return f"UnitQuaternion({self.w:.9g}, {self.x:.9g}, {self.y:.9g}, {self.z:.9g})"
+    w: float
+    x: float
+    y: float
+    z: float
 
 
 class Orientations(Sequence):
-    """Read-only sequence of :class:`UnitQuaternion` over (N, 4) rows.
+    """Read-only sequence of :class:`Quat` items over (N, 4) rows.
 
-    Items are built on access; ``np.asarray`` returns the rows themselves,
-    without a copy, so a view passes on to the next solver as rows.
+    Items are the stored floats, built on access; ``np.asarray`` returns the
+    rows themselves, without a copy, so a view passes on to the next solver.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -239,8 +210,8 @@ class Orientations(Sequence):
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, i: int) -> UnitQuaternion:
-        return UnitQuaternion.from_array(self._rows[operator.index(i)])
+    def __getitem__(self, i: int) -> Quat:
+        return Quat(*self._rows[operator.index(i)].tolist())
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self._rows, dtype=dtype, copy=copy)

@@ -22,6 +22,7 @@ all angles, then all axes).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,8 @@ class SynthConfig:
 
     def __post_init__(self):
         lo, hi = self.n_cameras
+        if not all(isinstance(k, numbers.Integral) for k in (lo, hi)):
+            raise SynthConfigError(f"n_cameras range must hold integers, got {self.n_cameras!r}")
         if not (3 <= lo <= hi):
             raise SynthConfigError("n_cameras range must satisfy 3 <= lo <= hi")
         for name in ("edge_fraction", "outlier_fraction"):
@@ -192,7 +195,7 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
     rel = so3.qcanon(so3.qmul(gt[v[inlier]], so3.qcanon(so3.qconj(gt[u[inlier]]))))
     noise = so3.sample_noise_rows(sigma, cfg.planar, rng, m - n_out)
     q[inlier] = so3.qcanon(so3.qmul(noise, rel))
-    return ViewGraph.from_arrays(n, u, v, q, outlier, gt)
+    return ViewGraph(n, u, v, q, outlier, gt)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ returned.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -44,8 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not 0.0 <= self.edge_dropout < 1.0:
             raise ValueError("edge_dropout must lie in [0, 1)")
         # a negative lr would run gradient ascent; NaN would surface an epoch

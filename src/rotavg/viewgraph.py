@@ -4,9 +4,11 @@ A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
 ``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
 and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier); ground
 truth is (N, 4) canonical rows, NaN where unknown.  Every solver and network
-reads these arrays; :class:`Edge` is the per-edge record of the boundary and
-the tests.  Solver orientations are (N, 4) rows too: :func:`orientation_rows`
-checks them on input, and :class:`~rotavg.so3.Orientations` hands them out.
+reads these arrays.  Solver orientations are (N, 4) rows too:
+:func:`orientation_rows` checks them on input, and
+:class:`~rotavg.so3.Orientations` hands them out.  ``ViewGraph.edges`` and
+the ``Orientations`` items are left of the object boundary only for the
+benchmark adapter's two reads.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -20,21 +22,18 @@ direction is flipped (its orientation inverted) on construction.
 
 :func:`parse` converts the NODE and EDGE blocks as arrays and checks them
 with masks, through the same edge-structure rule (range, self-loop, repeat)
-as ``from_arrays``; a :class:`ParseError` names the first offending line.
+as the constructor; a :class:`ParseError` names the first offending line.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from . import so3
-from .so3 import UnitQuaternion
 
 FORMAT_HEADER = "VIEWGRAPH v1"
 RENORM_TOL = 1e-6  # parser auto-renormalizes below this, errors above
@@ -66,73 +65,19 @@ def _edge_faults(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     return out_of_range, u == v, repeat
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected measurement stored in the canonical u < v direction."""
-
-    u: int
-    v: int
-    q: UnitQuaternion  # orientation of u -> v
-    gt_outlier: bool | None = None
-
-
-class _EdgeRecords(Sequence):
-    """Read-only sequence of :class:`Edge` records, each built on access."""
-
-    def __init__(self, g: "ViewGraph"):
-        self._g = g
-
-    def __len__(self) -> int:
-        return self._g._u.size
-
-    def __getitem__(self, i: int) -> Edge:
-        i = operator.index(i)
-        g = self._g
-        label = int(g._label[i])
-        return Edge(int(g._u[i]), int(g._v[i]), UnitQuaternion.from_array(g._q[i]),
-                    None if label < 0 else bool(label))
-
-
 class ViewGraph:
-    """Immutable view-graph: nodes with optional ground truth, measured edges.
+    """Immutable view-graph: nodes with optional ground truth, measured edges."""
 
-    Built from ``Edge`` records and ``UnitQuaternion | None`` ground truth
-    here, or from arrays with :meth:`from_arrays`.
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        edges: list[Edge],
-        gt: list[UnitQuaternion | None] | None = None,
-    ):
-        edges = list(edges)
-        gt_rows = None if gt is None else np.reshape(
-            [(math.nan,) * 4 if q is None else (q.w, q.x, q.y, q.z) for q in gt], (-1, 4))
-        self._store(n_nodes, [e.u for e in edges], [e.v for e in edges],
-                    [(e.q.w, e.q.x, e.q.y, e.q.z) for e in edges],
-                    [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt_rows)
-
-    @classmethod
-    def from_arrays(cls, n_nodes: int, u, v, q, label=None, gt=None) -> "ViewGraph":
-        """Graph over edges ``(u[i], v[i])`` with orientation rows ``q[i]`` and
-        labels ``label[i]`` (default -1), validated and flipped to ``u < v``
-        like the ``Edge``-list constructor; ``gt`` is (N, 4) rows, each all
-        NaN (unknown) or finite and nonzero.  Stores read-only copies."""
-        g = cls.__new__(cls)
-        g._store(n_nodes, u, v, q, label, gt)
-        return g
-
-    @classmethod
-    def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
-        """Graph over arrays that already hold every invariant ``from_arrays``
-        establishes (rows taken from a valid graph), stored read-only as
-        given, without checks or copies."""
-        g = cls.__new__(cls)
-        g._keep(n_nodes, u, v, q, label, gt)
-        return g
-
-    def _store(self, n, u, v, q, label, gt) -> None:
+    def __init__(self, n_nodes: int, u: ArrayLike, v: ArrayLike, q: ArrayLike,
+                 label: ArrayLike | None = None, gt: ArrayLike | None = None):
+        """Graph over integer edges ``(u[i], v[i])`` with orientation rows
+        ``q[i]`` and labels ``label[i]`` (default -1), validated and flipped to
+        ``u < v``; ``gt`` is (N, 4) rows, each all NaN (unknown) or finite and
+        nonzero.  Stores read-only copies."""
+        try:
+            n = operator.index(n_nodes)
+        except TypeError:
+            raise ViewGraphError(f"n_nodes must be an integer, got {n_nodes!r}") from None
         if n < 0:
             raise ViewGraphError("n_nodes must be non-negative")
         gt = np.full((n, 4), np.nan) if gt is None else np.array(gt, dtype=np.float64)
@@ -142,6 +87,9 @@ class ViewGraph:
         if not np.all(np.isfinite(gt[known])) or np.any(so3.rownorm(gt[known]) < 1e-12):
             raise ViewGraphError("ground-truth rows must be all NaN or finite nonzero")
         gt[known] = so3.qcanon(gt[known])
+        u, v = np.asarray(u), np.asarray(v)
+        if any(x.size and x.dtype.kind not in "iu" for x in (u, v)):
+            raise ViewGraphError("edge endpoints must be integers")
         u = np.array(u, dtype=np.int64).reshape(-1)
         v = np.array(v, dtype=np.int64).reshape(-1)
         m = u.size
@@ -168,6 +116,15 @@ class ViewGraph:
         q[flip] = so3.qcanon(so3.qconj(q[flip]))
         self._keep(n, lo, hi, q, label, gt)
 
+    @classmethod
+    def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
+        """Graph over arrays that already hold every invariant the constructor
+        establishes (rows taken from a valid graph), stored read-only as
+        given, without checks or copies."""
+        g = cls.__new__(cls)
+        g._keep(n_nodes, u, v, q, label, gt)
+        return g
+
     def _keep(self, n, u, v, q, label, gt) -> None:
         for arr in (u, v, q, label, gt):
             arr.flags.writeable = False
@@ -186,9 +143,12 @@ class ViewGraph:
         return self._u.size
 
     @property
-    def edges(self) -> Sequence[Edge]:
-        """Per-edge records for tests and boundary code; solvers use the arrays."""
-        return _EdgeRecords(self)
+    def edges(self) -> np.ndarray:
+        """(E, 2) read-only int64 endpoint pairs, built on access, for the
+        benchmark adapter's ``len(g.edges)``; the package reads the arrays."""
+        pairs = np.column_stack([self._u, self._v])
+        pairs.flags.writeable = False
+        return pairs
 
     @property
     def gt(self) -> np.ndarray:
@@ -228,6 +188,18 @@ class ViewGraph:
         """(E, 4) ground-truth relative orientations in edge order."""
         gt = self.gt_array()
         return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
+
+
+def node_id(i: int, n: int, name: str) -> int:
+    """``i`` as a node id of an ``n``-node graph; a :class:`ViewGraphError`
+    naming the argument ``name`` unless it is an integer in ``[0, n)``."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        raise ViewGraphError(f"{name} must be an integer node id, got {i!r}") from None
+    if not 0 <= k < n:
+        raise ViewGraphError(f"{name} {k} out of range [0, {n})")
+    return k
 
 
 def _degree_weights(g: ViewGraph) -> np.ndarray:
@@ -357,7 +329,7 @@ def parse(text: str) -> ViewGraph:
     label[labelled] = label_tok == "1"
     gt = np.full((n, 4), np.nan)
     gt[ids[has_gt]] = gq
-    return ViewGraph.from_arrays(n, u, v, q, label, gt)
+    return ViewGraph(n, u, v, q, label, gt)
 
 
 def serialize(g: ViewGraph, comment: str | None = None) -> str:
@@ -492,8 +464,7 @@ def shortest_path_tree(g: ViewGraph, root: int) -> SpanningTreeInit:
     Depths equal unweighted shortest-path distances; each node's parent is
     its smallest-id neighbor one level up, so the tree is deterministic.
     """
-    if not 0 <= root < g.n_nodes:
-        raise ViewGraphError(f"root {root} out of range")
+    root = node_id(root, g.n_nodes, "root")
     parent, depth = bfs_levels(g.n_nodes, *g.endpoint_arrays(), root)
     if np.any(depth < 0):
         raise ViewGraphError("graph is disconnected; bootstrap requires connectivity")
@@ -571,8 +542,7 @@ def rereference(rows: np.ndarray, c: int) -> np.ndarray:
     """Right-multiply (N, 4) orientation rows by ``q_c^-1`` so node ``c`` is
     the identity.  A pure gauge action: every pairwise relative orientation
     is unchanged."""
-    if not 0 <= c < len(rows):
-        raise ViewGraphError(f"reference node {c} out of range")
+    c = node_id(c, len(rows), "reference node")
     return so3.qcanon(so3.qmul(rows, so3.qcanon(so3.qconj(rows[c]))))
 
 

@@ -1,10 +1,12 @@
 """Scalar SO(3) API on :class:`UnitQuaternion` values: the tests' oracle.
 
-The package works on (N, 4) rows only (``rotavg.so3``).  This per-value API
-(composition, metrics, the matrix bridge, axis/angle and the scalar
-samplers) has no caller in the package; tests use it as the reference that
-row kernels, samplers and the corpus generator are checked against, one
-quaternion at a time.  ``qcanon`` is the row kernel without its fast paths:
+The package works on (N, 4) rows only (``rotavg.so3``) and builds graphs
+from arrays only (``rotavg.viewgraph.ViewGraph``).  This per-value API (the
+validating :class:`UnitQuaternion`, composition, metrics, the matrix
+bridge, axis/angle, the scalar samplers, and :class:`Edge` records with the
+graph builder over them) has no caller in the package; tests use it as the
+reference that row kernels, samplers, the graph constructor and the corpus
+generator are checked against, one quaternion or edge at a time.  ``qcanon`` is the row kernel without its fast paths:
 it always divides the off-unit rows out and always runs the zero-sign
 cascade, the reference for the package's ``qcanon`` bit for bit.
 ``qlog``, ``qexp`` and ``qangle_deg`` are frozen copies of the row kernels
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, ZERO_SIGN_TOL, UnitQuaternion, qconj, qmul
+from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, ZERO_SIGN_TOL, qconj, qmul
+from rotavg.viewgraph import ViewGraph
 
 MATRIX_TOL = 1e-8         # orthogonality/determinant invariant of outputs
 MATRIX_INPUT_TOL = 1e-6   # rejection threshold for matrix inputs
@@ -106,6 +109,85 @@ def qexp(v: np.ndarray) -> np.ndarray:
     out[..., 0] = np.cos(half)
     out[..., 1:] = v * scale[..., None]
     return qcanon(out)
+
+
+# ---------------------------------------------------------------------------
+# The scalar value type and per-edge records
+# ---------------------------------------------------------------------------
+
+class UnitQuaternion:
+    """Immutable unit quaternion with canonical sign.
+
+    The constructor normalizes and canonicalizes; inputs whose norm deviates
+    from 1 by more than ~1e-6 are normally a sign of a bug upstream, but
+    normalization is applied regardless (parsers enforce their own limits).
+    """
+
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w: float, x: float, y: float, z: float):
+        arr = np.array([w, x, y, z], dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite quaternion components: {arr.tolist()}")
+        arr = qcanon(arr)
+        object.__setattr__(self, "w", float(arr[0]))
+        object.__setattr__(self, "x", float(arr[1]))
+        object.__setattr__(self, "y", float(arr[2]))
+        object.__setattr__(self, "z", float(arr[3]))
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError("UnitQuaternion is immutable")
+
+    @classmethod
+    def identity(cls) -> "UnitQuaternion":
+        return cls(1.0, 0.0, 0.0, 0.0)
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray) -> "UnitQuaternion":
+        arr = np.asarray(arr, dtype=np.float64).reshape(4)
+        return cls(arr[0], arr[1], arr[2], arr[3])
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
+
+    def __repr__(self) -> str:
+        return f"UnitQuaternion({self.w:.9g}, {self.x:.9g}, {self.y:.9g}, {self.z:.9g})"
+
+
+def as_quats(rows) -> list[UnitQuaternion]:
+    """One :class:`UnitQuaternion` per row of (N, 4) rows or an
+    ``Orientations`` view."""
+    return [UnitQuaternion.from_array(r) for r in np.asarray(rows)]
+
+
+@dataclass(frozen=True)
+class Edge:
+    """Undirected measurement ``u -> v``; a graph stores it with ``u < v``."""
+
+    u: int
+    v: int
+    q: UnitQuaternion  # orientation of u -> v
+    gt_outlier: bool | None = None
+
+
+def edge_graph(n_nodes: int, edges: list[Edge],
+               gt: list[UnitQuaternion | None] | None = None) -> ViewGraph:
+    """The graph over ``Edge`` records and ``UnitQuaternion | None`` ground
+    truth, through the array constructor."""
+    edges = list(edges)
+    gt_rows = None if gt is None else np.reshape(
+        [(math.nan,) * 4 if q is None else (q.w, q.x, q.y, q.z) for q in gt], (-1, 4))
+    return ViewGraph(n_nodes, np.array([e.u for e in edges], dtype=np.int64),
+                     np.array([e.v for e in edges], dtype=np.int64),
+                     [(e.q.w, e.q.x, e.q.y, e.q.z) for e in edges],
+                     [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt_rows)
+
+
+def edge_records(g: ViewGraph) -> list[Edge]:
+    """The stored edges of ``g`` as ``Edge`` records, in edge order."""
+    u, v = g.endpoint_arrays()
+    return [Edge(int(a), int(b), UnitQuaternion.from_array(q), None if lab < 0 else bool(lab))
+            for a, b, q, lab in zip(u, v, g.edge_quat_array(), g.edge_labels().tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import so3_oracle
 from rotavg import baselines, so3, synthgen, viewgraph
 from rotavg.baselines import CG_TOL, IRLS_STEP_TOL, SolverError
-from rotavg.viewgraph import Edge, ViewGraph, ViewGraphError
+from rotavg.viewgraph import ViewGraph, ViewGraphError
+from so3_oracle import Edge, edge_graph
 
 
 def make_graph(seed=0, n=30, edge_fraction=0.3, sigma=0.0, outliers=0.0):
@@ -414,7 +415,7 @@ def irls_cases(draw):
     q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
     outlier = rng.random(u.size) < 0.1
     q[outlier] = so3.sample_uniform_rows(rng, int(outlier.sum()))
-    g = ViewGraph.from_arrays(n, u, v, so3.qcanon(q))
+    g = ViewGraph(n, u, v, so3.qcanon(q))
     if draw(st.booleans()):
         init = np.asarray(bootstrap(g))
     else:
@@ -456,7 +457,7 @@ class TestDenseSolve:
     @pytest.mark.parametrize("path", ["direct", "cg"])
     @pytest.mark.parametrize("max_iters, iterations", [((5, 20), 2), ((0, 3), 1), ((0, 0), 0)])
     def test_one_node(self, path, max_iters, iterations):
-        g = ViewGraph.from_arrays(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+        g = ViewGraph(1, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                                   np.zeros((0, 4)))
         init = np.array([[-0.5, 0.5, -0.5, 0.5]])
         res = irls_on(path, g, init, max_iters=max_iters)
@@ -610,7 +611,7 @@ class TestIrlsReport:
 @pytest.mark.parametrize("solver", [baselines.irls_mra, baselines.weiszfeld_mra])
 def test_disconnected_graph_rejected(solver):
     q = so3_oracle.yaw_deg(10.0)
-    g = ViewGraph(4, [Edge(0, 1, q), Edge(2, 3, q)])
+    g = edge_graph(4, [Edge(0, 1, q), Edge(2, 3, q)])
     with pytest.raises(ViewGraphError, match="connected"):
         solver(g, np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)))
 
@@ -713,7 +714,7 @@ def weiszfeld_cases(draw):
     noise = so3.qexp(axis / np.linalg.norm(axis, axis=1, keepdims=True) * angle[:, None])
     q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
     init = so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(n, 3))))
-    g = ViewGraph.from_arrays(n, u, v, so3.qcanon(q))
+    g = ViewGraph(n, u, v, so3.qcanon(q))
     return g, so3.qcanon(init), draw(st.integers(0, 3)), draw(st.integers(0, 10))
 
 
@@ -767,9 +768,9 @@ class TestWeiszfeldLevelSchedule:
 
     def test_level_counts_of_path_and_star(self):
         q = np.tile([1.0, 0.0, 0.0, 0.0], (7, 1))
-        path = ViewGraph.from_arrays(8, np.arange(7), np.arange(1, 8), q)
+        path = ViewGraph(8, np.arange(7), np.arange(1, 8), q)
         assert baselines._weiszfeld_levels(path, 0).max() + 1 == 7  # N - 1
-        star = ViewGraph.from_arrays(8, np.full(7, 3), np.delete(np.arange(8), 3), q)
+        star = ViewGraph(8, np.full(7, 3), np.delete(np.arange(8), 3), q)
         assert viewgraph.select_root(star) == 3
         assert np.array_equal(baselines._weiszfeld_levels(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
 
@@ -779,7 +780,7 @@ class TestWeiszfeldLevelSchedule:
         for _ in range(200):
             rows = so3.sample_uniform_rows(rng, 3)
             q = so3.sample_uniform_rows(rng, 3)
-            g = ViewGraph.from_arrays(3, np.array([0, 1, 0]), np.array([1, 2, 2]), q)
+            g = ViewGraph(3, np.array([0, 1, 0]), np.array([1, 2, 2]), q)
             out = baselines.weiszfeld_mra(g, rows, sweeps=1, median_iters=0).orientations
             first = so3.qmul(q[0], viewgraph.orientation_rows(g, rows)[0])
             assert so3.qangle_deg(np.asarray(out)[1], first) < 1e-9

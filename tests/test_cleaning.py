@@ -7,11 +7,11 @@ import pytest
 
 from fd import fd_gradients
 import so3_oracle
-from rotavg import cleaning, so3, synthgen, viewgraph
-from rotavg.autodiff import ParamStore, Tape
+from rotavg import cleaning, refinement, so3, synthgen, viewgraph
+from rotavg.autodiff import AutodiffError, ParamStore, Tape
 from rotavg.mpnn import MpnnConfig
-from rotavg.so3 import UnitQuaternion
-from rotavg.viewgraph import Edge, ViewGraph, ViewGraphError
+from rotavg.viewgraph import ViewGraph, ViewGraphError
+from so3_oracle import Edge, UnitQuaternion, as_quats, edge_graph, edge_records
 
 TINY_CFG = MpnnConfig(rounds=2, hidden_dim=4, msg_dim=4, edge_feat_dim=4, node_init_dim=0)
 
@@ -90,8 +90,22 @@ class TestForward:
         one_edge_array = 2 * len(g.edges) * cleaning.DEFAULT_CONFIG.hidden_dim * 8
         assert peak < one_edge_array
 
+    def test_weights_that_do_not_fit_rejected(self):
+        g = noisy_graph(seed=3, n=8)
+        # another network's store: the first of CleanNet's weights it lacks is named
+        with pytest.raises(AutodiffError, match="weight 'head_rect.w' is missing"):
+            cleaning.clean_forward(g, refinement.new_weights(0))
+        bad = ParamStore()
+        for name, shape in cleaning.weight_spec().items():
+            bad.add(name, np.zeros((5, 1) if name == "head_out.w" else shape))
+        with pytest.raises(AutodiffError, match=r"weight 'head_out.w' has shape \(5, 1\)"):
+            cleaning.clean_forward(g, bad)
+        tape = Tape()
+        with pytest.raises(AutodiffError, match="weight 'head_rect.w' is missing"):
+            cleaning.clean_loss_graph(tape, g, refinement.new_weights(0).bind(tape))
+
     def test_empty_graph_rejected(self):
-        g = ViewGraph(2, [])
+        g = ViewGraph(2, [], [], np.zeros((0, 4)))
         with pytest.raises(ViewGraphError):
             cleaning.clean_forward(g, cleaning.new_weights(0))
 
@@ -100,14 +114,14 @@ class TestLabels:
     def test_clean_edge_is_inlier(self):
         rng = np.random.default_rng(4)
         gt = [so3_oracle.sample_uniform(rng) for _ in range(2)]
-        g = ViewGraph(2, [Edge(0, 1, so3_oracle.relative(gt[0], gt[1]))], gt)
+        g = edge_graph(2, [Edge(0, 1, so3_oracle.relative(gt[0], gt[1]))], gt)
         assert cleaning.gt_outlier_labels(g).tolist() == [0.0]
 
     def test_injected_discrepancy_is_outlier(self):
         rng = np.random.default_rng(5)
         gt = [so3_oracle.sample_uniform(rng) for _ in range(2)]
         q = so3_oracle.compose(so3_oracle.yaw_deg(90.0), so3_oracle.relative(gt[0], gt[1]))
-        g = ViewGraph(2, [Edge(0, 1, q)], gt)
+        g = edge_graph(2, [Edge(0, 1, q)], gt)
         assert cleaning.gt_outlier_labels(g).tolist() == [1.0]
 
     def test_agreement_with_generator_flags(self):
@@ -121,13 +135,13 @@ class TestLabels:
             )
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed))
             labels = cleaning.gt_outlier_labels(g)
-            flags = np.array([float(e.gt_outlier) for e in g.edges])
+            flags = np.array([float(e.gt_outlier) for e in edge_records(g)])
             agree += int(np.sum(labels == flags))
             total += len(g.edges)
         assert agree / total >= 0.97
 
     def test_requires_gt(self):
-        g = ViewGraph(2, [Edge(0, 1, UnitQuaternion.identity())])
+        g = edge_graph(2, [Edge(0, 1, UnitQuaternion.identity())])
         with pytest.raises(ViewGraphError):
             cleaning.gt_outlier_labels(g)
 
@@ -149,14 +163,24 @@ class TestLoss:
         full = cleaning.clean_loss(pred, g)
         orient_only = cleaning.clean_loss(pred, g, bce_weight=0.0)
         deg = g.degree_array()
-        gt = [UnitQuaternion.from_array(r) for r in g.gt]
+        gt = as_quats(g.gt)
         expected = sum(
             so3_oracle.quat_dist(UnitQuaternion.from_array(r),
                                  so3_oracle.relative(gt[e.u], gt[e.v])) / (deg[e.u] * deg[e.v])
-            for r, e in zip(pred.rect, g.edges)
+            for r, e in zip(pred.rect, edge_records(g))
         )
         assert abs(orient_only - expected) < 1e-12
         assert full > orient_only
+
+    def test_relative_ground_truth_computed_once(self, monkeypatch):
+        g = noisy_graph(seed=9, n=8)
+        calls = []
+        relative = ViewGraph.relative_gt_array
+        monkeypatch.setattr(ViewGraph, "relative_gt_array",
+                            lambda self: calls.append(1) or relative(self))
+        tape = Tape()
+        cleaning.clean_loss_graph(tape, g, tiny_clean_weights().bind(tape), TINY_CFG)
+        assert len(calls) == 1
 
     def test_tensor_and_value_paths_agree(self):
         g = noisy_graph(seed=8)
@@ -178,7 +202,7 @@ class TestLoss:
         assert fd_gradients(build, params) < 1e-3
 
     def test_requires_gt(self):
-        g = ViewGraph(2, [Edge(0, 1, UnitQuaternion.identity())])
+        g = edge_graph(2, [Edge(0, 1, UnitQuaternion.identity())])
         tape = Tape()
         store = tiny_clean_weights()
         with pytest.raises(ViewGraphError):
@@ -212,7 +236,7 @@ class TestCleanGraph:
         cg = cleaning.clean_graph(g, pred)
         assert len(cg.graph.edges) == len(g.edges)
         assert cg.removed_edges == 0 and cg.dropped_nodes.size == 0
-        for e_new, r in zip(cg.graph.edges, pred.rect):
+        for e_new, r in zip(edge_records(cg.graph), pred.rect):
             assert so3_oracle.geodesic_deg(e_new.q, UnitQuaternion.from_array(r)) < 1e-12
             assert e_new.gt_outlier is None
         assert np.array_equal(cg.graph.edge_quat_array(), pred.rect)
@@ -224,8 +248,8 @@ class TestCleanGraph:
         pred.outlier_prob[3] = 0.9
         cg = cleaning.clean_graph(g, pred)
         assert cg.removed_edges == 1
-        removed = g.edges[3]
-        assert all((e.u, e.v) != (removed.u, removed.v) for e in cg.graph.edges)
+        removed = edge_records(g)[3]
+        assert all((e.u, e.v) != (removed.u, removed.v) for e in edge_records(cg.graph))
 
     def test_all_edges_removed_errors(self):
         g = noisy_graph(seed=12)
@@ -237,7 +261,7 @@ class TestCleanGraph:
     def test_disconnection_restricts_to_largest_component(self):
         q = UnitQuaternion.identity()
         edges = [Edge(0, 1, q), Edge(1, 2, q), Edge(2, 3, q), Edge(3, 4, q)]
-        g = ViewGraph(5, edges)
+        g = edge_graph(5, edges)
         pred = cleaning.CleanPrediction(
             rect=np.array([e.q.as_array() for e in edges]),
             outlier_prob=np.array([0.0, 0.9, 0.0, 0.0]),

@@ -7,11 +7,11 @@ import pytest
 
 from fd import fd_gradients
 import so3_oracle
-from rotavg import refinement, so3, synthgen, viewgraph
-from rotavg.autodiff import ParamStore, Tape
+from rotavg import cleaning, refinement, so3, synthgen, viewgraph
+from rotavg.autodiff import AutodiffError, ParamStore, Tape
 from rotavg.mpnn import MpnnConfig
-from rotavg.so3 import UnitQuaternion
 from rotavg.viewgraph import ViewGraph, ViewGraphError
+from so3_oracle import UnitQuaternion, as_quats
 
 TINY_CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=4, node_init_dim=4)
 
@@ -43,8 +43,7 @@ def referenced_graph(seed=0, n=14, sigma=6.0, outliers=0.0):
 
 
 def with_gt(g, gt):
-    return ViewGraph.from_arrays(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array(),
-                                 g.edge_labels(), gt)
+    return ViewGraph(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels(), gt)
 
 
 def noisy_rows(g, rng):
@@ -88,7 +87,7 @@ class TestForward:
         g, root = referenced_graph(seed=1)
         init = spt_init(g, root)
         out = refinement.refine_forward(g, init, tiny_refine_weights(1), root, TINY_CFG)
-        for a, b in zip(out, init):
+        for a, b in zip(as_quats(out), as_quats(init)):
             assert so3_oracle.geodesic_deg(a, b) < 1e-9
 
     def test_outputs_valid_unit_quaternions_under_random_weights(self):
@@ -96,13 +95,13 @@ class TestForward:
         store = tiny_refine_weights(2, random_head=True)
         out = refinement.refine_forward(g, spt_init(g, root), store, root, TINY_CFG)
         for q in out:
-            assert abs(np.linalg.norm(q.as_array()) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
     def test_output_rereferenced_at_root(self):
         g, root = referenced_graph(seed=3)
         store = tiny_refine_weights(3, random_head=True)
         out = refinement.refine_forward(g, spt_init(g, root), store, root, TINY_CFG)
-        assert so3_oracle.geodesic_deg(out[root], UnitQuaternion.identity()) < 1e-9
+        assert so3_oracle.geodesic_deg(as_quats(out)[root], UnitQuaternion.identity()) < 1e-9
 
     def test_unreferenced_init_rejected(self):
         g, root = referenced_graph(seed=4)
@@ -123,6 +122,24 @@ class TestForward:
         for bad in (g.n_nodes, -1):
             with pytest.raises(ViewGraphError, match=f"root {bad} out of range"):
                 refinement.refine_forward(g, init, tiny_refine_weights(5), bad, TINY_CFG)
+
+    def test_non_integer_root_rejected(self):
+        g, root = referenced_graph(seed=5)
+        init = spt_init(g, root)
+        for bad in (float(root) + 0.5, float(root), str(root), None):
+            with pytest.raises(ViewGraphError, match="root must be an integer"):
+                refinement.refine_forward(g, init, tiny_refine_weights(5), bad, TINY_CFG)
+            with pytest.raises(ViewGraphError, match="root must be an integer"):
+                refinement.refine_loss(np.asarray(init), g, bad)
+
+    def test_weights_that_do_not_fit_rejected(self):
+        g, root = referenced_graph(seed=5)
+        with pytest.raises(AutodiffError, match="weight 'head_refine.w' is missing"):
+            refinement.refine_forward(g, spt_init(g, root), cleaning.new_weights(0), root)
+        bad = refinement.new_weights(0)
+        bad.params["head_refine.b"] = np.zeros(3)
+        with pytest.raises(AutodiffError, match=r"weight 'head_refine.b' has shape \(3,\)"):
+            refinement.refine_forward(g, spt_init(g, root), bad, root)
 
 
 class TestLoss:

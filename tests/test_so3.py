@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import so3_oracle
 from rotavg import so3
-from rotavg.so3 import UnitQuaternion
+from so3_oracle import UnitQuaternion
 
 
 def random_quat(rng):
@@ -322,9 +322,12 @@ class TestOrientations:
         view = so3.Orientations(rows)
         assert len(view) == 5
         for i, q in enumerate(view):
-            assert isinstance(q, UnitQuaternion)
-            assert np.array_equal(q.as_array(), UnitQuaternion.from_array(rows[i]).as_array())
-        assert np.array_equal(view[-1].as_array(), rows[4])
+            # the row's own floats, bit for bit, by name and by position
+            assert isinstance(q, so3.Quat) and (q.w, q.x, q.y, q.z) == tuple(rows[i].tolist())
+            assert all(type(c) is float for c in q)
+        assert np.array_equal(np.array(view[-1]), rows[4])
+        # items are neither re-validated nor re-canonicalised
+        assert so3.Orientations(-rows)[0] == so3.Quat(*(-rows[0]).tolist())
         with pytest.raises(IndexError):
             view[5]
         # np.asarray hands out the stored buffer itself, read-only

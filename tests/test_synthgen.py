@@ -8,9 +8,9 @@ import pytest
 
 import so3_oracle
 from rotavg import so3, synthgen
-from rotavg.so3 import UnitQuaternion
 from rotavg.synthgen import SynthConfig, SynthConfigError
-from rotavg.viewgraph import Edge, ViewGraph
+from rotavg.viewgraph import ViewGraph
+from so3_oracle import Edge, UnitQuaternion, edge_graph, edge_records
 
 
 def relative_gt(g, u, v):
@@ -23,7 +23,7 @@ def is_connected_oracle(g) -> bool:
     if g.n_nodes == 0:
         return True
     nbrs = [set() for _ in range(g.n_nodes)]
-    for e in g.edges:
+    for e in edge_records(g):
         nbrs[e.u].add(e.v)
         nbrs[e.v].add(e.u)
     seen = {0}
@@ -85,7 +85,7 @@ def generate_graph_oracle(cfg: SynthConfig, rng: np.random.Generator) -> ViewGra
         noise = so3_oracle.from_axis_angle(axis, angle)
         q = so3_oracle.compose(noise, so3_oracle.relative(gt[u], gt[v]))
         edges.append(Edge(u, v, q, False))
-    return ViewGraph(n, sorted(edges, key=lambda e: (e.u, e.v)), gt)
+    return edge_graph(n, sorted(edges, key=lambda e: (e.u, e.v)), gt)
 
 
 class TestConfig:
@@ -98,6 +98,12 @@ class TestConfig:
             SynthConfig(outlier_fraction=(0.0, 1.5))
         with pytest.raises(SynthConfigError):
             SynthConfig(sigma_deg=(-1.0, 5.0))
+
+    @pytest.mark.parametrize("n_cameras", [(3.5, 5), (3, 5.0), ("3", 5), (3, None)])
+    def test_rejects_non_integer_camera_counts(self, n_cameras):
+        with pytest.raises(SynthConfigError, match="n_cameras range must hold integers"):
+            SynthConfig(n_cameras=n_cameras)
+        assert SynthConfig(n_cameras=(np.int64(3), 5)).n_cameras == (3, 5)
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = SynthConfig(
@@ -141,7 +147,7 @@ class TestGenerateGraph:
             sigma_deg=(0.0, 0.0), outlier_fraction=(0.0, 0.0), seed=0,
         )
         g = synthgen.generate_graph(cfg, np.random.default_rng(0))
-        for e in g.edges:
+        for e in edge_records(g):
             assert e.gt_outlier is False
             assert so3_oracle.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) < 1e-9
 
@@ -164,7 +170,7 @@ class TestGenerateGraph:
         total_pairs = g.n_nodes * (g.n_nodes - 1) / 2
         measured = len(g.edges) / total_pairs
         assert abs(measured - 0.2) < 0.01
-        label_frac = sum(e.gt_outlier for e in g.edges) / len(g.edges)
+        label_frac = sum(e.gt_outlier for e in edge_records(g)) / len(g.edges)
         assert abs(label_frac - 0.15) < 0.01
 
     def test_connectivity(self):
@@ -182,10 +188,10 @@ class TestGenerateGraph:
         r = so3_oracle.sample_uniform(np.random.default_rng(99))
         # emulate the gauge shift on the second graph's ground truth and
         # verify every edge is reproduced by the shifted truth + same noise
-        for e1, e2 in zip(g1.edges, g2.edges):
+        for e1, e2 in zip(edge_records(g1), edge_records(g2)):
             assert np.array_equal(e1.q.as_array(), e2.q.as_array())
         shifted = [so3_oracle.compose(UnitQuaternion.from_array(q), r) for q in g1.gt]
-        for e in g1.edges:
+        for e in edge_records(g1):
             rel_shift = so3_oracle.relative(shifted[e.u], shifted[e.v])
             assert so3_oracle.geodesic_deg(rel_shift, relative_gt(g1, e.u, e.v)) < 1e-9
 
@@ -255,7 +261,7 @@ class TestGenerateGraph:
                 sigma_deg=(2.0, 10.0), outlier_fraction=(0.2, 0.2), seed=seed,
             )
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 10))
-            for e in g.edges:
+            for e in edge_records(g):
                 rule = so3_oracle.geodesic_deg(e.q, relative_gt(g, e.u, e.v)) > 20.0
                 agree += int(rule == e.gt_outlier)
                 total += 1

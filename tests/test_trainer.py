@@ -61,6 +61,12 @@ class TestConfig:
     def test_zero_weight_decay_accepted(self):
         assert TrainConfig.desk(weight_decay=0.0).weight_decay == 0.0
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, 0, -1])
+    def test_epochs_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+            TrainConfig(epochs=value)
+        assert TrainConfig(epochs=np.int64(2)).epochs == 2
+
 
 class TestDeterminism:
     def test_cleannet_bit_identical_per_seed(self, data, clean_run):
@@ -161,11 +167,11 @@ class TestNonFinite:
 
 
 def edgeless(g):
-    return ViewGraph.from_arrays(g.n_nodes, [], [], np.zeros((0, 4)), gt=g.gt)
+    return ViewGraph(g.n_nodes, [], [], np.zeros((0, 4)), gt=g.gt)
 
 
 def without_gt(g):
-    return ViewGraph.from_arrays(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array())
+    return ViewGraph(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array())
 
 
 @pytest.mark.parametrize(
@@ -202,7 +208,7 @@ def assert_same_graph(got, want):
 class TestDerivedGraphs:
     def test_equal_to_validated_rebuild(self, data):
         # graphs cut from a valid graph's rows skip validation: rebuilding one
-        # through from_arrays must change no bit, dtype or flag
+        # through the validating constructor must change no bit, dtype or flag
         rng = np.random.default_rng(8)
         store = cleaning.new_weights(1)
         store.params["head_rect.w"] += rng.normal(scale=0.1, size=store.params["head_rect.w"].shape)
@@ -220,7 +226,7 @@ class TestDerivedGraphs:
                 trainer.prepare_refinement_sample(g, store)[0],
             ]
             for d in derived:
-                assert_same_graph(d, ViewGraph.from_arrays(
+                assert_same_graph(d, ViewGraph(
                     d.n_nodes, *d.endpoint_arrays(), d.edge_quat_array(), d.edge_labels(), d.gt))
 
 
@@ -231,9 +237,9 @@ def uncleaned_sample(g):
     root = viewgraph.select_root(base)
     boot = viewgraph.bootstrap_orientations(base, viewgraph.shortest_path_tree(base, root))
     observed = viewgraph.induced_subgraph(g, node_ids)
-    observed = ViewGraph.from_arrays(observed.n_nodes, *observed.endpoint_arrays(),
-                                     observed.edge_quat_array(), observed.edge_labels(),
-                                     viewgraph.rereference(observed.gt, root))
+    observed = ViewGraph(observed.n_nodes, *observed.endpoint_arrays(),
+                         observed.edge_quat_array(), observed.edge_labels(),
+                         viewgraph.rereference(observed.gt, root))
     return observed, np.asarray(boot.orientations), root
 
 

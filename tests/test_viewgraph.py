@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import so3_oracle
 from rotavg import so3, synthgen, viewgraph
-from rotavg.so3 import UnitQuaternion
-from rotavg.viewgraph import Edge, ParseError, ViewGraph, ViewGraphError
+from rotavg.viewgraph import ParseError, ViewGraph, ViewGraphError
+from so3_oracle import Edge, UnitQuaternion, as_quats, edge_graph, edge_records
 
 
 def small_graph(with_gt=True):
@@ -22,18 +22,18 @@ def small_graph(with_gt=True):
         Edge(2, 3, so3_oracle.relative(gt[2], gt[3])),
         Edge(0, 2, so3_oracle.relative(gt[0], gt[2])),
     ]
-    return ViewGraph(4, edges, gt if with_gt else None)
+    return edge_graph(4, edges, gt if with_gt else None)
 
 
 def gt_quats(g: ViewGraph) -> list[UnitQuaternion]:
     """Ground-truth rows as the quaternion oracle's values."""
-    return [UnitQuaternion.from_array(r) for r in g.gt]
+    return as_quats(g.gt)
 
 
 def bfs_depths(g: ViewGraph, root: int) -> list[int]:
     # independent BFS oracle kept free of the library's tree code
     nbrs: list[set[int]] = [set() for _ in range(g.n_nodes)]
-    for e in g.edges:
+    for e in edge_records(g):
         nbrs[e.u].add(e.v)
         nbrs[e.v].add(e.u)
     depth = [-1] * g.n_nodes
@@ -110,7 +110,7 @@ def random_graphs(draw) -> ViewGraph:
     perm = draw(st.permutations(range(n)))
     ends = np.array([(perm[a], perm[b]) for a, b in picked], dtype=np.int64).reshape(-1, 2)
     q = np.tile([1.0, 0.0, 0.0, 0.0], (len(ends), 1))
-    return ViewGraph.from_arrays(n, ends[:, 0], ends[:, 1], q)
+    return ViewGraph(n, ends[:, 0], ends[:, 1], q)
 
 
 def loop_canonical(n: int, edges: list[Edge]) -> list[Edge]:
@@ -150,8 +150,8 @@ def edge_lists(draw, valid: bool):
     return n, [Edge(a, b, so3_oracle.sample_uniform(rng), lab) for (a, b), lab in zip(ends, labels)]
 
 
-def from_arrays_of(n: int, edges: list[Edge]) -> ViewGraph:
-    return ViewGraph.from_arrays(
+def arrays_of(n: int, edges: list[Edge]) -> ViewGraph:
+    return ViewGraph(
         n, [e.u for e in edges], [e.v for e in edges], [e.q.as_array() for e in edges],
         [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges],
     )
@@ -176,9 +176,9 @@ class TestArrayStore:
             [e.u for e in canon], [e.v for e in canon], [e.q.as_array().tolist() for e in canon],
             [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in canon],
         )
-        assert outcome(lambda: ViewGraph(n, edges)) == expected
-        assert outcome(lambda: from_arrays_of(n, edges)) == expected
-        g = from_arrays_of(n, edges)
+        assert outcome(lambda: edge_graph(n, edges)) == expected
+        assert outcome(lambda: arrays_of(n, edges)) == expected
+        g = arrays_of(n, edges)
         assert type(g.n_edges) is int and g.n_edges == len(g.edges) == len(canon)
 
     @settings(max_examples=300, deadline=None)
@@ -190,14 +190,14 @@ class TestArrayStore:
             expected = None
         except ViewGraphError as exc:
             expected = str(exc)
-        for build in (lambda: ViewGraph(n, edges), lambda: from_arrays_of(n, edges)):
+        for build in (lambda: edge_graph(n, edges), lambda: arrays_of(n, edges)):
             got = outcome(build)
             assert (got if isinstance(got, str) else None) == expected
 
     def test_stored_arrays_are_read_only(self):
         u = np.array([1, 0])
         q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        g = ViewGraph.from_arrays(3, u, [0, 2], q, [1, -1])
+        g = ViewGraph(3, u, [0, 2], q, [1, -1])
         for arr in (*g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels()):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
@@ -207,22 +207,39 @@ class TestArrayStore:
         assert g.endpoint_arrays()[0].tolist() == [0, 0] and g.edge_quat_array()[0, 0] == 1.0
 
     def test_edge_records(self):
-        g = ViewGraph.from_arrays(3, [1, 0], [0, 2], so3.qcanon(np.eye(4)[:2]), [1, -1])
-        assert len(g.edges) == 2 and [e.gt_outlier for e in g.edges] == [True, None]
-        assert (g.edges[-1].u, g.edges[-1].v) == (0, 2)
+        g = ViewGraph(3, [1, 0], [0, 2], so3.qcanon(np.eye(4)[:2]), [1, -1])
+        pairs = g.edges
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 1], [0, 2]]
+        assert len(g.edges) == g.n_edges == 2 and tuple(g.edges[-1]) == (0, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0, 0] = 1
         with pytest.raises(IndexError):
             g.edges[2]
+        assert ViewGraph(2, [], [], np.zeros((0, 4))).edges.shape == (0, 2)
+
+    def test_non_integer_sizes_and_ends_rejected(self):
+        q = np.array([[1.0, 0.0, 0.0, 0.0]])
+        for n in (2.5, "3", None):
+            with pytest.raises(ViewGraphError, match="n_nodes must be an integer"):
+                ViewGraph(n, [0], [1], q)
+        # a float end would otherwise be truncated: (0.7, 1.2) stored as (0, 1)
+        for u, v in (([0.7], [1.2]), ([0], [1.0]), (np.array([True]), [0])):
+            with pytest.raises(ViewGraphError, match="endpoints must be integers"):
+                ViewGraph(3, u, v, q)
+        g = ViewGraph(np.int32(3), np.array([0], dtype=np.uint8), [2], q)
+        assert g.n_nodes == 3 and type(g.n_nodes) is int and g.edges.tolist() == [[0, 2]]
+        assert ViewGraph(2, [], np.zeros(0), np.zeros((0, 4))).n_edges == 0
 
     def test_malformed_arrays_rejected(self):
         q = np.array([[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ViewGraphError, match="one entry per edge"):
-            ViewGraph.from_arrays(2, [0], [1], q[:, :3])
+            ViewGraph(2, [0], [1], q[:, :3])
         with pytest.raises(ViewGraphError, match="labels"):
-            ViewGraph.from_arrays(2, [0], [1], q, [2])
+            ViewGraph(2, [0], [1], q, [2])
         with pytest.raises(ViewGraphError, match="finite nonzero"):
-            ViewGraph.from_arrays(2, [0], [1], q * np.nan)
+            ViewGraph(2, [0], [1], q * np.nan)
         with pytest.raises(ViewGraphError, match="finite nonzero"):
-            ViewGraph.from_arrays(2, [0], [1], q * 0.0)
+            ViewGraph(2, [0], [1], q * 0.0)
 
 
 @st.composite
@@ -232,7 +249,7 @@ def labelled_graphs(draw) -> ViewGraph:
     n, edges = draw(edge_lists(valid=True))
     gt = so3.sample_uniform_rows(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     gt[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = np.nan
-    return ViewGraph.from_arrays(
+    return ViewGraph(
         n, [e.u for e in edges], [e.v for e in edges], [e.q.as_array() for e in edges],
         [-1 if e.gt_outlier is None else int(e.gt_outlier) for e in edges], gt,
     )
@@ -270,13 +287,13 @@ class TestFormat:
         text = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0\n"
         g = viewgraph.parse(text)
         assert g.n_nodes == 2 and len(g.edges) == 1
-        assert so3_oracle.geodesic_deg(g.edges[0].q, UnitQuaternion.identity()) == 0.0
+        assert so3_oracle.geodesic_deg(edge_records(g)[0].q, UnitQuaternion.identity()) == 0.0
 
     def test_round_trip_semantics(self):
         g = small_graph()
         g2 = viewgraph.parse(viewgraph.serialize(g))
         assert g2.n_nodes == g.n_nodes
-        for a, b in zip(g.edges, g2.edges):
+        for a, b in zip(edge_records(g), edge_records(g2)):
             assert (a.u, a.v) == (b.u, b.v)
             assert so3_oracle.geodesic_deg(a.q, b.q) < 1e-9
         for a, b in zip(gt_quats(g), gt_quats(g2)):
@@ -294,7 +311,7 @@ class TestFormat:
     def test_comment_and_label_round_trip(self):
         text = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0 1\n"
         g = viewgraph.parse(text)
-        assert g.edges[0].gt_outlier is True
+        assert edge_records(g)[0].gt_outlier is True
         assert "EDGE 0 1" in viewgraph.serialize(g, comment="provenance: test")
         assert viewgraph.serialize(g, comment="hello").startswith("# hello\n")
 
@@ -421,7 +438,7 @@ class TestFormat:
             viewgraph.parse(bad)
         ok = "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1.0000004 0 0 0\n"
         g = viewgraph.parse(ok)
-        assert abs(np.linalg.norm(g.edges[0].q.as_array()) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(g.edge_quat_array()[0]) - 1.0) < 1e-9
 
     def test_non_dense_ids_rejected(self):
         with pytest.raises(ViewGraphError, match="dense"):
@@ -446,45 +463,45 @@ class TestPartialGroundTruth:
 
     def test_edge_constructor_packs_missing_as_nan(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(3, [Edge(0, 1, q)], [q, None, so3_oracle.yaw_deg(30.0)])
+        g = edge_graph(3, [Edge(0, 1, q)], [q, None, so3_oracle.yaw_deg(30.0)])
         assert np.all(np.isnan(g.gt[1])) and np.array_equal(g.gt[0], q.as_array())
         assert np.array_equal(g.gt[2], so3_oracle.yaw_deg(30.0).as_array())
-        assert np.all(np.isnan(ViewGraph(2, [Edge(0, 1, q)]).gt))
+        assert np.all(np.isnan(edge_graph(2, [Edge(0, 1, q)]).gt))
 
     def test_from_arrays_checks_rows(self):
         q = np.array([[1.0, 0.0, 0.0, 0.0]])
-        ok = ViewGraph.from_arrays(2, [0], [1], q, gt=[[2.0, 0.0, 0.0, 0.0], [np.nan] * 4])
+        ok = ViewGraph(2, [0], [1], q, gt=[[2.0, 0.0, 0.0, 0.0], [np.nan] * 4])
         assert np.array_equal(ok.gt[0], [1.0, 0.0, 0.0, 0.0])  # canonicalised
-        assert np.array_equal(ViewGraph.from_arrays(2, [0], [1], q, gt=[[-1.0, 0, 0, 0]] * 2).gt,
+        assert np.array_equal(ViewGraph(2, [0], [1], q, gt=[[-1.0, 0, 0, 0]] * 2).gt,
                               [[1.0, 0.0, 0.0, 0.0]] * 2)
         for bad in ([[1.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
                     [[np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
                     [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]):
             with pytest.raises(ViewGraphError, match="all NaN or finite nonzero"):
-                ViewGraph.from_arrays(2, [0], [1], q, gt=bad)
+                ViewGraph(2, [0], [1], q, gt=bad)
         for bad in ([[1.0, 0.0, 0.0, 0.0]], np.ones((2, 3))):
             with pytest.raises(ViewGraphError, match="one .* row per node"):
-                ViewGraph.from_arrays(2, [0], [1], q, gt=bad)
+                ViewGraph(2, [0], [1], q, gt=bad)
 
 
 class TestStructure:
     def test_canonical_direction_flip(self):
         q = so3_oracle.yaw_deg(40.0)
-        g = ViewGraph(2, [Edge(1, 0, q)])
-        e = g.edges[0]
+        g = edge_graph(2, [Edge(1, 0, q)])
+        e = edge_records(g)[0]
         assert (e.u, e.v) == (0, 1)
         assert so3_oracle.geodesic_deg(e.q, so3_oracle.inverse(q)) < 1e-9
 
     def test_self_loop_rejected(self):
         with pytest.raises(ViewGraphError, match="self-loop"):
-            ViewGraph(2, [Edge(1, 1, UnitQuaternion.identity())])
+            edge_graph(2, [Edge(1, 1, UnitQuaternion.identity())])
 
     def test_augment_bidirectional(self):
         g = small_graph()
         uv, quats = viewgraph.directed_arrays(g)
         m = len(g.edges)
         assert uv.shape == (2 * m, 2) and quats.shape == (2 * m, 4)
-        for i, e in enumerate(g.edges):
+        for i, e in enumerate(edge_records(g)):
             assert tuple(uv[i]) == (e.u, e.v) and tuple(uv[m + i]) == (e.v, e.u)
             assert np.array_equal(quats[i], e.q.as_array())
             rq = UnitQuaternion.from_array(quats[m + i])
@@ -496,7 +513,7 @@ class TestStructure:
         uv, quats = viewgraph.directed_arrays(g)
         m = len(g.edges)
         # the reverse block, stored as a graph, is flipped back on construction
-        rev = ViewGraph.from_arrays(g.n_nodes, uv[m:, 0], uv[m:, 1], quats[m:], gt=g.gt)
+        rev = ViewGraph(g.n_nodes, uv[m:, 0], uv[m:, 1], quats[m:], gt=g.gt)
         assert np.array_equal(rev.edge_quat_array(), g.edge_quat_array())
         uv2, quats2 = viewgraph.directed_arrays(rev)
         # reversing the reversed set reproduces the forward measurements
@@ -522,7 +539,7 @@ class TestConnectivity:
 
     def test_two_components(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(5, [Edge(0, 1, q), Edge(1, 2, q), Edge(3, 4, q)])
+        g = edge_graph(5, [Edge(0, 1, q), Edge(1, 2, q), Edge(3, 4, q)])
         sub, node_ids = viewgraph.largest_component(g)
         assert sub.n_nodes == 3
         assert node_ids.tolist() == [0, 1, 2]
@@ -535,7 +552,7 @@ class TestConnectivity:
             assert all(d >= 0 for d in bfs_depths(sub, 0))
 
     def test_empty_graph(self):
-        g = ViewGraph(0, [])
+        g = edge_graph(0, [])
         sub, node_ids = viewgraph.largest_component(g)
         assert sub.n_nodes == 0 and node_ids.dtype == np.int64 and node_ids.size == 0
 
@@ -570,7 +587,7 @@ class TestInducedSubgraph:
         sub = viewgraph.induced_subgraph(g, np.array([3, 0, 2]))
         # new ids 0, 1, 2 are old ids 0, 2, 3: edges (0, 2) and (2, 3) survive
         assert sub.n_nodes == 3
-        assert [(e.u, e.v) for e in sub.edges] == [(1, 2), (0, 1)]
+        assert sub.edges.tolist() == [[1, 2], [0, 1]]
         assert np.array_equal(sub.gt, g.gt[[0, 2, 3]])
         assert np.array_equal(sub.edge_quat_array(), g.edge_quat_array()[[2, 3]])
 
@@ -595,12 +612,12 @@ class TestInducedSubgraph:
 class TestRootAndTree:
     def test_star_graph_root_is_hub(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(4, [Edge(0, 3, q), Edge(1, 3, q), Edge(2, 3, q)])
+        g = edge_graph(4, [Edge(0, 3, q), Edge(1, 3, q), Edge(2, 3, q)])
         assert viewgraph.select_root(g) == 3
 
     def test_path_graph_root(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(3, [Edge(0, 1, q), Edge(1, 2, q)])
+        g = edge_graph(3, [Edge(0, 1, q), Edge(1, 2, q)])
         assert viewgraph.select_root(g) == 1
 
     def test_root_degree_matches_oracle(self):
@@ -608,25 +625,25 @@ class TestRootAndTree:
             cfg = synthgen.SynthConfig(n_cameras=(5, 25), edge_fraction=(0.2, 0.5), seed=seed)
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 100))
             counts = np.zeros(g.n_nodes, dtype=int)
-            for e in g.edges:
+            for e in edge_records(g):
                 counts[e.u] += 1
                 counts[e.v] += 1
             assert counts[viewgraph.select_root(g)] == counts.max()
 
     def test_empty_graph_root_errors(self):
         with pytest.raises(ViewGraphError):
-            viewgraph.select_root(ViewGraph(0, []))
+            viewgraph.select_root(edge_graph(0, []))
 
     def test_path_depths(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(3, [Edge(0, 1, q), Edge(1, 2, q)])
+        g = edge_graph(3, [Edge(0, 1, q), Edge(1, 2, q)])
         tree = viewgraph.shortest_path_tree(g, 0)
         assert tree.depth.tolist() == [0, 1, 2]
 
     def test_complete_graph_depths(self):
         q = so3_oracle.yaw_deg(5.0)
         edges = [Edge(u, v, q) for u in range(5) for v in range(u + 1, 5)]
-        g = ViewGraph(5, edges)
+        g = edge_graph(5, edges)
         tree = viewgraph.shortest_path_tree(g, 2)
         assert max(tree.depth) <= 1 and tree.depth[2] == 0
 
@@ -641,13 +658,24 @@ class TestRootAndTree:
     def test_parent_is_smallest_id_predecessor(self):
         q = UnitQuaternion.identity()
         # node 3 reachable at depth 1 from both 0 (root) ... build diamond
-        g = ViewGraph(4, [Edge(0, 1, q), Edge(0, 2, q), Edge(1, 3, q), Edge(2, 3, q)])
+        g = edge_graph(4, [Edge(0, 1, q), Edge(0, 2, q), Edge(1, 3, q), Edge(2, 3, q)])
         tree = viewgraph.shortest_path_tree(g, 0)
         assert tree.parent[3] == 1
 
+    def test_non_integer_root_rejected(self):
+        g = small_graph()
+        for root in (1.5, "1", None):
+            with pytest.raises(ViewGraphError, match="root must be an integer"):
+                viewgraph.shortest_path_tree(g, root)
+        for root in (-1, 4):
+            with pytest.raises(ViewGraphError, match=f"root {root} out of range"):
+                viewgraph.shortest_path_tree(g, root)
+        tree = viewgraph.shortest_path_tree(g, np.int64(1))
+        assert type(tree.root) is int and tree.root == 1
+
     def test_disconnected_errors(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(4, [Edge(0, 1, q), Edge(2, 3, q)])
+        g = edge_graph(4, [Edge(0, 1, q), Edge(2, 3, q)])
         with pytest.raises(ViewGraphError, match="disconnected"):
             viewgraph.shortest_path_tree(g, 0)
 
@@ -655,11 +683,12 @@ class TestRootAndTree:
 class TestBootstrap:
     def test_single_edge(self):
         q = so3_oracle.yaw_deg(33.0)
-        g = ViewGraph(2, [Edge(0, 1, q)])
+        g = edge_graph(2, [Edge(0, 1, q)])
         tree = viewgraph.shortest_path_tree(g, 0)
         boot = viewgraph.bootstrap_orientations(g, tree)
-        assert so3_oracle.geodesic_deg(boot.orientations[0], UnitQuaternion.identity()) == 0.0
-        assert so3_oracle.geodesic_deg(boot.orientations[1], q) < 1e-9
+        out = as_quats(boot.orientations)
+        assert so3_oracle.geodesic_deg(out[0], UnitQuaternion.identity()) == 0.0
+        assert so3_oracle.geodesic_deg(out[1], q) < 1e-9
 
     def test_exact_on_clean_graphs(self):
         for seed in range(10):
@@ -674,10 +703,10 @@ class TestBootstrap:
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 50))
             root = viewgraph.select_root(g)
             boot = viewgraph.bootstrap_orientations(g, viewgraph.shortest_path_tree(g, root))
-            gt = gt_quats(g)
+            gt, out = gt_quats(g), as_quats(boot.orientations)
             for v in range(g.n_nodes):
                 expected = so3_oracle.compose(gt[v], so3_oracle.inverse(gt[root]))
-                assert so3_oracle.geodesic_deg(boot.orientations[v], expected) < 1e-9
+                assert so3_oracle.geodesic_deg(out[v], expected) < 1e-9
 
     def test_reproduces_all_relatives_on_clean_graph(self):
         cfg = synthgen.SynthConfig(
@@ -687,8 +716,9 @@ class TestBootstrap:
         g = synthgen.generate_graph(cfg, np.random.default_rng(4))
         for root in (0, viewgraph.select_root(g), g.n_nodes - 1):
             boot = viewgraph.bootstrap_orientations(g, viewgraph.shortest_path_tree(g, root))
-            for e in g.edges:
-                reproduced = so3_oracle.relative(boot.orientations[e.u], boot.orientations[e.v])
+            out = as_quats(boot.orientations)
+            for e in edge_records(g):
+                reproduced = so3_oracle.relative(out[e.u], out[e.v])
                 assert so3_oracle.geodesic_deg(reproduced, e.q) < 1e-9
 
 
@@ -697,7 +727,7 @@ class TestBootstrap:
         def compose_chain(g, tree):
             out = [None] * g.n_nodes
             out[tree.root] = UnitQuaternion.identity()
-            edges = list(g.edges)
+            edges = edge_records(g)
             for v in sorted(range(g.n_nodes), key=lambda x: tree.depth[x]):
                 if v == tree.root:
                     continue
@@ -712,16 +742,17 @@ class TestBootstrap:
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 900))
             # stored order need not be sorted: shuffle the edges
             perm = np.random.default_rng(seed).permutation(len(g.edges))
-            g = ViewGraph(g.n_nodes, [g.edges[i] for i in perm], gt_quats(g))
+            records = edge_records(g)
+            g = edge_graph(g.n_nodes, [records[i] for i in perm], gt_quats(g))
             for root in (0, viewgraph.select_root(g)):
                 tree = viewgraph.shortest_path_tree(g, root)
                 boot = viewgraph.bootstrap_orientations(g, tree)
-                for a, b in zip(boot.orientations, compose_chain(g, tree)):
+                for a, b in zip(as_quats(boot.orientations), compose_chain(g, tree)):
                     assert np.array_equal(a.as_array(), b.as_array())
 
     def test_missing_tree_edge_rejected(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(3, [Edge(0, 1, q), Edge(1, 2, q)])
+        g = edge_graph(3, [Edge(0, 1, q), Edge(1, 2, q)])
         tree = viewgraph.SpanningTreeInit(root=0, parent=[-1, 0, 0], depth=[0, 1, 1])
         with pytest.raises(ViewGraphError, match="between 0 and 2"):
             viewgraph.bootstrap_orientations(g, tree)
@@ -735,14 +766,14 @@ class TestRereference:
     def test_already_referenced_unchanged(self):
         rng = np.random.default_rng(20)
         qs = [UnitQuaternion.identity()] + [so3_oracle.sample_uniform(rng) for _ in range(3)]
-        out = so3.Orientations(viewgraph.rereference(self.rows(qs), 0))
+        out = as_quats(viewgraph.rereference(self.rows(qs), 0))
         for a, b in zip(out, qs):
             assert so3_oracle.geodesic_deg(a, b) < 1e-12
 
     def test_two_nodes(self):
         rng = np.random.default_rng(21)
         q0, q1 = so3_oracle.sample_uniform(rng), so3_oracle.sample_uniform(rng)
-        out = so3.Orientations(viewgraph.rereference(self.rows([q0, q1]), 0))
+        out = as_quats(viewgraph.rereference(self.rows([q0, q1]), 0))
         assert so3_oracle.geodesic_deg(out[0], UnitQuaternion.identity()) < 1e-12
         expected = so3_oracle.compose(q1, so3_oracle.inverse(q0))
         assert so3_oracle.geodesic_deg(out[1], expected) < 1e-12
@@ -750,7 +781,7 @@ class TestRereference:
     def test_relatives_preserved(self):
         rng = np.random.default_rng(22)
         qs = [so3_oracle.sample_uniform(rng) for _ in range(6)]
-        out = so3.Orientations(viewgraph.rereference(self.rows(qs), 3))
+        out = as_quats(viewgraph.rereference(self.rows(qs), 3))
         for u in range(6):
             for v in range(6):
                 before = so3_oracle.relative(qs[u], qs[v])
@@ -772,11 +803,18 @@ class TestRereference:
             with pytest.raises(ViewGraphError, match="out of range"):
                 viewgraph.rereference(np.array([[1.0, 0.0, 0.0, 0.0]]), c)
 
+    def test_non_integer_reference_rejected(self):
+        rows = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        for c in (1.5, "1", None):
+            with pytest.raises(ViewGraphError, match="reference node must be an integer"):
+                viewgraph.rereference(rows, c)
+        assert np.array_equal(viewgraph.rereference(rows, np.int64(2)), rows)
+
 
 class TestStats:
     def test_identity_relatives_in_first_bin(self):
         q = UnitQuaternion.identity()
-        g = ViewGraph(3, [Edge(0, 1, q), Edge(1, 2, q)])
+        g = edge_graph(3, [Edge(0, 1, q), Edge(1, 2, q)])
         st = viewgraph.graph_stats(g, include_noise=False)
         assert st.rel_hist[0] == 2 and st.rel_hist[1:].sum() == 0
 
@@ -816,22 +854,22 @@ class TestStats:
         rng = np.random.default_rng(4)
         gt = [so3_oracle.sample_uniform(rng) for _ in range(3)]
         # zero angles, measured and noise, take the +x axis branch
-        tiny = ViewGraph(3, [Edge(0, 1, UnitQuaternion.identity()),
+        tiny = edge_graph(3, [Edge(0, 1, UnitQuaternion.identity()),
                              Edge(1, 2, so3_oracle.relative(gt[1], gt[2]))], gt)
         for g in (synthgen.generate_graph(cfg, np.random.default_rng(3)), tiny):
             st = viewgraph.graph_stats(g)
-            rel_angles, rel_axes = loop([e.q for e in g.edges])
+            rel_angles, rel_axes = loop([e.q for e in edge_records(g)])
             gt_q = gt_quats(g)
             noise = [so3_oracle.compose(
                          so3_oracle.inverse(so3_oracle.relative(gt_q[e.u], gt_q[e.v])), e.q)
-                     for e in g.edges]
+                     for e in edge_records(g)]
             n_angles, n_axes = loop(noise)
             for got, want in ((st.rel_angles_deg, rel_angles), (st.rel_axes, rel_axes),
                               (st.noise_angles_deg, n_angles), (st.noise_axes, n_axes)):
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_noise_requires_gt(self):
-        g = ViewGraph(2, [Edge(0, 1, UnitQuaternion.identity())])
+        g = edge_graph(2, [Edge(0, 1, UnitQuaternion.identity())])
         with pytest.raises(ViewGraphError):
             viewgraph.graph_stats(g, include_noise=True)
         st = viewgraph.graph_stats(g)
