@@ -19,6 +19,9 @@ import numpy as np
 from . import so3
 
 QUAT_NORM_FLOOR = 1e-12  # rows below this norm cannot be normalized
+ADAM_BETA1 = 0.9         # decay of Adam's first-moment estimate
+ADAM_BETA2 = 0.999       # decay of Adam's second-moment estimate
+ADAM_EPS = 1e-8          # added to the root of the second moment
 
 
 class AutodiffError(RuntimeError):
@@ -320,14 +323,7 @@ class ParamStore:
             out.add(name, arr)
         return out
 
-    def adam_step(
-        self,
-        lr: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
         if self._bound is None:
             raise AutodiffError("no bound tensors; run bind + backward before adam_step")
         if all(t.grad is None for t in self._bound.values()):
@@ -338,16 +334,16 @@ class ParamStore:
             grads[name] = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.values)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         for name, g in grads.items():
             m = self._m[name]
             v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p = self.params[name]
             p -= lr * update
             if weight_decay:

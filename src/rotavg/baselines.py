@@ -33,6 +33,7 @@ from . import so3, viewgraph
 from .viewgraph import ViewGraph, ViewGraphError
 
 WEISZFELD_FLOOR = 1e-6   # radians; caps the 1/distance weights
+WEISZFELD_MEDIAN_ITERS = 10  # Weiszfeld steps of each median, after its medoid
 IRLS_DELTA = 1e-5        # residual floor in the IRLS weights
 IRLS_STEP_TOL = 1e-3     # radians; stop when the largest update is below
 CG_TOL = 1e-12           # relative residual target of the inner CG solve
@@ -185,7 +186,6 @@ def weiszfeld_mra(
     g: ViewGraph,
     init: ArrayLike,
     sweeps: int = 50,
-    median_iters: int = 10,
 ) -> WeiszfeldResult:
     """L1 averaging sweeps; one sweep updates every non-root node once, in
     ascending id order, in place (Gauss-Seidel).
@@ -199,7 +199,6 @@ def weiszfeld_mra(
     level takes one batched median (more only past ``MEDOID_CELLS``).
     """
     sweeps = _budget("sweeps", sweeps)
-    median_iters = _budget("median_iters", median_iters)
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)
@@ -208,7 +207,7 @@ def weiszfeld_mra(
     for _ in range(sweeps):
         for nodes, src, q_in, valid in plan:
             rows[nodes] = _weiszfeld_medians(so3.qmul(q_in, rows.take(src, axis=0)), valid,
-                                             median_iters)
+                                             WEISZFELD_MEDIAN_ITERS)
         trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 
@@ -226,7 +225,7 @@ class IrlsResult:
     # step, recomputed after the solve: no bound, since rounding can leave it
     # above CG_TOL on either path (CG stops on its recurrence residual)
     cg_residual: float = 0.0
-    converged: bool = False  # the last step was below step_tol, not cut by max_iters
+    converged: bool = False  # the last step was below IRLS_STEP_TOL, not cut by max_iters
     # one per inner solve: CG iterations, 0 for a dense solve
     cg_iterations: list[int] = field(default_factory=list)
 
@@ -240,8 +239,8 @@ def _max_spanning_tree(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> n
     picks.  The ranking is the default (unstable) argsort of ``-w`` with
     only the runs of tied weights re-sorted by edge id, cheaper than a
     stable sort of every weight; ties are common (every weight is 1 in the
-    first IRLS iteration, and residuals clamped at ``delta`` share the
-    weight ``1 / delta``).  Boruvka rounds: each component takes its
+    first IRLS iteration, and residuals clamped at ``IRLS_DELTA`` share the
+    weight ``1 / IRLS_DELTA``).  Boruvka rounds: each component takes its
     best-ranked outgoing edge (a segment minimum of the ranks) and hooks
     onto the component across it; of two components that picked the same
     edge the smaller label stays a root, and pointer jumping relabels every
@@ -472,8 +471,6 @@ def irls_mra(
     g: ViewGraph,
     init: ArrayLike,
     max_iters: tuple[int, int] = (5, 20),
-    delta: float = IRLS_DELTA,
-    step_tol: float = IRLS_STEP_TOL,
 ) -> IrlsResult:
     """Two-phase IRLS: L1 reweighting, then the more robust L1/2 weights.
 
@@ -504,18 +501,14 @@ def irls_mra(
     ``cg_residual``; a dense step records 0 in ``cg_iterations``.  With N = 1
     there is no unknown: each phase with a non-zero budget takes one zero
     step, which counts as converged.  ``max_iters`` is two non-negative
-    integers (the L1 and L1/2 budgets), ``delta`` (the residual floor of the
-    weights) must be finite and positive and ``step_tol`` finite and
-    non-negative.
+    integers (the L1 and L1/2 budgets).  Residuals are floored at
+    ``IRLS_DELTA`` in the weights, and a phase stops once its largest update
+    is below ``IRLS_STEP_TOL``.
     """
     budgets = tuple(max_iters) if np.iterable(max_iters) else ()
     if len(budgets) != 2:
         raise ValueError(f"max_iters must be two budgets (L1, L1/2), got {max_iters!r}")
     budgets = tuple(_budget("max_iters", k) for k in budgets)
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    if not (np.isfinite(step_tol) and step_tol >= 0.0):
-        raise ValueError(f"step_tol must be finite and >= 0, got {step_tol!r}")
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)
@@ -541,7 +534,7 @@ def irls_mra(
             norms = so3.rownorm(resid)
             # plain least squares before any reweighting, as in standard
             # IRLS; otherwise exactly-consistent tree edges pin the init
-            w = 1.0 / np.maximum(norms**exponent, delta) if trace else np.ones_like(norms)
+            w = 1.0 / np.maximum(norms**exponent, IRLS_DELTA) if trace else np.ones_like(norms)
 
             if direct:
                 x, cg_residual = _dense_solve(*dense_system(w, resid))
@@ -554,13 +547,13 @@ def irls_mra(
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
             max_step = float(np.max(so3.rownorm(step)))
             trace.append(max_step)
-            if max_step < step_tol:
+            if max_step < IRLS_STEP_TOL:
                 break
     return IrlsResult(
         orientations=so3.Orientations(rows),
         iterations=len(trace),
         max_step_trace=trace,
         cg_residual=cg_residual,
-        converged=bool(trace) and trace[-1] < step_tol,
+        converged=bool(trace) and trace[-1] < IRLS_STEP_TOL,
         cg_iterations=cg_iterations,
     )

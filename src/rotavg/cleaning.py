@@ -21,7 +21,7 @@ from .viewgraph import ViewGraph, ViewGraphError
 DEFAULT_CONFIG = MpnnConfig(node_init_dim=0)
 OUTLIER_THRESHOLD_DEG = 20.0   # ground-truth labelling rule
 EPSILON_DEFAULT = 0.75         # removal threshold on predicted probability
-BCE_WEIGHT_DEFAULT = 10.0
+BCE_WEIGHT = 10.0              # weight of the outlier cross-entropy in the loss
 
 
 @dataclass
@@ -119,9 +119,9 @@ def _outlier_labels(g: ViewGraph, rel_gt: np.ndarray) -> np.ndarray:
     return (angles > OUTLIER_THRESHOLD_DEG).astype(np.float64)
 
 
-def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph, bce_weight: float) -> Tensor:
+def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph) -> Tensor:
     """Degree-normalized distance of the unit rows ``rect`` to the ground-truth
-    relative orientations plus ``bce_weight`` times the mean outlier
+    relative orientations plus ``BCE_WEIGHT`` times the mean outlier
     cross-entropy of ``logits``."""
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
@@ -129,7 +129,7 @@ def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph, bce_weig
     dists = tape.quat_dist_loss(rect, tape.constant(rel_gt))
     mre = tape.sum(tape.mul(dists, tape.constant(viewgraph._degree_weights(g))))
     bce = tape.mean(tape.bce_with_logits(logits, tape.constant(_outlier_labels(g, rel_gt))))
-    return tape.add(mre, tape.scale(bce, bce_weight))
+    return tape.add(mre, tape.scale(bce, BCE_WEIGHT))
 
 
 def clean_loss_graph(
@@ -137,29 +137,22 @@ def clean_loss_graph(
     g: ViewGraph,
     weights: dict[str, Tensor],
     cfg: MpnnConfig = DEFAULT_CONFIG,
-    bce_weight: float = BCE_WEIGHT_DEFAULT,
 ) -> Tensor:
     """Differentiable loss of the network's own prediction on ``g``."""
     delta_raw, logits = _head_tensors(tape, g, weights, cfg)
     rect_raw = tape.quat_compose(delta_raw, tape.constant(g.edge_quat_array()))
-    return _loss_terms(tape, tape.quat_normalize(rect_raw), logits, g, bce_weight)
+    return _loss_terms(tape, tape.quat_normalize(rect_raw), logits, g)
 
 
-def clean_loss(
-    pred: CleanPrediction,
-    g: ViewGraph,
-    bce_weight: float = BCE_WEIGHT_DEFAULT,
-) -> float:
+def clean_loss(pred: CleanPrediction, g: ViewGraph) -> float:
     """Loss value for an existing prediction (evaluation path)."""
     tape = Tape(recording=False)
-    loss = _loss_terms(tape, tape.constant(pred.rect), tape.constant(pred.logits), g, bce_weight)
+    loss = _loss_terms(tape, tape.constant(pred.rect), tape.constant(pred.logits), g)
     return float(loss.values)
 
 
-def clean_graph(
-    g: ViewGraph, pred: CleanPrediction, epsilon: float = EPSILON_DEFAULT
-) -> CleanedGraph:
-    """Drop edges scored above ``epsilon`` and install rectified orientations.
+def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:
+    """Drop edges scored above ``EPSILON_DEFAULT`` and install rectified orientations.
 
     If the removal disconnects the graph the result is restricted to the
     largest component.  Removing every edge is an error.
@@ -167,7 +160,7 @@ def clean_graph(
     m = g.n_edges
     if np.shape(pred.rect) != (m, 4) or np.shape(pred.outlier_prob) != (m,):
         raise ViewGraphError("prediction does not cover every edge")
-    keep = pred.outlier_prob <= epsilon
+    keep = pred.outlier_prob <= EPSILON_DEFAULT
     if not np.any(keep):
         raise ViewGraphError("empty cleaned graph: every edge was removed")
     kept = int(np.count_nonzero(keep))

@@ -36,6 +36,7 @@ parameters, with serialized checkpoints under half a megabyte.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,6 +56,10 @@ class MpnnConfig:
     node_init_dim: int = 0  # 0: zero-initialized hidden states; 4: quaternion init
 
     def __post_init__(self):
+        for name in ("rounds", "hidden_dim", "msg_dim", "edge_feat_dim", "node_init_dim"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         for name in ("hidden_dim", "msg_dim", "edge_feat_dim"):

@@ -28,7 +28,7 @@ from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
 DEFAULT_CONFIG = MpnnConfig(node_init_dim=4)
-BETA_DEFAULT = 0.1      # weight of the per-node anchoring term
+BETA = 0.1              # weight of the per-node anchoring term
 REFERENCE_TOL = 1e-6    # max angle (deg) tolerated for "identity at the root"
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
@@ -110,12 +110,11 @@ def loss_from_pred(
     pred: Tensor,
     g: ViewGraph,
     root: int,
-    beta: float = BETA_DEFAULT,
 ) -> Tensor:
     """Consistency loss over edges plus the anchoring term over nodes.
 
     Edge term: degree-normalized quaternion distance between predicted and
-    ground-truth relative orientations.  Node term: ``beta / deg(v)`` times
+    ground-truth relative orientations.  Node term: ``BETA / deg(v)`` times
     the quaternion distance to the ground-truth absolute orientation.
     """
     if not g.has_full_gt:
@@ -136,17 +135,12 @@ def loss_from_pred(
 
     gt_abs = tape.constant(g.gt_array())
     node_d = tape.quat_dist_loss(tape.quat_normalize(pred), gt_abs)
-    node_term = tape.sum(tape.mul(node_d, tape.constant(beta / degrees)))
+    node_term = tape.sum(tape.mul(node_d, tape.constant(BETA / degrees)))
     return tape.add(edge_term, node_term)
 
 
-def refine_loss(
-    pred: ArrayLike,
-    g: ViewGraph,
-    root: int,
-    beta: float = BETA_DEFAULT,
-) -> float:
+def refine_loss(pred: ArrayLike, g: ViewGraph, root: int) -> float:
     """Loss value for concrete (N, 4) predicted rows (evaluation path)."""
     tape = Tape(recording=False)
     rows = tape.constant(viewgraph.orientation_rows(g, pred))
-    return float(loss_from_pred(tape, rows, g, root, beta).values)
+    return float(loss_from_pred(tape, rows, g, root).values)

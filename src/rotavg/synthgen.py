@@ -38,7 +38,8 @@ class SynthConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; range fields are inclusive ``(lo, hi)`` pairs."""
+    """What a corpus draws from: range fields are inclusive ``(lo, hi)``
+    pairs, each graph sampling its value uniformly in the range."""
 
     n_cameras: tuple[int, int] = (250, 1000)
     edge_fraction: tuple[float, float] = (0.10, 0.30)
@@ -58,80 +59,12 @@ class SynthConfig:
             if not (0.0 <= a <= b <= 1.0):
                 raise SynthConfigError(f"{name} range must lie in [0, 1] with lo <= hi")
         a, b = self.sigma_deg
-        if not (0.0 <= a <= b):
-            raise SynthConfigError("sigma_deg range must satisfy 0 <= lo <= hi")
-
-    @classmethod
-    def desk(cls, seed: int = 0) -> "SynthConfig":
-        """Small-camera profile that keeps CI runs in minutes."""
-        return cls(n_cameras=(60, 150), seed=seed)
-
-
-# --- flat key=value config files ------------------------------------------
-
-def _format_range(value: tuple) -> str:
-    lo, hi = value
-    return f"{lo:g}:{hi:g}"
-
-
-def save_config(cfg: SynthConfig, path: str | Path) -> None:
-    lines = [
-        f"n_cameras={cfg.n_cameras[0]}:{cfg.n_cameras[1]}",
-        f"edge_fraction={_format_range(cfg.edge_fraction)}",
-        f"sigma_deg={_format_range(cfg.sigma_deg)}",
-        f"outlier_fraction={_format_range(cfg.outlier_fraction)}",
-        f"planar={int(cfg.planar)}",
-        f"seed={cfg.seed}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _parse_range(text: str, as_int: bool = False) -> tuple:
-    parts = text.split(":")
-    if len(parts) == 1:
-        parts = [parts[0], parts[0]]
-    if len(parts) != 2:
-        raise SynthConfigError(f"bad range {text!r}; expected 'lo:hi'")
-    try:
-        vals = [int(p) if as_int else float(p) for p in parts]
-    except ValueError as exc:
-        raise SynthConfigError(f"bad range {text!r}: {exc}") from None
-    return (vals[0], vals[1])
-
-
-def _parse_bool(text: str) -> bool:
-    flags = {"0": False, "false": False, "1": True, "true": True}
-    if text.lower() not in flags:
-        raise SynthConfigError("expected 0, 1, true or false")
-    return flags[text.lower()]
-
-
-_FIELD_PARSERS = {
-    "n_cameras": lambda text: _parse_range(text, as_int=True),
-    "edge_fraction": _parse_range,
-    "sigma_deg": _parse_range,
-    "outlier_fraction": _parse_range,
-    "planar": _parse_bool,
-    "seed": int,
-}
-
-
-def load_config(path: str | Path) -> SynthConfig:
-    kwargs: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SynthConfigError(f"line {line_no}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_PARSERS:
-            raise SynthConfigError(f"line {line_no}: unknown key {key!r}")
-        try:
-            kwargs[key] = _FIELD_PARSERS[key](value)
-        except ValueError as exc:  # SynthConfigError included
-            raise SynthConfigError(f"line {line_no}: bad {key} value {value!r}: {exc}") from None
-    return SynthConfig(**kwargs)
+        if not (0.0 <= a <= b < math.inf):
+            raise SynthConfigError("sigma_deg range must satisfy 0 <= lo <= hi < inf")
+        if not isinstance(self.planar, (bool, np.bool_)):
+            raise SynthConfigError(f"planar must be a bool, got {self.planar!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise SynthConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +137,25 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
 
 MANIFEST_NAME = "manifest.txt"
 SPLIT_NAMES = ("train", "val", "test")
+TRAIN_FRACTION, VAL_FRACTION = 0.8, 0.1  # the test split takes the rest
 
 
-def _split_counts(count: int, split: tuple[float, float, float]) -> tuple[int, int, int]:
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise SynthConfigError("split fractions must sum to 1")
-    n_train = int(round(split[0] * count))
-    n_val = int(round(split[1] * count))
-    n_test = count - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
-        raise SynthConfigError("each split must receive at least one graph")
-    return n_train, n_val, n_test
-
-
-def generate_dataset(
-    cfg: SynthConfig,
-    count: int,
-    out_dir: str | Path,
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> dict[str, list[Path]]:
+def generate_dataset(cfg: SynthConfig, count: int, out_dir: str | Path) -> dict[str, list[Path]]:
     """Write ``count`` graphs under ``out_dir`` and a manifest of the splits.
 
     Graph ``i`` is drawn from an independent rng substream keyed by
-    ``(cfg.seed, i)``, so corpora are reproducible byte for byte.
+    ``(cfg.seed, i)``, so corpora are reproducible byte for byte.  Training
+    and validation take ``TRAIN_FRACTION`` and ``VAL_FRACTION`` of ``count``,
+    rounded, and test the rest; from ``count`` = 10 up each split receives at
+    least one graph.
     """
-    if count < 10:
-        raise SynthConfigError("dataset generation requires count >= 10")
+    if not isinstance(count, numbers.Integral) or count < 10:
+        raise SynthConfigError(f"dataset generation requires an integer count >= 10, "
+                               f"got {count!r}")
     out_dir = Path(out_dir)
-    counts = _split_counts(count, split)
-    bounds = np.cumsum((0,) + counts)
+    n_train = int(round(TRAIN_FRACTION * count))
+    n_val = int(round(VAL_FRACTION * count))
+    bounds = np.cumsum((0, n_train, n_val, count - n_train - n_val))
     manifest: dict[str, list[Path]] = {name: [] for name in SPLIT_NAMES}
     for name in SPLIT_NAMES:
         (out_dir / name).mkdir(parents=True, exist_ok=True)
@@ -276,6 +199,8 @@ def load_manifest(manifest_path: str | Path) -> dict[str, list[Path]]:
 
 
 def load_split(manifest_path: str | Path, name: str) -> list[ViewGraph]:
+    if name not in SPLIT_NAMES:
+        raise SynthConfigError(f"unknown split {name!r}; expected one of {SPLIT_NAMES}")
     paths = load_manifest(manifest_path)[name]
     return [viewgraph.parse(p.read_text(encoding="utf-8")) for p in paths]
 

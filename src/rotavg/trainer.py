@@ -16,7 +16,6 @@ import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -26,7 +25,6 @@ from .autodiff import ParamStore, Tape, Tensor
 from .viewgraph import ViewGraph, ViewGraphError
 
 DESK_LR = 2e-3          # larger steps suit the short desk-scale schedule
-DESK_EPOCHS = 100
 
 # Scalar loss of one sample, recorded on ``tape`` against the bound weights.
 GraphLoss = Callable[[Tape, dict[str, Tensor], Any], Tensor]
@@ -55,12 +53,8 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
-
-    @classmethod
-    def desk(cls, seed: int = 0, **overrides) -> "TrainConfig":
-        kwargs = dict(epochs=DESK_EPOCHS, lr=DESK_LR, seed=seed)
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -70,12 +64,6 @@ class TrainLog:
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
     best_epoch: int = -1
     best_val_loss: float = math.inf
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["epoch,train_loss,val_loss,wall_ms"]
-        for epoch, train_loss, val_loss, wall_ms in self.rows:
-            lines.append(f"{epoch},{train_loss:.9g},{val_loss:.9g},{wall_ms:.3f}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _check_corpus(train_graphs: list[ViewGraph], val_graphs: list[ViewGraph]) -> None:

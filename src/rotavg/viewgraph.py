@@ -332,10 +332,9 @@ def parse(text: str) -> ViewGraph:
     return ViewGraph(n, u, v, q, label, gt)
 
 
-def serialize(g: ViewGraph, comment: str | None = None) -> str:
-    """Render the text format; ``comment`` becomes leading ``#`` lines."""
-    blocks = [f"# {c}" for c in comment.splitlines()] if comment else []
-    blocks.append(FORMAT_HEADER)
+def serialize(g: ViewGraph) -> str:
+    """Render the text format."""
+    blocks = [FORMAT_HEADER]
     quat = " %.17g %.17g %.17g %.17g"
     nodes = np.column_stack([np.arange(g.n_nodes), g.gt])
     blocks.append(_format_block(nodes, "NODE %d" + quat, "NODE %d", ~np.isnan(g.gt[:, 0])))
@@ -576,14 +575,11 @@ def _angles_axes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles, axes
 
 
-def graph_stats(g: ViewGraph, include_noise: bool | None = None) -> GraphStats:
-    """Histogram bundle of measurement angles/axes and, with ground truth,
-    of the per-edge discrepancy rotations ``(q_v q_u^-1)^-1 * measured``.
+def graph_stats(g: ViewGraph) -> GraphStats:
+    """Histogram bundle of measurement angles/axes and, when the graph has
+    full ground truth, of the per-edge discrepancy rotations
+    ``(q_v q_u^-1)^-1 * measured``.
     """
-    if include_noise is None:
-        include_noise = g.has_full_gt
-    if include_noise and not g.has_full_gt:
-        raise ViewGraphError("noise statistics require full ground truth")
     edges = np.linspace(0.0, 180.0, ANGLE_BINS + 1)
     rel_angles, rel_axes = _angles_axes(g.edge_quat_array())
     rel_hist, _ = np.histogram(rel_angles, bins=edges)
@@ -593,7 +589,7 @@ def graph_stats(g: ViewGraph, include_noise: bool | None = None) -> GraphStats:
         rel_hist=rel_hist,
         rel_axes=rel_axes,
     )
-    if include_noise:
+    if g.has_full_gt:
         noise = so3.qcanon(so3.qmul(so3.qconj(g.relative_gt_array()), g.edge_quat_array()))
         n_angles, n_axes = _angles_axes(noise)
         n_hist, _ = np.histogram(n_angles, bins=edges)

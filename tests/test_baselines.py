@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -617,7 +618,8 @@ def test_disconnected_graph_rejected(solver):
 
 
 def test_weiszfeld_objective_never_increases():
-    g = synthgen.generate_graph(synthgen.SynthConfig.desk(seed=2), np.random.default_rng(2))
+    cfg = synthgen.SynthConfig(n_cameras=(60, 150), seed=2)
+    g = synthgen.generate_graph(cfg, np.random.default_rng(2))
     trace = baselines.weiszfeld_mra(g, bootstrap(g), sweeps=5).objective_trace
     assert len(trace) == 6
     assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -723,7 +725,10 @@ class TestWeiszfeldLevelSchedule:
     @given(weiszfeld_cases())
     def test_matches_per_node_sweep(self, case):
         g, init, sweeps, median_iters = case
-        res = baselines.weiszfeld_mra(g, init, sweeps=sweeps, median_iters=median_iters)
+        # hypothesis runs every example inside one call, so the constant is
+        # patched per example rather than through a fixture
+        with mock.patch.object(baselines, "WEISZFELD_MEDIAN_ITERS", median_iters):
+            res = baselines.weiszfeld_mra(g, init, sweeps=sweeps)
         rows, trace = weiszfeld_oracle(g, init, sweeps, median_iters)
         assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= 1e-10
         assert len(res.objective_trace) == len(trace) == sweeps + 1
@@ -774,14 +779,15 @@ class TestWeiszfeldLevelSchedule:
         assert viewgraph.select_root(star) == 3
         assert np.array_equal(baselines._weiszfeld_levels(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
 
-    def test_degree_two_medoid_is_the_first_candidate(self):
+    def test_degree_two_medoid_is_the_first_candidate(self, monkeypatch):
         # a triangle rooted at 0: node 1 sees edge (0, 1) before edge (1, 2)
+        monkeypatch.setattr(baselines, "WEISZFELD_MEDIAN_ITERS", 0)
         rng = np.random.default_rng(7)
         for _ in range(200):
             rows = so3.sample_uniform_rows(rng, 3)
             q = so3.sample_uniform_rows(rng, 3)
             g = ViewGraph(3, np.array([0, 1, 0]), np.array([1, 2, 2]), q)
-            out = baselines.weiszfeld_mra(g, rows, sweeps=1, median_iters=0).orientations
+            out = baselines.weiszfeld_mra(g, rows, sweeps=1).orientations
             first = so3.qmul(q[0], viewgraph.orientation_rows(g, rows)[0])
             assert so3.qangle_deg(np.asarray(out)[1], first) < 1e-9
 
@@ -790,20 +796,10 @@ class TestWeiszfeldLevelSchedule:
     "solve, name",
     [
         (lambda g, init: baselines.weiszfeld_mra(g, init, sweeps=-1), "sweeps"),
-        (lambda g, init: baselines.weiszfeld_mra(g, init, median_iters=-1), "median_iters"),
         (lambda g, init: baselines.irls_mra(g, init, max_iters=(-1, 0)), "max_iters"),
         (lambda g, init: baselines.irls_mra(g, init, max_iters=(0, -1)), "max_iters"),
-        (lambda g, init: baselines.irls_mra(g, init, delta=0.0), "delta"),
-        (lambda g, init: baselines.irls_mra(g, init, delta=-1.0), "delta"),
-        (lambda g, init: baselines.irls_mra(g, init, delta=math.inf), "delta"),
-        (lambda g, init: baselines.irls_mra(g, init, delta=math.nan), "delta"),
-        (lambda g, init: baselines.irls_mra(g, init, step_tol=-1e-3), "step_tol"),
-        (lambda g, init: baselines.irls_mra(g, init, step_tol=math.inf), "step_tol"),
-        (lambda g, init: baselines.irls_mra(g, init, step_tol=math.nan), "step_tol"),
         pytest.param(lambda g, init: baselines.weiszfeld_mra(g, init, sweeps=2.5), "sweeps",
                      id="sweeps-non-integer"),
-        pytest.param(lambda g, init: baselines.weiszfeld_mra(g, init, median_iters=2.5),
-                     "median_iters", id="median_iters-non-integer"),
         pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(5,)), "max_iters",
                      id="max_iters-one-phase"),
         pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(5, 20, 7)), "max_iters",

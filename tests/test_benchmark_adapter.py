@@ -6,12 +6,15 @@ on one small graph, so that a package change that breaks the benchmark
 fails here.  What the adapter reads of the package's object boundary is
 checked by value: the rows it builds from the solvers' ``Orientations``
 items are bit-equal to ``np.asarray`` of them, and ``corpus_graph`` counts
-the generated graph's edges.
+the generated graph's edges.  The training schedule the checkpoint script
+reads through the adapter is checked against the committed checkpoints'
+manifest.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -91,3 +94,13 @@ def test_training_calls(adapter, graph):
     assert np.isfinite(loss) and set(store.params) == set(adapter.cleaning.weight_spec())
     store, loss = adapter.train_finenet([graph], [graph], epochs=1, clean_store=store)
     assert np.isfinite(loss) and set(store.params) == set(adapter.refinement.weight_spec())
+
+
+def test_checkpoint_schedule_reads(adapter):
+    # ``train_checkpoints.py`` records these three in the checkpoint manifest.
+    # It is not imported here: it sets BLAS environment variables at import.
+    schedule = json.loads((BENCH_DIR / "checkpoints" / "manifest.json").read_text())["schedule"]
+    cfg = adapter.train_config(schedule["epochs"])
+    assert adapter.trainer.DESK_LR == cfg.lr == schedule["lr"]
+    assert cfg.weight_decay == schedule["weight_decay"]
+    assert cfg.edge_dropout == schedule["edge_dropout"]

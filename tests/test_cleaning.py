@@ -157,11 +157,12 @@ class TestLoss:
         )
         assert cleaning.clean_loss(pred, g) < 1e-9
 
-    def test_zero_bce_weight_reduces_to_orientation_term(self):
+    def test_zero_bce_weight_reduces_to_orientation_term(self, monkeypatch):
         g = noisy_graph(seed=7)
         pred = cleaning.clean_forward(g, cleaning.new_weights(7))
         full = cleaning.clean_loss(pred, g)
-        orient_only = cleaning.clean_loss(pred, g, bce_weight=0.0)
+        monkeypatch.setattr(cleaning, "BCE_WEIGHT", 0.0)
+        orient_only = cleaning.clean_loss(pred, g)
         deg = g.degree_array()
         gt = as_quats(g.gt)
         expected = sum(

@@ -288,6 +288,16 @@ class TestGradients:
         assert err < 1e-3
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["rounds", "hidden_dim", "msg_dim", "edge_feat_dim",
+                                       "node_init_dim"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MpnnConfig(**{field: value})
+        assert getattr(MpnnConfig(**{field: np.int64(2)}), field) == 2
+
+
 class TestParamCount:
     def test_combined_networks_in_budget(self):
         total = sum(

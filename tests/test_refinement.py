@@ -147,23 +147,25 @@ class TestLoss:
         g, root = referenced_graph(seed=6)
         assert refinement.refine_loss(g.gt, g, root) < 1e-9
 
-    def test_beta_zero_is_gauge_invariant(self):
+    def test_beta_zero_is_gauge_invariant(self, monkeypatch):
+        monkeypatch.setattr(refinement, "BETA", 0.0)
         g, root = referenced_graph(seed=7)
         rng = np.random.default_rng(7)
         pred = noisy_rows(g, rng)
-        base = refinement.refine_loss(pred, g, root, beta=0.0)
+        base = refinement.refine_loss(pred, g, root)
         r = so3_oracle.sample_uniform(np.random.default_rng(8))
         shifted = so3.qcanon(so3.qmul(pred, r.as_array()))
-        assert abs(refinement.refine_loss(shifted, g, root, beta=0.0) - base) < 1e-9
+        assert abs(refinement.refine_loss(shifted, g, root) - base) < 1e-9
 
     def test_beta_positive_breaks_gauge_invariance(self):
         g, root = referenced_graph(seed=9)
         rng = np.random.default_rng(9)
         pred = noisy_rows(g, rng)
-        base = refinement.refine_loss(pred, g, root, beta=0.1)
+        assert refinement.BETA == 0.1
+        base = refinement.refine_loss(pred, g, root)
         r = so3_oracle.sample_uniform(np.random.default_rng(10))
         shifted = so3.qcanon(so3.qmul(pred, r.as_array()))
-        assert abs(refinement.refine_loss(shifted, g, root, beta=0.1) - base) > 1e-4
+        assert abs(refinement.refine_loss(shifted, g, root) - base) > 1e-4
 
     def test_reference_mismatch_errors(self):
         g, root = referenced_graph(seed=11)

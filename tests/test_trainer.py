@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -28,6 +27,11 @@ def corpus(seed: int, count: int) -> list:
     return [synthgen.generate_graph(cfg, rng) for _ in range(count)]
 
 
+def desk_config(**fields) -> TrainConfig:
+    """``TrainConfig`` at the benchmark's learning rate, unless ``fields`` set one."""
+    return TrainConfig(**{"lr": trainer.DESK_LR, **fields})
+
+
 @pytest.fixture(scope="module")
 def data():
     return corpus(1, 3), corpus(2, 2)
@@ -36,7 +40,7 @@ def data():
 @pytest.fixture(scope="module")
 def clean_run(data):
     train, val = data
-    return trainer.train_cleannet(train, val, TrainConfig.desk(seed=3, epochs=EPOCHS))
+    return trainer.train_cleannet(train, val, desk_config(seed=3, epochs=EPOCHS))
 
 
 def same_run(a, b) -> bool:
@@ -59,7 +63,7 @@ class TestConfig:
             TrainConfig(**{field: value})
 
     def test_zero_weight_decay_accepted(self):
-        assert TrainConfig.desk(weight_decay=0.0).weight_decay == 0.0
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, 0, -1])
     def test_epochs_must_be_a_positive_integer(self, value):
@@ -67,18 +71,24 @@ class TestConfig:
             TrainConfig(epochs=value)
         assert TrainConfig(epochs=np.int64(2)).epochs == 2
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", None, -1])
+    def test_seed_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TrainConfig(seed=value)
+        assert TrainConfig(seed=np.int64(2)).seed == 2
+
 
 class TestDeterminism:
     def test_cleannet_bit_identical_per_seed(self, data, clean_run):
         train, val = data
-        again = trainer.train_cleannet(train, val, TrainConfig.desk(seed=3, epochs=EPOCHS))
+        again = trainer.train_cleannet(train, val, desk_config(seed=3, epochs=EPOCHS))
         assert same_run(clean_run, again)
-        other = trainer.train_cleannet(train, val, TrainConfig.desk(seed=4, epochs=EPOCHS))
+        other = trainer.train_cleannet(train, val, desk_config(seed=4, epochs=EPOCHS))
         assert not same_run(clean_run, other)
 
     def test_finenet_bit_identical_per_seed(self, data, clean_run):
         train, val = data
-        cfg = TrainConfig.desk(seed=3, epochs=EPOCHS)
+        cfg = desk_config(seed=3, epochs=EPOCHS)
         first = trainer.train_finenet(train, val, cfg, clean_store=clean_run[0])
         again = trainer.train_finenet(train, val, cfg, clean_store=clean_run[0])
         assert same_run(first, again)
@@ -108,7 +118,7 @@ class TestBestEpoch:
             return real_val_loss(store, graph_loss, graphs) + (0.0 if len(calls) == 2 else 1e3)
 
         monkeypatch.setattr(trainer, "_val_loss", val_loss)
-        cfg = TrainConfig.desk(seed=5, epochs=4, lr=5e-2)
+        cfg = desk_config(seed=5, epochs=4, lr=5e-2)
         if net == "cleannet":
             store, log = trainer.train_cleannet(train, val, cfg)
             reevaluated = real_val_loss(store, clean_graph_loss, val)
@@ -130,7 +140,7 @@ class TestOracleRounds:
         # generic tape primitives; the two sum in different orders, so the
         # logs agree to rounding, not bit for bit
         train, val = data
-        cfg = TrainConfig.desk(seed=3, epochs=4)
+        cfg = desk_config(seed=3, epochs=4)
 
         def logs():
             return [trainer.train_cleannet(train, val, cfg)[1],
@@ -153,7 +163,7 @@ class TestNonFinite:
 
         monkeypatch.setattr(cleaning, "clean_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
-            trainer.train_cleannet(*data, TrainConfig.desk(epochs=1))
+            trainer.train_cleannet(*data, desk_config(epochs=1))
 
     def test_nan_finenet_loss_raises(self, data, monkeypatch):
         loss_from_pred = refinement.loss_from_pred
@@ -163,7 +173,7 @@ class TestNonFinite:
 
         monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
-            trainer.train_finenet(*data, TrainConfig.desk(epochs=1), UNTRAINED_CLEANER)
+            trainer.train_finenet(*data, desk_config(epochs=1), UNTRAINED_CLEANER)
 
 
 def edgeless(g):
@@ -182,19 +192,19 @@ class TestCorpusCheck:
     def test_edgeless_training_graph(self, data, train_fn):
         train, val = data
         with pytest.raises(TrainingError, match="training graph 1 has no edges"):
-            train_fn([train[0], edgeless(train[1])], val, TrainConfig.desk(epochs=1))
+            train_fn([train[0], edgeless(train[1])], val, desk_config(epochs=1))
 
     def test_edgeless_validation_graph(self, data, train_fn):
         train, val = data
         with pytest.raises(TrainingError, match="validation graph 0 has no edges"):
-            train_fn(train, [edgeless(val[0]), val[1]], TrainConfig.desk(epochs=1))
+            train_fn(train, [edgeless(val[0]), val[1]], desk_config(epochs=1))
 
     def test_missing_ground_truth_names_the_split(self, data, train_fn):
         train, val = data
         with pytest.raises(TrainingError, match="validation graph 1 lacks ground-truth"):
-            train_fn(train, [val[0], without_gt(val[1])], TrainConfig.desk(epochs=1))
+            train_fn(train, [val[0], without_gt(val[1])], desk_config(epochs=1))
         with pytest.raises(TrainingError, match="training graph 2 lacks ground-truth"):
-            train_fn(train[:2] + [without_gt(train[2])], val, TrainConfig.desk(epochs=1))
+            train_fn(train[:2] + [without_gt(train[2])], val, desk_config(epochs=1))
 
 
 def assert_same_graph(got, want):
@@ -206,7 +216,8 @@ def assert_same_graph(got, want):
 
 
 class TestDerivedGraphs:
-    def test_equal_to_validated_rebuild(self, data):
+    def test_equal_to_validated_rebuild(self, data, monkeypatch):
+        monkeypatch.setattr(cleaning, "EPSILON_DEFAULT", 0.6)
         # graphs cut from a valid graph's rows skip validation: rebuilding one
         # through the validating constructor must change no bit, dtype or flag
         rng = np.random.default_rng(8)
@@ -220,7 +231,7 @@ class TestDerivedGraphs:
             derived = [
                 viewgraph.induced_subgraph(g, nodes),
                 viewgraph.largest_component(g)[0],
-                cleaning.clean_graph(g, pred, epsilon=0.6).graph,
+                cleaning.clean_graph(g, pred).graph,
                 trainer._dropout_subgraph(g, 0.25, rng),
                 trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER)[0],
                 trainer.prepare_refinement_sample(g, store)[0],
@@ -263,7 +274,7 @@ class TestValidationSamples:
         # cleaned once, and the run is the one that re-made its sample every
         # epoch, bit for bit
         train, val = data
-        cfg = TrainConfig.desk(seed=3, epochs=3)
+        cfg = desk_config(seed=3, epochs=3)
         clean_store = clean_run[0]
 
         def per_epoch_loss(tape, weights, g):
@@ -284,19 +295,3 @@ class TestValidationSamples:
         assert len(calls) == cfg.epochs * len(train) + len(val)
         assert same_run(run, remade)
 
-
-class TestLogCsv:
-    def test_write_csv_round_trip(self, clean_run, tmp_path):
-        _, log = clean_run
-        path = tmp_path / "log.csv"
-        log.write_csv(path)
-        with path.open(newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["epoch", "train_loss", "val_loss", "wall_ms"]
-        assert len(rows) == 1 + len(log.rows) == 1 + EPOCHS
-        for (epoch, train_loss, val_loss, wall_ms), row in zip(log.rows, rows[1:]):
-            # losses keep 9 significant digits, wall time 3 decimals
-            assert int(row[0]) == epoch
-            assert float(row[1]) == float(f"{train_loss:.9g}")
-            assert float(row[2]) == float(f"{val_loss:.9g}")
-            assert abs(float(row[3]) - wall_ms) <= 5e-4
