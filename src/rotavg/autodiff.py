@@ -398,6 +398,8 @@ def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> P
             raise CheckpointError(f"parameter entry {i} lacks name, shape or data: {exc}") from None
         if not isinstance(name, str) or name not in expected:
             raise CheckpointError(f"unexpected parameter {name!r}")
+        if name in seen:
+            raise CheckpointError(f"duplicate parameter {name!r}")
         if shape != expected[name]:
             raise CheckpointError(
                 f"parameter {name!r} has shape {shape}, expected {expected[name]}"

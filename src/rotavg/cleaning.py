@@ -4,7 +4,9 @@ Per measured edge the network predicts a small corrective rotation (applied
 on the left of the measurement) and a probability that the edge is an
 outlier.  Edge features are the raw measurement quaternions; hidden states
 start at zero.  Heads read the final-round message of the stored (canonical)
-edge direction; the reverse direction still shapes the hidden states.
+edge direction; the reverse direction still shapes the hidden states.  The
+network's sizes are read from its weights (``mpnn.config_of``); only
+``new_weights`` and ``weight_spec`` take an ``MpnnConfig``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .autodiff import ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
-DEFAULT_CONFIG = MpnnConfig(node_init_dim=0)
 OUTLIER_THRESHOLD_DEG = 20.0   # ground-truth labelling rule
 EPSILON_DEFAULT = 0.75         # removal threshold on predicted probability
 BCE_WEIGHT = 10.0              # weight of the outlier cross-entropy in the loss
@@ -43,7 +44,7 @@ class CleanedGraph:
     dropped_nodes: np.ndarray  # int64 ids of the nodes outside the kept component
 
 
-def weight_spec(cfg: MpnnConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
+def weight_spec(cfg: MpnnConfig = MpnnConfig()) -> dict[str, tuple[int, ...]]:
     spec = mpnn.weight_spec(cfg)
     spec["head_rect.w"] = (cfg.msg_dim, 4)
     spec["head_rect.b"] = (4,)
@@ -52,7 +53,7 @@ def weight_spec(cfg: MpnnConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
     return spec
 
 
-def new_weights(seed: int = 0, cfg: MpnnConfig = DEFAULT_CONFIG) -> ParamStore:
+def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
     """Fresh parameters.
 
     Heads start at zero weights with an identity-quaternion bias, so an
@@ -68,23 +69,17 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = DEFAULT_CONFIG) -> ParamStore:
     return store
 
 
-def _head_tensors(
-    tape: Tape, g: ViewGraph, weights: dict[str, Tensor], cfg: MpnnConfig
-) -> tuple[Tensor, Tensor]:
+def _head_tensors(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Raw head outputs: correction quaternions (E, 4) and logits (E,)."""
-    mpnn.check_weights(weights, weight_spec(cfg))
+    mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
     uv, quats = viewgraph.directed_arrays(g)
-    m = g.n_edges
     heads = [(weights["head_rect.w"], weights["head_rect.b"]),
              (weights["head_out.w"], weights["head_out.b"])]
-    delta_raw, logits = mpnn.forward(tape, weights, cfg, uv, quats, None, g.n_nodes, heads,
-                                     head_rows=m)
-    return delta_raw, tape.reshape(logits, (m,))
+    delta_raw, logits = mpnn.forward(tape, weights, uv, quats, None, g.n_nodes, heads, g.n_edges)
+    return delta_raw, tape.reshape(logits, (g.n_edges,))
 
 
-def clean_forward(
-    g: ViewGraph, store: ParamStore, cfg: MpnnConfig = DEFAULT_CONFIG
-) -> CleanPrediction:
+def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:
     """Predict rectified orientations and outlier probabilities.
 
     Total on any graph with at least one edge: correction rows whose norm
@@ -99,7 +94,7 @@ def clean_forward(
         raise ViewGraphError("cannot clean a graph without edges")
     tape = Tape(recording=False)
     weights = store.bind(tape)
-    delta_raw, logits = _head_tensors(tape, g, weights, cfg)
+    delta_raw, logits = _head_tensors(tape, g, weights)
     rect = so3._left_correct(delta_raw.values, g.edge_quat_array())
     probs = 1.0 / (1.0 + np.exp(-logits.values))
     return CleanPrediction(rect=rect, outlier_prob=probs, logits=logits.values.copy())
@@ -132,14 +127,9 @@ def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph) -> Tenso
     return tape.add(mre, tape.scale(bce, BCE_WEIGHT))
 
 
-def clean_loss_graph(
-    tape: Tape,
-    g: ViewGraph,
-    weights: dict[str, Tensor],
-    cfg: MpnnConfig = DEFAULT_CONFIG,
-) -> Tensor:
+def clean_loss_graph(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> Tensor:
     """Differentiable loss of the network's own prediction on ``g``."""
-    delta_raw, logits = _head_tensors(tape, g, weights, cfg)
+    delta_raw, logits = _head_tensors(tape, g, weights)
     rect_raw = tape.quat_compose(delta_raw, tape.constant(g.edge_quat_array()))
     return _loss_terms(tape, tape.quat_normalize(rect_raw), logits, g)
 

@@ -31,7 +31,9 @@ per run.  The tests keep the former loop of generic tape primitives as the
 oracle.
 
 Per-round (unshared) weights land the two networks plus their heads at ~43K
-parameters, with serialized checkpoints under half a megabyte.
+parameters, with serialized checkpoints under half a megabyte.  The sizes
+are read from the weights (``config_of``); only ``weight_spec`` and
+``init_weights``, which make the arrays, take an :class:`MpnnConfig`.
 """
 
 from __future__ import annotations
@@ -53,20 +55,14 @@ class MpnnConfig:
     hidden_dim: int = 32
     msg_dim: int = 32
     edge_feat_dim: int = 4
-    node_init_dim: int = 0  # 0: zero-initialized hidden states; 4: quaternion init
 
     def __post_init__(self):
-        for name in ("rounds", "hidden_dim", "msg_dim", "edge_feat_dim", "node_init_dim"):
+        for name in ("rounds", "hidden_dim", "msg_dim", "edge_feat_dim"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        for name in ("hidden_dim", "msg_dim", "edge_feat_dim"):
-            if getattr(self, name) <= 0:
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.node_init_dim < 0 or self.node_init_dim > self.hidden_dim:
-            raise ValueError("node_init_dim must lie in [0, hidden_dim]")
 
 
 def weight_spec(cfg: MpnnConfig) -> dict[str, tuple[int, ...]]:
@@ -93,10 +89,29 @@ def init_weights(cfg: MpnnConfig, rng: np.random.Generator, store: ParamStore) -
             store.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
 
 
+def config_of(weights: dict[str, Tensor]) -> MpnnConfig:
+    """The sizes of the stack in ``weights``: a round per ``step{t}.upd.w``,
+    H its columns, M the rows of ``msg2.w`` and the edge-feature width the
+    rows of ``msg1.w`` past 2H.  Raises :class:`AutodiffError` naming the
+    first weight that is missing or does not fit them."""
+    for name in ("step0.upd.w", "step0.msg2.w", "step0.msg1.w"):
+        if name not in weights:
+            raise AutodiffError(f"weight {name!r} is missing")
+        if weights[name].values.ndim != 2 or weights[name].values.size == 0:
+            raise AutodiffError(f"weight {name!r} has shape {weights[name].shape}, not a matrix")
+    hid = weights["step0.upd.w"].shape[1]
+    msg, in_msg = weights["step0.msg2.w"].shape[0], weights["step0.msg1.w"].shape[0]
+    if in_msg <= 2 * hid:
+        raise AutodiffError(f"weight 'step0.msg1.w' has {in_msg} rows, no more than 2H = {2 * hid}")
+    rounds = sum(name.startswith("step") and name.endswith(".upd.w") for name in weights)
+    cfg = MpnnConfig(rounds, hid, msg, in_msg - 2 * hid)
+    check_weights(weights, weight_spec(cfg))
+    return cfg
+
+
 def forward(
     tape: Tape,
     weights: dict[str, Tensor],
-    cfg: MpnnConfig,
     uv: np.ndarray,
     edge_feats: np.ndarray,
     node_init: np.ndarray | None,
@@ -108,9 +123,9 @@ def forward(
 
     ``uv`` holds directed edges (source, target) and must already contain
     both directions of every measurement.  ``edge_feats`` and ``node_init``
-    are arrays, so gradients reach the weights and heads only.
-    ``node_init`` rows, when given, are zero-padded up to the hidden width.
-    Nodes without incoming edges receive a zero aggregate.
+    are arrays, so gradients reach the weights and heads only.  ``node_init``
+    rows, when given, are zero-padded up to the hidden width of ``weights``
+    (:func:`config_of`).  Nodes without incoming edges receive a zero aggregate.
 
     Without ``heads`` the result is the (N, H) tensor of final node states.
     ``heads`` are linear layers ``(w, b)`` on the final-round messages of the
@@ -120,41 +135,37 @@ def forward(
     uv = np.asarray(uv, dtype=np.int64)
     feats = np.asarray(edge_feats, dtype=np.float64)
     init = None if node_init is None else np.asarray(node_init, dtype=np.float64)
-    _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows)
+    cfg = _check_inputs(weights, uv, feats, init, n_nodes, heads, head_rows)
     w = {name: weights[name].values for name in weight_spec(cfg)}
     head_w = [(hw.values, hb.values) for hw, hb in heads]
     runs = _EdgeRuns.build(uv, feats, n_nodes, head_rows)
     states: list[np.ndarray] = []
-    out = _rounds(w, cfg, runs, init, head_w, head_rows, states)
+    out = _rounds(w, cfg.rounds, runs, init, head_w, head_rows, states)
     outs = tuple(Tensor(o) for o in out) if heads else (Tensor(out),)
     inputs = tuple(weights[name] for name in w) + tuple(t for pair in heads for t in pair)
 
     def pull(*grads):
-        for t, g in zip(inputs, _pullback(w, cfg, runs, states, head_w, grads)):
+        for t, g in zip(inputs, _pullback(w, cfg.rounds, runs, states, head_w, grads)):
             accumulate(t, g)
 
     tape.emit(outs, inputs, pull)
     return list(outs) if heads else outs[0]
 
 
-def _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows) -> None:
-    """Every check of ``forward``'s inputs, once, before any work."""
+def _check_inputs(weights, uv, feats, init, n_nodes, heads, head_rows) -> MpnnConfig:
+    """Every check of ``forward``'s inputs, once, before any work: the stack's sizes."""
+    cfg = config_of(weights)
     if uv.ndim != 2 or uv.shape[1] != 2:
         raise AutodiffError("uv must have shape (n_edges, 2)")
     n_edges = uv.shape[0]
     if feats.shape != (n_edges, cfg.edge_feat_dim):
-        raise AutodiffError(
-            f"edge_feats shape {feats.shape} does not match ({n_edges}, {cfg.edge_feat_dim})"
-        )
+        raise AutodiffError(f"edge_feats shape {feats.shape} != ({n_edges}, {cfg.edge_feat_dim})")
     # np.take, which the rounds use, would wrap a negative index
     if n_edges and (uv.min() < 0 or uv.max() >= n_nodes):
         raise AutodiffError(f"edge endpoint out of range [0, {n_nodes})")
-    if cfg.node_init_dim == 0:
-        if init is not None:
-            raise AutodiffError("node_init given but node_init_dim is 0")
-    elif init is None or init.shape != (n_nodes, cfg.node_init_dim):
-        raise AutodiffError(f"node_init must have shape ({n_nodes}, {cfg.node_init_dim})")
-    check_weights(weights, weight_spec(cfg))
+    if init is not None and (init.ndim != 2 or init.shape[0] != n_nodes
+                             or not 1 <= init.shape[1] <= cfg.hidden_dim):
+        raise AutodiffError(f"node_init shape {init.shape} is not ({n_nodes}, 1..{cfg.hidden_dim})")
     for w, b in heads:
         if w.values.ndim != 2 or w.shape[0] != cfg.msg_dim or b.shape != (w.shape[1],):
             raise AutodiffError(
@@ -162,6 +173,7 @@ def _check_inputs(weights, cfg, uv, feats, init, n_nodes, heads, head_rows) -> N
             )
     if heads and not 0 <= head_rows <= n_edges:
         raise AutodiffError(f"head_rows {head_rows} outside [0, {n_edges}]")
+    return cfg
 
 
 def check_weights(weights: dict[str, Tensor], spec: dict[str, tuple[int, ...]]) -> None:
@@ -228,24 +240,25 @@ def _round(w: dict[str, np.ndarray], t: int, h: np.ndarray) -> tuple:
     return wt, node_d, h @ wt[1]
 
 
-def _rounds(w, cfg, runs, init, heads, head_rows, states):
+def _rounds(w, rounds, runs, init, heads, head_rows, states):
     """The forward: final node states, or the heads' outputs.  Appends each
     update's input ``[h, agg]`` to ``states``, then the last node states."""
-    hid, n_nodes = cfg.hidden_dim, runs.denom.shape[0]
-    bufs = np.empty((3, runs.rows * cfg.msg_dim))
-    sums = np.empty((cfg.msg_dim, runs.targets.size))  # transposed, as the messages
+    hid, msg = w["step0.upd.w"].shape[1], w["step0.msg2.w"].shape[0]
+    n_nodes = runs.denom.shape[0]
+    bufs = np.empty((3, runs.rows * msg))
+    sums = np.empty((msg, runs.targets.size))  # transposed, as the messages
     h = np.zeros((n_nodes, hid))
     if init is not None:
-        h[:, :cfg.node_init_dim] = init
-    for t in range(cfg.rounds):
+        h[:, :init.shape[1]] = init
+    for t in range(rounds):
         wt, node_d, node_s = _round(w, t, h)
-        if heads and t == cfg.rounds - 1:
+        if heads and t == rounds - 1:
             break
         for a, end, k, k_end, seg in runs.runs:
             msgs = _messages(node_d, node_s, runs.s_dst[a:end], runs.s_src[a:end],
                              runs.s_feats[a:end], wt, bufs)
             np.add.reduceat(msgs, seg, axis=1, out=sums[:, k:k_end])
-        x = np.zeros((n_nodes, hid + cfg.msg_dim))  # nodes without in-edges: zero aggregate
+        x = np.zeros((n_nodes, hid + msg))  # nodes without in-edges: zero aggregate
         x[:, :hid] = h
         x[runs.targets, hid:] = sums.T / runs.denom[runs.targets]
         states.append(x)
@@ -288,19 +301,20 @@ def _messages(node_d, node_s, dst, src, feats, wt, bufs) -> np.ndarray:
     return out
 
 
-def _pullback(w, cfg, runs, states, heads, grads):
+def _pullback(w, rounds, runs, states, heads, grads):
     """Gradients of the weights, in ``w``'s order, then of each head's
     ``w`` and ``b``, from the outputs' gradients ``grads`` (``None`` where an
     output has none)."""
-    hid, msg, n_nodes = cfg.hidden_dim, cfg.msg_dim, runs.denom.shape[0]
-    g_w = {name: np.zeros(shape) for name, shape in weight_spec(cfg).items()}
+    hid, msg = w["step0.upd.w"].shape[1], w["step0.msg2.w"].shape[0]
+    n_nodes = runs.denom.shape[0]
+    g_w = {name: np.zeros(a.shape) for name, a in w.items()}
     g_heads = [(np.zeros_like(hw), np.zeros_like(hb)) for hw, hb in heads]
     bufs = np.empty((3, runs.rows * msg))
     sums = np.empty((runs.targets.size, msg))
     # each run's distinct sources, found once for all rounds
     sources = [np.unique(runs.s_src[a:end], return_inverse=True) for a, end, *_ in runs.runs]
     g_h = None if heads else grads[0]
-    for t in reversed(range(cfg.rounds)):
+    for t in reversed(range(rounds)):
         h = states[t][:, :hid]
         wt, node_d, node_s = _round(w, t, h)
         g_d, g_s = np.zeros((n_nodes, msg)), np.zeros((n_nodes, msg))

@@ -14,7 +14,9 @@ returns a read-only ``so3.Orientations`` view (items for the adapter).
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
-trainer arranges by re-referencing.
+trainer arranges by re-referencing.  The network's sizes are read from its
+weights (``mpnn.config_of``); only ``new_weights`` and ``weight_spec`` take
+an ``MpnnConfig``.
 """
 
 from __future__ import annotations
@@ -27,20 +29,19 @@ from .autodiff import ParamStore, Tape, Tensor
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
-DEFAULT_CONFIG = MpnnConfig(node_init_dim=4)
 BETA = 0.1              # weight of the per-node anchoring term
 REFERENCE_TOL = 1e-6    # max angle (deg) tolerated for "identity at the root"
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-def weight_spec(cfg: MpnnConfig = DEFAULT_CONFIG) -> dict[str, tuple[int, ...]]:
+def weight_spec(cfg: MpnnConfig = MpnnConfig()) -> dict[str, tuple[int, ...]]:
     spec = mpnn.weight_spec(cfg)
     spec["head_refine.w"] = (cfg.hidden_dim, 4)
     spec["head_refine.b"] = (4,)
     return spec
 
 
-def new_weights(seed: int = 0, cfg: MpnnConfig = DEFAULT_CONFIG) -> ParamStore:
+def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
     """Fresh parameters; the zero-weight, identity-bias head makes an
     untrained network return its initialization unchanged."""
     store = ParamStore()
@@ -59,34 +60,24 @@ def _edge_discrepancy(g: ViewGraph, init_rows: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _corrections(
-    tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor], cfg: MpnnConfig
+    tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
 ) -> Tensor:
     """The head: raw (N, 4) corrective quaternions from the final node states."""
-    mpnn.check_weights(weights, weight_spec(cfg))
+    mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
     uv, feats = _edge_discrepancy(g, init_rows)
-    h = mpnn.forward(tape, weights, cfg, uv, feats, init_rows, g.n_nodes)
+    h = mpnn.forward(tape, weights, uv, feats, init_rows, g.n_nodes)
     return tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
 
 
 def forward_tensors(
-    tape: Tape,
-    g: ViewGraph,
-    init_rows: np.ndarray,
-    weights: dict[str, Tensor],
-    cfg: MpnnConfig = DEFAULT_CONFIG,
+    tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
 ) -> Tensor:
     """Refined orientations as an (N, 4) tensor (not yet re-referenced)."""
-    delta_raw = _corrections(tape, g, init_rows, weights, cfg)
+    delta_raw = _corrections(tape, g, init_rows, weights)
     return tape.quat_compose(tape.quat_normalize(delta_raw), tape.constant(init_rows))
 
 
-def refine_forward(
-    g: ViewGraph,
-    init: ArrayLike,
-    store: ParamStore,
-    root: int,
-    cfg: MpnnConfig = DEFAULT_CONFIG,
-) -> so3.Orientations:
+def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) -> so3.Orientations:
     """Refine (N, 4) initial rows; the result is re-referenced at ``root``.
 
     Total on valid inputs: corrective rows whose norm underflows fall back
@@ -100,7 +91,7 @@ def refine_forward(
     if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     tape = Tape(recording=False)
-    delta = _corrections(tape, g, init_rows, store.bind(tape), cfg).values
+    delta = _corrections(tape, g, init_rows, store.bind(tape)).values
     pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,22 +50,23 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.n_cameras
-        if not all(isinstance(k, numbers.Integral) for k in (lo, hi)):
-            raise SynthConfigError(f"n_cameras range must hold integers, got {self.n_cameras!r}")
-        if not (3 <= lo <= hi):
-            raise SynthConfigError("n_cameras range must satisfy 3 <= lo <= hi")
-        for name in ("edge_fraction", "outlier_fraction"):
-            a, b = getattr(self, name)
-            if not (0.0 <= a <= b <= 1.0):
-                raise SynthConfigError(f"{name} range must lie in [0, 1] with lo <= hi")
-        a, b = self.sigma_deg
-        if not (0.0 <= a <= b < math.inf):
-            raise SynthConfigError("sigma_deg range must satisfy 0 <= lo <= hi < inf")
+        for name, low, high, rule in (
+            ("n_cameras", 3, math.inf, "integers with 3 <= lo <= hi"),
+            ("edge_fraction", 0.0, 1.0, "numbers with 0 <= lo <= hi <= 1"),
+            ("sigma_deg", 0.0, sys.float_info.max, "numbers with 0 <= lo <= hi < inf"),
+            ("outlier_fraction", 0.0, 1.0, "numbers with 0 <= lo <= hi <= 1"),
+        ):
+            kind = numbers.Integral if name == "n_cameras" else numbers.Real
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(k, kind) and not isinstance(k, bool) for k in pair)
+                    and low <= pair[0] <= pair[1] <= high):
+                raise SynthConfigError(f"{name} range must hold {rule}, got {pair!r}")
         if not isinstance(self.planar, (bool, np.bool_)):
             raise SynthConfigError(f"planar must be a bool, got {self.planar!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise SynthConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            raise SynthConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,18 +43,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not 0.0 <= self.edge_dropout < 1.0:
-            raise ValueError("edge_dropout must lie in [0, 1)")
         # a negative lr would run gradient ascent; NaN would surface an epoch
         # later as a non-finite loss
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, kind, ok, rule in (
+            ("epochs", numbers.Integral, lambda x: x >= 1, "an integer >= 1"),
+            ("lr", numbers.Real, lambda x: 0.0 < x < math.inf, "a finite number > 0"),
+            ("weight_decay", numbers.Real, lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
+            ("edge_dropout", numbers.Real, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"),
+            ("seed", numbers.Integral, lambda x: x >= 0, "a non-negative integer"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool) or not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass

@@ -118,24 +118,27 @@ class OracleTape(Tape):
         return self.emit(out, (src,), pull)
 
 
-def forward(tape, weights, cfg, uv, edge_feats, node_init, n_nodes, heads=(), head_rows=0):
-    """The former recording loop of ``mpnn.forward``, with its results."""
+def forward(tape, weights, uv, edge_feats, node_init, n_nodes, heads=(), head_rows=0):
+    """The former recording loop of ``mpnn.forward``, with its results; the
+    sizes are read from the weights' shapes."""
     ops = OracleTape
+    rounds = sum(name.endswith(".upd.w") for name in weights)
+    hidden = weights["step0.upd.w"].shape[1]
     uv = np.asarray(uv, dtype=np.int64)
     src, dst = uv[:, 0], uv[:, 1]
     feats = tape.constant(edge_feats)
     if node_init is None:
-        h = tape.constant(np.zeros((n_nodes, cfg.hidden_dim)))
+        h = tape.constant(np.zeros((n_nodes, hidden)))
     else:
-        pad = tape.constant(np.zeros((n_nodes, cfg.hidden_dim - cfg.node_init_dim)))
+        pad = tape.constant(np.zeros((n_nodes, hidden - node_init.shape[1])))
         h = ops.concat(tape, [tape.constant(node_init), pad])
-    for t in range(cfg.rounds):
+    for t in range(rounds):
         step = f"step{t}"
         x = ops.relu(tape, ops.edge_linear(
             tape, h, dst, src, feats, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]
         ))
         msgs = ops.relu(tape, tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
-        if heads and t == cfg.rounds - 1:
+        if heads and t == rounds - 1:
             rows = tape.gather(msgs, np.arange(head_rows))
             return [tape.linear(rows, w, b) for w, b in heads]
         x = ops.concat(tape, [h, ops.scatter_mean(tape, msgs, dst, n_nodes)])

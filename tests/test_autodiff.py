@@ -557,6 +557,15 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=match):
                 load_checkpoint(path, expected)
 
+    def test_repeated_entry_is_named(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._example_store(), path)
+        payload = json.loads(path.read_text())
+        payload["params"].append(payload["params"][0])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="duplicate parameter 'layer.w'"):
+            load_checkpoint(path, {"layer.w": (3, 2), "layer.b": (2,)})
+
     def test_non_finite_values(self, tmp_path):
         path = tmp_path / "ckpt.json"
         for bad in (np.nan, np.inf):

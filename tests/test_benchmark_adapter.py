@@ -104,3 +104,13 @@ def test_checkpoint_schedule_reads(adapter):
     assert adapter.trainer.DESK_LR == cfg.lr == schedule["lr"]
     assert cfg.weight_decay == schedule["weight_decay"]
     assert cfg.edge_dropout == schedule["edge_dropout"]
+
+
+def test_repeated_checkpoint_entry_names_the_file(adapter, tmp_path):
+    for name in ("cleannet.json", "finenet.json"):
+        payload = json.loads((BENCH_DIR / "checkpoints" / name).read_text())
+        if name == "cleannet.json":
+            payload["params"].append(payload["params"][0])
+        (tmp_path / name).write_text(json.dumps(payload))
+    with pytest.raises(adapter.autodiff.CheckpointError, match="cleannet.json .*duplicate"):
+        adapter.load_nets(tmp_path)

@@ -13,7 +13,7 @@ from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import Edge, UnitQuaternion, as_quats, edge_graph, edge_records
 
-TINY_CFG = MpnnConfig(rounds=2, hidden_dim=4, msg_dim=4, edge_feat_dim=4, node_init_dim=0)
+TINY_CFG = MpnnConfig(rounds=2, hidden_dim=4, msg_dim=4, edge_feat_dim=4)
 
 
 def tiny_clean_weights(seed=0, cfg=TINY_CFG, random_heads=False):
@@ -61,6 +61,16 @@ class TestForward:
         assert np.allclose(pred.outlier_prob, 0.5)
         assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
 
+    @pytest.mark.parametrize("cfg", [TINY_CFG, MpnnConfig(rounds=2)])
+    def test_sizes_come_from_the_weights(self, cfg):
+        # no call takes a config: a store of any sizes runs as it was made
+        g = noisy_graph(seed=1)
+        pred = cleaning.clean_forward(g, cleaning.new_weights(1, cfg))
+        assert np.allclose(pred.outlier_prob, 0.5)
+        assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
+        tape = Tape()
+        tape.backward(cleaning.clean_loss_graph(tape, g, cleaning.new_weights(1, cfg).bind(tape)))
+
     def test_rect_quaternions_canonical_unit(self):
         g = noisy_graph(seed=2)
         store = ParamStore()
@@ -87,7 +97,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        one_edge_array = 2 * len(g.edges) * cleaning.DEFAULT_CONFIG.hidden_dim * 8
+        one_edge_array = 2 * len(g.edges) * MpnnConfig().hidden_dim * 8
         assert peak < one_edge_array
 
     def test_weights_that_do_not_fit_rejected(self):
@@ -180,15 +190,15 @@ class TestLoss:
         monkeypatch.setattr(ViewGraph, "relative_gt_array",
                             lambda self: calls.append(1) or relative(self))
         tape = Tape()
-        cleaning.clean_loss_graph(tape, g, tiny_clean_weights().bind(tape), TINY_CFG)
+        cleaning.clean_loss_graph(tape, g, tiny_clean_weights().bind(tape))
         assert len(calls) == 1
 
     def test_tensor_and_value_paths_agree(self):
         g = noisy_graph(seed=8)
         store = tiny_clean_weights(seed=8, random_heads=True)
         tape = Tape(recording=False)
-        loss_t = cleaning.clean_loss_graph(tape, g, store.bind(tape), TINY_CFG)
-        pred = cleaning.clean_forward(g, store, TINY_CFG)
+        loss_t = cleaning.clean_loss_graph(tape, g, store.bind(tape))
+        pred = cleaning.clean_forward(g, store)
         assert abs(float(loss_t.values) - cleaning.clean_loss(pred, g)) < 1e-9
 
     def test_gradient_vs_finite_differences(self):
@@ -198,7 +208,7 @@ class TestLoss:
         params = dict(store.params)
 
         def build(tape, p):
-            return cleaning.clean_loss_graph(tape, g, p, TINY_CFG)
+            return cleaning.clean_loss_graph(tape, g, p)
 
         assert fd_gradients(build, params) < 1e-3
 
@@ -207,7 +217,7 @@ class TestLoss:
         tape = Tape()
         store = tiny_clean_weights()
         with pytest.raises(ViewGraphError):
-            cleaning.clean_loss_graph(tape, g, store.bind(tape), TINY_CFG)
+            cleaning.clean_loss_graph(tape, g, store.bind(tape))
 
 
     def test_training_step_peak_memory_within_edge_budget(self):
@@ -225,7 +235,7 @@ class TestLoss:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        one_edge_array = 2 * g.n_edges * cleaning.DEFAULT_CONFIG.hidden_dim * 8
+        one_edge_array = 2 * g.n_edges * MpnnConfig().hidden_dim * 8
         assert peak <= 4 * one_edge_array
 
 

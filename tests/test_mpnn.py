@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from rotavg import cleaning, mpnn, refinement
 from rotavg.autodiff import AutodiffError, ParamStore, Tape, save_checkpoint
 from rotavg.mpnn import MpnnConfig
 
-TINY = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3, edge_feat_dim=2, node_init_dim=0)
+TINY = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
 
 
 def tiny_weights(cfg=TINY, seed=0):
@@ -20,13 +22,13 @@ def tiny_weights(cfg=TINY, seed=0):
     return store
 
 
-def run_forward(cfg, store, uv, feats, n_nodes, node_init=None, heads=(), head_rows=0,
+def run_forward(store, uv, feats, n_nodes, node_init=None, heads=(), head_rows=0,
                 recording=False):
     """Final node states, or with ``heads`` (pairs of arrays) their outputs."""
     tape = Tape(recording=recording)
     weights = store.bind(tape)
     head_tensors = [(tape.constant(w), tape.constant(b)) for w, b in heads]
-    out = mpnn.forward(tape, weights, cfg, uv, feats, node_init, n_nodes, head_tensors, head_rows)
+    out = mpnn.forward(tape, weights, uv, feats, node_init, n_nodes, head_tensors, head_rows)
     return [o.values for o in out] if heads else out.values
 
 
@@ -35,7 +37,7 @@ class TestForward:
         cfg = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
         store = tiny_weights(cfg)
         uv = np.zeros((0, 2), dtype=np.int64)
-        h = run_forward(cfg, store, uv, np.zeros((0, 2)), 1)
+        h = run_forward(store, uv, np.zeros((0, 2)), 1)
         # zero initial state, zero aggregate: the update chain on zeros
         tape = Tape(recording=False)
         w = store.bind(tape)
@@ -46,71 +48,77 @@ class TestForward:
         assert np.allclose(h, state)
 
     def test_permutation_invariance(self):
-        cfg = TINY
-        store = tiny_weights(cfg)
+        store = tiny_weights()
         rng = np.random.default_rng(1)
         uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]])
         feats = rng.normal(size=(6, 2))
-        h1 = run_forward(cfg, store, uv, feats, 3)
+        h1 = run_forward(store, uv, feats, 3)
 
         # relabel nodes with a permutation and permute the edge list order
         perm = np.array([2, 0, 1])  # old -> new
         order = np.array([3, 0, 5, 1, 4, 2])
         uv2 = perm[uv][order]
         feats2 = feats[order]
-        h2 = run_forward(cfg, store, uv2, feats2, 3)
+        h2 = run_forward(store, uv2, feats2, 3)
         assert np.array_equal(h2[perm], h1)
 
     def test_isomorphic_graphs_bit_identical(self):
-        cfg = TINY
-        store = tiny_weights(cfg)
+        store = tiny_weights()
         rng = np.random.default_rng(2)
         uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
         feats = rng.normal(size=(4, 2))
         head = [(rng.normal(size=(3, 2)), rng.normal(size=2))]
-        h1 = run_forward(cfg, store, uv, feats, 3)
-        h2 = run_forward(cfg, store, uv.copy(), feats.copy(), 3)
-        (m1,) = run_forward(cfg, store, uv, feats, 3, heads=head, head_rows=4)
-        (m2,) = run_forward(cfg, store, uv.copy(), feats.copy(), 3, heads=head, head_rows=4)
+        h1 = run_forward(store, uv, feats, 3)
+        h2 = run_forward(store, uv.copy(), feats.copy(), 3)
+        (m1,) = run_forward(store, uv, feats, 3, heads=head, head_rows=4)
+        (m2,) = run_forward(store, uv.copy(), feats.copy(), 3, heads=head, head_rows=4)
         assert np.array_equal(h1, h2) and np.array_equal(m1, m2)
 
     def test_isolated_node_gets_zero_aggregate(self):
-        cfg = TINY
-        store = tiny_weights(cfg)
+        store = tiny_weights()
         uv = np.array([[0, 1], [1, 0]])
         feats = np.random.default_rng(3).normal(size=(2, 2))
-        h = run_forward(cfg, store, uv, feats, 3)
+        h = run_forward(store, uv, feats, 3)
         assert np.all(np.isfinite(h))
 
     def test_node_init_padding(self):
-        cfg = MpnnConfig(rounds=1, hidden_dim=4, msg_dim=3, edge_feat_dim=2, node_init_dim=2)
+        cfg = MpnnConfig(rounds=1, hidden_dim=4, msg_dim=3, edge_feat_dim=2)
         store = tiny_weights(cfg)
         uv = np.array([[0, 1], [1, 0]])
         feats = np.zeros((2, 2))
         init = np.array([[1.0, 2.0], [3.0, 4.0]])
-        h = run_forward(cfg, store, uv, feats, 2, node_init=init)
+        h = run_forward(store, uv, feats, 2, node_init=init)
         assert h.shape == (2, 4)
 
     def test_shape_validation(self):
-        cfg = TINY
-        store = tiny_weights(cfg)
+        store = tiny_weights()
         for recording in (True, False):
             tape = Tape(recording=recording)
             w = store.bind(tape)
             feats = np.zeros((1, 2))
             with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, cfg, np.zeros((2, 3)), np.zeros((2, 2)), None, 3)
+                mpnn.forward(tape, w, np.zeros((2, 3)), np.zeros((2, 2)), None, 3)
             with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, cfg, np.array([[0, 1]]), np.zeros((1, 5)), None, 2)
+                mpnn.forward(tape, w, np.array([[0, 1]]), np.zeros((1, 5)), None, 2)
             with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, cfg, np.array([[0, 1]]), feats, np.zeros((2, 4)), 2)
+                mpnn.forward(tape, w, np.array([[0, 1]]), feats, np.zeros((2, 4)), 2)
             bad = dict(w, **{"step1.msg2.w": tape.constant(np.zeros((3, 4)))})
             with pytest.raises(AutodiffError, match="step1.msg2.w"):
-                mpnn.forward(tape, bad, cfg, np.array([[0, 1]]), feats, None, 2)
+                mpnn.forward(tape, bad, np.array([[0, 1]]), feats, None, 2)
             # np.take would wrap -1 to the last node; 2 is one past it
             for uv in ([[-1, 1]], [[0, 2]]):
                 with pytest.raises(AutodiffError, match="out of range"):
-                    mpnn.forward(tape, w, cfg, np.array(uv), feats, None, 2)
+                    mpnn.forward(tape, w, np.array(uv), feats, None, 2)
+
+    @pytest.mark.parametrize("rows, width", [(3, 2), (1, 2), (2, 0), (2, 4)])
+    def test_node_init_of_another_shape_rejected(self, rows, width):
+        # TINY's hidden width is 3: node_init fills 1 to 3 leading columns of N rows
+        tape = Tape(recording=False)
+        w = tiny_weights().bind(tape)
+        uv, feats = np.array([[0, 1], [1, 0]]), np.zeros((2, 2))
+        with pytest.raises(AutodiffError, match="node_init shape"):
+            mpnn.forward(tape, w, uv, feats, np.zeros((rows, width)), 2)
+        assert run_forward(tiny_weights(), uv, feats, 2, node_init=np.ones((2, 3))).shape == (2, 3)
 
     @pytest.mark.parametrize("recording", [True, False])
     def test_head_validation(self, recording):
@@ -123,7 +131,7 @@ class TestForward:
                             ([(tape.constant(np.zeros((4, 2))), good[1])], 1),
                             ([(good[0], tape.constant(np.zeros(3)))], 1)):
             with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, TINY, uv, feats, None, 2, heads, rows)
+                mpnn.forward(tape, w, uv, feats, None, 2, heads, rows)
 
 
 def random_store(cfg, seed):
@@ -148,7 +156,7 @@ def directed_graphs(draw):
     return n + draw(st.integers(0, 3)), np.concatenate([e, e[:, ::-1]]), len(pairs)
 
 
-def recorded_run(forward, cfg, store, n, uv, feats, init, heads, head_rows, upstream_seed,
+def recorded_run(forward, store, n, uv, feats, init, heads, head_rows, upstream_seed,
                  used=None):
     """Outputs of ``forward`` on a recording tape, and the gradients of every
     weight and head of ``sum(out * upstream)`` over its first ``used``
@@ -157,7 +165,7 @@ def recorded_run(forward, cfg, store, n, uv, feats, init, heads, head_rows, upst
     weights = {k: tape.leaf(v, requires_grad=True) for k, v in store.params.items()}
     head_t = [(tape.leaf(w, requires_grad=True), tape.leaf(b, requires_grad=True))
               for w, b in heads]
-    out = forward(tape, weights, cfg, uv, feats, init, n, head_t, head_rows)
+    out = forward(tape, weights, uv, feats, init, n, head_t, head_rows)
     outs = out if heads else [out]
     rng = np.random.default_rng(upstream_seed)
     terms = [tape.sum(tape.mul(o, tape.constant(rng.normal(size=o.shape)))) for o in outs[:used]]
@@ -176,9 +184,8 @@ class TestInferenceRounds:
     loop of generic tape primitives in ``mpnn_oracle``."""
 
     @staticmethod
-    def assert_matches_oracle(cfg, store, n, uv, feats, init, heads, head_rows, seed=0,
-                              used=None):
-        args = (cfg, store, n, uv, feats, init, heads, head_rows, seed, used)
+    def assert_matches_oracle(store, n, uv, feats, init, heads, head_rows, seed=0, used=None):
+        args = (store, n, uv, feats, init, heads, head_rows, seed, used)
         (outs, grads), (want_outs, want_grads) = (
             recorded_run(f, *args) for f in (mpnn.forward, mpnn_oracle.forward))
         assert len(outs) == len(want_outs) == max(len(heads), 1)
@@ -196,8 +203,7 @@ class TestInferenceRounds:
            st.integers(0, 2**32 - 1))
     def test_matches_recording_tape(self, graph, chunk, init_dim, seed):
         n, uv, m = graph
-        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4, edge_feat_dim=3,
-                         node_init_dim=init_dim)
+        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(len(uv), 3))
         init = rng.normal(size=(n, init_dim)) if init_dim else None
@@ -206,8 +212,8 @@ class TestInferenceRounds:
         store = random_store(cfg, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mpnn, "CHUNK_ROWS", chunk)
-            (h,) = self.assert_matches_oracle(cfg, store, n, uv, feats, init, (), 0, seed)
-            self.assert_matches_oracle(cfg, store, n, uv, feats, init, heads, m, seed)
+            (h,) = self.assert_matches_oracle(store, n, uv, feats, init, (), 0, seed)
+            self.assert_matches_oracle(store, n, uv, feats, init, heads, m, seed)
         assert h.shape == (n, 5)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -215,8 +221,7 @@ class TestInferenceRounds:
     @pytest.mark.parametrize("m", [0, 21])  # 2E = 42 rows: a multiple of every chunk size
     def test_edge_counts_at_the_boundaries(self, chunk, init_dim, m, monkeypatch):
         monkeypatch.setattr(mpnn, "CHUNK_ROWS", chunk)
-        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=3,
-                         node_init_dim=init_dim)
+        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
         rng = np.random.default_rng(m + chunk)
         n = 8
         e = np.stack([np.arange(m) % n, (3 * np.arange(m) + 1) % n], axis=1)
@@ -225,8 +230,8 @@ class TestInferenceRounds:
         init = rng.normal(size=(n, init_dim)) if init_dim else None
         heads = [(rng.normal(size=(4, 2)), rng.normal(size=2))]
         store = random_store(cfg, chunk)
-        self.assert_matches_oracle(cfg, store, n, uv, feats, init, (), 0)
-        (out,) = self.assert_matches_oracle(cfg, store, n, uv, feats, init, heads, m)
+        self.assert_matches_oracle(store, n, uv, feats, init, (), 0)
+        (out,) = self.assert_matches_oracle(store, n, uv, feats, init, heads, m)
         assert out.shape == (m, 2)
 
     def test_head_outside_the_loss(self, monkeypatch):
@@ -238,7 +243,7 @@ class TestInferenceRounds:
         uv = np.concatenate([e, e[:, ::-1]])
         heads = [(rng.normal(size=(4, 4)), rng.normal(size=4)),
                  (rng.normal(size=(4, 1)), rng.normal(size=1))]
-        args = (cfg, random_store(cfg, 4), 6, uv, rng.normal(size=(18, 3)), None, heads, 9)
+        args = (random_store(cfg, 4), 6, uv, rng.normal(size=(18, 3)), None, heads, 9)
         self.assert_matches_oracle(*args, used=1)
         _, grads = recorded_run(mpnn.forward, *args, 0, used=1)
         assert not np.any(grads["head1.w"]) and not np.any(grads["head1.b"])
@@ -255,8 +260,8 @@ class TestInferenceRounds:
             e = rng.integers(0, n, size=(m, 2))
             graphs.append((n, np.concatenate([e, e[:, ::-1]]), rng.normal(size=(2 * m, 3)), m))
         a, b = graphs
-        runs = [(recorded_run(mpnn.forward, cfg, store, n, uv, feats, None, (), 0, 0),
-                 recorded_run(mpnn.forward, cfg, store, n, uv, feats, None, heads, m, 0))
+        runs = [(recorded_run(mpnn.forward, store, n, uv, feats, None, (), 0, 0),
+                 recorded_run(mpnn.forward, store, n, uv, feats, None, heads, m, 0))
                 for n, uv, feats, m in (a, b, a)]
         for (outs, grads), (outs_again, grads_again) in zip(runs[0], runs[2]):
             assert all(np.array_equal(x, y) for x, y in zip(outs, outs_again))
@@ -265,7 +270,7 @@ class TestInferenceRounds:
 
 class TestGradients:
     def test_full_network_gradient_check(self):
-        cfg = MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3, edge_feat_dim=2, node_init_dim=2)
+        cfg = MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
         # seed keeps every relu pre-activation away from the kink, where the
         # central difference would straddle the non-differentiability
         store = tiny_weights(cfg, seed=25)
@@ -279,8 +284,8 @@ class TestGradients:
 
         def build(tape, p):
             weights = {k: p[k] for k in store.params}
-            h = mpnn.forward(tape, weights, cfg, uv, feats, init, 3)
-            (out,) = mpnn.forward(tape, weights, cfg, uv, feats, init, 3,
+            h = mpnn.forward(tape, weights, uv, feats, init, 3)
+            (out,) = mpnn.forward(tape, weights, uv, feats, init, 3,
                                   [(p["head.w"], p["head.b"])], head_rows=3)
             return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
 
@@ -288,10 +293,50 @@ class TestGradients:
         assert err < 1e-3
 
 
+class TestConfigOf:
+    @pytest.mark.parametrize("cfg", [TINY, MpnnConfig(), MpnnConfig(1, 2, 3, 1)])
+    def test_sizes_read_back(self, cfg):
+        assert mpnn.config_of(tiny_weights(cfg).bind(Tape(recording=False))) == cfg
+
+    @pytest.mark.parametrize("dropped, replaced, named", [
+        (("step0.",), {}, "'step0.upd.w' is missing"),
+        (("step0.upd.",), {}, "'step0.upd.w' is missing"),
+        (("step0.msg1.w",), {}, "'step0.msg1.w' is missing"),
+        (("step2.",), {}, "'step2.msg1.w' is missing"),  # steps 0, 1 and 3
+        (("step1.upd.b",), {}, "'step1.upd.b' is missing"),
+        ((), {"step0.msg1.w": np.zeros((6, 3))}, "'step0.msg1.w' has 6 rows"),
+        ((), {"step0.msg1.w": np.zeros((5, 3))}, "'step0.msg1.w' has 5 rows"),
+        ((), {"step0.upd.w": np.zeros((6, 0))}, r"'step0.upd.w' has shape \(6, 0\)"),
+        ((), {"step0.msg2.w": np.zeros(3)}, r"'step0.msg2.w' has shape \(3,\)"),
+        ((), {"step3.msg2.w": np.zeros((3, 4))}, r"'step3.msg2.w' has shape \(3, 4\)"),
+    ])
+    def test_failures_name_the_weight(self, dropped, replaced, named):
+        # four rounds with H = M = 3 and two edge features: msg1.w is (8, 3)
+        store = tiny_weights(MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3, edge_feat_dim=2))
+        tape = Tape(recording=False)
+        weights = {k: t for k, t in store.bind(tape).items() if not k.startswith(dropped)}
+        weights.update((k, tape.constant(v)) for k, v in replaced.items())
+        with pytest.raises(AutodiffError, match=f"weight {named}"):
+            mpnn.config_of(weights)
+
+
+def test_only_array_makers_take_a_config():
+    # a network's sizes are in its weights; a config is taken only where arrays are made
+    makers = {"weight_spec", "new_weights", "init_weights"}
+    takers = []
+    for module in (mpnn, cleaning, refinement):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__ or name in makers:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if param.name == "cfg" or "MpnnConfig" in str(param.annotation):
+                    takers.append(f"{module.__name__}.{name}({param.name})")
+    assert takers == []
+
+
 class TestConfig:
-    @pytest.mark.parametrize("field", ["rounds", "hidden_dim", "msg_dim", "edge_feat_dim",
-                                       "node_init_dim"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("field", ["rounds", "hidden_dim", "msg_dim", "edge_feat_dim"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True])
     def test_sizes_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             MpnnConfig(**{field: value})

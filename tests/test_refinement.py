@@ -13,7 +13,7 @@ from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import UnitQuaternion, as_quats
 
-TINY_CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=4, node_init_dim=4)
+TINY_CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=4)
 
 
 def tiny_refine_weights(seed=0, cfg=TINY_CFG, random_head=False):
@@ -73,7 +73,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        one_edge_array = 2 * len(g.edges) * refinement.DEFAULT_CONFIG.hidden_dim * 8
+        one_edge_array = 2 * len(g.edges) * MpnnConfig().hidden_dim * 8
         assert peak < one_edge_array
 
     def test_perfect_init_on_clean_graph_gives_identity_features(self):
@@ -86,21 +86,32 @@ class TestForward:
     def test_identity_init_head_returns_init(self):
         g, root = referenced_graph(seed=1)
         init = spt_init(g, root)
-        out = refinement.refine_forward(g, init, tiny_refine_weights(1), root, TINY_CFG)
+        out = refinement.refine_forward(g, init, tiny_refine_weights(1), root)
         for a, b in zip(as_quats(out), as_quats(init)):
             assert so3_oracle.geodesic_deg(a, b) < 1e-9
+
+    @pytest.mark.parametrize("cfg", [TINY_CFG, MpnnConfig(rounds=2)])
+    def test_sizes_come_from_the_weights(self, cfg):
+        # no call takes a config: a store of any sizes runs as it was made
+        g, root = referenced_graph(seed=1)
+        init = np.asarray(spt_init(g, root))
+        out = refinement.refine_forward(g, init, refinement.new_weights(1, cfg), root)
+        assert np.max(so3.qangle_deg(np.asarray(out), init)) < 1e-9
+        tape = Tape()
+        pred = refinement.forward_tensors(tape, g, init, refinement.new_weights(1, cfg).bind(tape))
+        tape.backward(refinement.loss_from_pred(tape, pred, g, root))
 
     def test_outputs_valid_unit_quaternions_under_random_weights(self):
         g, root = referenced_graph(seed=2)
         store = tiny_refine_weights(2, random_head=True)
-        out = refinement.refine_forward(g, spt_init(g, root), store, root, TINY_CFG)
+        out = refinement.refine_forward(g, spt_init(g, root), store, root)
         for q in out:
             assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
     def test_output_rereferenced_at_root(self):
         g, root = referenced_graph(seed=3)
         store = tiny_refine_weights(3, random_head=True)
-        out = refinement.refine_forward(g, spt_init(g, root), store, root, TINY_CFG)
+        out = refinement.refine_forward(g, spt_init(g, root), store, root)
         assert so3_oracle.geodesic_deg(as_quats(out)[root], UnitQuaternion.identity()) < 1e-9
 
     def test_unreferenced_init_rejected(self):
@@ -108,27 +119,27 @@ class TestForward:
         init = np.array(spt_init(g, root))
         init[root] = so3_oracle.yaw_deg(10.0).as_array()
         with pytest.raises(ViewGraphError, match="referenced"):
-            refinement.refine_forward(g, init, tiny_refine_weights(4), root, TINY_CFG)
+            refinement.refine_forward(g, init, tiny_refine_weights(4), root)
 
     def test_missing_init_rejected(self):
         g, root = referenced_graph(seed=5)
         with pytest.raises(ViewGraphError, match="cover"):
             refinement.refine_forward(g, np.array([[1.0, 0.0, 0.0, 0.0]]), tiny_refine_weights(5),
-                                      root, TINY_CFG)
+                                      root)
 
     def test_root_out_of_range_rejected(self):
         g, root = referenced_graph(seed=5)
         init = spt_init(g, root)
         for bad in (g.n_nodes, -1):
             with pytest.raises(ViewGraphError, match=f"root {bad} out of range"):
-                refinement.refine_forward(g, init, tiny_refine_weights(5), bad, TINY_CFG)
+                refinement.refine_forward(g, init, tiny_refine_weights(5), bad)
 
     def test_non_integer_root_rejected(self):
         g, root = referenced_graph(seed=5)
         init = spt_init(g, root)
         for bad in (float(root) + 0.5, float(root), str(root), None):
             with pytest.raises(ViewGraphError, match="root must be an integer"):
-                refinement.refine_forward(g, init, tiny_refine_weights(5), bad, TINY_CFG)
+                refinement.refine_forward(g, init, tiny_refine_weights(5), bad)
             with pytest.raises(ViewGraphError, match="root must be an integer"):
                 refinement.refine_loss(np.asarray(init), g, bad)
 
@@ -180,7 +191,7 @@ class TestLoss:
         params = dict(store.params)
 
         def build(tape, p):
-            pred = refinement.forward_tensors(tape, g, init_rows, p, TINY_CFG)
+            pred = refinement.forward_tensors(tape, g, init_rows, p)
             return refinement.loss_from_pred(tape, pred, g, root)
 
         assert fd_gradients(build, params) < 1e-3
@@ -203,5 +214,5 @@ class TestLoss:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        one_edge_array = 2 * g.n_edges * refinement.DEFAULT_CONFIG.hidden_dim * 8
+        one_edge_array = 2 * g.n_edges * MpnnConfig().hidden_dim * 8
         assert peak <= 4 * one_edge_array

@@ -107,7 +107,15 @@ class TestConfig:
             SynthConfig(n_cameras=n_cameras)
         assert SynthConfig(n_cameras=(np.int64(3), 5)).n_cameras == (3, 5)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, -1])
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_deg", ("1", 2)), ("outlier_fraction", (0.1, None)), ("edge_fraction", (0.1,)),
+        ("n_cameras", 5), ("n_cameras", (3, True)), ("sigma_deg", [1.0, 2.0]),
+    ])
+    def test_malformed_ranges_are_named(self, field, value):
+        with pytest.raises(SynthConfigError, match=f"{field} range must hold"):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, -1, False])
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(SynthConfigError, match="seed must be a non-negative integer"):
             SynthConfig(seed=seed)

@@ -62,6 +62,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "0.1"), ("weight_decay", "x"), ("edge_dropout", None), ("lr", True),
+        ("epochs", True),
+    ])
+    def test_non_numbers_are_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
     def test_zero_weight_decay_accepted(self):
         assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
