@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-The primitives are what the networks' heads and losses need; there is no
-broadcasting beyond the bias add in ``linear``.  The message-passing rounds
-are one operation with its own pullback, ``mpnn.forward``, recorded with
-``Tape.emit``.  A :class:`Tape` records pullbacks in execution order and
-replays them once, in reverse, from a scalar loss.  Everything is float64
-and deterministic in single-threaded use.
+A :class:`Tape` records pullbacks in execution order and replays them once,
+in reverse, from a scalar loss.  Its one primitive is ``linear``; the
+message passing, FineNet's correction and each network's loss are single
+operations with closed-form pullbacks, recorded with ``Tape.emit``.  The
+losses share the row kernels ``unit_rows`` and ``quat_dist``, which return
+a value and its pullback; the tests keep the former generic primitives as
+an oracle tape.  Everything is float64 and deterministic in single-threaded use.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ ADAM_EPS = 1e-8          # added to the root of the second moment
 
 
 class AutodiffError(RuntimeError):
-    """Misuse of the tape or a primitive (shape, index, consumed tape...)."""
+    """Misuse of the tape or an operation (shape, index, consumed tape...)."""
 
 
 class Tensor:
@@ -56,10 +57,10 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 class Tape:
-    """Ordered record of primitive applications.
+    """Ordered record of operations.
 
     One backward pass per forward pass; a consumed tape raises on reuse.
-    With ``recording=False`` the primitives run forward-only (inference).
+    With ``recording=False`` the operations run forward-only (inference).
     """
 
     def __init__(self, recording: bool = True):
@@ -71,9 +72,6 @@ class Tape:
 
     def leaf(self, values, requires_grad: bool = False) -> Tensor:
         return Tensor(np.asarray(values, dtype=np.float64), requires_grad)
-
-    def constant(self, values) -> Tensor:
-        return Tensor(np.asarray(values, dtype=np.float64), False)
 
     def emit(self, out, inputs: tuple[Tensor, ...], pullback):
         """Record ``out``, a tensor or a tuple of tensors, made from ``inputs``.
@@ -106,150 +104,6 @@ class Tape:
 
         return self.emit(Tensor(out), (x, w, b), pull)
 
-    def gather(self, x: Tensor, index: np.ndarray) -> Tensor:
-        index = np.asarray(index, dtype=np.int64)
-        if x.values.ndim != 2 or index.ndim != 1:
-            raise AutodiffError("gather expects x (n,d) and a 1-D index")
-        if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-            raise AutodiffError("gather index out of range")
-        out = Tensor(np.take(x.values, index, axis=0))
-
-        def pull(g):
-            accumulate(x, _segment_sum(g, index, x.shape[0]))
-
-        return self.emit(out, (x,), pull)
-
-    def quat_normalize(self, x: Tensor) -> Tensor:
-        if x.values.ndim != 2 or x.shape[1] != 4:
-            raise AutodiffError("quat_normalize expects rows of 4")
-        norms = so3.rownorm(x.values, keepdims=True)
-        if np.any(norms < QUAT_NORM_FLOOR):
-            raise AutodiffError("quat_normalize: row norm below 1e-12")
-        y = x.values / norms
-        out = Tensor(y)
-
-        def pull(g):
-            # d(x/|x|) = (g - y (y.g)) / |x|
-            proj = np.sum(y * g, axis=1, keepdims=True)
-            accumulate(x, (g - y * proj) / norms)
-
-        return self.emit(out, (x,), pull)
-
-    def quat_compose(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_quat_pair(a, b, "quat_compose")
-        out = Tensor(so3.qmul(a.values, b.values))
-
-        def pull(g):
-            accumulate(a, so3.qmul(g, so3.qconj(b.values)))
-            accumulate(b, so3.qmul(so3.qconj(a.values), g))
-
-        return self.emit(out, (a, b), pull)
-
-    def quat_conjugate(self, x: Tensor) -> Tensor:
-        if x.values.ndim != 2 or x.shape[1] != 4:
-            raise AutodiffError("quat_conjugate expects rows of 4")
-        out = Tensor(so3.qconj(x.values))
-
-        def pull(g):
-            accumulate(x, so3.qconj(g))
-
-        return self.emit(out, (x,), pull)
-
-    def bce_with_logits(self, logits: Tensor, targets: Tensor) -> Tensor:
-        if logits.shape != targets.shape or logits.values.ndim != 1:
-            raise AutodiffError("bce_with_logits expects matching 1-D inputs")
-        z = logits.values
-        t = targets.values
-        out = Tensor(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))))
-
-        def pull(g):
-            sig = 1.0 / (1.0 + np.exp(-z))
-            accumulate(logits, g * (sig - t))
-
-        return self.emit(out, (logits, targets), pull)
-
-    def quat_dist_loss(self, a: Tensor, b: Tensor) -> Tensor:
-        """Per-row ``min(|a - b|, |a + b|)`` with the sign-flip branch taken
-        deterministically at ties."""
-        self._check_quat_pair(a, b, "quat_dist_loss")
-        d_minus = a.values - b.values
-        d_plus = a.values + b.values
-        n_minus = so3.rownorm(d_minus)
-        n_plus = so3.rownorm(d_plus)
-        take_minus = n_minus < n_plus
-        out = Tensor(np.where(take_minus, n_minus, n_plus))
-
-        def pull(g):
-            chosen = np.where(take_minus[:, None], d_minus, d_plus)
-            norms = np.where(take_minus, n_minus, n_plus)
-            safe = np.maximum(norms, QUAT_NORM_FLOOR)
-            direction = np.where(
-                (norms > QUAT_NORM_FLOOR)[:, None], chosen / safe[:, None], 0.0
-            )
-            accumulate(a, g[:, None] * direction)
-            sign_b = np.where(take_minus, -1.0, 1.0)
-            accumulate(b, (g * sign_b)[:, None] * direction)
-
-        return self.emit(out, (a, b), pull)
-
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise AutodiffError(f"add shape mismatch: {a.shape} vs {b.shape}")
-        out = Tensor(a.values + b.values)
-
-        def pull(g):
-            accumulate(a, g.copy())
-            accumulate(b, g.copy())
-
-        return self.emit(out, (a, b), pull)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise AutodiffError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-        out = Tensor(a.values * b.values)
-
-        def pull(g):
-            accumulate(a, g * b.values)
-            accumulate(b, g * a.values)
-
-        return self.emit(out, (a, b), pull)
-
-    def scale(self, x: Tensor, c: float) -> Tensor:
-        c = float(c)
-        out = Tensor(x.values * c)
-
-        def pull(g):
-            accumulate(x, g * c)
-
-        return self.emit(out, (x,), pull)
-
-    def sum(self, x: Tensor) -> Tensor:
-        out = Tensor(np.asarray(x.values.sum()))
-
-        def pull(g):
-            accumulate(x, np.full_like(x.values, float(g)))
-
-        return self.emit(out, (x,), pull)
-
-    def mean(self, x: Tensor) -> Tensor:
-        n = x.values.size
-        if n == 0:
-            raise AutodiffError("mean of an empty tensor")
-        out = Tensor(np.asarray(x.values.mean()))
-
-        def pull(g):
-            accumulate(x, np.full_like(x.values, float(g) / n))
-
-        return self.emit(out, (x,), pull)
-
-    def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
-        out = Tensor(x.values.reshape(shape))
-
-        def pull(g):
-            accumulate(x, g.reshape(x.values.shape).copy())
-
-        return self.emit(out, (x,), pull)
-
     # -- backward ------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
@@ -264,17 +118,6 @@ class Tape:
             if any(g is not None for g in grads):
                 pullback(*grads)
 
-    @staticmethod
-    def _check_quat_pair(a: Tensor, b: Tensor, name: str) -> None:
-        if (
-            a.values.ndim != 2
-            or b.values.ndim != 2
-            or a.shape[1] != 4
-            or b.shape[1] != 4
-            or a.shape[0] != b.shape[0]
-        ):
-            raise AutodiffError(f"{name} expects matching (n, 4) inputs")
-
 
 def _segment_sum(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
     """Sum ``rows[i]`` into bucket ``index[i]`` of ``n_rows``: one flat
@@ -282,6 +125,34 @@ def _segment_sum(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray
     d = rows.shape[1]
     bins = (index[:, None] * d + np.arange(d)).ravel()
     return np.bincount(bins, rows.ravel(), n_rows * d).reshape(n_rows, d)
+
+
+
+def unit_rows(x: np.ndarray):
+    """The rows of ``x`` over their norms, and the pullback to the gradient of
+    ``x``; an :class:`AutodiffError` for a row of norm below ``QUAT_NORM_FLOOR``."""
+    norms = so3.rownorm(x, keepdims=True)
+    if np.any(norms < QUAT_NORM_FLOOR):
+        raise AutodiffError("cannot normalize a row of norm below 1e-12")
+    y = x / norms
+    # d(x/|x|) = (g - y (y.g)) / |x|
+    return y, lambda g: (g - y * np.sum(y * g, axis=1, keepdims=True)) / norms
+
+
+def quat_dist(a: np.ndarray, b: np.ndarray):
+    """Per-row ``min(|a - b|, |a + b|)``, the sign-flip branch taken at ties,
+    and the pullback to the gradient of ``a``; a row at distance 0 gets 0."""
+    d_minus, d_plus = a - b, a + b
+    n_minus, n_plus = so3.rownorm(d_minus), so3.rownorm(d_plus)
+    take_minus = n_minus < n_plus
+    dist = np.where(take_minus, n_minus, n_plus)
+
+    def pull(g):
+        chosen = np.where(take_minus[:, None], d_minus, d_plus)
+        safe = np.maximum(dist, QUAT_NORM_FLOOR)
+        return g[:, None] * np.where((dist > QUAT_NORM_FLOOR)[:, None], chosen / safe[:, None], 0.0)
+
+    return dist, pull
 
 
 # ---------------------------------------------------------------------------

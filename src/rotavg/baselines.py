@@ -23,7 +23,6 @@ items are left only for the benchmark adapter).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +173,7 @@ def _budget(name: str, value) -> int:
     """``value`` as an int; ``ValueError`` naming ``name`` unless it is a
     non-negative integer."""
     try:
-        k = operator.index(value)
+        k = viewgraph.as_index(value)
     except TypeError:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}") from None
     if k < 0:

@@ -6,7 +6,8 @@ outlier.  Edge features are the raw measurement quaternions; hidden states
 start at zero.  Heads read the final-round message of the stored (canonical)
 edge direction; the reverse direction still shapes the hidden states.  The
 network's sizes are read from its weights (``mpnn.config_of``); only
-``new_weights`` and ``weight_spec`` take an ``MpnnConfig``.
+``new_weights`` and ``weight_spec`` take an ``MpnnConfig``.  The loss and
+its pullback are one numpy function, one tape operation in training.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mpnn, so3, viewgraph
-from .autodiff import ParamStore, Tape, Tensor
+from . import autodiff, mpnn, so3, viewgraph
+from .autodiff import ParamStore, Tape, Tensor, accumulate
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -69,14 +70,13 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
     return store
 
 
-def _head_tensors(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Raw head outputs: correction quaternions (E, 4) and logits (E,)."""
+def _head_tensors(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> list[Tensor]:
+    """Raw head outputs: correction quaternions (E, 4) and logits (E, 1)."""
     mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
     uv, quats = viewgraph.directed_arrays(g)
     heads = [(weights["head_rect.w"], weights["head_rect.b"]),
              (weights["head_out.w"], weights["head_out.b"])]
-    delta_raw, logits = mpnn.forward(tape, weights, uv, quats, None, g.n_nodes, heads, g.n_edges)
-    return delta_raw, tape.reshape(logits, (g.n_edges,))
+    return mpnn.forward(tape, weights, uv, quats, None, g.n_nodes, heads, g.n_edges)
 
 
 def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:
@@ -93,11 +93,10 @@ def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:
     if g.n_edges == 0:
         raise ViewGraphError("cannot clean a graph without edges")
     tape = Tape(recording=False)
-    weights = store.bind(tape)
-    delta_raw, logits = _head_tensors(tape, g, weights)
+    delta_raw, logits = _head_tensors(tape, g, store.bind(tape))
     rect = so3._left_correct(delta_raw.values, g.edge_quat_array())
-    probs = 1.0 / (1.0 + np.exp(-logits.values))
-    return CleanPrediction(rect=rect, outlier_prob=probs, logits=logits.values.copy())
+    logits = logits.values.reshape(g.n_edges)
+    return CleanPrediction(rect=rect, outlier_prob=1.0 / (1.0 + np.exp(-logits)), logits=logits)
 
 
 def gt_outlier_labels(g: ViewGraph) -> np.ndarray:
@@ -114,31 +113,54 @@ def _outlier_labels(g: ViewGraph, rel_gt: np.ndarray) -> np.ndarray:
     return (angles > OUTLIER_THRESHOLD_DEG).astype(np.float64)
 
 
-def _loss_terms(tape: Tape, rect: Tensor, logits: Tensor, g: ViewGraph) -> Tensor:
+def _loss_terms(rect: np.ndarray, logits: np.ndarray, g: ViewGraph):
     """Degree-normalized distance of the unit rows ``rect`` to the ground-truth
     relative orientations plus ``BCE_WEIGHT`` times the mean outlier
-    cross-entropy of ``logits``."""
-    if not g.has_full_gt:
-        raise ViewGraphError("loss requires full ground truth")
+    cross-entropy of the (E,) ``logits``; and the pullback to their gradients."""
+    if not g.has_full_gt or g.n_edges == 0:  # the mean cross-entropy needs an edge
+        raise ViewGraphError("loss requires full ground truth and at least one edge")
     rel_gt = g.relative_gt_array()
-    dists = tape.quat_dist_loss(rect, tape.constant(rel_gt))
-    mre = tape.sum(tape.mul(dists, tape.constant(viewgraph._degree_weights(g))))
-    bce = tape.mean(tape.bce_with_logits(logits, tape.constant(_outlier_labels(g, rel_gt))))
-    return tape.add(mre, tape.scale(bce, BCE_WEIGHT))
+    dists, dists_pull = autodiff.quat_dist(rect, rel_gt)
+    edge_w = viewgraph._degree_weights(g)
+    targets = _outlier_labels(g, rel_gt)
+    bce = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+    loss = (dists * edge_w).sum() + bce.mean() * float(BCE_WEIGHT)
+
+    def pull(g_loss):
+        g_loss = float(g_loss)
+        sig = 1.0 / (1.0 + np.exp(-logits))
+        return (dists_pull(g_loss * edge_w),
+                g_loss * float(BCE_WEIGHT) / logits.size * (sig - targets))
+
+    return loss, pull
 
 
 def clean_loss_graph(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> Tensor:
-    """Differentiable loss of the network's own prediction on ``g``."""
+    """Differentiable loss of the network's own prediction on ``g``: the
+    heads, then one operation from their outputs to the loss."""
     delta_raw, logits = _head_tensors(tape, g, weights)
-    rect_raw = tape.quat_compose(delta_raw, tape.constant(g.edge_quat_array()))
-    return _loss_terms(tape, tape.quat_normalize(rect_raw), logits, g)
+    quats = g.edge_quat_array()
+    rect, rect_pull = autodiff.unit_rows(so3.qmul(delta_raw.values, quats))
+    loss, terms_pull = _loss_terms(rect, logits.values.reshape(g.n_edges), g)
+
+    def pull(g_loss):
+        g_rect, g_logits = terms_pull(g_loss)
+        accumulate(delta_raw, so3.qmul(rect_pull(g_rect), so3.qconj(quats)))
+        accumulate(logits, g_logits.reshape(logits.shape))
+
+    return tape.emit(Tensor(loss), (delta_raw, logits), pull)
 
 
 def clean_loss(pred: CleanPrediction, g: ViewGraph) -> float:
     """Loss value for an existing prediction (evaluation path)."""
-    tape = Tape(recording=False)
-    loss = _loss_terms(tape, tape.constant(pred.rect), tape.constant(pred.logits), g)
-    return float(loss.values)
+    _check_covers(pred, g)
+    return float(_loss_terms(pred.rect, pred.logits, g)[0])
+
+
+def _check_covers(pred: CleanPrediction, g: ViewGraph) -> None:
+    m = g.n_edges
+    if tuple(map(np.shape, (pred.rect, pred.outlier_prob, pred.logits))) != ((m, 4), (m,), (m,)):
+        raise ViewGraphError("prediction does not cover every edge")
 
 
 def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:
@@ -147,9 +169,8 @@ def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:
     If the removal disconnects the graph the result is restricted to the
     largest component.  Removing every edge is an error.
     """
+    _check_covers(pred, g)
     m = g.n_edges
-    if np.shape(pred.rect) != (m, 4) or np.shape(pred.outlier_prob) != (m,):
-        raise ViewGraphError("prediction does not cover every edge")
     keep = pred.outlier_prob <= EPSILON_DEFAULT
     if not np.any(keep):
         raise ViewGraphError("empty cleaned graph: every edge was removed")

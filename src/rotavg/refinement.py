@@ -6,11 +6,12 @@ the initial orientation quaternions (zero-padded); the feature of directed
 edge ``u -> v`` is the discrepancy ``init_v^-1 * q_uv * init_u`` between the
 measurement and the initialization.  The head maps final node states to a
 corrective rotation applied on the left of the initialization.  One head
-serves both paths: ``forward_tensors`` composes its raw output on the tape
-(training and losses), and ``refine_forward`` composes the same values,
-with rows whose norm underflows replaced by the identity (inference).
-Initializations and predictions are (N, 4) rows; ``refine_forward``
-returns a read-only ``so3.Orientations`` view (items for the adapter).
+serves both paths: ``forward_tensors`` composes its raw output in one tape
+operation (training and losses), and ``refine_forward`` composes the same
+values, with rows whose norm underflows replaced by the identity
+(inference).  Initializations and predictions are (N, 4) rows;
+``refine_forward`` returns a read-only ``so3.Orientations`` view (items for
+the adapter).  The loss and its pullback are one numpy function.
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
@@ -24,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import mpnn, so3, viewgraph
-from .autodiff import ParamStore, Tape, Tensor
+from . import autodiff, mpnn, so3, viewgraph
+from .autodiff import AutodiffError, ParamStore, Tape, Tensor, _segment_sum, accumulate
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -72,9 +73,12 @@ def _corrections(
 def forward_tensors(
     tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
 ) -> Tensor:
-    """Refined orientations as an (N, 4) tensor (not yet re-referenced)."""
+    """Refined orientations as an (N, 4) tensor (not yet re-referenced): the
+    head's corrections, normalized and composed on the left of ``init_rows``."""
     delta_raw = _corrections(tape, g, init_rows, weights)
-    return tape.quat_compose(tape.quat_normalize(delta_raw), tape.constant(init_rows))
+    delta, delta_pull = autodiff.unit_rows(delta_raw.values)
+    return tape.emit(Tensor(so3.qmul(delta, init_rows)), (delta_raw,), lambda g_pred: accumulate(
+        delta_raw, delta_pull(so3.qmul(g_pred, so3.qconj(init_rows)))))
 
 
 def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) -> so3.Orientations:
@@ -96,13 +100,17 @@ def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) 
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 
 
-def loss_from_pred(
-    tape: Tape,
-    pred: Tensor,
-    g: ViewGraph,
-    root: int,
-) -> Tensor:
-    """Consistency loss over edges plus the anchoring term over nodes.
+def loss_from_pred(tape: Tape, pred: Tensor, g: ViewGraph, root: int) -> Tensor:
+    """The loss of the (N, 4) predicted rows ``pred`` as one operation."""
+    if pred.shape != (g.n_nodes, 4):
+        raise AutodiffError(f"prediction of shape {pred.shape} is not ({g.n_nodes}, 4)")
+    loss, rows_pull = _loss_terms(pred.values, g, root)
+    return tape.emit(Tensor(loss), (pred,), lambda g_loss: accumulate(pred, rows_pull(g_loss)))
+
+
+def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
+    """Consistency loss over edges plus the anchoring term over nodes, and
+    the pullback to the gradient of ``pred``.
 
     Edge term: degree-normalized quaternion distance between predicted and
     ground-truth relative orientations.  Node term: ``BETA / deg(v)`` times
@@ -114,24 +122,29 @@ def loss_from_pred(
     if so3.qangle_deg(g.gt[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError("ground truth is not referenced at the root; "
                              "re-reference before the loss")
-    degrees = g.degree_array()
-
     u_idx, v_idx = g.endpoint_arrays()
-    pred_u = tape.gather(pred, u_idx)
-    pred_v = tape.gather(pred, v_idx)
-    rel = tape.quat_normalize(tape.quat_compose(pred_v, tape.quat_conjugate(pred_u)))
-    gt_rel = tape.constant(g.relative_gt_array())
-    edge_w = tape.constant(viewgraph._degree_weights(g))
-    edge_term = tape.sum(tape.mul(tape.quat_dist_loss(rel, gt_rel), edge_w))
+    pred_v = pred.take(v_idx, axis=0)
+    conj_u = so3.qconj(pred.take(u_idx, axis=0))
+    rel, rel_pull = autodiff.unit_rows(so3.qmul(pred_v, conj_u))
+    edge_d, edge_pull = autodiff.quat_dist(rel, g.relative_gt_array())
+    edge_w = viewgraph._degree_weights(g)
+    unit, unit_pull = autodiff.unit_rows(pred)
+    node_d, node_pull = autodiff.quat_dist(unit, g.gt_array())
+    node_w = BETA / g.degree_array()
+    loss = (edge_d * edge_w).sum() + (node_d * node_w).sum()
 
-    gt_abs = tape.constant(g.gt_array())
-    node_d = tape.quat_dist_loss(tape.quat_normalize(pred), gt_abs)
-    node_term = tape.sum(tape.mul(node_d, tape.constant(BETA / degrees)))
-    return tape.add(edge_term, node_term)
+    def pull(g_loss):
+        g_loss = float(g_loss)
+        g_pred = unit_pull(node_pull(g_loss * node_w))
+        g_rel = rel_pull(edge_pull(g_loss * edge_w))
+        # the node term first, then the v ends, then the u ends
+        g_pred += _segment_sum(so3.qmul(g_rel, so3.qconj(conj_u)), v_idx, g.n_nodes)
+        g_pred += _segment_sum(so3.qconj(so3.qmul(so3.qconj(pred_v), g_rel)), u_idx, g.n_nodes)
+        return g_pred
+
+    return loss, pull
 
 
 def refine_loss(pred: ArrayLike, g: ViewGraph, root: int) -> float:
     """Loss value for concrete (N, 4) predicted rows (evaluation path)."""
-    tape = Tape(recording=False)
-    rows = tape.constant(viewgraph.orientation_rows(g, pred))
-    return float(loss_from_pred(tape, rows, g, root).values)
+    return float(_loss_terms(viewgraph.orientation_rows(g, pred), g, root)[0])

@@ -150,11 +150,9 @@ def train_cleannet(
     cfg: TrainConfig,
 ) -> tuple[ParamStore, TrainLog]:
     """Train the edge-cleaning network; returns the best-validation weights."""
-
-    def graph_loss(tape: Tape, weights: dict[str, Tensor], g: ViewGraph) -> Tensor:
-        return cleaning.clean_loss_graph(tape, g, weights)
-
-    return _fit(cleaning.new_weights(cfg.seed), graph_loss, train_graphs, val_graphs, cfg)
+    return _fit(cleaning.new_weights(cfg.seed),
+                lambda tape, weights, g: cleaning.clean_loss_graph(tape, g, weights),
+                train_graphs, val_graphs, cfg)
 
 
 def prepare_refinement_sample(

@@ -75,7 +75,7 @@ class ViewGraph:
         ``u < v``; ``gt`` is (N, 4) rows, each all NaN (unknown) or finite and
         nonzero.  Stores read-only copies."""
         try:
-            n = operator.index(n_nodes)
+            n = as_index(n_nodes)
         except TypeError:
             raise ViewGraphError(f"n_nodes must be an integer, got {n_nodes!r}") from None
         if n < 0:
@@ -190,11 +190,18 @@ class ViewGraph:
         return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
 
 
+def as_index(value) -> int:
+    """``operator.index(value)``, and a ``TypeError`` for a bool, which is no count or id."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
 def node_id(i: int, n: int, name: str) -> int:
     """``i`` as a node id of an ``n``-node graph; a :class:`ViewGraphError`
     naming the argument ``name`` unless it is an integer in ``[0, n)``."""
     try:
-        k = operator.index(i)
+        k = as_index(i)
     except TypeError:
         raise ViewGraphError(f"{name} must be an integer node id, got {i!r}") from None
     if not 0 <= k < n:

@@ -1,24 +1,36 @@
-"""The message-passing round on generic tape primitives: the tests' oracle.
+"""The networks on generic tape primitives: the tests' oracle.
 
-``rotavg.mpnn.forward`` is one tape operation with a hand-written pullback
-over node-aligned runs of edges.  This module keeps the recording loop it
-replaced: every round over all 2E directed edges at once, composed from
-``OracleTape``'s primitives (``edge_linear``, ``scatter_mean``, ``relu`` and
-``concat``, which have no caller in the package) and the tape's ``linear``
-and ``gather``.  Its values and gradients are the reference the fused
-operation is checked against; ``forward`` takes the same arguments as
-``mpnn.forward`` and runs on any tape.
+In the package, the message-passing rounds (``rotavg.mpnn.forward``),
+CleanNet's loss, FineNet's correction and FineNet's loss are each one tape
+operation with a hand-written pullback, and ``Tape`` keeps only ``leaf``,
+``emit``, ``linear`` and ``backward``.  ``OracleTape`` keeps the generic
+primitives they replaced, none of which has a caller in the package, and
+the compositions built from them:
+
+- ``forward``, the former recording loop of the rounds: every round over
+  all 2E directed edges at once, from ``edge_linear``, ``scatter_mean``,
+  ``relu``, ``concat``, ``gather`` and the tape's ``linear``.  It takes the
+  same arguments as ``mpnn.forward`` and runs on any tape.
+- ``OracleTape.clean_loss`` and ``OracleTape.refine_loss``, the former loss
+  graphs over the heads' outputs, from the quaternion primitives
+  (``quat_normalize``, ``quat_compose``, ``quat_conjugate``,
+  ``quat_dist_loss``), ``bce_with_logits`` and the elementwise ones.
+
+Their values and gradients are the reference the fused operations are
+checked against; the fused losses must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rotavg.autodiff import AutodiffError, Tape, Tensor, _segment_sum, accumulate
+from rotavg import cleaning, refinement, so3, viewgraph
+from rotavg.autodiff import QUAT_NORM_FLOOR, AutodiffError, Tape, Tensor, _segment_sum, accumulate
+from rotavg.viewgraph import ViewGraphError
 
 
 class OracleTape(Tape):
-    """A tape with the four primitives of the former recording loop."""
+    """A tape with the generic primitives the package's fused operations replaced."""
 
     def edge_linear(
         self, h: Tensor, dst: np.ndarray, src: np.ndarray, e: Tensor, w: Tensor, b: Tensor
@@ -88,19 +100,6 @@ class OracleTape(Tape):
 
         return self.emit(out, tuple(xs), pull)
 
-    def gather(self, x: Tensor, index: np.ndarray) -> Tensor:
-        index = np.asarray(index, dtype=np.int64)
-        if x.values.ndim != 2 or index.ndim != 1:
-            raise AutodiffError("gather expects x (n,d) and a 1-D index")
-        if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-            raise AutodiffError("gather index out of range")
-        out = Tensor(x.values[index])
-
-        def pull(g):
-            accumulate(x, _segment_sum(g, index, x.shape[0]))
-
-        return self.emit(out, (x,), pull)
-
     def scatter_mean(self, src: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
         index = np.asarray(index, dtype=np.int64)
         if src.values.ndim != 2 or index.ndim != 1 or index.shape[0] != src.shape[0]:
@@ -117,6 +116,201 @@ class OracleTape(Tape):
 
         return self.emit(out, (src,), pull)
 
+    def constant(self, values) -> Tensor:
+        return Tensor(np.asarray(values, dtype=np.float64), False)
+
+    def gather(self, x: Tensor, index: np.ndarray) -> Tensor:
+        index = np.asarray(index, dtype=np.int64)
+        if x.values.ndim != 2 or index.ndim != 1:
+            raise AutodiffError("gather expects x (n,d) and a 1-D index")
+        if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+            raise AutodiffError("gather index out of range")
+        out = Tensor(np.take(x.values, index, axis=0))
+
+        def pull(g):
+            accumulate(x, _segment_sum(g, index, x.shape[0]))
+
+        return self.emit(out, (x,), pull)
+
+    def quat_normalize(self, x: Tensor) -> Tensor:
+        if x.values.ndim != 2 or x.shape[1] != 4:
+            raise AutodiffError("quat_normalize expects rows of 4")
+        norms = so3.rownorm(x.values, keepdims=True)
+        if np.any(norms < QUAT_NORM_FLOOR):
+            raise AutodiffError("quat_normalize: row norm below 1e-12")
+        y = x.values / norms
+        out = Tensor(y)
+
+        def pull(g):
+            # d(x/|x|) = (g - y (y.g)) / |x|
+            proj = np.sum(y * g, axis=1, keepdims=True)
+            accumulate(x, (g - y * proj) / norms)
+
+        return self.emit(out, (x,), pull)
+
+    def quat_compose(self, a: Tensor, b: Tensor) -> Tensor:
+        self._check_quat_pair(a, b, "quat_compose")
+        out = Tensor(so3.qmul(a.values, b.values))
+
+        def pull(g):
+            accumulate(a, so3.qmul(g, so3.qconj(b.values)))
+            accumulate(b, so3.qmul(so3.qconj(a.values), g))
+
+        return self.emit(out, (a, b), pull)
+
+    def quat_conjugate(self, x: Tensor) -> Tensor:
+        if x.values.ndim != 2 or x.shape[1] != 4:
+            raise AutodiffError("quat_conjugate expects rows of 4")
+        out = Tensor(so3.qconj(x.values))
+
+        def pull(g):
+            accumulate(x, so3.qconj(g))
+
+        return self.emit(out, (x,), pull)
+
+    def bce_with_logits(self, logits: Tensor, targets: Tensor) -> Tensor:
+        if logits.shape != targets.shape or logits.values.ndim != 1:
+            raise AutodiffError("bce_with_logits expects matching 1-D inputs")
+        z = logits.values
+        t = targets.values
+        out = Tensor(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z))))
+
+        def pull(g):
+            sig = 1.0 / (1.0 + np.exp(-z))
+            accumulate(logits, g * (sig - t))
+
+        return self.emit(out, (logits, targets), pull)
+
+    def quat_dist_loss(self, a: Tensor, b: Tensor) -> Tensor:
+        """Per-row ``min(|a - b|, |a + b|)`` with the sign-flip branch taken
+        deterministically at ties."""
+        self._check_quat_pair(a, b, "quat_dist_loss")
+        d_minus = a.values - b.values
+        d_plus = a.values + b.values
+        n_minus = so3.rownorm(d_minus)
+        n_plus = so3.rownorm(d_plus)
+        take_minus = n_minus < n_plus
+        out = Tensor(np.where(take_minus, n_minus, n_plus))
+
+        def pull(g):
+            chosen = np.where(take_minus[:, None], d_minus, d_plus)
+            norms = np.where(take_minus, n_minus, n_plus)
+            safe = np.maximum(norms, QUAT_NORM_FLOOR)
+            direction = np.where(
+                (norms > QUAT_NORM_FLOOR)[:, None], chosen / safe[:, None], 0.0
+            )
+            accumulate(a, g[:, None] * direction)
+            sign_b = np.where(take_minus, -1.0, 1.0)
+            accumulate(b, (g * sign_b)[:, None] * direction)
+
+        return self.emit(out, (a, b), pull)
+
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
+        if a.shape != b.shape:
+            raise AutodiffError(f"add shape mismatch: {a.shape} vs {b.shape}")
+        out = Tensor(a.values + b.values)
+
+        def pull(g):
+            accumulate(a, g.copy())
+            accumulate(b, g.copy())
+
+        return self.emit(out, (a, b), pull)
+
+    def mul(self, a: Tensor, b: Tensor) -> Tensor:
+        if a.shape != b.shape:
+            raise AutodiffError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+        out = Tensor(a.values * b.values)
+
+        def pull(g):
+            accumulate(a, g * b.values)
+            accumulate(b, g * a.values)
+
+        return self.emit(out, (a, b), pull)
+
+    def scale(self, x: Tensor, c: float) -> Tensor:
+        c = float(c)
+        out = Tensor(x.values * c)
+
+        def pull(g):
+            accumulate(x, g * c)
+
+        return self.emit(out, (x,), pull)
+
+    def sum(self, x: Tensor) -> Tensor:
+        out = Tensor(np.asarray(x.values.sum()))
+
+        def pull(g):
+            accumulate(x, np.full_like(x.values, float(g)))
+
+        return self.emit(out, (x,), pull)
+
+    def mean(self, x: Tensor) -> Tensor:
+        n = x.values.size
+        if n == 0:
+            raise AutodiffError("mean of an empty tensor")
+        out = Tensor(np.asarray(x.values.mean()))
+
+        def pull(g):
+            accumulate(x, np.full_like(x.values, float(g) / n))
+
+        return self.emit(out, (x,), pull)
+
+    def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
+        out = Tensor(x.values.reshape(shape))
+
+        def pull(g):
+            accumulate(x, g.reshape(x.values.shape).copy())
+
+        return self.emit(out, (x,), pull)
+
+    # -- the former loss compositions ----------------------------------
+
+    def clean_loss(self, delta_raw: Tensor, logits: Tensor, g) -> Tensor:
+        """CleanNet's loss from its heads' outputs, ``(E, 4)`` corrections and
+        ``(E, 1)`` logits: the oracle of ``cleaning.clean_loss_graph``."""
+        logits = self.reshape(logits, (g.n_edges,))
+        rect = self.quat_normalize(self.quat_compose(delta_raw, self.constant(g.edge_quat_array())))
+        if not g.has_full_gt:
+            raise ViewGraphError("loss requires full ground truth")
+        rel_gt = g.relative_gt_array()
+        dists = self.quat_dist_loss(rect, self.constant(rel_gt))
+        mre = self.sum(self.mul(dists, self.constant(viewgraph._degree_weights(g))))
+        labels = self.constant(cleaning._outlier_labels(g, rel_gt))
+        bce = self.mean(self.bce_with_logits(logits, labels))
+        return self.add(mre, self.scale(bce, cleaning.BCE_WEIGHT))
+
+    def refine_loss(self, delta_raw: Tensor, init_rows: np.ndarray, g, root: int) -> Tensor:
+        """FineNet's loss from its head's ``(N, 4)`` corrections: the oracle of
+        ``refinement.forward_tensors`` followed by ``refinement.loss_from_pred``."""
+        pred = self.quat_compose(self.quat_normalize(delta_raw), self.constant(init_rows))
+        if not g.has_full_gt:
+            raise ViewGraphError("loss requires full ground truth")
+        root = viewgraph.node_id(root, g.n_nodes, "root")
+        if so3.qangle_deg(g.gt[root], refinement._IDENTITY) > refinement.REFERENCE_TOL:
+            raise ViewGraphError("ground truth is not referenced at the root; "
+                                 "re-reference before the loss")
+        u_idx, v_idx = g.endpoint_arrays()
+        pred_u = self.gather(pred, u_idx)
+        pred_v = self.gather(pred, v_idx)
+        rel = self.quat_normalize(self.quat_compose(pred_v, self.quat_conjugate(pred_u)))
+        edge_w = self.constant(viewgraph._degree_weights(g))
+        edge_d = self.quat_dist_loss(rel, self.constant(g.relative_gt_array()))
+        edge_term = self.sum(self.mul(edge_d, edge_w))
+        node_d = self.quat_dist_loss(self.quat_normalize(pred), self.constant(g.gt_array()))
+        node_term = self.sum(self.mul(node_d, self.constant(refinement.BETA / g.degree_array())))
+        return self.add(edge_term, node_term)
+
+    @staticmethod
+    def _check_quat_pair(a: Tensor, b: Tensor, name: str) -> None:
+        if (
+            a.values.ndim != 2
+            or b.values.ndim != 2
+            or a.shape[1] != 4
+            or b.shape[1] != 4
+            or a.shape[0] != b.shape[0]
+        ):
+            raise AutodiffError(f"{name} expects matching (n, 4) inputs")
+
 
 def forward(tape, weights, uv, edge_feats, node_init, n_nodes, heads=(), head_rows=0):
     """The former recording loop of ``mpnn.forward``, with its results; the
@@ -126,12 +320,12 @@ def forward(tape, weights, uv, edge_feats, node_init, n_nodes, heads=(), head_ro
     hidden = weights["step0.upd.w"].shape[1]
     uv = np.asarray(uv, dtype=np.int64)
     src, dst = uv[:, 0], uv[:, 1]
-    feats = tape.constant(edge_feats)
+    feats = ops.constant(tape, edge_feats)
     if node_init is None:
-        h = tape.constant(np.zeros((n_nodes, hidden)))
+        h = ops.constant(tape, np.zeros((n_nodes, hidden)))
     else:
-        pad = tape.constant(np.zeros((n_nodes, hidden - node_init.shape[1])))
-        h = ops.concat(tape, [tape.constant(node_init), pad])
+        pad = ops.constant(tape, np.zeros((n_nodes, hidden - node_init.shape[1])))
+        h = ops.concat(tape, [ops.constant(tape, node_init), pad])
     for t in range(rounds):
         step = f"step{t}"
         x = ops.relu(tape, ops.edge_linear(
@@ -139,7 +333,7 @@ def forward(tape, weights, uv, edge_feats, node_init, n_nodes, heads=(), head_ro
         ))
         msgs = ops.relu(tape, tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
         if heads and t == rounds - 1:
-            rows = tape.gather(msgs, np.arange(head_rows))
+            rows = ops.gather(tape, msgs, np.arange(head_rows))
             return [tape.linear(rows, w, b) for w, b in heads]
         x = ops.concat(tape, [h, ops.scatter_mean(tape, msgs, dst, n_nodes)])
         h = ops.relu(tape, tape.linear(x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))

@@ -24,6 +24,11 @@ from rotavg.autodiff import (
 RNG = np.random.default_rng(1234)
 
 
+def oracle_fd(build, params):
+    """``fd_gradients`` on the oracle tape, which has the generic primitives."""
+    return fd_gradients(build, params, tape_cls=OracleTape)
+
+
 def quat_rows(n, scale=1.0, seed=0):
     rows = so3.sample_uniform_rows(np.random.default_rng(seed), n)
     return rows * scale
@@ -38,15 +43,14 @@ class TestPrimitiveGradients:
             "w": RNG.normal(size=(5, 3)),
             "b": RNG.normal(size=3),
         }
-        err = fd_gradients(lambda t, p: t.sum(t.linear(p["x"], p["w"], p["b"])), params)
+        err = oracle_fd(lambda t, p: t.sum(t.linear(p["x"], p["w"], p["b"])), params)
         assert err < 1e-4
 
     def test_relu(self):
         # keep inputs away from the kink
         x = RNG.normal(size=(5, 4))
         x[np.abs(x) < 0.05] += 0.1
-        err = fd_gradients(lambda t, p: t.sum(t.mul(t.relu(p["x"]), p["x"])), {"x": x},
-                           tape_cls=OracleTape)
+        err = oracle_fd(lambda t, p: t.sum(t.mul(t.relu(p["x"]), p["x"])), {"x": x})
         assert err < 1e-4
 
     def test_relu_subgradient_sides(self):
@@ -58,16 +62,16 @@ class TestPrimitiveGradients:
 
     def test_concat_axis1(self):
         params = {"a": RNG.normal(size=(4, 2)), "b": RNG.normal(size=(4, 3))}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.sum(t.mul(t.concat([p["a"], p["b"]]), t.concat([p["a"], p["b"]]))),
-            params, tape_cls=OracleTape,
+            params,
         )
         assert err < 1e-4
 
     def test_gather(self):
         idx = np.array([0, 2, 2, 1])
         params = {"x": RNG.normal(size=(3, 4))}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.sum(t.mul(t.gather(p["x"], idx), t.gather(p["x"], idx))), params
         )
         assert err < 1e-4
@@ -85,22 +89,22 @@ class TestPrimitiveGradients:
             out = t.edge_linear(p["h"], dst, src, p["e"], p["w"], p["b"])
             return t.sum(t.mul(out, out))
 
-        assert fd_gradients(build, params, tape_cls=OracleTape) < 1e-4
+        assert oracle_fd(build, params) < 1e-4
 
     def test_scatter_mean(self):
         idx = np.array([0, 0, 1, 3, 3, 3])
         params = {"src": RNG.normal(size=(6, 2))}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.sum(t.mul(t.scatter_mean(p["src"], idx, 5), t.scatter_mean(p["src"], idx, 5))),
-            params, tape_cls=OracleTape,
+            params,
         )
         assert err < 1e-4
 
     def test_quat_normalize(self):
         params = {"x": quat_rows(5, scale=1.7, seed=3)}
-        target = Tape().constant(quat_rows(5, seed=4))
-        err = fd_gradients(
-            lambda t, p: t.sum(t.quat_dist_loss(t.quat_normalize(p["x"]), t.constant(target.values))),
+        target = quat_rows(5, seed=4)
+        err = oracle_fd(
+            lambda t, p: t.sum(t.quat_dist_loss(t.quat_normalize(p["x"]), t.constant(target))),
             params,
         )
         assert err < 1e-4
@@ -108,7 +112,7 @@ class TestPrimitiveGradients:
     def test_quat_compose_and_conjugate(self):
         params = {"a": quat_rows(4, seed=5), "b": quat_rows(4, seed=6)}
         tgt = quat_rows(4, seed=7)
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.sum(
                 t.quat_dist_loss(t.quat_compose(p["a"], t.quat_conjugate(p["b"])), t.constant(tgt))
             ),
@@ -119,21 +123,21 @@ class TestPrimitiveGradients:
     def test_bce_with_logits(self):
         targets = (RNG.uniform(size=7) > 0.4).astype(float)
         params = {"z": RNG.normal(size=7) * 2.0}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.mean(t.bce_with_logits(p["z"], t.constant(targets))), params
         )
         assert err < 1e-4
 
     def test_quat_dist_loss_both_sides(self):
         params = {"a": quat_rows(6, seed=8), "b": quat_rows(6, seed=9)}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.sum(t.quat_dist_loss(p["a"], p["b"])), params
         )
         assert err < 1e-4
 
     def test_elementwise_and_reductions(self):
         params = {"a": RNG.normal(size=(3, 3)), "b": RNG.normal(size=(3, 3))}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.add(
                 t.mean(t.mul(p["a"], p["b"])), t.scale(t.sum(p["a"]), 0.3)
             ),
@@ -143,7 +147,7 @@ class TestPrimitiveGradients:
 
     def test_reshape(self):
         params = {"x": RNG.normal(size=(4, 1))}
-        err = fd_gradients(
+        err = oracle_fd(
             lambda t, p: t.sum(
                 t.bce_with_logits(t.reshape(p["x"], (4,)), t.constant(np.ones(4)))
             ),
@@ -180,7 +184,7 @@ class TestForwardSemantics:
     def test_quat_compose_matches_so3(self):
         a = quat_rows(5, seed=10)
         b = quat_rows(5, seed=11)
-        tape = Tape()
+        tape = OracleTape()
         out = tape.quat_compose(tape.leaf(a), tape.leaf(b))
         assert np.allclose(out.values, so3.qmul(a, b))
 
@@ -189,7 +193,7 @@ class TestForwardSemantics:
         # deterministic choice is the sign-flipped one
         a = np.array([[1.0, 0.0, 0.0, 0.0]])
         b = np.array([[0.0, 1.0, 0.0, 0.0]])
-        tape = Tape()
+        tape = OracleTape()
         ta = tape.leaf(a, requires_grad=True)
         loss = tape.sum(tape.quat_dist_loss(ta, tape.leaf(b)))
         tape.backward(loss)
@@ -242,7 +246,7 @@ class TestSegmentSumOracle:
     @given(segment_inputs())
     def test_gather_pullback(self, case):
         g, index, n_rows = case
-        tape = Tape()
+        tape = OracleTape()
         x = tape.leaf(np.ones((n_rows, g.shape[1])), requires_grad=True)
         tape.backward(tape.sum(tape.mul(tape.gather(x, index), tape.constant(g))))
         bound = reduceat_segment_sum(np.abs(g), index, n_rows)
@@ -381,7 +385,7 @@ class TestErrors:
             tape.backward(y)
 
     def test_consumed_tape(self):
-        tape = Tape()
+        tape = OracleTape()
         x = tape.leaf(np.ones(3), requires_grad=True)
         loss = tape.sum(x)
         tape.backward(loss)
@@ -389,14 +393,14 @@ class TestErrors:
             tape.backward(loss)
 
     def test_quat_normalize_degenerate(self):
-        tape = Tape()
+        tape = OracleTape()
         with pytest.raises(AutodiffError, match="norm"):
             tape.quat_normalize(tape.leaf(np.zeros((1, 4))))
 
 
 class TestBackwardClosedForms:
     def test_sum_of_weights_gives_ones(self):
-        tape = Tape()
+        tape = OracleTape()
         w = tape.leaf(RNG.normal(size=(3, 4)), requires_grad=True)
         tape.backward(tape.sum(w))
         assert np.array_equal(w.grad, np.ones((3, 4)))
@@ -405,7 +409,7 @@ class TestBackwardClosedForms:
         # loss = |W x|^2 has gradient 2 (W x) x^T in W
         x = RNG.normal(size=(1, 4))
         w0 = RNG.normal(size=(4, 3))
-        tape = Tape()
+        tape = OracleTape()
         w = tape.leaf(w0, requires_grad=True)
         y = tape.linear(tape.constant(x), w, tape.constant(np.zeros(3)))
         loss = tape.sum(tape.mul(y, y))
@@ -414,7 +418,7 @@ class TestBackwardClosedForms:
         assert np.allclose(w.grad, expected, atol=1e-12)
 
     def test_fanout_accumulates(self):
-        tape = Tape()
+        tape = OracleTape()
         x = tape.leaf(np.array([2.0]), requires_grad=True)
         loss = tape.sum(tape.add(x, x))
         tape.backward(loss)
@@ -422,7 +426,7 @@ class TestBackwardClosedForms:
 
     def test_pass_through_gradients_are_not_shared(self):
         # add hands the same upstream array to both inputs; each gets its own
-        tape = Tape()
+        tape = OracleTape()
         a = tape.leaf(np.ones(3), requires_grad=True)
         b = tape.leaf(np.ones(3), requires_grad=True)
         c = tape.leaf(np.ones(3), requires_grad=True)
@@ -459,7 +463,7 @@ class TestAdam:
 
     def test_zero_gradients_no_change(self):
         store = self._store(np.array([1.0, -2.0]))
-        tape = Tape()
+        tape = OracleTape()
         bound = store.bind(tape)
         loss = tape.sum(tape.scale(bound["p"], 0.0))
         tape.backward(loss)
@@ -471,7 +475,7 @@ class TestAdam:
         store = self._store(np.zeros(1))
         target = 3.0
         for _ in range(500):
-            tape = Tape()
+            tape = OracleTape()
             bound = store.bind(tape)
             diff = tape.add(bound["p"], tape.constant(np.array([-target])))
             loss = tape.sum(tape.mul(diff, diff))
@@ -483,7 +487,7 @@ class TestAdam:
         store = self._store(np.array([5.0]))
         norms = [5.0]
         for _ in range(10):
-            tape = Tape()
+            tape = OracleTape()
             bound = store.bind(tape)
             loss = tape.sum(tape.scale(bound["p"], 0.0))
             tape.backward(loss)
@@ -493,7 +497,7 @@ class TestAdam:
 
     def test_missing_gradients_error(self):
         store = self._store(np.ones(2))
-        tape = Tape()
+        tape = OracleTape()
         store.bind(tape)
         with pytest.raises(AutodiffError, match="gradient"):
             store.adam_step(lr=0.1)

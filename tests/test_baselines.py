@@ -806,6 +806,11 @@ class TestWeiszfeldLevelSchedule:
                      id="max_iters-three-phases"),
         pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(2.5, 1)), "max_iters",
                      id="max_iters-non-integer"),
+        # a bool would otherwise count as the integer 1
+        pytest.param(lambda g, init: baselines.weiszfeld_mra(g, init, sweeps=True), "sweeps",
+                     id="sweeps-bool"),
+        pytest.param(lambda g, init: baselines.irls_mra(g, init, max_iters=(5, True)), "max_iters",
+                     id="max_iters-bool"),
     ],
 )
 def test_negative_budget_rejected(solve, name):

@@ -219,6 +219,15 @@ class TestLoss:
         with pytest.raises(ViewGraphError):
             cleaning.clean_loss_graph(tape, g, store.bind(tape))
 
+    def test_requires_an_edge(self):
+        g = ViewGraph(2, [], [], np.zeros((0, 4)), gt=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+        empty = cleaning.CleanPrediction(np.zeros((0, 4)), np.zeros(0), np.zeros(0))
+        with pytest.raises(ViewGraphError, match="at least one edge"):
+            cleaning.clean_loss(empty, g)
+        tape = Tape()
+        with pytest.raises(ViewGraphError, match="at least one edge"):
+            cleaning.clean_loss_graph(tape, g, tiny_clean_weights().bind(tape))
+
 
     def test_training_step_peak_memory_within_edge_budget(self):
         # the dense-shaped graph of TestForward; a recording step keeps the
@@ -289,5 +298,18 @@ class TestCleanGraph:
         g = noisy_graph(seed=13)
         pred = cleaning.clean_forward(g, cleaning.new_weights(13))
         setattr(pred, field, getattr(pred, field)[:-1])
+        with pytest.raises(ViewGraphError, match="does not cover every edge"):
+            cleaning.clean_graph(g, pred)
+
+    @pytest.mark.parametrize("field", ["rect", "outlier_prob", "logits"])
+    @pytest.mark.parametrize("rows", ["one", "longer"])
+    def test_prediction_of_another_length_errors(self, field, rows):
+        # one row would broadcast over every edge in the loss and give a number
+        g = noisy_graph(seed=13)
+        pred = cleaning.clean_forward(g, cleaning.new_weights(13))
+        values = getattr(pred, field)
+        setattr(pred, field, values[:1] if rows == "one" else np.concatenate([values, values]))
+        with pytest.raises(ViewGraphError, match="does not cover every edge"):
+            cleaning.clean_loss(pred, g)
         with pytest.raises(ViewGraphError, match="does not cover every edge"):
             cleaning.clean_graph(g, pred)

@@ -137,7 +137,8 @@ class TestForward:
     def test_non_integer_root_rejected(self):
         g, root = referenced_graph(seed=5)
         init = spt_init(g, root)
-        for bad in (float(root) + 0.5, float(root), str(root), None):
+        # a bool would otherwise run at node 1
+        for bad in (float(root) + 0.5, float(root), str(root), None, True, np.True_):
             with pytest.raises(ViewGraphError, match="root must be an integer"):
                 refinement.refine_forward(g, init, tiny_refine_weights(5), bad)
             with pytest.raises(ViewGraphError, match="root must be an integer"):

@@ -9,6 +9,7 @@ import pytest
 
 import mpnn_oracle
 from rotavg import cleaning, mpnn, refinement, synthgen, trainer, viewgraph
+from rotavg.autodiff import Tensor
 from rotavg.trainer import TrainConfig, TrainingError
 from rotavg.viewgraph import ViewGraph
 
@@ -167,7 +168,7 @@ class TestNonFinite:
         loss_graph = cleaning.clean_loss_graph
 
         def nan_loss(tape, g, weights):
-            return tape.scale(loss_graph(tape, g, weights), math.nan)
+            return Tensor(loss_graph(tape, g, weights).values * math.nan)
 
         monkeypatch.setattr(cleaning, "clean_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
@@ -177,7 +178,7 @@ class TestNonFinite:
         loss_from_pred = refinement.loss_from_pred
 
         def nan_loss(tape, pred, g, root):
-            return tape.scale(loss_from_pred(tape, pred, g, root), math.nan)
+            return Tensor(loss_from_pred(tape, pred, g, root).values * math.nan)
 
         monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):

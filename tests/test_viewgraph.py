@@ -222,6 +222,10 @@ class TestArrayStore:
         for n in (2.5, "3", None):
             with pytest.raises(ViewGraphError, match="n_nodes must be an integer"):
                 ViewGraph(n, [0], [1], q)
+        # True would otherwise count as 1 and build a one-node graph
+        for n in (True, False, np.True_):
+            with pytest.raises(ViewGraphError, match="n_nodes must be an integer"):
+                ViewGraph(n, [], [], [])
         # a float end would otherwise be truncated: (0.7, 1.2) stored as (0, 1)
         for u, v in (([0.7], [1.2]), ([0], [1.0]), (np.array([True]), [0])):
             with pytest.raises(ViewGraphError, match="endpoints must be integers"):
@@ -662,9 +666,11 @@ class TestRootAndTree:
 
     def test_non_integer_root_rejected(self):
         g = small_graph()
-        for root in (1.5, "1", None):
+        for root in (1.5, "1", None, True, np.True_):
             with pytest.raises(ViewGraphError, match="root must be an integer"):
                 viewgraph.shortest_path_tree(g, root)
+            with pytest.raises(ViewGraphError, match="root must be an integer"):
+                viewgraph.node_id(root, 5, "root")
         for root in (-1, 4):
             with pytest.raises(ViewGraphError, match=f"root {root} out of range"):
                 viewgraph.shortest_path_tree(g, root)
