@@ -118,6 +118,10 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
     """
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
+    degree = g.degree_array()
+    if not degree.all():
+        raise ViewGraphError(f"node {int(np.argmin(degree))} has no edge; the loss weighs "
+                             "each node by 1 / degree")
     root = viewgraph.node_id(root, g.n_nodes, "root")
     if so3.qangle_deg(g.gt[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError("ground truth is not referenced at the root; "
@@ -130,7 +134,7 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
     edge_w = viewgraph._degree_weights(g)
     unit, unit_pull = autodiff.unit_rows(pred)
     node_d, node_pull = autodiff.quat_dist(unit, g.gt_array())
-    node_w = BETA / g.degree_array()
+    node_w = BETA / degree
     loss = (edge_d * edge_w).sum() + (node_d * node_w).sum()
 
     def pull(g_loss):

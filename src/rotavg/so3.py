@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 # Tolerance table (single source for the whole package).
-UNIT_TOL = 1e-9           # |norm - 1| guaranteed after canonicalization
 ZERO_SIGN_TOL = 1e-12     # component magnitude treated as zero for sign rules
 NORM_SKIP_TOL = 1e-12     # skip renormalization when already this close to 1
 SMALL_ANGLE = 1e-6        # series fallback threshold for log/exp maps (rad)

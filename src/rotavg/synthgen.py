@@ -1,4 +1,5 @@
-"""Synthetic view-graph corpus generator (corpus v2).
+"""Synthetic view-graphs, and corpora that are a config and a count: graph
+``i`` of ``corpus(cfg, count)`` is generated on access from ``(cfg.seed, i)``.
 
 A graph is generated by (1) sampling a camera count and per-camera absolute
 orientations (yaw-only about +y when planar, Haar-uniform otherwise),
@@ -8,15 +9,15 @@ a small rotation whose angle std sigma is drawn once per graph, and
 (4) replacing a sampled fraction of edges with fully random orientations,
 labelled as outliers.
 
-Every step draws a block of values at once.  The draw order fixes the
-corpus bytes: the camera count; the N yaw angles (planar) or N uniform rows;
-the edge fraction; the tree (a permutation of the cameras, then for tree
-node ``i`` the index of its parent among the first ``i``); batches of extra
-endpoint pairs ``(a[], b[])``, each pair accepted, in draw order, when new
-and not a self-loop; sigma; the outlier fraction; the outlier edges
-(``choice`` without replacement); one uniform row per outlier in edge
-order; and one noise row per inlier in edge order (``so3.sample_noise_rows``:
-all angles, then all axes).
+Every step draws a block of values at once.  The draw order (corpus v2)
+fixes each graph's bits: the camera count; the N yaw angles (planar) or N
+uniform rows; the edge fraction; the tree (a permutation of the cameras,
+then for tree node ``i`` the index of its parent among the first ``i``);
+batches of extra endpoint pairs ``(a[], b[])``, each pair accepted, in draw
+order, when new and not a self-loop; sigma; the outlier fraction; the
+outlier edges (``choice`` without replacement); one uniform row per outlier
+in edge order; and one noise row per inlier in edge order
+(``so3.sample_noise_rows``: all angles, then all axes).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,77 +136,45 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
 
 
 # ---------------------------------------------------------------------------
-# Corpus generation
+# Corpus
 # ---------------------------------------------------------------------------
 
-MANIFEST_NAME = "manifest.txt"
-SPLIT_NAMES = ("train", "val", "test")
 TRAIN_FRACTION, VAL_FRACTION = 0.8, 0.1  # the test split takes the rest
 
 
-def generate_dataset(cfg: SynthConfig, count: int, out_dir: str | Path) -> dict[str, list[Path]]:
-    """Write ``count`` graphs under ``out_dir`` and a manifest of the splits.
+class _Split(Sequence):
+    """One split's read-only graphs; corpus graph ``i`` is made on each access."""
 
-    Graph ``i`` is drawn from an independent rng substream keyed by
-    ``(cfg.seed, i)``, so corpora are reproducible byte for byte.  Training
-    and validation take ``TRAIN_FRACTION`` and ``VAL_FRACTION`` of ``count``,
-    rounded, and test the rest; from ``count`` = 10 up each split receives at
-    least one graph.
-    """
-    if not isinstance(count, numbers.Integral) or count < 10:
-        raise SynthConfigError(f"dataset generation requires an integer count >= 10, "
-                               f"got {count!r}")
-    out_dir = Path(out_dir)
+    def __init__(self, cfg: SynthConfig, ids: range):
+        self._cfg, self._ids = cfg, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index: int) -> ViewGraph:
+        i = self._ids[viewgraph.as_index(index)]
+        return generate_graph(self._cfg, np.random.default_rng([self._cfg.seed, i]))
+
+
+class Corpus(NamedTuple):
+    """The three splits of a corpus, each a read-only sequence of graphs."""
+
+    train: Sequence[ViewGraph]
+    val: Sequence[ViewGraph]
+    test: Sequence[ViewGraph]
+
+
+def corpus(cfg: SynthConfig, count: int) -> Corpus:
+    """The ``count`` graphs of ``cfg`` in id order: training and validation
+    take ``TRAIN_FRACTION`` and ``VAL_FRACTION`` of ``count``, rounded, and
+    test the rest, so from ``count`` = 10 up each split holds a graph.  A
+    pass over a split holds one graph at a time."""
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 10:
+        raise SynthConfigError(f"corpus count must be an integer >= 10, got {count!r}")
     n_train = int(round(TRAIN_FRACTION * count))
     n_val = int(round(VAL_FRACTION * count))
-    bounds = np.cumsum((0, n_train, n_val, count - n_train - n_val))
-    manifest: dict[str, list[Path]] = {name: [] for name in SPLIT_NAMES}
-    for name in SPLIT_NAMES:
-        (out_dir / name).mkdir(parents=True, exist_ok=True)
-    for i in range(count):
-        split_idx = int(np.searchsorted(bounds, i, side="right") - 1)
-        name = SPLIT_NAMES[split_idx]
-        rng = np.random.default_rng([cfg.seed, i])
-        g = generate_graph(cfg, rng)
-        rel = Path(name) / f"graph_{i:04d}.vg"
-        (out_dir / rel).write_text(viewgraph.serialize(g), encoding="utf-8")
-        manifest[name].append(rel)
-    lines = []
-    for name in SPLIT_NAMES:
-        lines.append(f"[{name}]")
-        lines.extend(str(p) for p in manifest[name])
-    (out_dir / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return manifest
-
-
-def load_manifest(manifest_path: str | Path) -> dict[str, list[Path]]:
-    """Read a manifest; paths are returned resolved against its directory."""
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / MANIFEST_NAME
-    base = manifest_path.parent
-    sections: dict[str, list[Path]] = {name: [] for name in SPLIT_NAMES}
-    current: str | None = None
-    for raw in manifest_path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            if current not in sections:
-                raise SynthConfigError(f"unknown manifest section {current!r}")
-            continue
-        if current is None:
-            raise SynthConfigError("manifest entry before any section header")
-        sections[current].append(base / line)
-    return sections
-
-
-def load_split(manifest_path: str | Path, name: str) -> list[ViewGraph]:
-    if name not in SPLIT_NAMES:
-        raise SynthConfigError(f"unknown split {name!r}; expected one of {SPLIT_NAMES}")
-    paths = load_manifest(manifest_path)[name]
-    return [viewgraph.parse(p.read_text(encoding="utf-8")) for p in paths]
+    bounds = (0, n_train, n_train + n_val, count)
+    return Corpus(*(_Split(cfg, range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
 
 # ---------------------------------------------------------------------------

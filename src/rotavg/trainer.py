@@ -6,7 +6,8 @@ per-sample loss and how a graph becomes a sample.  Each epoch re-samples an
 edge-dropout mask per training graph, so training samples are made every
 epoch; validation always runs on the full graphs with the same loss, their
 samples made once, and the parameters with the best validation loss are
-returned.
+returned.  A split is any sequence of graphs, such as a lazy
+``synthgen.corpus`` split, which generates each graph when it is read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,7 +67,7 @@ class TrainLog:
     best_val_loss: float = math.inf
 
 
-def _check_corpus(train_graphs: list[ViewGraph], val_graphs: list[ViewGraph]) -> None:
+def _check_corpus(train_graphs: Sequence[ViewGraph], val_graphs: Sequence[ViewGraph]) -> None:
     if not train_graphs or not val_graphs:
         raise TrainingError("training and validation sets must be nonempty")
     for split, graphs in (("training", train_graphs), ("validation", val_graphs)):
@@ -102,8 +103,8 @@ def _val_loss(store: ParamStore, graph_loss: GraphLoss, samples: list) -> float:
 def _fit(
     store: ParamStore,
     graph_loss: GraphLoss,
-    train_graphs: list[ViewGraph],
-    val_graphs: list[ViewGraph],
+    train_graphs: Sequence[ViewGraph],
+    val_graphs: Sequence[ViewGraph],
     cfg: TrainConfig,
     prepare: Callable[[ViewGraph], Any] = lambda g: g,
 ) -> tuple[ParamStore, TrainLog]:
@@ -145,8 +146,8 @@ def _fit(
 
 
 def train_cleannet(
-    train_graphs: list[ViewGraph],
-    val_graphs: list[ViewGraph],
+    train_graphs: Sequence[ViewGraph],
+    val_graphs: Sequence[ViewGraph],
     cfg: TrainConfig,
 ) -> tuple[ParamStore, TrainLog]:
     """Train the edge-cleaning network; returns the best-validation weights."""
@@ -183,8 +184,8 @@ def prepare_refinement_sample(
 
 
 def train_finenet(
-    train_graphs: list[ViewGraph],
-    val_graphs: list[ViewGraph],
+    train_graphs: Sequence[ViewGraph],
+    val_graphs: Sequence[ViewGraph],
     cfg: TrainConfig,
     clean_store: ParamStore,
 ) -> tuple[ParamStore, TrainLog]:

@@ -185,6 +185,20 @@ class TestLoss:
         with pytest.raises(ViewGraphError, match="referenced"):
             refinement.refine_loss(bad_graph.gt, bad_graph, root)
 
+    def test_isolated_node_errors(self):
+        # the anchoring term weighs node v by BETA / deg(v): at a node with no
+        # edge a perfect prediction scored nan and one off the truth scored inf
+        ident = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+        g = ViewGraph(4, [0], [2], ident[:1], gt=ident)
+        off = ident.copy()
+        off[3] = so3_oracle.yaw_deg(25.0).as_array()
+        for pred in (ident, off):
+            with pytest.raises(ViewGraphError, match="node 1 has no edge"):
+                refinement.refine_loss(pred, g, 0)
+            tape = Tape()
+            with pytest.raises(ViewGraphError, match="node 1 has no edge"):
+                refinement.loss_from_pred(tape, tape.leaf(pred, requires_grad=True), g, 0)
+
     def test_gradient_vs_finite_differences(self):
         g, root = referenced_graph(seed=12, n=8)
         store = tiny_refine_weights(12, random_head=True)

@@ -161,7 +161,7 @@ class TestCanonicalization:
         rng = np.random.default_rng(11)
         raw = rng.normal(size=(500, 4))
         norms = np.linalg.norm(so3.qcanon(raw), axis=1)
-        assert np.max(np.abs(norms - 1.0)) < so3.UNIT_TOL
+        assert np.max(np.abs(norms - 1.0)) < 1e-9
 
     @staticmethod
     def assert_matches_oracle(q):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import ast
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import so3_oracle
-from rotavg import so3, synthgen
+from rotavg import so3, synthgen, viewgraph
 from rotavg.synthgen import SynthConfig, SynthConfigError
 from rotavg.viewgraph import ViewGraph
 from so3_oracle import Edge, UnitQuaternion, edge_graph, edge_records
@@ -256,40 +258,59 @@ class TestGenerateGraph:
         assert agree / total >= 0.97
 
 
-class TestDataset:
-    def test_split_counts(self, tmp_path):
-        cfg = SynthConfig(n_cameras=(6, 10), seed=0)
-        manifest = synthgen.generate_dataset(cfg, 10, tmp_path)
-        assert [len(manifest[k]) for k in ("train", "val", "test")] == [8, 1, 1]
-        loaded = synthgen.load_manifest(tmp_path)
-        assert [len(loaded[k]) for k in ("train", "val", "test")] == [8, 1, 1]
-        graphs = synthgen.load_split(tmp_path, "train")
-        assert len(graphs) == 8 and all(g.has_full_gt for g in graphs)
+def corpus_text_oracle(cfg: SynthConfig, count: int) -> list[list[str]]:
+    """The former corpus writer's loop without its files or manifest: graph
+    ``i`` from the substream ``(cfg.seed, i)``, its split from the rounded
+    fractions, its text from ``serialize``."""
+    n_train = int(round(synthgen.TRAIN_FRACTION * count))
+    n_val = int(round(synthgen.VAL_FRACTION * count))
+    bounds = np.cumsum((0, n_train, n_val, count - n_train - n_val))
+    texts = [[], [], []]
+    for i in range(count):
+        g = synthgen.generate_graph(cfg, np.random.default_rng([cfg.seed, i]))
+        texts[int(np.searchsorted(bounds, i, side="right") - 1)].append(viewgraph.serialize(g))
+    return texts
 
-    def test_deterministic_bytes(self, tmp_path):
-        cfg = SynthConfig(n_cameras=(5, 9), seed=11)
-        synthgen.generate_dataset(cfg, 10, tmp_path / "a")
-        synthgen.generate_dataset(cfg, 10, tmp_path / "b")
-        files_a = sorted((tmp_path / "a").rglob("*.vg"))
-        files_b = sorted((tmp_path / "b").rglob("*.vg"))
-        assert len(files_a) == 10
-        for fa, fb in zip(files_a, files_b):
-            assert fa.read_bytes() == fb.read_bytes()
 
-    def test_count_too_small(self, tmp_path):
-        with pytest.raises(SynthConfigError):
-            synthgen.generate_dataset(SynthConfig(), 5, tmp_path)
+def graph_arrays(g: ViewGraph) -> list[np.ndarray]:
+    return [*g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels(), g.gt]
 
-    @pytest.mark.parametrize("count", [10.5, 10.0, "10", None])
-    def test_non_integer_count_writes_nothing(self, tmp_path, count):
-        with pytest.raises(SynthConfigError, match="integer count >= 10"):
-            synthgen.generate_dataset(SynthConfig(n_cameras=(5, 9)), count, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
 
-    def test_unknown_split_is_named(self, tmp_path):
-        synthgen.generate_dataset(SynthConfig(n_cameras=(5, 9)), 10, tmp_path)
-        with pytest.raises(SynthConfigError, match=r"split 'dev'; .*\('train', 'val', 'test'\)"):
-            synthgen.load_split(tmp_path, "dev")
+class TestCorpus:
+    @pytest.mark.parametrize("count, sizes", [(10, [8, 1, 1]), (11, [9, 1, 1]), (25, [20, 2, 3])],
+                             ids=["10", "11", "25"])
+    def test_split_sizes(self, count, sizes):
+        # round half to even: 0.1 * 25 = 2.5 gives 2 validation graphs
+        splits = synthgen.corpus(SynthConfig(n_cameras=(5, 9)), count)
+        assert [len(split) for split in splits] == sizes
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_graphs_serialize_to_the_oracle_text(self, planar):
+        cfg = SynthConfig(n_cameras=(5, 12), outlier_fraction=(0.0, 0.3), planar=planar, seed=11)
+        got = [[viewgraph.serialize(g) for g in split] for split in synthgen.corpus(cfg, 10)]
+        assert got == corpus_text_oracle(cfg, 10)
+
+    def test_two_calls_give_equal_arrays(self):
+        cfg = SynthConfig(n_cameras=(5, 9), seed=3)
+        first, second = synthgen.corpus(cfg, 10), synthgen.corpus(cfg, 10)
+        for split_a, split_b in zip(first, second):
+            for a, b in zip(split_a, split_b):
+                assert all(np.array_equal(x, y) for x, y in zip(graph_arrays(a), graph_arrays(b)))
+
+    @pytest.mark.parametrize("count", [9, 10.5, 10.0, "10", None, True])
+    def test_count_must_be_an_integer_of_ten_or_more(self, count):
+        with pytest.raises(SynthConfigError, match=f"integer >= 10, got {count!r}"):
+            synthgen.corpus(SynthConfig(), count)
+
+    def test_indexing(self):
+        train = synthgen.corpus(SynthConfig(n_cameras=(5, 9)), 10).train
+        for past_the_end in (8, -9):
+            with pytest.raises(IndexError):
+                train[past_the_end]
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(graph_arrays(train[-1]), graph_arrays(train[7])))
+        with pytest.raises(TypeError, match="bool"):
+            train[True]
 
 
 class TestRobustnessSuite:
@@ -317,3 +338,30 @@ class TestRobustnessSuite:
     def test_unknown_name(self):
         with pytest.raises(SynthConfigError, match="unknown"):
             synthgen.robustness_suite("cam9000")
+
+
+def touches_files(node: ast.AST) -> bool:
+    """A pathlib import, a name ``open``, or a file method of a path."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "pathlib" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "pathlib"
+    if isinstance(node, ast.Name):
+        return node.id == "open"
+    return (isinstance(node, ast.Attribute)
+            and node.attr in {"open", "read_text", "write_text", "mkdir"})
+
+
+def test_package_does_file_io_only_in_checkpoints():
+    """``src/rotavg`` touches files only in ``autodiff``'s checkpoint functions
+    and their pathlib import: a corpus is a config and a count, so no corpus
+    file format grows back."""
+    found = []
+    for path in sorted(Path(synthgen.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            allowed = path.name == "autodiff.py" and (
+                getattr(stmt, "name", None) in ("save_checkpoint", "load_checkpoint")
+                or isinstance(stmt, ast.ImportFrom) and stmt.module == "pathlib")
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(stmt)
+                      if touches_files(node) and not allowed]
+    assert not found, f"file I/O outside the checkpoints at {', '.join(found)}"

@@ -113,6 +113,20 @@ def fine_graph_loss(tape, weights, g):
     return refinement.loss_from_pred(tape, pred, sample, root)
 
 
+class TestLazyCorpus:
+    def test_runs_equal_runs_on_parsed_copies(self):
+        # graphs generated on access train bit for bit like their text round-trips
+        cfg = synthgen.SynthConfig(n_cameras=(8, 12), edge_fraction=(0.3, 0.4),
+                                   sigma_deg=(2.0, 10.0), outlier_fraction=(0.1, 0.1), seed=4)
+        lazy = synthgen.corpus(cfg, 10)[:2]
+        parsed = [[viewgraph.parse(viewgraph.serialize(g)) for g in split] for split in lazy]
+        train_cfg = desk_config(seed=3, epochs=EPOCHS)
+        clean = trainer.train_cleannet(*lazy, train_cfg)
+        assert same_run(clean, trainer.train_cleannet(*parsed, train_cfg))
+        assert same_run(trainer.train_finenet(*lazy, train_cfg, clean[0]),
+                        trainer.train_finenet(*parsed, train_cfg, clean[0]))
+
+
 class TestBestEpoch:
     @pytest.mark.parametrize("net", ["cleannet", "finenet"])
     def test_best_matches_minimum_row(self, data, net, monkeypatch):
