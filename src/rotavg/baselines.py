@@ -6,7 +6,11 @@ Two baselines operating on the same view-graph inputs as the networks:
   the tangent-space L1 median of the candidates proposed by its neighbors.
   A sweep runs as a level schedule: nodes are grouped into wavefronts of
   mutually non-adjacent nodes that read the same rows as in the sequential
-  ascending-id sweep, and each wavefront takes one batched median.
+  ascending-id sweep, and each wavefront takes one batched median.  The
+  plan stores each incoming measurement as its left-multiplication matrix,
+  so a wavefront's candidates are one row gather and one stacked product,
+  and each median step works in half-angles with one matmul per quaternion
+  product and per sum.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
   solve of the weighted graph Laplacian with the root grounded.  Up to
@@ -50,11 +54,13 @@ class SolverError(RuntimeError):
 # Weiszfeld
 # ---------------------------------------------------------------------------
 
-# M = m[:, _CONJ_INDEX] * _CONJ_SIGN is the 4x4 matrix of quaternion row m with
-# rows @ M = rows * conj(m) and M @ e = e * m
-_CONJ_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_CONJ_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
-                       [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+# Quaternion products as matrices, from ``so3.qmul`` of the basis rows:
+# ``(q @ _LEFT).reshape(4, 4)`` is the L with ``L @ r = q * r``, and
+# ``(m @ _RIGHT_T).reshape(4, 4)`` is R^T for the R with ``R @ e = e * m``;
+# R^T is also the matrix of right multiplication by conj(m).
+_LEFT = so3.qmul(np.eye(4)[:, None], np.eye(4)).transpose(0, 2, 1).reshape(4, 16)
+_RIGHT_T = so3.qmul(np.eye(4), np.eye(4)[:, None]).reshape(4, 16)
+_VEC = np.array([0.0, 1.0, 1.0, 1.0])  # ``x @ _VEC`` sums the vector part
 
 
 def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
@@ -66,6 +72,17 @@ def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.n
     medoid minimises the summed distance to and from the other candidates,
     ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
     ``d`` cannot break a tie, and an exact tie goes to the first candidate.
+
+    A level holds about 1.5 nodes of about 100 candidates on the
+    benchmark's graphs, where a numpy call costs more than its arithmetic,
+    so a step is written in few whole-batch calls.  One matmul against
+    ``_RIGHT_T`` gives the matrix of ``m`` that takes each candidate column
+    to ``candidate * conj(m)`` and the row ``e`` to ``e * m``; the squared
+    vector norms and the weighted tangent sum are one matmul each.  The
+    step works in half-angles, the angles of the quaternions themselves: the
+    log map's factor 2 cancels in the normalised weights, so ``s`` is half
+    the tangent step and ``exp`` reads ``cos |s|`` and ``sin |s|`` directly.
+    The freeze rule's masks are paid for only once some node has stopped.
     """
     n, d = valid.shape
     cols = cands.transpose(0, 2, 1).copy()  # (n, 4, D)
@@ -78,26 +95,32 @@ def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.n
     sums = (dist @ w[:, :, None])[:, :, 0] + (w[:, None, :] @ dist)[:, 0]
     m = cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
     frozen = np.zeros(n, dtype=bool)
+    stopped = False  # whether ``frozen`` has a node yet
     for _ in range(iters):
-        mat = m[:, _CONJ_INDEX] * _CONJ_SIGN
-        rel = mat.transpose(0, 2, 1) @ cols  # candidates * conj(m), (n, 4, D)
-        cw, vec = rel[:, 0], rel[:, 1:]
-        nv = np.sqrt(np.einsum("nkd,nkd->nd", vec, vec))
-        ang = 2.0 * np.arctan2(nv, np.abs(cw))
+        mat = (m @ _RIGHT_T).reshape(n, 4, 4)
+        rel = mat @ cols  # candidates * conj(m), as (n, 4, D) columns
+        cw = rel[:, 0]
+        nv = np.sqrt(_VEC @ (rel * rel))
+        half = np.arctan2(nv, np.abs(cw))
         # log-map direction, sign-corrected so the angle stays in [0, pi]
-        scale = np.where(nv > 1e-12, np.copysign(ang, cw) / np.maximum(nv, 1e-300), 0.0)
-        weights = w / np.maximum(ang, WEISZFELD_FLOOR)
-        coef = weights * scale / weights.sum(axis=1, keepdims=True)
-        s = (vec @ coef[:, :, None])[:, :, 0]
-        step = np.sqrt(np.einsum("nk,nk->n", s, s))
-        frozen |= step < 1e-12
-        half = 0.5 * step
-        e = np.empty((n, 4))  # exp(s)
-        e[:, 0] = np.cos(half)
-        e[:, 1:] = s * (np.sin(half) / np.where(frozen, 1.0, step))[:, None]
-        new = (mat @ e[:, :, None])[:, :, 0]  # exp(s) * m
+        coef = np.zeros((n, d))
+        np.divide(np.copysign(half, cw), nv, out=coef, where=nv > 1e-12)
+        weights = w / np.maximum(half, 0.5 * WEISZFELD_FLOOR)
+        coef *= weights
+        s = (rel @ coef[:, :, None])[:, :, 0]  # s[:, 1:] is half the step
+        s /= np.add.reduce(weights, 1)[:, None]
+        step = np.sqrt((s * s) @ _VEC)
+        if stopped or np.minimum.reduce(step) < 0.5e-12:  # a full step below 1e-12
+            frozen |= step < 0.5e-12
+            stopped = True
+            step[frozen] = 1.0  # any non-zero: their old rows are put back
+        e = s * (np.sin(step) / step)[:, None]  # exp of the full step
+        e[:, 0] = np.cos(step)
+        new = (e[:, None, :] @ mat)[:, 0]  # exp(s) * m
         new /= np.sqrt(np.einsum("ni,ni->n", new, new))[:, None]
-        m = np.where(frozen[:, None], m, new)
+        if stopped:
+            new[frozen] = m[frozen]
+        m = new
     return m
 
 
@@ -135,15 +158,17 @@ def _weiszfeld_levels(g: ViewGraph, root: int) -> np.ndarray:
 
 
 def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
-    """Batches of the level schedule, in level order: ``(nodes, src, q_in,
+    """Batches of the level schedule, in level order: ``(nodes, src, left,
     valid)``, the nodes of one level and their incoming candidates padded to
     the batch's maximum degree.
 
     Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, in edge
-    order; padding repeats the first candidate and is masked by ``valid``.
-    A level is one batch unless its padded (n, D, D) medoid distances would
-    pass ``MEDOID_CELLS``; then its nodes, by ascending degree, are cut into
-    runs that fit, or single nodes.
+    order; ``left`` (n, D, 4, 4) holds the left-multiplication matrix of
+    each ``q_in[v, j]``, so a batch's candidates are one row gather and one
+    stacked product, ``left @ rows[src]``.  Padding repeats the first
+    candidate and is masked by ``valid``.  A level is one batch unless its
+    padded (n, D, D) medoid distances would pass ``MEDOID_CELLS``; then its
+    nodes, by ascending degree, are cut into runs that fit, or single nodes.
     """
     n = g.n_nodes
     uv, quats = viewgraph.directed_arrays(g)
@@ -164,7 +189,8 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
             col = np.arange(degree[nodes[-1]])
             valid = col < degree[nodes, None]
             idx = bounds[nodes, None] + np.where(valid, col, 0)
-            plan.append((nodes, src[idx], q_in[idx], valid))
+            left = (q_in[idx] @ _LEFT).reshape(*idx.shape, 4, 4)
+            plan.append((nodes, src[idx], left, valid))
             lo = end
     return plan
 
@@ -204,9 +230,9 @@ def weiszfeld_mra(
     plan = _weiszfeld_plan(g, viewgraph.select_root(g))
     trace = [_consistency_objective(g, rows)]
     for _ in range(sweeps):
-        for nodes, src, q_in, valid in plan:
-            rows[nodes] = _weiszfeld_medians(so3.qmul(q_in, rows.take(src, axis=0)), valid,
-                                             WEISZFELD_MEDIAN_ITERS)
+        for nodes, src, left, valid in plan:
+            cands = np.einsum("ndij,ndj->ndi", left, rows.take(src, axis=0))
+            rows[nodes] = _weiszfeld_medians(cands, valid, WEISZFELD_MEDIAN_ITERS)
         trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 

@@ -67,15 +67,14 @@ class TrainLog:
     best_val_loss: float = math.inf
 
 
-def _check_corpus(train_graphs: Sequence[ViewGraph], val_graphs: Sequence[ViewGraph]) -> None:
-    if not train_graphs or not val_graphs:
-        raise TrainingError("training and validation sets must be nonempty")
-    for split, graphs in (("training", train_graphs), ("validation", val_graphs)):
-        for i, g in enumerate(graphs):
-            if not g.has_full_gt:
-                raise TrainingError(f"{split} graph {i} lacks ground-truth orientations")
-            if g.n_edges == 0:
-                raise TrainingError(f"{split} graph {i} has no edges")
+def _checked(split: str, i: int, g: ViewGraph) -> ViewGraph:
+    """``g``, after checking that graph ``i`` of ``split`` has ground truth
+    and an edge."""
+    if not g.has_full_gt:
+        raise TrainingError(f"{split} graph {i} lacks ground-truth orientations")
+    if g.n_edges == 0:
+        raise TrainingError(f"{split} graph {i} has no edges")
+    return g
 
 
 def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) -> ViewGraph:
@@ -112,9 +111,13 @@ def _fit(
 
     ``prepare`` makes the sample ``graph_loss`` reads from a graph: every
     epoch for each dropout subgraph, once per call for each validation graph.
+    Each graph is checked where it is first read, so a lazy split generates
+    no graph just to check it: a validation graph before its sample is made,
+    a training graph at its read in epoch 0.
     """
-    _check_corpus(train_graphs, val_graphs)
-    val_samples = [prepare(g) for g in val_graphs]
+    if not train_graphs or not val_graphs:
+        raise TrainingError("training and validation sets must be nonempty")
+    val_samples = [prepare(_checked("validation", i, g)) for i, g in enumerate(val_graphs)]
     best = store.copy()
     log = TrainLog()
     for epoch in range(cfg.epochs):
@@ -123,7 +126,10 @@ def _fit(
         order = rng.permutation(len(train_graphs))
         epoch_loss = 0.0
         for gi in order:
-            sub = _dropout_subgraph(train_graphs[gi], cfg.edge_dropout, rng)
+            g = train_graphs[gi]
+            if epoch == 0:
+                _checked("training", gi, g)
+            sub = _dropout_subgraph(g, cfg.edge_dropout, rng)
             tape = Tape()
             try:
                 loss = graph_loss(tape, store.bind(tape), prepare(sub))

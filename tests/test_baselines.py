@@ -697,8 +697,10 @@ def weiszfeld_oracle(g, init, sweeps, median_iters):
 @st.composite
 def weiszfeld_cases(draw):
     """A random connected graph (path, star or near-complete, ids shuffled),
-    measurements with 1-30 deg of noise each, a perturbed init, a budget."""
-    kind = draw(st.sampled_from(["path", "star", "near_complete"]))
+    measurements with 1-30 deg of noise each, a perturbed init, a budget; or
+    an ``exact`` sparse graph, noise-free, perturbed at about a third of its
+    nodes and at least one."""
+    kind = draw(st.sampled_from(["path", "star", "near_complete", "exact"]))
     n = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = rng.permutation(n)
@@ -707,6 +709,8 @@ def weiszfeld_cases(draw):
         pairs = {(min(ids[0], b), max(ids[0], b)) for b in ids[1:]}
     elif kind == "near_complete":
         pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.8}
+    elif kind == "exact":
+        pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
     u, v = np.array(sorted(pairs)).T
     order = rng.permutation(u.size)  # edge order sets the candidate order
     u, v = u[order], v[order]
@@ -714,8 +718,17 @@ def weiszfeld_cases(draw):
     axis = rng.normal(size=(u.size, 3))
     angle = np.radians(rng.uniform(1.0, 30.0, size=u.size))
     noise = so3.qexp(axis / np.linalg.norm(axis, axis=1, keepdims=True) * angle[:, None])
+    perturb = rng.normal(scale=0.2, size=(n, 3))
+    if kind == "exact":
+        # noise-free, with the init exact at about two thirds of the nodes: a
+        # node whose candidates all agree stops on its first step.  One node
+        # stays perturbed, so that the objective starts above 0.
+        noise = np.tile([1.0, 0.0, 0.0, 0.0], (u.size, 1))
+        exact = rng.random(n) < 2 / 3
+        exact[rng.integers(n)] = False
+        perturb[exact] = 0.0
     q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
-    init = so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(n, 3))))
+    init = so3.qmul(gt, so3.qexp(perturb))
     g = ViewGraph(n, u, v, so3.qcanon(q))
     return g, so3.qcanon(init), draw(st.integers(0, 3)), draw(st.integers(0, 10))
 
@@ -790,6 +803,75 @@ class TestWeiszfeldLevelSchedule:
             out = baselines.weiszfeld_mra(g, rows, sweeps=1).orientations
             first = so3.qmul(q[0], viewgraph.orientation_rows(g, rows)[0])
             assert so3.qangle_deg(np.asarray(out)[1], first) < 1e-9
+
+
+def padded_batch(rng, degrees):
+    """Candidate sets of the given sizes, each scattered about its own random
+    rotation, padded like a plan batch: repeats of the first candidate."""
+    d = max(degrees)
+    cands = np.empty((len(degrees), d, 4))
+    valid = np.arange(d) < np.array(degrees)[:, None]
+    for i, k in enumerate(degrees):
+        center = so3.sample_uniform_rows(rng, 1)
+        real = so3.qcanon(so3.qmul(so3.qexp(rng.normal(scale=0.5, size=(k, 3))), center))
+        cands[i] = np.concatenate([real, np.repeat(real[:1], d - k, axis=0)])
+    return cands, valid
+
+
+class TestWeiszfeldMedians:
+    """The batched median against the scalar one-node median."""
+
+    @pytest.mark.parametrize("degrees", [[1], [1, 1, 1], [2], [2, 1, 2], [3, 7, 1, 5], [8, 8],
+                                         [9, 4, 6, 2, 9]])
+    @pytest.mark.parametrize("iters", [0, 1, 10])
+    def test_matches_one_node_median(self, degrees, iters):
+        cands, valid = padded_batch(np.random.default_rng(len(degrees) * 10 + iters), degrees)
+        out = baselines._weiszfeld_medians(cands, valid, iters)
+        for i, k in enumerate(degrees):
+            assert np.max(np.abs(out[i] - median_oracle(cands[i, :k], iters))) <= 1e-10
+
+    @pytest.mark.parametrize("degrees", [[4, 6, 3], [1, 5], [2, 4]])
+    def test_a_node_that_stops_stays_while_the_others_move(self, degrees):
+        # node 0's candidates are one rotation: its first step is below 1e-12,
+        # and its row stays bit for bit
+        for seed in range(8):
+            cands, valid = padded_batch(np.random.default_rng(seed), degrees)
+            cands[0] = cands[0, 0]
+            medoids = baselines._weiszfeld_medians(cands, valid, 0)
+            out = baselines._weiszfeld_medians(cands, valid, 10)
+            assert np.array_equal(out[0], cands[0, 0])
+            assert max(np.max(np.abs(out[i] - medoids[i])) for i in range(1, len(degrees))) > 1e-9
+            for i, k in enumerate(degrees):
+                assert np.max(np.abs(out[i] - median_oracle(cands[i, :k], 10))) <= 1e-10
+
+
+class TestWeiszfeldPlan:
+    @pytest.mark.parametrize("cells", [baselines.MEDOID_CELLS, 200])
+    @pytest.mark.parametrize("sweeps", [0, 1, 3])
+    def test_sweep_calls_qmul_only_for_the_objective(self, monkeypatch, cells, sweeps):
+        # candidates come from the plan's matrices, whatever the batch count
+        monkeypatch.setattr(baselines, "MEDOID_CELLS", cells)
+        g = make_graph(seed=8, n=30, sigma=10.0, outliers=0.1)
+        assert len(baselines._weiszfeld_plan(g, viewgraph.select_root(g))) > 1
+        init = bootstrap(g)
+        with mock.patch.object(so3, "qmul", wraps=so3.qmul) as qmul:
+            baselines._consistency_objective(g, np.asarray(init))
+            per_objective = qmul.call_count  # its own and the one in ``qangle_deg``
+            qmul.reset_mock()
+            baselines.weiszfeld_mra(g, init, sweeps=sweeps)
+        assert qmul.call_count == (sweeps + 1) * per_objective
+
+    @settings(max_examples=50, deadline=None)
+    @given(weiszfeld_cases())
+    def test_candidate_matrices_match_qmul(self, case):
+        g, init, _, _ = case
+        rows = viewgraph.orientation_rows(g, init)
+        for nodes, src, left, valid in baselines._weiszfeld_plan(g, viewgraph.select_root(g)):
+            cands = np.einsum("ndij,ndj->ndi", left, rows[src])
+            for i, node in enumerate(nodes):
+                want = incoming_candidates(g, rows, node)
+                assert np.max(np.abs(cands[i, valid[i]] - want)) <= 1e-15
+                assert np.all(cands[i, ~valid[i]] == cands[i, 0])
 
 
 @pytest.mark.parametrize(

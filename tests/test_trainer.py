@@ -126,6 +126,27 @@ class TestLazyCorpus:
         assert same_run(trainer.train_finenet(*lazy, train_cfg, clean[0]),
                         trainer.train_finenet(*parsed, train_cfg, clean[0]))
 
+    @pytest.mark.parametrize("net", ["cleannet", "finenet"])
+    def test_each_graph_is_generated_once_per_read(self, net, monkeypatch):
+        # 2 epochs read each of the 8 training graphs twice and the validation
+        # graph once; checking the graphs generates none of them again
+        split = synthgen.corpus(synthgen.SynthConfig(n_cameras=(20, 30), seed=3), 10)
+        assert (len(split.train), len(split.val)) == (8, 1)
+        calls = []
+        real_generate_graph = synthgen.generate_graph
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_generate_graph(*args, **kwargs)
+
+        monkeypatch.setattr(synthgen, "generate_graph", counted)
+        cfg = desk_config(seed=3, epochs=2)
+        if net == "cleannet":
+            trainer.train_cleannet(split.train, split.val, cfg)
+        else:
+            trainer.train_finenet(split.train, split.val, cfg, UNTRAINED_CLEANER)
+        assert len(calls) == 2 * 8 + 1
+
 
 class TestBestEpoch:
     @pytest.mark.parametrize("net", ["cleannet", "finenet"])
