@@ -163,7 +163,8 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     the batch's maximum degree.
 
     Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, in edge
-    order; ``left`` (n, D, 4, 4) holds the left-multiplication matrix of
+    order, over both directions of every edge (``q_in`` the measurement or
+    its conjugate); ``left`` (n, D, 4, 4) holds the left-multiplication matrix of
     each ``q_in[v, j]``, so a batch's candidates are one row gather and one
     stacked product, ``left @ rows[src]``.  Padding repeats the first
     candidate and is masked by ``valid``.  A level is one batch unless its
@@ -171,10 +172,11 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     nodes, by ascending degree, are cut into runs that fit, or single nodes.
     """
     n = g.n_nodes
-    uv, quats = viewgraph.directed_arrays(g)
-    by_target = np.lexsort((np.tile(np.arange(len(uv) // 2), 2), uv[:, 1]))
-    src, q_in = uv[by_target, 0], quats[by_target]
-    bounds = np.searchsorted(uv[by_target, 1], np.arange(n + 1))
+    (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    by_target = np.lexsort((np.tile(np.arange(u.size), 2), dst))
+    src, q_in = src[by_target], np.concatenate([q, so3.qconj(q)])[by_target]
+    bounds = np.searchsorted(dst[by_target], np.arange(n + 1))
     degree = np.diff(bounds)
     level = _weiszfeld_levels(g, root)
     order = np.lexsort((degree, level))  # by level, then by degree
@@ -540,7 +542,6 @@ def irls_mra(
     n = g.n_nodes
     root = viewgraph.select_root(g)
     u_idx, v_idx = g.endpoint_arrays()
-    meas = g.edge_quat_array()
 
     # reduced index map without the anchored root
     red = np.insert(np.arange(n - 1), root, -1)
@@ -553,9 +554,7 @@ def irls_mra(
     for phase_iters, exponent in zip(budgets, (1.0, 1.5)):
         for _ in range(phase_iters):
             # body-frame residual; its norm is the edge's geodesic error
-            # ``take`` gathers narrow rows several times faster than indexing
-            resid = so3.qlog(so3.qmul(so3.qconj(rows).take(v_idx, axis=0),
-                                      so3.qmul(meas, rows.take(u_idx, axis=0))))  # (E, 3)
+            resid = so3.qlog(viewgraph.discrepancy(g, rows))  # (E, 3)
             norms = so3.rownorm(resid)
             # plain least squares before any reweighting, as in standard
             # IRLS; otherwise exactly-consistent tree edges pin the init

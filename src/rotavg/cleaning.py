@@ -73,10 +73,8 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
 def _head_tensors(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> list[Tensor]:
     """Raw head outputs: correction quaternions (E, 4) and logits (E, 1)."""
     mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
-    uv, quats = viewgraph.directed_arrays(g)
-    heads = [(weights["head_rect.w"], weights["head_rect.b"]),
-             (weights["head_out.w"], weights["head_out.b"])]
-    return mpnn.forward(tape, weights, uv, quats, None, g.n_nodes, heads, g.n_edges)
+    heads = [(weights[f"{head}.w"], weights[f"{head}.b"]) for head in ("head_rect", "head_out")]
+    return mpnn.forward(tape, weights, g, g.edge_quat_array(), heads=heads)
 
 
 def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:

@@ -1,4 +1,7 @@
-"""Shared message-passing core of the two graph networks.
+"""Shared message-passing core of the two graph networks: the edge-network
+MPNN of Gilmer et al. (*Neural Message Passing for Quantum Chemistry*, ICML
+2017) on the undirected view-graph.  Each stored edge ``u -> v`` carries a
+relative rotation as its feature, and ``v -> u`` its conjugate, the inverse.
 
 Each round computes a message per directed edge ``u -> v`` from the target
 state, the source state and the edge feature, aggregates incoming messages
@@ -14,12 +17,12 @@ hidden, hidden and edge-feature parts, ``W1 @ [h_v, h_u, e_uv] = (W1a @ h_v)
 node and are then taken per directed edge.
 
 ``forward`` is one tape operation, the one implementation for training and
-inference.  It sorts the edges by target once and cuts them into runs of
-whole target nodes of at most ``CHUNK_ROWS`` rows, so that one
+inference.  It sorts the 2E directed edges by target once and cuts them
+into runs of whole target nodes of at most ``CHUNK_ROWS`` rows, so that one
 ``np.add.reduceat`` per run forms each node's sum in one place.  No (2E, M)
 array is built: memory is O(rounds*N*(H+M) + CHUNK_ROWS*M).  With heads
-(CleanNet's per-edge outputs) the final round computes the head rows'
-messages only and skips the node update.
+(CleanNet's per-edge outputs) the final round computes the messages of the
+stored directions only and skips the node update.
 
 The call keeps each round's node states and aggregates; on a recording tape
 its one pullback walks the rounds backward and recomputes each run's
@@ -44,9 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import so3, viewgraph
 from .autodiff import AutodiffError, ParamStore, Tape, Tensor, _segment_sum, accumulate
 
 CHUNK_ROWS = 1024  # directed edges per run of a round
+EDGE_FEAT_DIM = 4  # an edge feature is a rotation quaternion (w, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,9 @@ class MpnnConfig:
     rounds: int = 4
     hidden_dim: int = 32
     msg_dim: int = 32
-    edge_feat_dim: int = 4
 
     def __post_init__(self):
-        for name in ("rounds", "hidden_dim", "msg_dim", "edge_feat_dim"):
+        for name in ("rounds", "hidden_dim", "msg_dim"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -68,7 +72,7 @@ class MpnnConfig:
 def weight_spec(cfg: MpnnConfig) -> dict[str, tuple[int, ...]]:
     """Parameter name -> shape map for the message-passing stack."""
     spec: dict[str, tuple[int, ...]] = {}
-    in_msg = 2 * cfg.hidden_dim + cfg.edge_feat_dim
+    in_msg = 2 * cfg.hidden_dim + EDGE_FEAT_DIM
     for step in (f"step{t}" for t in range(cfg.rounds)):
         spec[f"{step}.msg1.w"] = (in_msg, cfg.msg_dim)
         spec[f"{step}.msg1.b"] = (cfg.msg_dim,)
@@ -91,9 +95,9 @@ def init_weights(cfg: MpnnConfig, rng: np.random.Generator, store: ParamStore) -
 
 def config_of(weights: dict[str, Tensor]) -> MpnnConfig:
     """The sizes of the stack in ``weights``: a round per ``step{t}.upd.w``,
-    H its columns, M the rows of ``msg2.w`` and the edge-feature width the
-    rows of ``msg1.w`` past 2H.  Raises :class:`AutodiffError` naming the
-    first weight that is missing or does not fit them."""
+    H its columns and M the rows of ``msg2.w``; ``msg1.w`` has 2H +
+    ``EDGE_FEAT_DIM`` rows.  Raises :class:`AutodiffError` naming the first
+    weight that is missing or does not fit them."""
     for name in ("step0.upd.w", "step0.msg2.w", "step0.msg1.w"):
         if name not in weights:
             raise AutodiffError(f"weight {name!r} is missing")
@@ -101,10 +105,9 @@ def config_of(weights: dict[str, Tensor]) -> MpnnConfig:
             raise AutodiffError(f"weight {name!r} has shape {weights[name].shape}, not a matrix")
     hid = weights["step0.upd.w"].shape[1]
     msg, in_msg = weights["step0.msg2.w"].shape[0], weights["step0.msg1.w"].shape[0]
-    if in_msg <= 2 * hid:
-        raise AutodiffError(f"weight 'step0.msg1.w' has {in_msg} rows, no more than 2H = {2 * hid}")
-    rounds = sum(name.startswith("step") and name.endswith(".upd.w") for name in weights)
-    cfg = MpnnConfig(rounds, hid, msg, in_msg - 2 * hid)
+    if in_msg != 2 * hid + EDGE_FEAT_DIM:
+        raise AutodiffError(f"weight 'step0.msg1.w' has {in_msg} rows, not 2H + {EDGE_FEAT_DIM}")
+    cfg = MpnnConfig(sum(k.startswith("step") and k.endswith(".upd.w") for k in weights), hid, msg)
     check_weights(weights, weight_spec(cfg))
     return cfg
 
@@ -112,67 +115,55 @@ def config_of(weights: dict[str, Tensor]) -> MpnnConfig:
 def forward(
     tape: Tape,
     weights: dict[str, Tensor],
-    uv: np.ndarray,
+    g: viewgraph.ViewGraph,
     edge_feats: np.ndarray,
-    node_init: np.ndarray | None,
-    n_nodes: int,
+    node_init: np.ndarray | None = None,
     heads: Sequence[tuple[Tensor, Tensor]] = (),
-    head_rows: int = 0,
 ) -> Tensor | list[Tensor]:
-    """Run the rounds; returns the final node states, or the heads' outputs.
+    """Run the rounds over ``g``: the final node states, or the heads' outputs.
 
-    ``uv`` holds directed edges (source, target) and must already contain
-    both directions of every measurement.  ``edge_feats`` and ``node_init``
-    are arrays, so gradients reach the weights and heads only.  ``node_init``
-    rows, when given, are zero-padded up to the hidden width of ``weights``
+    ``edge_feats`` holds a quaternion row per stored edge ``u -> v`` of ``g``
+    (``v -> u`` gets its conjugate).  It and ``node_init`` are arrays, so
+    gradients reach the weights and heads only.  ``node_init`` rows, when
+    given, are zero-padded up to the hidden width of ``weights``
     (:func:`config_of`).  Nodes without incoming edges receive a zero aggregate.
 
     Without ``heads`` the result is the (N, H) tensor of final node states.
     ``heads`` are linear layers ``(w, b)`` on the final-round messages of the
-    first ``head_rows`` directed edges; with heads the result is the list of
-    their outputs, which share one tape record.
+    stored directions; with heads the result is the list of their (E, ...)
+    outputs, in edge order, which share one tape record.
     """
-    uv = np.asarray(uv, dtype=np.int64)
     feats = np.asarray(edge_feats, dtype=np.float64)
     init = None if node_init is None else np.asarray(node_init, dtype=np.float64)
-    cfg = _check_inputs(weights, uv, feats, init, n_nodes, heads, head_rows)
+    cfg = _check_inputs(weights, g, feats, init, heads)
     w = {name: weights[name].values for name in weight_spec(cfg)}
     head_w = [(hw.values, hb.values) for hw, hb in heads]
-    runs = _EdgeRuns.build(uv, feats, n_nodes, head_rows)
+    runs = _EdgeRuns.build(g, feats)
     states: list[np.ndarray] = []
-    out = _rounds(w, cfg.rounds, runs, init, head_w, head_rows, states)
+    out = _rounds(w, cfg.rounds, runs, init, head_w, states)
     outs = tuple(Tensor(o) for o in out) if heads else (Tensor(out),)
     inputs = tuple(weights[name] for name in w) + tuple(t for pair in heads for t in pair)
 
     def pull(*grads):
-        for t, g in zip(inputs, _pullback(w, cfg.rounds, runs, states, head_w, grads)):
-            accumulate(t, g)
+        for t, grad in zip(inputs, _pullback(w, cfg.rounds, runs, states, head_w, grads)):
+            accumulate(t, grad)
 
     tape.emit(outs, inputs, pull)
     return list(outs) if heads else outs[0]
 
 
-def _check_inputs(weights, uv, feats, init, n_nodes, heads, head_rows) -> MpnnConfig:
+def _check_inputs(weights, g, feats, init, heads) -> MpnnConfig:
     """Every check of ``forward``'s inputs, once, before any work: the stack's sizes."""
     cfg = config_of(weights)
-    if uv.ndim != 2 or uv.shape[1] != 2:
-        raise AutodiffError("uv must have shape (n_edges, 2)")
-    n_edges = uv.shape[0]
-    if feats.shape != (n_edges, cfg.edge_feat_dim):
-        raise AutodiffError(f"edge_feats shape {feats.shape} != ({n_edges}, {cfg.edge_feat_dim})")
-    # np.take, which the rounds use, would wrap a negative index
-    if n_edges and (uv.min() < 0 or uv.max() >= n_nodes):
-        raise AutodiffError(f"edge endpoint out of range [0, {n_nodes})")
-    if init is not None and (init.ndim != 2 or init.shape[0] != n_nodes
+    if feats.shape != (g.n_edges, EDGE_FEAT_DIM):
+        raise AutodiffError(f"edge_feats shape {feats.shape} != ({g.n_edges}, {EDGE_FEAT_DIM})")
+    if init is not None and (init.ndim != 2 or init.shape[0] != g.n_nodes
                              or not 1 <= init.shape[1] <= cfg.hidden_dim):
-        raise AutodiffError(f"node_init shape {init.shape} is not ({n_nodes}, 1..{cfg.hidden_dim})")
+        raise AutodiffError(f"node_init shape {init.shape} != ({g.n_nodes}, 1..{cfg.hidden_dim})")
     for w, b in heads:
         if w.values.ndim != 2 or w.shape[0] != cfg.msg_dim or b.shape != (w.shape[1],):
-            raise AutodiffError(
-                f"head shapes w {w.shape}, b {b.shape} do not fit messages of width {cfg.msg_dim}"
-            )
-    if heads and not 0 <= head_rows <= n_edges:
-        raise AutodiffError(f"head_rows {head_rows} outside [0, {n_edges}]")
+            raise AutodiffError(f"head shapes w {w.shape}, b {b.shape} do not fit messages "
+                                f"of width {cfg.msg_dim}")
     return cfg
 
 
@@ -189,11 +180,11 @@ def check_weights(weights: dict[str, Tensor], spec: dict[str, tuple[int, ...]]) 
 
 @dataclass(frozen=True)
 class _EdgeRuns:
-    """The directed edges in their given order, cut into ``chunks`` of head
-    rows, and sorted stably by target, cut into ``runs`` of whole target
-    nodes of at most ``CHUNK_ROWS`` rows unless one node alone has more."""
+    """The E stored directions, cut into the heads' ``chunks``; and all 2E,
+    the stored ones then their reverses, sorted stably by target into ``runs``
+    of whole target nodes of at most ``CHUNK_ROWS`` rows unless one has more."""
 
-    src: np.ndarray
+    src: np.ndarray      # the stored directions, the graph's own arrays
     dst: np.ndarray
     feats: np.ndarray
     s_src: np.ndarray
@@ -206,10 +197,11 @@ class _EdgeRuns:
     rows: int            # of the largest run or chunk
 
     @classmethod
-    def build(cls, uv, feats, n_nodes, head_rows) -> "_EdgeRuns":
-        src, dst = uv[:, 0], uv[:, 1]
+    def build(cls, g: viewgraph.ViewGraph, feats: np.ndarray) -> "_EdgeRuns":
+        u, v = g.endpoint_arrays()
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
         order = np.argsort(dst, kind="stable")
-        counts = np.bincount(dst, minlength=n_nodes)
+        counts = np.bincount(dst, minlength=g.n_nodes)
         targets = np.flatnonzero(counts)
         ends = np.cumsum(counts[targets])
         starts = ends - counts[targets]
@@ -220,9 +212,10 @@ class _EdgeRuns:
             runs.append((int(starts[k]), int(ends[k_end - 1]), k, k_end,
                          starts[k:k_end] - starts[k]))
             k = k_end
-        chunks = [(a, min(a + CHUNK_ROWS, head_rows)) for a in range(0, head_rows, CHUNK_ROWS)]
+        chunks = [(a, min(a + CHUNK_ROWS, u.size)) for a in range(0, u.size, CHUNK_ROWS)]
         rows = max([end - a for a, end, *_ in runs + chunks] + [0])
-        return cls(src, dst, feats, src[order], dst[order], feats[order], targets,
+        s_feats = np.concatenate([feats, so3.qconj(feats)])[order]
+        return cls(u, v, feats, src[order], dst[order], s_feats, targets,
                    np.maximum(counts, 1).astype(np.float64)[:, None], runs, chunks, rows)
 
 
@@ -240,7 +233,7 @@ def _round(w: dict[str, np.ndarray], t: int, h: np.ndarray) -> tuple:
     return wt, node_d, h @ wt[1]
 
 
-def _rounds(w, rounds, runs, init, heads, head_rows, states):
+def _rounds(w, rounds, runs, init, heads, states):
     """The forward: final node states, or the heads' outputs.  Appends each
     update's input ``[h, agg]`` to ``states``, then the last node states."""
     hid, msg = w["step0.upd.w"].shape[1], w["step0.msg2.w"].shape[0]
@@ -268,7 +261,7 @@ def _rounds(w, rounds, runs, init, heads, head_rows, states):
     states.append(h)
     if not heads:
         return h
-    outs = [np.empty((head_rows, hw.shape[1])) for hw, _ in heads]
+    outs = [np.empty((runs.src.size, hw.shape[1])) for hw, _ in heads]
     for a, end in runs.chunks:
         msgs = _messages(node_d, node_s, runs.dst[a:end], runs.src[a:end], runs.feats[a:end],
                          wt, bufs)
@@ -288,7 +281,7 @@ def _messages(node_d, node_s, dst, src, feats, wt, bufs) -> np.ndarray:
     rows, width = dst.size, we.shape[1]
     x, y = (buf[:rows * width].reshape(rows, width) for buf in bufs[:2])
     out = bufs[2, :rows * width].reshape(width, rows)
-    # the endpoints were range-checked once per call, so "clip" never clips
+    # a ViewGraph's endpoints lie in [0, N), so "clip" never clips
     np.take(node_d, dst, axis=0, out=x, mode="clip")
     np.take(node_s, src, axis=0, out=y, mode="clip")
     x += y
@@ -318,7 +311,7 @@ def _pullback(w, rounds, runs, states, heads, grads):
         h = states[t][:, :hid]
         wt, node_d, node_s = _round(w, t, h)
         g_d, g_s = np.zeros((n_nodes, msg)), np.zeros((n_nodes, msg))
-        if g_h is None:  # the heads' round, on the head rows in their given order
+        if g_h is None:  # the heads' round, on the stored directions in edge order
             for a, end in runs.chunks:
                 dst, src, feats = runs.dst[a:end], runs.src[a:end], runs.feats[a:end]
                 msgs = _messages(node_d, node_s, dst, src, feats, wt, bufs)

@@ -2,13 +2,13 @@
 
 Takes bootstrapped absolute orientations plus the observed measurements and
 regresses refined absolute orientations in one shot.  Hidden states start at
-the initial orientation quaternions (zero-padded); the feature of directed
-edge ``u -> v`` is the discrepancy ``init_v^-1 * q_uv * init_u`` between the
-measurement and the initialization.  The head maps final node states to a
-corrective rotation applied on the left of the initialization.  One head
-serves both paths: ``forward_tensors`` composes its raw output in one tape
-operation (training and losses), and ``refine_forward`` composes the same
-values, with rows whose norm underflows replaced by the identity
+the initial orientation quaternions (zero-padded); the feature of edge
+``u -> v`` is the discrepancy ``init_v^-1 * q_uv * init_u`` of measurement
+and initialization (``viewgraph.discrepancy``).  The head maps final node
+states to a corrective rotation applied on the left of the initialization.
+One head serves both paths: ``forward_tensors`` composes its raw output in
+one tape operation (training and losses), and ``refine_forward`` composes
+the same values, with rows whose norm underflows replaced by the identity
 (inference).  Initializations and predictions are (N, 4) rows;
 ``refine_forward`` returns a read-only ``so3.Orientations`` view (items for
 the adapter).  The loss and its pullback are one numpy function.
@@ -52,21 +52,12 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
     return store
 
 
-def _edge_discrepancy(g: ViewGraph, init_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edge arrays plus per-edge discrepancy features."""
-    uv, quats = viewgraph.directed_arrays(g)
-    # conjugating the N rows before the gather saves a (2E, 4) copy
-    return uv, so3.qmul(so3.qconj(init_rows).take(uv[:, 1], axis=0),
-                        so3.qmul(quats, init_rows.take(uv[:, 0], axis=0)))
-
-
 def _corrections(
     tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
 ) -> Tensor:
     """The head: raw (N, 4) corrective quaternions from the final node states."""
     mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
-    uv, feats = _edge_discrepancy(g, init_rows)
-    h = mpnn.forward(tape, weights, uv, feats, init_rows, g.n_nodes)
+    h = mpnn.forward(tape, weights, g, viewgraph.discrepancy(g, init_rows), init_rows)
     return tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
 
 
@@ -87,7 +78,7 @@ def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) 
     Total on valid inputs: corrective rows whose norm underflows fall back
     to the identity rotation.  The network runs on a non-recording tape, so
     ``mpnn.forward`` records no pullback, and its final round keeps no
-    messages.  Beyond the edge arrays and features, memory is
+    messages.  Beyond the directed edges and their features, memory is
     O(rounds*N*(H+M) + CHUNK_ROWS*M).
     """
     init_rows = viewgraph.orientation_rows(g, init)

@@ -4,11 +4,11 @@ A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
 ``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
 and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier); ground
 truth is (N, 4) canonical rows, NaN where unknown.  Every solver and network
-reads these arrays.  Solver orientations are (N, 4) rows too:
-:func:`orientation_rows` checks them on input, and
-:class:`~rotavg.so3.Orientations` hands them out.  ``ViewGraph.edges`` and
-the ``Orientations`` items are left of the object boundary only for the
-benchmark adapter's two reads.
+reads these arrays; :func:`discrepancy` is their one per-edge residual.
+Solver orientations are (N, 4) rows too: :func:`orientation_rows` checks
+them on input, and :class:`~rotavg.so3.Orientations` hands them out.
+``ViewGraph.edges`` and the ``Orientations`` items are left of the object
+boundary only for the benchmark adapter's two reads.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -70,31 +70,27 @@ class ViewGraph:
 
     def __init__(self, n_nodes: int, u: ArrayLike, v: ArrayLike, q: ArrayLike,
                  label: ArrayLike | None = None, gt: ArrayLike | None = None):
-        """Graph over integer edges ``(u[i], v[i])`` with orientation rows
-        ``q[i]`` and labels ``label[i]`` (default -1), validated and flipped to
-        ``u < v``; ``gt`` is (N, 4) rows, each all NaN (unknown) or finite and
-        nonzero.  Stores read-only copies."""
+        """Graph over integer edges ``(u[i], v[i])`` with numeric orientation
+        rows ``q[i]`` and bool or integer labels ``label[i]`` (default -1),
+        validated and flipped to ``u < v``; ``gt`` is (N, 4) numeric rows, each
+        all NaN (unknown) or finite and nonzero.  Stores read-only copies."""
         try:
             n = as_index(n_nodes)
         except TypeError:
             raise ViewGraphError(f"n_nodes must be an integer, got {n_nodes!r}") from None
         if n < 0:
             raise ViewGraphError("n_nodes must be non-negative")
-        gt = np.full((n, 4), np.nan) if gt is None else np.array(gt, dtype=np.float64)
+        gt = np.full((n, 4), np.nan) if gt is None else _array(gt, "iuf", "ground truth", float)
         if gt.shape != (n, 4):
             raise ViewGraphError("ground truth must have one (w, x, y, z) row per node")
         known = ~np.all(np.isnan(gt), axis=1)
         if not np.all(np.isfinite(gt[known])) or np.any(so3.rownorm(gt[known]) < 1e-12):
             raise ViewGraphError("ground-truth rows must be all NaN or finite nonzero")
         gt[known] = so3.qcanon(gt[known])
-        u, v = np.asarray(u), np.asarray(v)
-        if any(x.size and x.dtype.kind not in "iu" for x in (u, v)):
-            raise ViewGraphError("edge endpoints must be integers")
-        u = np.array(u, dtype=np.int64).reshape(-1)
-        v = np.array(v, dtype=np.int64).reshape(-1)
+        u, v = (_array(x, "iu", "edge endpoints", np.int64).reshape(-1) for x in (u, v))
         m = u.size
-        q = np.array(q, dtype=np.float64) if m else np.zeros((0, 4))
-        label = np.full(m, -1, dtype=np.int8) if label is None else np.array(label, dtype=np.int8)
+        q = _array(q, "iuf", "edge orientations", np.float64) if m else np.zeros((0, 4))
+        label = np.full(m, -1) if label is None else _array(label, "biu", "edge labels", None)
         if v.shape != (m,) or label.shape != (m,) or q.shape != (m, 4):
             raise ViewGraphError("edge arrays must have one entry per edge")
         if not np.all(np.isin(label, (-1, 0, 1))):
@@ -114,7 +110,7 @@ class ViewGraph:
         q = so3.qcanon(q)
         flip = u > v
         q[flip] = so3.qcanon(so3.qconj(q[flip]))
-        self._keep(n, lo, hi, q, label, gt)
+        self._keep(n, lo, hi, q, label.astype(np.int8), gt)
 
     @classmethod
     def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
@@ -188,6 +184,19 @@ class ViewGraph:
         """(E, 4) ground-truth relative orientations in edge order."""
         gt = self.gt_array()
         return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
+
+
+def _array(values: ArrayLike, kinds: str, what: str, dtype) -> np.ndarray:
+    """A ``dtype`` copy (own dtype if None) of ``values``; a :class:`ViewGraphError`
+    unless they are a rectangular array of a dtype kind in ``kinds``, so that
+    no number is truncated or parsed from text on the way."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or (arr.size and arr.dtype.kind not in kinds):
+        raise ViewGraphError(f"{what} must be {'numbers' if 'f' in kinds else 'integers'}")
+    return np.array(arr, dtype=dtype)
 
 
 def as_index(value) -> int:
@@ -363,26 +372,17 @@ def _format_block(cells: np.ndarray, full: str, short: str, is_full: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# Directed augmentation
+# Edge residuals
 # ---------------------------------------------------------------------------
 
-def directed_arrays(g: ViewGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges: all stored directions first, then their reverses.
-
-    Returns ``(uv, quats)`` with ``uv`` of shape (2E, 2) int64 and ``quats``
-    of shape (2E, 4); rows ``[0, E)`` are the stored directions and row
-    ``E + i`` is the reverse of row ``i``, carrying the inverse orientation.
-    """
+def discrepancy(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
+    """(E, 4) residuals ``rows_v^-1 * q_uv * rows_u`` of (N, 4) orientation rows,
+    the identity where they explain an edge; a conjugate is the reverse one's.
+    FineNet's edge feature, and the IRLS residual after the log map."""
     u, v = g.endpoint_arrays()
-    m = u.size
-    uv = np.empty((2 * m, 2), dtype=np.int64)
-    uv[:m, 0] = u
-    uv[:m, 1] = v
-    uv[m:, 0] = v
-    uv[m:, 1] = u
-    q = g.edge_quat_array()
-    quats = np.concatenate([q, so3.qconj(q)], axis=0) if m else np.zeros((0, 4))
-    return uv, quats
+    # conjugate the N rows before the gather, not E; ``take`` beats indexing here
+    return so3.qmul(so3.qconj(rows).take(v, axis=0),
+                    so3.qmul(g.edge_quat_array(), rows.take(u, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +505,17 @@ def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTree
     level is one array step.
     """
     n = g.n_nodes
+    root = node_id(tree.root, n, "tree root")
+    parent, depth = (_array(x, "iu", f"tree {name}", np.int64)
+                     for x, name in ((tree.parent, "parent"), (tree.depth, "depth")))
+    if parent.shape != (n,) or depth.shape != (n,):
+        raise ViewGraphError(f"tree parent and depth must have one entry per node ({n})")
     u, v = g.endpoint_arrays()
     keys = u * n + v
     order = np.argsort(keys)
     sorted_keys = np.append(keys[order], -1)  # padding, so a search past the end reads a value
-    depth, parent = np.asarray(tree.depth), np.asarray(tree.parent)
     rows = np.full((n, 4), np.nan)
-    rows[tree.root] = (1.0, 0.0, 0.0, 0.0)
+    rows[root] = (1.0, 0.0, 0.0, 0.0)
     for d in range(1, int(depth.max(initial=0)) + 1):
         child = np.flatnonzero(depth == d)
         par = parent[child]
@@ -526,7 +530,7 @@ def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTree
         rows[child] = so3.qcanon(so3.qmul(q_pc, rows[par]))
     if np.any(np.isnan(rows)):
         raise ViewGraphError("tree does not cover every node")
-    return SpanningTreeInit(root=tree.root, parent=parent, depth=depth,
+    return SpanningTreeInit(root=root, parent=parent, depth=depth,
                             orientations=so3.Orientations(rows))
 
 

@@ -10,7 +10,8 @@ the compositions built from them:
 - ``forward``, the former recording loop of the rounds: every round over
   all 2E directed edges at once, from ``edge_linear``, ``scatter_mean``,
   ``relu``, ``concat``, ``gather`` and the tape's ``linear``.  It takes the
-  same arguments as ``mpnn.forward`` and runs on any tape.
+  same arguments as ``mpnn.forward``, builds the directed edges and their
+  features with its own ``directed``, and runs on any tape.
 - ``OracleTape.clean_loss`` and ``OracleTape.refine_loss``, the former loss
   graphs over the heads' outputs, from the quaternion primitives
   (``quat_normalize``, ``quat_compose``, ``quat_conjugate``,
@@ -312,13 +313,25 @@ class OracleTape(Tape):
             raise AutodiffError(f"{name} expects matching (n, 4) inputs")
 
 
-def forward(tape, weights, uv, edge_feats, node_init, n_nodes, heads=(), head_rows=0):
-    """The former recording loop of ``mpnn.forward``, with its results; the
-    sizes are read from the weights' shapes."""
+def directed(g, feats):
+    """The 2E directed edges of ``g`` as (source, target) rows, the stored
+    directions ``(u, v)`` first and then their reverses ``(v, u)``, and
+    their features ``[feats; conj(feats)]``: the reverse direction carries
+    the inverse rotation."""
+    u, v = g.endpoint_arrays()
+    uv = np.concatenate([np.stack([u, v], axis=1), np.stack([v, u], axis=1)])
+    return uv, np.concatenate([feats, so3.qconj(feats)])
+
+
+def forward(tape, weights, g, edge_feats, node_init=None, heads=()):
+    """The former recording loop of ``mpnn.forward``, over the directed
+    edges of :func:`directed`, with its results; the sizes are read from the
+    weights' shapes."""
     ops = OracleTape
     rounds = sum(name.endswith(".upd.w") for name in weights)
     hidden = weights["step0.upd.w"].shape[1]
-    uv = np.asarray(uv, dtype=np.int64)
+    n_nodes = g.n_nodes
+    uv, edge_feats = directed(g, np.asarray(edge_feats, dtype=np.float64))
     src, dst = uv[:, 0], uv[:, 1]
     feats = ops.constant(tape, edge_feats)
     if node_init is None:
@@ -333,7 +346,7 @@ def forward(tape, weights, uv, edge_feats, node_init, n_nodes, heads=(), head_ro
         ))
         msgs = ops.relu(tape, tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
         if heads and t == rounds - 1:
-            rows = ops.gather(tape, msgs, np.arange(head_rows))
+            rows = ops.gather(tape, msgs, np.arange(g.n_edges))
             return [tape.linear(rows, w, b) for w, b in heads]
         x = ops.concat(tape, [h, ops.scatter_mean(tape, msgs, dst, n_nodes)])
         h = ops.relu(tape, tape.linear(x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))

@@ -6,9 +6,10 @@ on one small graph, so that a package change that breaks the benchmark
 fails here.  What the adapter reads of the package's object boundary is
 checked by value: the rows it builds from the solvers' ``Orientations``
 items are bit-equal to ``np.asarray`` of them, and ``corpus_graph`` counts
-the generated graph's edges.  The training schedule the checkpoint script
-reads through the adapter is checked against the committed checkpoints'
-manifest.
+the generated graph's edges.  A traced run, with ``benchmark/spans.py`` as
+it stands, must record a span of every traced function and restore them
+all.  The training schedule the checkpoint script reads through the
+adapter is checked against the committed checkpoints' manifest.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ from rotavg import synthgen, viewgraph
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-@pytest.fixture(scope="module")
-def adapter():
-    spec = importlib.util.spec_from_file_location("benchmark_adapter", BENCH_DIR / "adapter.py")
+def load_module(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def adapter():
+    return load_module("benchmark_adapter", "adapter.py")
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,38 @@ def assert_rows_of(got: np.ndarray, orientations) -> None:
 def test_traced_functions_exist(adapter):
     for owner, name, _ in adapter.TRACED_FUNCTIONS + adapter.COUNTED_FUNCTIONS:
         assert callable(getattr(owner, name)), name
+
+
+def test_traced_run_records_every_span(adapter, graph):
+    # the benchmark's --trace 1 run: every traced function must be reached
+    # through the attribute the tracer wraps, or its per-layer metric reads 0
+    spans = load_module("benchmark_spans", "spans.py")
+    patched = adapter.TRACED_FUNCTIONS + adapter.COUNTED_FUNCTIONS
+    originals = [getattr(owner, attr) for owner, attr, _ in patched]
+    nets = adapter.load_nets(BENCH_DIR / "checkpoints")
+    text = viewgraph.serialize(graph)
+    tracer = spans.Tracer()
+    tracer.install(adapter.TRACED_FUNCTIONS, adapter.COUNTED_FUNCTIONS)
+    try:
+        g = adapter.parse(text)
+        adapter.solve_bootstrap(g)
+        adapter.solve_neurora(g, nets)
+        adapter.solve_irls(g)
+        adapter.solve_weiszfeld(g, 1)
+        adapter.corpus_graph(n=12, edge_fraction=0.4, sigma_deg=15.0, outlier_fraction=0.1, seed=3)
+        store, _ = adapter.train_cleannet([g], [g], epochs=1)
+        adapter.train_finenet([g], [g], epochs=1, clean_store=store)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is orig for (owner, attr, _), orig in zip(patched, originals))
+    names = [name for name, *_ in tracer.spans]
+    assert set(names) == {name for *_, name in adapter.TRACED_FUNCTIONS}
+    # both networks reach the message passing through its module attribute
+    nested = {(names[parent], name) for name, _, _, parent, _ in tracer.spans if parent >= 0}
+    assert {("cleaning.clean_forward", "mpnn.forward"),
+            ("refinement.refine_forward", "mpnn.forward")} <= nested
+    assert all(end is not None for _, _, end, *_ in tracer.spans)
+    assert tracer.counts[("so3.qmul_calls", 0)] > 0
 
 
 def test_solver_results_are_the_solvers_rows(adapter, graph):

@@ -13,7 +13,7 @@ from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import Edge, UnitQuaternion, as_quats, edge_graph, edge_records
 
-TINY_CFG = MpnnConfig(rounds=2, hidden_dim=4, msg_dim=4, edge_feat_dim=4)
+TINY_CFG = MpnnConfig(rounds=2, hidden_dim=4, msg_dim=4)
 
 
 def tiny_clean_weights(seed=0, cfg=TINY_CFG, random_heads=False):

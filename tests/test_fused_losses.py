@@ -18,7 +18,7 @@ from rotavg.autodiff import AutodiffError, ParamStore, Tape
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph
 
-CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=4)
+CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4)
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 HALF_TURN = np.array([0.0, 1.0, 0.0, 0.0])  # orthogonal to the identity: |a - b| = |a + b|
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import mpnn_oracle
 from fd import fd_gradients
-from rotavg import cleaning, mpnn, refinement
+from rotavg import cleaning, mpnn, refinement, so3
 from rotavg.autodiff import AutodiffError, ParamStore, Tape, save_checkpoint
 from rotavg.mpnn import MpnnConfig
+from rotavg.viewgraph import ViewGraph
 
-TINY = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
+TINY = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3)
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def tiny_weights(cfg=TINY, seed=0):
@@ -22,22 +24,40 @@ def tiny_weights(cfg=TINY, seed=0):
     return store
 
 
-def run_forward(store, uv, feats, n_nodes, node_init=None, heads=(), head_rows=0,
-                recording=False):
+def graph(n, pairs):
+    """A view-graph over the edges ``pairs`` (flipped to ``u < v`` on
+    construction); ``forward`` reads only its structure, so every
+    measurement is the identity."""
+    e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return ViewGraph(n, e[:, 0], e[:, 1], np.tile(IDENTITY, (len(e), 1)))
+
+
+def random_graph(rng, n, m):
+    """``m`` distinct random pairs of ``n`` nodes, each in a random direction."""
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.choice(iu.size, size=m, replace=False)
+    flip = rng.random(m) < 0.5
+    return graph(n, np.stack([np.where(flip, iv[pick], iu[pick]),
+                              np.where(flip, iu[pick], iv[pick])], axis=1))
+
+
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+def run_forward(store, g, feats, node_init=None, heads=(), recording=False):
     """Final node states, or with ``heads`` (pairs of arrays) their outputs."""
     tape = Tape(recording=recording)
     weights = store.bind(tape)
     head_tensors = [(tape.leaf(w), tape.leaf(b)) for w, b in heads]
-    out = mpnn.forward(tape, weights, uv, feats, node_init, n_nodes, head_tensors, head_rows)
+    out = mpnn.forward(tape, weights, g, feats, node_init, head_tensors)
     return [o.values for o in out] if heads else out.values
 
 
 class TestForward:
     def test_single_node_no_edges(self):
-        cfg = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
+        cfg = MpnnConfig(rounds=2, hidden_dim=3, msg_dim=3)
         store = tiny_weights(cfg)
-        uv = np.zeros((0, 2), dtype=np.int64)
-        h = run_forward(store, uv, np.zeros((0, 2)), 1)
+        h = run_forward(store, graph(1, []), np.zeros((0, 4)))
         # zero initial state, zero aggregate: the update chain on zeros
         tape = Tape(recording=False)
         w = store.bind(tape)
@@ -50,88 +70,87 @@ class TestForward:
     def test_permutation_invariance(self):
         store = tiny_weights()
         rng = np.random.default_rng(1)
-        uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]])
-        feats = rng.normal(size=(6, 2))
-        h1 = run_forward(store, uv, feats, 3)
+        g = graph(3, TRIANGLE)
+        feats = rng.normal(size=(3, 4))
+        h1 = run_forward(store, g, feats)
 
-        # relabel nodes with a permutation and permute the edge list order
+        # relabel nodes with a permutation and permute the edge list order; an
+        # edge the relabelling flips is stored the other way round, with the
+        # conjugate feature
         perm = np.array([2, 0, 1])  # old -> new
-        order = np.array([3, 0, 5, 1, 4, 2])
-        uv2 = perm[uv][order]
-        feats2 = feats[order]
-        h2 = run_forward(store, uv2, feats2, 3)
+        order = np.array([2, 0, 1])
+        u, v = g.endpoint_arrays()
+        pu, pv = perm[u][order], perm[v][order]
+        feats2 = np.where((pu > pv)[:, None], so3.qconj(feats[order]), feats[order])
+        assert np.any(pu > pv)
+        h2 = run_forward(store, graph(3, np.stack([pu, pv], axis=1)), feats2)
         assert np.array_equal(h2[perm], h1)
 
     def test_isomorphic_graphs_bit_identical(self):
         store = tiny_weights()
         rng = np.random.default_rng(2)
-        uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
-        feats = rng.normal(size=(4, 2))
+        g = graph(3, [(0, 1), (1, 2)])
+        feats = rng.normal(size=(2, 4))
         head = [(rng.normal(size=(3, 2)), rng.normal(size=2))]
-        h1 = run_forward(store, uv, feats, 3)
-        h2 = run_forward(store, uv.copy(), feats.copy(), 3)
-        (m1,) = run_forward(store, uv, feats, 3, heads=head, head_rows=4)
-        (m2,) = run_forward(store, uv.copy(), feats.copy(), 3, heads=head, head_rows=4)
+        h1 = run_forward(store, g, feats)
+        h2 = run_forward(store, graph(3, [(0, 1), (1, 2)]), feats.copy())
+        (m1,) = run_forward(store, g, feats, heads=head)
+        (m2,) = run_forward(store, graph(3, [(0, 1), (1, 2)]), feats.copy(), heads=head)
         assert np.array_equal(h1, h2) and np.array_equal(m1, m2)
 
     def test_isolated_node_gets_zero_aggregate(self):
         store = tiny_weights()
-        uv = np.array([[0, 1], [1, 0]])
-        feats = np.random.default_rng(3).normal(size=(2, 2))
-        h = run_forward(store, uv, feats, 3)
+        feats = np.random.default_rng(3).normal(size=(1, 4))
+        h = run_forward(store, graph(3, [(0, 1)]), feats)
         assert np.all(np.isfinite(h))
 
     def test_node_init_padding(self):
-        cfg = MpnnConfig(rounds=1, hidden_dim=4, msg_dim=3, edge_feat_dim=2)
+        cfg = MpnnConfig(rounds=1, hidden_dim=4, msg_dim=3)
         store = tiny_weights(cfg)
-        uv = np.array([[0, 1], [1, 0]])
-        feats = np.zeros((2, 2))
         init = np.array([[1.0, 2.0], [3.0, 4.0]])
-        h = run_forward(store, uv, feats, 2, node_init=init)
+        h = run_forward(store, graph(2, [(0, 1)]), np.zeros((1, 4)), node_init=init)
         assert h.shape == (2, 4)
 
     def test_shape_validation(self):
         store = tiny_weights()
+        g = graph(2, [(0, 1)])
         for recording in (True, False):
             tape = Tape(recording=recording)
             w = store.bind(tape)
-            feats = np.zeros((1, 2))
+            feats = np.zeros((1, 4))
+            # one row per stored edge, four wide: not both directions, not 5 wide
+            for bad_feats in (np.zeros((2, 4)), np.zeros((1, 5)), np.zeros(4)):
+                with pytest.raises(AutodiffError, match="edge_feats shape"):
+                    mpnn.forward(tape, w, g, bad_feats)
             with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, np.zeros((2, 3)), np.zeros((2, 2)), None, 3)
-            with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, np.array([[0, 1]]), np.zeros((1, 5)), None, 2)
-            with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, np.array([[0, 1]]), feats, np.zeros((2, 4)), 2)
+                mpnn.forward(tape, w, g, feats, np.zeros((2, 4)))
             bad = dict(w, **{"step1.msg2.w": tape.leaf(np.zeros((3, 4)))})
             with pytest.raises(AutodiffError, match="step1.msg2.w"):
-                mpnn.forward(tape, bad, np.array([[0, 1]]), feats, None, 2)
-            # np.take would wrap -1 to the last node; 2 is one past it
-            for uv in ([[-1, 1]], [[0, 2]]):
-                with pytest.raises(AutodiffError, match="out of range"):
-                    mpnn.forward(tape, w, np.array(uv), feats, None, 2)
+                mpnn.forward(tape, bad, g, feats)
 
     @pytest.mark.parametrize("rows, width", [(3, 2), (1, 2), (2, 0), (2, 4)])
     def test_node_init_of_another_shape_rejected(self, rows, width):
         # TINY's hidden width is 3: node_init fills 1 to 3 leading columns of N rows
         tape = Tape(recording=False)
         w = tiny_weights().bind(tape)
-        uv, feats = np.array([[0, 1], [1, 0]]), np.zeros((2, 2))
+        g, feats = graph(2, [(0, 1)]), np.zeros((1, 4))
         with pytest.raises(AutodiffError, match="node_init shape"):
-            mpnn.forward(tape, w, uv, feats, np.zeros((rows, width)), 2)
-        assert run_forward(tiny_weights(), uv, feats, 2, node_init=np.ones((2, 3))).shape == (2, 3)
+            mpnn.forward(tape, w, g, feats, np.zeros((rows, width)))
+        assert run_forward(tiny_weights(), g, feats, node_init=np.ones((2, 3))).shape == (2, 3)
 
     @pytest.mark.parametrize("recording", [True, False])
     def test_head_validation(self, recording):
         tape = Tape(recording=recording)
         w = tiny_weights().bind(tape)
-        uv = np.array([[0, 1], [1, 0]])
-        feats = np.zeros((2, 2))
+        g, feats = graph(2, [(0, 1)]), np.zeros((1, 4))
         good = (tape.leaf(np.zeros((3, 2))), tape.leaf(np.zeros(2)))
-        for heads, rows in (([good], 3), ([good], -1),
-                            ([(tape.leaf(np.zeros((4, 2))), good[1])], 1),
-                            ([(good[0], tape.leaf(np.zeros(3)))], 1)):
-            with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, uv, feats, None, 2, heads, rows)
+        for heads in ([(tape.leaf(np.zeros((4, 2))), good[1])],
+                      [(good[0], tape.leaf(np.zeros(3)))],
+                      [good, (tape.leaf(np.zeros(3)), tape.leaf(np.zeros(1)))]):
+            with pytest.raises(AutodiffError, match="head shapes"):
+                mpnn.forward(tape, w, g, feats, None, heads)
+        (out,) = mpnn.forward(tape, w, g, feats, None, [good])
+        assert out.shape == (1, 2)
 
 
 def random_store(cfg, seed):
@@ -144,20 +163,21 @@ def random_store(cfg, seed):
 
 
 @st.composite
-def directed_graphs(draw):
-    """Both directions of random (multi-)edges; nodes past the drawn
-    endpoints are isolated, and up to 12 extra edges into node 0 can give it
-    an in-degree past every chunk size tested."""
-    n = draw(st.integers(1, 9))
+def view_graphs(draw):
+    """Random distinct edges in random directions over 1 to 12 nodes; up to
+    11 extra edges at node 0 can give it a degree past every chunk size
+    tested, and nodes past the drawn endpoints are isolated."""
+    n = draw(st.integers(1, 12))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
-    hub = draw(st.integers(0, 12)) if n > 1 else 0
-    pairs += [(1 + i % (n - 1), 0) for i in range(hub)]
-    e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return n + draw(st.integers(0, 3)), np.concatenate([e, e[:, ::-1]]), len(pairs)
+    pairs += [(k, 0) for k in range(1, draw(st.integers(0, n - 1)) + 1)]
+    first = {}
+    for a, b in pairs:
+        if a != b:
+            first.setdefault((min(a, b), max(a, b)), (a, b))
+    return graph(n + draw(st.integers(0, 3)), list(first.values()))
 
 
-def recorded_run(forward, store, n, uv, feats, init, heads, head_rows, upstream_seed,
-                 used=None):
+def recorded_run(forward, store, g, feats, init, heads, upstream_seed, used=None):
     """Outputs of ``forward`` on a recording tape, and the gradients of every
     weight and head of ``sum(out * upstream)`` over its first ``used``
     outputs (all by default); leaves the loss does not reach get zeros."""
@@ -165,7 +185,7 @@ def recorded_run(forward, store, n, uv, feats, init, heads, head_rows, upstream_
     weights = {k: tape.leaf(v, requires_grad=True) for k, v in store.params.items()}
     head_t = [(tape.leaf(w, requires_grad=True), tape.leaf(b, requires_grad=True))
               for w, b in heads]
-    out = forward(tape, weights, uv, feats, init, n, head_t, head_rows)
+    out = forward(tape, weights, g, feats, init, head_t)
     outs = out if heads else [out]
     rng = np.random.default_rng(upstream_seed)
     terms = [tape.sum(tape.mul(o, tape.constant(rng.normal(size=o.shape)))) for o in outs[:used]]
@@ -181,11 +201,12 @@ def recorded_run(forward, store, n, uv, feats, init, heads, head_rows, upstream_
 
 class TestInferenceRounds:
     """``mpnn.forward``, its values and its pullback, against the recording
-    loop of generic tape primitives in ``mpnn_oracle``."""
+    loop of generic tape primitives in ``mpnn_oracle`` over the directed
+    edges that ``mpnn_oracle.directed`` builds."""
 
     @staticmethod
-    def assert_matches_oracle(store, n, uv, feats, init, heads, head_rows, seed=0, used=None):
-        args = (store, n, uv, feats, init, heads, head_rows, seed, used)
+    def assert_matches_oracle(store, g, feats, init, heads, seed=0, used=None):
+        args = (store, g, feats, init, heads, seed, used)
         (outs, grads), (want_outs, want_grads) = (
             recorded_run(f, *args) for f in (mpnn.forward, mpnn_oracle.forward))
         assert len(outs) == len(want_outs) == max(len(heads), 1)
@@ -199,51 +220,48 @@ class TestInferenceRounds:
         return outs
 
     @settings(max_examples=60, deadline=None)
-    @given(directed_graphs(), st.sampled_from([1, 3, 7]), st.sampled_from([0, 4]),
+    @given(view_graphs(), st.sampled_from([1, 3, 7]), st.sampled_from([0, 4]),
            st.integers(0, 2**32 - 1))
-    def test_matches_recording_tape(self, graph, chunk, init_dim, seed):
-        n, uv, m = graph
-        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
+    def test_matches_recording_tape(self, g, chunk, init_dim, seed):
+        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4)
         rng = np.random.default_rng(seed)
-        feats = rng.normal(size=(len(uv), 3))
-        init = rng.normal(size=(n, init_dim)) if init_dim else None
+        feats = rng.normal(size=(g.n_edges, 4))
+        init = rng.normal(size=(g.n_nodes, init_dim)) if init_dim else None
         heads = [(rng.normal(size=(4, 4)), rng.normal(size=4)),
                  (rng.normal(size=(4, 1)), rng.normal(size=1))]
         store = random_store(cfg, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mpnn, "CHUNK_ROWS", chunk)
-            (h,) = self.assert_matches_oracle(store, n, uv, feats, init, (), 0, seed)
-            self.assert_matches_oracle(store, n, uv, feats, init, heads, m, seed)
-        assert h.shape == (n, 5)
+            (h,) = self.assert_matches_oracle(store, g, feats, init, (), seed)
+            self.assert_matches_oracle(store, g, feats, init, heads, seed)
+        assert h.shape == (g.n_nodes, 5)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize("init_dim", [0, 4])
     @pytest.mark.parametrize("m", [0, 21])  # 2E = 42 rows: a multiple of every chunk size
     def test_edge_counts_at_the_boundaries(self, chunk, init_dim, m, monkeypatch):
         monkeypatch.setattr(mpnn, "CHUNK_ROWS", chunk)
-        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
+        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4)
         rng = np.random.default_rng(m + chunk)
         n = 8
-        e = np.stack([np.arange(m) % n, (3 * np.arange(m) + 1) % n], axis=1)
-        uv = np.concatenate([e, e[:, ::-1]]).reshape(-1, 2)
-        feats = rng.normal(size=(2 * m, 3))
+        g = random_graph(rng, n, m)
+        feats = rng.normal(size=(m, 4))
         init = rng.normal(size=(n, init_dim)) if init_dim else None
         heads = [(rng.normal(size=(4, 2)), rng.normal(size=2))]
         store = random_store(cfg, chunk)
-        self.assert_matches_oracle(store, n, uv, feats, init, (), 0)
-        (out,) = self.assert_matches_oracle(store, n, uv, feats, init, heads, m)
+        self.assert_matches_oracle(store, g, feats, init, ())
+        (out,) = self.assert_matches_oracle(store, g, feats, init, heads)
         assert out.shape == (m, 2)
 
     def test_head_outside_the_loss(self, monkeypatch):
         # a loss that reads one head only: the other head's weights get zeros
         monkeypatch.setattr(mpnn, "CHUNK_ROWS", 3)
-        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
+        cfg = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4)
         rng = np.random.default_rng(4)
-        e = rng.integers(0, 6, size=(9, 2))
-        uv = np.concatenate([e, e[:, ::-1]])
+        g = random_graph(rng, 6, 9)
         heads = [(rng.normal(size=(4, 4)), rng.normal(size=4)),
                  (rng.normal(size=(4, 1)), rng.normal(size=1))]
-        args = (random_store(cfg, 4), 6, uv, rng.normal(size=(18, 3)), None, heads, 9)
+        args = (random_store(cfg, 4), g, rng.normal(size=(9, 4)), None, heads)
         self.assert_matches_oracle(*args, used=1)
         _, grads = recorded_run(mpnn.forward, *args, 0, used=1)
         assert not np.any(grads["head1.w"]) and not np.any(grads["head1.b"])
@@ -251,18 +269,14 @@ class TestInferenceRounds:
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_no_state_carries_between_calls(self, chunk, monkeypatch):
         monkeypatch.setattr(mpnn, "CHUNK_ROWS", chunk)
-        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4, edge_feat_dim=3)
+        cfg = MpnnConfig(rounds=3, hidden_dim=5, msg_dim=4)
         store = random_store(cfg, 0)
         rng = np.random.default_rng(1)
         heads = [(rng.normal(size=(4, 3)), rng.normal(size=3))]
-        graphs = []
-        for n, m in ((6, 9), (11, 30)):
-            e = rng.integers(0, n, size=(m, 2))
-            graphs.append((n, np.concatenate([e, e[:, ::-1]]), rng.normal(size=(2 * m, 3)), m))
-        a, b = graphs
-        runs = [(recorded_run(mpnn.forward, store, n, uv, feats, None, (), 0, 0),
-                 recorded_run(mpnn.forward, store, n, uv, feats, None, heads, m, 0))
-                for n, uv, feats, m in (a, b, a)]
+        a, b = ((random_graph(rng, n, m), rng.normal(size=(m, 4))) for n, m in ((6, 9), (11, 30)))
+        runs = [(recorded_run(mpnn.forward, store, g, feats, None, (), 0),
+                 recorded_run(mpnn.forward, store, g, feats, None, heads, 0))
+                for g, feats in (a, b, a)]
         for (outs, grads), (outs_again, grads_again) in zip(runs[0], runs[2]):
             assert all(np.array_equal(x, y) for x, y in zip(outs, outs_again))
             assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
@@ -270,13 +284,15 @@ class TestInferenceRounds:
 
 class TestGradients:
     def test_full_network_gradient_check(self):
-        cfg = MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3, edge_feat_dim=2)
+        cfg = MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3)
         # seed keeps every relu pre-activation away from the kink, where the
-        # central difference would straddle the non-differentiability
-        store = tiny_weights(cfg, seed=25)
-        rng = np.random.default_rng(125)
-        uv = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]])
-        feats = rng.normal(size=(6, 2))
+        # central difference would straddle the non-differentiability; with
+        # zero biases, an edge whose first message layer is all dead puts the
+        # second layer's pre-activations on it
+        store = tiny_weights(cfg, seed=2)
+        rng = np.random.default_rng(102)
+        g = graph(3, TRIANGLE)
+        feats = rng.normal(size=(3, 4))
         init = rng.normal(size=(3, 2))
         params = {name: arr for name, arr in store.params.items()}
         params["head.w"] = rng.normal(size=(3, 2))
@@ -284,9 +300,8 @@ class TestGradients:
 
         def build(tape, p):
             weights = {k: p[k] for k in store.params}
-            h = mpnn.forward(tape, weights, uv, feats, init, 3)
-            (out,) = mpnn.forward(tape, weights, uv, feats, init, 3,
-                                  [(p["head.w"], p["head.b"])], head_rows=3)
+            h = mpnn.forward(tape, weights, g, feats, init)
+            (out,) = mpnn.forward(tape, weights, g, feats, init, [(p["head.w"], p["head.b"])])
             return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
 
         err = fd_gradients(build, params, tape_cls=mpnn_oracle.OracleTape)
@@ -294,7 +309,7 @@ class TestGradients:
 
 
 class TestConfigOf:
-    @pytest.mark.parametrize("cfg", [TINY, MpnnConfig(), MpnnConfig(1, 2, 3, 1)])
+    @pytest.mark.parametrize("cfg", [TINY, MpnnConfig(), MpnnConfig(1, 2, 3)])
     def test_sizes_read_back(self, cfg):
         assert mpnn.config_of(tiny_weights(cfg).bind(Tape(recording=False))) == cfg
 
@@ -309,10 +324,11 @@ class TestConfigOf:
         ((), {"step0.upd.w": np.zeros((6, 0))}, r"'step0.upd.w' has shape \(6, 0\)"),
         ((), {"step0.msg2.w": np.zeros(3)}, r"'step0.msg2.w' has shape \(3,\)"),
         ((), {"step3.msg2.w": np.zeros((3, 4))}, r"'step3.msg2.w' has shape \(3, 4\)"),
+        ((), {"step0.msg1.w": np.zeros((12, 3))}, r"'step0.msg1.w' has 12 rows, not 2H \+ 4"),
     ])
     def test_failures_name_the_weight(self, dropped, replaced, named):
-        # four rounds with H = M = 3 and two edge features: msg1.w is (8, 3)
-        store = tiny_weights(MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3, edge_feat_dim=2))
+        # four rounds with H = M = 3 and four-wide edge features: msg1.w is (10, 3)
+        store = tiny_weights(MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3))
         tape = Tape(recording=False)
         weights = {k: t for k, t in store.bind(tape).items() if not k.startswith(dropped)}
         weights.update((k, tape.leaf(v)) for k, v in replaced.items())
@@ -335,7 +351,7 @@ def test_only_array_makers_take_a_config():
 
 
 class TestConfig:
-    @pytest.mark.parametrize("field", ["rounds", "hidden_dim", "msg_dim", "edge_feat_dim"])
+    @pytest.mark.parametrize("field", ["rounds", "hidden_dim", "msg_dim"])
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True])
     def test_sizes_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):

@@ -13,7 +13,7 @@ from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import UnitQuaternion, as_quats
 
-TINY_CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4, edge_feat_dim=4)
+TINY_CFG = MpnnConfig(rounds=2, hidden_dim=5, msg_dim=4)
 
 
 def tiny_refine_weights(seed=0, cfg=TINY_CFG, random_head=False):
@@ -78,7 +78,7 @@ class TestForward:
 
     def test_perfect_init_on_clean_graph_gives_identity_features(self):
         g, root = referenced_graph(sigma=0.0)
-        _, feats = refinement._edge_discrepancy(g, g.gt)
+        feats = viewgraph.discrepancy(g, g.gt)
         ident = np.zeros_like(feats)
         ident[:, 0] = 1.0
         assert np.max(so3.qangle_deg(feats, ident)) < 1e-9

@@ -234,6 +234,26 @@ class TestArrayStore:
         assert g.n_nodes == 3 and type(g.n_nodes) is int and g.edges.tolist() == [[0, 2]]
         assert ViewGraph(2, [], np.zeros(0), np.zeros((0, 4))).n_edges == 0
 
+    @pytest.mark.parametrize("label", [[0.5], [1.7], [256], [np.nan], [None], ["1"], [1.0]])
+    def test_non_integer_labels_rejected(self, label):
+        # an int8 cast would store 0.5 as 0 and 1.7 as 1, and overflow at 256
+        q = np.array([[1.0, 0.0, 0.0, 0.0]])
+        reason = "-1 \\(unknown\\), 0 or 1" if label == [256] else "integers"
+        with pytest.raises(ViewGraphError, match=f"edge labels must be {reason}"):
+            ViewGraph(2, [0], [1], q, label)
+        for label, stored in (([True], 1), (np.array([0], dtype=np.uint8), 0), ([-1], -1)):
+            assert ViewGraph(2, [0], [1], q, label).edge_labels().tolist() == [stored]
+
+    def test_non_numeric_rows_rejected(self):
+        q = [[1.0, 0.0, 0.0, 0.0]]
+        # text would be parsed as numbers by a float cast, or fail with a bare ValueError
+        for bad in ([["a", 0.0, 0.0, 0.0]], [["1.0", "0", "0", "0"]], [[1.0, 0.0], [1.0]]):
+            with pytest.raises(ViewGraphError, match="edge orientations must be numbers"):
+                ViewGraph(2, [0], [1], bad)
+            with pytest.raises(ViewGraphError, match="ground truth must be numbers"):
+                ViewGraph(2, [0], [1], q, gt=[[1.0, 0.0, 0.0, 0.0], *bad])
+        assert ViewGraph(2, [0], [1], [[1, 0, 0, 0]], gt=np.eye(4, dtype=int)[:2]).n_edges == 1
+
     def test_malformed_arrays_rejected(self):
         q = np.array([[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ViewGraphError, match="one entry per edge"):
@@ -497,38 +517,38 @@ class TestStructure:
         with pytest.raises(ViewGraphError, match="self-loop"):
             edge_graph(2, [Edge(1, 1, UnitQuaternion.identity())])
 
-    def test_augment_bidirectional(self):
-        g = small_graph()
-        uv, quats = viewgraph.directed_arrays(g)
-        m = len(g.edges)
-        assert uv.shape == (2 * m, 2) and quats.shape == (2 * m, 4)
+
+class TestDiscrepancy:
+    """``viewgraph.discrepancy``, the one per-edge residual of FineNet's
+    features and IRLS, against the scalar oracle edge by edge."""
+
+    @staticmethod
+    def noisy_graph(seed):
+        cfg = synthgen.SynthConfig(n_cameras=(12, 20), edge_fraction=(0.3, 0.5),
+                                   planar=False, seed=seed)
+        return synthgen.generate_graph(cfg, np.random.default_rng(seed))
+
+    def test_identity_at_the_ground_truth_of_a_clean_graph(self):
+        cfg = synthgen.SynthConfig(n_cameras=(15, 30), sigma_deg=(0.0, 0.0),
+                                   outlier_fraction=(0.0, 0.0), planar=False, seed=3)
+        g = synthgen.generate_graph(cfg, np.random.default_rng(3))
+        d = viewgraph.discrepancy(g, g.gt)
+        ident = np.tile([1.0, 0.0, 0.0, 0.0], (g.n_edges, 1))
+        assert d.shape == (g.n_edges, 4) and np.max(so3.qangle_deg(d, ident)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_oracle_in_both_directions(self, seed):
+        g = self.noisy_graph(seed)
+        rows = so3.sample_uniform_rows(np.random.default_rng(seed + 10), g.n_nodes)
+        d = viewgraph.discrepancy(g, rows)
+        r = as_quats(rows)
+        compose, inverse = so3_oracle.compose, so3_oracle.inverse
         for i, e in enumerate(edge_records(g)):
-            assert tuple(uv[i]) == (e.u, e.v) and tuple(uv[m + i]) == (e.v, e.u)
-            assert np.array_equal(quats[i], e.q.as_array())
-            rq = UnitQuaternion.from_array(quats[m + i])
-            ident = UnitQuaternion.identity()
-            assert so3_oracle.geodesic_deg(so3_oracle.compose(e.q, rq), ident) < 1e-9
-
-    def test_augment_involution(self):
-        g = small_graph()
-        uv, quats = viewgraph.directed_arrays(g)
-        m = len(g.edges)
-        # the reverse block, stored as a graph, is flipped back on construction
-        rev = ViewGraph(g.n_nodes, uv[m:, 0], uv[m:, 1], quats[m:], gt=g.gt)
-        assert np.array_equal(rev.edge_quat_array(), g.edge_quat_array())
-        uv2, quats2 = viewgraph.directed_arrays(rev)
-        # reversing the reversed set reproduces the forward measurements
-        assert np.array_equal(uv2, uv) and np.array_equal(quats2, quats)
-
-    def test_directed_arrays_blocks(self):
-        g = small_graph()
-        uv, quats = viewgraph.directed_arrays(g)
-        m = len(g.edges)
-        assert uv.shape == (2 * m, 2) and quats.shape == (2 * m, 4)
-        prod = so3.qmul(quats[:m], quats[m:])
-        ident = np.zeros((m, 4))
-        ident[:, 0] = 1.0
-        assert np.max(so3.qangle_deg(prod, ident)) < 1e-9
+            # u -> v: rows_v^-1 * q_uv * rows_u; v -> u, over the inverse measurement
+            forward = compose(inverse(r[e.v]), compose(e.q, r[e.u]))
+            reverse = compose(inverse(r[e.u]), compose(inverse(e.q), r[e.v]))
+            assert np.max(np.abs(so3.qcanon(d[i]) - forward.as_array())) <= 1e-15
+            assert np.max(np.abs(so3.qcanon(so3.qconj(d[i])) - reverse.as_array())) <= 1e-15
 
 
 class TestConnectivity:
@@ -760,6 +780,22 @@ class TestBootstrap:
         tree = viewgraph.SpanningTreeInit(root=0, parent=[-1, 0, 0], depth=[0, 1, 1])
         with pytest.raises(ViewGraphError, match="between 0 and 2"):
             viewgraph.bootstrap_orientations(g, tree)
+
+
+    def test_malformed_tree_rejected(self):
+        q = UnitQuaternion.identity()
+        g = edge_graph(3, [Edge(0, 1, q), Edge(1, 2, q)])
+        parent, depth = [-1, 0, 1], [0, 1, 2]
+        for root in (7, -1, 1.0, True):
+            with pytest.raises(ViewGraphError, match="tree root"):
+                viewgraph.bootstrap_orientations(g, viewgraph.SpanningTreeInit(root, parent, depth))
+        for bad_parent, bad_depth in (([-1.0, 0.0, 1.0], depth), (parent, [0, 1]),
+                                      (parent, [[0, 1, 2]])):
+            with pytest.raises(ViewGraphError, match="tree (parent|depth)"):
+                viewgraph.bootstrap_orientations(
+                    g, viewgraph.SpanningTreeInit(0, bad_parent, bad_depth))
+        boot = viewgraph.bootstrap_orientations(g, viewgraph.SpanningTreeInit(0, parent, depth))
+        assert boot.parent.dtype == boot.depth.dtype == np.int64 and boot.root == 0
 
 
 class TestRereference:
