@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 A :class:`Tape` records pullbacks in execution order and replays them once,
-in reverse, from a scalar loss.  Its one primitive is ``linear``; the
-message passing, FineNet's correction and each network's loss are single
-operations with closed-form pullbacks, recorded with ``Tape.emit``.  The
-losses share the row kernels ``unit_rows`` and ``quat_dist``, which return
-a value and its pullback; the tests keep the former generic primitives as
-an oracle tape.  Everything is float64 and deterministic in single-threaded use.
+in reverse, from a scalar loss.  It has no primitives: the message passing
+and each network's loss are single operations with closed-form pullbacks,
+recorded with ``Tape.emit``.  The losses share the row kernels
+``unit_rows`` and ``quat_dist``, which return a value and its pullback; the
+tests keep the former generic primitives as an oracle tape.  Everything is
+float64 and deterministic in single-threaded use.
 """
 
 from __future__ import annotations
@@ -84,25 +84,6 @@ class Tape:
         if self.recording and requires_grad:
             self._records.append((outs, pullback))
         return out
-
-    # -- primitives ----------------------------------------------------
-
-    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        if x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
-            raise AutodiffError("linear expects x (n,i), w (i,o), b (o,)")
-        if x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
-            raise AutodiffError(
-                f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
-            )
-        out = x.values @ w.values
-        out += b.values
-
-        def pull(g):
-            accumulate(x, g @ w.values.T)
-            accumulate(w, x.values.T @ g)
-            accumulate(b, g.sum(axis=0))
-
-        return self.emit(Tensor(out), (x, w, b), pull)
 
     # -- backward ------------------------------------------------------
 

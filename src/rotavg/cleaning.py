@@ -149,26 +149,15 @@ def clean_loss_graph(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> Te
     return tape.emit(Tensor(loss), (delta_raw, logits), pull)
 
 
-def clean_loss(pred: CleanPrediction, g: ViewGraph) -> float:
-    """Loss value for an existing prediction (evaluation path)."""
-    _check_covers(pred, g)
-    return float(_loss_terms(pred.rect, pred.logits, g)[0])
-
-
-def _check_covers(pred: CleanPrediction, g: ViewGraph) -> None:
-    m = g.n_edges
-    if tuple(map(np.shape, (pred.rect, pred.outlier_prob, pred.logits))) != ((m, 4), (m,), (m,)):
-        raise ViewGraphError("prediction does not cover every edge")
-
-
 def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:
     """Drop edges scored above ``EPSILON_DEFAULT`` and install rectified orientations.
 
     If the removal disconnects the graph the result is restricted to the
     largest component.  Removing every edge is an error.
     """
-    _check_covers(pred, g)
     m = g.n_edges
+    if tuple(map(np.shape, (pred.rect, pred.outlier_prob, pred.logits))) != ((m, 4), (m,), (m,)):
+        raise ViewGraphError("prediction does not cover every edge")
     keep = pred.outlier_prob <= EPSILON_DEFAULT
     if not np.any(keep):
         raise ViewGraphError("empty cleaned graph: every edge was removed")

@@ -6,12 +6,12 @@ the initial orientation quaternions (zero-padded); the feature of edge
 ``u -> v`` is the discrepancy ``init_v^-1 * q_uv * init_u`` of measurement
 and initialization (``viewgraph.discrepancy``).  The head maps final node
 states to a corrective rotation applied on the left of the initialization.
-One head serves both paths: ``forward_tensors`` composes its raw output in
-one tape operation (training and losses), and ``refine_forward`` composes
-the same values, with rows whose norm underflows replaced by the identity
-(inference).  Initializations and predictions are (N, 4) rows;
-``refine_forward`` returns a read-only ``so3.Orientations`` view (items for
-the adapter).  The loss and its pullback are one numpy function.
+Initializations and predictions are (N, 4) rows.  ``refine_forward``
+composes the head's corrections with rows whose norm underflows replaced by
+the identity, and returns a read-only ``so3.Orientations`` view (items for
+the adapter).  In training, ``refine_loss_graph`` takes the final node
+states to the loss in one tape operation: the head, the normalized
+correction composed on the left of the initialization, and the loss terms.
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import autodiff, mpnn, so3, viewgraph
-from .autodiff import AutodiffError, ParamStore, Tape, Tensor, _segment_sum, accumulate
+from .autodiff import ParamStore, Tape, Tensor, _segment_sum, accumulate
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -54,22 +54,14 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
 
 def _corrections(
     tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
-) -> Tensor:
-    """The head: raw (N, 4) corrective quaternions from the final node states."""
+) -> tuple[Tensor, np.ndarray]:
+    """The final (N, H) node states and the head's raw (N, 4) corrective
+    quaternions ``h @ w + b`` from them."""
     mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
     h = mpnn.forward(tape, weights, g, viewgraph.discrepancy(g, init_rows), init_rows)
-    return tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
-
-
-def forward_tensors(
-    tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
-) -> Tensor:
-    """Refined orientations as an (N, 4) tensor (not yet re-referenced): the
-    head's corrections, normalized and composed on the left of ``init_rows``."""
-    delta_raw = _corrections(tape, g, init_rows, weights)
-    delta, delta_pull = autodiff.unit_rows(delta_raw.values)
-    return tape.emit(Tensor(so3.qmul(delta, init_rows)), (delta_raw,), lambda g_pred: accumulate(
-        delta_raw, delta_pull(so3.qmul(g_pred, so3.qconj(init_rows)))))
+    delta_raw = h.values @ weights["head_refine.w"].values
+    delta_raw += weights["head_refine.b"].values
+    return h, delta_raw
 
 
 def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) -> so3.Orientations:
@@ -78,25 +70,38 @@ def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) 
     Total on valid inputs: corrective rows whose norm underflows fall back
     to the identity rotation.  The network runs on a non-recording tape, so
     ``mpnn.forward`` records no pullback, and its final round keeps no
-    messages.  Beyond the directed edges and their features, memory is
-    O(rounds*N*(H+M) + CHUNK_ROWS*M).
+    messages.  Beyond the E edge features, memory is O(rounds*N*(H+M) +
+    CHUNK_ROWS*M).
     """
     init_rows = viewgraph.orientation_rows(g, init)
     root = viewgraph.node_id(root, g.n_nodes, "root")
     if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     tape = Tape(recording=False)
-    delta = _corrections(tape, g, init_rows, store.bind(tape)).values
+    delta = _corrections(tape, g, init_rows, store.bind(tape))[1]
     pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 
 
-def loss_from_pred(tape: Tape, pred: Tensor, g: ViewGraph, root: int) -> Tensor:
-    """The loss of the (N, 4) predicted rows ``pred`` as one operation."""
-    if pred.shape != (g.n_nodes, 4):
-        raise AutodiffError(f"prediction of shape {pred.shape} is not ({g.n_nodes}, 4)")
-    loss, rows_pull = _loss_terms(pred.values, g, root)
-    return tape.emit(Tensor(loss), (pred,), lambda g_loss: accumulate(pred, rows_pull(g_loss)))
+def refine_loss_graph(
+    tape: Tape, g: ViewGraph, init_rows: np.ndarray, root: int, weights: dict[str, Tensor]
+) -> Tensor:
+    """Differentiable loss of the network's own refinement of ``init_rows``
+    on ``g``: the message passing, then one operation from its final node
+    states to the loss (the head, the normalized correction composed on the
+    left of ``init_rows``, and the loss terms)."""
+    h, delta_raw = _corrections(tape, g, init_rows, weights)
+    w, b = weights["head_refine.w"], weights["head_refine.b"]
+    delta, delta_pull = autodiff.unit_rows(delta_raw)
+    loss, pred_pull = _loss_terms(so3.qmul(delta, init_rows), g, root)
+
+    def pull(g_loss):
+        g_delta = delta_pull(so3.qmul(pred_pull(g_loss), so3.qconj(init_rows)))
+        accumulate(h, g_delta @ w.values.T)
+        accumulate(w, h.values.T @ g_delta)
+        accumulate(b, g_delta.sum(axis=0))
+
+    return tape.emit(Tensor(loss), (h, w, b), pull)
 
 
 def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
@@ -138,8 +143,3 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
         return g_pred
 
     return loss, pull
-
-
-def refine_loss(pred: ArrayLike, g: ViewGraph, root: int) -> float:
-    """Loss value for concrete (N, 4) predicted rows (evaluation path)."""
-    return float(_loss_terms(viewgraph.orientation_rows(g, pred), g, root)[0])

@@ -2,12 +2,15 @@
 
 One epoch loop (``_fit``) trains both networks per graph (batch size one)
 with Adam and decoupled weight decay; each network only supplies its
-per-sample loss and how a graph becomes a sample.  Each epoch re-samples an
-edge-dropout mask per training graph, so training samples are made every
-epoch; validation always runs on the full graphs with the same loss, their
-samples made once, and the parameters with the best validation loss are
-returned.  A split is any sequence of graphs, such as a lazy
-``synthgen.corpus`` split, which generates each graph when it is read.
+per-sample loss and how a graph becomes a sample.  Either loss records two
+tape operations per step: the message passing, then one operation to the
+loss (``cleaning.clean_loss_graph``, ``refinement.refine_loss_graph``).
+Each epoch re-samples an edge-dropout mask per training graph, so training
+samples are made every epoch; validation always runs on the full graphs
+with the same loss, their samples made once, and the parameters with the
+best validation loss are returned.  A split is any sequence of graphs, such
+as a lazy ``synthgen.corpus`` split, which generates each graph when it is
+read.
 """
 
 from __future__ import annotations
@@ -198,12 +201,6 @@ def train_finenet(
     """Train the refinement network on inits from the cleaning network
     ``clean_store``, recomputed per epoch on the dropout-filtered edges; a
     validation graph's init depends on nothing else, so it is made once."""
-
-    def graph_loss(tape: Tape, weights: dict[str, Tensor],
-                   sample: tuple[ViewGraph, np.ndarray, int]) -> Tensor:
-        observed, init_rows, root = sample
-        pred = refinement.forward_tensors(tape, observed, init_rows, weights)
-        return refinement.loss_from_pred(tape, pred, observed, root)
-
-    return _fit(refinement.new_weights(cfg.seed), graph_loss, train_graphs, val_graphs,
-                cfg, lambda g: prepare_refinement_sample(g, clean_store))
+    return _fit(refinement.new_weights(cfg.seed),
+                lambda tape, weights, sample: refinement.refine_loss_graph(tape, *sample, weights),
+                train_graphs, val_graphs, cfg, lambda g: prepare_refinement_sample(g, clean_store))

@@ -415,10 +415,13 @@ def is_connected(g: ViewGraph) -> bool:
 def induced_subgraph(g: ViewGraph, nodes: ArrayLike) -> ViewGraph:
     """Node-induced subgraph on distinct node ids ``nodes`` in ``[0, N)``:
     new id ``i`` is the ``i``-th smallest of them."""
-    ids = np.asarray(nodes)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+    try:
+        ids = _array(nodes, "iu", "node ids", np.int64)
+    except ViewGraphError:  # ragged, floats or text
+        ids = None
+    if ids is None or ids.ndim != 1:
         raise ViewGraphError("node ids must be a 1-D integer array")
-    ids = np.sort(ids.astype(np.int64))
+    ids.sort()
     if ids.size and (ids[0] < 0 or ids[-1] >= g.n_nodes):
         raise ViewGraphError(f"node ids must lie in [0, {g.n_nodes})")
     if np.any(ids[1:] == ids[:-1]):
@@ -538,8 +541,8 @@ def orientation_rows(g: ViewGraph, orientations: ArrayLike) -> np.ndarray:
     """Canonical (N, 4) rows of per-node orientations given to a solver (an
     ``Orientations`` view or any array-like); each row must be finite, nonzero."""
     try:
-        rows = np.asarray(orientations, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric input
+        rows = _array(orientations, "iuf", "orientations", np.float64)
+    except ViewGraphError:  # ragged, text or objects
         rows = None
     if rows is None or rows.shape != (g.n_nodes, 4):
         raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4) rows covering every node")

@@ -1,21 +1,23 @@
 """The networks on generic tape primitives: the tests' oracle.
 
-In the package, the message-passing rounds (``rotavg.mpnn.forward``),
-CleanNet's loss, FineNet's correction and FineNet's loss are each one tape
-operation with a hand-written pullback, and ``Tape`` keeps only ``leaf``,
-``emit``, ``linear`` and ``backward``.  ``OracleTape`` keeps the generic
-primitives they replaced, none of which has a caller in the package, and
-the compositions built from them:
+In the package, the message-passing rounds (``rotavg.mpnn.forward``) and
+each network's loss (CleanNet's from its heads' outputs, FineNet's from the
+final node states, its head included) are each one tape operation with a
+hand-written pullback, and ``Tape`` keeps only ``leaf``, ``emit`` and
+``backward``.  ``OracleTape`` keeps the generic primitives they replaced,
+none of which has a caller in the package, and the compositions built from
+them:
 
 - ``forward``, the former recording loop of the rounds: every round over
   all 2E directed edges at once, from ``edge_linear``, ``scatter_mean``,
-  ``relu``, ``concat``, ``gather`` and the tape's ``linear``.  It takes the
-  same arguments as ``mpnn.forward``, builds the directed edges and their
+  ``relu``, ``concat``, ``gather`` and ``linear``.  It takes the same
+  arguments as ``mpnn.forward``, builds the directed edges and their
   features with its own ``directed``, and runs on any tape.
 - ``OracleTape.clean_loss`` and ``OracleTape.refine_loss``, the former loss
   graphs over the heads' outputs, from the quaternion primitives
   (``quat_normalize``, ``quat_compose``, ``quat_conjugate``,
   ``quat_dist_loss``), ``bce_with_logits`` and the elementwise ones.
+  FineNet's head is ``linear`` of the final node states.
 
 Their values and gradients are the reference the fused operations are
 checked against; the fused losses must match them bit for bit.
@@ -32,6 +34,23 @@ from rotavg.viewgraph import ViewGraphError
 
 class OracleTape(Tape):
     """A tape with the generic primitives the package's fused operations replaced."""
+
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        if x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
+            raise AutodiffError("linear expects x (n,i), w (i,o), b (o,)")
+        if x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
+            raise AutodiffError(
+                f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
+            )
+        out = x.values @ w.values
+        out += b.values
+
+        def pull(g):
+            accumulate(x, g @ w.values.T)
+            accumulate(w, x.values.T @ g)
+            accumulate(b, g.sum(axis=0))
+
+        return self.emit(Tensor(out), (x, w, b), pull)
 
     def edge_linear(
         self, h: Tensor, dst: np.ndarray, src: np.ndarray, e: Tensor, w: Tensor, b: Tensor
@@ -281,8 +300,8 @@ class OracleTape(Tape):
         return self.add(mre, self.scale(bce, cleaning.BCE_WEIGHT))
 
     def refine_loss(self, delta_raw: Tensor, init_rows: np.ndarray, g, root: int) -> Tensor:
-        """FineNet's loss from its head's ``(N, 4)`` corrections: the oracle of
-        ``refinement.forward_tensors`` followed by ``refinement.loss_from_pred``."""
+        """FineNet's loss from its head's ``(N, 4)`` corrections: with ``linear``
+        as the head, the oracle of ``refinement.refine_loss_graph``."""
         pred = self.quat_compose(self.quat_normalize(delta_raw), self.constant(init_rows))
         if not g.has_full_gt:
             raise ViewGraphError("loss requires full ground truth")
@@ -344,10 +363,11 @@ def forward(tape, weights, g, edge_feats, node_init=None, heads=()):
         x = ops.relu(tape, ops.edge_linear(
             tape, h, dst, src, feats, weights[f"{step}.msg1.w"], weights[f"{step}.msg1.b"]
         ))
-        msgs = ops.relu(tape, tape.linear(x, weights[f"{step}.msg2.w"], weights[f"{step}.msg2.b"]))
+        msgs = ops.relu(tape, ops.linear(tape, x, weights[f"{step}.msg2.w"],
+                                         weights[f"{step}.msg2.b"]))
         if heads and t == rounds - 1:
             rows = ops.gather(tape, msgs, np.arange(g.n_edges))
-            return [tape.linear(rows, w, b) for w, b in heads]
+            return [ops.linear(tape, rows, w, b) for w, b in heads]
         x = ops.concat(tape, [h, ops.scatter_mean(tape, msgs, dst, n_nodes)])
-        h = ops.relu(tape, tape.linear(x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))
+        h = ops.relu(tape, ops.linear(tape, x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))
     return h

@@ -600,3 +600,19 @@ def test_every_public_tape_method_has_a_package_caller():
     public = {name for name, attr in vars(Tape).items()
               if callable(attr) and not name.startswith("_")}
     assert public - called == set(), f"Tape methods without a package caller: {public - called}"
+
+
+def test_tape_has_no_generic_primitive():
+    """``Tape``'s public methods are ``leaf``, ``emit`` and ``backward``, and no
+    module in ``src/rotavg`` calls an attribute named ``linear``: generic
+    primitives belong to the tests' ``mpnn_oracle.OracleTape``."""
+    public = {name for name in dir(Tape)
+              if not name.startswith("_") and callable(getattr(Tape, name))}
+    assert public == {"leaf", "emit", "backward"}
+    calls = []
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "linear":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"linear called at {', '.join(calls)}"

@@ -1,5 +1,8 @@
-"""Each network's loss is one tape operation; the former compositions of
-generic primitives on ``mpnn_oracle.OracleTape`` are its oracle.
+"""Each network's loss is one tape operation after the message passing; the
+former compositions of generic primitives on ``mpnn_oracle.OracleTape``
+are its oracle: for CleanNet ``OracleTape.clean_loss`` of the heads'
+outputs, for FineNet ``OracleTape.linear`` (the head) followed by
+``OracleTape.refine_loss``.
 
 The fused operations keep the oracle's arithmetic order, so the loss and
 every weight gradient must match it bit for bit, not to rounding.
@@ -41,14 +44,14 @@ def oracle_clean(tape, g, weights):
 
 
 def fused_refine(tape, sample, weights):
-    g, init_rows, root = sample
-    return refinement.loss_from_pred(
-        tape, refinement.forward_tensors(tape, g, init_rows, weights), g, root)
+    return refinement.refine_loss_graph(tape, *sample, weights)
 
 
 def oracle_refine(tape, sample, weights):
     g, init_rows, root = sample
-    return tape.refine_loss(refinement._corrections(tape, g, init_rows, weights), init_rows, g, root)
+    h = refinement._corrections(tape, g, init_rows, weights)[0]
+    delta_raw = tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
+    return tape.refine_loss(delta_raw, init_rows, g, root)
 
 
 def recorded(tape, store, sample, loss_of):
@@ -153,9 +156,8 @@ class TestEdgeCases:
             refine_loss(tape, (g, np.stack([IDENTITY, HALF_TURN]), 0), fine.bind(tape))
 
 
-def test_recording_steps_write_two_and_four_records():
-    # the message passing, then CleanNet's loss; the message passing, the
-    # head, the correction, then FineNet's loss
+def test_recording_steps_write_two_and_two_records():
+    # the message passing, then the network's loss
     g = synthgen.generate_graph(synthgen.SynthConfig(n_cameras=(12, 12)),
                                 np.random.default_rng(0))
     tape = Tape()
@@ -164,4 +166,4 @@ def test_recording_steps_write_two_and_four_records():
     tape = Tape()
     sample = trainer.prepare_refinement_sample(g, cleaning.new_weights())
     fused_refine(tape, sample, refinement.new_weights(0, CFG).bind(tape))
-    assert len(tape._records) == 4
+    assert len(tape._records) == 2

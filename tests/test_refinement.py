@@ -98,8 +98,8 @@ class TestForward:
         out = refinement.refine_forward(g, init, refinement.new_weights(1, cfg), root)
         assert np.max(so3.qangle_deg(np.asarray(out), init)) < 1e-9
         tape = Tape()
-        pred = refinement.forward_tensors(tape, g, init, refinement.new_weights(1, cfg).bind(tape))
-        tape.backward(refinement.loss_from_pred(tape, pred, g, root))
+        tape.backward(refinement.refine_loss_graph(tape, g, init, root,
+                                                   refinement.new_weights(1, cfg).bind(tape)))
 
     def test_outputs_valid_unit_quaternions_under_random_weights(self):
         g, root = referenced_graph(seed=2)
@@ -142,7 +142,7 @@ class TestForward:
             with pytest.raises(ViewGraphError, match="root must be an integer"):
                 refinement.refine_forward(g, init, tiny_refine_weights(5), bad)
             with pytest.raises(ViewGraphError, match="root must be an integer"):
-                refinement.refine_loss(np.asarray(init), g, bad)
+                refinement._loss_terms(np.asarray(init), g, bad)
 
     def test_weights_that_do_not_fit_rejected(self):
         g, root = referenced_graph(seed=5)
@@ -154,36 +154,40 @@ class TestForward:
             refinement.refine_forward(g, spt_init(g, root), bad, root)
 
 
+def loss_value(pred, g, root):
+    return refinement._loss_terms(pred, g, root)[0]
+
+
 class TestLoss:
     def test_ground_truth_scores_zero(self):
         g, root = referenced_graph(seed=6)
-        assert refinement.refine_loss(g.gt, g, root) < 1e-9
+        assert loss_value(g.gt, g, root) < 1e-9
 
     def test_beta_zero_is_gauge_invariant(self, monkeypatch):
         monkeypatch.setattr(refinement, "BETA", 0.0)
         g, root = referenced_graph(seed=7)
         rng = np.random.default_rng(7)
         pred = noisy_rows(g, rng)
-        base = refinement.refine_loss(pred, g, root)
+        base = loss_value(pred, g, root)
         r = so3_oracle.sample_uniform(np.random.default_rng(8))
         shifted = so3.qcanon(so3.qmul(pred, r.as_array()))
-        assert abs(refinement.refine_loss(shifted, g, root) - base) < 1e-9
+        assert abs(loss_value(shifted, g, root) - base) < 1e-9
 
     def test_beta_positive_breaks_gauge_invariance(self):
         g, root = referenced_graph(seed=9)
         rng = np.random.default_rng(9)
         pred = noisy_rows(g, rng)
         assert refinement.BETA == 0.1
-        base = refinement.refine_loss(pred, g, root)
+        base = loss_value(pred, g, root)
         r = so3_oracle.sample_uniform(np.random.default_rng(10))
         shifted = so3.qcanon(so3.qmul(pred, r.as_array()))
-        assert abs(refinement.refine_loss(shifted, g, root) - base) > 1e-4
+        assert abs(loss_value(shifted, g, root) - base) > 1e-4
 
     def test_reference_mismatch_errors(self):
         g, root = referenced_graph(seed=11)
         bad_graph = with_gt(g, so3.qmul(g.gt, so3_oracle.yaw_deg(25.0).as_array()))
         with pytest.raises(ViewGraphError, match="referenced"):
-            refinement.refine_loss(bad_graph.gt, bad_graph, root)
+            loss_value(bad_graph.gt, bad_graph, root)
 
     def test_isolated_node_errors(self):
         # the anchoring term weighs node v by BETA / deg(v): at a node with no
@@ -194,10 +198,10 @@ class TestLoss:
         off[3] = so3_oracle.yaw_deg(25.0).as_array()
         for pred in (ident, off):
             with pytest.raises(ViewGraphError, match="node 1 has no edge"):
-                refinement.refine_loss(pred, g, 0)
+                loss_value(pred, g, 0)
             tape = Tape()
             with pytest.raises(ViewGraphError, match="node 1 has no edge"):
-                refinement.loss_from_pred(tape, tape.leaf(pred, requires_grad=True), g, 0)
+                refinement.refine_loss_graph(tape, g, pred, 0, tiny_refine_weights().bind(tape))
 
     def test_gradient_vs_finite_differences(self):
         g, root = referenced_graph(seed=12, n=8)
@@ -206,8 +210,7 @@ class TestLoss:
         params = dict(store.params)
 
         def build(tape, p):
-            pred = refinement.forward_tensors(tape, g, init_rows, p)
-            return refinement.loss_from_pred(tape, pred, g, root)
+            return refinement.refine_loss_graph(tape, g, init_rows, root, p)
 
         assert fd_gradients(build, params) < 1e-3
 
@@ -224,8 +227,7 @@ class TestLoss:
         tracemalloc.start()
         try:
             tape = Tape()
-            pred = refinement.forward_tensors(tape, g, init, store.bind(tape))
-            tape.backward(refinement.loss_from_pred(tape, pred, g, root))
+            tape.backward(refinement.refine_loss_graph(tape, g, init, root, store.bind(tape)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -63,7 +63,6 @@ SOLVERS = {
     "weiszfeld": lambda g, rows: baselines.weiszfeld_mra(g, rows, sweeps=1),
     "refine_forward": lambda g, rows: refinement.refine_forward(
         g, rows, refinement.new_weights(0), viewgraph.select_root(g)),
-    "refine_loss": lambda g, rows: refinement.refine_loss(rows, g, viewgraph.select_root(g)),
 }
 
 
@@ -78,6 +77,7 @@ def bad_inputs(g, good):
         "short": (good[:-1], "covering every node"),
         "wide": (np.ones((g.n_nodes, 3)), "covering every node"),
         "quaternion list": ([UnitQuaternion.from_array(r) for r in good], "covering every node"),
+        "text": (good.astype(str), "covering every node"),  # a float cast would parse it
         "nan row": (with_row(good, (np.nan, 0.0, 0.0, 0.0)), "finite nonzero"),
         "inf row": (with_row(good, (np.inf, 0.0, 0.0, 0.0)), "finite nonzero"),
         "zero row": (with_row(good, 0.0), "finite nonzero"),
@@ -85,7 +85,8 @@ def bad_inputs(g, good):
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
-@pytest.mark.parametrize("case", ["short", "wide", "quaternion list", "nan row", "inf row", "zero row"])
+@pytest.mark.parametrize("case", ["short", "wide", "quaternion list", "text", "nan row", "inf row",
+                                  "zero row"])
 def test_orientation_rows_rejects_bad_input(solver, case):
     g = noisy_graph(seed=1, n=12)
     root = viewgraph.select_root(g)

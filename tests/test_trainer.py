@@ -108,9 +108,8 @@ def clean_graph_loss(tape, weights, g):
 
 
 def fine_graph_loss(tape, weights, g):
-    sample, init_rows, root = trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER)
-    pred = refinement.forward_tensors(tape, sample, init_rows, weights)
-    return refinement.loss_from_pred(tape, pred, sample, root)
+    return refinement.refine_loss_graph(
+        tape, *trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER), weights)
 
 
 class TestLazyCorpus:
@@ -210,12 +209,12 @@ class TestNonFinite:
             trainer.train_cleannet(*data, desk_config(epochs=1))
 
     def test_nan_finenet_loss_raises(self, data, monkeypatch):
-        loss_from_pred = refinement.loss_from_pred
+        loss_graph = refinement.refine_loss_graph
 
-        def nan_loss(tape, pred, g, root):
-            return Tensor(loss_from_pred(tape, pred, g, root).values * math.nan)
+        def nan_loss(tape, g, init_rows, root, weights):
+            return Tensor(loss_graph(tape, g, init_rows, root, weights).values * math.nan)
 
-        monkeypatch.setattr(refinement, "loss_from_pred", nan_loss)
+        monkeypatch.setattr(refinement, "refine_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
             trainer.train_finenet(*data, desk_config(epochs=1), UNTRAINED_CLEANER)
 
@@ -322,9 +321,8 @@ class TestValidationSamples:
         clean_store = clean_run[0]
 
         def per_epoch_loss(tape, weights, g):
-            sample, init_rows, root = trainer.prepare_refinement_sample(g, clean_store)
-            pred = refinement.forward_tensors(tape, sample, init_rows, weights)
-            return refinement.loss_from_pred(tape, pred, sample, root)
+            return refinement.refine_loss_graph(
+                tape, *trainer.prepare_refinement_sample(g, clean_store), weights)
 
         remade = trainer._fit(refinement.new_weights(cfg.seed), per_epoch_loss, train, val, cfg)
         calls = []

@@ -619,7 +619,8 @@ class TestInducedSubgraph:
         ([0, 1, "N"], r"node ids must lie in \[0, "),
         ([0.0, 1.0], "1-D integer"),
         ([[0, 1]], "1-D integer"),
-    ], ids=["repeated", "negative", "beyond", "float", "2-D"])
+        ([[0], [0, 1]], "1-D integer"),
+    ], ids=["repeated", "negative", "beyond", "float", "2-D", "ragged"])
     def test_bad_ids_raise(self, nodes, match):
         g = desk_graph()
         nodes = [g.n_nodes if c == "N" else c for c in nodes]
