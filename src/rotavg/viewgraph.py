@@ -20,9 +20,15 @@ Node ids must be dense in ``[0, N)``.  Edges are stored once per unordered
 pair in the canonical ``u < v`` direction; an edge given in the opposite
 direction is flipped (its orientation inverted) on construction.
 
-:func:`parse` converts the NODE and EDGE blocks as arrays and checks them
-with masks, through the same edge-structure rule (range, self-loop, repeat)
-as the constructor; a :class:`ParseError` names the first offending line.
+:func:`parse` reads the text in blocks of whole lines (``PARSE_BLOCK_CHARS``)
+and converts each block's NODE and EDGE records to arrays before it reads
+the next, so the tokens of one block, not of the whole file, are alive at
+once: on a text of a megabyte or more its ``tracemalloc`` peak is about
+twice the text, where whole-text token lists took nine times.  The whole-file checks then run once as masks
+over the concatenated arrays, through the same edge-structure rule (range,
+self-loop, repeat) as the constructor; a :class:`ParseError` names the
+first offending line.  :func:`serialize` formats ``SERIALIZE_ROWS`` rows
+per ``%`` call, so its peak is about the output and its row slices.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from . import so3
 
 FORMAT_HEADER = "VIEWGRAPH v1"
 RENORM_TOL = 1e-6  # parser auto-renormalizes below this, errors above
+PARSE_BLOCK_CHARS = 1 << 16  # parse cuts a block after the first "\n" past this many characters
+SERIALIZE_ROWS = 4096  # serialize formats this many NODE or EDGE rows per "%" call
 
 
 class ViewGraphError(ValueError):
@@ -256,81 +264,131 @@ def _convert(recs: list[list[str]], lo: int, hi: int, dtype) -> tuple[np.ndarray
                         dtype=dtype), bad
 
 
-def parse(text: str) -> ViewGraph:
-    """Parse the text format; raises :class:`ParseError` with line numbers.
+def _line_blocks(text: str):
+    r"""The lines of ``text`` in blocks: (number of the block's first line, its
+    lines with comments cut).  A block is cut after the first ``"\n"`` once
+    ``PARSE_BLOCK_CHARS`` characters are taken, so a ``"\r\n"`` is never split
+    and the lines and their numbers are those of ``text.splitlines()``."""
+    start, line_no = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + PARSE_BLOCK_CHARS - 1) + 1 or len(text)
+        block = text[start:end]
+        lines = block.splitlines()
+        if "#" in block:
+            lines = [raw.split("#", 1)[0] for raw in lines]
+        yield line_no, lines
+        line_no += len(lines)
+        start = end
 
-    The text is split once, the NODE and EDGE blocks are converted with one
-    ``np.array`` call per column group, and every check is a mask over a
-    block.  The error names the first offending line; within a line the
-    checks rank as the record reads (token count, ids, self-loop, duplicate,
-    quaternion components, norm, label).  An edge whose end is not a
-    declared node is reported at its line, but only after the last line,
-    since nodes may follow edges; non-dense node ids raise
-    :class:`ViewGraphError`.
-    """
-    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
-    tokens = [line.split() for line in lines]
-    filled = [i for i, t in enumerate(tokens) if t]
-    if not filled:
-        raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
-    if lines[filled[0]].strip() != FORMAT_HEADER:
-        raise ParseError(filled[0] + 1, f"expected header '{FORMAT_HEADER}'")
-    del lines  # the token lists are all that is read from here on: free the line copies
-    recs = [tokens[i] for i in filled[1:]]
-    line_no = np.array(filled[1:], dtype=np.int64) + 1
+
+def _note_first(faults: list, mask: np.ndarray, line_no: np.ndarray, rank: int, reason) -> None:
+    """Note ``(line, rank, reason(i))`` for the first record ``i`` at which
+    ``mask`` holds; ``line_no`` numbers the masked records."""
+    if mask.any():  # the method: ``np.any``'s dispatch costs more than a small block's check
+        i = int(np.argmax(mask))
+        faults.append((int(line_no[i]), rank, reason(i)))
+
+
+_LABELS = {"0": 0, "1": 1}  # any other gt_outlier token reads as 2, a fault
+
+
+def _read_records(recs: list[list[str]], line_no: np.ndarray, faults: list) -> tuple[tuple, tuple]:
+    """The NODE and EDGE records among the token lists ``recs`` (on lines
+    ``line_no``) as arrays: ``(lines, ids, has_gt, gt rows)`` and ``(lines,
+    uv, q, label)``.  Notes the faults that need the tokens: an unknown
+    record, a token count, a token that does not convert.  A bad token reads
+    as zeros and a bad label as 2, for :func:`parse` to check at the end."""
     width = np.array([len(t) for t in recs], dtype=np.int64)
     kind = np.array([t[0] for t in recs], dtype=object)
     is_node, is_edge = kind == "NODE", kind == "EDGE"
-    faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
+    node_ok = is_node & ((width == 2) | (width == 6))
+    edge_ok = is_edge & ((width == 7) | (width == 8))
+    _note_first(faults, ~is_node & ~is_edge, line_no, 0, lambda i: f"unknown record {kind[i]!r}")
+    _note_first(faults, is_node & ~node_ok, line_no, 1,
+                lambda i: "NODE takes an id and optionally 4 quaternion components")
+    _note_first(faults, is_edge & ~edge_ok, line_no, 1,
+                lambda i: "EDGE takes u v qw qx qy qz [gt_outlier]")
 
-    def first(mask: np.ndarray, rows: np.ndarray, rank: int, reason) -> None:
-        """Note the first of the records ``rows`` at which ``mask`` holds."""
-        if np.any(mask):
-            i = int(np.argmax(mask))
-            faults.append((int(line_no[rows[i]]), rank, reason(i)))
-
-    def quaternions(block: list[list[str]], rows: np.ndarray, lo: int) -> np.ndarray:
+    def quaternions(block: list[list[str]], lines: np.ndarray, lo: int) -> np.ndarray:
         q, bad = _convert(block, lo, lo + 4, np.float64)
-        first(bad, rows, 5, lambda i: "bad quaternion component: "
-              f"{_conversion_error(block[i][lo:lo + 4], np.float64)}")
-        norm = so3.rownorm(q)
-        first(~(np.abs(norm - 1.0) <= RENORM_TOL), rows, 6,  # so that a NaN norm fails too
-              lambda i: f"quaternion norm {norm[i]:.9g} deviates from 1 beyond {RENORM_TOL}")
+        _note_first(faults, bad, lines, 5, lambda i: "bad quaternion component: "
+                    f"{_conversion_error(block[i][lo:lo + 4], np.float64)}")
         return q
-
-    every = np.arange(len(recs))
-    node_ok, edge_ok = is_node & np.isin(width, (2, 6)), is_edge & np.isin(width, (7, 8))
-    first(~is_node & ~is_edge, every, 0, lambda i: f"unknown record {kind[i]!r}")
-    first(is_node & ~node_ok, every, 1,
-          lambda i: "NODE takes an id and optionally 4 quaternion components")
-    first(is_edge & ~edge_ok, every, 1, lambda i: "EDGE takes u v qw qx qy qz [gt_outlier]")
 
     node = np.flatnonzero(node_ok)
     node_recs = [recs[r] for r in node.tolist()]
     ids, bad = _convert(node_recs, 1, 2, np.int64)
-    ids = ids[:, 0]
-    first(bad, node, 2, lambda i: f"bad node id {node_recs[i][1]!r}")
-    first(ids < 0, node, 3, lambda i: "node ids must be non-negative")
-    dup = np.ones(node.size, dtype=bool)
-    dup[np.unique(ids, return_index=True)[1]] = False  # all but each id's first line
-    first(dup, node, 4, lambda i: f"duplicate node {ids[i]}")
+    _note_first(faults, bad, line_no[node], 2, lambda i: f"bad node id {node_recs[i][1]!r}")
     has_gt = width[node] == 6
-    gq = quaternions([r for r, h in zip(node_recs, has_gt.tolist()) if h], node[has_gt], 2)
+    gq = quaternions([r for r, h in zip(node_recs, has_gt.tolist()) if h], line_no[node[has_gt]], 2)
 
-    n = node.size
     edge = np.flatnonzero(edge_ok)
     edge_recs = [recs[r] for r in edge.tolist()]
     uv, bad = _convert(edge_recs, 1, 3, np.int64)
-    u, v = uv[:, 0], uv[:, 1]
-    first(bad, edge, 2, lambda i: "bad edge endpoints")
-    undeclared, loop, repeat = _edge_faults(n, u, v)
-    first(loop, edge, 3, lambda i: f"self-loop at node {u[i]}")
-    first(repeat, edge, 4, lambda i: f"duplicate edge ({u[i]}, {v[i]})")
-    q = quaternions(edge_recs, edge, 3)
+    _note_first(faults, bad, line_no[edge], 2, lambda i: "bad edge endpoints")
+    q = quaternions(edge_recs, line_no[edge], 3)
+    label = np.full(edge.size, -1, dtype=np.int8)
     labelled = np.flatnonzero(width[edge] == 8)
-    label_tok = np.array([edge_recs[i][7] for i in labelled.tolist()], dtype=object)
-    first((label_tok != "0") & (label_tok != "1"), edge[labelled], 7,
-          lambda i: "gt_outlier must be 0 or 1")
+    label[labelled] = [_LABELS.get(edge_recs[i][7], 2) for i in labelled.tolist()]
+    return (line_no[node], ids[:, 0], has_gt, gq), (line_no[edge], uv, q, label)
+
+
+def parse(text: str) -> ViewGraph:
+    """Parse the text format; raises :class:`ParseError` with line numbers.
+
+    The text is read in blocks of whole lines of about ``PARSE_BLOCK_CHARS``
+    characters.  Each block's tokens are converted to arrays with one
+    ``np.array`` call per column group and then dropped, so the tokens of
+    one block, not of the whole file, bound the peak memory beyond the
+    arrays.  The whole-file checks then run once, as masks over the
+    concatenated arrays.  The error names the first offending line; within
+    a line the checks rank as the record reads (token count, ids,
+    self-loop, duplicate, quaternion components, norm, label).  An edge
+    whose end is not a declared node is reported at its line, but only
+    after the last line, since nodes may follow edges; non-dense node ids
+    raise :class:`ViewGraphError`.
+    """
+    faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
+    parts = []
+    header = False
+    for first, lines in _line_blocks(text):
+        tokens = [line.split() for line in lines]
+        filled = [i for i, t in enumerate(tokens) if t]
+        if not header and filled:
+            if lines[filled[0]].strip() != FORMAT_HEADER:
+                raise ParseError(first + filled[0], f"expected header '{FORMAT_HEADER}'")
+            header, filled = True, filled[1:]
+        if header and filled:
+            parts.append(_read_records([tokens[i] for i in filled],
+                                       np.array(filled, dtype=np.int64) + first, faults))
+    if not header:
+        raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
+    parts = parts or [_read_records([], np.zeros(0, dtype=np.int64), faults)]  # no records
+    node_line, ids, has_gt, gq = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
+    edge_line, uv, q, label = (np.concatenate(c) for c in zip(*(p[1] for p in parts)))
+    del parts
+
+    def note(mask: np.ndarray, line_no: np.ndarray, rank: int, reason) -> None:
+        _note_first(faults, mask, line_no, rank, reason)
+
+    def check_norm(rows: np.ndarray, line_no: np.ndarray) -> None:
+        norm = so3.rownorm(rows)
+        note(~(np.abs(norm - 1.0) <= RENORM_TOL), line_no, 6,  # so that a NaN norm fails too
+             lambda i: f"quaternion norm {norm[i]:.9g} deviates from 1 beyond {RENORM_TOL}")
+
+    note(ids < 0, node_line, 3, lambda i: "node ids must be non-negative")
+    dup = np.ones(ids.size, dtype=bool)
+    dup[np.unique(ids, return_index=True)[1]] = False  # all but each id's first line
+    note(dup, node_line, 4, lambda i: f"duplicate node {ids[i]}")
+    check_norm(gq, node_line[has_gt])
+
+    n = ids.size
+    u, v = uv[:, 0], uv[:, 1]
+    undeclared, loop, repeat = _edge_faults(n, u, v)
+    note(loop, edge_line, 3, lambda i: f"self-loop at node {u[i]}")
+    note(repeat, edge_line, 4, lambda i: f"duplicate edge ({u[i]}, {v[i]})")
+    check_norm(q, edge_line)
+    note(label > 1, edge_line, 7, lambda i: "gt_outlier must be 0 or 1")
 
     if faults:
         line, _, reason = min(faults)
@@ -339,30 +397,33 @@ def parse(text: str) -> ViewGraph:
         raise ViewGraphError("node ids must be dense in [0, N)")
     if np.any(undeclared):
         i = int(np.argmax(undeclared))
-        raise ParseError(int(line_no[edge[i]]),
-                         f"edge ({u[i]}, {v[i]}) references an undeclared node")
-    label = np.full(edge.size, -1, dtype=np.int8)
-    label[labelled] = label_tok == "1"
+        raise ParseError(int(edge_line[i]), f"edge ({u[i]}, {v[i]}) references an undeclared node")
     gt = np.full((n, 4), np.nan)
     gt[ids[has_gt]] = gq
     return ViewGraph(n, u, v, q, label, gt)
 
 
 def serialize(g: ViewGraph) -> str:
-    """Render the text format."""
-    blocks = [FORMAT_HEADER]
+    """Render the text format, ``SERIALIZE_ROWS`` rows per ``%`` call."""
     quat = " %.17g %.17g %.17g %.17g"
-    nodes = np.column_stack([np.arange(g.n_nodes), g.gt])
-    blocks.append(_format_block(nodes, "NODE %d" + quat, "NODE %d", ~np.isnan(g.gt[:, 0])))
+    gt, q, label = g.gt, g.edge_quat_array(), g.edge_labels()
     u, v = g.endpoint_arrays()
-    label = g.edge_labels()
-    edges = np.column_stack([u, v, g.edge_quat_array(), label])
-    blocks.append(_format_block(edges, "EDGE %d %d" + quat + " %d", "EDGE %d %d" + quat,
-                                label >= 0))
-    return "\n".join(b for b in blocks if b) + "\n"
+    parts = [FORMAT_HEADER]
+    for s in _row_slices(g.n_nodes):
+        parts.append(_format_rows(np.column_stack([np.arange(s.start, s.stop), gt[s]]),
+                                  "NODE %d" + quat, "NODE %d", ~np.isnan(gt[s, 0])))
+    for s in _row_slices(g.n_edges):
+        parts.append(_format_rows(np.column_stack([u[s], v[s], q[s], label[s]]),
+                                  "EDGE %d %d" + quat + " %d", "EDGE %d %d" + quat, label[s] >= 0))
+    parts.append("")  # the final line's "\n"
+    return "\n".join(parts)
 
 
-def _format_block(cells: np.ndarray, full: str, short: str, is_full: np.ndarray) -> str:
+def _row_slices(n: int):
+    return (slice(i, min(i + SERIALIZE_ROWS, n)) for i in range(0, n, SERIALIZE_ROWS))
+
+
+def _format_rows(cells: np.ndarray, full: str, short: str, is_full: np.ndarray) -> str:
     """The float64 rows of ``cells`` as text lines, in one ``%`` call: row
     ``i`` fills ``full`` with all its cells where ``is_full[i]``, else
     ``short`` with its leading ones.  Ids and labels pass through float64,
@@ -379,6 +440,8 @@ def discrepancy(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
     """(E, 4) residuals ``rows_v^-1 * q_uv * rows_u`` of (N, 4) orientation rows,
     the identity where they explain an edge; a conjugate is the reverse one's.
     FineNet's edge feature, and the IRLS residual after the log map."""
+    if rows.shape != (g.n_nodes, 4):  # one comparison: IRLS calls this every iteration
+        raise ViewGraphError(f"orientation rows must be ({g.n_nodes}, 4), got {rows.shape}")
     u, v = g.endpoint_arrays()
     # conjugate the N rows before the gather, not E; ``take`` beats indexing here
     return so3.qmul(so3.qconj(rows).take(v, axis=0),

@@ -203,6 +203,15 @@ class TestLoss:
             with pytest.raises(ViewGraphError, match="node 1 has no edge"):
                 refinement.refine_loss_graph(tape, g, pred, 0, tiny_refine_weights().bind(tape))
 
+    def test_init_rows_of_another_count_rejected(self):
+        # a row short of the graph's 8 nodes once raised numpy's IndexError
+        g, root = referenced_graph(seed=13, n=8)
+        init = np.asarray(spt_init(g, root))
+        for rows in (init[:7], np.vstack([init, init[:1]])):
+            tape = Tape()
+            with pytest.raises(ViewGraphError, match=rf"must be \(8, 4\), got \({len(rows)}, 4\)"):
+                refinement.refine_loss_graph(tape, g, rows, root, tiny_refine_weights().bind(tape))
+
     def test_gradient_vs_finite_differences(self):
         g, root = referenced_graph(seed=12, n=8)
         store = tiny_refine_weights(12, random_head=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import parse_oracle
 import so3_oracle
 from rotavg import so3, synthgen, viewgraph
 from rotavg.viewgraph import ParseError, ViewGraph, ViewGraphError
@@ -300,6 +303,43 @@ def loop_serialize(g: ViewGraph) -> str:
 CORRUPTIONS = ("token", "count", "norm", "self-loop", "repeat", "label", "record", "range")
 
 
+def corrupted_text(g: ViewGraph, how: str, data) -> tuple[str, int]:
+    """The text of ``g`` after a comment line, with one record line broken
+    the ``how`` way (one of ``CORRUPTIONS``), and that line's number."""
+    lines = ["# one line of this copy is corrupted"] + viewgraph.serialize(g).splitlines()
+    first = lines.index(viewgraph.FORMAT_HEADER) + 1
+    records = list(range(first, len(lines)))
+    edges = [i for i in records if lines[i].startswith("EDGE")]
+    pool = {"norm": [i for i in records if len(lines[i].split()) >= 6],
+            "self-loop": edges, "repeat": edges[1:], "label": edges, "range": edges}
+    pool = pool.get(how, records)
+    assume(pool)
+    i = data.draw(st.sampled_from(pool))
+    tok = lines[i].split()
+    if how == "token":  # an id, an endpoint, a component or the label
+        tok[data.draw(st.integers(1, len(tok) - 1))] = "x"
+    elif how == "count":
+        tok = tok + ["0"] if len(tok) == 8 else tok[:-1]
+    elif how == "norm":
+        at = 2 if tok[0] == "NODE" else 3
+        tok[at:at + 4] = [repr(float(c) * 1.001) for c in tok[at:at + 4]]
+    elif how == "self-loop":
+        tok[2] = tok[1]
+    elif how == "repeat":  # an earlier edge again, possibly reversed
+        tok = lines[data.draw(st.sampled_from([j for j in edges if j < i]))].split()
+        if data.draw(st.booleans()):
+            tok[1], tok[2] = tok[2], tok[1]
+    elif how == "label":
+        tok = tok[:7] + [data.draw(st.sampled_from(["2", "-1", "01", "yes"]))]
+    elif how == "record":
+        tok[0] = data.draw(st.sampled_from(["FOO", "edge", "NODES"]))
+    else:  # an endpoint that is not a declared node
+        tok[data.draw(st.sampled_from([1, 2]))] = data.draw(
+            st.sampled_from([str(g.n_nodes), "-1", str(g.n_nodes + 7)]))
+    lines[i] = " ".join(tok)
+    return "\n".join(lines) + "\n", i + 1
+
+
 class TestFormat:
     def test_empty_graph(self):
         g = viewgraph.parse("VIEWGRAPH v1\n")
@@ -384,40 +424,10 @@ class TestFormat:
     @settings(max_examples=400, deadline=None)
     @given(labelled_graphs(), st.sampled_from(CORRUPTIONS), st.data())
     def test_corrupted_line_is_named(self, g, how, data):
-        lines = ["# one line of this copy is corrupted"] + viewgraph.serialize(g).splitlines()
-        first = lines.index(viewgraph.FORMAT_HEADER) + 1
-        records = list(range(first, len(lines)))
-        edges = [i for i in records if lines[i].startswith("EDGE")]
-        pool = {"norm": [i for i in records if len(lines[i].split()) >= 6],
-                "self-loop": edges, "repeat": edges[1:], "label": edges, "range": edges}
-        pool = pool.get(how, records)
-        assume(pool)
-        i = data.draw(st.sampled_from(pool))
-        tok = lines[i].split()
-        if how == "token":  # an id, an endpoint, a component or the label
-            tok[data.draw(st.integers(1, len(tok) - 1))] = "x"
-        elif how == "count":
-            tok = tok + ["0"] if len(tok) == 8 else tok[:-1]
-        elif how == "norm":
-            at = 2 if tok[0] == "NODE" else 3
-            tok[at:at + 4] = [repr(float(c) * 1.001) for c in tok[at:at + 4]]
-        elif how == "self-loop":
-            tok[2] = tok[1]
-        elif how == "repeat":  # an earlier edge again, possibly reversed
-            tok = lines[data.draw(st.sampled_from([j for j in edges if j < i]))].split()
-            if data.draw(st.booleans()):
-                tok[1], tok[2] = tok[2], tok[1]
-        elif how == "label":
-            tok = tok[:7] + [data.draw(st.sampled_from(["2", "-1", "01", "yes"]))]
-        elif how == "record":
-            tok[0] = data.draw(st.sampled_from(["FOO", "edge", "NODES"]))
-        else:  # an endpoint that is not a declared node
-            tok[data.draw(st.sampled_from([1, 2]))] = data.draw(
-                st.sampled_from([str(g.n_nodes), "-1", str(g.n_nodes + 7)]))
-        lines[i] = " ".join(tok)
+        text, line_no = corrupted_text(g, how, data)
         with pytest.raises(ParseError) as info:
-            viewgraph.parse("\n".join(lines) + "\n")
-        assert info.value.line_no == i + 1
+            viewgraph.parse(text)
+        assert info.value.line_no == line_no
 
     @pytest.mark.parametrize("record, reason", [
         ("EDGE 0 1 1 0 0", "EDGE takes"),
@@ -464,6 +474,125 @@ class TestFormat:
     def test_non_dense_ids_rejected(self):
         with pytest.raises(ViewGraphError, match="dense"):
             viewgraph.parse("VIEWGRAPH v1\nNODE 0\nNODE 2\n")
+
+
+# block sizes the block reader is checked at: a line or less per block,
+# a few lines, and the package's own size
+BLOCKS = (1, 7, 64, viewgraph.PARSE_BLOCK_CHARS)
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\u2028")
+
+
+def parse_outcome(parse, text: str):
+    """What ``parse(text)`` gives: the node count and each stored array's
+    dtype, shape and bytes, or the error's type, line and message."""
+    try:
+        g = parse(text)
+    except ViewGraphError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    arrays = (*g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels(), g.gt)
+    return g.n_nodes, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_matches_oracle(text: str, blocks=BLOCKS) -> None:
+    """The block reader at each block size gives what the whole-text
+    oracle gives: the same graph bit for bit, or the same error."""
+    want = parse_outcome(parse_oracle.parse, text)
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(viewgraph, "PARSE_BLOCK_CHARS", block)
+            assert parse_outcome(viewgraph.parse, text) == want, f"block of {block} characters"
+
+
+@st.composite
+def mangled_texts(draw, text: str) -> str:
+    """``text`` with blank and comment-only lines between its lines, comments
+    after some, a line end drawn per line, and at random no final one."""
+    fillers = st.lists(st.sampled_from(["", "   ", "# note", " # note # two"]), max_size=2)
+    out = []
+    for line in text.splitlines():
+        out += draw(fillers)
+        out.append(line + draw(st.sampled_from(["", "", " # after"])))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in out]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(out, ends))
+
+
+# texts whose lines fall on the cuts of small blocks, for every cut
+CUT_TEXTS = (
+    "",
+    "\n\n",
+    "# only a comment\n",
+    "# c\n# d\nVIEWGRAPH v2\nNODE 0\n",
+    "VIEWGRAPH v1",
+    "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0",
+    "# c\n\n  \n# d\nVIEWGRAPH v1\n\n# mid\nNODE 0 # x\n\nNODE 1\nEDGE 0 1 1 0 0 0 1\n",
+    "VIEWGRAPH v1\r\nNODE 0\r\n\r\nNODE 1\r\nEDGE 0 1 1 0 0 0\r\nEDGE 0 1 1 0 0 0\r\n",
+    "VIEWGRAPH v1\n\rNODE 0\n\rNODE x\n",
+    "VIEWGRAPH v1\rNODE 0\rNODE 1\rEDGE 1 0 1 0 0 0 1\r",
+    "VIEWGRAPH v1\x0bNODE 0\x0b\x0bNODE 1\nEDGE 0 1 1 0 0 0\u2028EDGE 0 5 1 0 0 0\n",
+    "VIEWGRAPH v1\u2028NODE 0 1 0 0 0\u2028NODE 1\n\nNODE 0\n",
+    "VIEWGRAPH v1\nNODE 0\nEDGE 0 1 1 0 0 0\nNODE 1\nNODE 3\n",
+    "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0 2\nFOO\nEDGE 1 1 1 0 0 0\n",
+)
+
+
+class TestBlockReading:
+    """``parse`` reads the text in blocks of whole lines; the whole-text
+    parser it replaced (``parse_oracle``) is its reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_graphs(), st.data())
+    def test_matches_oracle_on_random_graphs(self, g, data):
+        text = viewgraph.serialize(g)
+        assert_matches_oracle(text)
+        assert_matches_oracle(data.draw(mangled_texts(text)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_graphs(), st.sampled_from(CORRUPTIONS), st.data())
+    def test_matches_oracle_on_corrupted_texts(self, g, how, data):
+        text, _ = corrupted_text(g, how, data)
+        assert_matches_oracle(text)
+        assert_matches_oracle(data.draw(mangled_texts(text)))
+
+    @pytest.mark.parametrize("text", CUT_TEXTS)
+    def test_matches_oracle_at_every_cut(self, text):
+        assert_matches_oracle(text, (*range(1, 16), viewgraph.PARSE_BLOCK_CHARS))
+
+    def test_blocks_end_after_a_line_feed(self, monkeypatch):
+        monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 5)
+        text = "# a comment\r\n# and another\n\rVIEWGRAPH v1\rNODE 0\nNODE 1"
+        blocks = list(viewgraph._line_blocks(text))
+        assert blocks == [(1, [""]), (2, [""]), (3, ["", "VIEWGRAPH v1", "NODE 0"]), (6, ["NODE 1"])]
+
+    def test_header_after_several_blocks_of_comments(self, monkeypatch):
+        monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 7)
+        text = "# a comment line\n" * 3 + "\nVIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 1 0 1 0 0 0\n"
+        blocks = list(viewgraph._line_blocks(text))
+        assert blocks[:4] == [(1, [""]), (2, [""]), (3, [""]), (4, ["", "VIEWGRAPH v1"])]
+        g = viewgraph.parse(text)
+        assert g.n_nodes == 2 and g.n_edges == 1
+        with pytest.raises(ParseError, match="line 6"):
+            viewgraph.parse(text.replace("NODE 0", "NODE x"))
+
+    def test_peak_memory_within_text_budget(self):
+        # the dense-shaped graph of the network memory tests (0.73 MB of
+        # text).  parse holds one block's tokens at a time, beyond the record
+        # arrays, their concatenation and the constructor's copies (whole-text
+        # token lists peaked at 9x); serialize holds its row slices' text and
+        # the joined copy (one "%" call over every row peaked at 4.5x)
+        cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
+                                   sigma_deg=(5.0, 5.0), outlier_fraction=(0.1, 0.1))
+        g = synthgen.generate_graph(cfg, np.random.default_rng(0))
+        text = viewgraph.serialize(g)
+        for run, arg in ((viewgraph.parse, text), (viewgraph.serialize, g)):
+            tracemalloc.start()
+            try:
+                run(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * len(text), run.__name__
 
 
 class TestPartialGroundTruth:
@@ -549,6 +678,13 @@ class TestDiscrepancy:
             reverse = compose(inverse(r[e.u]), compose(inverse(e.q), r[e.v]))
             assert np.max(np.abs(so3.qcanon(d[i]) - forward.as_array())) <= 1e-15
             assert np.max(np.abs(so3.qcanon(so3.qconj(d[i])) - reverse.as_array())) <= 1e-15
+
+
+    @pytest.mark.parametrize("shape", [(7, 4), (9, 4), (8, 3), (8,)])
+    def test_rows_of_another_shape_rejected(self, shape):
+        g = ViewGraph(8, np.arange(7), np.arange(1, 8), np.tile([1.0, 0.0, 0.0, 0.0], (7, 1)))
+        with pytest.raises(ViewGraphError, match=rf"must be \(8, 4\), got {re.escape(str(shape))}"):
+            viewgraph.discrepancy(g, np.ones(shape))
 
 
 class TestConnectivity:
