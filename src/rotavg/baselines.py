@@ -4,13 +4,13 @@ Two baselines operating on the same view-graph inputs as the networks:
 
 * ``weiszfeld_mra`` -- Gauss-Seidel sweeps where each camera is replaced by
   the tangent-space L1 median of the candidates proposed by its neighbors.
-  A sweep runs as a level schedule: nodes are grouped into wavefronts of
-  mutually non-adjacent nodes that read the same rows as in the sequential
-  ascending-id sweep, and each wavefront takes one batched median.  The
-  plan stores each incoming measurement as its left-multiplication matrix,
-  so a wavefront's candidates are one row gather and one stacked product,
-  and each median step works in half-angles with one matmul per quaternion
-  product and per sum.
+  A sweep runs colour by colour: a first-fit colouring in id order splits
+  the nodes into classes of mutually non-adjacent nodes, and each class
+  takes one batched median, exactly the sequential sweep in (colour, id)
+  order.  The plan keeps each batch's incoming measurements, so a batch's
+  candidates are one row gather, one matmul to left-multiplication matrices
+  and one stacked product, and each median step works in half-angles with
+  one matmul per quaternion product and per sum.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
   solve of the weighted graph Laplacian with the root grounded.  Up to
@@ -73,9 +73,10 @@ def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.n
     ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
     ``d`` cannot break a tie, and an exact tie goes to the first candidate.
 
-    A level holds about 1.5 nodes of about 100 candidates on the
-    benchmark's graphs, where a numpy call costs more than its arithmetic,
-    so a step is written in few whole-batch calls.  One matmul against
+    A colour class holds about 4 nodes of about 100 candidates on the
+    benchmark's dense graphs and about 20 of about 25 on its sparse ones,
+    where a numpy call costs more than its arithmetic, so a step is written
+    in few whole-batch calls.  One matmul against
     ``_RIGHT_T`` gives the matrix of ``m`` that takes each candidate column
     to ``candidate * conj(m)`` and the row ``e`` to ``e * m``; the squared
     vector norms and the weighted tangent sum are one matmul each.  The
@@ -136,11 +137,12 @@ def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
     return float(np.sum(so3.qangle_deg(rel, g.edge_quat_array())))
 
 
-def _weiszfeld_levels(g: ViewGraph, root: int) -> np.ndarray:
-    """Wavefront level of every node, -1 at the root.
+def _weiszfeld_colours(g: ViewGraph, root: int) -> np.ndarray:
+    """First-fit colour of every node, -1 at the root.
 
-    ``level(v) = 1 + max level(u)`` over the non-root neighbours ``u < v``,
-    or 0 without one: one pass in id order, O(E) in all.
+    In ascending id order, each non-root node takes the smallest colour
+    that none of its smaller-id non-root neighbours has: one pass, O(E) in
+    all.  No edge joins two nodes of one colour.
     """
     n = g.n_nodes
     u, v = g.endpoint_arrays()  # u < v
@@ -149,38 +151,40 @@ def _weiszfeld_levels(g: ViewGraph, root: int) -> np.ndarray:
     by_upper = np.argsort(upper, kind="stable")
     lower = lower[by_upper]
     starts = np.searchsorted(upper[by_upper], np.arange(n + 1))
-    level = np.full(n, -1, dtype=np.int64)
+    colour = np.full(n, -1, dtype=np.int64)
     for node in range(n):
         if node != root:
-            below = level[lower[starts[node]:starts[node + 1]]]
-            level[node] = below.max() + 1 if below.size else 0
-    return level
+            below = colour[lower[starts[node]:starts[node + 1]]]
+            # the first colour count of 0; a node with k such neighbours takes one <= k
+            colour[node] = np.argmin(np.bincount(below, minlength=below.size + 1))
+    return colour
 
 
 def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
-    """Batches of the level schedule, in level order: ``(nodes, src, left,
-    valid)``, the nodes of one level and their incoming candidates padded to
-    the batch's maximum degree.
+    """Batches of the colour schedule, in colour order: ``(nodes, src, q_in,
+    valid)``, the nodes of one colour and their incoming candidates padded
+    to the batch's maximum degree.
 
     Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, in edge
     order, over both directions of every edge (``q_in`` the measurement or
-    its conjugate); ``left`` (n, D, 4, 4) holds the left-multiplication matrix of
-    each ``q_in[v, j]``, so a batch's candidates are one row gather and one
-    stacked product, ``left @ rows[src]``.  Padding repeats the first
-    candidate and is masked by ``valid``.  A level is one batch unless its
-    padded (n, D, D) medoid distances would pass ``MEDOID_CELLS``; then its
-    nodes, by ascending degree, are cut into runs that fit, or single nodes.
+    its conjugate); ``q_in`` is (n, D, 4) and ``_candidates`` turns it into
+    left-multiplication matrices when the sweep reads the batch.  Padding
+    repeats the first candidate and is masked by ``valid``.  A colour is one
+    batch unless its padded (n, D, D) medoid distances would pass
+    ``MEDOID_CELLS``; then its nodes, by ascending degree, are cut into runs
+    that fit, or single nodes.
     """
     n = g.n_nodes
     (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
     src, dst = np.concatenate([u, v]), np.concatenate([v, u])
     by_target = np.lexsort((np.tile(np.arange(u.size), 2), dst))
-    src, q_in = src[by_target], np.concatenate([q, so3.qconj(q)])[by_target]
-    bounds = np.searchsorted(dst[by_target], np.arange(n + 1))
+    src = src.take(by_target)
+    q_in = np.concatenate([q, so3.qconj(q)]).take(by_target, axis=0)
+    bounds = np.searchsorted(dst.take(by_target), np.arange(n + 1))
     degree = np.diff(bounds)
-    level = _weiszfeld_levels(g, root)
-    order = np.lexsort((degree, level))  # by level, then by degree
-    cuts = np.searchsorted(level[order], np.arange(level.max() + 2))
+    colour = _weiszfeld_colours(g, root)
+    order = np.lexsort((degree, colour))  # by colour, then by degree
+    cuts = np.searchsorted(colour[order], np.arange(colour.max() + 2))
     plan = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         while lo < hi:
@@ -191,10 +195,17 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
             col = np.arange(degree[nodes[-1]])
             valid = col < degree[nodes, None]
             idx = bounds[nodes, None] + np.where(valid, col, 0)
-            left = (q_in[idx] @ _LEFT).reshape(*idx.shape, 4, 4)
-            plan.append((nodes, src[idx], left, valid))
+            plan.append((nodes, src.take(idx), q_in.take(idx, axis=0), valid))
             lo = end
     return plan
+
+
+def _candidates(q_in: np.ndarray, src_rows: np.ndarray) -> np.ndarray:
+    """``q_in * src_rows`` over (n, D, 4) rows: one matmul gives the
+    left-multiplication matrix of each ``q_in`` row, one stacked product
+    applies it."""
+    left = (q_in @ _LEFT).reshape(*q_in.shape, 4)
+    return np.einsum("ndij,ndj->ndi", left, src_rows)
 
 
 def _budget(name: str, value) -> int:
@@ -215,15 +226,17 @@ def weiszfeld_mra(
     sweeps: int = 50,
 ) -> WeiszfeldResult:
     """L1 averaging sweeps; one sweep updates every non-root node once, in
-    ascending id order, in place (Gauss-Seidel).
+    place (Gauss-Seidel), in multicolour order: by first-fit colour, then by
+    id.
 
-    The sweep runs as a level schedule (the wavefront order of sparse
-    triangular solves): level ``k`` holds the nodes whose smaller-id
-    non-root neighbours all sit on levels below ``k``.  Nodes of one level
-    are never adjacent, each node's smaller-id neighbours are on earlier
-    levels and its larger-id ones on later levels, so updating a whole
-    level at once reads exactly the rows the sequential sweep reads.  Each
-    level takes one batched median (more only past ``MEDOID_CELLS``).
+    Each non-root node, in ascending id order, takes the smallest colour
+    none of its smaller-id non-root neighbours has.  A colour class is an
+    independent set, so updating a whole class at once reads exactly the
+    rows the sequential sweep in (colour, id) order reads: the rows of
+    lower colours from this sweep, of higher colours from the last.  Each
+    class takes one batched median (more only past ``MEDOID_CELLS``).  The
+    node order is that of a multicolour SOR sweep; the averaging step
+    itself is the L1 Weiszfeld median of each node's candidates.
     """
     sweeps = _budget("sweeps", sweeps)
     if not viewgraph.is_connected(g):
@@ -232,8 +245,8 @@ def weiszfeld_mra(
     plan = _weiszfeld_plan(g, viewgraph.select_root(g))
     trace = [_consistency_objective(g, rows)]
     for _ in range(sweeps):
-        for nodes, src, left, valid in plan:
-            cands = np.einsum("ndij,ndj->ndi", left, rows.take(src, axis=0))
+        for nodes, src, q_in, valid in plan:
+            cands = _candidates(q_in, rows.take(src, axis=0))
             rows[nodes] = _weiszfeld_medians(cands, valid, WEISZFELD_MEDIAN_ITERS)
         trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)

@@ -214,8 +214,8 @@ class _EdgeRuns:
             k = k_end
         chunks = [(a, min(a + CHUNK_ROWS, u.size)) for a in range(0, u.size, CHUNK_ROWS)]
         rows = max([end - a for a, end, *_ in runs + chunks] + [0])
-        s_feats = np.concatenate([feats, so3.qconj(feats)])[order]
-        return cls(u, v, feats, src[order], dst[order], s_feats, targets,
+        s_feats = np.concatenate([feats, so3.qconj(feats)]).take(order, axis=0)
+        return cls(u, v, feats, src.take(order), dst.take(order), s_feats, targets,
                    np.maximum(counts, 1).astype(np.float64)[:, None], runs, chunks, rows)
 
 

@@ -20,13 +20,15 @@ Node ids must be dense in ``[0, N)``.  Edges are stored once per unordered
 pair in the canonical ``u < v`` direction; an edge given in the opposite
 direction is flipped (its orientation inverted) on construction.
 
-:func:`parse` reads the text in blocks of whole lines (``PARSE_BLOCK_CHARS``)
-and converts each block's NODE and EDGE records to arrays before it reads
-the next, so the tokens of one block, not of the whole file, are alive at
-once: on a text of a megabyte or more its ``tracemalloc`` peak is about
-twice the text, where whole-text token lists took nine times.  The whole-file checks then run once as masks
-over the concatenated arrays, through the same edge-structure rule (range,
-self-loop, repeat) as the constructor; a :class:`ParseError` names the
+:func:`parse` reads the text in blocks of whole lines (``PARSE_BLOCK_CHARS``),
+cut at any line end, and converts each block's NODE and EDGE records to
+arrays before it reads the next, so the tokens of one block, not of the
+whole file, are alive at once: its ``tracemalloc`` peak is 1.2 times the
+12 MB cam1000 text and 1.9 times a 0.7 MB one, where whole-text token
+lists took nine times.  The whole-file checks then run once as masks over
+the concatenated arrays, through the same edge-structure rule (range,
+self-loop, repeat) as the constructor, and the checked arrays become the
+graph without a second check or copy; a :class:`ParseError` names the
 first offending line.  :func:`serialize` formats ``SERIALIZE_ROWS`` rows
 per ``%`` call, so its peak is about the output and its row slices.
 """
@@ -34,6 +36,7 @@ per ``%`` call, so its peak is about the output and its row slices.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,7 @@ from . import so3
 
 FORMAT_HEADER = "VIEWGRAPH v1"
 RENORM_TOL = 1e-6  # parser auto-renormalizes below this, errors above
-PARSE_BLOCK_CHARS = 1 << 16  # parse cuts a block after the first "\n" past this many characters
+PARSE_BLOCK_CHARS = 1 << 16  # parse cuts a block after the first line end past this many characters
 SERIALIZE_ROWS = 4096  # serialize formats this many NODE or EDGE rows per "%" call
 
 
@@ -107,18 +110,14 @@ class ViewGraph:
             raise ViewGraphError("edge orientations must be finite nonzero rows")
         out_of_range, loop, repeat = _edge_faults(n, u, v)
         bad = out_of_range | loop | repeat
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
         if np.any(bad):
             i = int(np.argmax(bad))  # the first offending edge, in input order
             if out_of_range[i]:
                 raise ViewGraphError(f"edge ({u[i]}, {v[i]}) references an unknown node")
             if loop[i]:
                 raise ViewGraphError(f"self-loop at node {u[i]}")
-            raise ViewGraphError(f"duplicate edge ({lo[i]}, {hi[i]})")
-        q = so3.qcanon(q)
-        flip = u > v
-        q[flip] = so3.qcanon(so3.qconj(q[flip]))
-        self._keep(n, lo, hi, q, label.astype(np.int8), gt)
+            raise ViewGraphError(f"duplicate edge ({min(u[i], v[i])}, {max(u[i], v[i])})")
+        self._keep(n, *_canonical_edges(u, v, q), label.astype(np.int8), gt)
 
     @classmethod
     def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
@@ -194,6 +193,15 @@ class ViewGraph:
         return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
 
 
+def _canonical_edges(u: np.ndarray, v: np.ndarray, q: np.ndarray):
+    """Valid edges flipped to ``u < v``: ``(lo, hi, canonical rows)``, the row
+    of a flipped edge the canonical conjugate of its own."""
+    q = so3.qcanon(q)
+    flip = u > v
+    q[flip] = so3.qcanon(so3.qconj(q[flip]))
+    return np.minimum(u, v), np.maximum(u, v), q
+
+
 def _array(values: ArrayLike, kinds: str, what: str, dtype) -> np.ndarray:
     """A ``dtype`` copy (own dtype if None) of ``values``; a :class:`ViewGraphError`
     unless they are a rectangular array of a dtype kind in ``kinds``, so that
@@ -266,12 +274,16 @@ def _convert(recs: list[list[str]], lo: int, hi: int, dtype) -> tuple[np.ndarray
 
 def _line_blocks(text: str):
     r"""The lines of ``text`` in blocks: (number of the block's first line, its
-    lines with comments cut).  A block is cut after the first ``"\n"`` once
-    ``PARSE_BLOCK_CHARS`` characters are taken, so a ``"\r\n"`` is never split
-    and the lines and their numbers are those of ``text.splitlines()``."""
+    lines with comments cut).  A block is cut after the first line end (any
+    of ``str.splitlines``) once ``PARSE_BLOCK_CHARS`` characters are taken,
+    and a ``"\r\n"`` is never split, so the lines and their numbers are those
+    of ``text.splitlines()`` whichever line ends the text uses."""
+    # every line end of ``str.splitlines``, a "\r\n" as one
+    line_end = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
     start, line_no = 0, 1
     while start < len(text):
-        end = text.find("\n", start + PARSE_BLOCK_CHARS - 1) + 1 or len(text)
+        cut = line_end.search(text, start + PARSE_BLOCK_CHARS - 1)
+        end = cut.end() if cut else len(text)
         block = text[start:end]
         lines = block.splitlines()
         if "#" in block:
@@ -346,7 +358,9 @@ def parse(text: str) -> ViewGraph:
     self-loop, duplicate, quaternion components, norm, label).  An edge
     whose end is not a declared node is reported at its line, but only
     after the last line, since nodes may follow edges; non-dense node ids
-    raise :class:`ViewGraphError`.
+    raise :class:`ViewGraphError`.  The checked arrays are flipped to
+    ``u < v`` and canonicalised as the constructor does, and stored as they
+    are.
     """
     faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
     parts = []
@@ -399,8 +413,9 @@ def parse(text: str) -> ViewGraph:
         i = int(np.argmax(undeclared))
         raise ParseError(int(edge_line[i]), f"edge ({u[i]}, {v[i]}) references an undeclared node")
     gt = np.full((n, 4), np.nan)
-    gt[ids[has_gt]] = gq
-    return ViewGraph(n, u, v, q, label, gt)
+    gt[ids[has_gt]] = so3.qcanon(gq)
+    # the checks above cover the constructor's, so its copies and checks are skipped
+    return ViewGraph._from_valid(n, *_canonical_edges(u, v, q), label, gt)
 
 
 def serialize(g: ViewGraph) -> str:

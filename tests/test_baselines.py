@@ -626,7 +626,7 @@ def test_weiszfeld_objective_never_increases():
 
 
 # ---------------------------------------------------------------------------
-# Weiszfeld: the per-node sweep as the oracle of the level schedule
+# Weiszfeld: the per-node sweep as the oracle of the colour schedule
 # ---------------------------------------------------------------------------
 
 ROW_TOL = 1e-10  # max difference of a solver row from the oracle's
@@ -692,12 +692,42 @@ def incoming_candidates(g, rows, node):
     return np.where(into, so3.qmul(q[at], rows[u[at]]), so3.qmul(so3.qconj(q[at]), rows[v[at]]))
 
 
+def neighbours(g, node):
+    u, v = g.endpoint_arrays()
+    return set(v[u == node].tolist()) | set(u[v == node].tolist())
+
+
+def first_fit_colours(g, root):
+    """Each non-root node, in ascending id order, takes the smallest colour
+    none of its smaller-id non-root neighbours has; -1 at the root."""
+    colour = [-1] * g.n_nodes
+    for node in range(g.n_nodes):
+        if node != root:
+            taken = {colour[m] for m in neighbours(g, node) if m < node and m != root}
+            colour[node] = min(set(range(len(taken) + 1)) - taken)
+    return colour
+
+
+def id_level_count(g, root):
+    """Levels of the ascending-id sweep: ``level(v) = 1 + max level(u)`` over
+    the non-root neighbours ``u < v``, or 0 without one."""
+    level = [-1] * g.n_nodes
+    for node in range(g.n_nodes):
+        if node != root:
+            level[node] = 1 + max((level[m] for m in neighbours(g, node) if m < node and m != root),
+                                  default=-1)
+    return max(level) + 1
+
+
 def weiszfeld_oracle(g, init, sweeps, median_iters):
-    """Gauss-Seidel sweeps one node at a time, in ascending id order; the
-    rows, the objective trace and the smallest medoid margin of any step."""
+    """Gauss-Seidel sweeps one node at a time, by first-fit colour and then
+    by id; the rows, the objective trace and the smallest medoid margin of
+    any step."""
     rows = viewgraph.orientation_rows(g, init)
     root = viewgraph.select_root(g)
     u, v = g.endpoint_arrays()
+    colour = first_fit_colours(g, root)
+    order = sorted((c, node) for node, c in enumerate(colour) if node != root)
 
     def objective():
         rel = so3.qmul(rows[v], so3.qconj(rows[u]))
@@ -706,11 +736,10 @@ def weiszfeld_oracle(g, init, sweeps, median_iters):
     trace = [objective()]
     margin = math.inf
     for _ in range(sweeps):
-        for node in range(g.n_nodes):
-            if node != root:
-                rows[node], node_margin = median_oracle(incoming_candidates(g, rows, node),
-                                                        median_iters)
-                margin = min(margin, node_margin)
+        for _, node in order:
+            rows[node], node_margin = median_oracle(incoming_candidates(g, rows, node),
+                                                    median_iters)
+            margin = min(margin, node_margin)
         trace.append(objective())
     return so3.qcanon(rows), trace, margin
 
@@ -755,6 +784,9 @@ def weiszfeld_cases(draw):
 
 
 class TestWeiszfeldLevelSchedule:
+    """The sweep's schedule: first-fit colour classes, one batch each, run
+    in colour order; the per-node sweep in (colour, id) order is its oracle."""
+
     @settings(max_examples=150, deadline=None)
     @given(weiszfeld_cases())
     def test_matches_per_node_sweep(self, case):
@@ -775,32 +807,34 @@ class TestWeiszfeldLevelSchedule:
 
     @settings(max_examples=100, deadline=None)
     @given(weiszfeld_cases())
-    def test_levels_are_a_wavefront_order(self, case):
+    def test_colours_are_first_fit_independent_sets(self, case):
         g = case[0]
         root = viewgraph.select_root(g)
-        level = baselines._weiszfeld_levels(g, root)
+        colour = baselines._weiszfeld_colours(g, root)
+        assert colour.tolist() == first_fit_colours(g, root)
         u, v = g.endpoint_arrays()
         inner = (u != root) & (v != root)
-        assert level[root] == -1 and np.all(np.delete(level, root) >= 0)
-        # neighbours sit on different levels, the smaller id on the lower one
-        assert np.all(level[u[inner]] < level[v[inner]])
-        for node in np.flatnonzero(level > 0):
-            lower = u[inner & (v == node)]
-            assert np.any(level[lower] == level[node] - 1)
+        assert colour[root] == -1 and np.all(np.delete(colour, root) >= 0)
+        # no edge joins two nodes of one class
+        assert np.all(colour[u[inner]] != colour[v[inner]])
+        # each colour is the smallest the smaller-id neighbours leave free
+        for node in np.delete(np.arange(g.n_nodes), root):
+            taken = set(colour[u[inner & (v == node)]].tolist())
+            assert colour[node] not in taken and set(range(colour[node])) <= taken
         plan = baselines._weiszfeld_plan(g, root)
         nodes = np.concatenate([p[0] for p in plan]) if plan else np.zeros(0, dtype=np.int64)
         assert np.array_equal(np.sort(nodes), np.delete(np.arange(g.n_nodes), root))
-        # each batch is one level, and the batches run in level order
-        batch_level = [level[members] for members, *_ in plan]
-        assert all(np.all(lv == lv[0]) for lv in batch_level)
-        assert np.all(np.diff([lv[0] for lv in batch_level]) >= 0)
+        # each batch is one colour, and the batches run in colour order
+        batch_colour = [colour[members] for members, *_ in plan]
+        assert all(np.all(c == c[0]) for c in batch_colour)
+        assert np.all(np.diff([c[0] for c in batch_colour]) >= 0)
 
-    def test_levels_cut_to_the_medoid_budget_match_per_node_sweep(self, monkeypatch):
+    def test_colours_cut_to_the_medoid_budget_match_sweep(self, monkeypatch):
         monkeypatch.setattr(baselines, "MEDOID_CELLS", 200)
         g = make_graph(seed=8, n=30, sigma=10.0, outliers=0.1)
         root = viewgraph.select_root(g)
         plan = baselines._weiszfeld_plan(g, root)
-        assert len(plan) > baselines._weiszfeld_levels(g, root).max() + 1
+        assert len(plan) > baselines._weiszfeld_colours(g, root).max() + 1
         assert all(len(nodes) == 1 or valid.size * valid.shape[1] <= 200
                    for nodes, _, _, valid in plan)
         rng = np.random.default_rng(8)
@@ -810,13 +844,15 @@ class TestWeiszfeldLevelSchedule:
         assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= 1e-10
         assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
 
-    def test_level_counts_of_path_and_star(self):
+    def test_colour_counts_of_path_and_star(self):
         q = np.tile([1.0, 0.0, 0.0, 0.0], (7, 1))
         path = ViewGraph(8, np.arange(7), np.arange(1, 8), q)
-        assert baselines._weiszfeld_levels(path, 0).max() + 1 == 7  # N - 1
+        assert np.array_equal(baselines._weiszfeld_colours(path, 0), [-1, 0, 1, 0, 1, 0, 1, 0])
+        # two batches, where the ascending-id order takes N - 1 = 7 levels
+        assert len(baselines._weiszfeld_plan(path, 0)) == 2
         star = ViewGraph(8, np.full(7, 3), np.delete(np.arange(8), 3), q)
         assert viewgraph.select_root(star) == 3
-        assert np.array_equal(baselines._weiszfeld_levels(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
+        assert np.array_equal(baselines._weiszfeld_colours(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
 
     def test_degree_two_medoid_is_the_first_candidate(self, monkeypatch):
         # a triangle rooted at 0: node 1 sees edge (0, 1) before edge (1, 2)
@@ -892,12 +928,35 @@ class TestWeiszfeldPlan:
     def test_candidate_matrices_match_qmul(self, case):
         g, init, _, _ = case
         rows = viewgraph.orientation_rows(g, init)
-        for nodes, src, left, valid in baselines._weiszfeld_plan(g, viewgraph.select_root(g)):
-            cands = np.einsum("ndij,ndj->ndi", left, rows[src])
+        for nodes, src, q_in, valid in baselines._weiszfeld_plan(g, viewgraph.select_root(g)):
+            cands = baselines._candidates(q_in, rows[src])
             for i, node in enumerate(nodes):
                 want = incoming_candidates(g, rows, node)
                 assert np.max(np.abs(cands[i, valid[i]] - want)) <= 1e-15
                 assert np.all(cands[i, ~valid[i]] == cands[i, 0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(weiszfeld_cases())
+    def test_gathers_match_fancy_indexing(self, case):
+        # the plan gathers with ``take``; fancy indexing gives the same bits
+        g = case[0]
+        (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        by_target = np.lexsort((np.tile(np.arange(u.size), 2), dst))
+        src, q_in = src[by_target], np.concatenate([q, so3.qconj(q)])[by_target]
+        bounds = np.searchsorted(dst[by_target], np.arange(g.n_nodes + 1))
+        for nodes, b_src, b_q, valid in baselines._weiszfeld_plan(g, viewgraph.select_root(g)):
+            idx = bounds[nodes, None] + np.where(valid, np.arange(valid.shape[1]), 0)
+            for got, want in ((b_src, src[idx]), (b_q, q_in[idx])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_batches_are_the_colours_and_a_third_of_the_id_levels(self):
+        # a graph of the benchmark's sparse shape: N = 250 and 10 % of pairs
+        g = make_graph(seed=3, n=250, edge_fraction=0.1, sigma=10.0, outliers=0.1)
+        root = viewgraph.select_root(g)
+        colours = max(first_fit_colours(g, root)) + 1
+        assert len(baselines._weiszfeld_plan(g, root)) == colours
+        assert 3 * colours <= id_level_count(g, root)
 
 
 @pytest.mark.parametrize(

@@ -282,6 +282,22 @@ class TestInferenceRounds:
             assert all(np.array_equal(grads[k], grads_again[k]) for k in grads)
 
 
+class TestEdgeRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(view_graphs(), st.integers(0, 2**32 - 1))
+    def test_sorted_rows_match_fancy_indexing(self, g, seed):
+        # ``build`` gathers with ``take``; fancy indexing gives the same bits
+        feats = np.random.default_rng(seed).normal(size=(g.n_edges, 4))
+        runs = mpnn._EdgeRuns.build(g, feats)
+        u, v = g.endpoint_arrays()
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.argsort(dst, kind="stable")
+        for got, want in ((runs.s_src, src[order]), (runs.s_dst, dst[order]),
+                          (runs.s_feats, np.concatenate([feats, so3.qconj(feats)])[order])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestGradients:
     def test_full_network_gradient_check(self):
         cfg = MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3)

@@ -489,6 +489,11 @@ def parse_outcome(parse, text: str):
         g = parse(text)
     except ViewGraphError as exc:
         return type(exc), getattr(exc, "line_no", None), str(exc)
+    return stored_arrays(g)
+
+
+def stored_arrays(g: ViewGraph):
+    """The node count and each stored array's dtype, shape and bytes."""
     arrays = (*g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels(), g.gt)
     return g.n_nodes, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
@@ -560,10 +565,23 @@ class TestBlockReading:
         assert_matches_oracle(text, (*range(1, 16), viewgraph.PARSE_BLOCK_CHARS))
 
     def test_blocks_end_after_a_line_feed(self, monkeypatch):
+        # and after a lone "\r", the first line end past the size; a "\r\n" stays whole
         monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 5)
         text = "# a comment\r\n# and another\n\rVIEWGRAPH v1\rNODE 0\nNODE 1"
         blocks = list(viewgraph._line_blocks(text))
-        assert blocks == [(1, [""]), (2, [""]), (3, ["", "VIEWGRAPH v1", "NODE 0"]), (6, ["NODE 1"])]
+        assert blocks == [(1, [""]), (2, [""]), (3, ["", "VIEWGRAPH v1"]), (5, ["NODE 0"]),
+                          (6, ["NODE 1"])]
+
+    def test_blocks_end_after_every_line_end_of_splitlines(self, monkeypatch):
+        ends = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2]
+        assert len(ends) == 10
+        for end in ends + ["\r\n"]:
+            text = end.join(["ab", "cd", "ef", ""])
+            # every size whose search starts at or before the first line's end
+            for size in range(1, len(end) + 3):
+                monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", size)
+                assert (list(viewgraph._line_blocks(text))
+                        == [(1, ["ab"]), (2, ["cd"]), (3, ["ef"])]), (end, size)
 
     def test_header_after_several_blocks_of_comments(self, monkeypatch):
         monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 7)
@@ -578,7 +596,7 @@ class TestBlockReading:
     def test_peak_memory_within_text_budget(self):
         # the dense-shaped graph of the network memory tests (0.73 MB of
         # text).  parse holds one block's tokens at a time, beyond the record
-        # arrays, their concatenation and the constructor's copies (whole-text
+        # arrays, their concatenation and their canonical copies (whole-text
         # token lists peaked at 9x); serialize holds its row slices' text and
         # the joined copy (one "%" call over every row peaked at 4.5x)
         cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
@@ -593,6 +611,22 @@ class TestBlockReading:
             finally:
                 tracemalloc.stop()
             assert peak < 3 * len(text), run.__name__
+
+    def test_carriage_return_text_keeps_the_block_bound(self):
+        # the cam1000 text (12.2 MB) with "\r" line ends: every line end cuts
+        # a block, so the peak is that of the "\n" text, 1.2x (one block of
+        # the whole text peaked at 9.9x)
+        g = synthgen.generate_graph(synthgen.robustness_suite("cam1000", seed=1),
+                                    np.random.default_rng(1))
+        text = viewgraph.serialize(g).replace("\n", "\r")
+        tracemalloc.start()
+        try:
+            parsed = viewgraph.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
+        assert stored_arrays(parsed) == stored_arrays(g)
 
 
 class TestPartialGroundTruth:
