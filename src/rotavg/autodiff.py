@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 A :class:`Tape` records pullbacks in execution order and replays them once,
-in reverse, from a scalar loss.  It has no primitives: the message passing
-and each network's loss are single operations with closed-form pullbacks,
-recorded with ``Tape.emit``.  The losses share the row kernels
-``unit_rows`` and ``quat_dist``, which return a value and its pullback; the
-tests keep the former generic primitives as an oracle tape.  Everything is
-float64 and deterministic in single-threaded use.
+in reverse, from a scalar loss.  It has no primitives: a network's training
+step is one ``Tape.emit`` record whose pullback composes its loss's with
+the message passing's (``mpnn.forward``, on arrays); inference has no tape.
+The losses share the row kernels ``unit_rows`` and ``quat_dist``, which
+return a value and its pullback; the tests keep the former generic
+primitives as an oracle tape.  Everything is float64 and deterministic in
+single-threaded use.
 """
 
 from __future__ import annotations
@@ -57,14 +58,10 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 class Tape:
-    """Ordered record of operations.
+    """Ordered record of operations: one backward pass per forward pass, and
+    a consumed tape raises on reuse."""
 
-    One backward pass per forward pass; a consumed tape raises on reuse.
-    With ``recording=False`` the operations run forward-only (inference).
-    """
-
-    def __init__(self, recording: bool = True):
-        self.recording = recording
+    def __init__(self):
         self._records: list = []  # (outputs, pullback) in topological order
         self._consumed = False
 
@@ -81,7 +78,7 @@ class Tape:
         requires_grad = any(t.requires_grad for t in inputs)
         for t in outs:
             t.requires_grad = requires_grad
-        if self.recording and requires_grad:
+        if requires_grad:
             self._records.append((outs, pullback))
         return out
 

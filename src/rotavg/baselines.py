@@ -387,10 +387,10 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     precond, rhs)`` gives the normal equations of one IRLS step with edge
     weights ``w`` on (3, n) arrays and their maximum-spanning-tree
     preconditioner; ``dense_system(w, resid) -> (lap, rhs)`` gives the same
-    equations with the matrix as one (n, n) array: ``diag`` on its diagonal,
-    and each row-sorted off-diagonal weight below (without the padding
-    entry) subtracted from its cell of a zero matrix by one
-    ``np.subtract.at``, in order, so a cell of repeated edges sums them.
+    equations with the matrix as one (n, n) buffer that every step of a
+    solve rewrites: ``diag`` on its diagonal and each row-sorted off-diagonal
+    weight below (without the padding entry), negated, in its cell, which
+    no other edge shares, since a ``ViewGraph`` has no repeated edge.
     The off-diagonal entries, kept in both directions, are sorted by row
     with a stable sort, so each row is one contiguous run in edge order;
     ``apply_op`` gathers ``x`` at their columns, scales by the row-sorted
@@ -434,11 +434,12 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
         rhs = np.bincount(inc_bins, swr.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
         return diag, rhs
 
+    lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
+    cells = lap.reshape(-1)
+
     def dense_system(w: np.ndarray, resid: np.ndarray):
         diag, rhs = normal_equations(w, resid)
-        lap = np.zeros((n, n))
-        cells = lap.reshape(-1)
-        np.subtract.at(cells, dense_cells, w[dense_edge])
+        cells[dense_cells] = -w[dense_edge]
         cells[::n + 1] = diag
         return lap, rhs
 

@@ -6,8 +6,9 @@ outlier.  Edge features are the raw measurement quaternions; hidden states
 start at zero.  Heads read the final-round message of the stored (canonical)
 edge direction; the reverse direction still shapes the hidden states.  The
 network's sizes are read from its weights (``mpnn.config_of``); only
-``new_weights`` and ``weight_spec`` take an ``MpnnConfig``.  The loss and
-its pullback are one numpy function, one tape operation in training.
+``new_weights`` and ``weight_spec`` take an ``MpnnConfig``.  Inference runs
+on the parameter arrays with no tape.  A training step is one tape record:
+the message passing's pullback composed with the loss's.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .viewgraph import ViewGraph, ViewGraphError
 OUTLIER_THRESHOLD_DEG = 20.0   # ground-truth labelling rule
 EPSILON_DEFAULT = 0.75         # removal threshold on predicted probability
 BCE_WEIGHT = 10.0              # weight of the outlier cross-entropy in the loss
+_HEADS = ("head_rect", "head_out")
 
 
 @dataclass
@@ -46,12 +48,12 @@ class CleanedGraph:
 
 
 def weight_spec(cfg: MpnnConfig = MpnnConfig()) -> dict[str, tuple[int, ...]]:
-    spec = mpnn.weight_spec(cfg)
-    spec["head_rect.w"] = (cfg.msg_dim, 4)
-    spec["head_rect.b"] = (4,)
-    spec["head_out.w"] = (cfg.msg_dim, 1)
-    spec["head_out.b"] = (1,)
-    return spec
+    return {**mpnn.weight_spec(cfg), **_head_spec(cfg.msg_dim)}
+
+
+def _head_spec(msg_dim: int) -> dict[str, tuple[int, ...]]:
+    return {"head_rect.w": (msg_dim, 4), "head_rect.b": (4,),
+            "head_out.w": (msg_dim, 1), "head_out.b": (1,)}
 
 
 def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
@@ -70,19 +72,20 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
     return store
 
 
-def _head_tensors(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> list[Tensor]:
-    """Raw head outputs: correction quaternions (E, 4) and logits (E, 1)."""
-    mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
-    heads = [(weights[f"{head}.w"], weights[f"{head}.b"]) for head in ("head_rect", "head_out")]
-    return mpnn.forward(tape, weights, g, g.edge_quat_array(), heads=heads)
+def _heads(g: ViewGraph, weights: dict[str, np.ndarray]) -> tuple:
+    """Raw head outputs, corrections (E, 4) and logits (E, 1), and their
+    pullback; the heads are checked here, the stack by ``mpnn.forward``."""
+    mpnn.check_weights(weights, _head_spec(mpnn._sizes(weights).msg_dim))
+    heads = [(weights[f"{head}.w"], weights[f"{head}.b"]) for head in _HEADS]
+    return mpnn.forward(weights, g, g.edge_quat_array(), heads=heads)
 
 
 def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:
     """Predict rectified orientations and outlier probabilities.
 
     Total on any graph with at least one edge: correction rows whose norm
-    underflows are replaced by the identity rotation.  The network runs on a
-    non-recording tape, so ``mpnn.forward`` records no pullback; its final
+    underflows are replaced by the identity rotation.  The network runs on
+    ``store.params`` with no tape, and the pullback is dropped; its final
     round computes the messages of the E stored directions only, applies
     both heads run by run and skips the node update.  Beyond the edge
     arrays, memory is O(rounds*N*(H+M) + CHUNK_ROWS*M); no (E, M) block is
@@ -90,10 +93,9 @@ def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:
     """
     if g.n_edges == 0:
         raise ViewGraphError("cannot clean a graph without edges")
-    tape = Tape(recording=False)
-    delta_raw, logits = _head_tensors(tape, g, store.bind(tape))
-    rect = so3._left_correct(delta_raw.values, g.edge_quat_array())
-    logits = logits.values.reshape(g.n_edges)
+    delta_raw, logits = _heads(g, store.params)[0]
+    rect = so3._left_correct(delta_raw, g.edge_quat_array())
+    logits = logits.reshape(g.n_edges)
     return CleanPrediction(rect=rect, outlier_prob=1.0 / (1.0 + np.exp(-logits)), logits=logits)
 
 
@@ -134,19 +136,23 @@ def _loss_terms(rect: np.ndarray, logits: np.ndarray, g: ViewGraph):
 
 
 def clean_loss_graph(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> Tensor:
-    """Differentiable loss of the network's own prediction on ``g``: the
-    heads, then one operation from their outputs to the loss."""
-    delta_raw, logits = _head_tensors(tape, g, weights)
+    """Differentiable loss of the network's own prediction on ``g``, one
+    tape operation: the message passing with its heads, then the loss."""
+    (delta_raw, logits), heads_pull = _heads(g, {name: t.values for name, t in weights.items()})
     quats = g.edge_quat_array()
-    rect, rect_pull = autodiff.unit_rows(so3.qmul(delta_raw.values, quats))
-    loss, terms_pull = _loss_terms(rect, logits.values.reshape(g.n_edges), g)
+    rect, rect_pull = autodiff.unit_rows(so3.qmul(delta_raw, quats))
+    loss, terms_pull = _loss_terms(rect, logits.reshape(g.n_edges), g)
 
     def pull(g_loss):
         g_rect, g_logits = terms_pull(g_loss)
-        accumulate(delta_raw, so3.qmul(rect_pull(g_rect), so3.qconj(quats)))
-        accumulate(logits, g_logits.reshape(logits.shape))
+        g_stack, g_heads = heads_pull(so3.qmul(rect_pull(g_rect), so3.qconj(quats)),
+                                      g_logits.reshape(logits.shape))
+        for head, (g_w, g_b) in zip(_HEADS, g_heads):
+            g_stack[f"{head}.w"], g_stack[f"{head}.b"] = g_w, g_b
+        for name, grad in g_stack.items():
+            accumulate(weights[name], grad)
 
-    return tape.emit(Tensor(loss), (delta_raw, logits), pull)
+    return tape.emit(Tensor(loss), tuple(weights.values()), pull)
 
 
 def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:

@@ -16,22 +16,24 @@ hidden, hidden and edge-feature parts, ``W1 @ [h_v, h_u, e_uv] = (W1a @ h_v)
 + (W1b @ h_u) + W1c @ e_uv``, so the two hidden-state products run once per
 node and are then taken per directed edge.
 
-``forward`` is one tape operation, the one implementation for training and
-inference.  It sorts the 2E directed edges by target once and cuts them
-into runs of whole target nodes of at most ``CHUNK_ROWS`` rows, so that one
-``np.add.reduceat`` per run forms each node's sum in one place.  No (2E, M)
+``forward`` works on arrays and knows no tape: it returns its outputs and
+their pullback, the one implementation for training and inference.  It
+sorts the 2E directed edges by target once and cuts them into runs of whole
+target nodes of at most ``CHUNK_ROWS`` rows, so that one ``np.add.reduceat``
+per run forms each node's sum in one place.  No (2E, M)
 array is built: memory is O(rounds*N*(H+M) + CHUNK_ROWS*M).  With heads
 (CleanNet's per-edge outputs) the final round computes the messages of the
 stored directions only and skips the node update.
 
-The call keeps each round's node states and aggregates; on a recording tape
-its one pullback walks the rounds backward and recomputes each run's
-message layers from them (the recompute-in-backward trade of Chen et al.,
-*Training Deep Nets with Sublinear Memory Cost*, 2016).  It sums edge
+The call keeps each round's node states and aggregates; its pullback walks
+the rounds backward and recomputes each run's message layers from them (the
+recompute-in-backward trade of Chen et al., *Training Deep Nets with
+Sublinear Memory Cost*, 2016).  It sums edge
 gradients into target rows with the same ``reduceat`` runs (the CSR segment
 reduction of PyTorch Geometric) and into source rows with one ``bincount``
-per run.  The tests keep the former loop of generic tape primitives as the
-oracle.
+per run.  A network's training step composes that pullback with its loss's
+into one tape record; inference drops it.  The tests keep the former loop
+of generic tape primitives as the oracle.
 
 Per-round (unshared) weights land the two networks plus their heads at ~43K
 parameters, with serialized checkpoints under half a megabyte.  The sizes
@@ -42,13 +44,13 @@ are read from the weights (``config_of``); only ``weight_spec`` and
 from __future__ import annotations
 
 import numbers
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3, viewgraph
-from .autodiff import AutodiffError, ParamStore, Tape, Tensor, _segment_sum, accumulate
+from .autodiff import AutodiffError, ParamStore, _segment_sum
 
 CHUNK_ROWS = 1024  # directed edges per run of a round
 EDGE_FEAT_DIM = 4  # an edge feature is a rotation quaternion (w, x, y, z)
@@ -93,84 +95,75 @@ def init_weights(cfg: MpnnConfig, rng: np.random.Generator, store: ParamStore) -
             store.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
 
 
-def config_of(weights: dict[str, Tensor]) -> MpnnConfig:
-    """The sizes of the stack in ``weights``: a round per ``step{t}.upd.w``,
-    H its columns and M the rows of ``msg2.w``; ``msg1.w`` has 2H +
-    ``EDGE_FEAT_DIM`` rows.  Raises :class:`AutodiffError` naming the first
-    weight that is missing or does not fit them."""
+def config_of(weights: Mapping[str, np.ndarray]) -> MpnnConfig:
+    """The sizes of the stack in ``weights`` (:func:`_sizes`); raises
+    :class:`AutodiffError` naming the first weight that does not fit them."""
+    cfg = _sizes(weights)
+    check_weights(weights, weight_spec(cfg))
+    return cfg
+
+
+def _sizes(weights: Mapping[str, np.ndarray]) -> MpnnConfig:
+    """A round per ``step{t}.upd.w``, H its columns and M the rows of ``msg2.w``
+    (``msg1.w`` has 2H + ``EDGE_FEAT_DIM``), checking only these three of
+    round 0: a network sizes its heads with it, before ``forward``."""
     for name in ("step0.upd.w", "step0.msg2.w", "step0.msg1.w"):
         if name not in weights:
             raise AutodiffError(f"weight {name!r} is missing")
-        if weights[name].values.ndim != 2 or weights[name].values.size == 0:
+        if weights[name].ndim != 2 or weights[name].size == 0:
             raise AutodiffError(f"weight {name!r} has shape {weights[name].shape}, not a matrix")
     hid = weights["step0.upd.w"].shape[1]
     msg, in_msg = weights["step0.msg2.w"].shape[0], weights["step0.msg1.w"].shape[0]
     if in_msg != 2 * hid + EDGE_FEAT_DIM:
         raise AutodiffError(f"weight 'step0.msg1.w' has {in_msg} rows, not 2H + {EDGE_FEAT_DIM}")
-    cfg = MpnnConfig(sum(k.startswith("step") and k.endswith(".upd.w") for k in weights), hid, msg)
-    check_weights(weights, weight_spec(cfg))
-    return cfg
+    return MpnnConfig(sum(k.startswith("step") and k.endswith(".upd.w") for k in weights), hid, msg)
 
 
 def forward(
-    tape: Tape,
-    weights: dict[str, Tensor],
+    weights: Mapping[str, np.ndarray],
     g: viewgraph.ViewGraph,
     edge_feats: np.ndarray,
     node_init: np.ndarray | None = None,
-    heads: Sequence[tuple[Tensor, Tensor]] = (),
-) -> Tensor | list[Tensor]:
-    """Run the rounds over ``g``: the final node states, or the heads' outputs.
+    heads: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+) -> tuple:
+    """Run the rounds over ``g``: ``(outputs, pullback)``.
 
     ``edge_feats`` holds a quaternion row per stored edge ``u -> v`` of ``g``
-    (``v -> u`` gets its conjugate).  It and ``node_init`` are arrays, so
-    gradients reach the weights and heads only.  ``node_init`` rows, when
-    given, are zero-padded up to the hidden width of ``weights``
-    (:func:`config_of`).  Nodes without incoming edges receive a zero aggregate.
+    (``v -> u`` gets its conjugate).  ``node_init`` rows, when given, are
+    zero-padded up to the hidden width of ``weights`` (:func:`config_of`).
+    Nodes without incoming edges receive a zero aggregate.
 
-    Without ``heads`` the result is the (N, H) tensor of final node states.
-    ``heads`` are linear layers ``(w, b)`` on the final-round messages of the
-    stored directions; with heads the result is the list of their (E, ...)
-    outputs, in edge order, which share one tape record.
+    Without ``heads`` the outputs are the (N, H) final node states.
+    ``heads`` are linear layers ``(w, b)`` on the final-round messages of
+    the stored directions; with heads the outputs are the list of their
+    (E, ...) arrays, in edge order.  ``pullback(*grads)`` takes a gradient
+    per output (``None`` where none reached it) and returns the gradients
+    of the weights and heads only: a name -> array map in ``weight_spec``
+    order, and a ``(w, b)`` pair per head.
     """
     feats = np.asarray(edge_feats, dtype=np.float64)
     init = None if node_init is None else np.asarray(node_init, dtype=np.float64)
-    cfg = _check_inputs(weights, g, feats, init, heads)
-    w = {name: weights[name].values for name in weight_spec(cfg)}
-    head_w = [(hw.values, hb.values) for hw, hb in heads]
-    runs = _EdgeRuns.build(g, feats)
-    states: list[np.ndarray] = []
-    out = _rounds(w, cfg.rounds, runs, init, head_w, states)
-    outs = tuple(Tensor(o) for o in out) if heads else (Tensor(out),)
-    inputs = tuple(weights[name] for name in w) + tuple(t for pair in heads for t in pair)
-
-    def pull(*grads):
-        for t, grad in zip(inputs, _pullback(w, cfg.rounds, runs, states, head_w, grads)):
-            accumulate(t, grad)
-
-    tape.emit(outs, inputs, pull)
-    return list(outs) if heads else outs[0]
-
-
-def _check_inputs(weights, g, feats, init, heads) -> MpnnConfig:
-    """Every check of ``forward``'s inputs, once, before any work: the stack's sizes."""
-    cfg = config_of(weights)
+    cfg = config_of(weights)  # every input is checked before any work
     if feats.shape != (g.n_edges, EDGE_FEAT_DIM):
         raise AutodiffError(f"edge_feats shape {feats.shape} != ({g.n_edges}, {EDGE_FEAT_DIM})")
     if init is not None and (init.ndim != 2 or init.shape[0] != g.n_nodes
                              or not 1 <= init.shape[1] <= cfg.hidden_dim):
         raise AutodiffError(f"node_init shape {init.shape} != ({g.n_nodes}, 1..{cfg.hidden_dim})")
-    for w, b in heads:
-        if w.values.ndim != 2 or w.shape[0] != cfg.msg_dim or b.shape != (w.shape[1],):
-            raise AutodiffError(f"head shapes w {w.shape}, b {b.shape} do not fit messages "
+    for hw, hb in heads:
+        if hw.ndim != 2 or hw.shape[0] != cfg.msg_dim or hb.shape != (hw.shape[1],):
+            raise AutodiffError(f"head shapes w {hw.shape}, b {hb.shape} do not fit messages "
                                 f"of width {cfg.msg_dim}")
-    return cfg
+    w = {name: weights[name] for name in weight_spec(cfg)}
+    runs = _EdgeRuns.build(g, feats)
+    states: list[np.ndarray] = []
+    out = _rounds(w, cfg.rounds, runs, init, heads, states)
+    return out, lambda *grads: _pullback(w, cfg.rounds, runs, states, heads, grads)
 
 
-def check_weights(weights: dict[str, Tensor], spec: dict[str, tuple[int, ...]]) -> None:
+def check_weights(weights: Mapping[str, np.ndarray], spec: dict[str, tuple[int, ...]]) -> None:
     """An :class:`AutodiffError` naming the first weight of ``spec`` that
-    ``weights`` lacks or holds in another shape; a network checks its whole
-    spec, heads included, before it reads a weight."""
+    ``weights`` lacks or holds in another shape.  Before a network reads a
+    weight, it checks its heads' spec and ``forward`` the stack's."""
     for name, shape in spec.items():
         if name not in weights:
             raise AutodiffError(f"weight {name!r} is missing")
@@ -295,9 +288,9 @@ def _messages(node_d, node_s, dst, src, feats, wt, bufs) -> np.ndarray:
 
 
 def _pullback(w, rounds, runs, states, heads, grads):
-    """Gradients of the weights, in ``w``'s order, then of each head's
-    ``w`` and ``b``, from the outputs' gradients ``grads`` (``None`` where an
-    output has none)."""
+    """Gradients of the weights, by name in ``w``'s order, and of each
+    head's ``w`` and ``b``, from the outputs' gradients ``grads`` (``None``
+    where an output has none)."""
     hid, msg = w["step0.upd.w"].shape[1], w["step0.msg2.w"].shape[0]
     n_nodes = runs.denom.shape[0]
     g_w = {name: np.zeros(a.shape) for name, a in w.items()}
@@ -347,7 +340,7 @@ def _pullback(w, rounds, runs, states, heads, grads):
         g_w[f"step{t}.msg1.w"][hid:2 * hid] += h.T @ g_s
         g_w[f"step{t}.msg1.b"] += g_d.sum(axis=0)
         g_h = g_h + g_d @ wt[0].T + g_s @ wt[1].T
-    return [g_w[name] for name in w] + [g for pair in g_heads for g in pair]
+    return g_w, g_heads
 
 
 def _message_pullback(feats, wt, bufs, g_w, t) -> np.ndarray:

@@ -9,9 +9,10 @@ states to a corrective rotation applied on the left of the initialization.
 Initializations and predictions are (N, 4) rows.  ``refine_forward``
 composes the head's corrections with rows whose norm underflows replaced by
 the identity, and returns a read-only ``so3.Orientations`` view (items for
-the adapter).  In training, ``refine_loss_graph`` takes the final node
-states to the loss in one tape operation: the head, the normalized
-correction composed on the left of the initialization, and the loss terms.
+the adapter); it runs on the parameter arrays with no tape.  A training
+step is one tape record, ``refine_loss_graph``: the message passing, the
+head, the normalized correction composed on the left of the
+initialization and the loss terms, with one composed pullback.
 
 The reference camera (root) must carry the identity in the initialization;
 losses also require it to carry the identity in the ground truth, which the
@@ -36,10 +37,11 @@ _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def weight_spec(cfg: MpnnConfig = MpnnConfig()) -> dict[str, tuple[int, ...]]:
-    spec = mpnn.weight_spec(cfg)
-    spec["head_refine.w"] = (cfg.hidden_dim, 4)
-    spec["head_refine.b"] = (4,)
-    return spec
+    return {**mpnn.weight_spec(cfg), **_head_spec(cfg.hidden_dim)}
+
+
+def _head_spec(hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    return {"head_refine.w": (hidden_dim, 4), "head_refine.b": (4,)}
 
 
 def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
@@ -52,33 +54,30 @@ def new_weights(seed: int = 0, cfg: MpnnConfig = MpnnConfig()) -> ParamStore:
     return store
 
 
-def _corrections(
-    tape: Tape, g: ViewGraph, init_rows: np.ndarray, weights: dict[str, Tensor]
-) -> tuple[Tensor, np.ndarray]:
-    """The final (N, H) node states and the head's raw (N, 4) corrective
-    quaternions ``h @ w + b`` from them."""
-    mpnn.check_weights(weights, weight_spec(mpnn.config_of(weights)))
-    h = mpnn.forward(tape, weights, g, viewgraph.discrepancy(g, init_rows), init_rows)
-    delta_raw = h.values @ weights["head_refine.w"].values
-    delta_raw += weights["head_refine.b"].values
-    return h, delta_raw
+def _corrections(g: ViewGraph, init_rows: np.ndarray, weights: dict[str, np.ndarray]) -> tuple:
+    """The final (N, H) node states, the head's raw (N, 4) corrections ``h @
+    w + b`` and the states' pullback; the head is checked here, the stack by
+    ``mpnn.forward``."""
+    mpnn.check_weights(weights, _head_spec(mpnn._sizes(weights).hidden_dim))
+    h, h_pull = mpnn.forward(weights, g, viewgraph.discrepancy(g, init_rows), init_rows)
+    delta_raw = h @ weights["head_refine.w"]
+    delta_raw += weights["head_refine.b"]
+    return h, delta_raw, h_pull
 
 
 def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) -> so3.Orientations:
     """Refine (N, 4) initial rows; the result is re-referenced at ``root``.
 
     Total on valid inputs: corrective rows whose norm underflows fall back
-    to the identity rotation.  The network runs on a non-recording tape, so
-    ``mpnn.forward`` records no pullback, and its final round keeps no
-    messages.  Beyond the E edge features, memory is O(rounds*N*(H+M) +
-    CHUNK_ROWS*M).
+    to the identity rotation.  The network runs on ``store.params`` with no
+    tape, and the pullback is dropped; its final round keeps no messages.
+    Beyond the E edge features, memory is O(rounds*N*(H+M) + CHUNK_ROWS*M).
     """
     init_rows = viewgraph.orientation_rows(g, init)
     root = viewgraph.node_id(root, g.n_nodes, "root")
     if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
-    tape = Tape(recording=False)
-    delta = _corrections(tape, g, init_rows, store.bind(tape))[1]
+    delta = _corrections(g, init_rows, store.params)[1]
     pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 
@@ -87,21 +86,23 @@ def refine_loss_graph(
     tape: Tape, g: ViewGraph, init_rows: np.ndarray, root: int, weights: dict[str, Tensor]
 ) -> Tensor:
     """Differentiable loss of the network's own refinement of ``init_rows``
-    on ``g``: the message passing, then one operation from its final node
-    states to the loss (the head, the normalized correction composed on the
-    left of ``init_rows``, and the loss terms)."""
-    h, delta_raw = _corrections(tape, g, init_rows, weights)
-    w, b = weights["head_refine.w"], weights["head_refine.b"]
+    on ``g``, one tape operation: the message passing, the head, the
+    normalized correction composed on the left of ``init_rows``, and the
+    loss terms."""
+    arrays = {name: t.values for name, t in weights.items()}
+    h, delta_raw, h_pull = _corrections(g, init_rows, arrays)
     delta, delta_pull = autodiff.unit_rows(delta_raw)
     loss, pred_pull = _loss_terms(so3.qmul(delta, init_rows), g, root)
 
     def pull(g_loss):
         g_delta = delta_pull(so3.qmul(pred_pull(g_loss), so3.qconj(init_rows)))
-        accumulate(h, g_delta @ w.values.T)
-        accumulate(w, h.values.T @ g_delta)
-        accumulate(b, g_delta.sum(axis=0))
+        g_stack = h_pull(g_delta @ arrays["head_refine.w"].T)[0]
+        g_stack["head_refine.w"] = h.T @ g_delta
+        g_stack["head_refine.b"] = g_delta.sum(axis=0)
+        for name, grad in g_stack.items():
+            accumulate(weights[name], grad)
 
-    return tape.emit(Tensor(loss), (h, w, b), pull)
+    return tape.emit(Tensor(loss), tuple(weights.values()), pull)
 
 
 def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):

@@ -2,9 +2,9 @@
 
 One epoch loop (``_fit``) trains both networks per graph (batch size one)
 with Adam and decoupled weight decay; each network only supplies its
-per-sample loss and how a graph becomes a sample.  Either loss records two
-tape operations per step: the message passing, then one operation to the
-loss (``cleaning.clean_loss_graph``, ``refinement.refine_loss_graph``).
+per-sample loss and how a graph becomes a sample.  Either loss is one tape
+record per step, the message passing and the loss with one composed
+pullback (``cleaning.clean_loss_graph``, ``refinement.refine_loss_graph``).
 Each epoch re-samples an edge-dropout mask per training graph, so training
 samples are made every epoch; validation always runs on the full graphs
 with the same loss, their samples made once, and the parameters with the
@@ -93,11 +93,11 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
 
 
 def _val_loss(store: ParamStore, graph_loss: GraphLoss, samples: list) -> float:
-    """Mean per-sample loss on the full graphs' samples, evaluated without
-    recording."""
+    """Mean per-sample loss on the full graphs' samples; each sample's tape
+    is dropped unread."""
     total = 0.0
     for sample in samples:
-        tape = Tape(recording=False)
+        tape = Tape()
         total += float(graph_loss(tape, store.bind(tape), sample).values)
     return total / len(samples)
 
@@ -145,6 +145,8 @@ def _fit(
             tape.backward(loss)
             store.adam_step(cfg.lr, cfg.weight_decay)
         val_loss = _val_loss(store, graph_loss, val_samples)
+        if not math.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.rows.append((epoch, epoch_loss / len(train_graphs), val_loss, wall_ms))
         if val_loss < log.best_val_loss:

@@ -16,7 +16,7 @@ def fd_gradients(build, params: dict[str, np.ndarray], h: float = 1e-5, tape_cls
     """
 
     def value() -> float:
-        tape = tape_cls(recording=False)
+        tape = tape_cls()
         tensors = {k: tape.leaf(v) for k, v in params.items()}
         return float(build(tape, tensors).values)
 

@@ -1,18 +1,19 @@
 """The networks on generic tape primitives: the tests' oracle.
 
-In the package, the message-passing rounds (``rotavg.mpnn.forward``) and
-each network's loss (CleanNet's from its heads' outputs, FineNet's from the
-final node states, its head included) are each one tape operation with a
-hand-written pullback, and ``Tape`` keeps only ``leaf``, ``emit`` and
-``backward``.  ``OracleTape`` keeps the generic primitives they replaced,
-none of which has a caller in the package, and the compositions built from
-them:
+In the package, the message-passing rounds (``rotavg.mpnn.forward``) run on
+arrays and return a hand-written pullback, and each network's training
+step (the rounds, then its loss) is one tape operation; ``Tape`` keeps only
+``leaf``, ``emit`` and ``backward``.  ``OracleTape`` keeps the generic
+primitives they replaced, none of which has a caller in the package, and
+the compositions built from them:
 
 - ``forward``, the former recording loop of the rounds: every round over
   all 2E directed edges at once, from ``edge_linear``, ``scatter_mean``,
-  ``relu``, ``concat``, ``gather`` and ``linear``.  It takes the same
-  arguments as ``mpnn.forward``, builds the directed edges and their
-  features with its own ``directed``, and runs on any tape.
+  ``relu``, ``concat``, ``gather`` and ``linear``, on tensors.  It builds
+  the directed edges and their features with its own ``directed``, and
+  runs on any tape.  ``array_forward`` is the same loop with
+  ``mpnn.forward``'s array signature, and ``taped_forward`` records
+  ``mpnn.forward`` itself as one operation on a tape.
 - ``OracleTape.clean_loss`` and ``OracleTape.refine_loss``, the former loss
   graphs over the heads' outputs, from the quaternion primitives
   (``quat_normalize``, ``quat_compose``, ``quat_conjugate``,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rotavg import cleaning, refinement, so3, viewgraph
+from rotavg import cleaning, mpnn, refinement, so3, viewgraph
 from rotavg.autodiff import QUAT_NORM_FLOOR, AutodiffError, Tape, Tensor, _segment_sum, accumulate
 from rotavg.viewgraph import ViewGraphError
 
@@ -371,3 +372,54 @@ def forward(tape, weights, g, edge_feats, node_init=None, heads=()):
         x = ops.concat(tape, [h, ops.scatter_mean(tape, msgs, dst, n_nodes)])
         h = ops.relu(tape, ops.linear(tape, x, weights[f"{step}.upd.w"], weights[f"{step}.upd.b"]))
     return h
+
+
+def array_forward(weights, g, edge_feats, node_init=None, heads=()):
+    """:func:`forward` with the arrays in and out of ``mpnn.forward``:
+    ``(outputs, pullback)``, the pullback returning the stack's gradients
+    by name and a ``(w, b)`` pair per head.  The pullback runs the oracle
+    tape backward from ``sum(output * gradient)`` over the outputs with a
+    gradient, which hands each output its gradient exactly."""
+    tape = OracleTape()
+    stack = {name: tape.leaf(weights[name], requires_grad=True)
+             for name in mpnn.weight_spec(mpnn.config_of(weights))}
+    head_t = [(tape.leaf(w, requires_grad=True), tape.leaf(b, requires_grad=True))
+              for w, b in heads]
+    out = forward(tape, stack, g, edge_feats, node_init, head_t)
+    outs = out if heads else [out]
+
+    def pullback(*grads):
+        terms = [tape.sum(tape.mul(o, tape.constant(grad)))
+                 for o, grad in zip(outs, grads) if grad is not None]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = tape.add(loss, term)
+        tape.backward(loss)
+
+        def grad_of(t):
+            return np.zeros(t.shape) if t.grad is None else t.grad
+
+        return ({name: grad_of(t) for name, t in stack.items()},
+                [(grad_of(w), grad_of(b)) for w, b in head_t])
+
+    return ([o.values for o in outs] if heads else out.values), pullback
+
+
+def taped_forward(tape, weights, g, edge_feats, node_init=None, heads=()):
+    """``mpnn.forward`` as one operation on ``tape``, over the tensors
+    ``weights`` and ``heads``: the final node states, or the heads' outputs,
+    as tensors whose pullback adds into the weights' and heads' gradients."""
+    out, pullback = mpnn.forward({name: t.values for name, t in weights.items()}, g, edge_feats,
+                                 node_init, [(w.values, b.values) for w, b in heads])
+    outs = tuple(Tensor(o) for o in out) if heads else (Tensor(out),)
+
+    def pull(*grads):
+        g_stack, g_heads = pullback(*grads)
+        for name, grad in g_stack.items():
+            accumulate(weights[name], grad)
+        for pair, grad_pair in zip(heads, g_heads):
+            for t, grad in zip(pair, grad_pair):
+                accumulate(t, grad)
+
+    tape.emit(outs, tuple(weights.values()) + tuple(t for pair in heads for t in pair), pull)
+    return list(outs) if heads else outs[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 from pathlib import Path
 
@@ -341,7 +342,7 @@ class TestRelu:
         assert x.grad.tolist() == [0.0, 1.0, 0.0]
 
     def test_off_tape_leaves_caller_arrays_alone(self):
-        tape = OracleTape(recording=False)
+        tape = OracleTape()
         data = np.array([[-1.0, 2.0], [3.0, -4.0]])
         for x in (tape.leaf(data), tape.constant(data), tape.reshape(tape.leaf(data), (4,))):
             assert tape.relu(x).values.tolist() in ([[0.0, 2.0], [3.0, 0.0]], [0.0, 2.0, 3.0, 0.0])
@@ -600,6 +601,18 @@ def test_every_public_tape_method_has_a_package_caller():
     public = {name for name, attr in vars(Tape).items()
               if callable(attr) and not name.startswith("_")}
     assert public - called == set(), f"Tape methods without a package caller: {public - called}"
+
+
+def test_tape_has_no_option():
+    """A ``Tape`` takes no argument, and no module in ``src/rotavg`` passes
+    ``recording=``: a recording step is one record, and inference has no tape."""
+    assert list(inspect.signature(Tape).parameters) == []
+    calls = []
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and any(k.arg == "recording" for k in node.keywords):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"recording= passed at {', '.join(calls)}"
 
 
 def test_tape_has_no_generic_primitive():

@@ -90,7 +90,8 @@ def assert_system_matches_oracle(u_red, v_red, n, seed=0):
     """The segment-sum system against ``normal_equations_oracle``: the whole
     dense operator, ``apply_op(x)`` and the right-hand side; the operator
     maps 0 to exactly 0, which CG's ``r = rhs`` start relies on; and the
-    scattered dense matrix of the direct solve is the same operator."""
+    scattered dense matrix of the direct solve is the same operator, also
+    when a later step rewrites its buffer with other weights."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.1, 10.0, size=len(u_red))
     resid = rng.normal(size=(len(u_red), 3))
@@ -108,13 +109,17 @@ def assert_system_matches_oracle(u_red, v_red, n, seed=0):
     lap, dense_rhs = dense_system(w, resid)
     assert_rel_close(lap, ref_dense)
     assert np.array_equal(lap, lap.T) and np.array_equal(dense_rhs, rhs)
+    w_next = rng.uniform(0.1, 10.0, size=len(u_red))
+    fresh = baselines._reduced_laplacian(u_red, v_red, n)[1](w_next, resid)[0]
+    assert np.array_equal(dense_system(w_next, resid)[0], fresh)
 
 
 @st.composite
 def root_only_neighbour_graphs(draw):
     """Reduced edge lists (root ends -1) on ``n`` unknowns, connected through
     the root, in which a random subset of nodes touches only the root: their
-    off-diagonal rows are empty, anywhere in the numbering, last included."""
+    off-diagonal rows are empty, anywhere in the numbering, last included.
+    No pair repeats, as in a ``ViewGraph``."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     only_root = rng.random(n) < draw(st.floats(0.1, 0.9))
@@ -122,7 +127,9 @@ def root_only_neighbour_graphs(draw):
     pairs = [(-1, a) for a in np.flatnonzero(only_root)]
     pairs += [(-1 if i == 0 or rng.random() < 0.2 else inner[rng.integers(0, i)], a)
               for i, a in enumerate(inner)]  # a random tree over the rest and the root
-    pairs += [(a, b) for i, a in enumerate(inner) for b in inner[:i] if rng.random() < 0.3]
+    tree = set(pairs)
+    pairs += [(a, b) for i, a in enumerate(inner) for b in inner[:i]
+              if rng.random() < 0.3 and (b, a) not in tree]
     u, v = np.array(pairs, dtype=np.int64)[rng.permutation(len(pairs))].T
     swap = rng.random(u.size) < 0.5  # either end may be the root
     return np.where(swap, v, u), np.where(swap, u, v), n

@@ -196,7 +196,7 @@ class TestLoss:
     def test_tensor_and_value_paths_agree(self):
         g = noisy_graph(seed=8)
         store = tiny_clean_weights(seed=8, random_heads=True)
-        tape = Tape(recording=False)
+        tape = Tape()
         loss_t = cleaning.clean_loss_graph(tape, g, store.bind(tape))
         pred = cleaning.clean_forward(g, store)
         assert abs(float(loss_t.values) - loss_value(pred, g)) < 1e-9

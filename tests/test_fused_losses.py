@@ -1,8 +1,9 @@
-"""Each network's loss is one tape operation after the message passing; the
-former compositions of generic primitives on ``mpnn_oracle.OracleTape``
-are its oracle: for CleanNet ``OracleTape.clean_loss`` of the heads'
-outputs, for FineNet ``OracleTape.linear`` (the head) followed by
-``OracleTape.refine_loss``.
+"""Each network's training step is one tape operation, the message passing
+and the loss; the former compositions of generic primitives on
+``mpnn_oracle.OracleTape``, after the message passing recorded as its own
+operation (``mpnn_oracle.taped_forward``), are its oracle: for CleanNet
+``OracleTape.clean_loss`` of the heads' outputs, for FineNet
+``OracleTape.linear`` (the head) followed by ``OracleTape.refine_loss``.
 
 The fused operations keep the oracle's arithmetic order, so the loss and
 every weight gradient must match it bit for bit, not to rounding.
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpnn_oracle import OracleTape
-from rotavg import cleaning, refinement, synthgen, trainer
+from mpnn_oracle import OracleTape, taped_forward
+from rotavg import autodiff, cleaning, refinement, synthgen, trainer, viewgraph
 from rotavg.autodiff import AutodiffError, ParamStore, Tape
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph
@@ -40,7 +41,8 @@ def fused_clean(tape, g, weights):
 
 
 def oracle_clean(tape, g, weights):
-    return tape.clean_loss(*cleaning._head_tensors(tape, g, weights), g)
+    heads = [(weights[f"{head}.w"], weights[f"{head}.b"]) for head in ("head_rect", "head_out")]
+    return tape.clean_loss(*taped_forward(tape, weights, g, g.edge_quat_array(), heads=heads), g)
 
 
 def fused_refine(tape, sample, weights):
@@ -49,7 +51,7 @@ def fused_refine(tape, sample, weights):
 
 def oracle_refine(tape, sample, weights):
     g, init_rows, root = sample
-    h = refinement._corrections(tape, g, init_rows, weights)[0]
+    h = taped_forward(tape, weights, g, viewgraph.discrepancy(g, init_rows), init_rows)
     delta_raw = tape.linear(h, weights["head_refine.w"], weights["head_refine.b"])
     return tape.refine_loss(delta_raw, init_rows, g, root)
 
@@ -156,14 +158,37 @@ class TestEdgeCases:
             refine_loss(tape, (g, np.stack([IDENTITY, HALF_TURN]), 0), fine.bind(tape))
 
 
-def test_recording_steps_write_two_and_two_records():
-    # the message passing, then the network's loss
+def test_recording_steps_write_one_record_each():
+    # the message passing and the network's loss, with one composed pullback
     g = synthgen.generate_graph(synthgen.SynthConfig(n_cameras=(12, 12)),
                                 np.random.default_rng(0))
     tape = Tape()
     fused_clean(tape, g, cleaning.new_weights(0, CFG).bind(tape))
-    assert len(tape._records) == 2
+    assert len(tape._records) == 1
     tape = Tape()
     sample = trainer.prepare_refinement_sample(g, cleaning.new_weights())
     fused_refine(tape, sample, refinement.new_weights(0, CFG).bind(tape))
-    assert len(tape._records) == 2
+    assert len(tape._records) == 1
+
+
+def test_inference_needs_no_tape(monkeypatch):
+    # both forwards run on the parameter arrays: with no usable tape, the same bits
+    g = synthgen.generate_graph(synthgen.SynthConfig(n_cameras=(12, 12)),
+                                np.random.default_rng(0))
+    clean = random_store(cleaning.weight_spec(CFG), 1)
+    fine = random_store(refinement.weight_spec(CFG), 2)
+    sub, init, root = trainer.prepare_refinement_sample(g, clean)
+
+    def run():
+        pred = cleaning.clean_forward(g, clean)
+        return pred.rect, pred.logits, np.asarray(refinement.refine_forward(sub, init, fine, root))
+
+    want = run()
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("inference used a tape")
+
+    monkeypatch.setattr(autodiff.Tape, "__init__", unusable)
+    monkeypatch.setattr(autodiff.ParamStore, "bind", unusable)
+    for got, expected in zip(run(), want):
+        assert got.tobytes() == expected.tobytes()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import inspect
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import mpnn_oracle
 from fd import fd_gradients
 from rotavg import cleaning, mpnn, refinement, so3
-from rotavg.autodiff import AutodiffError, ParamStore, Tape, save_checkpoint
+from rotavg.autodiff import AutodiffError, ParamStore, save_checkpoint
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph
 
@@ -44,13 +45,9 @@ def random_graph(rng, n, m):
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
 
-def run_forward(store, g, feats, node_init=None, heads=(), recording=False):
+def run_forward(store, g, feats, node_init=None, heads=()):
     """Final node states, or with ``heads`` (pairs of arrays) their outputs."""
-    tape = Tape(recording=recording)
-    weights = store.bind(tape)
-    head_tensors = [(tape.leaf(w), tape.leaf(b)) for w, b in heads]
-    out = mpnn.forward(tape, weights, g, feats, node_init, head_tensors)
-    return [o.values for o in out] if heads else out.values
+    return mpnn.forward(store.params, g, feats, node_init, heads)[0]
 
 
 class TestForward:
@@ -59,12 +56,11 @@ class TestForward:
         store = tiny_weights(cfg)
         h = run_forward(store, graph(1, []), np.zeros((0, 4)))
         # zero initial state, zero aggregate: the update chain on zeros
-        tape = Tape(recording=False)
-        w = store.bind(tape)
+        w = store.params
         state = np.zeros((1, 3))
         for t in range(cfg.rounds):
             pre = np.concatenate([state, np.zeros((1, 3))], axis=1)
-            state = np.maximum(pre @ w[f"step{t}.upd.w"].values + w[f"step{t}.upd.b"].values, 0.0)
+            state = np.maximum(pre @ w[f"step{t}.upd.w"] + w[f"step{t}.upd.b"], 0.0)
         assert np.allclose(h, state)
 
     def test_permutation_invariance(self):
@@ -112,44 +108,38 @@ class TestForward:
         assert h.shape == (2, 4)
 
     def test_shape_validation(self):
-        store = tiny_weights()
+        w = tiny_weights().params
         g = graph(2, [(0, 1)])
-        for recording in (True, False):
-            tape = Tape(recording=recording)
-            w = store.bind(tape)
-            feats = np.zeros((1, 4))
-            # one row per stored edge, four wide: not both directions, not 5 wide
-            for bad_feats in (np.zeros((2, 4)), np.zeros((1, 5)), np.zeros(4)):
-                with pytest.raises(AutodiffError, match="edge_feats shape"):
-                    mpnn.forward(tape, w, g, bad_feats)
-            with pytest.raises(AutodiffError):
-                mpnn.forward(tape, w, g, feats, np.zeros((2, 4)))
-            bad = dict(w, **{"step1.msg2.w": tape.leaf(np.zeros((3, 4)))})
-            with pytest.raises(AutodiffError, match="step1.msg2.w"):
-                mpnn.forward(tape, bad, g, feats)
+        feats = np.zeros((1, 4))
+        # one row per stored edge, four wide: not both directions, not 5 wide
+        for bad_feats in (np.zeros((2, 4)), np.zeros((1, 5)), np.zeros(4)):
+            with pytest.raises(AutodiffError, match="edge_feats shape"):
+                mpnn.forward(w, g, bad_feats)
+        with pytest.raises(AutodiffError):
+            mpnn.forward(w, g, feats, np.zeros((2, 4)))
+        bad = dict(w, **{"step1.msg2.w": np.zeros((3, 4))})
+        with pytest.raises(AutodiffError, match="step1.msg2.w"):
+            mpnn.forward(bad, g, feats)
 
     @pytest.mark.parametrize("rows, width", [(3, 2), (1, 2), (2, 0), (2, 4)])
     def test_node_init_of_another_shape_rejected(self, rows, width):
         # TINY's hidden width is 3: node_init fills 1 to 3 leading columns of N rows
-        tape = Tape(recording=False)
-        w = tiny_weights().bind(tape)
+        w = tiny_weights().params
         g, feats = graph(2, [(0, 1)]), np.zeros((1, 4))
         with pytest.raises(AutodiffError, match="node_init shape"):
-            mpnn.forward(tape, w, g, feats, np.zeros((rows, width)))
+            mpnn.forward(w, g, feats, np.zeros((rows, width)))
         assert run_forward(tiny_weights(), g, feats, node_init=np.ones((2, 3))).shape == (2, 3)
 
-    @pytest.mark.parametrize("recording", [True, False])
-    def test_head_validation(self, recording):
-        tape = Tape(recording=recording)
-        w = tiny_weights().bind(tape)
+    def test_head_validation(self):
+        w = tiny_weights().params
         g, feats = graph(2, [(0, 1)]), np.zeros((1, 4))
-        good = (tape.leaf(np.zeros((3, 2))), tape.leaf(np.zeros(2)))
-        for heads in ([(tape.leaf(np.zeros((4, 2))), good[1])],
-                      [(good[0], tape.leaf(np.zeros(3)))],
-                      [good, (tape.leaf(np.zeros(3)), tape.leaf(np.zeros(1)))]):
+        good = (np.zeros((3, 2)), np.zeros(2))
+        for heads in ([(np.zeros((4, 2)), good[1])],
+                      [(good[0], np.zeros(3))],
+                      [good, (np.zeros(3), np.zeros(1))]):
             with pytest.raises(AutodiffError, match="head shapes"):
-                mpnn.forward(tape, w, g, feats, None, heads)
-        (out,) = mpnn.forward(tape, w, g, feats, None, [good])
+                mpnn.forward(w, g, feats, None, heads)
+        (out,) = mpnn.forward(w, g, feats, None, [good])[0]
         assert out.shape == (1, 2)
 
 
@@ -178,37 +168,30 @@ def view_graphs(draw):
 
 
 def recorded_run(forward, store, g, feats, init, heads, upstream_seed, used=None):
-    """Outputs of ``forward`` on a recording tape, and the gradients of every
-    weight and head of ``sum(out * upstream)`` over its first ``used``
-    outputs (all by default); leaves the loss does not reach get zeros."""
-    tape = mpnn_oracle.OracleTape()
-    weights = {k: tape.leaf(v, requires_grad=True) for k, v in store.params.items()}
-    head_t = [(tape.leaf(w, requires_grad=True), tape.leaf(b, requires_grad=True))
-              for w, b in heads]
-    out = forward(tape, weights, g, feats, init, head_t)
+    """Outputs of ``forward`` (``mpnn.forward`` or the oracle's
+    ``array_forward``), and the gradients of every weight and head of
+    ``sum(out * upstream)`` over its first ``used`` outputs (all by
+    default); weights and heads the loss does not reach get zeros."""
+    out, pullback = forward(store.params, g, feats, init, heads)
     outs = out if heads else [out]
     rng = np.random.default_rng(upstream_seed)
-    terms = [tape.sum(tape.mul(o, tape.constant(rng.normal(size=o.shape)))) for o in outs[:used]]
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = tape.add(loss, term)
-    tape.backward(loss)
-    leaves = dict(weights, **{f"head{i}.{p}": t for i, pair in enumerate(head_t)
-                              for p, t in zip("wb", pair)})
-    grads = {k: np.zeros(t.shape) if t.grad is None else t.grad for k, t in leaves.items()}
-    return [o.values for o in outs], grads
+    upstream = [rng.normal(size=o.shape) for o in outs[:used]]
+    g_stack, g_heads = pullback(*upstream, *[None] * (len(outs) - len(upstream)))
+    grads = dict(g_stack, **{f"head{i}.{p}": grad for i, pair in enumerate(g_heads)
+                             for p, grad in zip("wb", pair)})
+    return outs, grads
 
 
 class TestInferenceRounds:
     """``mpnn.forward``, its values and its pullback, against the recording
     loop of generic tape primitives in ``mpnn_oracle`` over the directed
-    edges that ``mpnn_oracle.directed`` builds."""
+    edges that ``mpnn_oracle.directed`` builds, run by ``array_forward``."""
 
     @staticmethod
     def assert_matches_oracle(store, g, feats, init, heads, seed=0, used=None):
         args = (store, g, feats, init, heads, seed, used)
         (outs, grads), (want_outs, want_grads) = (
-            recorded_run(f, *args) for f in (mpnn.forward, mpnn_oracle.forward))
+            recorded_run(f, *args) for f in (mpnn.forward, mpnn_oracle.array_forward))
         assert len(outs) == len(want_outs) == max(len(heads), 1)
         for got, want in zip(outs, want_outs):
             assert got.shape == want.shape
@@ -316,8 +299,9 @@ class TestGradients:
 
         def build(tape, p):
             weights = {k: p[k] for k in store.params}
-            h = mpnn.forward(tape, weights, g, feats, init)
-            (out,) = mpnn.forward(tape, weights, g, feats, init, [(p["head.w"], p["head.b"])])
+            h = mpnn_oracle.taped_forward(tape, weights, g, feats, init)
+            (out,) = mpnn_oracle.taped_forward(tape, weights, g, feats, init,
+                                               [(p["head.w"], p["head.b"])])
             return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
 
         err = fd_gradients(build, params, tape_cls=mpnn_oracle.OracleTape)
@@ -327,7 +311,7 @@ class TestGradients:
 class TestConfigOf:
     @pytest.mark.parametrize("cfg", [TINY, MpnnConfig(), MpnnConfig(1, 2, 3)])
     def test_sizes_read_back(self, cfg):
-        assert mpnn.config_of(tiny_weights(cfg).bind(Tape(recording=False))) == cfg
+        assert mpnn.config_of(tiny_weights(cfg).params) == cfg
 
     @pytest.mark.parametrize("dropped, replaced, named", [
         (("step0.",), {}, "'step0.upd.w' is missing"),
@@ -345,9 +329,8 @@ class TestConfigOf:
     def test_failures_name_the_weight(self, dropped, replaced, named):
         # four rounds with H = M = 3 and four-wide edge features: msg1.w is (10, 3)
         store = tiny_weights(MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3))
-        tape = Tape(recording=False)
-        weights = {k: t for k, t in store.bind(tape).items() if not k.startswith(dropped)}
-        weights.update((k, tape.leaf(v)) for k, v in replaced.items())
+        weights = {k: v for k, v in store.params.items() if not k.startswith(dropped)}
+        weights.update(replaced)
         with pytest.raises(AutodiffError, match=f"weight {named}"):
             mpnn.config_of(weights)
 
@@ -364,6 +347,13 @@ def test_only_array_makers_take_a_config():
                 if param.name == "cfg" or "MpnnConfig" in str(param.annotation):
                     takers.append(f"{module.__name__}.{name}({param.name})")
     assert takers == []
+
+
+def test_forward_knows_no_tape():
+    # the message passing runs on arrays; a network's training step records it
+    imported = {alias.name for node in ast.walk(ast.parse(inspect.getsource(mpnn)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported & {"Tape", "Tensor", "accumulate"} == set()
 
 
 class TestConfig:

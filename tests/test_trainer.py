@@ -179,7 +179,7 @@ class TestBestEpoch:
 
 class TestOracleRounds:
     def test_train_logs_match_the_oracle_loop(self, data, clean_run, monkeypatch):
-        # the fused message-passing operation against the recording loop of
+        # the message passing on arrays against the recording loop of
         # generic tape primitives; the two sum in different orders, so the
         # logs agree to rounding, not bit for bit
         train, val = data
@@ -190,7 +190,7 @@ class TestOracleRounds:
                     trainer.train_finenet(train, val, cfg, clean_run[0])[1]]
 
         fused = logs()
-        monkeypatch.setattr(mpnn, "forward", mpnn_oracle.forward)
+        monkeypatch.setattr(mpnn, "forward", mpnn_oracle.array_forward)
         for log, want in zip(fused, logs()):
             assert log.best_epoch == want.best_epoch
             np.testing.assert_allclose([r[1:3] for r in log.rows], [r[1:3] for r in want.rows],
@@ -217,6 +217,17 @@ class TestNonFinite:
         monkeypatch.setattr(refinement, "refine_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
             trainer.train_finenet(*data, desk_config(epochs=1), UNTRAINED_CLEANER)
+
+    @pytest.mark.parametrize("net", ["cleannet", "finenet"])
+    def test_nan_validation_loss_raises(self, data, net, monkeypatch):
+        # only the validation loss is NaN: skipped as "not better", it would
+        # return the untrained weights with an infinite best loss
+        monkeypatch.setattr(trainer, "_val_loss", lambda store, graph_loss, samples: math.nan)
+        with pytest.raises(TrainingError, match="non-finite validation loss at epoch 0"):
+            if net == "cleannet":
+                trainer.train_cleannet(*data, desk_config(epochs=1))
+            else:
+                trainer.train_finenet(*data, desk_config(epochs=1), UNTRAINED_CLEANER)
 
 
 def edgeless(g):
