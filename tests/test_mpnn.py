@@ -130,7 +130,9 @@ class TestForward:
             mpnn.forward(w, g, feats, np.zeros((rows, width)))
         assert run_forward(tiny_weights(), g, feats, node_init=np.ones((2, 3))).shape == (2, 3)
 
-    def test_head_validation(self):
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_head_validation(self, recording):
+        # recording: the run is pulled back, as a training step's tape record does
         w = tiny_weights().params
         g, feats = graph(2, [(0, 1)]), np.zeros((1, 4))
         good = (np.zeros((3, 2)), np.zeros(2))
@@ -139,8 +141,12 @@ class TestForward:
                       [good, (np.zeros(3), np.zeros(1))]):
             with pytest.raises(AutodiffError, match="head shapes"):
                 mpnn.forward(w, g, feats, None, heads)
-        (out,) = mpnn.forward(w, g, feats, None, [good])[0]
+        (out,), pullback = mpnn.forward(w, g, feats, None, [good])
         assert out.shape == (1, 2)
+        if recording:
+            g_stack, ((gw, gb),) = pullback(np.ones_like(out))
+            assert g_stack.keys() == w.keys()
+            assert gw.shape == good[0].shape and gb.shape == good[1].shape
 
 
 def random_store(cfg, seed):
