@@ -13,12 +13,16 @@ Two baselines operating on the same view-graph inputs as the networks:
   one matmul per quaternion product and per sum.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
-  solve of the weighted graph Laplacian with the root grounded.  Up to
+  solve of the weighted graph Laplacian with the root grounded.  An
+  iteration works on component-major arrays: the (4, E) edge quaternions,
+  transposed once per solve, and the (3, E) residual.  Up to
   ``DENSE_SOLVE_MAX_N`` unknowns the step is one dense LAPACK solve of the
-  whole matrix; above it, a CG solve with the off-diagonal entries sorted by
-  row once per solve so that an apply is one gather and one
-  ``np.add.reduceat``, preconditioned by the exact inverse of its diagonal
-  plus a maximum-weight spanning tree.
+  whole matrix, its cells scattered in edge order; above it, a CG solve
+  with the off-diagonal entries sorted by row once per solve so that an
+  apply is one gather and one ``np.add.reduceat``, preconditioned by the
+  exact inverse of its diagonal plus a maximum-weight spanning tree.  The
+  relative residual of the linear solve is checked once per solve, on the
+  last step's system.
 
 Both keep the root camera exactly fixed to pin the gauge, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view of rows (its
@@ -42,7 +46,7 @@ IRLS_STEP_TOL = 1e-3     # radians; stop when the largest update is below
 CG_TOL = 1e-12           # relative residual target of the inner CG solve
 MEDOID_CELLS = 1 << 21   # padded distances of one batched Weiszfeld medoid (16 MB)
 # Largest N - 1 whose IRLS steps take a dense solve instead of CG, below the
-# measured crossover (N = 450-500 on degree-25 view-graphs; see ``irls_mra``).
+# measured crossover (N = 500-600 on degree-25 view-graphs; see ``irls_mra``).
 DENSE_SOLVE_MAX_N = 400
 
 
@@ -262,8 +266,8 @@ class IrlsResult:
     iterations: int
     max_step_trace: list[float] = field(default_factory=list)
     # max over the three tangent components of |b - L x| / |b| of the last
-    # step, recomputed after the solve: no bound, since rounding can leave it
-    # above CG_TOL on either path (CG stops on its recurrence residual)
+    # step, computed once after the loop: no bound, since rounding can leave
+    # it above CG_TOL on either path (CG stops on its recurrence residual)
     cg_residual: float = 0.0
     converged: bool = False  # the last step was below IRLS_STEP_TOL, not cut by max_iters
     # one per inner solve: CG iterations, 0 for a dense solve
@@ -380,27 +384,10 @@ def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.n
     return precond
 
 
-def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
-    """Index the root-reduced graph Laplacian once per solve (root ends are -1).
-
-    Returns ``(system, dense_system)``.  ``system(w, resid) -> (apply_op,
-    precond, rhs)`` gives the normal equations of one IRLS step with edge
-    weights ``w`` on (3, n) arrays and their maximum-spanning-tree
-    preconditioner; ``dense_system(w, resid) -> (lap, rhs)`` gives the same
-    equations with the matrix as one (n, n) buffer that every step of a
-    solve rewrites: ``diag`` on its diagonal and each row-sorted off-diagonal
-    weight below (without the padding entry), negated, in its cell, which
-    no other edge shares, since a ``ViewGraph`` has no repeated edge.
-    The off-diagonal entries, kept in both directions, are sorted by row
-    with a stable sort, so each row is one contiguous run in edge order;
-    ``apply_op`` gathers ``x`` at their columns, scales by the row-sorted
-    weights and sums each row with one ``np.add.reduceat`` along the
-    contiguous axis.  Some rows have no
-    entry (nodes whose only neighbour is the root; every row when N = 2),
-    and ``reduceat`` returns the element at an empty segment's start, so
-    those rows are masked to 0.  When the last row is empty, one padding
-    entry at the end keeps the starts of the trailing empty rows in range
-    without cutting short the last non-empty row.
+def _normal_equations(u_red: np.ndarray, v_red: np.ndarray, n: int):
+    """``normal_equations(w, resid) -> (diag, rhs)`` of the root-reduced
+    graph Laplacian (root ends -1) with edge weights ``w``: its diagonal and
+    the (3, n) right-hand side of the (3, E) component-major residual.
     """
     ends = np.concatenate([v_red, u_red])
     inc = ends >= 0  # incidence entries: +1 at each edge's v end, -1 at its u end
@@ -410,6 +397,60 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     # array is the flat index range [k * n, (k + 1) * n)
     inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
 
+    def normal_equations(w: np.ndarray, resid: np.ndarray):
+        w_inc = w[inc_edge]
+        diag = np.bincount(inc_node, w_inc, n)
+        swr = resid.take(inc_edge, axis=1)  # (3, m), component-major like ``inc_bins``
+        swr *= inc_sign * w_inc
+        # float64 even when empty (N = 1), where bincount returns int64
+        rhs = np.bincount(inc_bins, swr.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
+        return diag, rhs
+
+    return normal_equations
+
+
+def _dense_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
+    """``dense_system(w, resid) -> (lap, rhs)``: the normal equations of one
+    IRLS step with the root-reduced Laplacian as one (n, n) buffer that
+    every step of a solve rewrites, ``diag`` on its diagonal and each
+    off-diagonal weight, negated, in its two cells.  No other edge shares a
+    cell, since a ``ViewGraph`` has no repeated edge, so the cells are
+    scattered in edge order, with no sort.
+    """
+    normal_equations = _normal_equations(u_red, v_red, n)
+    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
+    uu, vv = u_red[both], v_red[both]
+    cells = np.stack([uu * n + vv, vv * n + uu])  # (2, m) flat cells of each weight
+    lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
+    flat = lap.reshape(-1)
+
+    def dense_system(w: np.ndarray, resid: np.ndarray):
+        diag, rhs = normal_equations(w, resid)
+        flat[cells] = -w.take(both)
+        flat[::n + 1] = diag
+        return lap, rhs
+
+    return dense_system
+
+
+def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
+    """Index the root-reduced graph Laplacian for CG once per solve (root
+    ends are -1).
+
+    Returns ``system(w, resid) -> (apply_op, precond, rhs)``: the normal
+    equations of one IRLS step with edge weights ``w`` on (3, n) arrays and
+    their maximum-spanning-tree preconditioner.  The off-diagonal entries,
+    kept in both directions, are sorted by row with a stable sort, so each
+    row is one contiguous run in edge order; ``apply_op`` gathers ``x`` at
+    their columns, scales by the row-sorted weights and sums each row with
+    one ``np.add.reduceat`` along the contiguous axis.  Some rows have no
+    entry (nodes whose only neighbour is the root; every row when N = 2),
+    and ``reduceat`` returns the element at an empty segment's start, so
+    those rows are masked to 0.  When the last row is empty, one padding
+    entry at the end keeps the starts of the trailing empty rows in range
+    without cutting short the last non-empty row.
+    """
+    normal_equations = _normal_equations(u_red, v_red, n)
     both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
     rows = np.concatenate([u_red[both], v_red[both]])
     by_row = np.argsort(rows, kind="stable")
@@ -418,30 +459,9 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     count = np.bincount(rows, minlength=n)
     starts = np.cumsum(count) - count
     empty = np.flatnonzero(count == 0)
-    # flat cells of the (n, n) matrix holding the entries by row
-    dense_cells = np.repeat(np.arange(n) * n, count) + cols
-    dense_edge = off_edge
     if n and count[-1] == 0:  # padding read only by the (masked) trailing empty rows
         cols, off_edge = np.append(cols, 0), np.append(off_edge, 0)
     ground_u, ground_v = np.where(u_red < 0, n, u_red), np.where(v_red < 0, n, v_red)
-
-    def normal_equations(w: np.ndarray, resid: np.ndarray):
-        w_inc = w[inc_edge]
-        diag = np.bincount(inc_node, w_inc, n)
-        swr = resid.T.take(inc_edge, axis=1)  # (3, m), component-major like ``inc_bins``
-        swr *= inc_sign * w_inc
-        # float64 even when empty (N = 1), where bincount returns int64
-        rhs = np.bincount(inc_bins, swr.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
-        return diag, rhs
-
-    lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
-    cells = lap.reshape(-1)
-
-    def dense_system(w: np.ndarray, resid: np.ndarray):
-        diag, rhs = normal_equations(w, resid)
-        cells[dense_cells] = -w[dense_edge]
-        cells[::n + 1] = diag
-        return lap, rhs
 
     def system(w: np.ndarray, resid: np.ndarray):
         diag, rhs = normal_equations(w, resid)
@@ -456,7 +476,7 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
 
         return apply_op, _tree_preconditioner(ground_u, ground_v, w, diag), rhs
 
-    return system, dense_system
+    return system
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,15 +484,20 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.ndarray, float, int]:
+def _relative_residual(rhs: np.ndarray, ax: np.ndarray) -> float:
+    """``max_k |b_k - A x_k| / |b_k|`` over the rows of ``rhs`` and ``ax = A x``."""
+    norm_b = np.maximum(np.sqrt(_rowdot(rhs, rhs)), 1e-300)
+    return float(np.max(np.sqrt(np.sum((rhs - ax) ** 2, axis=1)) / norm_b))
+
+
+def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradient for an SPD operator, one right-hand
     side per row of ``rhs``; ``precond`` applies the inverse of an SPD
     approximation.  Stops when every recurrence residual (``r -= alpha *
-    A p``, not recomputed) has ``|r| / |b| <= tol``; returns the solution,
-    the recomputed relative residual ``max_k |b_k - A x_k| / |b_k|`` and the
-    iteration count.  The recomputed residual drifts from the recurrence one
-    by rounding and can end above ``tol`` (up to 1.1e-12 has been seen at
-    ``CG_TOL``)."""
+    A p``, not recomputed) has ``|r| / |b| <= tol``; returns the solution
+    and the iteration count.  The true residual drifts from the recurrence
+    one by rounding and can end above ``tol`` (up to 1.1e-12 has been seen
+    at ``CG_TOL``)."""
     x = np.zeros_like(rhs)
     r = rhs.copy()  # the residual of x = 0
     p = precond(r)
@@ -492,20 +517,15 @@ def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.nda
         rz = rz_new
     else:
         raise SolverError(f"conjugate gradient did not converge within {max_iter} iterations")
-    rel_res = float(np.max(np.sqrt(np.sum((rhs - apply_op(x)) ** 2, axis=1)) / norm_b))
-    return x, rel_res, it
+    return x, it
 
 
-def _dense_solve(lap: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``lap x_k = rhs_k`` for each row of ``rhs`` with one LAPACK call;
-    returns the solution and the recomputed relative residual ``max_k |rhs_k
-    - lap x_k| / |rhs_k|``, as ``_cg_multi`` does."""
+def _dense_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``lap x_k = rhs_k`` for each row of ``rhs`` with one LAPACK call."""
     try:
-        x = np.linalg.solve(lap, rhs.T).T
+        return np.linalg.solve(lap, rhs.T).T
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense solve failed: {exc}") from exc
-    norm_b = np.maximum(np.sqrt(_rowdot(rhs, rhs)), 1e-300)
-    return x, float(np.max(np.sqrt(np.sum((rhs - x @ lap) ** 2, axis=1)) / norm_b))
 
 
 def irls_mra(
@@ -527,19 +547,24 @@ def irls_mra(
     * ``N - 1 <= DENSE_SOLVE_MAX_N``: the matrix is scattered dense and each
       step is one ``np.linalg.solve`` with three right-hand sides, and no
       spanning tree is built.  Its O(N^3) LU costs less than CG's O(E) work
-      per iteration times ~20 iterations up to N = 450 on degree-25 graphs
-      (CPU s of an IRLS (5, 20) solve, dense against CG: 0.09 / 0.18 at
-      N = 250, 0.16 / 0.20 at N = 400, 0.24 / 0.21 at N = 500, 1.05 / 0.37
-      at N = 1000).  Denser graphs favour it further (2.2 / 2.9 at N = 1000
-      and degree 250), but the cut is on N alone.
+      per iteration times ~20 iterations up to N = 500-600 on degree-25
+      graphs (CPU s of an IRLS (5, 20) solve, dense against CG: 0.06 / 0.19
+      at N = 250, 0.15 / 0.23 at N = 400, 0.25 / 0.29 at N = 500, 0.30 /
+      0.27 at N = 600, 1.02 / 0.55 at N = 1000).  Denser graphs favour it
+      further (1.9 / 2.9 at N = 1000 and degree 250), but the cut is on N
+      alone.
     * Above it: conjugate gradient with the Laplacian applied as row-sorted
       ``np.add.reduceat`` segment sums.  The preconditioner is a support
       graph rebuilt every iteration: the full diagonal plus the
       off-diagonals of a maximum-weight spanning tree of the current
       weights, grounded at the root, which factors exactly with no fill.
 
-    Both report the recomputed relative residual of the last step in
-    ``cg_residual``; a dense step records 0 in ``cg_iterations``.  With N = 1
+    An iteration reads the residual component-major: ``discrepancy_cols``
+    on the (4, E) edge quaternions, transposed once per solve, then the log
+    body into one (3, E) array, whose columns the normal equations gather.
+    Both paths report the relative residual of the last step in
+    ``cg_residual``, computed once after the loop from that step's system;
+    a dense step records 0 in ``cg_iterations``.  With N = 1
     there is no unknown: each phase with a non-zero budget takes one zero
     step, which counts as converged.  ``max_iters`` is two non-negative
     integers (the L1 and L1/2 budgets).  Residuals are floored at
@@ -559,27 +584,28 @@ def irls_mra(
 
     # reduced index map without the anchored root
     red = np.insert(np.arange(n - 1), root, -1)
-    system, dense_system = _reduced_laplacian(red[u_idx], red[v_idx], n - 1)
     direct = n - 1 <= DENSE_SOLVE_MAX_N
+    system = (_dense_laplacian if direct else _reduced_laplacian)(red[u_idx], red[v_idx], n - 1)
+    quats = np.ascontiguousarray(g.edge_quat_array().T)  # (4, E)
 
     trace: list[float] = []
     cg_iterations: list[int] = []
-    cg_residual = 0.0
     for phase_iters, exponent in zip(budgets, (1.0, 1.5)):
         for _ in range(phase_iters):
-            # body-frame residual; its norm is the edge's geodesic error
-            resid = so3.qlog(viewgraph.discrepancy(g, rows))  # (E, 3)
-            norms = so3.rownorm(resid)
+            # body-frame residual, (3, E); its norm is the edge's geodesic error
+            resid = np.stack(so3.qlog_parts(viewgraph.discrepancy_cols(g, rows, quats)))
+            norms = so3.rownorm(resid.T)
             # plain least squares before any reweighting, as in standard
             # IRLS; otherwise exactly-consistent tree edges pin the init
             w = 1.0 / np.maximum(norms**exponent, IRLS_DELTA) if trace else np.ones_like(norms)
 
             if direct:
-                x, cg_residual = _dense_solve(*dense_system(w, resid))
+                lap, rhs = system(w, resid)
+                x = _dense_solve(lap, rhs)
                 cg_its = 0
             else:
                 apply_op, precond, rhs = system(w, resid)
-                x, cg_residual, cg_its = _cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
+                x, cg_its = _cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
             cg_iterations.append(cg_its)
             step = np.insert(x.T, root, 0.0, axis=0)
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
@@ -587,6 +613,8 @@ def irls_mra(
             trace.append(max_step)
             if max_step < IRLS_STEP_TOL:
                 break
+    # the last step's system is still bound: ``lap`` is only rewritten by a next step
+    cg_residual = _relative_residual(rhs, x @ lap if direct else apply_op(x)) if trace else 0.0
     return IrlsResult(
         orientations=so3.Orientations(rows),
         iterations=len(trace),

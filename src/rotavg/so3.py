@@ -10,8 +10,16 @@ Conventions used throughout the package:
 * The relative orientation of an edge ``u -> v`` between absolute
   orientations ``q_u, q_v`` is ``qmul(q_v, qconj(q_u))``.
 
-Every operation here works on rows: float64 arrays whose last axis has
+The package passes quaternions as rows: float64 arrays whose last axis has
 length 4 (or 3 for rotation vectors), and the samplers draw blocks of rows.
+The Hamilton product (:func:`qmul_parts`), the log map (:func:`qlog_parts`)
+and the norm are each written once, over component sequences: the four (or
+three) arrays of a quaternion's components, taken from the last-axis
+columns of rows by :func:`components` or from the rows of a component-major
+(4, E) array.  :func:`qmul` and :func:`qlog` call their body on the columns
+of rows and stack the result (:func:`stack_rows`), and :func:`rownorm`
+sums the squares of the columns, so both layouts give the same bits; IRLS
+iterates on the component-major form, whose components are contiguous.
 Orientations travel through the package as (N, 4) canonical rows; the
 :class:`Quat` items of :class:`Orientations` are left of the object boundary
 only for the benchmark adapter.  The scalar value type and per-quaternion
@@ -43,19 +51,42 @@ SMALL_ANGLE = 1e-6        # series fallback threshold for log/exp maps (rad)
 # Array kernels
 # ---------------------------------------------------------------------------
 
+def components(x) -> list[np.ndarray]:
+    """The last-axis columns of float64 rows (views): the component arrays
+    the ``*_parts`` bodies take."""
+    x = np.asarray(x, dtype=np.float64)
+    return [x[..., j] for j in range(x.shape[-1])]
+
+
+def stack_rows(parts) -> np.ndarray:
+    """Rows from component arrays of one shape: ``np.stack(parts,
+    axis=-1)`` without its per-call checks, which cost more than the copy
+    on a few hundred rows."""
+    out = np.empty(parts[0].shape + (len(parts),))
+    for j, c in enumerate(parts):
+        out[..., j] = c
+    return out
+
+
+def _norm_parts(parts) -> np.ndarray:
+    """Euclidean norm of component arrays, the squares summed left to right."""
+    first, *rest = parts
+    s = np.square(first, out=np.empty(first.shape))
+    for c in rest:
+        s += np.square(c)
+    return np.sqrt(s, out=s)
+
+
 def rownorm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean norm over the last axis, bit-equal to ``np.linalg.norm(x,
     axis=-1, keepdims=keepdims)`` for last axes shorter than 8.
 
     The squared columns are summed left to right, the order numpy's
     reduction takes over such short axes, without the (..., d) square array
-    and the strided reduction; a 1-D input gives a scalar.
+    and the strided reduction; a 1-D input gives a scalar.  The transpose
+    of a component-major array gives the norms of its columns.
     """
-    x = np.asarray(x, dtype=np.float64)
-    s = np.square(x[..., 0], out=np.empty(x.shape[:-1]))
-    for j in range(1, x.shape[-1]):
-        s += np.square(x[..., j])
-    np.sqrt(s, out=s)
+    s = _norm_parts(components(x))
     return s[..., None] if keepdims else s[()]
 
 
@@ -87,21 +118,38 @@ def qcanon(q: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=flip[..., None])
 
 
+def qmul_parts(a, b) -> tuple[np.ndarray, ...]:
+    """Hamilton product of quaternions given as component sequences ``(w,
+    x, y, z)``: the package's one product body; returns its four components.
+
+    Each component is accumulated in place in the left-to-right order of
+    ``aw * bw - ax * bx - ay * by - az * bz`` (and so on), which gives that
+    expression's bits without its temporaries.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    w = aw * bw
+    w -= ax * bx
+    w -= ay * by
+    w -= az * bz
+    x = aw * bx
+    x += ax * bw
+    x += ay * bz
+    x -= az * by
+    y = aw * by
+    y -= ax * bz
+    y += ay * bw
+    y += az * bx
+    z = aw * bz
+    z += ax * by
+    z -= ay * bx
+    z += az * bw
+    return w, x, y, z
+
+
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternion rows (no normalization)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return stack_rows(qmul_parts(components(a), components(b)))
 
 
 def qconj(q: np.ndarray) -> np.ndarray:
@@ -128,28 +176,27 @@ def qangle_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.degrees(ang)
 
 
-def qlog(q: np.ndarray) -> np.ndarray:
-    """Rotation-vector log map of unit rows (radians, angle in [0, pi]).
+def qlog_parts(q) -> tuple[np.ndarray, ...]:
+    """Rotation-vector log map (radians, angle in [0, pi]) of unit
+    quaternions given as component sequences ``(w, x, y, z)``: the
+    package's one log body; returns the three vector components.
 
     Uses the series ``2/w * (1 - |v|^2 / (3 w^2))`` below ``SMALL_ANGLE`` to
-    avoid the 0/0 at the identity.  The log reads each row as ``qcanon``
-    leaves it, bit for bit, but skips its copy in the common case: when
-    every row is within ``NORM_SKIP_TOL`` of unit norm and no ``|w|`` is
-    within ``ZERO_SIGN_TOL``, canonicalization only negates the rows with
-    ``w < 0``, so the log reads ``|w|`` and puts the sign of ``w`` on its
-    (non-negative) scale.  Without a row below ``SMALL_ANGLE`` the scale is
-    ``ang / |v|`` alone.
+    avoid the 0/0 at the identity.  The log reads each quaternion as
+    ``qcanon`` leaves it, bit for bit, but skips its copy in the common
+    case: when every one is within ``NORM_SKIP_TOL`` of unit norm and no
+    ``|w|`` is within ``ZERO_SIGN_TOL``, canonicalization only negates those
+    with ``w < 0``, so the log reads ``|w|`` and puts the sign of ``w`` on its
+    (non-negative) scale.  Without an angle below ``SMALL_ANGLE`` the scale
+    is ``ang / |v|`` alone.
     """
-    q = np.asarray(q, dtype=np.float64)
-    w = q[..., 0]
+    w, x, y, z = q
     sign = None
-    if np.all(np.abs(rownorm(q) - 1.0) <= NORM_SKIP_TOL) and not np.any(np.abs(w) <= ZERO_SIGN_TOL):
+    if np.all(np.abs(_norm_parts(q) - 1.0) <= NORM_SKIP_TOL) and not np.any(np.abs(w) <= ZERO_SIGN_TOL):
         sign, w = w, np.abs(w)
     else:
-        q = qcanon(q)
-        w = q[..., 0]
-    v = q[..., 1:]
-    nv = rownorm(v)
+        w, x, y, z = components(qcanon(stack_rows(q)))
+    nv = _norm_parts((x, y, z))
     ang = 2.0 * np.arctan2(nv, w)
     small = nv < SMALL_ANGLE
     if np.any(small):
@@ -161,7 +208,13 @@ def qlog(q: np.ndarray) -> np.ndarray:
         scale = ang / nv
     if sign is not None:
         scale = np.copysign(scale, sign)
-    return v * scale[..., None]
+    return x * scale, y * scale, z * scale
+
+
+def qlog(q: np.ndarray) -> np.ndarray:
+    """Rotation-vector log map of unit rows (radians, angle in [0, pi]);
+    :func:`qlog_parts` on their columns."""
+    return stack_rows(qlog_parts(components(q)))
 
 
 def qexp(v: np.ndarray) -> np.ndarray:

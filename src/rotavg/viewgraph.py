@@ -451,16 +451,30 @@ def _format_rows(cells: np.ndarray, full: str, short: str, is_full: np.ndarray) 
 # Edge residuals
 # ---------------------------------------------------------------------------
 
-def discrepancy(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
-    """(E, 4) residuals ``rows_v^-1 * q_uv * rows_u`` of (N, 4) orientation rows,
-    the identity where they explain an edge; a conjugate is the reverse one's.
-    FineNet's edge feature, and the IRLS residual after the log map."""
+def _discrepancy_parts(g: ViewGraph, rows: np.ndarray, quats) -> tuple[np.ndarray, ...]:
+    """Components of ``rows_v^-1 * q_uv * rows_u``, ``quats`` the components
+    of the edge quaternions; the node rows are gathered component-major."""
     if rows.shape != (g.n_nodes, 4):  # one comparison: IRLS calls this every iteration
         raise ViewGraphError(f"orientation rows must be ({g.n_nodes}, 4), got {rows.shape}")
     u, v = g.endpoint_arrays()
     # conjugate the N rows before the gather, not E; ``take`` beats indexing here
-    return so3.qmul(so3.qconj(rows).take(v, axis=0),
-                    so3.qmul(g.edge_quat_array(), rows.take(u, axis=0)))
+    return so3.qmul_parts(so3.qconj(rows).T.take(v, axis=1),
+                          so3.qmul_parts(quats, rows.T.take(u, axis=1)))
+
+
+def discrepancy(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
+    """(E, 4) residuals ``rows_v^-1 * q_uv * rows_u`` of (N, 4) orientation rows,
+    the identity where they explain an edge; a conjugate is the reverse one's.
+    FineNet's edge feature; IRLS reads the same residuals component-major
+    (:func:`discrepancy_cols`)."""
+    return so3.stack_rows(_discrepancy_parts(g, rows, so3.components(g.edge_quat_array())))
+
+
+def discrepancy_cols(g: ViewGraph, rows: np.ndarray, quats: np.ndarray) -> np.ndarray:
+    """:func:`discrepancy` as a (4, E) component-major array, bit for bit the
+    transpose of its rows; ``quats`` is the contiguous (4, E) transpose of
+    ``g.edge_quat_array()``, which IRLS makes once per solve."""
+    return np.stack(_discrepancy_parts(g, rows, quats))
 
 
 # ---------------------------------------------------------------------------

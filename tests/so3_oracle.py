@@ -11,7 +11,9 @@ it always divides the off-unit rows out and always runs the zero-sign
 cascade, the reference for the package's ``qcanon`` bit for bit.
 ``qlog``, ``qexp`` and ``qangle_deg`` are frozen copies of the row kernels
 as they stood before ``so3.rownorm`` and ``qlog``'s fast path: every norm
-through ``np.linalg.norm``, every log through ``qcanon``'s copy.
+through ``np.linalg.norm``, every log through ``qcanon``'s copy.  ``qmul``
+is the row product as it stood before ``so3.qmul_parts``: one expression
+per component over strided columns, stacked.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, ZERO_SIGN_TOL, qconj, qmul
+from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, ZERO_SIGN_TOL, qconj
 from rotavg.viewgraph import ViewGraph
 
 MATRIX_TOL = 1e-8         # orthogonality/determinant invariant of outputs
@@ -69,6 +71,23 @@ def qcanon(q: np.ndarray) -> np.ndarray:
         flip = flip | (undecided & significant & (c < 0.0))
         undecided = undecided & ~significant
     return np.where(flip[..., None], -out, out)
+
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternion rows (no normalization)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
 
 
 def qangle_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:

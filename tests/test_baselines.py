@@ -91,13 +91,17 @@ def assert_system_matches_oracle(u_red, v_red, n, seed=0):
     dense operator, ``apply_op(x)`` and the right-hand side; the operator
     maps 0 to exactly 0, which CG's ``r = rhs`` start relies on; and the
     scattered dense matrix of the direct solve is the same operator, also
-    when a later step rewrites its buffer with other weights."""
+    when a later step rewrites its buffer with other weights.  The systems
+    take the residual component-major, (3, E), as IRLS passes it; the
+    oracle reads its (E, 3) rows."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.1, 10.0, size=len(u_red))
     resid = rng.normal(size=(len(u_red), 3))
+    cols = np.ascontiguousarray(resid.T)
     x = rng.normal(size=(n, 3))
-    system, dense_system = baselines._reduced_laplacian(u_red, v_red, n)
-    apply_op, _, rhs = system(w, resid)
+    system = baselines._reduced_laplacian(u_red, v_red, n)
+    dense_system = baselines._dense_laplacian(u_red, v_red, n)
+    apply_op, _, rhs = system(w, cols)
     ref_op, _, ref_rhs = normal_equations_oracle(u_red, v_red, w, resid, n)
     dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
     ref_dense = np.stack([ref_op(np.tile(e[:, None], (1, 3)))[:, 0] for e in np.eye(n)], axis=1)
@@ -106,12 +110,12 @@ def assert_system_matches_oracle(u_red, v_red, n, seed=0):
     assert_rel_close(apply_op(x.T).T, ref_op(x))
     zero = apply_op(np.zeros((3, n)))
     assert zero.shape == (3, n) and not np.any(zero)
-    lap, dense_rhs = dense_system(w, resid)
+    lap, dense_rhs = dense_system(w, cols)
     assert_rel_close(lap, ref_dense)
     assert np.array_equal(lap, lap.T) and np.array_equal(dense_rhs, rhs)
     w_next = rng.uniform(0.1, 10.0, size=len(u_red))
-    fresh = baselines._reduced_laplacian(u_red, v_red, n)[1](w_next, resid)[0]
-    assert np.array_equal(dense_system(w_next, resid)[0], fresh)
+    fresh = baselines._dense_laplacian(u_red, v_red, n)(w_next, cols)[0]
+    assert np.array_equal(dense_system(w_next, cols)[0], fresh)
 
 
 @st.composite
@@ -168,13 +172,13 @@ class TestReducedLaplacian:
         u_red, v_red = reduced_index(g)
         n = g.n_nodes - 1
         rng = np.random.default_rng(3)
-        apply_op, precond, rhs = baselines._reduced_laplacian(u_red, v_red, n)[0](
-            rng.uniform(0.1, 10.0, size=len(u_red)), rng.normal(size=(len(u_red), 3))
+        apply_op, precond, rhs = baselines._reduced_laplacian(u_red, v_red, n)(
+            rng.uniform(0.1, 10.0, size=len(u_red)), rng.normal(size=(len(u_red), 3)).T
         )
         with pytest.raises(SolverError, match="did not converge"):
             baselines._cg_multi(apply_op, rhs, precond, max_iter=2, tol=CG_TOL)
-        x, rel_res, iters = baselines._cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
-        assert rel_res <= CG_TOL and 2 <= iters < 10 * n
+        x, iters = baselines._cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
+        assert baselines._relative_residual(rhs, apply_op(x)) <= CG_TOL and 2 <= iters < 10 * n
         dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
         assert_rel_close(x.T, np.linalg.solve(dense, rhs.T), rtol=1e-9)
 
@@ -480,11 +484,12 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
     ``"direct"`` or ``"cg"``: ``so3_oracle``'s log, exp and canonicalization,
     ``np.linalg.norm``, the E gathered rows conjugated, the right-hand side
     scattered from its transposed copy and the dense matrix by one
-    ``np.bincount`` over the diagonal and the off-diagonal cells.  The parts
-    the fused step left alone are the package's: ``_dense_solve``,
-    ``_cg_multi`` and the CG operator and preconditioner of
-    ``_reduced_laplacian``.  Returns ``(rows, max_step_trace, cg_residual,
-    cg_iterations)``."""
+    ``np.bincount`` over the diagonal and the off-diagonal cells, and the
+    relative residual recomputed after every step.  The parts the fused step
+    left alone are the package's: ``_dense_solve``, ``_cg_multi`` and the CG
+    operator and preconditioner of ``_reduced_laplacian``, which reads the
+    residual component-major.  Returns ``(rows, max_step_trace,
+    cg_residual, cg_iterations)``."""
     rows = so3_oracle.qcanon(np.asarray(init, dtype=np.float64))
     n = g.n_nodes - 1
     root = viewgraph.select_root(g)
@@ -498,7 +503,7 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
     both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
     cells = np.concatenate([np.arange(n) * (n + 1), u_red[both] * n + v_red[both],
                             v_red[both] * n + u_red[both]])
-    system = baselines._reduced_laplacian(u_red, v_red, n)[0]
+    system = baselines._reduced_laplacian(u_red, v_red, n)
     trace, cg_iterations, cg_residual = [], [], 0.0
     for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
         for _ in range(phase_iters):
@@ -509,12 +514,15 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
             swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
             rhs = np.bincount(inc_bins, swr.T.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
             if path == "direct":
-                lap = np.bincount(cells, np.concatenate([diag, -w[both], -w[both]]), n * n)
-                x, cg_residual = baselines._dense_solve(lap.reshape(n, n), rhs)
-                its = 0
+                lap = np.bincount(cells, np.concatenate([diag, -w[both], -w[both]]), n * n).reshape(n, n)
+                x = baselines._dense_solve(lap, rhs)
+                ax, its = x @ lap, 0
             else:
-                apply_op, precond, _ = system(w, resid)
-                x, cg_residual, its = baselines._cg_multi(apply_op, rhs, precond, 10 * g.n_nodes, CG_TOL)
+                apply_op, precond, _ = system(w, resid.T)
+                x, its = baselines._cg_multi(apply_op, rhs, precond, 10 * g.n_nodes, CG_TOL)
+                ax = apply_op(x)
+            norm_b = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
+            cg_residual = float(np.max(np.sqrt(np.sum((rhs - ax) ** 2, axis=1)) / norm_b))
             cg_iterations.append(its)
             step = np.insert(x.T, root, 0.0, axis=0)
             rows = so3_oracle.qcanon(so3.qmul(rows, so3_oracle.qexp(step)))
@@ -548,6 +556,41 @@ class TestFrozenIrlsStep:
     def test_noisy_graphs_with_outliers(self, path, seed):
         g = make_graph(seed=seed, n=80, edge_fraction=0.3, sigma=15.0, outliers=0.1)
         assert_matches_frozen_step(g, bootstrap(g), path)
+
+
+def square_graph(pairs, seed):
+    """A noisy view-graph on the edges ``pairs``, 10-30 deg off, and a
+    perturbed ground truth as its init."""
+    rng = np.random.default_rng(seed)
+    u, v = np.array(pairs, dtype=np.int64).T
+    n = int(v.max()) + 1
+    gt = so3.sample_uniform_rows(rng, n)
+    axis = rng.normal(size=(u.size, 3))
+    angle = np.radians(rng.uniform(10.0, 30.0, size=u.size))
+    noise = so3.qexp(axis / np.linalg.norm(axis, axis=1, keepdims=True) * angle[:, None])
+    g = ViewGraph(n, u, v, so3.qcanon(so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))))
+    return g, so3.qcanon(so3.qmul(gt, so3.qexp(rng.normal(scale=0.3, size=(n, 3)))))
+
+
+class TestSquareLayouts:
+    """With E = 3 the (E, 3) residual rows and the (3, E) component-major
+    residual have one shape, and with E = 4 so do the (E, 4) and (4, E)
+    quaternions: a layout slip passes every shape check, so only the bits
+    show it."""
+
+    @pytest.mark.parametrize("path", ["direct", "cg"])
+    @pytest.mark.parametrize("pairs", [
+        pytest.param([(0, 1), (1, 2), (0, 2)], id="triangle"),
+        pytest.param([(0, 1), (1, 2), (2, 3)], id="path4"),
+        pytest.param([(0, 1), (1, 2), (2, 3), (0, 3)], id="cycle4"),
+        pytest.param([(0, 1), (0, 2), (1, 2), (2, 3)], id="triangle-tail"),
+        pytest.param([(0, 1), (0, 2), (0, 3), (0, 4)], id="star5"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_frozen_step(self, path, pairs, seed):
+        g, init = square_graph(pairs, seed)
+        assert g.n_edges in (3, 4)
+        assert_matches_frozen_step(g, init, path)
 
 
 class TestNoiseFreeRecovery:

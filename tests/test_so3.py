@@ -465,6 +465,73 @@ class TestFrozenKernels:
                 log(q)
 
 
+def with_signed_zeros(rows, rng):
+    """``rows`` with about half of their zero components negated to -0.0."""
+    rows = rows.copy()
+    flip = (rows == 0.0) & (rng.random(rows.shape) < 0.5)
+    rows[flip] = -0.0
+    return rows
+
+
+def columns(rows):
+    """The contiguous component-major (4, ...) copy of rows."""
+    return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+
+
+# every product of two signed basis rows, with each zero component +0.0 or -0.0
+SIGNED_BASIS = np.array([[s * (k == j) if k == j else z for k in range(4)]
+                         for j in range(4) for s in (1.0, -1.0) for z in (0.0, -0.0)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestComponentBodies:
+    """The row API stacks the component bodies' results: ``qmul`` and
+    ``qlog`` give, bit for bit, the frozen row kernels and the transpose of
+    the bodies run on contiguous component-major arrays."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows(min_rows=2), st.integers(0, 2**32 - 1))
+    def test_qmul(self, rows, seed):
+        rows = with_signed_zeros(rows, np.random.default_rng(seed))
+        half = len(rows) // 2
+        a, b = rows[:half], rows[half:2 * half]
+        for x, y in ((a, b), (a[0], b[0]), (a[:, None], b)):
+            assert_same_bits(so3.qmul(x, y), so3_oracle.qmul(x, y))
+        out = np.stack(so3.qmul_parts(columns(a), columns(b)))
+        assert_same_bits(out, columns(so3.qmul(a, b)))
+
+    def test_qmul_signed_zeros(self):
+        a, b = SIGNED_BASIS[:, None], SIGNED_BASIS
+        assert_same_bits(so3.qmul(a, b), so3_oracle.qmul(a, b))
+        pairs = np.broadcast_arrays(a, b)
+        out = np.stack(so3.qmul_parts(*(columns(p.reshape(-1, 4)) for p in pairs)))
+        assert_same_bits(out, columns(so3_oracle.qmul(a, b).reshape(-1, 4)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows(), st.integers(0, 2**32 - 1))
+    def test_qlog(self, rows, seed):
+        # half turns (|w| <= ZERO_SIGN_TOL) and off-unit rows take the qcanon
+        # branch; rows below SMALL_ANGLE the series
+        rows = with_signed_zeros(rows, np.random.default_rng(seed))
+        for q in shapes_of(rows):
+            assert_same_bits(so3.qlog(q), so3_oracle.qlog(q))
+        assert_same_bits(np.stack(so3.qlog_parts(columns(rows))), columns(so3.qlog(rows)))
+
+    @pytest.mark.parametrize("kind", ["half_turn", "non_unit", "small", "signed_zero"])
+    def test_qlog_branches(self, kind):
+        rng = np.random.default_rng(5)
+        unit = so3.sample_uniform_rows(rng, 6)
+        extra = {
+            "half_turn": np.array([[0.0, 0.0, -1.0, 0.0], [-1e-13, 0.6, 0.0, -0.8]]),
+            "non_unit": unit[:2] * 3.0,
+            "small": np.array([[1.0, 1e-9, -2e-9, 0.0], [-1.0, 0.0, 0.0, 3e-8]]),
+            "signed_zero": np.array([[1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0]]),
+        }[kind]
+        rows = np.concatenate([unit, extra])
+        assert_same_bits(np.stack(so3.qlog_parts(columns(rows))), columns(so3.qlog(rows)))
+        assert_same_bits(so3.qlog(rows), so3_oracle.qlog(rows))
+
+
 def test_package_has_one_norm_kernel():
     """No ``np.linalg.norm`` call in ``src/rotavg``: row norms go through
     ``so3.rownorm``, so that a norm has one implementation."""

@@ -714,6 +714,20 @@ class TestDiscrepancy:
             assert np.max(np.abs(so3.qcanon(so3.qconj(d[i])) - reverse.as_array())) <= 1e-15
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_component_major_form_is_the_transpose(self, seed):
+        # both forms, and the frozen row product, give the same bits
+        g = self.noisy_graph(seed)
+        rows = so3.sample_uniform_rows(np.random.default_rng(seed + 20), g.n_nodes)
+        d = viewgraph.discrepancy(g, rows)
+        quats = np.ascontiguousarray(g.edge_quat_array().T)
+        cols = viewgraph.discrepancy_cols(g, rows, quats)
+        assert d.shape == (g.n_edges, 4) and cols.shape == (4, g.n_edges)
+        assert cols.tobytes() == np.ascontiguousarray(d.T).tobytes()
+        u, v = g.endpoint_arrays()
+        frozen = so3_oracle.qmul(so3.qconj(rows)[v], so3_oracle.qmul(g.edge_quat_array(), rows[u]))
+        assert d.tobytes() == frozen.tobytes()
+
     @pytest.mark.parametrize("shape", [(7, 4), (9, 4), (8, 3), (8,)])
     def test_rows_of_another_shape_rejected(self, shape):
         g = ViewGraph(8, np.arange(7), np.arange(1, 8), np.tile([1.0, 0.0, 0.0, 0.0], (7, 1)))
