@@ -10,14 +10,19 @@ Two baselines operating on the same view-graph inputs as the networks:
   order.  The plan keeps each batch's incoming measurements, so a batch's
   candidates are one row gather, one matmul to left-multiplication matrices
   and one stacked product, and each median step works in half-angles with
-  one matmul per quaternion product and per sum.
+  one matmul per quaternion product and per sum.  A median starts at its
+  medoid, one of the candidates, and its steps are Vardi-Zhang steps: a
+  candidate that coincides with the iterate leaves the tangent mean instead
+  of taking a capped weight, so the first step leaves the medoid at full
+  length, and ``WEISZFELD_MEDIAN_ITERS`` = 4 steps end at a lower summed
+  objective than 10 floor-weighted ones did.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
   solve of the weighted graph Laplacian with the root grounded.  An
   iteration works on component-major arrays: the (4, E) edge quaternions,
-  transposed once per solve, and the (3, E) residual.  Up to
-  ``DENSE_SOLVE_MAX_N`` unknowns the step is one dense LAPACK solve of the
-  whole matrix, its cells scattered in edge order; above it, a CG solve
+  transposed once per solve, and the (3, E) residual.  While
+  ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E`` the step is one dense LAPACK solve
+  of the whole matrix, its cells scattered in edge order; above it, a CG solve
   with the off-diagonal entries sorted by row once per solve so that an
   apply is one gather and one ``np.add.reduceat``, preconditioned by the
   exact inverse of its diagonal plus a maximum-weight spanning tree.  The
@@ -39,15 +44,18 @@ from numpy.typing import ArrayLike
 from . import so3, viewgraph
 from .viewgraph import ViewGraph, ViewGraphError
 
-WEISZFELD_FLOOR = 1e-6   # radians; caps the 1/distance weights
-WEISZFELD_MEDIAN_ITERS = 10  # Weiszfeld steps of each median, after its medoid
+# radians; the coincidence radius of a Weiszfeld median step, not a weight
+# cap: a candidate closer than this to the iterate leaves the step (Vardi-Zhang)
+WEISZFELD_FLOOR = 1e-6
+WEISZFELD_MEDIAN_ITERS = 4  # Vardi-Zhang steps of each median, after its medoid
 IRLS_DELTA = 1e-5        # residual floor in the IRLS weights
 IRLS_STEP_TOL = 1e-3     # radians; stop when the largest update is below
 CG_TOL = 1e-12           # relative residual target of the inner CG solve
 MEDOID_CELLS = 1 << 21   # padded distances of one batched Weiszfeld medoid (16 MB)
-# Largest N - 1 whose IRLS steps take a dense solve instead of CG, below the
-# measured crossover (N = 500-600 on degree-25 view-graphs; see ``irls_mra``).
-DENSE_SOLVE_MAX_N = 400
+# IRLS takes a dense solve when (N - 1)**3 <= DENSE_SOLVE_RATIO * E: the LU's
+# cubic cost against CG's per-edge work over its iterations, cut between the
+# measured sides (dense faster at ratio 2.0e4, CG at 2.4e4; see ``irls_mra``).
+DENSE_SOLVE_RATIO = 2.2e4
 
 
 class SolverError(RuntimeError):
@@ -76,6 +84,19 @@ def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.n
     medoid minimises the summed distance to and from the other candidates,
     ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
     ``d`` cannot break a tie, and an exact tie goes to the first candidate.
+
+    A step is the Vardi-Zhang modification of Weiszfeld's (Vardi and Zhang,
+    PNAS 2000).  The ``eta`` valid candidates within ``WEISZFELD_FLOOR`` of
+    the iterate coincide with it and leave the weighted tangent mean; the
+    other candidates' step is scaled by ``max(0, 1 - eta / r)``, where ``r``
+    is the length of the sum of their unit tangent directions.  At ``r <=
+    eta`` the iterate is already the L1 median and the step is exactly 0
+    (also when every candidate coincides and no weight is left), so the
+    freeze rule keeps the row bit for bit.  Without a coincident candidate
+    it is Weiszfeld's step.  Weighting the coincident candidate at the
+    floor instead, 2e6 against about 20 for a candidate 0.1 rad away, held
+    a median near its medoid for its first steps.  Only a step with a
+    coincident candidate, in practice the first, pays for the masks.
 
     A colour class holds about 4 nodes of about 100 candidates on the
     benchmark's dense graphs and about 20 of about 25 on its sparse ones,
@@ -110,10 +131,23 @@ def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.n
         # log-map direction, sign-corrected so the angle stays in [0, pi]
         coef = np.zeros((n, d))
         np.divide(np.copysign(half, cw), nv, out=coef, where=nv > 1e-12)
-        weights = w / np.maximum(half, 0.5 * WEISZFELD_FLOOR)
+        near = half < 0.5 * WEISZFELD_FLOOR
+        near &= valid
+        coincide = near.any()  # Vardi-Zhang: coincident candidates leave the mean
+        kept = np.where(near, 0.0, w) if coincide else w
+        weights = kept / np.maximum(half, 0.5 * WEISZFELD_FLOOR)  # the floor keeps padding finite
         coef *= weights
-        s = (rel @ coef[:, :, None])[:, :, 0]  # s[:, 1:] is half the step
-        s /= np.add.reduce(weights, 1)[:, None]
+        s = (rel @ coef[:, :, None])[:, :, 0]  # s[:, 1:] sums the unit directions
+        if coincide:
+            r = np.sqrt((s * s) @ _VEC)
+            eta = np.add.reduce(near, 1)
+            # (1 - eta / r) / sum(weights) where r > eta, else an exact 0
+            scale = np.zeros(n)
+            np.divide(r - eta, r * np.add.reduce(weights, 1), out=scale, where=r > eta)
+            s *= scale[:, None]
+        else:
+            s /= np.add.reduce(weights, 1)[:, None]
+        # s[:, 1:] is now half the step
         step = np.sqrt((s * s) @ _VEC)
         if stopped or np.minimum.reduce(step) < 0.5e-12:  # a full step below 1e-12
             frozen |= step < 0.5e-12
@@ -240,7 +274,11 @@ def weiszfeld_mra(
     lower colours from this sweep, of higher colours from the last.  Each
     class takes one batched median (more only past ``MEDOID_CELLS``).  The
     node order is that of a multicolour SOR sweep; the averaging step
-    itself is the L1 Weiszfeld median of each node's candidates.
+    itself is the L1 median of each node's candidates: its medoid, then
+    ``WEISZFELD_MEDIAN_ITERS`` Weiszfeld steps in the Vardi-Zhang form,
+    which leave the medoid at full length (``_weiszfeld_medians``).  On the
+    benchmark's solve graphs 4 such steps end each sweep at a lower summed
+    objective than 10 steps that weighted the medoid at the floor.
     """
     sweeps = _budget("sweeps", sweeps)
     if not viewgraph.is_connected(g):
@@ -542,17 +580,30 @@ def irls_mra(
     and solves the weighted normal equations, with the root held fixed: a
     graph Laplacian with 3-dof blocks, each ``w * I3``, so the three tangent
     components share one (N-1) x (N-1) matrix.  Which solve runs is chosen
-    once per call from N:
+    once per call from the cost of each:
 
-    * ``N - 1 <= DENSE_SOLVE_MAX_N``: the matrix is scattered dense and each
-      step is one ``np.linalg.solve`` with three right-hand sides, and no
-      spanning tree is built.  Its O(N^3) LU costs less than CG's O(E) work
-      per iteration times ~20 iterations up to N = 500-600 on degree-25
-      graphs (CPU s of an IRLS (5, 20) solve, dense against CG: 0.06 / 0.19
-      at N = 250, 0.15 / 0.23 at N = 400, 0.25 / 0.29 at N = 500, 0.30 /
-      0.27 at N = 600, 1.02 / 0.55 at N = 1000).  Denser graphs favour it
-      further (1.9 / 2.9 at N = 1000 and degree 250), but the cut is on N
-      alone.
+    * ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``: the matrix is scattered dense
+      and each step is one ``np.linalg.solve`` with three right-hand sides,
+      and no spanning tree is built.  Its O(N^3) LU costs less than CG's
+      O(E) work per iteration over its iterations while that ratio stays
+      below about 2.2e4.  CPU s of an IRLS (5, 20) solve from the BFS
+      bootstrap, dense against CG, one BLAS thread, with the ratio:
+
+      =====================  =======  ============
+      graph                  ratio    dense / CG
+      =====================  =======  ============
+      degree 25, N = 400     1.3e4    0.14 / 0.22
+      degree 25, N = 500     2.0e4    0.18 / 0.21
+      degree 25, N = 550     2.4e4    0.25 / 0.22
+      degree 25, N = 600     2.9e4    0.34 / 0.31
+      degree 25, N = 1000    8.0e4    0.91 / 0.54
+      cam1000 (degree 250)   8.0e3    0.91 / 1.34
+      noise10o5              8.0e3    0.70 / 1.10
+      nonplanar              8.0e3    1.03 / 1.45
+      =====================  =======  ============
+
+      The benchmark's graphs (ratios about 450 and 5,000) are dense;
+      ``cam5000`` (4.0e5) takes CG.
     * Above it: conjugate gradient with the Laplacian applied as row-sorted
       ``np.add.reduceat`` segment sums.  The preconditioner is a support
       graph rebuilt every iteration: the full diagonal plus the
@@ -584,7 +635,7 @@ def irls_mra(
 
     # reduced index map without the anchored root
     red = np.insert(np.arange(n - 1), root, -1)
-    direct = n - 1 <= DENSE_SOLVE_MAX_N
+    direct = (n - 1) ** 3 <= DENSE_SOLVE_RATIO * g.n_edges
     system = (_dense_laplacian if direct else _reduced_laplacian)(red[u_idx], red[v_idx], n - 1)
     quats = np.ascontiguousarray(g.edge_quat_array().T)  # (4, E)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -76,9 +77,11 @@ def normal_equations_oracle(u_red, v_red, w, resid, n):
 
 def irls_on(path, g, init, **kwargs):
     """``irls_mra`` with its dense solve (``"direct"``) or its CG solve
-    (``"cg"``) taken at every graph size."""
+    (``"cg"``) taken at every graph size.  The ratios are an int, so that N = 1
+    (0 unknowns, 0 edges) compares 0 <= 0, and -inf, whose product with 0
+    edges is NaN and compares false."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "DENSE_SOLVE_MAX_N", {"direct": 1 << 62, "cg": -1}[path])
+        mp.setattr(baselines, "DENSE_SOLVE_RATIO", {"direct": 1 << 62, "cg": -math.inf}[path])
         return baselines.irls_mra(g, init, **kwargs)
 
 
@@ -452,12 +455,15 @@ class TestDenseSolve:
         assert direct.cg_residual <= CG_TOL
         assert direct.cg_iterations == [0] * direct.iterations
 
-    def test_selected_by_node_count(self, monkeypatch):
+    def test_selected_by_cost(self, monkeypatch):
+        # dense exactly when (N - 1)**3 <= ratio * E; the ratio is a Fraction
+        # here so that the cut is exact
         g = make_graph(seed=5, sigma=10.0, outliers=0.1)
-        monkeypatch.setattr(baselines, "DENSE_SOLVE_MAX_N", g.n_nodes - 1)
+        cut = Fraction((g.n_nodes - 1) ** 3, g.n_edges)
+        monkeypatch.setattr(baselines, "DENSE_SOLVE_RATIO", cut)
         res = baselines.irls_mra(g, bootstrap(g))
         assert res.iterations > 0 and res.cg_iterations == [0] * res.iterations
-        monkeypatch.setattr(baselines, "DENSE_SOLVE_MAX_N", g.n_nodes - 2)
+        monkeypatch.setattr(baselines, "DENSE_SOLVE_RATIO", cut - Fraction(1, g.n_edges))
         res = baselines.irls_mra(g, bootstrap(g))
         assert res.iterations > 0 and all(k > 0 for k in res.cg_iterations)
 
@@ -685,8 +691,8 @@ ARCCOS_ROUNDING = math.sqrt(2.0 * np.finfo(float).eps)  # arccos error of a dot 
 
 
 def median_oracle(cands, iters):
-    """One node's tangent-space Weiszfeld median, scalar step by step, and
-    its medoid's margin.  The medoid start minimises ``sum_j d_ij + d_ji``
+    """One node's tangent-space Weiszfeld median in the Vardi-Zhang form,
+    scalar step by step, and its medoid's margin.  The medoid start minimises ``sum_j d_ij + d_ji``
     with ``d_ii = 0``.  The margin is the gap to the best score of a
     candidate more than ``ROW_TOL`` away from it (either sign), over the
     tie tolerance: ``TIE_GAP`` of the medoid's score plus the rounding of the
@@ -713,9 +719,15 @@ def median_oracle(cands, iters):
         nv = np.sqrt(cx * cx + cy * cy + cz * cz)
         ang = 2.0 * np.arctan2(nv, np.abs(cw))
         scale = np.where(nv > 1e-12, np.copysign(ang, cw) / np.maximum(nv, 1e-300), 0.0)
-        weights = 1.0 / np.maximum(ang, baselines.WEISZFELD_FLOOR)
-        coef = weights * scale / weights.sum()
-        sx, sy, sz = float(coef @ cx), float(coef @ cy), float(coef @ cz)
+        # Vardi-Zhang: the candidates within the floor of m leave the mean,
+        # and the others' step shrinks by max(0, 1 - eta / r)
+        near = ang < baselines.WEISZFELD_FLOOR
+        weights = np.where(near, 0.0, 1.0 / np.maximum(ang, baselines.WEISZFELD_FLOOR))
+        coef = weights * scale  # unit tangent directions, weighted 1
+        rx, ry, rz = float(coef @ cx), float(coef @ cy), float(coef @ cz)
+        r, eta = math.sqrt(rx * rx + ry * ry + rz * rz), int(near.sum())
+        shrink = (1.0 - eta / r) / float(weights.sum()) if r > eta else 0.0
+        sx, sy, sz = rx * shrink, ry * shrink, rz * shrink
         step = math.sqrt(sx * sx + sy * sy + sz * sz)
         if step < 1e-12:
             break
@@ -890,7 +902,7 @@ class TestWeiszfeldLevelSchedule:
         rng = np.random.default_rng(8)
         init = so3.qcanon(so3.qmul(g.gt_array(), so3.qexp(rng.normal(scale=0.2, size=(30, 3)))))
         res = baselines.weiszfeld_mra(g, init, sweeps=2)
-        rows, trace, _ = weiszfeld_oracle(g, init, 2, 10)
+        rows, trace, _ = weiszfeld_oracle(g, init, 2, baselines.WEISZFELD_MEDIAN_ITERS)
         assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= 1e-10
         assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
 
@@ -944,17 +956,94 @@ class TestWeiszfeldMedians:
 
     @pytest.mark.parametrize("degrees", [[4, 6, 3], [1, 5], [2, 4]])
     def test_a_node_that_stops_stays_while_the_others_move(self, degrees):
-        # node 0's candidates are one rotation: its first step is below 1e-12,
-        # and its row stays bit for bit
+        # node 0's candidates are one rotation: its first step is exactly 0,
+        # and its row stays bit for bit.  Every other node moves, unless its
+        # medoid is already its L1 median: then the oracle's first step is 0.
+        movers = 0
         for seed in range(8):
             cands, valid = padded_batch(np.random.default_rng(seed), degrees)
             cands[0] = cands[0, 0]
             medoids = baselines._weiszfeld_medians(cands, valid, 0)
             out = baselines._weiszfeld_medians(cands, valid, 10)
             assert np.array_equal(out[0], cands[0, 0])
-            assert max(np.max(np.abs(out[i] - medoids[i])) for i in range(1, len(degrees))) > 1e-9
+            for i, k in enumerate(degrees[1:], start=1):
+                if not np.array_equal(median_oracle(cands[i, :k], 1)[0], medoids[i]):
+                    assert np.max(np.abs(out[i] - medoids[i])) > 1e-9
+                    movers += 1
             for i, k in enumerate(degrees):
                 assert np.max(np.abs(out[i] - median_oracle(cands[i, :k], 10)[0])) <= ROW_TOL
+        assert movers >= 4
+
+
+@st.composite
+def median_batches(draw):
+    """A padded batch of 1-4 candidate sets of 1-14 rotations, each scattered
+    0.01-1.2 rad about its own centre, with up to a third of them uniform
+    outliers and, in some sets, repeats of its first candidate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degrees = draw(st.lists(st.integers(1, 14), min_size=1, max_size=4))
+    d = max(degrees)
+    cands = np.empty((len(degrees), d, 4))
+    valid = np.arange(d) < np.array(degrees)[:, None]
+    for i, k in enumerate(degrees):
+        center = so3.sample_uniform_rows(rng, 1)
+        real = so3.qmul(so3.qexp(rng.normal(scale=rng.uniform(0.01, 1.2), size=(k, 3))), center)
+        outliers = rng.integers(0, k // 3 + 1)
+        real[:outliers] = so3.sample_uniform_rows(rng, outliers)
+        real[rng.random(k) < draw(st.sampled_from([0.0, 0.3]))] = real[0]
+        cands[i] = np.concatenate([so3.qcanon(real), np.repeat(so3.qcanon(real[:1]), d - k, axis=0)])
+    return cands, valid
+
+
+def half_angle_sums(cands, valid, medians):
+    """Each node's summed half-angles from its valid candidates to its median."""
+    half = 0.5 * np.radians(so3.qangle_deg(cands, medians[:, None]))
+    return np.sum(np.where(valid, half, 0.0), axis=1)
+
+
+class TestVardiZhangStep:
+    """The median step off a candidate: coincident candidates leave the
+    tangent mean and the others' step shrinks by ``max(0, 1 - eta / r)``."""
+
+    def test_three_candidates_step_off_their_medoid(self):
+        # three rotations about 20 deg apart, symmetric about their centre:
+        # a step from the medoid that counted it at the floor weight would
+        # move it by about 2e-6 rad; the Vardi-Zhang step moves it 0.13 rad
+        axes = np.array([[np.cos(a), np.sin(a), 0.0] for a in 2 * np.pi * np.arange(3) / 3])
+        center = so3.sample_uniform_rows(np.random.default_rng(3), 1)
+        cands = so3.qcanon(so3.qmul(so3.qexp(np.radians(20.0) / np.sqrt(3.0) * axes), center))
+        pairwise = so3.qangle_deg(cands, cands[[1, 2, 0]])
+        assert np.all(np.abs(pairwise - 20.0) < 0.1)
+        valid = np.ones((1, 3), dtype=bool)
+        medoid = baselines._weiszfeld_medians(cands[None], valid, 0)[0]
+        first = baselines._weiszfeld_medians(cands[None], valid, 1)[0]
+        assert np.radians(so3.qangle_deg(medoid, first)) > 1e-3
+        assert np.max(np.abs(first - median_oracle(cands, 1)[0])) <= ROW_TOL
+
+    @settings(max_examples=150, deadline=None)
+    @given(median_batches())
+    def test_summed_half_angles_never_increase(self, batch):
+        cands, valid = batch
+        sums = [half_angle_sums(cands, valid, baselines._weiszfeld_medians(cands, valid, k))
+                for k in range(7)]
+        for before, after in zip(sums, sums[1:]):
+            # rounding of the sums themselves, 1e-13 of the first
+            assert np.all(after <= before + 1e-13 * sums[0])
+
+    @pytest.mark.parametrize("case", ["two", "one_rotation"])
+    def test_optimal_medoid_stays_bit_for_bit(self, case):
+        # two candidates: every point between them is a median, and the first
+        # one, the medoid, has r = eta = 1.  One rotation three times: every
+        # candidate coincides, the weight sum is 0 and the step exactly 0.
+        rng = np.random.default_rng(5)
+        cands = so3.qcanon(so3.qmul(so3.qexp(rng.normal(scale=0.5, size=(2, 3))),
+                                    so3.sample_uniform_rows(rng, 1)))
+        if case == "one_rotation":
+            cands = np.repeat(cands[:1], 3, axis=0)
+        valid = np.ones((1, len(cands)), dtype=bool)
+        with np.errstate(divide="raise", invalid="raise"):
+            out = baselines._weiszfeld_medians(cands[None], valid, baselines.WEISZFELD_MEDIAN_ITERS)
+        assert np.all(np.isfinite(out)) and np.array_equal(out[0], cands[0])
 
 
 class TestWeiszfeldPlan:
