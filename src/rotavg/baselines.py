@@ -12,10 +12,9 @@ Two baselines operating on the same view-graph inputs as the networks:
   and one stacked product, and each median step works in half-angles with
   one matmul per quaternion product and per sum.  A median starts at its
   medoid, one of the candidates, and its steps are Vardi-Zhang steps: a
-  candidate that coincides with the iterate leaves the tangent mean instead
-  of taking a capped weight, so the first step leaves the medoid at full
-  length, and ``WEISZFELD_MEDIAN_ITERS`` = 4 steps end at a lower summed
-  objective than 10 floor-weighted ones did.
+  candidate that coincides with the iterate leaves the tangent mean, so the
+  first of the ``WEISZFELD_MEDIAN_ITERS`` steps leaves the medoid at full
+  length.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
   solve of the weighted graph Laplacian with the root grounded.  An
@@ -93,10 +92,8 @@ def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.n
     eta`` the iterate is already the L1 median and the step is exactly 0
     (also when every candidate coincides and no weight is left), so the
     freeze rule keeps the row bit for bit.  Without a coincident candidate
-    it is Weiszfeld's step.  Weighting the coincident candidate at the
-    floor instead, 2e6 against about 20 for a candidate 0.1 rad away, held
-    a median near its medoid for its first steps.  Only a step with a
-    coincident candidate, in practice the first, pays for the masks.
+    it is Weiszfeld's step.  Only a step with a coincident candidate, in
+    practice the first, pays for the masks.
 
     A colour class holds about 4 nodes of about 100 candidates on the
     benchmark's dense graphs and about 20 of about 25 on its sparse ones,
@@ -170,9 +167,8 @@ class WeiszfeldResult:
 
 
 def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
-    u, v = g.endpoint_arrays()
-    rel = so3.qmul(rows.take(v, axis=0), so3.qconj(rows.take(u, axis=0)))
-    return float(np.sum(so3.qangle_deg(rel, g.edge_quat_array())))
+    """The summed angle, in degrees, of the edge residuals of ``rows``."""
+    return float(np.sum(so3.angle_deg(viewgraph.discrepancy(g, rows))))
 
 
 def _weiszfeld_colours(g: ViewGraph, root: int) -> np.ndarray:
@@ -276,9 +272,7 @@ def weiszfeld_mra(
     node order is that of a multicolour SOR sweep; the averaging step
     itself is the L1 median of each node's candidates: its medoid, then
     ``WEISZFELD_MEDIAN_ITERS`` Weiszfeld steps in the Vardi-Zhang form,
-    which leave the medoid at full length (``_weiszfeld_medians``).  On the
-    benchmark's solve graphs 4 such steps end each sweep at a lower summed
-    objective than 10 steps that weighted the medoid at the floor.
+    which leave the medoid at full length (``_weiszfeld_medians``).
     """
     sweeps = _budget("sweeps", sweeps)
     if not viewgraph.is_connected(g):

@@ -104,12 +104,7 @@ def gt_outlier_labels(g: ViewGraph) -> np.ndarray:
     ground-truth relative orientation, else 0.0."""
     if not g.has_full_gt:
         raise ViewGraphError("outlier labels require full ground truth")
-    return _outlier_labels(g, g.relative_gt_array())
-
-
-def _outlier_labels(g: ViewGraph, rel_gt: np.ndarray) -> np.ndarray:
-    """:func:`gt_outlier_labels` given ``rel_gt = g.relative_gt_array()``."""
-    angles = so3.qangle_deg(g.edge_quat_array(), rel_gt)
+    angles = so3.angle_deg(viewgraph.discrepancy(g, g.gt))
     return (angles > OUTLIER_THRESHOLD_DEG).astype(np.float64)
 
 
@@ -122,7 +117,7 @@ def _loss_terms(rect: np.ndarray, logits: np.ndarray, g: ViewGraph):
     rel_gt = g.relative_gt_array()
     dists, dists_pull = autodiff.quat_dist(rect, rel_gt)
     edge_w = viewgraph._degree_weights(g)
-    targets = _outlier_labels(g, rel_gt)
+    targets = gt_outlier_labels(g)
     bce = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     loss = (dists * edge_w).sum() + bce.mean() * float(BCE_WEIGHT)
 

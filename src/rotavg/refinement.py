@@ -33,7 +33,6 @@ from .viewgraph import ViewGraph, ViewGraphError
 
 BETA = 0.1              # weight of the per-node anchoring term
 REFERENCE_TOL = 1e-6    # max angle (deg) tolerated for "identity at the root"
-_IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def weight_spec(cfg: MpnnConfig = MpnnConfig()) -> dict[str, tuple[int, ...]]:
@@ -75,7 +74,7 @@ def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) 
     """
     init_rows = viewgraph.orientation_rows(g, init)
     root = viewgraph.node_id(root, g.n_nodes, "root")
-    if so3.qangle_deg(init_rows[root], _IDENTITY) > REFERENCE_TOL:
+    if so3.angle_deg(init_rows[root]) > REFERENCE_TOL:
         raise ViewGraphError(f"initialization is not referenced at root {root}")
     delta = _corrections(g, init_rows, store.params)[1]
     pred_rows = so3._left_correct(delta, init_rows)
@@ -120,7 +119,7 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
         raise ViewGraphError(f"node {int(np.argmin(degree))} has no edge; the loss weighs "
                              "each node by 1 / degree")
     root = viewgraph.node_id(root, g.n_nodes, "root")
-    if so3.qangle_deg(g.gt[root], _IDENTITY) > REFERENCE_TOL:
+    if so3.angle_deg(g.gt[root]) > REFERENCE_TOL:
         raise ViewGraphError("ground truth is not referenced at the root; "
                              "re-reference before the loss")
     u_idx, v_idx = g.endpoint_arrays()

@@ -29,7 +29,10 @@ tests as their oracle.
 :func:`rownorm` is the package's one norm kernel; ``rotavg`` makes no
 ``np.linalg.norm`` call (a test keeps it so).  Over the short last axes of
 rows it is bit-equal to ``np.linalg.norm(x, axis=-1)`` and a few times
-faster.
+faster.  :func:`angle_deg`, the rotation angle of rows in degrees, is its
+one angle kernel: CleanNet's outlier labels, the L1 objective and FineNet's
+root checks read it, and no other module calls ``np.degrees`` (a test keeps
+it so).
 """
 
 from __future__ import annotations
@@ -168,12 +171,12 @@ def _left_correct(delta: np.ndarray, base: np.ndarray) -> np.ndarray:
     return qcanon(qmul(qcanon(delta), base))
 
 
-def qangle_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise geodesic angle between unit quaternion rows, in degrees."""
-    rel = qmul(qconj(a), b)
-    vec = rownorm(rel[..., 1:])
-    ang = 2.0 * np.arctan2(vec, np.abs(rel[..., 0]))
-    return np.degrees(ang)
+def angle_deg(q: np.ndarray) -> np.ndarray:
+    """Rotation angle of unit quaternion rows, in degrees, in [0, 180]; ``q``
+    and ``-q`` give the same bits.  The angle between rows ``a`` and ``b`` is
+    ``angle_deg(qmul(qconj(a), b))``."""
+    q = np.asarray(q, dtype=np.float64)
+    return np.degrees(2.0 * np.arctan2(rownorm(q[..., 1:]), np.abs(q[..., 0])))
 
 
 def qlog_parts(q) -> tuple[np.ndarray, ...]:

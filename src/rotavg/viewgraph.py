@@ -7,8 +7,8 @@ truth is (N, 4) canonical rows, NaN where unknown.  Every solver and network
 reads these arrays; :func:`discrepancy` is their one per-edge residual.
 Solver orientations are (N, 4) rows too: :func:`orientation_rows` checks
 them on input, and :class:`~rotavg.so3.Orientations` hands them out.
-``ViewGraph.edges`` and the ``Orientations`` items are left of the object
-boundary only for the benchmark adapter's two reads.
+``ViewGraph.edges``, the ``Orientations`` items and :class:`GraphStats` are
+left of the object boundary only for the benchmark adapter's reads.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -20,17 +20,17 @@ Node ids must be dense in ``[0, N)``.  Edges are stored once per unordered
 pair in the canonical ``u < v`` direction; an edge given in the opposite
 direction is flipped (its orientation inverted) on construction.
 
-:func:`parse` reads the text in blocks of whole lines (``PARSE_BLOCK_CHARS``),
-cut at any line end, and converts each block's NODE and EDGE records to
-arrays before it reads the next, so the tokens of one block, not of the
-whole file, are alive at once: its ``tracemalloc`` peak is 1.2 times the
-12 MB cam1000 text and 1.9 times a 0.7 MB one, where whole-text token
-lists took nine times.  The whole-file checks then run once as masks over
-the concatenated arrays, through the same edge-structure rule (range,
-self-loop, repeat) as the constructor, and the checked arrays become the
-graph without a second check or copy; a :class:`ParseError` names the
-first offending line.  :func:`serialize` formats ``SERIALIZE_ROWS`` rows
-per ``%`` call, so its peak is about the output and its row slices.
+:func:`parse` reads the text in blocks of whole lines
+(``PARSE_BLOCK_CHARS``), cut at any line end, and converts each block's NODE
+and EDGE records to arrays before it reads the next, so the tokens of one
+block, not of the whole file, are alive at once: its ``tracemalloc`` peak is
+1.2 times the 12 MB cam1000 text and 1.9 times a 0.7 MB one.  The whole-file
+checks then run once as masks over the concatenated arrays, through the same
+edge-structure rule (range, self-loop, repeat) as the constructor, and the
+checked arrays become the graph without a second check or copy; a
+:class:`ParseError` names the first offending line.  :func:`serialize`
+formats ``SERIALIZE_ROWS`` rows per ``%`` call, so its peak is about the
+output and its row slices.
 """
 
 from __future__ import annotations
@@ -655,51 +655,13 @@ def rereference(rows: np.ndarray, c: int) -> np.ndarray:
 # Statistics
 # ---------------------------------------------------------------------------
 
-ANGLE_BINS = 36  # 5-degree bins over [0, 180]
-
-
 @dataclass
 class GraphStats:
-    """Angle histograms and rotation axes of measurements (and noise)."""
+    """Per-edge measurement angles, kept only for the benchmark adapter."""
 
-    bin_edges_deg: np.ndarray           # (ANGLE_BINS + 1,)
-    rel_angles_deg: np.ndarray          # (E,)
-    rel_hist: np.ndarray                # (ANGLE_BINS,) counts
-    rel_axes: np.ndarray                # (E, 3) unit rows
-    noise_angles_deg: np.ndarray | None = None
-    noise_hist: np.ndarray | None = None
-    noise_axes: np.ndarray | None = None
-
-
-def _angles_axes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation angles (degrees) and unit axes of canonical rows; a row whose
-    vector part has norm below 1e-12 maps to angle 0 about +x."""
-    nv = so3.rownorm(q[:, 1:])
-    small = nv < 1e-12
-    angles = np.where(small, 0.0, np.degrees(np.minimum(2.0 * np.arctan2(nv, q[:, 0]), np.pi)))
-    axes = np.where(small[:, None], (1.0, 0.0, 0.0), q[:, 1:] / np.where(small, 1.0, nv)[:, None])
-    return angles, axes
+    rel_angles_deg: np.ndarray  # (E,) rotation angle of each measurement
 
 
 def graph_stats(g: ViewGraph) -> GraphStats:
-    """Histogram bundle of measurement angles/axes and, when the graph has
-    full ground truth, of the per-edge discrepancy rotations
-    ``(q_v q_u^-1)^-1 * measured``.
-    """
-    edges = np.linspace(0.0, 180.0, ANGLE_BINS + 1)
-    rel_angles, rel_axes = _angles_axes(g.edge_quat_array())
-    rel_hist, _ = np.histogram(rel_angles, bins=edges)
-    stats = GraphStats(
-        bin_edges_deg=edges,
-        rel_angles_deg=rel_angles,
-        rel_hist=rel_hist,
-        rel_axes=rel_axes,
-    )
-    if g.has_full_gt:
-        noise = so3.qcanon(so3.qmul(so3.qconj(g.relative_gt_array()), g.edge_quat_array()))
-        n_angles, n_axes = _angles_axes(noise)
-        n_hist, _ = np.histogram(n_angles, bins=edges)
-        stats.noise_angles_deg = n_angles
-        stats.noise_hist = n_hist
-        stats.noise_axes = n_axes
-    return stats
+    """The rotation angle of every measured edge, in edge order."""
+    return GraphStats(rel_angles_deg=so3.angle_deg(g.edge_quat_array()))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import so3_oracle
 from rotavg import cleaning, mpnn, refinement, so3, viewgraph
 from rotavg.autodiff import QUAT_NORM_FLOOR, AutodiffError, Tape, Tensor, _segment_sum, accumulate
 from rotavg.viewgraph import ViewGraphError
@@ -296,7 +297,8 @@ class OracleTape(Tape):
         rel_gt = g.relative_gt_array()
         dists = self.quat_dist_loss(rect, self.constant(rel_gt))
         mre = self.sum(self.mul(dists, self.constant(viewgraph._degree_weights(g))))
-        labels = self.constant(cleaning._outlier_labels(g, rel_gt))
+        angles = so3_oracle.qangle_deg(g.edge_quat_array(), rel_gt)
+        labels = self.constant((angles > cleaning.OUTLIER_THRESHOLD_DEG).astype(np.float64))
         bce = self.mean(self.bce_with_logits(logits, labels))
         return self.add(mre, self.scale(bce, cleaning.BCE_WEIGHT))
 
@@ -307,7 +309,7 @@ class OracleTape(Tape):
         if not g.has_full_gt:
             raise ViewGraphError("loss requires full ground truth")
         root = viewgraph.node_id(root, g.n_nodes, "root")
-        if so3.qangle_deg(g.gt[root], refinement._IDENTITY) > refinement.REFERENCE_TOL:
+        if so3_oracle.qangle_deg(g.gt[root], (1.0, 0.0, 0.0, 0.0)) > refinement.REFERENCE_TOL:
             raise ViewGraphError("ground truth is not referenced at the root; "
                                  "re-reference before the loss")
         u_idx, v_idx = g.endpoint_arrays()

@@ -53,13 +53,13 @@ class TestForward:
             store.add(name, np.zeros(shape))
         pred = cleaning.clean_forward(g, store)
         assert not np.any(np.isnan(pred.outlier_prob))
-        assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
+        assert np.max(so3_oracle.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
 
     def test_identity_init_passes_measurements_through(self):
         g = noisy_graph(seed=1)
         pred = cleaning.clean_forward(g, cleaning.new_weights(1))
         assert np.allclose(pred.outlier_prob, 0.5)
-        assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
+        assert np.max(so3_oracle.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
 
     @pytest.mark.parametrize("cfg", [TINY_CFG, MpnnConfig(rounds=2)])
     def test_sizes_come_from_the_weights(self, cfg):
@@ -67,7 +67,7 @@ class TestForward:
         g = noisy_graph(seed=1)
         pred = cleaning.clean_forward(g, cleaning.new_weights(1, cfg))
         assert np.allclose(pred.outlier_prob, 0.5)
-        assert np.max(so3.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
+        assert np.max(so3_oracle.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
         tape = Tape()
         tape.backward(cleaning.clean_loss_graph(tape, g, cleaning.new_weights(1, cfg).bind(tape)))
 
@@ -154,6 +154,24 @@ class TestLabels:
         g = edge_graph(2, [Edge(0, 1, UnitQuaternion.identity())])
         with pytest.raises(ViewGraphError):
             cleaning.gt_outlier_labels(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_threshold_matches_angle_oracle(self, seed):
+        # measurements 1e-9 degree on each side of the threshold, about random axes
+        rng = np.random.default_rng(seed)
+        n = 12
+        u, v = (np.array(x) for x in zip(*[(i, j) for i in range(n) for j in range(i + 1, n)]))
+        gt = so3.sample_uniform_rows(rng, n)
+        side = np.where(np.arange(u.size) % 2 == 0, -1e-9, 1e-9)
+        axes = rng.normal(size=(u.size, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        noise = so3.qexp(axes * np.radians(cleaning.OUTLIER_THRESHOLD_DEG + side)[:, None])
+        q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
+        g = ViewGraph(n, u, v, q, gt=gt)
+        want = so3_oracle.qangle_deg(g.edge_quat_array(), g.relative_gt_array()) > 20.0
+        labels = cleaning.gt_outlier_labels(g)
+        assert np.array_equal(labels, want.astype(np.float64))
+        assert np.array_equal(labels, (side > 0).astype(np.float64))
 
 
 def loss_value(pred, g):

@@ -267,9 +267,7 @@ class TestSampling:
         # angle-to-identity under Haar follows (1 - cos t)/pi on [0, pi]
         rng = np.random.default_rng(15)
         rows = so3.sample_uniform_rows(rng, 100_000)
-        ident = np.zeros((len(rows), 4))
-        ident[:, 0] = 1.0
-        angles = np.radians(so3.qangle_deg(ident, rows))
+        angles = np.radians(so3.angle_deg(rows))
         edges = np.linspace(0.0, math.pi, 19)
         observed, _ = np.histogram(angles, bins=edges)
         cdf = (edges - np.sin(edges)) / math.pi
@@ -292,8 +290,7 @@ class TestSampling:
         # signed noise angle is N(0, sigma); RMS of magnitudes estimates sigma
         rng = np.random.default_rng(17)
         sigma = 12.0
-        ident = np.array([1.0, 0.0, 0.0, 0.0])
-        angles = so3.qangle_deg(ident, so3.sample_noise_rows(sigma, True, rng, 100_000))
+        angles = so3.angle_deg(so3.sample_noise_rows(sigma, True, rng, 100_000))
         rms = float(np.sqrt(np.mean(angles**2)))
         assert abs(rms - sigma) / sigma < 0.03
 
@@ -441,11 +438,24 @@ class TestFrozenKernels:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_rows(min_rows=2))
-    def test_qangle_deg(self, rows):
+    def test_angle_deg(self, rows):
+        # the angle between rows is the angle of their relative rotation
         half = len(rows) // 2
         a, b = so3_oracle.qcanon(rows[:half]), so3_oracle.qcanon(rows[half:2 * half])
-        assert_same_bits(so3.qangle_deg(a, b), so3_oracle.qangle_deg(a, b))
-        assert_same_bits(so3.qangle_deg(a[0], b[0]), so3_oracle.qangle_deg(a[0], b[0]))
+        assert_same_bits(so3.angle_deg(so3.qmul(so3.qconj(a), b)), so3_oracle.qangle_deg(a, b))
+        assert_same_bits(so3.angle_deg(so3.qmul(so3.qconj(a[0]), b[0])),
+                         so3_oracle.qangle_deg(a[0], b[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows())
+    def test_angle_deg_ignores_sign(self, rows):
+        for q in shapes_of(so3_oracle.qcanon(rows)):
+            assert_same_bits(so3.angle_deg(-q), so3.angle_deg(q))
+
+    def test_angle_deg_identity_and_half_turn(self):
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -0.6, 0.8]])
+        assert so3.angle_deg(rows).tolist() == [0.0, 0.0, 180.0, 180.0]
 
     def test_identity_rows_take_each_log_path(self):
         # exact identities (|v| = 0) alone, with a half turn (the qcanon
@@ -532,14 +542,30 @@ class TestComponentBodies:
         assert_same_bits(so3.qlog(rows), so3_oracle.qlog(rows))
 
 
+def package_calls(matches, skip=()) -> list[str]:
+    """``file:line`` of each call in ``src/rotavg``, outside the modules in
+    ``skip``, whose function node ``matches``."""
+    calls = []
+    for path in sorted(Path(so3.__file__).parent.glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and matches(node.func):
+                calls.append(f"{path.name}:{node.lineno}")
+    return calls
+
+
 def test_package_has_one_norm_kernel():
     """No ``np.linalg.norm`` call in ``src/rotavg``: row norms go through
     ``so3.rownorm``, so that a norm has one implementation."""
-    calls = []
-    for path in sorted(Path(so3.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            func = node.func if isinstance(node, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == "norm"
-                    and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
-                calls.append(f"{path.name}:{node.lineno}")
+    calls = package_calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "norm"
+                          and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg")
     assert not calls, f"np.linalg.norm called at {', '.join(calls)}; use so3.rownorm"
+
+
+def test_package_has_one_angle_kernel():
+    """No module of ``src/rotavg`` but ``so3`` calls ``np.degrees``: every
+    angle in degrees goes through ``so3.angle_deg``."""
+    calls = package_calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "degrees",
+                          skip=("so3.py",))
+    assert not calls, f"np.degrees called at {', '.join(calls)}; use so3.angle_deg"

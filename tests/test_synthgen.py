@@ -235,7 +235,7 @@ class TestGenerateGraph:
         g = synthgen.generate_graph(cfg, np.random.default_rng(4))
         inlier = g.edge_labels() == 0
         assert inlier.sum() == len(g.edges) - round(0.1 * len(g.edges))
-        angles = so3.qangle_deg(g.edge_quat_array(), g.relative_gt_array())[inlier]
+        angles = so3_oracle.qangle_deg(g.edge_quat_array(), g.relative_gt_array())[inlier]
         rms = float(np.sqrt(np.mean(angles**2)))
         assert abs(rms - 12.0) / 12.0 < 0.03
 
