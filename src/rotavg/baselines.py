@@ -17,18 +17,18 @@ Two baselines operating on the same view-graph inputs as the networks:
   length.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
-  solve of the weighted graph Laplacian with the root grounded.  An
-  iteration works on component-major arrays: the (4, E) edge quaternions,
-  transposed once per solve, and the (3, E) residual.  While
-  ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E`` the step is one dense LAPACK solve
-  of the whole matrix, its cells scattered in edge order; above it, a CG solve
-  with the off-diagonal entries sorted by row once per solve so that an
-  apply is one gather and one ``np.add.reduceat``, preconditioned by the
-  exact inverse of its diagonal plus a maximum-weight spanning tree.  The
-  relative residual of the linear solve is checked once per solve, on the
-  last step's system.
+  solve of the weighted graph Laplacian on the graph's own node ids, with
+  the root's row pinned.  An iteration works on component-major arrays:
+  the (4, E) edge quaternions, transposed once per solve, and the (3, E)
+  residual.  While ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E`` the step is one
+  dense LAPACK solve of the whole matrix, its cells scattered in edge
+  order; above it, a CG solve with the off-diagonal entries sorted by row
+  once per solve so that an apply is one gather and one
+  ``np.add.reduceat``, preconditioned by the exact inverse of its diagonal
+  plus a maximum-weight spanning tree.  The relative residual of the
+  linear solve is checked once per solve, on the last step's system.
 
-Both keep the root camera exactly fixed to pin the gauge, take (N, 4)
+Both pin the gauge at the root camera, which they never update, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view of rows (its
 items are left only for the benchmark adapter).
 """
@@ -357,42 +357,43 @@ def _max_spanning_tree(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> n
         label = hook[label]
 
 
-def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.ndarray):
+def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.ndarray, root: int):
     """``precond(r)``: the exact inverse of ``M = diag(diag) - A_T`` on (3, n)
     arrays, where ``T`` is the maximum-weight spanning tree of the edges
-    ``(u, v)`` with weights ``w`` on nodes ``0..n``.  Node ``n`` is the
-    ground: the root camera, whose row and column ``M`` leaves out.
+    ``(u, v)`` with weights ``w``, grounded at ``root``: its pivot is
+    infinite, so ``precond`` is 0 in the root's row, whatever ``r`` holds.
 
     Eliminated children before parents, ``M = (I - N) P (I - N)^T`` with no
     fill.  The pivots come bottom-up by depth, ``p_c = diag_c - sum_k
     w_kc^2 / p_k`` over the children ``k`` of ``c``; ``N`` maps each child
     ``c`` to its parent with multiplier ``w_c / p_c``, where ``w_c`` weighs
-    the edge up (children of the ground have no entry).  Every ``p_c`` is at
+    the edge up (children of the root have no entry).  Every ``p_c`` is at
     least ``w_c``, so no multiplier exceeds 1.  An apply is
     ``(I - N^T)^-1 P^-1 (I - N)^-1 r``; each inverse is the product of
     ``I + N^(2^k)`` over jump tables built by pointer doubling: ceil(log2
     depth) ``bincount``s, as many gathers and no loop over tree levels.
     """
     n = diag.size
-    tree = _max_spanning_tree(u, v, w, n + 1)
+    tree = _max_spanning_tree(u, v, w, n)
     tu, tv = u[tree], v[tree]
-    parent, depth = viewgraph.bfs_levels(n + 1, tu, tv, n)
-    w_up = np.empty(n + 1)
+    parent, depth = viewgraph.bfs_levels(n, tu, tv, root)
+    parent[root] = root  # a sink for the jump tables below
+    w_up = np.zeros(n)
     w_up[np.where(depth[tu] > depth[tv], tu, tv)] = w[tree]
-    parent, depth, w_up = parent[:n], depth[:n], w_up[:n]
 
     pivot = diag.copy()
+    pivot[root] = np.inf
     by_depth = np.argsort(depth, kind="stable")
     starts = np.searchsorted(depth[by_depth], np.arange(depth.max(initial=0) + 2))
     for d in range(depth.max(initial=0), 1, -1):
         nodes = by_depth[starts[d]:starts[d + 1]]
         np.subtract.at(pivot, parent[nodes], w_up[nodes] ** 2 / pivot[nodes])
 
-    # N^(2^k) maps node c to its ancestor 2^k levels up; the ground n is a
-    # sink.  The tables index flat (3 * n) arrays: row k of a (3, n) array
-    # is the index range [k * n, (k + 1) * n), as in ``_reduced_laplacian``.
-    anc = np.append(parent, n)
-    mult = np.append(np.where(depth > 1, w_up / pivot, 0.0), 0.0)
+    # N^(2^k) maps node c to its ancestor 2^k levels up; the root is a sink.
+    # The tables index flat (3 * n) arrays: row k of a (3, n) array is the
+    # index range [k * n, (k + 1) * n), as in ``_normal_equations``.
+    anc = parent
+    mult = np.where(depth > 1, w_up / pivot, 0.0)
     rows = np.arange(3)[:, None] * n
     jumps = []
     reach = 1
@@ -416,15 +417,14 @@ def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.n
     return precond
 
 
-def _normal_equations(u_red: np.ndarray, v_red: np.ndarray, n: int):
-    """``normal_equations(w, resid) -> (diag, rhs)`` of the root-reduced
-    graph Laplacian (root ends -1) with edge weights ``w``: its diagonal and
-    the (3, n) right-hand side of the (3, E) component-major residual.
+def _normal_equations(u: np.ndarray, v: np.ndarray, n: int, root: int):
+    """``normal_equations(w, resid) -> (diag, rhs)`` of the graph Laplacian
+    with edge weights ``w``: its diagonal and the (3, n) right-hand side of
+    the (3, E) component-major residual, 0 at the pinned ``root``.
     """
-    ends = np.concatenate([v_red, u_red])
-    inc = ends >= 0  # incidence entries: +1 at each edge's v end, -1 at its u end
-    inc_node, inc_edge = ends[inc], np.tile(np.arange(v_red.size), 2)[inc]
-    inc_sign = np.repeat([1.0, -1.0], v_red.size)[inc]
+    inc_node = np.concatenate([v, u])  # +1 at each edge's v end, -1 at its u end
+    inc_edge = np.tile(np.arange(v.size), 2)
+    inc_sign = np.repeat([1.0, -1.0], v.size)
     # one bincount serves all three tangent components: row k of a (3, n)
     # array is the flat index range [k * n, (k + 1) * n)
     inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
@@ -432,42 +432,42 @@ def _normal_equations(u_red: np.ndarray, v_red: np.ndarray, n: int):
     def normal_equations(w: np.ndarray, resid: np.ndarray):
         w_inc = w[inc_edge]
         diag = np.bincount(inc_node, w_inc, n)
-        swr = resid.take(inc_edge, axis=1)  # (3, m), component-major like ``inc_bins``
+        swr = resid.take(inc_edge, axis=1)  # (3, 2E), component-major like ``inc_bins``
         swr *= inc_sign * w_inc
         # float64 even when empty (N = 1), where bincount returns int64
         rhs = np.bincount(inc_bins, swr.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
+        rhs[:, root] = 0.0
         return diag, rhs
 
     return normal_equations
 
 
-def _dense_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
+def _dense_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
     """``dense_system(w, resid) -> (lap, rhs)``: the normal equations of one
-    IRLS step with the root-reduced Laplacian as one (n, n) buffer that
-    every step of a solve rewrites, ``diag`` on its diagonal and each
-    off-diagonal weight, negated, in its two cells.  No other edge shares a
-    cell, since a ``ViewGraph`` has no repeated edge, so the cells are
-    scattered in edge order, with no sort.
+    IRLS step as one (n, n) buffer that every step of a solve rewrites,
+    ``diag`` on its diagonal and each off-diagonal weight, negated, in its
+    two cells, then the identity in the row and column of the pinned
+    ``root``.  No other edge shares a cell, since a ``ViewGraph`` has no
+    repeated edge, so the cells are scattered in edge order, with no sort.
     """
-    normal_equations = _normal_equations(u_red, v_red, n)
-    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
-    uu, vv = u_red[both], v_red[both]
-    cells = np.stack([uu * n + vv, vv * n + uu])  # (2, m) flat cells of each weight
+    normal_equations = _normal_equations(u, v, n, root)
+    cells = np.stack([u * n + v, v * n + u])  # (2, E) flat cells of each weight
     lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
     flat = lap.reshape(-1)
 
     def dense_system(w: np.ndarray, resid: np.ndarray):
         diag, rhs = normal_equations(w, resid)
-        flat[cells] = -w.take(both)
+        flat[cells] = -w
         flat[::n + 1] = diag
+        lap[root] = lap[:, root] = 0.0
+        lap[root, root] = 1.0
         return lap, rhs
 
     return dense_system
 
 
-def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
-    """Index the root-reduced graph Laplacian for CG once per solve (root
-    ends are -1).
+def _cg_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
+    """Index the graph Laplacian for CG once per solve.
 
     Returns ``system(w, resid) -> (apply_op, precond, rhs)``: the normal
     equations of one IRLS step with edge weights ``w`` on (3, n) arrays and
@@ -475,25 +475,18 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
     kept in both directions, are sorted by row with a stable sort, so each
     row is one contiguous run in edge order; ``apply_op`` gathers ``x`` at
     their columns, scales by the row-sorted weights and sums each row with
-    one ``np.add.reduceat`` along the contiguous axis.  Some rows have no
-    entry (nodes whose only neighbour is the root; every row when N = 2),
-    and ``reduceat`` returns the element at an empty segment's start, so
-    those rows are masked to 0.  When the last row is empty, one padding
-    entry at the end keeps the starts of the trailing empty rows in range
-    without cutting short the last non-empty row.
+    one ``np.add.reduceat`` along the contiguous axis.  A connected graph of
+    N >= 2 nodes has no empty row.  The ``root`` is pinned: ``rhs``,
+    ``apply_op`` and ``precond`` are 0 in its row, so CG's iterates stay 0
+    there and its column is never read.
     """
-    normal_equations = _normal_equations(u_red, v_red, n)
-    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
-    rows = np.concatenate([u_red[both], v_red[both]])
+    normal_equations = _normal_equations(u, v, n, root)
+    rows = np.concatenate([u, v])
     by_row = np.argsort(rows, kind="stable")
-    cols = np.concatenate([v_red[both], u_red[both]])[by_row]
-    off_edge = np.tile(both, 2)[by_row]
+    cols = np.concatenate([v, u])[by_row]
+    off_edge = np.tile(np.arange(u.size), 2)[by_row]
     count = np.bincount(rows, minlength=n)
     starts = np.cumsum(count) - count
-    empty = np.flatnonzero(count == 0)
-    if n and count[-1] == 0:  # padding read only by the (masked) trailing empty rows
-        cols, off_edge = np.append(cols, 0), np.append(off_edge, 0)
-    ground_u, ground_v = np.where(u_red < 0, n, u_red), np.where(v_red < 0, n, v_red)
 
     def system(w: np.ndarray, resid: np.ndarray):
         diag, rhs = normal_equations(w, resid)
@@ -502,11 +495,11 @@ def _reduced_laplacian(u_red: np.ndarray, v_red: np.ndarray, n: int):
         def apply_op(x: np.ndarray) -> np.ndarray:
             entries = x.take(cols, axis=1)
             entries *= w_off
-            off = np.add.reduceat(entries, starts, axis=1)
-            off[:, empty] = 0.0
-            return diag * x - off
+            ax = diag * x - np.add.reduceat(entries, starts, axis=1)
+            ax[:, root] = 0.0
+            return ax
 
-        return apply_op, _tree_preconditioner(ground_u, ground_v, w, diag), rhs
+        return apply_op, _tree_preconditioner(u, v, w, diag, root), rhs
 
     return system
 
@@ -573,8 +566,9 @@ def irls_mra(
     order for right-multiplicative updates ``q_v <- q_v * exp(step_v)``),
     and solves the weighted normal equations, with the root held fixed: a
     graph Laplacian with 3-dof blocks, each ``w * I3``, so the three tangent
-    components share one (N-1) x (N-1) matrix.  Which solve runs is chosen
-    once per call from the cost of each:
+    components share one N x N matrix, whose root row and column are pinned
+    and whose root step is 0.  Which solve runs is chosen once per call from
+    the cost of each:
 
     * ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``: the matrix is scattered dense
       and each step is one ``np.linalg.solve`` with three right-hand sides,
@@ -611,7 +605,7 @@ def irls_mra(
     ``cg_residual``, computed once after the loop from that step's system;
     a dense step records 0 in ``cg_iterations``.  With N = 1
     there is no unknown: each phase with a non-zero budget takes one zero
-    step, which counts as converged.  ``max_iters`` is two non-negative
+    dense step, whatever the ratio, which counts as converged.  ``max_iters`` is two non-negative
     integers (the L1 and L1/2 budgets).  Residuals are floored at
     ``IRLS_DELTA`` in the weights, and a phase stops once its largest update
     is below ``IRLS_STEP_TOL``.
@@ -627,10 +621,8 @@ def irls_mra(
     root = viewgraph.select_root(g)
     u_idx, v_idx = g.endpoint_arrays()
 
-    # reduced index map without the anchored root
-    red = np.insert(np.arange(n - 1), root, -1)
-    direct = (n - 1) ** 3 <= DENSE_SOLVE_RATIO * g.n_edges
-    system = (_dense_laplacian if direct else _reduced_laplacian)(red[u_idx], red[v_idx], n - 1)
+    direct = n == 1 or (n - 1) ** 3 <= DENSE_SOLVE_RATIO * g.n_edges
+    system = (_dense_laplacian if direct else _cg_laplacian)(u_idx, v_idx, n, root)
     quats = np.ascontiguousarray(g.edge_quat_array().T)  # (4, E)
 
     trace: list[float] = []
@@ -652,7 +644,7 @@ def irls_mra(
                 apply_op, precond, rhs = system(w, resid)
                 x, cg_its = _cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
             cg_iterations.append(cg_its)
-            step = np.insert(x.T, root, 0.0, axis=0)
+            step = x.T  # 0 at the root
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
             max_step = float(np.max(so3.rownorm(step)))
             trace.append(max_step)

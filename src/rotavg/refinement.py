@@ -14,9 +14,9 @@ step is one tape record, ``refine_loss_graph``: the message passing, the
 head, the normalized correction composed on the left of the
 initialization and the loss terms, with one composed pullback.
 
-The reference camera (root) must carry the identity in the initialization;
-losses also require it to carry the identity in the ground truth, which the
-trainer arranges by re-referencing.  The network's sizes are read from its
+The network reads its initialization, and the loss its ground truth,
+re-referenced at the reference camera (root), so either may come in any
+gauge.  The network's sizes are read from its
 weights (``mpnn.config_of``); only ``new_weights`` and ``weight_spec`` take
 an ``MpnnConfig``.
 """
@@ -32,7 +32,6 @@ from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
 BETA = 0.1              # weight of the per-node anchoring term
-REFERENCE_TOL = 1e-6    # max angle (deg) tolerated for "identity at the root"
 
 
 def weight_spec(cfg: MpnnConfig = MpnnConfig()) -> dict[str, tuple[int, ...]]:
@@ -65,29 +64,29 @@ def _corrections(g: ViewGraph, init_rows: np.ndarray, weights: dict[str, np.ndar
 
 
 def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) -> so3.Orientations:
-    """Refine (N, 4) initial rows; the result is re-referenced at ``root``.
+    """Refine (N, 4) initial rows, read and returned re-referenced at ``root``.
 
     Total on valid inputs: corrective rows whose norm underflows fall back
     to the identity rotation.  The network runs on ``store.params`` with no
     tape, and the pullback is dropped; its final round keeps no messages.
     Beyond the E edge features, memory is O(rounds*N*(H+M) + CHUNK_ROWS*M).
     """
-    init_rows = viewgraph.orientation_rows(g, init)
     root = viewgraph.node_id(root, g.n_nodes, "root")
-    if so3.angle_deg(init_rows[root]) > REFERENCE_TOL:
-        raise ViewGraphError(f"initialization is not referenced at root {root}")
+    init_rows = viewgraph.rereference(viewgraph.orientation_rows(g, init), root)
     delta = _corrections(g, init_rows, store.params)[1]
     pred_rows = so3._left_correct(delta, init_rows)
     return so3.Orientations(viewgraph.rereference(pred_rows, root))
 
 
 def refine_loss_graph(
-    tape: Tape, g: ViewGraph, init_rows: np.ndarray, root: int, weights: dict[str, Tensor]
+    tape: Tape, g: ViewGraph, init: ArrayLike, root: int, weights: dict[str, Tensor]
 ) -> Tensor:
-    """Differentiable loss of the network's own refinement of ``init_rows``
-    on ``g``, one tape operation: the message passing, the head, the
-    normalized correction composed on the left of ``init_rows``, and the
-    loss terms."""
+    """Differentiable loss of the network's own refinement of ``init`` on
+    ``g``, read as ``refine_forward`` reads it, in one tape operation: the
+    message passing, the head, the normalized correction composed on the
+    left of the initialization, and the loss terms."""
+    root = viewgraph.node_id(root, g.n_nodes, "root")
+    init_rows = viewgraph.rereference(viewgraph.orientation_rows(g, init), root)
     arrays = {name: t.values for name, t in weights.items()}
     h, delta_raw, h_pull = _corrections(g, init_rows, arrays)
     delta, delta_pull = autodiff.unit_rows(delta_raw)
@@ -110,7 +109,8 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
 
     Edge term: degree-normalized quaternion distance between predicted and
     ground-truth relative orientations.  Node term: ``BETA / deg(v)`` times
-    the quaternion distance to the ground-truth absolute orientation.
+    the quaternion distance to the ground-truth absolute orientation.  Both
+    read the ground truth re-referenced at ``root``, the prediction's gauge.
     """
     if not g.has_full_gt:
         raise ViewGraphError("loss requires full ground truth")
@@ -118,18 +118,15 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
     if not degree.all():
         raise ViewGraphError(f"node {int(np.argmin(degree))} has no edge; the loss weighs "
                              "each node by 1 / degree")
-    root = viewgraph.node_id(root, g.n_nodes, "root")
-    if so3.angle_deg(g.gt[root]) > REFERENCE_TOL:
-        raise ViewGraphError("ground truth is not referenced at the root; "
-                             "re-reference before the loss")
+    gt = viewgraph.rereference(g.gt, viewgraph.node_id(root, g.n_nodes, "root"))
     u_idx, v_idx = g.endpoint_arrays()
     pred_v = pred.take(v_idx, axis=0)
     conj_u = so3.qconj(pred.take(u_idx, axis=0))
     rel, rel_pull = autodiff.unit_rows(so3.qmul(pred_v, conj_u))
-    edge_d, edge_pull = autodiff.quat_dist(rel, g.relative_gt_array())
+    edge_d, edge_pull = autodiff.quat_dist(rel, viewgraph.relative(g, gt))
     edge_w = viewgraph._degree_weights(g)
     unit, unit_pull = autodiff.unit_rows(pred)
-    node_d, node_pull = autodiff.quat_dist(unit, g.gt_array())
+    node_d, node_pull = autodiff.quat_dist(unit, gt)
     node_w = BETA / degree
     loss = (edge_d * edge_w).sum() + (node_d * node_w).sum()
 

@@ -16,10 +16,11 @@ The Hamilton product (:func:`qmul_parts`), the log map (:func:`qlog_parts`)
 and the norm are each written once, over component sequences: the four (or
 three) arrays of a quaternion's components, taken from the last-axis
 columns of rows by :func:`components` or from the rows of a component-major
-(4, E) array.  :func:`qmul` and :func:`qlog` call their body on the columns
-of rows and stack the result (:func:`stack_rows`), and :func:`rownorm`
-sums the squares of the columns, so both layouts give the same bits; IRLS
-iterates on the component-major form, whose components are contiguous.
+(4, E) array.  :func:`qmul` calls its body on the columns of rows and
+stacks the result (:func:`stack_rows`), and :func:`rownorm` sums the
+squares of the columns, so both layouts give the same bits.  The log has
+no row form: its one caller, IRLS, iterates on the component-major form,
+whose components are contiguous.
 Orientations travel through the package as (N, 4) canonical rows; the
 :class:`Quat` items of :class:`Orientations` are left of the object boundary
 only for the benchmark adapter.  The scalar value type and per-quaternion
@@ -30,9 +31,8 @@ tests as their oracle.
 ``np.linalg.norm`` call (a test keeps it so).  Over the short last axes of
 rows it is bit-equal to ``np.linalg.norm(x, axis=-1)`` and a few times
 faster.  :func:`angle_deg`, the rotation angle of rows in degrees, is its
-one angle kernel: CleanNet's outlier labels, the L1 objective and FineNet's
-root checks read it, and no other module calls ``np.degrees`` (a test keeps
-it so).
+one angle kernel: CleanNet's outlier labels and the L1 objective read it,
+and no other module calls ``np.degrees`` (a test keeps it so).
 """
 
 from __future__ import annotations
@@ -212,12 +212,6 @@ def qlog_parts(q) -> tuple[np.ndarray, ...]:
     if sign is not None:
         scale = np.copysign(scale, sign)
     return x * scale, y * scale, z * scale
-
-
-def qlog(q: np.ndarray) -> np.ndarray:
-    """Rotation-vector log map of unit rows (radians, angle in [0, pi]);
-    :func:`qlog_parts` on their columns."""
-    return stack_rows(qlog_parts(components(q)))
 
 
 def qexp(v: np.ndarray) -> np.ndarray:

@@ -173,8 +173,8 @@ def prepare_refinement_sample(
     """Build one refinement training/eval sample from a (sub)graph.
 
     Clean, bootstrap on the cleaned graph, then pair the init with the graph
-    of *observed* measurements over the surviving nodes; ground truth is
-    re-referenced at the tree root.  An untrained cleaner
+    of *observed* measurements over the surviving nodes, its ground truth as
+    it is: the loss re-references it at the tree root.  An untrained cleaner
     (``cleaning.new_weights``) removes no edge and corrects none, so its
     sample bootstraps on the noisy graph's largest component.  Returns the
     observed graph, the (N, 4) initial rows and the root.
@@ -187,10 +187,6 @@ def prepare_refinement_sample(
 
     # new id i is old id cleaned.node_ids[i] in both graphs
     observed = viewgraph.induced_subgraph(g, cleaned.node_ids)
-    if observed.has_full_gt:
-        observed = ViewGraph._from_valid(observed.n_nodes, *observed.endpoint_arrays(),
-                                         observed.edge_quat_array(), observed.edge_labels(),
-                                         viewgraph.rereference(observed.gt, root))
     return observed, np.asarray(boot.orientations), root
 
 

@@ -189,8 +189,7 @@ class ViewGraph:
 
     def relative_gt_array(self) -> np.ndarray:
         """(E, 4) ground-truth relative orientations in edge order."""
-        gt = self.gt_array()
-        return so3.qcanon(so3.qmul(gt[self._v], so3.qconj(gt[self._u])))
+        return relative(self, self.gt_array())
 
 
 def _canonical_edges(u: np.ndarray, v: np.ndarray, q: np.ndarray):
@@ -470,6 +469,11 @@ def discrepancy(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
     return so3.stack_rows(_discrepancy_parts(g, rows, so3.components(g.edge_quat_array())))
 
 
+def relative(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
+    """(E, 4) relative orientations ``rows_v * rows_u^-1`` of (N, 4) rows, in edge order."""
+    return so3.qcanon(so3.qmul(rows[g._v], so3.qconj(rows[g._u])))
+
+
 def discrepancy_cols(g: ViewGraph, rows: np.ndarray, quats: np.ndarray) -> np.ndarray:
     """:func:`discrepancy` as a (4, E) component-major array, bit for bit the
     transpose of its rows; ``quats`` is the contiguous (4, E) transpose of
@@ -637,7 +641,8 @@ def orientation_rows(g: ViewGraph, orientations: ArrayLike) -> np.ndarray:
     except ViewGraphError:  # ragged, text or objects
         rows = None
     if rows is None or rows.shape != (g.n_nodes, 4):
-        raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4) rows covering every node")
+        got = "" if rows is None else f", got {rows.shape}"
+        raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4){got}: rows covering every node")
     if not np.all(np.isfinite(rows)) or np.any(so3.rownorm(rows) < 1e-12):
         raise ViewGraphError("orientations must be finite nonzero rows")
     return so3.qcanon(rows)

@@ -309,17 +309,18 @@ class OracleTape(Tape):
         if not g.has_full_gt:
             raise ViewGraphError("loss requires full ground truth")
         root = viewgraph.node_id(root, g.n_nodes, "root")
-        if so3_oracle.qangle_deg(g.gt[root], (1.0, 0.0, 0.0, 0.0)) > refinement.REFERENCE_TOL:
-            raise ViewGraphError("ground truth is not referenced at the root; "
-                                 "re-reference before the loss")
+        # the ground truth re-referenced at the root: right-multiplied by its inverse
+        gt = g.gt_array()
+        gt = so3_oracle.qcanon(so3_oracle.qmul(gt, so3_oracle.qcanon(so3.qconj(gt[root]))))
         u_idx, v_idx = g.endpoint_arrays()
         pred_u = self.gather(pred, u_idx)
         pred_v = self.gather(pred, v_idx)
         rel = self.quat_normalize(self.quat_compose(pred_v, self.quat_conjugate(pred_u)))
         edge_w = self.constant(viewgraph._degree_weights(g))
-        edge_d = self.quat_dist_loss(rel, self.constant(g.relative_gt_array()))
+        rel_gt = so3_oracle.qcanon(so3_oracle.qmul(gt[v_idx], so3.qconj(gt[u_idx])))
+        edge_d = self.quat_dist_loss(rel, self.constant(rel_gt))
         edge_term = self.sum(self.mul(edge_d, edge_w))
-        node_d = self.quat_dist_loss(self.quat_normalize(pred), self.constant(g.gt_array()))
+        node_d = self.quat_dist_loss(self.quat_normalize(pred), self.constant(gt))
         node_term = self.sum(self.mul(node_d, self.constant(refinement.BETA / g.degree_array())))
         return self.add(edge_term, node_term)
 

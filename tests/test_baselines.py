@@ -29,6 +29,11 @@ def bootstrap(g):
     return viewgraph.bootstrap_orientations(g, tree).orientations
 
 
+def log_rows(q):
+    """The log map of rows, through the package's one log body."""
+    return so3.stack_rows(so3.qlog_parts(so3.components(q)))
+
+
 def relative_rows(g, orientations):
     """Per-edge ``q_v q_u^-1``: the gauge-free part of a solution."""
     rows = np.asarray(orientations)
@@ -40,31 +45,27 @@ def max_relative_error_deg(g, orientations):
     return float(np.max(so3_oracle.qangle_deg(relative_rows(g, orientations), g.relative_gt_array())))
 
 
-def reduced_index(g):
-    """Edge endpoints in the root-removed numbering, -1 at the root."""
-    n = g.n_nodes
-    root = viewgraph.select_root(g)
-    red = -np.ones(n, dtype=np.int64)
-    red[[v for v in range(n) if v != root]] = np.arange(n - 1)
-    u, v = g.endpoint_arrays()
-    return red[u], red[v]
+def root_index(g):
+    """Edge endpoints, node count and root of ``g``: the IRLS system's arguments."""
+    return (*g.endpoint_arrays(), g.n_nodes, viewgraph.select_root(g))
 
 
-def normal_equations_oracle(u_red, v_red, w, resid, n):
+def normal_equations_oracle(u, v, w, resid, n, root):
     """Per-edge loop right-hand side and ``ufunc.at`` Laplacian on (n, 3)
-    arrays: the reference for the segment-sum system."""
+    arrays, with the identity in the row and column of the pinned ``root``
+    and 0 in its right-hand side: the reference for the segment-sum system."""
     rhs = np.zeros((n, 3))
     wr = w[:, None] * resid
     for e in range(len(w)):
-        if v_red[e] >= 0:
-            rhs[v_red[e]] += wr[e]
-        if u_red[e] >= 0:
-            rhs[u_red[e]] -= wr[e]
+        rhs[v[e]] += wr[e]
+        rhs[u[e]] -= wr[e]
+    rhs[root] = 0.0
     diag = np.zeros(n)
-    np.add.at(diag, v_red[v_red >= 0], w[v_red >= 0])
-    np.add.at(diag, u_red[u_red >= 0], w[u_red >= 0])
-    both = (u_red >= 0) & (v_red >= 0)
-    uu, vv, ww = u_red[both], v_red[both], w[both]
+    np.add.at(diag, v, w)
+    np.add.at(diag, u, w)
+    diag[root] = 1.0
+    free = (u != root) & (v != root)
+    uu, vv, ww = u[free], v[free], w[free]
 
     def apply_laplacian(x):
         out = diag[:, None] * x
@@ -77,9 +78,8 @@ def normal_equations_oracle(u_red, v_red, w, resid, n):
 
 def irls_on(path, g, init, **kwargs):
     """``irls_mra`` with its dense solve (``"direct"``) or its CG solve
-    (``"cg"``) taken at every graph size.  The ratios are an int, so that N = 1
-    (0 unknowns, 0 edges) compares 0 <= 0, and -inf, whose product with 0
-    edges is NaN and compares false."""
+    (``"cg"``) taken at every graph size from N = 2 on; a one-node graph takes
+    the dense solve whatever the ratio."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "DENSE_SOLVE_RATIO", {"direct": 1 << 62, "cg": -math.inf}[path])
         return baselines.irls_mra(g, init, **kwargs)
@@ -89,81 +89,95 @@ def assert_rel_close(actual, expected, rtol=1e-12):
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
 
 
-def assert_system_matches_oracle(u_red, v_red, n, seed=0):
-    """The segment-sum system against ``normal_equations_oracle``: the whole
-    dense operator, ``apply_op(x)`` and the right-hand side; the operator
-    maps 0 to exactly 0, which CG's ``r = rhs`` start relies on; and the
-    scattered dense matrix of the direct solve is the same operator, also
+def assert_system_matches_oracle(u, v, n, root, seed=0):
+    """The segment-sum system against ``normal_equations_oracle``: the right-
+    hand side; the CG operator, which is 0 in the root's row and is applied
+    only to vectors that are 0 there, as the oracle's matrix on such vectors,
+    also its whole matrix on them; the operator maps 0 to exactly 0, which
+    CG's ``r = rhs`` start relies on; and the scattered dense matrix of the
+    direct solve is the oracle's, identity row and column included, also
     when a later step rewrites its buffer with other weights.  The systems
     take the residual component-major, (3, E), as IRLS passes it; the
     oracle reads its (E, 3) rows."""
     rng = np.random.default_rng(seed)
-    w = rng.uniform(0.1, 10.0, size=len(u_red))
-    resid = rng.normal(size=(len(u_red), 3))
+    w = rng.uniform(0.1, 10.0, size=len(u))
+    resid = rng.normal(size=(len(u), 3))
     cols = np.ascontiguousarray(resid.T)
     x = rng.normal(size=(n, 3))
-    system = baselines._reduced_laplacian(u_red, v_red, n)
-    dense_system = baselines._dense_laplacian(u_red, v_red, n)
+    x[root] = 0.0
+    system = baselines._cg_laplacian(u, v, n, root)
+    dense_system = baselines._dense_laplacian(u, v, n, root)
     apply_op, _, rhs = system(w, cols)
-    ref_op, _, ref_rhs = normal_equations_oracle(u_red, v_red, w, resid, n)
-    dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
+    ref_op, _, ref_rhs = normal_equations_oracle(u, v, w, resid, n, root)
+    free = np.eye(n)
+    free[root, root] = 0.0  # the directions CG moves in: 0 at the root
+    dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in free], axis=1)
     ref_dense = np.stack([ref_op(np.tile(e[:, None], (1, 3)))[:, 0] for e in np.eye(n)], axis=1)
-    assert_rel_close(dense, ref_dense)
+    assert_rel_close(dense, ref_dense @ free)
     assert_rel_close(rhs.T, ref_rhs)
+    assert not np.any(rhs[:, root])
     assert_rel_close(apply_op(x.T).T, ref_op(x))
     zero = apply_op(np.zeros((3, n)))
     assert zero.shape == (3, n) and not np.any(zero)
     lap, dense_rhs = dense_system(w, cols)
     assert_rel_close(lap, ref_dense)
     assert np.array_equal(lap, lap.T) and np.array_equal(dense_rhs, rhs)
-    w_next = rng.uniform(0.1, 10.0, size=len(u_red))
-    fresh = baselines._dense_laplacian(u_red, v_red, n)(w_next, cols)[0]
+    w_next = rng.uniform(0.1, 10.0, size=len(u))
+    fresh = baselines._dense_laplacian(u, v, n, root)(w_next, cols)[0]
     assert np.array_equal(dense_system(w_next, cols)[0], fresh)
 
 
 @st.composite
 def root_only_neighbour_graphs(draw):
-    """Reduced edge lists (root ends -1) on ``n`` unknowns, connected through
-    the root, in which a random subset of nodes touches only the root: their
-    off-diagonal rows are empty, anywhere in the numbering, last included.
-    No pair repeats, as in a ``ViewGraph``."""
-    n = draw(st.integers(1, 12))
+    """Edge lists on ``n`` nodes with a root, connected through it, in which
+    a random subset of the other nodes touches only the root: their rows of
+    the Laplacian reduced to the free nodes are empty, anywhere in the
+    numbering, last included.  No pair repeats, as in a ``ViewGraph``."""
+    n = draw(st.integers(2, 13))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    only_root = rng.random(n) < draw(st.floats(0.1, 0.9))
-    inner = rng.permutation(np.flatnonzero(~only_root))
-    pairs = [(-1, a) for a in np.flatnonzero(only_root)]
-    pairs += [(-1 if i == 0 or rng.random() < 0.2 else inner[rng.integers(0, i)], a)
+    root = int(rng.integers(0, n))
+    others = np.delete(np.arange(n), root)
+    only_root = rng.random(n - 1) < draw(st.floats(0.1, 0.9))
+    inner = rng.permutation(others[~only_root])
+    pairs = [(root, a) for a in others[only_root]]
+    pairs += [(root if i == 0 or rng.random() < 0.2 else inner[rng.integers(0, i)], a)
               for i, a in enumerate(inner)]  # a random tree over the rest and the root
     tree = set(pairs)
     pairs += [(a, b) for i, a in enumerate(inner) for b in inner[:i]
               if rng.random() < 0.3 and (b, a) not in tree]
     u, v = np.array(pairs, dtype=np.int64)[rng.permutation(len(pairs))].T
     swap = rng.random(u.size) < 0.5  # either end may be the root
-    return np.where(swap, v, u), np.where(swap, u, v), n
+    return np.where(swap, v, u), np.where(swap, u, v), n, root
 
 
 class TestReducedLaplacian:
+    """The Laplacian on the graph's own node ids with the root pinned: the
+    Laplacian reduced to the free nodes, with the root's row and column
+    kept as the identity (dense) or as zeros (CG)."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loop_and_ufunc_at_oracle(self, seed):
         g = make_graph(seed=seed, n=40, edge_fraction=0.2)
-        assert_system_matches_oracle(*reduced_index(g), g.n_nodes - 1, seed)
+        assert_system_matches_oracle(*root_index(g), seed)
 
     def test_star_on_the_root_has_only_empty_rows(self):
-        n = 7
-        assert_system_matches_oracle(np.full(n, -1), np.arange(n), n)
+        # every free node touches only the root (node 3)
+        n, root = 8, 3
+        assert_system_matches_oracle(np.full(n - 1, root), np.delete(np.arange(n), root), n, root)
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_path_from_the_root(self, ascending):
-        # root - 0 - 1 - ... - (n-1), or numbered from the far end
-        n = 9
-        u, v = np.arange(-1, n - 1), np.arange(n)
+        # root 0 - 1 - ... - n-1, or the root n-1 and the path numbered down
+        n = 10
+        u, v = np.arange(n - 1), np.arange(1, n)
         if not ascending:
-            u, v = np.where(u < 0, -1, n - 1 - u), n - 1 - v
-        assert_system_matches_oracle(u, v, n)
+            u, v = n - 1 - u, n - 1 - v
+        assert_system_matches_oracle(u, v, n, u[0])
 
-    @pytest.mark.parametrize("u, v", [([-1], [0]), ([0], [-1])])
+    @pytest.mark.parametrize("u, v", [([0], [1]), ([1], [0])])
     def test_two_nodes(self, u, v):
-        assert_system_matches_oracle(np.array(u), np.array(v), 1)
+        # the root is node 0, at either end of the one edge
+        assert_system_matches_oracle(np.array(u), np.array(v), 2, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(root_only_neighbour_graphs(), st.integers(0, 2**32 - 1))
@@ -172,17 +186,17 @@ class TestReducedLaplacian:
 
     def test_cg_iteration_cap_raises(self):
         g = make_graph(seed=3, n=40, edge_fraction=0.2)
-        u_red, v_red = reduced_index(g)
-        n = g.n_nodes - 1
+        u, v, n, root = root_index(g)
         rng = np.random.default_rng(3)
-        apply_op, precond, rhs = baselines._reduced_laplacian(u_red, v_red, n)(
-            rng.uniform(0.1, 10.0, size=len(u_red)), rng.normal(size=(len(u_red), 3)).T
-        )
+        w, resid = rng.uniform(0.1, 10.0, size=len(u)), rng.normal(size=(len(u), 3))
+        apply_op, precond, rhs = baselines._cg_laplacian(u, v, n, root)(w, resid.T)
         with pytest.raises(SolverError, match="did not converge"):
             baselines._cg_multi(apply_op, rhs, precond, max_iter=2, tol=CG_TOL)
         x, iters = baselines._cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
         assert baselines._relative_residual(rhs, apply_op(x)) <= CG_TOL and 2 <= iters < 10 * n
-        dense = np.stack([apply_op(np.tile(e, (3, 1)))[0] for e in np.eye(n)], axis=1)
+        assert not np.any(x[:, root])
+        ref_op = normal_equations_oracle(u, v, w, resid, n, root)[0]
+        dense = np.stack([ref_op(np.tile(e[:, None], (1, 3)))[:, 0] for e in np.eye(n)], axis=1)
         assert_rel_close(x.T, np.linalg.solve(dense, rhs.T), rtol=1e-9)
 
 
@@ -210,54 +224,58 @@ def kruskal_oracle(u, v, w, n):
     return sorted(tree)
 
 
-def tree_system_oracle(u, v, w, n):
-    """Dense ``M = diag(L) - A_T`` on the unknowns ``0..n-1`` of a graph whose
-    node ``n`` is the ground, with the full Laplacian diagonal ``diag(L)``
-    and ``T`` the Kruskal tree."""
-    diag = np.zeros(n + 1)
+def tree_system_oracle(u, v, w, n, root):
+    """Dense ``M = diag(L) - A_T`` on the ``n`` nodes, with the full Laplacian
+    diagonal ``diag(L)``, ``T`` the Kruskal tree, and the identity in the row
+    and column of the pinned ``root``; and ``diag(L)``."""
+    diag = np.zeros(n)
     np.add.at(diag, u, w)
     np.add.at(diag, v, w)
-    m = np.diag(diag[:n])
-    for e in kruskal_oracle(u, v, w, n + 1):
-        if u[e] < n and v[e] < n:
-            m[u[e], v[e]] -= w[e]
-            m[v[e], u[e]] -= w[e]
-    return diag[:n], m
+    m = np.diag(diag)
+    for e in kruskal_oracle(u, v, w, n):
+        m[u[e], v[e]] -= w[e]
+        m[v[e], u[e]] -= w[e]
+    m[root] = m[:, root] = 0.0
+    m[root, root] = 1.0
+    return diag, m
 
 
 @st.composite
 def weighted_graphs(draw):
-    """A connected graph on nodes ``0..n`` (node ``n`` the ground): a random
-    tree plus random extra edges, with tied or spread weights."""
-    n = draw(st.integers(0, 14))
+    """A connected graph on 1-15 nodes with a random root: a random tree
+    plus random extra edges, with tied or spread weights."""
+    n = draw(st.integers(1, 15))
     density = draw(st.floats(0.0, 0.6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ids = rng.permutation(n + 1)
+    ids = rng.permutation(n)
     pairs = set()
-    for i in range(1, n + 1):
+    for i in range(1, n):
         a, b = ids[i], ids[rng.integers(0, i)]
         pairs.add((min(a, b), max(a, b)))
-    pairs |= {(a, b) for a in range(n + 1) for b in range(a + 1, n + 1) if rng.random() < density}
+    pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density}
     u, v = (np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)[rng.permutation(len(pairs))].T
             if pairs else (np.zeros(0, dtype=np.int64),) * 2)
     if draw(st.booleans()):
         w = rng.choice([0.5, 1.0, 2.0, 3.0], size=u.size)  # many ties
     else:
         w = np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=u.size))
-    return u, v, w, n
+    return u, v, w, n, int(rng.integers(0, n))
 
 
-def assert_precond_matches_dense_solve(u, v, w, n, seed=0):
-    """The apply equals ``np.linalg.solve`` on the dense ``M`` within 1e-12
-    relative while ``cond(M) <= 1e3``.  Both solves carry a forward error of
-    order ``cond(M) * eps``, and weights over four decades on a deep tree
-    reach ``cond(M) ~ 1e5``, so past 1e3 the bound grows with ``cond(M)``;
-    the normwise backward error stays at rounding level throughout."""
-    diag, m = tree_system_oracle(u, v, w, n)
+def assert_precond_matches_dense_solve(u, v, w, n, root, seed=0):
+    """The apply is 0 at the root, whatever ``r`` holds there, and elsewhere
+    equals ``np.linalg.solve`` on the dense ``M`` of ``r`` with its root
+    entries zeroed, within 1e-12 relative while ``cond(M) <= 1e3``.  Both
+    solves carry a forward error of order ``cond(M) * eps``, and weights over
+    four decades on a deep tree reach ``cond(M) ~ 1e5``, so past 1e3 the
+    bound grows with ``cond(M)``; the normwise backward error stays at
+    rounding level throughout."""
+    diag, m = tree_system_oracle(u, v, w, n, root)
     r = np.random.default_rng(seed).normal(size=(3, n))
-    z = baselines._tree_preconditioner(u, v, w, diag)(r)
-    assert z.shape == (3, n)
-    if n:
+    z = baselines._tree_preconditioner(u, v, w, diag, root)(r)
+    assert z.shape == (3, n) and not np.any(z[:, root])
+    r[:, root] = 0.0
+    if n > 1:
         assert_rel_close(z, np.linalg.solve(m, r.T).T,
                          rtol=1e-12 * max(1.0, np.linalg.cond(m) / 1e3))
         backward = np.max(np.abs(r.T - m @ z.T)) / (
@@ -270,13 +288,13 @@ class TestTreePreconditioner:
     @settings(max_examples=150, deadline=None)
     @given(weighted_graphs())
     def test_tree_matches_kruskal(self, case):
-        u, v, w, n = case
-        tree = baselines._max_spanning_tree(u, v, w, n + 1)
-        assert tree.tolist() == kruskal_oracle(u, v, w, n + 1)
-        # it spans: every node reaches the ground over tree edges
-        _, depth = viewgraph.bfs_levels(n + 1, u[tree], v[tree], n)
-        assert tree.size == n and np.all(depth >= 0)
-        assert np.sum(w[tree]) == np.sum(w[kruskal_oracle(u, v, w, n + 1)])
+        u, v, w, n, root = case
+        tree = baselines._max_spanning_tree(u, v, w, n)
+        assert tree.tolist() == kruskal_oracle(u, v, w, n)
+        # it spans: every node reaches the root over tree edges
+        _, depth = viewgraph.bfs_levels(n, u[tree], v[tree], root)
+        assert tree.size == n - 1 and np.all(depth >= 0)
+        assert np.sum(w[tree]) == np.sum(w[kruskal_oracle(u, v, w, n)])
 
     def test_all_ones_weights_of_the_first_iteration(self):
         g = make_graph(seed=9, n=60, edge_fraction=0.2)
@@ -295,7 +313,7 @@ class TestTreePreconditioner:
         root = viewgraph.select_root(g)
         rows = np.asarray(bootstrap(g))
         u, v = g.endpoint_arrays()
-        resid = so3.qlog(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
+        resid = log_rows(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
         w = 1.0 / np.maximum(np.linalg.norm(resid, axis=1), baselines.IRLS_DELTA)
         clamped = np.flatnonzero(w == 1.0 / baselines.IRLS_DELTA)
         assert clamped.size == g.n_nodes - 1 and np.unique(w).size > g.n_nodes
@@ -310,24 +328,27 @@ class TestTreePreconditioner:
         assert_precond_matches_dense_solve(*case)
 
     def test_star_on_the_ground_is_jacobi(self):
-        # every node at depth 1: no doubling round, the apply is r / diag
-        n = 9
-        w = np.random.default_rng(1).uniform(0.1, 10.0, size=n)
-        diag, r, z = assert_precond_matches_dense_solve(np.arange(n), np.full(n, n), w, n)
+        # every free node at depth 1 below the root (node 4): no doubling
+        # round, the apply is r / diag off the root
+        n, root = 10, 4
+        w = np.random.default_rng(1).uniform(0.1, 10.0, size=n - 1)
+        others = np.delete(np.arange(n), root)
+        diag, r, z = assert_precond_matches_dense_solve(others, np.full(n - 1, root), w, n, root)
+        diag[root] = np.inf
         assert np.array_equal(z, r / diag)
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_path_from_the_ground(self, ties):
-        # ground n - 0 - 1 - ... - (n-1): depth N - 1 = n, the deepest doubling
-        n = 40
+        # root n-1 - 0 - 1 - ... - (n-2): depth N - 1, the deepest doubling
+        n = 41
         rng = np.random.default_rng(2)
-        w = np.ones(n) if ties else rng.uniform(0.5, 2.0, size=n)
-        assert_precond_matches_dense_solve(np.arange(-1, n - 1) % (n + 1), np.arange(n), w, n)
+        w = np.ones(n - 1) if ties else rng.uniform(0.5, 2.0, size=n - 1)
+        assert_precond_matches_dense_solve(np.arange(-1, n - 2) % n, np.arange(n - 1), w, n, n - 1)
 
     @pytest.mark.parametrize("n", [0, 1])  # graphs of N = 1 and N = 2 nodes
     def test_smallest_graphs(self, n):
         u, v = np.arange(n), np.full(n, n)
-        assert_precond_matches_dense_solve(u, v, np.full(n, 2.5), n)
+        assert_precond_matches_dense_solve(u, v, np.full(n, 2.5), n + 1, n)
 
 
 def jacobi_cg_oracle(apply_op, rhs, diag, max_iter, tol):
@@ -362,17 +383,16 @@ def irls_oracle(g, init, max_iters=(5, 20)):
     n = g.n_nodes
     root = viewgraph.select_root(g)
     u, v = g.endpoint_arrays()
-    u_red, v_red = reduced_index(g)
     trace, cg_iterations = [], []
     for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
         for _ in range(phase_iters):
-            resid = so3.qlog(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
+            resid = log_rows(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
             norms = np.linalg.norm(resid, axis=1)
             w = 1.0 / np.maximum(norms**exponent, baselines.IRLS_DELTA) if trace else np.ones_like(norms)
-            op, diag, rhs = normal_equations_oracle(u_red, v_red, w, resid, n - 1)
+            op, diag, rhs = normal_equations_oracle(u, v, w, resid, n, root)
             x, its = jacobi_cg_oracle(lambda y: op(y.T).T, rhs.T, diag, 10 * n, CG_TOL)
             cg_iterations.append(its)
-            step = np.insert(x.T, root, 0.0, axis=0)
+            step = x.T  # 0 at the root
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
             trace.append(float(np.max(np.linalg.norm(step, axis=1))))
             if trace[-1] < IRLS_STEP_TOL:
@@ -472,7 +492,8 @@ class TestDenseSolve:
         with pytest.raises(SolverError, match="dense solve failed"):
             baselines._dense_solve(np.zeros((3, 3)), np.ones((3, 3)))
 
-    # N = 1 has no unknown: each phase with a budget takes one zero step
+    # N = 1 has no unknown: each phase with a budget takes one zero step, on
+    # the dense path whichever path is asked for
     @pytest.mark.parametrize("path", ["direct", "cg"])
     @pytest.mark.parametrize("max_iters, iterations", [((5, 20), 2), ((0, 3), 1), ((0, 0), 0)])
     def test_one_node(self, path, max_iters, iterations):
@@ -494,23 +515,18 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
     ``np.bincount`` over the diagonal and the off-diagonal cells, and the
     relative residual recomputed after every step.  The parts the fused step
     left alone are the package's: ``_dense_solve``, ``_cg_multi`` and the CG
-    operator and preconditioner of ``_reduced_laplacian``, which reads the
-    residual component-major.  Returns ``(rows, max_step_trace,
+    operator and preconditioner of ``_cg_laplacian``, which reads the
+    residual component-major.  The system is assembled on the graph's own
+    node ids with the root pinned: 0 in the root's right-hand side and the
+    identity in its row and column of the dense matrix.  Returns ``(rows, max_step_trace,
     cg_residual, cg_iterations)``."""
     rows = so3_oracle.qcanon(np.asarray(init, dtype=np.float64))
-    n = g.n_nodes - 1
-    root = viewgraph.select_root(g)
-    u, v = g.endpoint_arrays()
-    u_red, v_red = reduced_index(g)
-    ends = np.concatenate([v_red, u_red])
-    inc = ends >= 0
-    inc_node, inc_edge = ends[inc], np.tile(np.arange(u.size), 2)[inc]
-    inc_sign = np.repeat([1.0, -1.0], u.size)[inc]
+    u, v, n, root = root_index(g)
+    inc_node, inc_edge = np.concatenate([v, u]), np.tile(np.arange(u.size), 2)
+    inc_sign = np.repeat([1.0, -1.0], u.size)
     inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
-    both = np.flatnonzero((u_red >= 0) & (v_red >= 0))
-    cells = np.concatenate([np.arange(n) * (n + 1), u_red[both] * n + v_red[both],
-                            v_red[both] * n + u_red[both]])
-    system = baselines._reduced_laplacian(u_red, v_red, n)
+    cells = np.concatenate([np.arange(n) * (n + 1), u * n + v, v * n + u])
+    system = baselines._cg_laplacian(u, v, n, root)
     trace, cg_iterations, cg_residual = [], [], 0.0
     for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
         for _ in range(phase_iters):
@@ -520,18 +536,21 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
             diag = np.bincount(inc_node, w[inc_edge], n)
             swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
             rhs = np.bincount(inc_bins, swr.T.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
+            rhs[:, root] = 0.0
             if path == "direct":
-                lap = np.bincount(cells, np.concatenate([diag, -w[both], -w[both]]), n * n).reshape(n, n)
+                lap = np.bincount(cells, np.concatenate([diag, -w, -w]), n * n).reshape(n, n)
+                lap[root] = lap[:, root] = 0.0
+                lap[root, root] = 1.0
                 x = baselines._dense_solve(lap, rhs)
                 ax, its = x @ lap, 0
             else:
                 apply_op, precond, _ = system(w, resid.T)
-                x, its = baselines._cg_multi(apply_op, rhs, precond, 10 * g.n_nodes, CG_TOL)
+                x, its = baselines._cg_multi(apply_op, rhs, precond, 10 * n, CG_TOL)
                 ax = apply_op(x)
             norm_b = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
             cg_residual = float(np.max(np.sqrt(np.sum((rhs - ax) ** 2, axis=1)) / norm_b))
             cg_iterations.append(its)
-            step = np.insert(x.T, root, 0.0, axis=0)
+            step = x.T
             rows = so3_oracle.qcanon(so3.qmul(rows, so3_oracle.qexp(step)))
             trace.append(float(np.max(np.linalg.norm(step, axis=1))))
             if trace[-1] < IRLS_STEP_TOL:
@@ -646,6 +665,55 @@ def test_relative_outputs_are_gauge_invariant(solve):
     a = relative_rows(g, solve(g, init).orientations)
     b = relative_rows(g, solve(g, moved).orientations)
     assert np.max(so3_oracle.qangle_deg(a, b)) < 1e-6
+
+
+def angle_rad(a, b):
+    """The largest angle, in radians, between matching rows of ``a`` and ``b``."""
+    return float(np.radians(np.max(so3_oracle.qangle_deg(np.asarray(a), np.asarray(b)))))
+
+
+def conjugated(rows, h):
+    """``h * rows * h^-1``: rows seen from a camera frame turned by ``h``."""
+    return so3.qcanon(so3.qmul(h, so3.qmul(rows, so3.qconj(h))))
+
+
+SOLVERS = {
+    "irls": lambda g, init: irls_on("direct", g, init).orientations,
+    "irls-cg": lambda g, init: irls_on("cg", g, init).orientations,
+    "weiszfeld": lambda g, init: baselines.weiszfeld_mra(g, init, sweeps=3).orientations,
+}
+
+
+class TestGauge:
+    """The root is pinned, never updated, so the gauge of the init is the
+    gauge of the output.  Both solvers act on the right of the rows; a right
+    gauge G of the init gives the output times G.  A common change of
+    camera frame H conjugates every measurement and every row, and keeps
+    the root's identity: the bootstrap and both solvers then give H x H^-1."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_right_gauge_of_the_init_moves_the_output(self, solver, seed):
+        g = make_graph(seed=40 + seed, sigma=8.0, outliers=0.1)
+        init = np.asarray(bootstrap(g))
+        gauge = so3.sample_uniform_rows(np.random.default_rng(seed), 1)
+        want = so3.qmul(np.asarray(SOLVERS[solver](g, init)), gauge)
+        got = SOLVERS[solver](g, so3.qcanon(so3.qmul(init, gauge)))
+        assert angle_rad(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("solver", ["bootstrap", *SOLVERS])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_common_frame_conjugates_the_output(self, solver, seed):
+        g = make_graph(seed=50 + seed, sigma=8.0, outliers=0.1)
+        h = so3.sample_uniform_rows(np.random.default_rng(seed), 1)
+        turned = ViewGraph(g.n_nodes, *g.endpoint_arrays(), conjugated(g.edge_quat_array(), h))
+        init = np.asarray(bootstrap(g))
+        if solver == "bootstrap":
+            want, got = conjugated(init, h), bootstrap(turned)
+        else:
+            want = conjugated(np.asarray(SOLVERS[solver](g, init)), h)
+            got = SOLVERS[solver](turned, conjugated(init, h))
+        assert angle_rad(got, want) <= 1e-9
 
 
 class TestIrlsReport:

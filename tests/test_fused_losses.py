@@ -98,7 +98,7 @@ class TestMatchesOracle:
     @given(small_graphs())
     def test_finenet_loss(self, case):
         g, seed = case
-        # the trainer's sample: bootstrap, ground truth re-referenced at its root
+        # the trainer's sample: the bootstrap and the observed graph, its ground truth as generated
         sample = trainer.prepare_refinement_sample(g, cleaning.new_weights())
         assert_bit_equal(random_store(refinement.weight_spec(CFG), seed), sample,
                          fused_refine, oracle_refine)

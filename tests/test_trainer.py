@@ -297,15 +297,12 @@ class TestDerivedGraphs:
 
 def uncleaned_sample(g):
     """The refinement sample with no cleaner: bootstrap on the noisy graph's
-    largest component, observed graph and ground truth re-referenced at its root."""
+    largest component, and the observed graph on its nodes as
+    ``induced_subgraph`` gives it; the loss re-references its ground truth."""
     base, node_ids = viewgraph.largest_component(g)
     root = viewgraph.select_root(base)
     boot = viewgraph.bootstrap_orientations(base, viewgraph.shortest_path_tree(base, root))
-    observed = viewgraph.induced_subgraph(g, node_ids)
-    observed = ViewGraph(observed.n_nodes, *observed.endpoint_arrays(),
-                         observed.edge_quat_array(), observed.edge_labels(),
-                         viewgraph.rereference(observed.gt, root))
-    return observed, np.asarray(boot.orientations), root
+    return viewgraph.induced_subgraph(g, node_ids), np.asarray(boot.orientations), root
 
 
 class TestUntrainedCleaner:
