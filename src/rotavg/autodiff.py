@@ -1,13 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode differentiation of a training step, Adam, and checkpoints.
 
-A :class:`Tape` records pullbacks in execution order and replays them once,
-in reverse, from a scalar loss.  It has no primitives: a network's training
-step is one ``Tape.emit`` record whose pullback composes its loss's with
-the message passing's (``mpnn.forward``, on arrays); inference has no tape.
-The losses share the row kernels ``unit_rows`` and ``quat_dist``, which
-return a value and its pullback; the tests keep the former generic
-primitives as an oracle tape.  Everything is float64 and deterministic in
-single-threaded use.
+A network's training step returns a :class:`Tape`: its loss and the one
+pullback that composes the loss's with the message passing's
+(``mpnn.forward``, on arrays).  ``Tape.backward`` returns the weights'
+gradients by name, and ``ParamStore.adam_step`` takes them; inference has
+no tape.  The losses share the row kernels ``unit_rows`` and
+``quat_dist``, which return a value and its pullback; the tests keep the
+generic recording tape and its primitives as an oracle.  Everything is
+float64 and deterministic in single-threaded use.
 """
 
 from __future__ import annotations
@@ -27,74 +27,21 @@ ADAM_EPS = 1e-8          # added to the root of the second moment
 
 
 class AutodiffError(RuntimeError):
-    """Misuse of the tape or an operation (shape, index, consumed tape...)."""
-
-
-class Tensor:
-    """Array node on a tape.  ``grad`` is populated by ``Tape.backward``."""
-
-    __slots__ = ("values", "requires_grad", "grad")
-
-    def __init__(self, values: np.ndarray, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``.  The first gradient becomes ``t.grad``
-    itself, so ``g`` must be a float64 array nothing else holds: a pullback
-    that passes its own ``g`` or a view of it passes a copy."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
+    """Misuse of an operation or the optimizer (shape, index, gradient names...)."""
 
 
 class Tape:
-    """Ordered record of operations: one backward pass per forward pass, and
-    a consumed tape raises on reuse."""
+    """One training step: its float ``loss``, and ``backward``, which runs the
+    step's composed pullback to a name -> gradient map over every weight.
+    The pullback reads only arrays the step keeps, so it may run again; it
+    reads the weights as they are, so it runs before they change."""
 
-    def __init__(self):
-        self._records: list = []  # (outputs, pullback) in topological order
-        self._consumed = False
+    def __init__(self, loss, pullback):
+        self.loss = float(loss)
+        self._pullback = pullback
 
-    # -- leaves --------------------------------------------------------
-
-    def leaf(self, values, requires_grad: bool = False) -> Tensor:
-        return Tensor(np.asarray(values, dtype=np.float64), requires_grad)
-
-    def emit(self, out, inputs: tuple[Tensor, ...], pullback):
-        """Record ``out``, a tensor or a tuple of tensors, made from ``inputs``.
-        ``pullback`` gets each output's gradient (``None`` where none reached
-        it) and adds into its inputs' gradients with ``accumulate``."""
-        outs = out if isinstance(out, tuple) else (out,)
-        requires_grad = any(t.requires_grad for t in inputs)
-        for t in outs:
-            t.requires_grad = requires_grad
-        if requires_grad:
-            self._records.append((outs, pullback))
-        return out
-
-    # -- backward ------------------------------------------------------
-
-    def backward(self, loss: Tensor) -> None:
-        if self._consumed:
-            raise AutodiffError("tape already consumed by a previous backward pass")
-        if loss.values.shape != ():
-            raise AutodiffError(f"backward requires a scalar loss, got shape {loss.values.shape}")
-        self._consumed = True
-        loss.grad = np.asarray(1.0)
-        for outs, pullback in reversed(self._records):
-            grads = [t.grad for t in outs]
-            if any(g is not None for g in grads):
-                pullback(*grads)
+    def backward(self) -> dict[str, np.ndarray]:
+        return self._pullback()
 
 
 def _segment_sum(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
@@ -138,19 +85,14 @@ def quat_dist(a: np.ndarray, b: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class ParamStore:
-    """Named parameter arrays plus Adam moment buffers.
-
-    ``bind`` creates per-step leaf tensors on a tape; after backward their
-    gradients drive ``adam_step`` (decoupled weight decay), which also clears
-    the binding.
-    """
+    """Named parameter arrays plus Adam moment buffers; ``adam_step`` takes
+    a step's gradients by name (decoupled weight decay)."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
-        self._bound: dict[str, Tensor] | None = None
 
     def add(self, name: str, values: np.ndarray) -> None:
         if name in self.params:
@@ -160,32 +102,24 @@ class ParamStore:
         self._m[name] = np.zeros_like(arr)
         self._v[name] = np.zeros_like(arr)
 
-    def bind(self, tape: Tape) -> dict[str, Tensor]:
-        self._bound = {
-            name: tape.leaf(arr, requires_grad=True) for name, arr in self.params.items()
-        }
-        return self._bound
-
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, arr in self.params.items():
             out.add(name, arr)
         return out
 
-    def adam_step(self, lr: float, weight_decay: float = 0.0) -> None:
-        if self._bound is None:
-            raise AutodiffError("no bound tensors; run bind + backward before adam_step")
-        if all(t.grad is None for t in self._bound.values()):
-            raise AutodiffError("missing gradients: no backward pass reached any parameter")
-        grads: dict[str, np.ndarray] = {}
-        for name, tensor in self._bound.items():
-            # parameters structurally unreached by the loss get a zero gradient
-            grads[name] = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.values)
+    def adam_step(self, grads: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0) -> None:
+        """One Adam step from ``grads``, which must name every parameter and
+        no other."""
+        if grads.keys() != self.params.keys():
+            raise AutodiffError(f"gradients for {sorted(grads)} do not match the parameters "
+                                f"{sorted(self.params)}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
-        for name, g in grads.items():
+        for name, p in self.params.items():
+            g = grads[name]
             m = self._m[name]
             v = self._v[name]
             m *= ADAM_BETA1
@@ -193,11 +127,9 @@ class ParamStore:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p = self.params[name]
             p -= lr * update
             if weight_decay:
                 p -= lr * weight_decay * p
-        self._bound = None  # gradients cleared with the binding
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ start at zero.  Heads read the final-round message of the stored (canonical)
 edge direction; the reverse direction still shapes the hidden states.  The
 network's sizes are read from its weights (``mpnn.config_of``); only
 ``new_weights`` and ``weight_spec`` take an ``MpnnConfig``.  Inference runs
-on the parameter arrays with no tape.  A training step is one tape record:
-the message passing's pullback composed with the loss's.
+on the parameter arrays with no tape.  A training step returns an
+``autodiff.Tape``: the loss, and the message passing's pullback composed
+with the loss's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff, mpnn, so3, viewgraph
-from .autodiff import ParamStore, Tape, Tensor, accumulate
+from .autodiff import ParamStore, Tape
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -121,33 +122,30 @@ def _loss_terms(rect: np.ndarray, logits: np.ndarray, g: ViewGraph):
     bce = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     loss = (dists * edge_w).sum() + bce.mean() * float(BCE_WEIGHT)
 
-    def pull(g_loss):
-        g_loss = float(g_loss)
+    def pull():
         sig = 1.0 / (1.0 + np.exp(-logits))
-        return (dists_pull(g_loss * edge_w),
-                g_loss * float(BCE_WEIGHT) / logits.size * (sig - targets))
+        return dists_pull(edge_w), float(BCE_WEIGHT) / logits.size * (sig - targets)
 
     return loss, pull
 
 
-def clean_loss_graph(tape: Tape, g: ViewGraph, weights: dict[str, Tensor]) -> Tensor:
-    """Differentiable loss of the network's own prediction on ``g``, one
-    tape operation: the message passing with its heads, then the loss."""
-    (delta_raw, logits), heads_pull = _heads(g, {name: t.values for name, t in weights.items()})
+def clean_loss_graph(g: ViewGraph, weights: dict[str, np.ndarray]) -> Tape:
+    """The step of the network's own prediction on ``g``: the message passing
+    with its heads, then the loss, and their composed pullback."""
+    (delta_raw, logits), heads_pull = _heads(g, weights)
     quats = g.edge_quat_array()
     rect, rect_pull = autodiff.unit_rows(so3.qmul(delta_raw, quats))
     loss, terms_pull = _loss_terms(rect, logits.reshape(g.n_edges), g)
 
-    def pull(g_loss):
-        g_rect, g_logits = terms_pull(g_loss)
+    def pull():
+        g_rect, g_logits = terms_pull()
         g_stack, g_heads = heads_pull(so3.qmul(rect_pull(g_rect), so3.qconj(quats)),
                                       g_logits.reshape(logits.shape))
         for head, (g_w, g_b) in zip(_HEADS, g_heads):
             g_stack[f"{head}.w"], g_stack[f"{head}.b"] = g_w, g_b
-        for name, grad in g_stack.items():
-            accumulate(weights[name], grad)
+        return g_stack
 
-    return tape.emit(Tensor(loss), tuple(weights.values()), pull)
+    return Tape(loss, pull)
 
 
 def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:

@@ -32,8 +32,8 @@ Sublinear Memory Cost*, 2016).  It sums edge
 gradients into target rows with the same ``reduceat`` runs (the CSR segment
 reduction of PyTorch Geometric) and into source rows with one ``bincount``
 per run.  A network's training step composes that pullback with its loss's
-into one tape record; inference drops it.  The tests keep the former loop
-of generic tape primitives as the oracle.
+into the one pullback of its ``autodiff.Tape``; inference drops it.  The
+tests keep the former loop of generic tape primitives as the oracle.
 
 Per-round (unshared) weights land the two networks plus their heads at ~43K
 parameters, with serialized checkpoints under half a megabyte.  The sizes

@@ -10,9 +10,9 @@ Initializations and predictions are (N, 4) rows.  ``refine_forward``
 composes the head's corrections with rows whose norm underflows replaced by
 the identity, and returns a read-only ``so3.Orientations`` view (items for
 the adapter); it runs on the parameter arrays with no tape.  A training
-step is one tape record, ``refine_loss_graph``: the message passing, the
-head, the normalized correction composed on the left of the
-initialization and the loss terms, with one composed pullback.
+step, ``refine_loss_graph``, returns an ``autodiff.Tape``: the loss of the
+message passing, the head, the normalized correction composed on the left
+of the initialization and the loss terms, with one composed pullback.
 
 The network reads its initialization, and the loss its ground truth,
 re-referenced at the reference camera (root), so either may come in any
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import autodiff, mpnn, so3, viewgraph
-from .autodiff import ParamStore, Tape, Tensor, _segment_sum, accumulate
+from .autodiff import ParamStore, Tape, _segment_sum
 from .mpnn import MpnnConfig
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -79,28 +79,26 @@ def refine_forward(g: ViewGraph, init: ArrayLike, store: ParamStore, root: int) 
 
 
 def refine_loss_graph(
-    tape: Tape, g: ViewGraph, init: ArrayLike, root: int, weights: dict[str, Tensor]
-) -> Tensor:
-    """Differentiable loss of the network's own refinement of ``init`` on
-    ``g``, read as ``refine_forward`` reads it, in one tape operation: the
-    message passing, the head, the normalized correction composed on the
-    left of the initialization, and the loss terms."""
+    g: ViewGraph, init: ArrayLike, root: int, weights: dict[str, np.ndarray]
+) -> Tape:
+    """The step of the network's own refinement of ``init`` on ``g``, read
+    as ``refine_forward`` reads it: the message passing, the head, the
+    normalized correction composed on the left of the initialization, the
+    loss terms, and their composed pullback."""
     root = viewgraph.node_id(root, g.n_nodes, "root")
     init_rows = viewgraph.rereference(viewgraph.orientation_rows(g, init), root)
-    arrays = {name: t.values for name, t in weights.items()}
-    h, delta_raw, h_pull = _corrections(g, init_rows, arrays)
+    h, delta_raw, h_pull = _corrections(g, init_rows, weights)
     delta, delta_pull = autodiff.unit_rows(delta_raw)
     loss, pred_pull = _loss_terms(so3.qmul(delta, init_rows), g, root)
 
-    def pull(g_loss):
-        g_delta = delta_pull(so3.qmul(pred_pull(g_loss), so3.qconj(init_rows)))
-        g_stack = h_pull(g_delta @ arrays["head_refine.w"].T)[0]
+    def pull():
+        g_delta = delta_pull(so3.qmul(pred_pull(), so3.qconj(init_rows)))
+        g_stack = h_pull(g_delta @ weights["head_refine.w"].T)[0]
         g_stack["head_refine.w"] = h.T @ g_delta
         g_stack["head_refine.b"] = g_delta.sum(axis=0)
-        for name, grad in g_stack.items():
-            accumulate(weights[name], grad)
+        return g_stack
 
-    return tape.emit(Tensor(loss), tuple(weights.values()), pull)
+    return Tape(loss, pull)
 
 
 def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
@@ -130,10 +128,9 @@ def _loss_terms(pred: np.ndarray, g: ViewGraph, root: int):
     node_w = BETA / degree
     loss = (edge_d * edge_w).sum() + (node_d * node_w).sum()
 
-    def pull(g_loss):
-        g_loss = float(g_loss)
-        g_pred = unit_pull(node_pull(g_loss * node_w))
-        g_rel = rel_pull(edge_pull(g_loss * edge_w))
+    def pull():
+        g_pred = unit_pull(node_pull(node_w))
+        g_rel = rel_pull(edge_pull(edge_w))
         # the node term first, then the v ends, then the u ends
         g_pred += _segment_sum(so3.qmul(g_rel, so3.qconj(conj_u)), v_idx, g.n_nodes)
         g_pred += _segment_sum(so3.qconj(so3.qmul(so3.qconj(pred_v), g_rel)), u_idx, g.n_nodes)

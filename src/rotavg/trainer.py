@@ -2,9 +2,10 @@
 
 One epoch loop (``_fit``) trains both networks per graph (batch size one)
 with Adam and decoupled weight decay; each network only supplies its
-per-sample loss and how a graph becomes a sample.  Either loss is one tape
-record per step, the message passing and the loss with one composed
-pullback (``cleaning.clean_loss_graph``, ``refinement.refine_loss_graph``).
+per-sample step and how a graph becomes a sample.  A step
+(``cleaning.clean_loss_graph``, ``refinement.refine_loss_graph``) returns
+an ``autodiff.Tape``: the loss of the message passing and the loss terms,
+and one composed pullback, whose gradients Adam takes.
 Each epoch re-samples an edge-dropout mask per training graph, so training
 samples are made every epoch; validation always runs on the full graphs
 with the same loss, their samples made once, and the parameters with the
@@ -25,13 +26,13 @@ from typing import Any
 import numpy as np
 
 from . import cleaning, refinement, viewgraph
-from .autodiff import ParamStore, Tape, Tensor
+from .autodiff import ParamStore, Tape
 from .viewgraph import ViewGraph, ViewGraphError
 
 DESK_LR = 2e-3          # larger steps suit the short desk-scale schedule
 
-# Scalar loss of one sample, recorded on ``tape`` against the bound weights.
-GraphLoss = Callable[[Tape, dict[str, Tensor], Any], Tensor]
+# The training step of one sample on the parameter arrays.
+GraphLoss = Callable[[dict[str, np.ndarray], Any], Tape]
 
 
 class TrainingError(RuntimeError):
@@ -92,13 +93,20 @@ def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) ->
                                  g.edge_labels()[idx], g.gt)
 
 
+def _usable(where: str, make: Callable[[], Any]) -> Any:
+    """``make()``, its :class:`ViewGraphError` raised as a :class:`TrainingError`
+    that names ``where``."""
+    try:
+        return make()
+    except ViewGraphError as exc:
+        raise TrainingError(f"unusable {where}: {exc}") from exc
+
+
 def _val_loss(store: ParamStore, graph_loss: GraphLoss, samples: list) -> float:
-    """Mean per-sample loss on the full graphs' samples; each sample's tape
-    is dropped unread."""
+    """Mean per-sample loss on the full graphs' samples; no step's pullback runs."""
     total = 0.0
-    for sample in samples:
-        tape = Tape()
-        total += float(graph_loss(tape, store.bind(tape), sample).values)
+    for i, sample in enumerate(samples):
+        total += _usable(f"validation graph {i}", lambda: graph_loss(store.params, sample)).loss
     return total / len(samples)
 
 
@@ -120,7 +128,8 @@ def _fit(
     """
     if not train_graphs or not val_graphs:
         raise TrainingError("training and validation sets must be nonempty")
-    val_samples = [prepare(_checked("validation", i, g)) for i, g in enumerate(val_graphs)]
+    val_samples = [_usable(f"validation graph {i}", lambda: prepare(_checked("validation", i, g)))
+                   for i, g in enumerate(val_graphs)]
     best = store.copy()
     log = TrainLog()
     for epoch in range(cfg.epochs):
@@ -133,17 +142,12 @@ def _fit(
             if epoch == 0:
                 _checked("training", gi, g)
             sub = _dropout_subgraph(g, cfg.edge_dropout, rng)
-            tape = Tape()
-            try:
-                loss = graph_loss(tape, store.bind(tape), prepare(sub))
-            except ViewGraphError as exc:
-                raise TrainingError(f"unusable graph at epoch {epoch}, graph {gi}: {exc}") from exc
-            value = float(loss.values)
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, graph {gi}: {value!r}")
-            epoch_loss += value
-            tape.backward(loss)
-            store.adam_step(cfg.lr, cfg.weight_decay)
+            step = _usable(f"graph at epoch {epoch}, graph {gi}",
+                           lambda: graph_loss(store.params, prepare(sub)))
+            if not math.isfinite(step.loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}, graph {gi}: {step.loss!r}")
+            epoch_loss += step.loss
+            store.adam_step(step.backward(), cfg.lr, cfg.weight_decay)
         val_loss = _val_loss(store, graph_loss, val_samples)
         if not math.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}: {val_loss!r}")
@@ -163,7 +167,7 @@ def train_cleannet(
 ) -> tuple[ParamStore, TrainLog]:
     """Train the edge-cleaning network; returns the best-validation weights."""
     return _fit(cleaning.new_weights(cfg.seed),
-                lambda tape, weights, g: cleaning.clean_loss_graph(tape, g, weights),
+                lambda weights, g: cleaning.clean_loss_graph(g, weights),
                 train_graphs, val_graphs, cfg)
 
 
@@ -200,5 +204,5 @@ def train_finenet(
     ``clean_store``, recomputed per epoch on the dropout-filtered edges; a
     validation graph's init depends on nothing else, so it is made once."""
     return _fit(refinement.new_weights(cfg.seed),
-                lambda tape, weights, sample: refinement.refine_loss_graph(tape, *sample, weights),
+                lambda weights, sample: refinement.refine_loss_graph(*sample, weights),
                 train_graphs, val_graphs, cfg, lambda g: prepare_refinement_sample(g, clean_store))

@@ -181,10 +181,11 @@ class ViewGraph:
         return self._gt
 
     def degree_array(self) -> np.ndarray:
-        """Undirected node degrees as a float array."""
+        """(N,) read-only undirected node degrees as a float array."""
         if self._degrees is None:
             counts = np.bincount(self._u, minlength=self._n) + np.bincount(self._v, minlength=self._n)
             self._degrees = counts.astype(np.float64)
+            self._degrees.flags.writeable = False
         return self._degrees
 
     def relative_gt_array(self) -> np.ndarray:

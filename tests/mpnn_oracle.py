@@ -1,12 +1,17 @@
-"""The networks on generic tape primitives: the tests' oracle.
+"""The networks on a generic recording tape: the tests' oracle.
 
 In the package, the message-passing rounds (``rotavg.mpnn.forward``) run on
 arrays and return a hand-written pullback, and each network's training
-step (the rounds, then its loss) is one tape operation; ``Tape`` keeps only
-``leaf``, ``emit`` and ``backward``.  ``OracleTape`` keeps the generic
-primitives they replaced, none of which has a caller in the package, and
-the compositions built from them:
+step (the rounds, then its loss) returns an ``autodiff.Tape``, its loss and
+one composed pullback.  This module keeps the generic machinery that step
+replaced, none of which has a caller in the package:
 
+- ``Tensor``, ``accumulate`` and ``GenericTape``, a tape that records
+  pullbacks in execution order (``leaf``, ``emit``) and replays them once,
+  in reverse, from a scalar loss (``backward``); a consumed tape raises on
+  reuse.  ``loss_and_grads`` runs a build on a fresh ``OracleTape`` and
+  returns its loss and every leaf's gradient.
+- ``OracleTape``, a ``GenericTape`` with the generic primitives.
 - ``forward``, the former recording loop of the rounds: every round over
   all 2E directed edges at once, from ``edge_linear``, ``scatter_mean``,
   ``relu``, ``concat``, ``gather`` and ``linear``, on tensors.  It builds
@@ -20,8 +25,8 @@ the compositions built from them:
   ``quat_dist_loss``), ``bce_with_logits`` and the elementwise ones.
   FineNet's head is ``linear`` of the final node states.
 
-Their values and gradients are the reference the fused operations are
-checked against; the fused losses must match them bit for bit.
+Their values and gradients are the reference the fused steps are checked
+against; the fused steps must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +35,86 @@ import numpy as np
 
 import so3_oracle
 from rotavg import cleaning, mpnn, refinement, so3, viewgraph
-from rotavg.autodiff import QUAT_NORM_FLOOR, AutodiffError, Tape, Tensor, _segment_sum, accumulate
+from rotavg.autodiff import QUAT_NORM_FLOOR, AutodiffError, _segment_sum
 from rotavg.viewgraph import ViewGraphError
 
 
-class OracleTape(Tape):
+class Tensor:
+    """Array node on a tape.  ``grad`` is populated by ``GenericTape.backward``."""
+
+    __slots__ = ("values", "requires_grad", "grad")
+
+    def __init__(self, values: np.ndarray, requires_grad: bool = False):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.requires_grad = bool(requires_grad)
+        self.grad: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
+
+
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``.  The first gradient becomes ``t.grad``
+    itself, so ``g`` must be a float64 array nothing else holds: a pullback
+    that passes its own ``g`` or a view of it passes a copy."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
+class GenericTape:
+    """Ordered record of operations: one backward pass per forward pass, and
+    a consumed tape raises on reuse."""
+
+    def __init__(self):
+        self._records: list = []  # (outputs, pullback) in topological order
+        self._consumed = False
+
+    def leaf(self, values, requires_grad: bool = False) -> Tensor:
+        return Tensor(np.asarray(values, dtype=np.float64), requires_grad)
+
+    def emit(self, out, inputs: tuple[Tensor, ...], pullback):
+        """Record ``out``, a tensor or a tuple of tensors, made from ``inputs``.
+        ``pullback`` gets each output's gradient (``None`` where none reached
+        it) and adds into its inputs' gradients with ``accumulate``."""
+        outs = out if isinstance(out, tuple) else (out,)
+        requires_grad = any(t.requires_grad for t in inputs)
+        for t in outs:
+            t.requires_grad = requires_grad
+        if requires_grad:
+            self._records.append((outs, pullback))
+        return out
+
+    def backward(self, loss: Tensor) -> None:
+        if self._consumed:
+            raise AutodiffError("tape already consumed by a previous backward pass")
+        if loss.values.shape != ():
+            raise AutodiffError(f"backward requires a scalar loss, got shape {loss.values.shape}")
+        self._consumed = True
+        loss.grad = np.asarray(1.0)
+        for outs, pullback in reversed(self._records):
+            grads = [t.grad for t in outs]
+            if any(g is not None for g in grads):
+                pullback(*grads)
+
+
+def loss_and_grads(build, params: dict[str, np.ndarray]):
+    """``build(tape, leaves) -> scalar Tensor`` recorded on a fresh
+    ``OracleTape`` over a leaf per array of ``params``, then run backward:
+    the float loss and a gradient per parameter, zero where none reached it."""
+    tape = OracleTape()
+    leaves = {name: tape.leaf(arr, requires_grad=True) for name, arr in params.items()}
+    loss = build(tape, leaves)
+    tape.backward(loss)
+    return float(loss.values), {name: np.zeros(t.shape) if t.grad is None else t.grad
+                                for name, t in leaves.items()}
+
+
+class OracleTape(GenericTape):
     """A tape with the generic primitives the package's fused operations replaced."""
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import ast
-import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpnn_oracle
 from fd import fd_gradients
 from mpnn_oracle import OracleTape
 from rotavg import autodiff, so3
@@ -26,8 +27,9 @@ RNG = np.random.default_rng(1234)
 
 
 def oracle_fd(build, params):
-    """``fd_gradients`` on the oracle tape, which has the generic primitives."""
-    return fd_gradients(build, params, tape_cls=OracleTape)
+    """``fd_gradients`` of ``build(tape, leaves)`` on the oracle tape, which
+    has the generic primitives."""
+    return fd_gradients(lambda p: mpnn_oracle.loss_and_grads(build, p), params)
 
 
 def quat_rows(n, scale=1.0, seed=0):
@@ -464,11 +466,7 @@ class TestAdam:
 
     def test_zero_gradients_no_change(self):
         store = self._store(np.array([1.0, -2.0]))
-        tape = OracleTape()
-        bound = store.bind(tape)
-        loss = tape.sum(tape.scale(bound["p"], 0.0))
-        tape.backward(loss)
-        store.adam_step(lr=0.1, weight_decay=0.0)
+        store.adam_step({"p": np.zeros(2)}, lr=0.1, weight_decay=0.0)
         assert store.params["p"].tolist() == [1.0, -2.0]
 
     def test_quadratic_convergence(self):
@@ -476,35 +474,27 @@ class TestAdam:
         store = self._store(np.zeros(1))
         target = 3.0
         for _ in range(500):
-            tape = OracleTape()
-            bound = store.bind(tape)
-            diff = tape.add(bound["p"], tape.constant(np.array([-target])))
-            loss = tape.sum(tape.mul(diff, diff))
-            tape.backward(loss)
-            store.adam_step(lr=0.05)
+            store.adam_step({"p": 2.0 * (store.params["p"] - target)}, lr=0.05)
         assert abs(float(store.params["p"][0]) - target) < 1e-3
 
     def test_weight_decay_shrinks_monotonically(self):
         store = self._store(np.array([5.0]))
         norms = [5.0]
         for _ in range(10):
-            tape = OracleTape()
-            bound = store.bind(tape)
-            loss = tape.sum(tape.scale(bound["p"], 0.0))
-            tape.backward(loss)
-            store.adam_step(lr=0.1, weight_decay=0.1)
+            store.adam_step({"p": np.zeros(1)}, lr=0.1, weight_decay=0.1)
             norms.append(abs(float(store.params["p"][0])))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_missing_gradients_error(self):
+        # gradients must name every parameter and no other; a mismatch moves nothing
         store = self._store(np.ones(2))
-        tape = OracleTape()
-        store.bind(tape)
-        with pytest.raises(AutodiffError, match="gradient"):
-            store.adam_step(lr=0.1)
-        store2 = self._store(np.ones(2))
-        with pytest.raises(AutodiffError, match="bind"):
-            store2.adam_step(lr=0.1)
+        store.add("q", np.ones(3))
+        for grads in ({}, {"p": np.zeros(2)}, {"p": np.zeros(2), "q": np.zeros(3), "r": np.zeros(1)},
+                      {"p": np.zeros(2), "r": np.zeros(3)}):
+            with pytest.raises(AutodiffError, match="do not match the parameters"):
+                store.adam_step(grads, lr=0.1)
+        assert store.step_count == 0
+        assert store.params["p"].tolist() == [1.0, 1.0]
 
 
 class TestCheckpoint:
@@ -587,41 +577,17 @@ class TestCheckpoint:
             load_checkpoint(path, {})
 
 
-def test_every_public_tape_method_has_a_package_caller():
-    """Every public ``Tape`` method is called as ``tape.<method>(...)`` in
-    ``src/rotavg``: a primitive only tests use belongs to the tests'
-    ``mpnn_oracle.OracleTape``, not to the package."""
-    called = set()
-    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            func = node.func if isinstance(node, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                    and func.value.id == "tape"):
-                called.add(func.attr)
-    public = {name for name, attr in vars(Tape).items()
-              if callable(attr) and not name.startswith("_")}
-    assert public - called == set(), f"Tape methods without a package caller: {public - called}"
-
-
-def test_tape_has_no_option():
-    """A ``Tape`` takes no argument, and no module in ``src/rotavg`` passes
-    ``recording=``: a recording step is one record, and inference has no tape."""
-    assert list(inspect.signature(Tape).parameters) == []
-    calls = []
-    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and any(k.arg == "recording" for k in node.keywords):
-                calls.append(f"{path.name}:{node.lineno}")
-    assert not calls, f"recording= passed at {', '.join(calls)}"
-
-
-def test_tape_has_no_generic_primitive():
-    """``Tape``'s public methods are ``leaf``, ``emit`` and ``backward``, and no
-    module in ``src/rotavg`` calls an attribute named ``linear``: generic
-    primitives belong to the tests' ``mpnn_oracle.OracleTape``."""
+def test_autodiff_keeps_no_tensor_binding():
+    """The package has no generic tape: ``autodiff`` defines no ``Tensor`` or
+    ``accumulate``, ``ParamStore`` has no ``bind``, ``backward`` is the only
+    public method of ``Tape``, and no module in ``src/rotavg`` calls an
+    attribute named ``linear``.  Generic primitives belong to the tests'
+    ``mpnn_oracle.OracleTape``."""
+    assert not hasattr(autodiff, "Tensor") and not hasattr(autodiff, "accumulate")
+    assert not hasattr(ParamStore, "bind")
     public = {name for name in dir(Tape)
               if not name.startswith("_") and callable(getattr(Tape, name))}
-    assert public == {"leaf", "emit", "backward"}
+    assert public == {"backward"}
     calls = []
     for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -629,3 +595,21 @@ def test_tape_has_no_generic_primitive():
             if isinstance(func, ast.Attribute) and func.attr == "linear":
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"linear called at {', '.join(calls)}"
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    """Runtime dependencies stay numpy-only: every import in ``src/rotavg`` is
+    of the standard library, ``numpy`` or the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rotavg"}
+    foreign = []
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]  # a relative import is the package's
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside numpy and the standard library: {foreign}"

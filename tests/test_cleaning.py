@@ -8,7 +8,7 @@ import pytest
 from fd import fd_gradients
 import so3_oracle
 from rotavg import cleaning, refinement, so3, synthgen, viewgraph
-from rotavg.autodiff import AutodiffError, ParamStore, Tape
+from rotavg.autodiff import AutodiffError, ParamStore
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import Edge, UnitQuaternion, as_quats, edge_graph, edge_records
@@ -68,8 +68,7 @@ class TestForward:
         pred = cleaning.clean_forward(g, cleaning.new_weights(1, cfg))
         assert np.allclose(pred.outlier_prob, 0.5)
         assert np.max(so3_oracle.qangle_deg(pred.rect, g.edge_quat_array())) < 1e-9
-        tape = Tape()
-        tape.backward(cleaning.clean_loss_graph(tape, g, cleaning.new_weights(1, cfg).bind(tape)))
+        cleaning.clean_loss_graph(g, cleaning.new_weights(1, cfg).params).backward()
 
     def test_rect_quaternions_canonical_unit(self):
         g = noisy_graph(seed=2)
@@ -110,9 +109,8 @@ class TestForward:
             bad.add(name, np.zeros((5, 1) if name == "head_out.w" else shape))
         with pytest.raises(AutodiffError, match=r"weight 'head_out.w' has shape \(5, 1\)"):
             cleaning.clean_forward(g, bad)
-        tape = Tape()
         with pytest.raises(AutodiffError, match="weight 'head_rect.w' is missing"):
-            cleaning.clean_loss_graph(tape, g, refinement.new_weights(0).bind(tape))
+            cleaning.clean_loss_graph(g, refinement.new_weights(0).params)
 
     def test_empty_graph_rejected(self):
         g = ViewGraph(2, [], [], np.zeros((0, 4)))
@@ -207,17 +205,15 @@ class TestLoss:
         relative = ViewGraph.relative_gt_array
         monkeypatch.setattr(ViewGraph, "relative_gt_array",
                             lambda self: calls.append(1) or relative(self))
-        tape = Tape()
-        cleaning.clean_loss_graph(tape, g, tiny_clean_weights().bind(tape))
+        cleaning.clean_loss_graph(g, tiny_clean_weights().params)
         assert len(calls) == 1
 
     def test_tensor_and_value_paths_agree(self):
         g = noisy_graph(seed=8)
         store = tiny_clean_weights(seed=8, random_heads=True)
-        tape = Tape()
-        loss_t = cleaning.clean_loss_graph(tape, g, store.bind(tape))
+        step = cleaning.clean_loss_graph(g, store.params)
         pred = cleaning.clean_forward(g, store)
-        assert abs(float(loss_t.values) - loss_value(pred, g)) < 1e-9
+        assert abs(step.loss - loss_value(pred, g)) < 1e-9
 
     def test_gradient_vs_finite_differences(self):
         # seed keeps relu pre-activations away from the kink
@@ -225,25 +221,23 @@ class TestLoss:
         store = tiny_clean_weights(seed=17, random_heads=True)
         params = dict(store.params)
 
-        def build(tape, p):
-            return cleaning.clean_loss_graph(tape, g, p)
+        def loss_and_grads(p):
+            step = cleaning.clean_loss_graph(g, p)
+            return step.loss, step.backward()
 
-        assert fd_gradients(build, params) < 1e-3
+        assert fd_gradients(loss_and_grads, params) < 1e-3
 
     def test_requires_gt(self):
         g = edge_graph(2, [Edge(0, 1, UnitQuaternion.identity())])
-        tape = Tape()
-        store = tiny_clean_weights()
         with pytest.raises(ViewGraphError):
-            cleaning.clean_loss_graph(tape, g, store.bind(tape))
+            cleaning.clean_loss_graph(g, tiny_clean_weights().params)
 
     def test_requires_an_edge(self):
         g = ViewGraph(2, [], [], np.zeros((0, 4)), gt=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
         with pytest.raises(ViewGraphError, match="at least one edge"):
             cleaning._loss_terms(np.zeros((0, 4)), np.zeros(0), g)
-        tape = Tape()
         with pytest.raises(ViewGraphError, match="at least one edge"):
-            cleaning.clean_loss_graph(tape, g, tiny_clean_weights().bind(tape))
+            cleaning.clean_loss_graph(g, tiny_clean_weights().params)
 
 
     def test_training_step_peak_memory_within_edge_budget(self):
@@ -256,8 +250,7 @@ class TestLoss:
         store = cleaning.new_weights(0)
         tracemalloc.start()
         try:
-            tape = Tape()
-            tape.backward(cleaning.clean_loss_graph(tape, g, store.bind(tape)))
+            cleaning.clean_loss_graph(g, store.params).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,12 +1,13 @@
-"""Each network's training step is one tape operation, the message passing
-and the loss; the former compositions of generic primitives on
-``mpnn_oracle.OracleTape``, after the message passing recorded as its own
-operation (``mpnn_oracle.taped_forward``), are its oracle: for CleanNet
+"""Each network's training step returns an ``autodiff.Tape``: the loss of
+the message passing and the loss terms, and one composed pullback.  The
+former compositions of generic primitives on ``mpnn_oracle.OracleTape``,
+after the message passing recorded as its own operation
+(``mpnn_oracle.taped_forward``), are its oracle: for CleanNet
 ``OracleTape.clean_loss`` of the heads' outputs, for FineNet
 ``OracleTape.linear`` (the head) followed by ``OracleTape.refine_loss``.
 
-The fused operations keep the oracle's arithmetic order, so the loss and
-every weight gradient must match it bit for bit, not to rounding.
+The fused steps keep the oracle's arithmetic order, so the loss and every
+weight gradient must match it bit for bit, not to rounding.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpnn_oracle import OracleTape, taped_forward
+from mpnn_oracle import loss_and_grads, taped_forward
 from rotavg import autodiff, cleaning, refinement, synthgen, trainer, viewgraph
-from rotavg.autodiff import AutodiffError, ParamStore, Tape
+from rotavg.autodiff import AutodiffError, ParamStore
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph
 
@@ -36,8 +37,8 @@ def random_store(spec, seed):
     return store
 
 
-def fused_clean(tape, g, weights):
-    return cleaning.clean_loss_graph(tape, g, weights)
+def fused_clean(g, weights):
+    return cleaning.clean_loss_graph(g, weights)
 
 
 def oracle_clean(tape, g, weights):
@@ -45,8 +46,8 @@ def oracle_clean(tape, g, weights):
     return tape.clean_loss(*taped_forward(tape, weights, g, g.edge_quat_array(), heads=heads), g)
 
 
-def fused_refine(tape, sample, weights):
-    return refinement.refine_loss_graph(tape, *sample, weights)
+def fused_refine(sample, weights):
+    return refinement.refine_loss_graph(*sample, weights)
 
 
 def oracle_refine(tape, sample, weights):
@@ -56,20 +57,18 @@ def oracle_refine(tape, sample, weights):
     return tape.refine_loss(delta_raw, init_rows, g, root)
 
 
-def recorded(tape, store, sample, loss_of):
-    """The loss and every weight's gradient after one backward pass."""
-    weights = store.bind(tape)
-    loss = loss_of(tape, sample, weights)
-    tape.backward(loss)
-    return loss.values, {name: t.grad for name, t in weights.items()}
+def on_oracle_tape(oracle):
+    """``oracle`` run on ``OracleTape`` as ``(sample, weights) -> (loss, grads)``."""
+    return lambda sample, weights: loss_and_grads(lambda t, w: oracle(t, sample, w), weights)
 
 
 def assert_bit_equal(store, sample, fused, oracle):
-    """The fused loss on the package's tape and the oracle composition on
+    """The fused step's ``(loss, backward())`` and the oracle composition on
     ``OracleTape``: equal loss and gradients, bit for bit.  Returns the gradients."""
-    loss, grads = recorded(Tape(), store, sample, fused)
-    want_loss, want_grads = recorded(OracleTape(), store, sample, oracle)
-    assert loss.tobytes() == want_loss.tobytes()
+    step = fused(sample, store.params)
+    loss, grads = step.loss, step.backward()
+    want_loss, want_grads = on_oracle_tape(oracle)(sample, store.params)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grads.keys() == want_grads.keys()
     for name, want in want_grads.items():
         assert grads[name].shape == want.shape and grads[name].tobytes() == want.tobytes(), name
@@ -142,33 +141,36 @@ class TestEdgeCases:
         grads = assert_bit_equal(store, sample, fused_refine, oracle_refine)
         assert all(np.all(np.isfinite(grad)) for grad in grads.values())
 
-    @pytest.mark.parametrize("tape_cls, clean_loss, refine_loss",
-                             [(Tape, fused_clean, fused_refine),
-                              (OracleTape, oracle_clean, oracle_refine)], ids=["fused", "oracle"])
-    def test_underflowing_correction_raises(self, tape_cls, clean_loss, refine_loss):
+    @pytest.mark.parametrize("clean_loss, refine_loss",
+                             [(fused_clean, fused_refine),
+                              (on_oracle_tape(oracle_clean), on_oracle_tape(oracle_refine))],
+                             ids=["fused", "oracle"])
+    def test_underflowing_correction_raises(self, clean_loss, refine_loss):
         # zero head weights and a zero bias: every correction row is zero
         g = two_node_graph(HALF_TURN)
         clean = identity_head(cleaning.weight_spec(CFG), "head_rect", bias=0.0)
-        tape = tape_cls()
         with pytest.raises(AutodiffError, match="norm below 1e-12"):
-            clean_loss(tape, g, clean.bind(tape))
+            clean_loss(g, clean.params)
         fine = identity_head(refinement.weight_spec(CFG), "head_refine", bias=0.0)
-        tape = tape_cls()
         with pytest.raises(AutodiffError, match="norm below 1e-12"):
-            refine_loss(tape, (g, np.stack([IDENTITY, HALF_TURN]), 0), fine.bind(tape))
+            refine_loss((g, np.stack([IDENTITY, HALF_TURN]), 0), fine.params)
 
 
-def test_recording_steps_write_one_record_each():
-    # the message passing and the network's loss, with one composed pullback
+def test_backward_covers_every_weight_and_repeats():
+    # one step's pullback reads only arrays the step keeps: a gradient for
+    # every weight, and a second backward equal to the first, bit for bit
     g = synthgen.generate_graph(synthgen.SynthConfig(n_cameras=(12, 12)),
                                 np.random.default_rng(0))
-    tape = Tape()
-    fused_clean(tape, g, cleaning.new_weights(0, CFG).bind(tape))
-    assert len(tape._records) == 1
-    tape = Tape()
     sample = trainer.prepare_refinement_sample(g, cleaning.new_weights())
-    fused_refine(tape, sample, refinement.new_weights(0, CFG).bind(tape))
-    assert len(tape._records) == 1
+    clean = random_store(cleaning.weight_spec(CFG), 4)
+    fine = random_store(refinement.weight_spec(CFG), 5)
+    for store, step in ((clean, fused_clean(g, clean.params)),
+                        (fine, fused_refine(sample, fine.params))):
+        first, second = step.backward(), step.backward()
+        assert list(first) == list(store.params)
+        for name, grad in first.items():
+            assert grad.shape == store.params[name].shape
+            assert grad.tobytes() == second[name].tobytes(), name
 
 
 def test_inference_needs_no_tape(monkeypatch):
@@ -189,6 +191,5 @@ def test_inference_needs_no_tape(monkeypatch):
         raise AssertionError("inference used a tape")
 
     monkeypatch.setattr(autodiff.Tape, "__init__", unusable)
-    monkeypatch.setattr(autodiff.ParamStore, "bind", unusable)
     for got, expected in zip(run(), want):
         assert got.tobytes() == expected.tobytes()

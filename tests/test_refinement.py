@@ -8,7 +8,7 @@ import pytest
 from fd import fd_gradients
 import so3_oracle
 from rotavg import cleaning, refinement, so3, synthgen, viewgraph
-from rotavg.autodiff import AutodiffError, ParamStore, Tape
+from rotavg.autodiff import AutodiffError, ParamStore
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import UnitQuaternion, as_quats
@@ -99,9 +99,7 @@ class TestForward:
         init = np.asarray(spt_init(g, root))
         out = refinement.refine_forward(g, init, refinement.new_weights(1, cfg), root)
         assert np.max(so3_oracle.qangle_deg(np.asarray(out), init)) < 1e-9
-        tape = Tape()
-        tape.backward(refinement.refine_loss_graph(tape, g, init, root,
-                                                   refinement.new_weights(1, cfg).bind(tape)))
+        refinement.refine_loss_graph(g, init, root, refinement.new_weights(1, cfg).params).backward()
 
     def test_outputs_valid_unit_quaternions_under_random_weights(self):
         g, root = referenced_graph(seed=2)
@@ -188,18 +186,16 @@ class TestLoss:
         for pred in (ident, off):
             with pytest.raises(ViewGraphError, match="node 1 has no edge"):
                 loss_value(pred, g, 0)
-            tape = Tape()
             with pytest.raises(ViewGraphError, match="node 1 has no edge"):
-                refinement.refine_loss_graph(tape, g, pred, 0, tiny_refine_weights().bind(tape))
+                refinement.refine_loss_graph(g, pred, 0, tiny_refine_weights().params)
 
     def test_init_rows_of_another_count_rejected(self):
         # a row short of the graph's 8 nodes once raised numpy's IndexError
         g, root = referenced_graph(seed=13, n=8)
         init = np.asarray(spt_init(g, root))
         for rows in (init[:7], np.vstack([init, init[:1]])):
-            tape = Tape()
             with pytest.raises(ViewGraphError, match=rf"must be \(8, 4\), got \({len(rows)}, 4\)"):
-                refinement.refine_loss_graph(tape, g, rows, root, tiny_refine_weights().bind(tape))
+                refinement.refine_loss_graph(g, rows, root, tiny_refine_weights().params)
 
     def test_gradient_vs_finite_differences(self):
         g, root = referenced_graph(seed=12, n=8)
@@ -207,10 +203,11 @@ class TestLoss:
         init_rows = np.asarray(spt_init(g, root))
         params = dict(store.params)
 
-        def build(tape, p):
-            return refinement.refine_loss_graph(tape, g, init_rows, root, p)
+        def loss_and_grads(p):
+            step = refinement.refine_loss_graph(g, init_rows, root, p)
+            return step.loss, step.backward()
 
-        assert fd_gradients(build, params) < 1e-3
+        assert fd_gradients(loss_and_grads, params) < 1e-3
 
     def test_training_step_peak_memory_within_edge_budget(self):
         # the dense-shaped graph of TestForward, re-referenced at its root;
@@ -224,8 +221,7 @@ class TestLoss:
         store = refinement.new_weights(0)
         tracemalloc.start()
         try:
-            tape = Tape()
-            tape.backward(refinement.refine_loss_graph(tape, g, init, root, store.bind(tape)))
+            refinement.refine_loss_graph(g, init, root, store.params).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -241,11 +237,8 @@ def right_gauge(rows, seed):
 
 
 def loss_and_grads(g, init, root, store):
-    tape = Tape()
-    weights = store.bind(tape)
-    loss = refinement.refine_loss_graph(tape, g, init, root, weights)
-    tape.backward(loss)
-    return float(loss.values), {name: t.grad for name, t in weights.items()}
+    step = refinement.refine_loss_graph(g, init, root, store.params)
+    return step.loss, step.backward()
 
 
 class TestGauge:

@@ -9,7 +9,7 @@ import pytest
 
 import mpnn_oracle
 from rotavg import cleaning, mpnn, refinement, synthgen, trainer, viewgraph
-from rotavg.autodiff import Tensor
+from rotavg.autodiff import Tape
 from rotavg.trainer import TrainConfig, TrainingError
 from rotavg.viewgraph import ViewGraph
 
@@ -103,13 +103,13 @@ class TestDeterminism:
         assert same_run(first, again)
 
 
-def clean_graph_loss(tape, weights, g):
-    return cleaning.clean_loss_graph(tape, g, weights)
+def clean_graph_loss(weights, g):
+    return cleaning.clean_loss_graph(g, weights)
 
 
-def fine_graph_loss(tape, weights, g):
+def fine_graph_loss(weights, g):
     return refinement.refine_loss_graph(
-        tape, *trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER), weights)
+        *trainer.prepare_refinement_sample(g, UNTRAINED_CLEANER), weights)
 
 
 class TestLazyCorpus:
@@ -201,8 +201,9 @@ class TestNonFinite:
     def test_nan_cleannet_loss_raises(self, data, monkeypatch):
         loss_graph = cleaning.clean_loss_graph
 
-        def nan_loss(tape, g, weights):
-            return Tensor(loss_graph(tape, g, weights).values * math.nan)
+        def nan_loss(g, weights):
+            step = loss_graph(g, weights)
+            return Tape(step.loss * math.nan, step.backward)
 
         monkeypatch.setattr(cleaning, "clean_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
@@ -211,8 +212,9 @@ class TestNonFinite:
     def test_nan_finenet_loss_raises(self, data, monkeypatch):
         loss_graph = refinement.refine_loss_graph
 
-        def nan_loss(tape, g, init_rows, root, weights):
-            return Tensor(loss_graph(tape, g, init_rows, root, weights).values * math.nan)
+        def nan_loss(g, init_rows, root, weights):
+            step = loss_graph(g, init_rows, root, weights)
+            return Tape(step.loss * math.nan, step.backward)
 
         monkeypatch.setattr(refinement, "refine_loss_graph", nan_loss)
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
@@ -259,6 +261,30 @@ class TestCorpusCheck:
             train_fn(train, [val[0], without_gt(val[1])], desk_config(epochs=1))
         with pytest.raises(TrainingError, match="training graph 2 lacks ground-truth"):
             train_fn(train[:2] + [without_gt(train[2])], val, desk_config(epochs=1))
+
+
+class TestUnusableValidationGraph:
+    """A validation graph the networks cannot use raises a ``TrainingError``
+    that names it, as a training graph's does."""
+
+    def test_unusable_sample_names_the_graph(self, data):
+        # a cleaner that scores every edge an outlier leaves no graph to bootstrap
+        train, val = data
+        cleaner = cleaning.new_weights()
+        cleaner.params["head_out.b"][:] = 50.0
+        with pytest.raises(TrainingError, match="unusable validation graph 0: empty cleaned graph"):
+            trainer.train_finenet(train, val, desk_config(epochs=1), cleaner)
+
+    def test_unusable_loss_names_the_graph(self, data):
+        train, val = data
+
+        def graph_loss(weights, g):
+            if g is val[1]:
+                raise viewgraph.ViewGraphError("no loss on this graph")
+            return cleaning.clean_loss_graph(g, weights)
+
+        with pytest.raises(TrainingError, match="unusable validation graph 1: no loss on this graph"):
+            trainer._fit(cleaning.new_weights(), graph_loss, train, val, desk_config(epochs=1))
 
 
 def assert_same_graph(got, want):
@@ -328,9 +354,9 @@ class TestValidationSamples:
         cfg = desk_config(seed=3, epochs=3)
         clean_store = clean_run[0]
 
-        def per_epoch_loss(tape, weights, g):
+        def per_epoch_loss(weights, g):
             return refinement.refine_loss_graph(
-                tape, *trainer.prepare_refinement_sample(g, clean_store), weights)
+                *trainer.prepare_refinement_sample(g, clean_store), weights)
 
         remade = trainer._fit(refinement.new_weights(cfg.seed), per_epoch_loss, train, val, cfg)
         calls = []

@@ -836,6 +836,18 @@ class TestRootAndTree:
                 counts[e.v] += 1
             assert counts[viewgraph.select_root(g)] == counts.max()
 
+    def test_degree_cache_is_read_only(self):
+        # the root and both losses' degree weights read the cached degrees
+        g = synthgen.generate_graph(synthgen.SynthConfig(n_cameras=(20, 20)),
+                                    np.random.default_rng(1))
+        root = viewgraph.select_root(g)
+        other = (root + 1) % g.n_nodes
+        degrees = g.degree_array().copy()
+        with pytest.raises(ValueError, match="read-only"):
+            g.degree_array()[other] = 1e9
+        assert viewgraph.select_root(g) == root
+        assert np.array_equal(g.degree_array(), degrees)
+
     def test_empty_graph_root_errors(self):
         with pytest.raises(ViewGraphError):
             viewgraph.select_root(edge_graph(0, []))
