@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -577,24 +578,52 @@ class TestCheckpoint:
             load_checkpoint(path, {})
 
 
-def test_autodiff_keeps_no_tensor_binding():
-    """The package has no generic tape: ``autodiff`` defines no ``Tensor`` or
-    ``accumulate``, ``ParamStore`` has no ``bind``, ``backward`` is the only
-    public method of ``Tape``, and no module in ``src/rotavg`` calls an
-    attribute named ``linear``.  Generic primitives belong to the tests'
-    ``mpnn_oracle.OracleTape``."""
-    assert not hasattr(autodiff, "Tensor") and not hasattr(autodiff, "accumulate")
-    assert not hasattr(ParamStore, "bind")
+def _package_calls():
+    """Every call node in ``src/rotavg``, with its file name."""
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                yield path.name, node
+
+
+def test_every_public_tape_method_has_a_package_caller():
+    """Every public ``Tape`` method is called as ``<step>.<method>(...)`` in
+    ``src/rotavg``: a method only tests use belongs to the tests'
+    ``mpnn_oracle.OracleTape``, not to the package."""
+    called = {node.func.attr for _, node in _package_calls()
+              if isinstance(node.func, ast.Attribute)}
+    public = {name for name, attr in vars(Tape).items()
+              if callable(attr) and not name.startswith("_")}
+    assert public - called == set(), f"Tape methods without a package caller: {public - called}"
+
+
+def test_tape_has_no_option():
+    """A ``Tape`` takes only its step's ``loss`` and ``pullback``, and no module
+    in ``src/rotavg`` passes ``recording=``: a step is one record, and
+    inference has no tape."""
+    assert list(inspect.signature(Tape).parameters) == ["loss", "pullback"]
+    calls = [f"{name}:{node.lineno}" for name, node in _package_calls()
+             if any(k.arg == "recording" for k in node.keywords)]
+    assert not calls, f"recording= passed at {', '.join(calls)}"
+
+
+def test_tape_has_no_generic_primitive():
+    """``backward`` is the only public method of ``Tape``, and no module in
+    ``src/rotavg`` calls an attribute named ``linear``: generic primitives
+    belong to the tests' ``mpnn_oracle.OracleTape``."""
     public = {name for name in dir(Tape)
               if not name.startswith("_") and callable(getattr(Tape, name))}
     assert public == {"backward"}
-    calls = []
-    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            func = node.func if isinstance(node, ast.Call) else None
-            if isinstance(func, ast.Attribute) and func.attr == "linear":
-                calls.append(f"{path.name}:{node.lineno}")
+    calls = [f"{name}:{node.lineno}" for name, node in _package_calls()
+             if isinstance(node.func, ast.Attribute) and node.func.attr == "linear"]
     assert not calls, f"linear called at {', '.join(calls)}"
+
+
+def test_autodiff_keeps_no_tensor_binding():
+    """Weights reach a step as arrays: ``autodiff`` defines no ``Tensor`` or
+    ``accumulate``, and ``ParamStore`` has no ``bind``."""
+    assert not hasattr(autodiff, "Tensor") and not hasattr(autodiff, "accumulate")
+    assert not hasattr(ParamStore, "bind")
 
 
 def test_runtime_imports_are_numpy_and_the_standard_library():
