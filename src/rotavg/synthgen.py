@@ -132,7 +132,9 @@ def generate_graph(cfg: SynthConfig, rng: np.random.Generator) -> ViewGraph:
     rel = so3.qcanon(so3.qmul(gt[v[inlier]], so3.qcanon(so3.qconj(gt[u[inlier]]))))
     noise = so3.sample_noise_rows(sigma, cfg.planar, rng, m - n_out)
     q[inlier] = so3.qcanon(so3.qmul(noise, rel))
-    return ViewGraph(n, u, v, q, outlier, gt)
+    # distinct sorted pairs u < v in range, canonical rows, 0/1 labels: the
+    # constructor's checks and copies would find nothing to change
+    return ViewGraph._from_valid(n, u, v, q, outlier.astype(np.int8), gt)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,23 @@ direction is flipped (its orientation inverted) on construction.
 
 :func:`parse` reads the text in blocks of whole lines
 (``PARSE_BLOCK_CHARS``), cut at any line end, and converts each block's NODE
-and EDGE records to arrays before it reads the next, so the tokens of one
-block, not of the whole file, are alive at once: its ``tracemalloc`` peak is
-1.2 times the 12 MB cam1000 text and 1.9 times a 0.7 MB one.  The whole-file
-checks then run once as masks over the concatenated arrays, through the same
-edge-structure rule (range, self-loop, repeat) as the constructor, and the
-checked arrays become the graph without a second check or copy; a
-:class:`ParseError` names the first offending line.  :func:`serialize`
-formats ``SERIALIZE_ROWS`` rows per ``%`` call, so its peak is about the
-output and its row slices.
+and EDGE records to arrays before it reads the next.  A block's lines that
+start with ``"NODE "`` go to numpy's C line reader (``np.loadtxt``) in one
+call, and those that start with ``"EDGE "`` in another; a call is kept only
+where it reads every line as Python's converters would (ASCII without NUL,
+one token count, valid tokens).  Every other line, and every line of a
+refused call, goes through :func:`_read_records`, which splits it into
+tokens and locates the faults that need them (an unknown record, a token
+count, a bad token).  The two readers' records are merged in line order,
+and only one block's lines and tokens are alive at once: the
+``tracemalloc`` peak is 1.2 times the text, at 12 MB (cam1000) as at
+0.7 MB.  The whole-file checks then run once as masks over the concatenated
+arrays, through the same edge-structure rule (range, self-loop, repeat) as
+the constructor, and the checked arrays become the graph without a second
+check or copy; a :class:`ParseError` names the first offending line, and
+what it says does not depend on the reader that took the line.
+:func:`serialize` formats ``SERIALIZE_ROWS`` rows per ``%`` call, so its
+peak is about the output and its row slices.
 """
 
 from __future__ import annotations
@@ -122,8 +130,8 @@ class ViewGraph:
     @classmethod
     def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
         """Graph over arrays that already hold every invariant the constructor
-        establishes (rows taken from a valid graph), stored read-only as
-        given, without checks or copies."""
+        establishes (rows taken from a valid graph, or built valid), stored
+        read-only as given, without checks or copies."""
         g = cls.__new__(cls)
         g._keep(n_nodes, u, v, q, label, gt)
         return g
@@ -345,42 +353,130 @@ def _read_records(recs: list[list[str]], line_no: np.ndarray, faults: list) -> t
     return (line_no[node], ids[:, 0], has_gt, gq), (line_no[edge], uv, q, label)
 
 
+# The C line reader's record layout for each line prefix and token count.
+# The record name is read as one character; a label as two, so that no
+# token but "0" and "1" reads as either (a longer one is cut to two).
+_C_READER_DTYPES = {
+    ("NODE ", 2): np.dtype([("name", "U1"), ("id", np.int64)]),
+    ("NODE ", 6): np.dtype([("name", "U1"), ("id", np.int64), ("q", np.float64, (4,))]),
+    ("EDGE ", 7): np.dtype([("name", "U1"), ("uv", np.int64, (2,)), ("q", np.float64, (4,))]),
+    ("EDGE ", 8): np.dtype([("name", "U1"), ("uv", np.int64, (2,)), ("q", np.float64, (4,)),
+                            ("label", "U2")]),
+}
+
+
+def _c_records(lines: list[str], prefix: str, line_no: np.ndarray) -> tuple | None:
+    """``lines`` (on lines ``line_no``), which all start with ``prefix``, as
+    the NODE or EDGE arrays of :func:`_read_records`, read by ``np.loadtxt``
+    in the layout of the first line's token count; None where it might read
+    them otherwise than :func:`_read_records`.
+
+    The C reader refuses a line of another token count and every token that
+    Python's converters refuse, and some that they read (``1_0``); the
+    floats it reads are Python's, bit for bit.  It is given only ASCII text
+    without NUL: its integer reader takes some non-ASCII characters for
+    digits, and its strings drop a trailing NUL."""
+    dtype = _C_READER_DTYPES.get((prefix, len(lines[0].split())))
+    joined = "".join(lines)
+    if dtype is None or not joined.isascii() or "\x00" in joined:
+        return None
+    try:
+        rec = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    fields = rec.dtype.names
+    if "id" in fields:
+        has_gt = "q" in fields
+        gq = rec["q"].copy() if has_gt else np.zeros((0, 4))
+        return line_no, rec["id"].copy(), np.full(rec.size, has_gt), gq
+    label = np.full(rec.size, -1, dtype=np.int8)
+    if "label" in fields:
+        token = rec["label"]
+        label[:] = np.where(token == "0", 0, np.where(token == "1", 1, 2))
+    return line_no, rec["uv"].copy(), rec["q"].copy(), label
+
+
+def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: list) -> None:
+    """Append the NODE and EDGE record arrays of ``lines`` (numbered from
+    ``first``) to ``nodes`` and ``edges``, in any order, each line read by
+    the reader :func:`parse` names for it."""
+    taken: dict[str, list[int]] = {"NODE ": [], "EDGE ": []}
+    rest: list[int] = []
+    for i, line in enumerate(lines):
+        taken.get(line[:5], rest).append(i)
+    for prefix, rows in taken.items():
+        part = _c_records([lines[i] for i in rows], prefix,
+                          np.array(rows, dtype=np.int64) + first) if rows else None
+        if part is None:
+            rest += rows
+        else:
+            (nodes if prefix == "NODE " else edges).append(part)
+    recs, line_no = [], []
+    for i in sorted(rest):
+        tokens = lines[i].split()
+        if tokens:
+            recs.append(tokens)
+            line_no.append(first + i)
+    if recs:
+        node, edge = _read_records(recs, np.array(line_no, dtype=np.int64), faults)
+        nodes.append(node)
+        edges.append(edge)
+
+
+def _in_line_order(parts: list[tuple]) -> tuple:
+    """The record arrays ``parts`` (each a tuple of line numbers and
+    columns) concatenated and sorted by line."""
+    line_no, *cols = (np.concatenate(c) for c in zip(*parts))
+    if np.any(line_no[1:] < line_no[:-1]):  # the two readers' records interleave
+        order = np.argsort(line_no)
+        line_no, cols = line_no[order], [c[order] for c in cols]
+    return (line_no, *cols)
+
+
 def parse(text: str) -> ViewGraph:
     """Parse the text format; raises :class:`ParseError` with line numbers.
 
     The text is read in blocks of whole lines of about ``PARSE_BLOCK_CHARS``
-    characters.  Each block's tokens are converted to arrays with one
-    ``np.array`` call per column group and then dropped, so the tokens of
-    one block, not of the whole file, bound the peak memory beyond the
-    arrays.  The whole-file checks then run once, as masks over the
-    concatenated arrays.  The error names the first offending line; within
-    a line the checks rank as the record reads (token count, ids,
-    self-loop, duplicate, quaternion components, norm, label).  An edge
-    whose end is not a declared node is reported at its line, but only
-    after the last line, since nodes may follow edges; non-dense node ids
-    raise :class:`ViewGraphError`.  The checked arrays are flipped to
-    ``u < v`` and canonicalised as the constructor does, and stored as they
-    are.
+    characters.  A block's lines that start with ``"NODE "`` are converted
+    by numpy's C line reader (``np.loadtxt``) in one call, and so are those
+    that start with ``"EDGE "``, if the call reads them as Python's
+    converters would (ASCII, one token count, every token valid).  The
+    other lines (another prefix, a tab or leading whitespace) and the lines
+    of a refused call go through :func:`_read_records`, which converts the
+    tokens with one ``np.array`` call per column group and notes the faults
+    that need them.  Only one block's tokens and lines are alive at once.
+    Both readers' records are merged in line order, and the whole-file
+    checks then run once, as masks over the concatenated arrays.  The error
+    names the first offending line; within a line the checks rank as the
+    record reads (token count, ids, self-loop, duplicate, quaternion
+    components, norm, label).  An edge whose end is not a declared node is
+    reported at its line, but only after the last line, since nodes may
+    follow edges; non-dense node ids raise :class:`ViewGraphError`.  The
+    checked arrays are flipped to ``u < v`` and canonicalised as the
+    constructor does, and stored as they are.
     """
     faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
-    parts = []
+    nodes: list[tuple] = []
+    edges: list[tuple] = []
     header = False
     for first, lines in _line_blocks(text):
-        tokens = [line.split() for line in lines]
-        filled = [i for i, t in enumerate(tokens) if t]
-        if not header and filled:
-            if lines[filled[0]].strip() != FORMAT_HEADER:
-                raise ParseError(first + filled[0], f"expected header '{FORMAT_HEADER}'")
-            header, filled = True, filled[1:]
-        if header and filled:
-            parts.append(_read_records([tokens[i] for i in filled],
-                                       np.array(filled, dtype=np.int64) + first, faults))
+        if not header:
+            top = next((i for i, line in enumerate(lines) if line.strip()), None)
+            if top is None:
+                continue
+            if lines[top].strip() != FORMAT_HEADER:
+                raise ParseError(first + top, f"expected header '{FORMAT_HEADER}'")
+            header, first, lines = True, first + top + 1, lines[top + 1:]
+        _read_block(lines, first, nodes, edges, faults)
     if not header:
         raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
-    parts = parts or [_read_records([], np.zeros(0, dtype=np.int64), faults)]  # no records
-    node_line, ids, has_gt, gq = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
-    edge_line, uv, q, label = (np.concatenate(c) for c in zip(*(p[1] for p in parts)))
-    del parts
+    if not (nodes and edges):  # no records of a kind
+        node, edge = _read_records([], np.zeros(0, dtype=np.int64), faults)
+        nodes, edges = nodes or [node], edges or [edge]
+    node_line, ids, has_gt = _in_line_order([p[:3] for p in nodes])
+    _, gq = _in_line_order([(line[gt], rows) for line, _, gt, rows in nodes])
+    edge_line, uv, q, label = _in_line_order(edges)
+    del nodes, edges
 
     def note(mask: np.ndarray, line_no: np.ndarray, rank: int, reason) -> None:
         _note_first(faults, mask, line_no, rank, reason)

@@ -228,6 +228,25 @@ class TestGenerateGraph:
             assert np.max(np.abs(noise[:, 2])) < 1e-12
             assert np.max(np.abs(g.gt[:, [1, 3]])) < 1e-12
 
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(n_cameras=(3, 3), edge_fraction=(0.0, 0.0), seed=5),
+        SynthConfig(n_cameras=(8, 40), edge_fraction=(0.05, 0.6), sigma_deg=(0.0, 30.0),
+                    outlier_fraction=(0.0, 0.3), planar=False, seed=6),
+        SynthConfig(n_cameras=(30, 30), edge_fraction=(1.0, 1.0), outlier_fraction=(1.0, 1.0),
+                    seed=7),
+        synthgen.robustness_suite("sparse2.5", seed=8),
+    ], ids=["tree", "nonplanar", "complete-all-outliers", "sparse2.5"])
+    def test_arrays_are_those_the_constructor_stores(self, cfg):
+        # the generator builds its graph without the constructor's checks and
+        # copies; rebuilt through them, every stored array is the same
+        g = synthgen.generate_graph(cfg, np.random.default_rng(cfg.seed))
+        rebuilt = ViewGraph(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array(),
+                            g.edge_labels(), g.gt)
+        assert rebuilt.n_nodes == g.n_nodes
+        for a, b in zip(graph_arrays(g), graph_arrays(rebuilt)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+
     @pytest.mark.parametrize("planar", [True, False])
     def test_v2_noise_rms_matches_sigma(self, planar):
         cfg = SynthConfig(n_cameras=(120, 120), edge_fraction=(0.5, 0.5), sigma_deg=(12.0, 12.0),

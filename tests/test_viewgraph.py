@@ -542,9 +542,48 @@ CUT_TEXTS = (
 )
 
 
+READER_BODY = ("NODE 0\nNODE 1\nNODE 2\nNODE 3\n"
+               "EDGE 0 1 1 0 0 0\nEDGE 0 2 1 0 0 0\nEDGE 1 3 1 0 0 0\n")
+
+
+def reader_text(old: str, new: str) -> str:
+    """A four-node text with its line ``old`` replaced by ``new``."""
+    return "VIEWGRAPH v1\n" + READER_BODY.replace(old + "\n", new + "\n", 1)
+
+
+# lines that numpy's C line reader and Python's converters may read apart:
+# ids, endpoints, components and labels, other prefixes, and blocks whose
+# lines of one record name differ in token count.  Unguarded, the C reader
+# reads the endpoint "0\u01fe1" as 4621 and the label "1\x00" as "1".
+READER_TEXTS = {
+    **{f"node id {tok}": reader_text("NODE 1", f"NODE {tok}")
+       for tok in ("+1", "007", "-0", "1_0", "\u0663")},
+    **{f"endpoint {tok}": reader_text("EDGE 0 1 1 0 0 0", f"EDGE 0 {tok} 1 0 0 0")
+       for tok in ("+1", "007", "-0", "1_0", "\u0663", "1.0", "0\u01fe1")},
+    **{f"component {tok}": reader_text("EDGE 0 1 1 0 0 0", f"EDGE 0 1 {tok} 0 0 0")
+       for tok in ("1e400", "infinity", "nan", "0x1p0")},
+    **{f"ground truth {tok}": reader_text("NODE 1", f"NODE 1 {tok} 0 0 0")
+       for tok in ("1e400", "infinity", "nan", "0x1p0")},
+    "label 01": "VIEWGRAPH v1\nNODE 0\nNODE 1\nNODE 2\nNODE 3\n"
+                "EDGE 0 1 1 0 0 0 01\nEDGE 0 2 1 0 0 0 1\nEDGE 1 3 1 0 0 0 0\n",
+    "label 1 NUL": reader_text("EDGE 1 3 1 0 0 0", "EDGE 1 3 1 0 0 0 1\x00"),
+    "EDGES record": reader_text("EDGE 0 2 1 0 0 0", "EDGES 0 2 1 0 0 0"),
+    "tab separated": reader_text("EDGE 0 2 1 0 0 0", "EDGE\t0\t2\t1\t0\t0\t0"),
+    "leading whitespace": reader_text("EDGE 0 2 1 0 0 0", "  EDGE 0 2 1 0 0 0"),
+    "EDGE 7 then 8 tokens": reader_text("EDGE 0 2 1 0 0 0", "EDGE 0 2 1 0 0 0 1"),
+    "EDGE 8 then 7 tokens": reader_text("EDGE 0 1 1 0 0 0", "EDGE 0 1 1 0 0 0 0"),
+    "NODE 2 then 6 tokens": reader_text("NODE 1", "NODE 1 0 1 0 0"),
+    "NODE 6 then 2 tokens": reader_text("NODE 0", "NODE 0 0 0 1 0"),
+}
+
+
 class TestBlockReading:
     """``parse`` reads the text in blocks of whole lines; the whole-text
     parser it replaced (``parse_oracle``) is its reference."""
+
+    @pytest.mark.parametrize("text", READER_TEXTS.values(), ids=READER_TEXTS.keys())
+    def test_matches_oracle_on_reader_edge_tokens(self, text):
+        assert_matches_oracle(text)
 
     @settings(max_examples=150, deadline=None)
     @given(labelled_graphs(), st.data())
