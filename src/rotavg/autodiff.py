@@ -110,10 +110,14 @@ class ParamStore:
 
     def adam_step(self, grads: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0) -> None:
         """One Adam step from ``grads``, which must name every parameter and
-        no other."""
+        no other, each in its parameter's shape; a mismatch moves nothing."""
         if grads.keys() != self.params.keys():
             raise AutodiffError(f"gradients for {sorted(grads)} do not match the parameters "
                                 f"{sorted(self.params)}")
+        for name, p in self.params.items():
+            if np.shape(grads[name]) != p.shape:
+                raise AutodiffError(f"gradient {name!r} has shape {np.shape(grads[name])}, "
+                                    f"its parameter {p.shape}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1**t

@@ -26,17 +26,19 @@ and EDGE records to arrays before it reads the next.  A block's lines that
 start with ``"NODE "`` go to numpy's C line reader (``np.loadtxt``) in one
 call, and those that start with ``"EDGE "`` in another; a call is kept only
 where it reads every line as Python's converters would (ASCII without NUL,
-one token count, valid tokens).  Every other line, and every line of a
-refused call, goes through :func:`_read_records`, which splits it into
-tokens and locates the faults that need them (an unknown record, a token
-count, a bad token).  The two readers' records are merged in line order,
-and only one block's lines and tokens are alive at once: the
-``tracemalloc`` peak is 1.2 times the text, at 12 MB (cam1000) as at
-0.7 MB.  The whole-file checks then run once as masks over the concatenated
-arrays, through the same edge-structure rule (range, self-loop, repeat) as
-the constructor, and the checked arrays become the graph without a second
-check or copy; a :class:`ParseError` names the first offending line, and
-what it says does not depend on the reader that took the line.
+one token count, valid tokens).  A refused group is split by its lines'
+count of spaces (labelled from unlabelled edges, say) and each part is
+retried.  Every other line, and every line of a refused part, goes through
+:func:`_read_records`, which splits it into tokens and locates the faults
+that need them (an unknown record, a token count, a bad token).  The two
+readers' records are merged in line order, and only one block's lines and
+tokens are alive at once: the ``tracemalloc`` peak is 1.2 times the text,
+at 12 MB (cam1000) as at 0.7 MB.  The whole-file checks then run once as
+masks over the concatenated arrays, through the same edge-structure rule
+(range, self-loop, repeat) as the constructor, and the checked arrays become
+the graph without a second check or copy; a :class:`ParseError` names the
+first offending line, and what it says does not depend on the reader that
+took the line.
 :func:`serialize` formats ``SERIALIZE_ROWS`` rows per ``%`` call, so its
 peak is about the output and its row slices.
 """
@@ -404,13 +406,23 @@ def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: 
     rest: list[int] = []
     for i, line in enumerate(lines):
         taken.get(line[:5], rest).append(i)
-    for prefix, rows in taken.items():
+
+    def c_read(rows: list[int], prefix: str) -> list[int]:
+        """Read ``rows`` with the C reader if it takes them; the rows it refuses."""
         part = _c_records([lines[i] for i in rows], prefix,
                           np.array(rows, dtype=np.int64) + first) if rows else None
         if part is None:
-            rest += rows
-        else:
-            (nodes if prefix == "NODE " else edges).append(part)
+            return rows
+        (nodes if prefix == "NODE " else edges).append(part)
+        return []
+
+    for prefix, rows in taken.items():
+        refused = c_read(rows, prefix)
+        spaces = [lines[i].count(" ") for i in refused]
+        if len(set(spaces)) > 1:  # e.g. labelled and unlabelled edges: retry each token count
+            refused = [i for k in set(spaces)
+                       for i in c_read([j for j, c in zip(refused, spaces) if c == k], prefix)]
+        rest += refused
     recs, line_no = [], []
     for i in sorted(rest):
         tokens = lines[i].split()
@@ -427,8 +439,8 @@ def _in_line_order(parts: list[tuple]) -> tuple:
     """The record arrays ``parts`` (each a tuple of line numbers and
     columns) concatenated and sorted by line."""
     line_no, *cols = (np.concatenate(c) for c in zip(*parts))
-    if np.any(line_no[1:] < line_no[:-1]):  # the two readers' records interleave
-        order = np.argsort(line_no)
+    if np.any(line_no[1:] < line_no[:-1]):  # the records of several reads interleave
+        order = np.argsort(line_no, kind="stable")  # merges the reads' sorted runs
         line_no, cols = line_no[order], [c[order] for c in cols]
     return (line_no, *cols)
 
@@ -440,9 +452,11 @@ def parse(text: str) -> ViewGraph:
     characters.  A block's lines that start with ``"NODE "`` are converted
     by numpy's C line reader (``np.loadtxt``) in one call, and so are those
     that start with ``"EDGE "``, if the call reads them as Python's
-    converters would (ASCII, one token count, every token valid).  The
-    other lines (another prefix, a tab or leading whitespace) and the lines
-    of a refused call go through :func:`_read_records`, which converts the
+    converters would (ASCII, one token count, every token valid).  A
+    refused group is retried per token count: its lines are split by their
+    count of spaces and each part goes to the C reader again.  The other
+    lines (another prefix, a tab or leading whitespace) and the lines of a
+    refused part go through :func:`_read_records`, which converts the
     tokens with one ``np.array`` call per column group and notes the faults
     that need them.  Only one block's tokens and lines are alive at once.
     Both readers' records are merged in line order, and the whole-file

@@ -497,6 +497,23 @@ class TestAdam:
         assert store.step_count == 0
         assert store.params["p"].tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("shape", [(2,), (4, 2)], ids=["broadcasts", "too-many-rows"])
+    def test_misshaped_gradient_error(self, shape):
+        # a (2,) gradient would broadcast into every row of a (3, 2) parameter,
+        # and a (4, 2) one fail in numpy after the step count moved
+        store = self._store(np.ones(2))
+        store.add("w", np.arange(6.0).reshape(3, 2))
+        store.adam_step({"p": np.ones(2), "w": np.ones((3, 2))}, lr=0.1)
+        before = {name: (store.params[name].copy(), store._m[name].copy(), store._v[name].copy())
+                  for name in store.params}
+        with pytest.raises(AutodiffError, match=r"gradient 'w' has shape"):
+            store.adam_step({"p": np.ones(2), "w": np.ones(shape)}, lr=0.1)
+        assert store.step_count == 1
+        for name, (p, m, v) in before.items():
+            assert np.array_equal(store.params[name], p)
+            assert np.array_equal(store._m[name], m)
+            assert np.array_equal(store._v[name], v)
+
 
 class TestCheckpoint:
     def _example_store(self):

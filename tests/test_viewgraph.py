@@ -585,6 +585,27 @@ class TestBlockReading:
     def test_matches_oracle_on_reader_edge_tokens(self, text):
         assert_matches_oracle(text)
 
+    def test_mixed_token_counts_stay_on_the_c_reader(self, monkeypatch):
+        # labelled and unlabelled edges (8 and 7 tokens) and nodes with and
+        # without ground truth (6 and 2) share each block: the C reader takes
+        # each token count in a call of its own, and no record falls back
+        rng = np.random.default_rng(3)
+        n = 12
+        u, v = np.triu_indices(n, 1)
+        gt = so3.sample_uniform_rows(rng, n)
+        gt[::3] = np.nan
+        g = ViewGraph(n, u, v, so3.sample_uniform_rows(rng, u.size), rng.integers(-1, 2, u.size), gt)
+        fallback = []
+        read_records = viewgraph._read_records
+
+        def spy(recs, line_no, faults):
+            fallback.extend(rec[0] for rec in recs)
+            return read_records(recs, line_no, faults)
+
+        monkeypatch.setattr(viewgraph, "_read_records", spy)
+        assert_matches_oracle(viewgraph.serialize(g))
+        assert fallback == []
+
     @settings(max_examples=150, deadline=None)
     @given(labelled_graphs(), st.data())
     def test_matches_oracle_on_random_graphs(self, g, data):

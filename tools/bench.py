@@ -5,7 +5,9 @@
 It runs ``benchmark/run.py`` unchanged, as a subprocess, at ``--seed 1`` on
 each workload, with ``--trace 0`` and then ``--trace 1``, and keeps, per
 workload, the end-to-end and per-layer metrics, the ``env`` and ``host``
-lines, ``correct`` and ``failed``.
+lines, ``correct`` and ``failed``.  The workloads, and the end-to-end and
+per-layer metric names that each run must report, are those that
+``BENCHMARK.json`` declares; this file keeps no list of its own.
 
 The scale section runs each robustness-suite graph (``--scale``; sparse2.5,
 cam1000 and cam5000 by default) at seed 1 in a process of its own, so that
@@ -16,38 +18,45 @@ benchmark's own adapter: NeuRoRA with the benchmark's checkpoints, IRLS
 call's CPU seconds scaled, as the benchmark scales its own, by the host
 speed that ``benchmark/hostspeed.py`` samples before and after the call.
 Errors are ``benchmark/score.errors_deg``: median and mean, in degrees,
-over the returned nodes.
+over the returned nodes.  Every child process runs with one BLAS thread.
 
 It measures the checkout that holds it; a copy placed in a checkout of an
-earlier commit measures that commit.  It exits 1 unless every run is
-correct with no failed operation, every metric is finite, and NeuRoRA's
+earlier commit measures that commit.  It exits 1 (:func:`problems`) unless
+every declared workload ran, exited 0 and is correct with no failed
+operation in both runs, every declared end-to-end metric is a finite number
+in the untraced run and every declared per-layer metric in the traced one,
+every scale graph ran and every number it gives is finite, and NeuRoRA's
 median error on cam1000, where it runs, is under ``MAX_CAM1000_MEDIAN_DEG``.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import math
 import os
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import process_time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-from time import process_time  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
-WORKLOADS = ("dense", "sparse")
 SCALE_CONFIGS = ("sparse2.5", "cam1000", "cam5000")
 MAX_CAM1000_MEDIAN_DEG = 1.0
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def declared() -> dict[str, list[str]]:
+    """``BENCHMARK.json``'s workload names and its end-to-end and per-layer
+    metric names."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {kind: [entry["name"] for entry in spec[kind]]
+            for kind in ("workloads", "end_to_end", "per_layer")}
 
 
 def run_workload(workload: str, seconds: float, trace: int) -> dict:
@@ -55,7 +64,7 @@ def run_workload(workload: str, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=ROOT, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
     lines = {}
     for line in proc.stdout.splitlines():
         if line.startswith("{"):
@@ -67,7 +76,7 @@ def run_workload(workload: str, seconds: float, trace: int) -> dict:
         sys.stderr.write(proc.stderr)
     return {"env": lines.get("env"), "host": lines.get("host"), "correct": final["correct"],
             "failed": final["failed"],
-            "metrics": {name: m["value"] for name, m in final["metrics"].items()}}
+            "metrics": {name: m.get("value") for name, m in final["metrics"].items()}}
 
 
 def workload_record(workload: str, seconds: float) -> dict:
@@ -136,7 +145,7 @@ def scale_record(name: str) -> dict:
 def run_scale(name: str) -> dict:
     """:func:`scale_record` of ``name`` in a process of its own."""
     proc = subprocess.run([sys.executable, __file__, "--scale-one", name],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return {"error": proc.stderr.strip().splitlines()[-1:]}
@@ -152,18 +161,32 @@ def numbers(record, path=""):
         yield path, record
 
 
+def is_finite_number(value) -> bool:
+    """A finite int or float; bools are flags, not metrics."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def problems(bench: dict) -> list[str]:
     """Why ``bench`` fails the file's gate; empty if it passes."""
+    spec = declared()
     found = []
-    for workload, rec in bench["workloads"].items():
+    for workload in spec["workloads"]:
+        rec = bench["workloads"].get(workload)
+        if rec is None:
+            found.append(f"{workload}: not run")
+            continue
         if rec["correct"] is not True or rec["failed"] != [0, 0]:
             found.append(f"{workload}: correct {rec['correct']}, failed {rec['failed']}")
+        for kind in ("end_to_end", "per_layer"):  # from the untraced and the traced run
+            values = rec[kind]  # the declared names first, then any other the run gave
+            found += [f"{workload}.{kind}.{name} = {values.get(name)}"
+                      for name in dict.fromkeys([*spec[kind], *values])
+                      if not is_finite_number(values.get(name))]
     for name, rec in bench["scale"].items():
         if "error" in rec:
             found.append(f"{name}: {rec['error']}")
-    metrics = {"workloads": {w: {"end_to_end": r["end_to_end"], "per_layer": r["per_layer"]}
-                             for w, r in bench["workloads"].items()}, "scale": bench["scale"]}
-    found += [f"{path} = {value}" for path, value in numbers(metrics) if not math.isfinite(value)]
+    found += [f"scale.{path} = {value}" for path, value in numbers(bench["scale"])
+              if not math.isfinite(value)]
     median = bench["scale"].get("cam1000", {}).get("neurora", {}).get("err_median_deg", 0.0)
     if not median < MAX_CAM1000_MEDIAN_DEG:
         found.append(f"NeuRoRA's cam1000 median error {median} deg >= {MAX_CAM1000_MEDIAN_DEG}")
@@ -187,7 +210,7 @@ def main(argv=None) -> int:
 
     bench = {
         "seed": SEED, "seconds": args.seconds,
-        "workloads": {w: workload_record(w, args.seconds) for w in WORKLOADS},
+        "workloads": {w: workload_record(w, args.seconds) for w in declared()["workloads"]},
         "scale": {name: run_scale(name) for name in args.scale},
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
