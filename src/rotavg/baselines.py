@@ -171,26 +171,23 @@ def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
     return float(np.sum(so3.angle_deg(viewgraph.discrepancy(g, rows))))
 
 
-def _weiszfeld_colours(g: ViewGraph, root: int) -> np.ndarray:
-    """First-fit colour of every node, -1 at the root.
+def _weiszfeld_colours(src: np.ndarray, bounds: np.ndarray, root: int) -> np.ndarray:
+    """First-fit colour of every node, -1 at the root, from the plan's
+    by-target layout: node ``v``'s neighbours are ``src[bounds[v]:bounds[v + 1]]``.
 
     In ascending id order, each non-root node takes the smallest colour
     that none of its smaller-id non-root neighbours has: one pass, O(E) in
-    all.  No edge joins two nodes of one colour.
+    all.  When a node is reached, exactly those neighbours have a colour;
+    the root and the larger ids still read -1.  No edge joins two nodes of
+    one colour.
     """
-    n = g.n_nodes
-    u, v = g.endpoint_arrays()  # u < v
-    inner = (u != root) & (v != root)
-    upper, lower = v[inner], u[inner]
-    by_upper = np.argsort(upper, kind="stable")
-    lower = lower[by_upper]
-    starts = np.searchsorted(upper[by_upper], np.arange(n + 1))
+    n = bounds.size - 1
     colour = np.full(n, -1, dtype=np.int64)
     for node in range(n):
         if node != root:
-            below = colour[lower[starts[node]:starts[node + 1]]]
-            # the first colour count of 0; a node with k such neighbours takes one <= k
-            colour[node] = np.argmin(np.bincount(below, minlength=below.size + 1))
+            near = colour.take(src[bounds[node]:bounds[node + 1]]) + 1  # 0: not coloured
+            # the first colour count of 0; a node with k coloured neighbours takes one <= k
+            colour[node] = np.argmin(np.bincount(near, minlength=near.size + 2)[1:])
     return colour
 
 
@@ -216,7 +213,7 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     q_in = np.concatenate([q, so3.qconj(q)]).take(by_target, axis=0)
     bounds = np.searchsorted(dst.take(by_target), np.arange(n + 1))
     degree = np.diff(bounds)
-    colour = _weiszfeld_colours(g, root)
+    colour = _weiszfeld_colours(src, bounds, root)
     order = np.lexsort((degree, colour))  # by colour, then by degree
     cuts = np.searchsorted(colour[order], np.arange(colour.max() + 2))
     plan = []
@@ -423,17 +420,14 @@ def _normal_equations(u: np.ndarray, v: np.ndarray, n: int, root: int):
     the (3, E) component-major residual, 0 at the pinned ``root``.
     """
     inc_node = np.concatenate([v, u])  # +1 at each edge's v end, -1 at its u end
-    inc_edge = np.tile(np.arange(v.size), 2)
-    inc_sign = np.repeat([1.0, -1.0], v.size)
     # one bincount serves all three tangent components: row k of a (3, n)
     # array is the flat index range [k * n, (k + 1) * n)
     inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
 
     def normal_equations(w: np.ndarray, resid: np.ndarray):
-        w_inc = w[inc_edge]
-        diag = np.bincount(inc_node, w_inc, n)
-        swr = resid.take(inc_edge, axis=1)  # (3, 2E), component-major like ``inc_bins``
-        swr *= inc_sign * w_inc
+        diag = np.bincount(inc_node, np.concatenate([w, w]), n)
+        wr = resid * w
+        swr = np.concatenate([wr, -wr], axis=1)  # (3, 2E), component-major like ``inc_bins``
         # float64 even when empty (N = 1), where bincount returns int64
         rhs = np.bincount(inc_bins, swr.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
         rhs[:, root] = 0.0
@@ -546,9 +540,11 @@ def _cg_multi(apply_op, rhs, precond, max_iter: int, tol: float) -> tuple[np.nda
 
 
 def _dense_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``lap x_k = rhs_k`` for each row of ``rhs`` with one LAPACK call."""
+    """Solve ``lap x_k = rhs_k`` for each row of ``rhs`` with one LAPACK call.
+    It relies on ``lap`` being symmetric: LAPACK is given ``lap.T``, the same
+    matrix in Fortran order, so numpy copies it in without a transpose."""
     try:
-        return np.linalg.solve(lap, rhs.T).T
+        return np.linalg.solve(lap.T, rhs.T).T
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense solve failed: {exc}") from exc
 
@@ -598,9 +594,9 @@ def irls_mra(
       off-diagonals of a maximum-weight spanning tree of the current
       weights, grounded at the root, which factors exactly with no fill.
 
-    An iteration reads the residual component-major: ``discrepancy_cols``
-    on the (4, E) edge quaternions, transposed once per solve, then the log
-    body into one (3, E) array, whose columns the normal equations gather.
+    An iteration reads the residual component-major: the log body takes
+    ``viewgraph.discrepancy_parts`` of the (4, E) edge quaternions,
+    transposed once per solve, into one (3, E) array.
     Both paths report the relative residual of the last step in
     ``cg_residual``, computed once after the loop from that step's system;
     a dense step records 0 in ``cg_iterations``.  With N = 1
@@ -630,7 +626,7 @@ def irls_mra(
     for phase_iters, exponent in zip(budgets, (1.0, 1.5)):
         for _ in range(phase_iters):
             # body-frame residual, (3, E); its norm is the edge's geodesic error
-            resid = np.stack(so3.qlog_parts(viewgraph.discrepancy_cols(g, rows, quats)))
+            resid = np.stack(so3.qlog_parts(viewgraph.discrepancy_parts(g, rows, quats)))
             norms = so3.rownorm(resid.T)
             # plain least squares before any reweighting, as in standard
             # IRLS; otherwise exactly-consistent tree edges pin the init

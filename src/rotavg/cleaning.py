@@ -35,7 +35,7 @@ class CleanPrediction:
 
     rect: np.ndarray          # (E, 4) canonical rows: corrected measurements
     outlier_prob: np.ndarray  # (E,)
-    logits: np.ndarray        # (E,) raw head outputs, kept for stable BCE
+    logits: np.ndarray        # (E,) raw head outputs, read by clean_graph's coverage check and tests
 
 
 @dataclass

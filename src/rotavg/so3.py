@@ -288,7 +288,8 @@ def sample_noise_rows(
     Angles are clipped to 180 degrees and drawn first (no draw at sigma 0),
     then the axes: with ``planar`` uniform on the unit circle in the x-z
     plane (one uniform angle per row), otherwise uniform on the sphere (a
-    normalized 3-D Gaussian per row).
+    normalized 3-D Gaussian per row; one of norm at most 1e-9 has
+    probability below 1e-27, so no draw is retried).
     """
     if sigma_deg < 0.0:
         raise ValueError("sigma_deg must be non-negative")
@@ -300,10 +301,6 @@ def sample_noise_rows(
         axis = np.stack([np.sin(phi), np.zeros(m), np.cos(phi)], axis=1)
     else:
         axis = rng.normal(size=(m, 3))
-        bad = rownorm(axis) <= 1e-9
-        while np.any(bad):  # pragma: no cover - probability ~0
-            axis[bad] = rng.normal(size=(int(bad.sum()), 3))
-            bad = rownorm(axis) <= 1e-9
         axis /= rownorm(axis, keepdims=True)
     half = 0.5 * angle
     return qcanon(np.concatenate([np.cos(half)[:, None], axis * np.sin(half)[:, None]], axis=1))

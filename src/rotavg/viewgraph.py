@@ -4,7 +4,8 @@ A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
 ``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
 and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier); ground
 truth is (N, 4) canonical rows, NaN where unknown.  Every solver and network
-reads these arrays; :func:`discrepancy` is their one per-edge residual.
+reads these arrays; :func:`discrepancy` is their one per-edge residual, and
+:func:`discrepancy_parts` its four component arrays, the form IRLS reads.
 Solver orientations are (N, 4) rows too: :func:`orientation_rows` checks
 them on input, and :class:`~rotavg.so3.Orientations` hands them out.
 ``ViewGraph.edges``, the ``Orientations`` items and :class:`GraphStats` are
@@ -561,9 +562,9 @@ def _format_rows(cells: np.ndarray, full: str, short: str, is_full: np.ndarray) 
 # Edge residuals
 # ---------------------------------------------------------------------------
 
-def _discrepancy_parts(g: ViewGraph, rows: np.ndarray, quats) -> tuple[np.ndarray, ...]:
-    """Components of ``rows_v^-1 * q_uv * rows_u``, ``quats`` the components
-    of the edge quaternions; the node rows are gathered component-major."""
+def discrepancy_parts(g: ViewGraph, rows: np.ndarray, quats) -> tuple[np.ndarray, ...]:
+    """The four component arrays of :func:`discrepancy`, ``quats`` the
+    components of the edge quaternions; the node rows are gathered component-major."""
     if rows.shape != (g.n_nodes, 4):  # one comparison: IRLS calls this every iteration
         raise ViewGraphError(f"orientation rows must be ({g.n_nodes}, 4), got {rows.shape}")
     u, v = g.endpoint_arrays()
@@ -575,21 +576,14 @@ def _discrepancy_parts(g: ViewGraph, rows: np.ndarray, quats) -> tuple[np.ndarra
 def discrepancy(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
     """(E, 4) residuals ``rows_v^-1 * q_uv * rows_u`` of (N, 4) orientation rows,
     the identity where they explain an edge; a conjugate is the reverse one's.
-    FineNet's edge feature; IRLS reads the same residuals component-major
-    (:func:`discrepancy_cols`)."""
-    return so3.stack_rows(_discrepancy_parts(g, rows, so3.components(g.edge_quat_array())))
+    FineNet's edge feature; IRLS reads the same residuals as component
+    arrays (:func:`discrepancy_parts`)."""
+    return so3.stack_rows(discrepancy_parts(g, rows, so3.components(g.edge_quat_array())))
 
 
 def relative(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
     """(E, 4) relative orientations ``rows_v * rows_u^-1`` of (N, 4) rows, in edge order."""
     return so3.qcanon(so3.qmul(rows[g._v], so3.qconj(rows[g._u])))
-
-
-def discrepancy_cols(g: ViewGraph, rows: np.ndarray, quats: np.ndarray) -> np.ndarray:
-    """:func:`discrepancy` as a (4, E) component-major array, bit for bit the
-    transpose of its rows; ``quats`` is the contiguous (4, E) transpose of
-    ``g.edge_quat_array()``, which IRLS makes once per solve."""
-    return np.stack(_discrepancy_parts(g, rows, quats))
 
 
 # ---------------------------------------------------------------------------

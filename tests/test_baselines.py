@@ -839,6 +839,23 @@ def first_fit_colours(g, root):
     return colour
 
 
+def by_target(g):
+    """The plan's by-target layout ``(src, q_in, bounds)``: node ``v``'s
+    incoming sources and measurements are ``[bounds[v], bounds[v + 1])``,
+    in edge order over both directions of every edge."""
+    (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((np.tile(np.arange(u.size), 2), dst))
+    bounds = np.searchsorted(dst[order], np.arange(g.n_nodes + 1))
+    return src[order], np.concatenate([q, so3.qconj(q)])[order], bounds
+
+
+def colours_of(g, root):
+    """``_weiszfeld_colours`` read from ``g``'s by-target layout."""
+    src, _, bounds = by_target(g)
+    return baselines._weiszfeld_colours(src, bounds, root)
+
+
 def id_level_count(g, root):
     """Levels of the ascending-id sweep: ``level(v) = 1 + max level(u)`` over
     the non-root neighbours ``u < v``, or 0 without one."""
@@ -941,7 +958,7 @@ class TestWeiszfeldLevelSchedule:
     def test_colours_are_first_fit_independent_sets(self, case):
         g = case[0]
         root = viewgraph.select_root(g)
-        colour = baselines._weiszfeld_colours(g, root)
+        colour = colours_of(g, root)
         assert colour.tolist() == first_fit_colours(g, root)
         u, v = g.endpoint_arrays()
         inner = (u != root) & (v != root)
@@ -959,13 +976,18 @@ class TestWeiszfeldLevelSchedule:
         batch_colour = [colour[members] for members, *_ in plan]
         assert all(np.all(c == c[0]) for c in batch_colour)
         assert np.all(np.diff([c[0] for c in batch_colour]) >= 0)
+        # the same graph with its edges in reverse order, each given v -> u,
+        # rooted at every node: still the first-fit colours
+        flipped = ViewGraph(g.n_nodes, v[::-1], u[::-1], so3.qconj(g.edge_quat_array())[::-1])
+        for other in range(g.n_nodes):
+            assert colours_of(flipped, other).tolist() == first_fit_colours(flipped, other)
 
     def test_colours_cut_to_the_medoid_budget_match_sweep(self, monkeypatch):
         monkeypatch.setattr(baselines, "MEDOID_CELLS", 200)
         g = make_graph(seed=8, n=30, sigma=10.0, outliers=0.1)
         root = viewgraph.select_root(g)
         plan = baselines._weiszfeld_plan(g, root)
-        assert len(plan) > baselines._weiszfeld_colours(g, root).max() + 1
+        assert len(plan) > colours_of(g, root).max() + 1
         assert all(len(nodes) == 1 or valid.size * valid.shape[1] <= 200
                    for nodes, _, _, valid in plan)
         rng = np.random.default_rng(8)
@@ -978,12 +1000,12 @@ class TestWeiszfeldLevelSchedule:
     def test_colour_counts_of_path_and_star(self):
         q = np.tile([1.0, 0.0, 0.0, 0.0], (7, 1))
         path = ViewGraph(8, np.arange(7), np.arange(1, 8), q)
-        assert np.array_equal(baselines._weiszfeld_colours(path, 0), [-1, 0, 1, 0, 1, 0, 1, 0])
+        assert np.array_equal(colours_of(path, 0), [-1, 0, 1, 0, 1, 0, 1, 0])
         # two batches, where the ascending-id order takes N - 1 = 7 levels
         assert len(baselines._weiszfeld_plan(path, 0)) == 2
         star = ViewGraph(8, np.full(7, 3), np.delete(np.arange(8), 3), q)
         assert viewgraph.select_root(star) == 3
-        assert np.array_equal(baselines._weiszfeld_colours(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
+        assert np.array_equal(colours_of(star, 3), [0, 0, 0, -1, 0, 0, 0, 0])
 
     def test_degree_two_medoid_is_the_first_candidate(self, monkeypatch):
         # a triangle rooted at 0: node 1 sees edge (0, 1) before edge (1, 2)
@@ -1149,11 +1171,7 @@ class TestWeiszfeldPlan:
     def test_gathers_match_fancy_indexing(self, case):
         # the plan gathers with ``take``; fancy indexing gives the same bits
         g = case[0]
-        (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
-        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-        by_target = np.lexsort((np.tile(np.arange(u.size), 2), dst))
-        src, q_in = src[by_target], np.concatenate([q, so3.qconj(q)])[by_target]
-        bounds = np.searchsorted(dst[by_target], np.arange(g.n_nodes + 1))
+        src, q_in, bounds = by_target(g)
         for nodes, b_src, b_q, valid in baselines._weiszfeld_plan(g, viewgraph.select_root(g)):
             idx = bounds[nodes, None] + np.where(valid, np.arange(valid.shape[1]), 0)
             for got, want in ((b_src, src[idx]), (b_q, q_in[idx])):

@@ -780,9 +780,9 @@ class TestDiscrepancy:
         rows = so3.sample_uniform_rows(np.random.default_rng(seed + 20), g.n_nodes)
         d = viewgraph.discrepancy(g, rows)
         quats = np.ascontiguousarray(g.edge_quat_array().T)
-        cols = viewgraph.discrepancy_cols(g, rows, quats)
+        cols = np.stack(viewgraph.discrepancy_parts(g, rows, quats))
         assert d.shape == (g.n_edges, 4) and cols.shape == (4, g.n_edges)
-        assert cols.tobytes() == np.ascontiguousarray(d.T).tobytes()
+        assert cols.tobytes() == d.T.tobytes()
         u, v = g.endpoint_arrays()
         frozen = so3_oracle.qmul(so3.qconj(rows)[v], so3_oracle.qmul(g.edge_quat_array(), rows[u]))
         assert d.tobytes() == frozen.tobytes()
