@@ -1,32 +1,19 @@
-"""Classical robust rotation-averaging solvers.
-
-Two baselines operating on the same view-graph inputs as the networks:
+"""Classical robust rotation-averaging solvers: the graph schedules of two
+baselines operating on the same view-graph inputs as the networks.
 
 * ``weiszfeld_mra`` -- Gauss-Seidel sweeps where each camera is replaced by
-  the tangent-space L1 median of the candidates proposed by its neighbors.
-  A sweep runs colour by colour: a first-fit colouring in id order splits
-  the nodes into classes of mutually non-adjacent nodes, and each class
-  takes one batched median, exactly the sequential sweep in (colour, id)
-  order.  The plan keeps each batch's incoming measurements, so a batch's
-  candidates are one row gather, one matmul to left-multiplication matrices
-  and one stacked product, and each median step works in half-angles with
-  one matmul per quaternion product and per sum.  A median starts at its
-  medoid, one of the candidates, and its steps are Vardi-Zhang steps: a
-  candidate that coincides with the iterate leaves the tangent mean, so the
-  first of the ``WEISZFELD_MEDIAN_ITERS`` steps leaves the medoid at full
-  length.
+  the L1 median (``so3.l1_medians``) of the candidates proposed by its
+  neighbors.  A sweep runs colour by colour: a first-fit colouring in id
+  order splits the nodes into classes of mutually non-adjacent nodes, and
+  each class takes one batched median, exactly the sequential sweep in
+  (colour, id) order.  The plan keeps each batch's incoming measurements,
+  so a batch's candidates are one row gather, one matmul to
+  left-multiplication matrices and one stacked product.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
-  solve of the weighted graph Laplacian on the graph's own node ids, with
-  the root's row pinned.  An iteration works on component-major arrays:
-  the (4, E) edge quaternions, transposed once per solve, and the (3, E)
-  residual.  While ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E`` the step is one
-  dense LAPACK solve of the whole matrix, its cells scattered in edge
-  order; above it, a CG solve with the off-diagonal entries sorted by row
-  once per solve so that an apply is one gather and one
-  ``np.add.reduceat``, preconditioned by the exact inverse of its diagonal
-  plus a maximum-weight spanning tree.  The relative residual of the
-  linear solve is checked once per solve, on the last step's system.
+  solve of the weighted graph Laplacian with the root's row pinned: one
+  dense LAPACK solve while ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``, above it
+  CG preconditioned by a maximum-weight spanning tree.
 
 Both pin the gauge at the root camera, which they never update, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view of rows (its
@@ -43,14 +30,10 @@ from numpy.typing import ArrayLike
 from . import so3, viewgraph
 from .viewgraph import ViewGraph, ViewGraphError
 
-# radians; the coincidence radius of a Weiszfeld median step, not a weight
-# cap: a candidate closer than this to the iterate leaves the step (Vardi-Zhang)
-WEISZFELD_FLOOR = 1e-6
 WEISZFELD_MEDIAN_ITERS = 4  # Vardi-Zhang steps of each median, after its medoid
 IRLS_DELTA = 1e-5        # residual floor in the IRLS weights
 IRLS_STEP_TOL = 1e-3     # radians; stop when the largest update is below
 CG_TOL = 1e-12           # relative residual target of the inner CG solve
-MEDOID_CELLS = 1 << 21   # padded distances of one batched Weiszfeld medoid (16 MB)
 # IRLS takes a dense solve when (N - 1)**3 <= DENSE_SOLVE_RATIO * E: the LU's
 # cubic cost against CG's per-edge work over its iterations, cut between the
 # measured sides (dense faster at ratio 2.0e4, CG at 2.4e4; see ``irls_mra``).
@@ -65,99 +48,8 @@ class SolverError(RuntimeError):
 # Weiszfeld
 # ---------------------------------------------------------------------------
 
-# Quaternion products as matrices, from ``so3.qmul`` of the basis rows:
-# ``(q @ _LEFT).reshape(4, 4)`` is the L with ``L @ r = q * r``, and
-# ``(m @ _RIGHT_T).reshape(4, 4)`` is R^T for the R with ``R @ e = e * m``;
-# R^T is also the matrix of right multiplication by conj(m).
+# ``(q @ _LEFT).reshape(4, 4)`` is the L with ``L @ r = q * r`` (``so3.qmul`` of the basis rows)
 _LEFT = so3.qmul(np.eye(4)[:, None], np.eye(4)).transpose(0, 2, 1).reshape(4, 16)
-_RIGHT_T = so3.qmul(np.eye(4), np.eye(4)[:, None]).reshape(4, 16)
-_VEC = np.array([0.0, 1.0, 1.0, 1.0])  # ``x @ _VEC`` sums the vector part
-
-
-def _weiszfeld_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
-    """Tangent-space L1 medians of padded candidate sets, one per node.
-
-    ``cands`` is (n, D, 4) unit rows and ``valid`` (n, D) marks the real
-    ones.  Each median starts at its medoid and takes ``iters`` Weiszfeld
-    steps; a node whose step falls below 1e-12 stays where it is.  The
-    medoid minimises the summed distance to and from the other candidates,
-    ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
-    ``d`` cannot break a tie, and an exact tie goes to the first candidate.
-
-    A step is the Vardi-Zhang modification of Weiszfeld's (Vardi and Zhang,
-    PNAS 2000).  The ``eta`` valid candidates within ``WEISZFELD_FLOOR`` of
-    the iterate coincide with it and leave the weighted tangent mean; the
-    other candidates' step is scaled by ``max(0, 1 - eta / r)``, where ``r``
-    is the length of the sum of their unit tangent directions.  At ``r <=
-    eta`` the iterate is already the L1 median and the step is exactly 0
-    (also when every candidate coincides and no weight is left), so the
-    freeze rule keeps the row bit for bit.  Without a coincident candidate
-    it is Weiszfeld's step.  Only a step with a coincident candidate, in
-    practice the first, pays for the masks.
-
-    A colour class holds about 4 nodes of about 100 candidates on the
-    benchmark's dense graphs and about 20 of about 25 on its sparse ones,
-    where a numpy call costs more than its arithmetic, so a step is written
-    in few whole-batch calls.  One matmul against
-    ``_RIGHT_T`` gives the matrix of ``m`` that takes each candidate column
-    to ``candidate * conj(m)`` and the row ``e`` to ``e * m``; the squared
-    vector norms and the weighted tangent sum are one matmul each.  The
-    step works in half-angles, the angles of the quaternions themselves: the
-    log map's factor 2 cancels in the normalised weights, so ``s`` is half
-    the tangent step and ``exp`` reads ``cos |s|`` and ``sin |s|`` directly.
-    The freeze rule's masks are paid for only once some node has stopped.
-    """
-    n, d = valid.shape
-    cols = cands.transpose(0, 2, 1).copy()  # (n, 4, D)
-    dist = cands @ cols
-    np.abs(dist, out=dist)
-    np.minimum(dist, 1.0, out=dist)
-    dist[:, np.arange(d), np.arange(d)] = 1.0
-    np.arccos(dist, out=dist)
-    w = valid.astype(np.float64)
-    sums = (dist @ w[:, :, None])[:, :, 0] + (w[:, None, :] @ dist)[:, 0]
-    m = cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
-    frozen = np.zeros(n, dtype=bool)
-    stopped = False  # whether ``frozen`` has a node yet
-    for _ in range(iters):
-        mat = (m @ _RIGHT_T).reshape(n, 4, 4)
-        rel = mat @ cols  # candidates * conj(m), as (n, 4, D) columns
-        cw = rel[:, 0]
-        nv = np.sqrt(_VEC @ (rel * rel))
-        half = np.arctan2(nv, np.abs(cw))
-        # log-map direction, sign-corrected so the angle stays in [0, pi]
-        coef = np.zeros((n, d))
-        np.divide(np.copysign(half, cw), nv, out=coef, where=nv > 1e-12)
-        near = half < 0.5 * WEISZFELD_FLOOR
-        near &= valid
-        coincide = near.any()  # Vardi-Zhang: coincident candidates leave the mean
-        kept = np.where(near, 0.0, w) if coincide else w
-        weights = kept / np.maximum(half, 0.5 * WEISZFELD_FLOOR)  # the floor keeps padding finite
-        coef *= weights
-        s = (rel @ coef[:, :, None])[:, :, 0]  # s[:, 1:] sums the unit directions
-        if coincide:
-            r = np.sqrt((s * s) @ _VEC)
-            eta = np.add.reduce(near, 1)
-            # (1 - eta / r) / sum(weights) where r > eta, else an exact 0
-            scale = np.zeros(n)
-            np.divide(r - eta, r * np.add.reduce(weights, 1), out=scale, where=r > eta)
-            s *= scale[:, None]
-        else:
-            s /= np.add.reduce(weights, 1)[:, None]
-        # s[:, 1:] is now half the step
-        step = np.sqrt((s * s) @ _VEC)
-        if stopped or np.minimum.reduce(step) < 0.5e-12:  # a full step below 1e-12
-            frozen |= step < 0.5e-12
-            stopped = True
-            step[frozen] = 1.0  # any non-zero: their old rows are put back
-        e = s * (np.sin(step) / step)[:, None]  # exp of the full step
-        e[:, 0] = np.cos(step)
-        new = (e[:, None, :] @ mat)[:, 0]  # exp(s) * m
-        new /= np.sqrt(np.einsum("ni,ni->n", new, new))[:, None]
-        if stopped:
-            new[frozen] = m[frozen]
-        m = new
-    return m
 
 
 @dataclass
@@ -176,19 +68,19 @@ def _weiszfeld_colours(src: np.ndarray, bounds: np.ndarray, root: int) -> np.nda
     by-target layout: node ``v``'s neighbours are ``src[bounds[v]:bounds[v + 1]]``.
 
     In ascending id order, each non-root node takes the smallest colour
-    that none of its smaller-id non-root neighbours has: one pass, O(E) in
-    all.  When a node is reached, exactly those neighbours have a colour;
-    the root and the larger ids still read -1.  No edge joins two nodes of
-    one colour.
+    missing from the set of its neighbours' colours, of which only its
+    smaller-id non-root ones are not yet -1: one pass over Python lists.
     """
-    n = bounds.size - 1
-    colour = np.full(n, -1, dtype=np.int64)
-    for node in range(n):
+    near, bounds = src.tolist(), bounds.tolist()
+    colour = [-1] * (len(bounds) - 1)
+    for node in range(len(colour)):
         if node != root:
-            near = colour.take(src[bounds[node]:bounds[node + 1]]) + 1  # 0: not coloured
-            # the first colour count of 0; a node with k coloured neighbours takes one <= k
-            colour[node] = np.argmin(np.bincount(near, minlength=near.size + 2)[1:])
-    return colour
+            taken = {colour[m] for m in near[bounds[node]:bounds[node + 1]]}
+            first = 0
+            while first in taken:
+                first += 1
+            colour[node] = first
+    return np.array(colour, dtype=np.int64)
 
 
 def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
@@ -199,11 +91,9 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, in edge
     order, over both directions of every edge (``q_in`` the measurement or
     its conjugate); ``q_in`` is (n, D, 4) and ``_candidates`` turns it into
-    left-multiplication matrices when the sweep reads the batch.  Padding
-    repeats the first candidate and is masked by ``valid``.  A colour is one
-    batch unless its padded (n, D, D) medoid distances would pass
-    ``MEDOID_CELLS``; then its nodes, by ascending degree, are cut into runs
-    that fit, or single nodes.
+    left-multiplication matrices when the sweep reads the batch.
+    ``so3.padded_runs`` cuts each colour's nodes, by ascending degree, into
+    batches padded by repeats of the first candidate, masked by ``valid``.
     """
     n = g.n_nodes
     (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
@@ -218,16 +108,9 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     cuts = np.searchsorted(colour[order], np.arange(colour.max() + 2))
     plan = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        while lo < hi:
-            end = lo + 1
-            while end < hi and (end + 1 - lo) * degree[order[end]] ** 2 <= MEDOID_CELLS:
-                end += 1
-            nodes = order[lo:end]
-            col = np.arange(degree[nodes[-1]])
-            valid = col < degree[nodes, None]
-            idx = bounds[nodes, None] + np.where(valid, col, 0)
-            plan.append((nodes, src.take(idx), q_in.take(idx, axis=0), valid))
-            lo = end
+        nodes = order[lo:hi]
+        for run, idx, valid in so3.padded_runs(bounds[nodes], degree[nodes]):
+            plan.append((nodes[run], src.take(idx), q_in.take(idx, axis=0), valid))
     return plan
 
 
@@ -258,18 +141,16 @@ def weiszfeld_mra(
 ) -> WeiszfeldResult:
     """L1 averaging sweeps; one sweep updates every non-root node once, in
     place (Gauss-Seidel), in multicolour order: by first-fit colour, then by
-    id.
+    id (``_weiszfeld_colours``).
 
-    Each non-root node, in ascending id order, takes the smallest colour
-    none of its smaller-id non-root neighbours has.  A colour class is an
-    independent set, so updating a whole class at once reads exactly the
-    rows the sequential sweep in (colour, id) order reads: the rows of
-    lower colours from this sweep, of higher colours from the last.  Each
-    class takes one batched median (more only past ``MEDOID_CELLS``).  The
-    node order is that of a multicolour SOR sweep; the averaging step
-    itself is the L1 median of each node's candidates: its medoid, then
-    ``WEISZFELD_MEDIAN_ITERS`` Weiszfeld steps in the Vardi-Zhang form,
-    which leave the medoid at full length (``_weiszfeld_medians``).
+    A colour class is an independent set, so updating a whole class at
+    once reads exactly the rows the sequential sweep in (colour, id) order
+    reads: the rows of lower colours from this sweep, of higher colours
+    from the last.  Each class takes one batched median (more only past
+    ``so3.padded_runs``' budget).  The node order is that of a multicolour
+    SOR sweep; the averaging step itself is ``so3.l1_medians`` of each
+    node's candidates: its medoid, then ``WEISZFELD_MEDIAN_ITERS`` Weiszfeld
+    steps in the Vardi-Zhang form, which leave the medoid at full length.
     """
     sweeps = _budget("sweeps", sweeps)
     if not viewgraph.is_connected(g):
@@ -280,7 +161,7 @@ def weiszfeld_mra(
     for _ in range(sweeps):
         for nodes, src, q_in, valid in plan:
             cands = _candidates(q_in, rows.take(src, axis=0))
-            rows[nodes] = _weiszfeld_medians(cands, valid, WEISZFELD_MEDIAN_ITERS)
+            rows[nodes] = so3.l1_medians(cands, valid, WEISZFELD_MEDIAN_ITERS)
         trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 

@@ -33,6 +33,9 @@ rows it is bit-equal to ``np.linalg.norm(x, axis=-1)`` and a few times
 faster.  :func:`angle_deg`, the rotation angle of rows in degrees, is its
 one angle kernel: CleanNet's outlier labels and the L1 objective read it,
 and no other module calls ``np.degrees`` (a test keeps it so).
+
+:func:`l1_medians` is its one L1 rotation median (Hartley, Aftab and Trumpf,
+CVPR 2011), batched over padded candidate sets that :func:`padded_runs` cuts.
 """
 
 from __future__ import annotations
@@ -233,6 +236,125 @@ def qexp(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# L1 medians
+# ---------------------------------------------------------------------------
+
+# radians; the coincidence radius of an L1 median step, not a weight cap: a
+# candidate closer than this to the iterate leaves the step (Vardi-Zhang)
+WEISZFELD_FLOOR = 1e-6
+MEDOID_CELLS = 1 << 21   # padded distances of one batched medoid (16 MB)
+
+# ``(m @ _RIGHT_T).reshape(4, 4)``, from ``qmul`` of the basis rows, is R^T for
+# the R with ``R @ e = e * m``: right multiplication by conj(m).
+_RIGHT_T = qmul(np.eye(4), np.eye(4)[:, None]).reshape(4, 16)
+_VEC = np.array([0.0, 1.0, 1.0, 1.0])  # ``x @ _VEC`` sums the vector part
+
+
+def padded_runs(starts: np.ndarray, counts: np.ndarray) -> list[tuple]:
+    """Batches ``(sets, idx, valid)`` of :func:`l1_medians` over candidate
+    sets of ascending, positive ``counts``, set ``i`` at the flat positions
+    ``starts[i] + range(counts[i])``: a slice of the sets, their (n, D)
+    positions padded by repeats of each set's first, and the mask of the real
+    ones.  A batch takes sets while its (n, D, D) medoid distances fit in
+    ``MEDOID_CELLS``, and at least one."""
+    runs, lo = [], 0
+    while lo < counts.size:
+        end = lo + 1
+        while end < counts.size and (end + 1 - lo) * counts[end] ** 2 <= MEDOID_CELLS:
+            end += 1
+        col = np.arange(counts[end - 1])
+        valid = col < counts[lo:end, None]
+        runs.append((slice(lo, end), starts[lo:end, None] + np.where(valid, col, 0), valid))
+        lo = end
+    return runs
+
+
+def l1_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
+    """Tangent-space L1 medians of padded candidate sets, one per set.
+
+    ``cands`` is (n, D, 4) unit rows and ``valid`` (n, D) marks the real
+    ones.  Each median starts at its medoid and takes ``iters`` Weiszfeld
+    steps; a set whose step falls below 1e-12 stays where it is.  The
+    medoid minimises the summed distance to and from the other candidates,
+    ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
+    ``d`` cannot break a tie, and an exact tie goes to the first candidate.
+
+    A step is the Vardi-Zhang modification of Weiszfeld's (Vardi and Zhang,
+    PNAS 2000).  The ``eta`` valid candidates within ``WEISZFELD_FLOOR`` of
+    the iterate coincide with it and leave the weighted tangent mean; the
+    other candidates' step is scaled by ``max(0, 1 - eta / r)``, where ``r``
+    is the length of the sum of their unit tangent directions.  At ``r <=
+    eta`` the iterate is already the L1 median and the step is exactly 0
+    (also when every candidate coincides and no weight is left), so the
+    freeze rule keeps the row bit for bit.  Without a coincident candidate
+    it is Weiszfeld's step.  Only a step with a coincident candidate, in
+    practice the first, pays for the masks, and only a step after some set
+    has stopped pays for the freeze rule's.
+
+    Weiszfeld's batches hold about 4 sets of about 100 candidates on the
+    benchmark's dense graphs and about 20 of about 25 on its sparse ones, so
+    a step is few whole-batch calls.  One matmul against ``_RIGHT_T`` gives
+    the matrix of ``m`` that takes each candidate column to ``candidate *
+    conj(m)`` and the row ``e`` to ``e * m``; the squared vector norms and
+    the weighted tangent sum are one matmul each.  The step works in
+    half-angles: the log map's factor 2 cancels in the normalised weights,
+    so ``s`` is half the tangent step and ``exp`` reads ``cos |s|`` and
+    ``sin |s|`` directly.
+    """
+    n, d = valid.shape
+    cols = cands.transpose(0, 2, 1).copy()  # (n, 4, D)
+    dist = cands @ cols
+    np.abs(dist, out=dist)
+    np.minimum(dist, 1.0, out=dist)
+    dist[:, np.arange(d), np.arange(d)] = 1.0
+    np.arccos(dist, out=dist)
+    w = valid.astype(np.float64)
+    sums = (dist @ w[:, :, None])[:, :, 0] + (w[:, None, :] @ dist)[:, 0]
+    m = cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
+    frozen = np.zeros(n, dtype=bool)
+    stopped = False  # whether ``frozen`` has a set yet
+    for _ in range(iters):
+        mat = (m @ _RIGHT_T).reshape(n, 4, 4)
+        rel = mat @ cols  # candidates * conj(m), as (n, 4, D) columns
+        cw = rel[:, 0]
+        nv = np.sqrt(_VEC @ (rel * rel))
+        half = np.arctan2(nv, np.abs(cw))
+        # log-map direction, sign-corrected so the angle stays in [0, pi]
+        coef = np.zeros((n, d))
+        np.divide(np.copysign(half, cw), nv, out=coef, where=nv > 1e-12)
+        near = half < 0.5 * WEISZFELD_FLOOR
+        near &= valid
+        coincide = near.any()  # Vardi-Zhang: coincident candidates leave the mean
+        kept = np.where(near, 0.0, w) if coincide else w
+        weights = kept / np.maximum(half, 0.5 * WEISZFELD_FLOOR)  # the floor keeps padding finite
+        coef *= weights
+        s = (rel @ coef[:, :, None])[:, :, 0]  # s[:, 1:] sums the unit directions
+        if coincide:
+            r = np.sqrt((s * s) @ _VEC)
+            eta = np.add.reduce(near, 1)
+            # (1 - eta / r) / sum(weights) where r > eta, else an exact 0
+            scale = np.zeros(n)
+            np.divide(r - eta, r * np.add.reduce(weights, 1), out=scale, where=r > eta)
+            s *= scale[:, None]
+        else:
+            s /= np.add.reduce(weights, 1)[:, None]
+        # s[:, 1:] is now half the step
+        step = np.sqrt((s * s) @ _VEC)
+        if stopped or np.minimum.reduce(step) < 0.5e-12:  # a full step below 1e-12
+            frozen |= step < 0.5e-12
+            stopped = True
+            step[frozen] = 1.0  # any non-zero: their old rows are put back
+        e = s * (np.sin(step) / step)[:, None]  # exp of the full step
+        e[:, 0] = np.cos(step)
+        new = (e[:, None, :] @ mat)[:, 0]  # exp(s) * m
+        new /= np.sqrt(np.einsum("ni,ni->n", new, new))[:, None]
+        if stopped:
+            new[frozen] = m[frozen]
+        m = new
+    return m
+
+
+# ---------------------------------------------------------------------------
 # The solvers' output view
 # ---------------------------------------------------------------------------
 
@@ -271,13 +393,10 @@ class Orientations(Sequence):
 # ---------------------------------------------------------------------------
 
 def sample_uniform_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Array of ``n`` Haar-uniform unit quaternion rows."""
-    g = rng.normal(size=(n, 4))
-    bad = rownorm(g) <= 1e-9
-    while np.any(bad):  # pragma: no cover - probability ~0
-        g[bad] = rng.normal(size=(int(bad.sum()), 4))
-        bad = rownorm(g) <= 1e-9
-    return qcanon(g)
+    """Array of ``n`` Haar-uniform unit quaternion rows: normalized 4-D
+    Gaussians (one of norm at most 1e-9 has probability below 1e-36, so no
+    draw is retried)."""
+    return qcanon(rng.normal(size=(n, 4)))
 
 
 def sample_noise_rows(

@@ -13,7 +13,8 @@ cascade, the reference for the package's ``qcanon`` bit for bit.
 as they stood before ``so3.rownorm`` and ``qlog``'s fast path: every norm
 through ``np.linalg.norm``, every log through ``qcanon``'s copy.  ``qmul``
 is the row product as it stood before ``so3.qmul_parts``: one expression
-per component over strided columns, stacked.
+per component over strided columns, stacked.  :func:`l1_median` is one set's
+L1 median, scalar step by step: the reference for ``so3.l1_medians``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, ZERO_SIGN_TOL, qconj
+from rotavg.so3 import NORM_SKIP_TOL, SMALL_ANGLE, WEISZFELD_FLOOR, ZERO_SIGN_TOL, qconj
 from rotavg.viewgraph import ViewGraph
 
 MATRIX_TOL = 1e-8         # orthogonality/determinant invariant of outputs
@@ -367,3 +368,85 @@ def sample_noise(sigma_deg: float, vertical_axis: bool, rng: np.random.Generator
                 axis = axis / n
                 break
     return from_axis_angle(axis, angle)
+
+
+# ---------------------------------------------------------------------------
+# The L1 median of one candidate set
+# ---------------------------------------------------------------------------
+
+ROW_TOL = 1e-10  # max difference of a batched median row from the oracle's
+TIE_GAP = 1e-6   # relative medoid score gap of a near tie
+ARCCOS_ROUNDING = math.sqrt(2.0 * np.finfo(float).eps)  # arccos error of a dot product near 1
+
+
+def l1_median(cands, iters):
+    """One set's tangent-space Weiszfeld median in the Vardi-Zhang form,
+    scalar step by step, and its medoid's margin.  The medoid start minimises ``sum_j d_ij + d_ji``
+    with ``d_ii = 0``.  The margin is the gap to the best score of a
+    candidate more than ``ROW_TOL`` away from it (either sign), over the
+    tie tolerance: ``TIE_GAP`` of the medoid's score plus the rounding of the
+    score's 2(k - 1) arccos terms.  At a margin of 1 or less, two computations
+    of the scores may pick different medoids.  Two candidates score alike by
+    symmetry, and every computation takes the first: their margin is inf."""
+    aw, ax, ay, az = cands[:, 0], cands[:, 1], cands[:, 2], cands[:, 3]
+    dist = np.arccos(np.minimum(np.abs(cands @ cands.T), 1.0))
+    np.fill_diagonal(dist, 0.0)
+    score = dist.sum(axis=1) + dist.sum(axis=0)
+    m = cands[int(np.argmin(score))].copy()
+    other = np.minimum(np.abs(cands - m), np.abs(cands + m)).max(axis=1) > ROW_TOL
+    margin = math.inf
+    if len(cands) > 2 and other.any():
+        tol = TIE_GAP * score.min() + 2 * (len(cands) - 1) * ARCCOS_ROUNDING
+        margin = (score[other].min() - score.min()) / tol
+    for _ in range(iters):
+        w, x, y, z = m
+        # rel = cands * conj(m)
+        cw = aw * w + ax * x + ay * y + az * z
+        cx = -aw * x + ax * w - ay * z + az * y
+        cy = -aw * y + ax * z + ay * w - az * x
+        cz = -aw * z - ax * y + ay * x + az * w
+        nv = np.sqrt(cx * cx + cy * cy + cz * cz)
+        ang = 2.0 * np.arctan2(nv, np.abs(cw))
+        scale = np.where(nv > 1e-12, np.copysign(ang, cw) / np.maximum(nv, 1e-300), 0.0)
+        # Vardi-Zhang: the candidates within the floor of m leave the mean,
+        # and the others' step shrinks by max(0, 1 - eta / r)
+        near = ang < WEISZFELD_FLOOR
+        weights = np.where(near, 0.0, 1.0 / np.maximum(ang, WEISZFELD_FLOOR))
+        coef = weights * scale  # unit tangent directions, weighted 1
+        rx, ry, rz = float(coef @ cx), float(coef @ cy), float(coef @ cz)
+        r, eta = math.sqrt(rx * rx + ry * ry + rz * rz), int(near.sum())
+        shrink = (1.0 - eta / r) / float(weights.sum()) if r > eta else 0.0
+        sx, sy, sz = rx * shrink, ry * shrink, rz * shrink
+        step = math.sqrt(sx * sx + sy * sy + sz * sz)
+        if step < 1e-12:
+            break
+        half = 0.5 * step
+        s = math.sin(half) / step
+        ew, ex, ey, ez = math.cos(half), sx * s, sy * s, sz * s
+        # m = exp(step) * m
+        m = np.array([
+            ew * w - ex * x - ey * y - ez * z,
+            ew * x + ex * w + ey * z - ez * y,
+            ew * y - ex * z + ey * w + ez * x,
+            ew * z + ex * y - ey * x + ez * w,
+        ])
+        m /= math.sqrt(float(m @ m))
+    return m, margin
+
+
+def padded_candidates(rng: np.random.Generator, degrees, repeats) -> tuple[np.ndarray, np.ndarray]:
+    """``(cands, valid)``, a padded batch of candidate sets of the given
+    sizes: each scattered 0.01-1.2 rad about its own random centre, up to a
+    third of it uniform outliers and about a share ``repeats[i]`` of it
+    repeats of its first candidate, padded by repeats of its first."""
+    d = max(degrees)
+    cands = np.empty((len(degrees), d, 4))
+    valid = np.arange(d) < np.array(degrees)[:, None]
+    for i, (k, share) in enumerate(zip(degrees, repeats)):
+        center = sample_uniform(rng).as_array()
+        real = qmul(qexp(rng.normal(scale=rng.uniform(0.01, 1.2), size=(k, 3))), center)
+        for j in range(rng.integers(0, k // 3 + 1)):  # outliers
+            real[j] = sample_uniform(rng).as_array()
+        real[rng.random(k) < share] = real[0]
+        cands[i] = np.concatenate([qcanon(real), np.repeat(qcanon(real[:1]), d - k, axis=0)])
+    return cands, valid

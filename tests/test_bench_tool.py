@@ -3,7 +3,8 @@
 :func:`problems` must refuse every fault a run can show: a run that exited
 non-zero or is not correct, a failed operation, a declared end-to-end or
 per-layer metric that is missing, ``None`` or not finite, a scale graph that
-did not run, and NeuRoRA's cam1000 median error at or above 1 degree.
+did not run, a scale solve whose repeated calls left different (or missing)
+fingerprints, and NeuRoRA's cam1000 median error at or above 1 degree.
 :func:`main` must run every workload that ``BENCHMARK.json`` declares.  The
 tool is loaded from its path with the environment restored after its import,
 and no test starts a process.
@@ -18,6 +19,7 @@ import os
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,10 +62,12 @@ def scale_record() -> dict:
     """What ``run_scale`` gives for a good cam1000 run."""
     return {
         "n_nodes": 1000, "n_edges": 124875, "generate_s": 3.0, "serialize_s": 0.3, "parse_s": 0.2,
-        "neurora": {"s": 0.4, "err_median_deg": 0.494, "err_mean_deg": 0.6},
+        "neurora": {"s": 0.4, "err_median_deg": 0.494, "err_mean_deg": 0.6,
+                    "fingerprints": ["0123456789abcdef"] * 3},
         "irls": {"s": 2.0, "err_median_deg": 0.5, "err_mean_deg": 0.6, "iterations": 25,
-                 "converged": True, "cg_iterations": 400},
-        "weiszfeld_sweep": {"s": 1.0, "err_median_deg": 2.0, "err_mean_deg": 3.0},
+                 "converged": True, "cg_iterations": 400, "fingerprints": ["a" * 16] * 3},
+        "weiszfeld_sweep": {"s": 1.0, "err_median_deg": 2.0, "err_mean_deg": 3.0,
+                            "fingerprints": ["b" * 16] * 3},
         "peak_rss_mb": 400.0, "host": {"kernel_median_s": 0.01, "scale": 1.0},
     }
 
@@ -119,6 +123,11 @@ FAULTS = {
     "a scale error": lambda r: r["scale"].update(cam1000={"error": ["MemoryError"]}),
     "a scale NaN": lambda r: r["scale"]["cam1000"]["irls"].update(err_mean_deg=float("nan")),
     "cam1000 median 1.0": lambda r: r["scale"]["cam1000"]["neurora"].update(err_median_deg=1.0),
+    "repeats disagree": lambda r: r["scale"]["cam1000"]["irls"].update(
+        fingerprints=["a" * 16, "a" * 16, "c" * 16]),
+    "a repeat missing": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"].update(
+        fingerprints=["b" * 16] * 2),
+    "no fingerprints": lambda r: r["scale"]["cam1000"]["neurora"].pop("fingerprints"),
 }
 
 
@@ -181,3 +190,48 @@ def test_main_runs_every_declared_workload(bench, monkeypatch, tmp_path):
     written = json.loads(out.read_text(encoding="utf-8"))
     assert list(written["workloads"]) == WORKLOADS
     assert bench.problems(written) == []
+
+
+def test_fingerprint_reads_dtype_shape_and_bits(bench):
+    rows = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    first = bench.fingerprint(rows, 25, [1.5, 2.5])
+    assert len(first) == 16 and int(first, 16) >= 0
+    assert bench.fingerprint(rows.copy(), 25, np.array([1.5, 2.5])) == first
+    assert bench.fingerprint(np.asfortranarray(rows), 25, [1.5, 2.5]) == first  # values, not layout
+    nudged = rows.copy()
+    nudged[1, 2] = np.nextafter(nudged[1, 2], 2.0)  # one bit
+    others = [bench.fingerprint(nudged, 25, [1.5, 2.5]), bench.fingerprint(rows, 24, [1.5, 2.5]),
+              bench.fingerprint(rows.reshape(4, 3), 25, [1.5, 2.5]),
+              bench.fingerprint(rows.astype(np.float32), 25, [1.5, 2.5]),
+              bench.fingerprint(rows, 25, [2.5, 1.5]), bench.fingerprint(rows, 25)]
+    assert len({first, *others}) == len(others) + 1
+
+
+class FakeSpeed:
+    """A host speed whose scaled times are given in advance."""
+
+    def __init__(self, scaled):
+        self.scaled = list(scaled)
+
+    def sample(self):
+        return None
+
+    def scale(self, cpu_s, mark):
+        return self.scaled.pop(0)
+
+
+def test_timed_takes_the_median_of_the_repeats(bench):
+    calls = []
+
+    def solve(x):
+        calls.append(x)
+        return len(calls) * x
+
+    out, seconds, prints = bench.timed(FakeSpeed([0.5, 0.2, 0.9]), solve, 10, digest=str)
+    assert calls == [10] * bench.REPEATS == [10, 10, 10]
+    assert out == 30 and seconds == 0.5 and prints == ["10", "20", "30"]
+    # the calls' outputs differ, so these repeats fail the determinism gate
+    record = complete_bench()
+    record["scale"]["cam1000"]["irls"]["fingerprints"] = prints
+    assert bench.problems(record) == [f"cam1000.irls: repeats' fingerprints {prints}"]
+    assert bench.timed(FakeSpeed([0.3, 0.1, 0.2]), lambda: 7) == (7, 0.2, [])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import so3_oracle
@@ -342,6 +342,62 @@ class TestOrientations:
         copied = np.array(view)
         assert not np.shares_memory(copied, rows) and copied.flags.writeable
         assert np.array_equal(copied, rows)
+
+
+# ---------------------------------------------------------------------------
+# L1 medians (Weiszfeld's node update checks them against the scalar oracle)
+# ---------------------------------------------------------------------------
+
+def candidate_batch(seed):
+    """A padded batch of 1-4 candidate sets of 1-14 rotations, with outliers
+    and, in some sets, repeats of the first candidate; all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(1, 15, size=rng.integers(1, 5)).tolist()
+    return so3_oracle.padded_candidates(rng, degrees, rng.choice([0.0, 0.3], size=len(degrees)))
+
+
+class TestL1Medians:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_bi_equivariant(self, seed, iters):
+        # l1_medians(G c H) = G l1_medians(c) H: the distances, the medoid
+        # and every tangent step are invariant, up to rounding
+        cands, valid = candidate_batch(seed)
+        for i, k in enumerate(valid.sum(axis=1)):
+            # two medoids tied within rounding may swap under the product
+            assume(so3_oracle.l1_median(cands[i, :k], 0)[1] > 1.0)
+        g, h = so3.sample_uniform_rows(np.random.default_rng(seed + 1), 2)
+        moved = so3.l1_medians(so3.qcanon(so3.qmul(g, so3.qmul(cands, h))), valid, iters)
+        want = so3.qmul(g, so3.qmul(so3.l1_medians(cands, valid, iters), h))
+        assert np.max(so3_oracle.qangle_deg(moved, want)) <= 1e-9
+
+    @pytest.mark.parametrize("iters", [0, 1, 4, 10])
+    def test_identical_candidates_return_their_row(self, iters):
+        # every step is exactly 0, so the freeze rule keeps each row bit for bit
+        rng = np.random.default_rng(iters)
+        rows = so3.sample_uniform_rows(rng, 5)
+        valid = np.arange(7) < np.array([1, 2, 3, 7, 4])[:, None]
+        cands = np.repeat(rows[:, None], 7, axis=1)
+        assert np.array_equal(so3.l1_medians(cands, valid, iters), rows)
+
+    def test_padded_runs_fit_the_medoid_budget(self, monkeypatch):
+        monkeypatch.setattr(so3, "MEDOID_CELLS", 40)
+        counts = np.array([1, 2, 2, 3, 3, 3, 5, 7, 7])
+        starts = np.cumsum(counts) - counts + 100
+        runs = so3.padded_runs(starts, counts)
+        # consecutive slices that cover every set, each within the budget or alone
+        assert [r.start for r, _, _ in runs] == [0] + [r.stop for r, _, _ in runs[:-1]]
+        assert runs[-1][0].stop == counts.size
+        for run, idx, valid in runs:
+            assert idx.shape == valid.shape == (run.stop - run.start, counts[run.stop - 1])
+            assert run.stop - run.start == 1 or valid.size * valid.shape[1] <= 40
+            col = np.arange(idx.shape[1])
+            for i, k in enumerate(counts[run]):
+                assert np.array_equal(valid[i], col < k)
+                assert np.array_equal(idx[i], starts[run][i] + np.where(col < k, col, 0))
+        # each run takes the next set while (sets + 1) * its count**2 fits: 4 * 3**2
+        # does, 5 * 3**2 does not
+        assert [(r.start, r.stop) for r, _, _ in runs] == [(0, 4), (4, 6), (6, 7), (7, 8), (8, 9)]
 
 
 # ---------------------------------------------------------------------------

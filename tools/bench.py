@@ -14,24 +14,31 @@ cam1000 and cam5000 by default) at seed 1 in a process of its own, so that
 its peak RSS is its own.  It times the generation of the graph, its
 serialisation and parse, and three solves of the parsed graph through the
 benchmark's own adapter: NeuRoRA with the benchmark's checkpoints, IRLS
-(5, 20) from the BFS bootstrap, and one Weiszfeld sweep.  Each time is the
-call's CPU seconds scaled, as the benchmark scales its own, by the host
-speed that ``benchmark/hostspeed.py`` samples before and after the call.
-Errors are ``benchmark/score.errors_deg``: median and mean, in degrees,
-over the returned nodes.  Every child process runs with one BLAS thread.
+(5, 20) from the BFS bootstrap, and one Weiszfeld sweep.  Each stage is
+called ``REPEATS`` times, and its time is the median of the calls' CPU
+seconds, each scaled, as the benchmark scales its own, by the host speed
+that ``benchmark/hostspeed.py`` samples before and after the call.  Each
+call of a solve leaves a :func:`fingerprint` of its output: NeuRoRA's rows
+and node ids, IRLS's rows, iteration count and summed CG iterations, or
+Weiszfeld's rows and objective trace; equal fingerprints across commits mean
+equal outputs, bit for bit.  Errors are ``benchmark/score.errors_deg``:
+median and mean, in degrees, over the returned nodes.  Every child process
+runs with one BLAS thread.
 
 It measures the checkout that holds it; a copy placed in a checkout of an
 earlier commit measures that commit.  It exits 1 (:func:`problems`) unless
 every declared workload ran, exited 0 and is correct with no failed
 operation in both runs, every declared end-to-end metric is a finite number
 in the untraced run and every declared per-layer metric in the traced one,
-every scale graph ran and every number it gives is finite, and NeuRoRA's
-median error on cam1000, where it runs, is under ``MAX_CAM1000_MEDIAN_DEG``.
+every scale graph ran and every number it gives is finite, every solve's
+repeats left one fingerprint, and NeuRoRA's median error on cam1000, where
+it runs, is under ``MAX_CAM1000_MEDIAN_DEG``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -48,6 +55,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 SCALE_CONFIGS = ("sparse2.5", "cam1000", "cam5000")
 MAX_CAM1000_MEDIAN_DEG = 1.0
+REPEATS = 3  # calls of each scale stage
+SOLVES = ("neurora", "irls", "weiszfeld_sweep")  # the scale stages that leave fingerprints
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -95,14 +104,33 @@ def errors(score, q: np.ndarray, gt: np.ndarray) -> dict:
     return {"err_median_deg": float(np.median(err)), "err_mean_deg": float(np.mean(err))}
 
 
-def timed(speed, fn, *args):
-    """``fn(*args)`` and its CPU seconds at the nominal host speed."""
-    mark = speed.sample()
-    t0 = process_time()
-    out = fn(*args)
-    cpu_s = process_time() - t0
-    speed.sample()
-    return out, speed.scale(cpu_s, mark)
+def fingerprint(*parts) -> str:
+    """The first 16 hex digits of the sha256 of ``parts``, arrays or numbers,
+    each by its dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for part in parts:
+        a = np.ascontiguousarray(part)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def timed(speed, fn, *args, digest=None):
+    """``fn(*args)`` called ``REPEATS`` times: the last output, the median of
+    the calls' CPU seconds at the nominal host speed, and ``digest`` of each
+    call's output (none without a ``digest``)."""
+    times, prints = [], []
+    for _ in range(REPEATS):
+        out = None  # one output alive at a time
+        mark = speed.sample()
+        t0 = process_time()
+        out = fn(*args)
+        cpu_s = process_time() - t0
+        speed.sample()
+        times.append(speed.scale(cpu_s, mark))
+        if digest is not None:
+            prints.append(digest(out))
+    return out, statistics.median(times), prints
 
 
 def scale_record(name: str) -> dict:
@@ -117,26 +145,41 @@ def scale_record(name: str) -> dict:
     nets = adapter.load_nets(ROOT / "benchmark" / "checkpoints")
     speed = HostSpeed()
     cfg = synthgen.robustness_suite(name, seed=SEED)
-    made, generate_s = timed(speed, synthgen.generate_graph, cfg, np.random.default_rng(SEED))
-    text, serialize_s = timed(speed, viewgraph.serialize, made)
-    g, parse_s = timed(speed, viewgraph.parse, text)
+    made, generate_s, _ = timed(speed, lambda: synthgen.generate_graph(
+        cfg, np.random.default_rng(SEED)))
+    text, serialize_s, _ = timed(speed, viewgraph.serialize, made)
+    g, parse_s, _ = timed(speed, viewgraph.parse, text)
     del made, text
     gt = g.gt_array()
 
-    raw, neurora_s = timed(speed, adapter.solve_neurora, g, nets)
+    def neurora_print(raw):
+        out = adapter.neurora_result(raw)
+        return fingerprint(out.q, out.node_ids)
+
+    def irls_print(raw):
+        return fingerprint(np.asarray(raw.orientations), raw.iterations, sum(raw.cg_iterations))
+
+    def weiszfeld_print(raw):
+        return fingerprint(np.asarray(raw.orientations), raw.objective_trace)
+
+    raw, neurora_s, neurora_prints = timed(speed, adapter.solve_neurora, g, nets,
+                                           digest=neurora_print)
     neurora = adapter.neurora_result(raw)
-    irls_raw, irls_s = timed(speed, adapter.solve_irls, g)
+    irls_raw, irls_s, irls_prints = timed(speed, adapter.solve_irls, g, digest=irls_print)
     irls = adapter.irls_result(irls_raw)
-    raw, weiszfeld_s = timed(speed, adapter.solve_weiszfeld, g, 1)
+    raw, weiszfeld_s, weiszfeld_prints = timed(speed, adapter.solve_weiszfeld, g, 1,
+                                               digest=weiszfeld_print)
     weiszfeld = adapter.weiszfeld_result(raw)
     return {
         "n_nodes": g.n_nodes, "n_edges": g.n_edges,
         "generate_s": generate_s, "serialize_s": serialize_s, "parse_s": parse_s,
-        "neurora": {"s": neurora_s, **errors(score, neurora.q, gt[neurora.node_ids])},
+        "neurora": {"s": neurora_s, **errors(score, neurora.q, gt[neurora.node_ids]),
+                    "fingerprints": neurora_prints},
         "irls": {"s": irls_s, **errors(score, irls.q, gt), "iterations": irls.iterations,
                  "converged": bool(irls_raw.converged),
-                 "cg_iterations": int(sum(irls_raw.cg_iterations))},
-        "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.q, gt)},
+                 "cg_iterations": int(sum(irls_raw.cg_iterations)), "fingerprints": irls_prints},
+        "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.q, gt),
+                            "fingerprints": weiszfeld_prints},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "host": {"kernel_median_s": statistics.median(speed.samples), "scale": speed.factor()},
     }
@@ -185,6 +228,11 @@ def problems(bench: dict) -> list[str]:
     for name, rec in bench["scale"].items():
         if "error" in rec:
             found.append(f"{name}: {rec['error']}")
+            continue
+        for solve in SOLVES:  # a determinism gate: every repeat gave the same output
+            prints = rec.get(solve, {}).get("fingerprints")
+            if not isinstance(prints, list) or len(prints) != REPEATS or len(set(prints)) != 1:
+                found.append(f"{name}.{solve}: repeats' fingerprints {prints}")
     found += [f"scale.{path} = {value}" for path, value in numbers(bench["scale"])
               if not math.isfinite(value)]
     median = bench["scale"].get("cam1000", {}).get("neurora", {}).get("err_median_deg", 0.0)
