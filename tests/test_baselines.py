@@ -422,25 +422,30 @@ class TestIrlsJacobiOracle:
         assert 3 * sum(res.cg_iterations) <= sum(oracle_cg)
 
 
-def irls_case(seed):
-    """A connected view-graph on 2-60 nodes, ids shuffled, with 1-20 deg of
-    noise per measurement and about 10 % outliers: a star on the root, a
-    path, or a hub (the root) joined to every node plus random edges among a
-    subset, so that the other nodes touch only the root.  Bridges (the edges
-    of those nodes, every edge of a star or a path) stay exactly consistent,
-    so their weights clamp at ``1 / delta`` from the second step on.  The
-    init is the BFS bootstrap or a perturbed ground truth.  Every choice is
-    drawn from the numpy ``seed``."""
+def irls_case(seed, kind=None, n=None, inner_share=None, bootstrap_init=None):
+    """A connected view-graph on ``n`` nodes, ids shuffled, with 1-20 deg of
+    noise per measurement and about 10 % outliers.  ``kind`` is a star on
+    the root, a path, or ``"root_only"``: a hub (the root) joined to every
+    node plus random edges among the share ``inner_share`` of the others, so
+    that the rest touch only the root.  Bridges (the edges of those nodes,
+    every edge of a star or a path) stay exactly consistent, so their
+    weights clamp at ``1 / delta`` from the second step on.  The init is the
+    BFS bootstrap if ``bootstrap_init``, else a perturbed ground truth.  The
+    rest, and each choice left as None (kind of 3, n in 2-60, a uniform
+    share, a fair coin for the init), is drawn from the numpy ``seed`` where
+    it is used."""
     rng = np.random.default_rng(seed)
-    kind = ("star", "path", "root_only")[rng.integers(3)]
-    n = int(rng.integers(2, 61))
+    kind = ("star", "path", "root_only")[rng.integers(3)] if kind is None else kind
+    n = int(rng.integers(2, 61)) if n is None else n
     ids = rng.permutation(n)
     if kind == "path":
         pairs = list(zip(ids[:-1], ids[1:]))
     else:
         pairs = [(ids[0], b) for b in ids[1:]]
     if kind == "root_only":
-        inner = ids[1:][rng.random(n - 1) < rng.random()]
+        draws = rng.random(n - 1)
+        inner_share = rng.random() if inner_share is None else inner_share
+        inner = ids[1:][draws < inner_share]
         pairs += [(a, b) for i, a in enumerate(inner) for b in inner[:i] if rng.random() < 0.3]
     u, v = np.sort(np.array(pairs, dtype=np.int64), axis=1)[rng.permutation(len(pairs))].T
     gt = so3.sample_uniform_rows(rng, n)
@@ -451,74 +456,101 @@ def irls_case(seed):
     outlier = rng.random(u.size) < 0.1
     q[outlier] = so3.sample_uniform_rows(rng, int(outlier.sum()))
     g = ViewGraph(n, u, v, so3.qcanon(q))
-    if rng.random() < 0.5:
+    if bootstrap_init is None:
+        bootstrap_init = rng.random() < 0.5
+    if bootstrap_init:
         init = np.asarray(bootstrap(g))
     else:
         init = so3.qcanon(so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(n, 3)))))
     return g, init
 
 
-def irls_cases():
-    return st.integers(0, 2**32 - 1).map(irls_case)
+@st.composite
+def irls_cases(draw):
+    """``irls_case`` with its kind, size, inner share and init drawn by
+    Hypothesis, so that it reaches n = 2 and shares 0 and 1, and shrinks."""
+    kind = draw(st.sampled_from(["star", "path", "root_only"]))
+    n = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inner_share = draw(st.floats(0.0, 1.0)) if kind == "root_only" else None
+    return irls_case(seed, kind, n, inner_share, draw(st.booleans()))
 
 
 # The seeds of ``TestDenseSolve::test_matches_cg_path``, fixed before its first
 # run: its cases move neither with the package's code nor with Hypothesis.
 DENSE_SOLVE_SEEDS = range(100)
+# Seeds whose whole runs are known to part by more than 1e-9 deg: a capped
+# L1/2 phase that grows its steps amplifies the solves' rounding (see
+# CHANGES.md on ``irls_mra``'s L1/2 phase).  Seed 33: N = 28, E = 129, 2e-11
+# deg apart after the L1 phase, x1.35 a step, 7.9e-9 deg after 25 steps.
+DRIFTING_SEEDS = [33]
+
+
+@pytest.fixture
+def dense_steps(monkeypatch):
+    """The dense path's steps, recorded as ``[w, resid, lap, rhs, x]``."""
+    steps = []
+    dense_laplacian, dense_solve = baselines._dense_laplacian, baselines._dense_solve
+
+    def recording_laplacian(u, v, n, root):
+        system = dense_laplacian(u, v, n, root)
+
+        def recording(w, resid):
+            steps.append([w, resid])
+            return system(w, resid)
+
+        return recording
+
+    def recording_solve(lap, rhs):
+        x = dense_solve(lap, rhs)
+        steps[-1] += [lap.copy(), rhs, x]
+        return x
+
+    monkeypatch.setattr(baselines, "_dense_laplacian", recording_laplacian)
+    monkeypatch.setattr(baselines, "_dense_solve", recording_solve)
+    return steps
+
+
+def assert_dense_matches_cg(seed, steps):
+    """The dense and CG paths on ``irls_case(seed)``: equal iteration counts,
+    each dense step's system solved by ``_cg_multi`` to the same step within
+    1e-9 deg, the dense residual within its rounding floor, and then the
+    whole runs' rows within 1e-9 deg."""
+    g, init = irls_case(seed)
+    steps.clear()
+    direct, cg = irls_on("direct", g, init), irls_on("cg", g, init)
+    assert direct.iterations == cg.iterations == len(steps), seed
+    assert direct.cg_iterations == [0] * direct.iterations
+    u, v = g.endpoint_arrays()
+    cg_system = baselines._cg_laplacian(u, v, g.n_nodes, viewgraph.select_root(g))
+    for w, resid, lap, rhs, x in steps:
+        apply_op, precond, cg_rhs = cg_system(w, resid)
+        x_cg, _ = baselines._cg_multi(apply_op, cg_rhs, precond, 10 * g.n_nodes, CG_TOL)
+        assert np.degrees(np.max(np.abs(x - x_cg))) <= 1e-9, seed
+    # The dense residual ends near its rounding floor eps * |L| |x_k| / |b_k|
+    # per tangent component k, which passes CG_TOL where clamped weights make
+    # L ill-conditioned (about 1 run in 1000 of this family, up to 1.1e-12).
+    # |b_k| is floored as ``cg_residual`` floors it, for an all-zero rhs.
+    _, _, lap, rhs, x = steps[-1]
+    norm_b = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
+    eps = np.finfo(float).eps
+    floor = eps * np.linalg.norm(lap, 2) * np.max(np.linalg.norm(x, axis=1) / norm_b)
+    assert direct.cg_residual <= max(CG_TOL, floor), seed
+    angles = so3_oracle.qangle_deg(np.asarray(direct.orientations), np.asarray(cg.orientations))
+    assert np.max(angles) <= 1e-9, seed
 
 
 class TestDenseSolve:
-    def test_matches_cg_path(self, monkeypatch):
-        # Every dense IRLS step solves its system as the CG path solves it, to
-        # 1e-9 deg.  Whole runs match to 1e-9 deg where IRLS converges; a
-        # capped run can end where the L1/2 iteration expands differences
-        # (seed 33: 2e-11 deg after the L1 phase, x1.35 a step, 7.9e-9 deg
-        # after 25 steps), so there only the iteration counts are compared.
-        # The dense residual ends near its rounding floor eps * |L| |x_k| /
-        # |b_k| per tangent component k, which passes CG_TOL where clamped
-        # weights make L ill-conditioned; LU is backward stable, so it stays
-        # within N times that floor, or within CG_TOL if that is larger.
-        steps = []
-        dense_laplacian, dense_solve = baselines._dense_laplacian, baselines._dense_solve
-
-        def recording_laplacian(u, v, n, root):
-            system = dense_laplacian(u, v, n, root)
-
-            def recording(w, resid):
-                steps.append([w, resid])
-                return system(w, resid)
-
-            return recording
-
-        def recording_solve(lap, rhs):
-            x = dense_solve(lap, rhs)
-            steps[-1] += [lap.copy(), rhs, x]
-            return x
-
-        monkeypatch.setattr(baselines, "_dense_laplacian", recording_laplacian)
-        monkeypatch.setattr(baselines, "_dense_solve", recording_solve)
-        eps = np.finfo(float).eps
+    def test_matches_cg_path(self, dense_steps):
         for seed in DENSE_SOLVE_SEEDS:
-            g, init = irls_case(seed)
-            steps.clear()
-            direct, cg = irls_on("direct", g, init), irls_on("cg", g, init)
-            assert direct.iterations == cg.iterations == len(steps), seed
-            assert direct.cg_iterations == [0] * direct.iterations
-            u, v = g.endpoint_arrays()
-            cg_system = baselines._cg_laplacian(u, v, g.n_nodes, viewgraph.select_root(g))
-            for w, resid, lap, rhs, x in steps:
-                apply_op, precond, cg_rhs = cg_system(w, resid)
-                x_cg, _ = baselines._cg_multi(apply_op, cg_rhs, precond, 10 * g.n_nodes, CG_TOL)
-                assert np.degrees(np.max(np.abs(x - x_cg))) <= 1e-9, seed
-            if direct.converged:
-                angles = so3_oracle.qangle_deg(np.asarray(direct.orientations),
-                                               np.asarray(cg.orientations))
-                assert np.max(angles) <= 1e-9, seed
-            _, _, lap, rhs, x = steps[-1]
-            # |b_k| floored as ``cg_residual`` floors it, for an all-zero right-hand side
-            norm_b = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-            floor = eps * np.linalg.norm(lap, 2) * np.max(np.linalg.norm(x, axis=1) / norm_b)
-            assert direct.cg_residual <= max(CG_TOL, g.n_nodes * floor), seed
+            if seed not in DRIFTING_SEEDS:
+                assert_dense_matches_cg(seed, dense_steps)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a capped L1/2 phase amplifies the solves' rounding past 1e-9 deg")
+    @pytest.mark.parametrize("seed", DRIFTING_SEEDS)
+    def test_matches_cg_path_drifting(self, seed, dense_steps):
+        assert_dense_matches_cg(seed, dense_steps)
 
     def test_selected_by_cost(self, monkeypatch):
         # dense exactly when (N - 1)**3 <= ratio * E; the ratio is a Fraction
@@ -1004,19 +1036,6 @@ class TestWeiszfeldLevelSchedule:
             assert so3_oracle.qangle_deg(np.asarray(out)[1], first) < 1e-9
 
 
-def padded_batch(rng, degrees):
-    """Candidate sets of the given sizes, each scattered about its own random
-    rotation, padded like a plan batch: repeats of the first candidate."""
-    d = max(degrees)
-    cands = np.empty((len(degrees), d, 4))
-    valid = np.arange(d) < np.array(degrees)[:, None]
-    for i, k in enumerate(degrees):
-        center = so3.sample_uniform_rows(rng, 1)
-        real = so3.qcanon(so3.qmul(so3.qexp(rng.normal(scale=0.5, size=(k, 3))), center))
-        cands[i] = np.concatenate([real, np.repeat(real[:1], d - k, axis=0)])
-    return cands, valid
-
-
 class TestWeiszfeldMedians:
     """Weiszfeld's node update, ``so3.l1_medians`` on padded batches, against
     the scalar one-set median ``so3_oracle.l1_median``."""
@@ -1025,7 +1044,8 @@ class TestWeiszfeldMedians:
                                          [9, 4, 6, 2, 9]])
     @pytest.mark.parametrize("iters", [0, 1, 10])
     def test_matches_one_node_median(self, degrees, iters):
-        cands, valid = padded_batch(np.random.default_rng(len(degrees) * 10 + iters), degrees)
+        rng = np.random.default_rng(len(degrees) * 10 + iters)
+        cands, valid = so3_oracle.padded_candidates(rng, degrees, [0.0] * len(degrees))
         out = so3.l1_medians(cands, valid, iters)
         for i, k in enumerate(degrees):
             assert np.max(np.abs(out[i] - so3_oracle.l1_median(cands[i, :k], iters)[0])) <= ROW_TOL
@@ -1037,7 +1057,8 @@ class TestWeiszfeldMedians:
         # medoid is already its L1 median: then the oracle's first step is 0.
         movers = 0
         for seed in range(8):
-            cands, valid = padded_batch(np.random.default_rng(seed), degrees)
+            cands, valid = so3_oracle.padded_candidates(np.random.default_rng(seed), degrees,
+                                                        [0.0] * len(degrees))
             cands[0] = cands[0, 0]
             medoids = so3.l1_medians(cands, valid, 0)
             out = so3.l1_medians(cands, valid, 10)

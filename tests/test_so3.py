@@ -348,21 +348,16 @@ class TestOrientations:
 # L1 medians (Weiszfeld's node update checks them against the scalar oracle)
 # ---------------------------------------------------------------------------
 
-def candidate_batch(seed):
-    """A padded batch of 1-4 candidate sets of 1-14 rotations, with outliers
-    and, in some sets, repeats of the first candidate; all drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    degrees = rng.integers(1, 15, size=rng.integers(1, 5)).tolist()
-    return so3_oracle.padded_candidates(rng, degrees, rng.choice([0.0, 0.3], size=len(degrees)))
-
-
 class TestL1Medians:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
     def test_bi_equivariant(self, seed, iters):
         # l1_medians(G c H) = G l1_medians(c) H: the distances, the medoid
         # and every tangent step are invariant, up to rounding
-        cands, valid = candidate_batch(seed)
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(1, 15, size=rng.integers(1, 5)).tolist()
+        repeats = rng.choice([0.0, 0.3], size=len(degrees))
+        cands, valid = so3_oracle.padded_candidates(rng, degrees, repeats)
         for i, k in enumerate(valid.sum(axis=1)):
             # two medoids tied within rounding may swap under the product
             assume(so3_oracle.l1_median(cands[i, :k], 0)[1] > 1.0)
