@@ -20,7 +20,6 @@ import numpy as np
 
 from . import so3
 
-QUAT_NORM_FLOOR = 1e-12  # rows below this norm cannot be normalized
 ADAM_BETA1 = 0.9         # decay of Adam's first-moment estimate
 ADAM_BETA2 = 0.999       # decay of Adam's second-moment estimate
 ADAM_EPS = 1e-8          # added to the root of the second moment
@@ -55,9 +54,9 @@ def _segment_sum(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray
 
 def unit_rows(x: np.ndarray):
     """The rows of ``x`` over their norms, and the pullback to the gradient of
-    ``x``; an :class:`AutodiffError` for a row of norm below ``QUAT_NORM_FLOOR``."""
+    ``x``; an :class:`AutodiffError` for a row of norm below ``so3.ZERO_NORM_TOL``."""
     norms = so3.rownorm(x, keepdims=True)
-    if np.any(norms < QUAT_NORM_FLOOR):
+    if np.any(norms < so3.ZERO_NORM_TOL):
         raise AutodiffError("cannot normalize a row of norm below 1e-12")
     y = x / norms
     # d(x/|x|) = (g - y (y.g)) / |x|
@@ -74,8 +73,8 @@ def quat_dist(a: np.ndarray, b: np.ndarray):
 
     def pull(g):
         chosen = np.where(take_minus[:, None], d_minus, d_plus)
-        safe = np.maximum(dist, QUAT_NORM_FLOOR)
-        return g[:, None] * np.where((dist > QUAT_NORM_FLOOR)[:, None], chosen / safe[:, None], 0.0)
+        safe = np.maximum(dist, so3.ZERO_NORM_TOL)
+        return g[:, None] * np.where((dist > so3.ZERO_NORM_TOL)[:, None], chosen / safe[:, None], 0.0)
 
     return dist, pull
 

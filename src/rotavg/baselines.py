@@ -13,7 +13,8 @@ baselines operating on the same view-graph inputs as the networks.
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
   solve of the weighted graph Laplacian with the root's row pinned: one
   dense LAPACK solve while ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``, above it
-  CG preconditioned by a maximum-weight spanning tree.
+  CG preconditioned by a maximum-weight spanning tree
+  (``viewgraph.spanning_forest`` of each iteration's weights).
 
 Both pin the gauge at the root camera, which they never update, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view of rows (its
@@ -184,57 +185,6 @@ class IrlsResult:
     cg_iterations: list[int] = field(default_factory=list)
 
 
-def _max_spanning_tree(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Edge ids, ascending, of the maximum-weight spanning tree of a connected
-    graph on ``n`` nodes (a spanning forest if it is not connected).
-
-    Edges are ranked by descending weight with ties to the lower edge id;
-    under that strict order the tree is unique, the one Kruskal's algorithm
-    picks.  The ranking is the default (unstable) argsort of ``-w`` with
-    only the runs of tied weights re-sorted by edge id, cheaper than a
-    stable sort of every weight; ties are common (every weight is 1 in the
-    first IRLS iteration, and residuals clamped at ``IRLS_DELTA`` share the
-    weight ``1 / IRLS_DELTA``).  Boruvka rounds: each component takes its
-    best-ranked outgoing edge (a segment minimum of the ranks) and hooks
-    onto the component across it; of two components that picked the same
-    edge the smaller label stays a root, and pointer jumping relabels every
-    merged component by its root.  Edges inside a component leave the search.
-    """
-    by_rank = np.argsort(-w)
-    ranked = w[by_rank]
-    same = ranked[1:] == ranked[:-1]
-    tied = np.zeros(w.size, dtype=bool)
-    tied[1:] = same
-    tied[:-1] |= same
-    at = np.flatnonzero(tied)
-    run = np.cumsum(np.append(0, ~same))[at]
-    # keys run * E + id sort each run within its own positions, by edge id
-    by_rank[at] = np.sort(run * w.size + by_rank[at]) % w.size
-    ru, rv = u[by_rank], v[by_rank]
-    live = np.arange(w.size)  # ranks of the edges between components
-    label = np.arange(n)
-    ids = np.arange(n)
-    picked = np.zeros(w.size, dtype=bool)
-    while True:
-        lu, lv = label[ru[live]], label[rv[live]]
-        cross = lu != lv
-        if not cross.any():
-            return np.flatnonzero(picked)
-        live, lu, lv = live[cross], lu[cross], lv[cross]
-        best = np.full(n, w.size)
-        np.minimum.at(best, lu, live)
-        np.minimum.at(best, lv, live)
-        comp = np.flatnonzero(best < w.size)
-        pick = best[comp]
-        picked[by_rank[pick]] = True
-        hook = ids.copy()
-        hook[comp] = label[ru[pick]] + label[rv[pick]] - comp  # the component across
-        hook = np.where((hook[hook] == ids) & (ids < hook), ids, hook)
-        while not np.array_equal(hook[hook], hook):
-            hook = hook[hook]
-        label = hook[label]
-
-
 def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.ndarray, root: int):
     """``precond(r)``: the exact inverse of ``M = diag(diag) - A_T`` on (3, n)
     arrays, where ``T`` is the maximum-weight spanning tree of the edges
@@ -252,7 +202,7 @@ def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.n
     depth) ``bincount``s, as many gathers and no loop over tree levels.
     """
     n = diag.size
-    tree = _max_spanning_tree(u, v, w, n)
+    tree = viewgraph.spanning_forest(n, u, v, w)[0]
     tu, tv = u[tree], v[tree]
     parent, depth = viewgraph.bfs_levels(n, tu, tv, root)
     parent[root] = root  # a sink for the jump tables below
@@ -481,8 +431,9 @@ def irls_mra(
     Both paths report the relative residual of the last step in
     ``cg_residual``, computed once after the loop from that step's system;
     a dense step records 0 in ``cg_iterations``.  With N = 1
-    there is no unknown: each phase with a non-zero budget takes one zero
-    dense step, whatever the ratio, which counts as converged.  ``max_iters`` is two non-negative
+    there is no unknown and no edge, so the cost test ``0 <= 0`` picks the
+    dense path: each phase with a non-zero budget takes one zero dense
+    step, which counts as converged.  ``max_iters`` is two non-negative
     integers (the L1 and L1/2 budgets).  Residuals are floored at
     ``IRLS_DELTA`` in the weights, and a phase stops once its largest update
     is below ``IRLS_STEP_TOL``.
@@ -498,7 +449,7 @@ def irls_mra(
     root = viewgraph.select_root(g)
     u_idx, v_idx = g.endpoint_arrays()
 
-    direct = n == 1 or (n - 1) ** 3 <= DENSE_SOLVE_RATIO * g.n_edges
+    direct = (n - 1) ** 3 <= DENSE_SOLVE_RATIO * g.n_edges
     system = (_dense_laplacian if direct else _cg_laplacian)(u_idx, v_idx, n, root)
     quats = np.ascontiguousarray(g.edge_quat_array().T)  # (4, E)
 

@@ -50,6 +50,7 @@ import numpy as np
 # Tolerance table (single source for the whole package).
 ZERO_SIGN_TOL = 1e-12     # component magnitude treated as zero for sign rules
 NORM_SKIP_TOL = 1e-12     # skip renormalization when already this close to 1
+ZERO_NORM_TOL = 1e-12     # a row of smaller norm counts as zero
 SMALL_ANGLE = 1e-6        # series fallback threshold for log/exp maps (rad)
 
 
@@ -108,7 +109,7 @@ def qcanon(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     n = rownorm(q, keepdims=True)
-    if np.any(n < 1e-12):
+    if np.any(n < ZERO_NORM_TOL):
         raise ValueError("cannot normalize a near-zero quaternion")
     unit = np.abs(n - 1.0) <= NORM_SKIP_TOL
     out = q.copy() if unit.all() else np.where(unit, q, q / n)
@@ -170,7 +171,7 @@ def _left_correct(delta: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Canonical ``delta * base`` for raw network corrections ``delta``; a
     correction row whose norm underflows counts as the identity rotation."""
     delta = np.array(delta, dtype=np.float64)
-    delta[rownorm(delta) < 1e-12] = (1.0, 0.0, 0.0, 0.0)
+    delta[rownorm(delta) < ZERO_NORM_TOL] = (1.0, 0.0, 0.0, 0.0)
     return qcanon(qmul(qcanon(delta), base))
 
 

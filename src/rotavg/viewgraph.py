@@ -1,4 +1,5 @@
-"""View-graph data model, text interchange format, and tree bootstrapping.
+"""View-graph data model, text interchange format, connectivity and tree
+bootstrapping.
 
 A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
 ``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
@@ -10,6 +11,9 @@ Solver orientations are (N, 4) rows too: :func:`orientation_rows` checks
 them on input, and :class:`~rotavg.so3.Orientations` hands them out.
 ``ViewGraph.edges``, the ``Orientations`` items and :class:`GraphStats` are
 left of the object boundary only for the benchmark adapter's reads.
+:func:`spanning_forest` is the package's one connectivity kernel: its
+labels give the components, its size connectivity, and with edge weights
+it is IRLS's maximum spanning tree.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -106,7 +110,7 @@ class ViewGraph:
         if gt.shape != (n, 4):
             raise ViewGraphError("ground truth must have one (w, x, y, z) row per node")
         known = ~np.all(np.isnan(gt), axis=1)
-        if not np.all(np.isfinite(gt[known])) or np.any(so3.rownorm(gt[known]) < 1e-12):
+        if not np.all(np.isfinite(gt[known])) or np.any(so3.rownorm(gt[known]) < so3.ZERO_NORM_TOL):
             raise ViewGraphError("ground-truth rows must be all NaN or finite nonzero")
         gt[known] = so3.qcanon(gt[known])
         u, v = (_array(x, "iu", "edge endpoints", np.int64).reshape(-1) for x in (u, v))
@@ -117,7 +121,7 @@ class ViewGraph:
             raise ViewGraphError("edge arrays must have one entry per edge")
         if not np.all(np.isin(label, (-1, 0, 1))):
             raise ViewGraphError("edge labels must be -1 (unknown), 0 or 1")
-        if not np.all(np.isfinite(q)) or np.any(so3.rownorm(q) < 1e-12):
+        if not np.all(np.isfinite(q)) or np.any(so3.rownorm(q) < so3.ZERO_NORM_TOL):
             raise ViewGraphError("edge orientations must be finite nonzero rows")
         out_of_range, loop, repeat = _edge_faults(n, u, v)
         bad = out_of_range | loop | repeat
@@ -590,27 +594,69 @@ def relative(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
 # Connectivity
 # ---------------------------------------------------------------------------
 
-def _component_labels(g: ViewGraph) -> np.ndarray:
-    """Per node, the smallest node id of its connected component.
+def spanning_forest(n: int, u: np.ndarray, v: np.ndarray,
+                    w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Spanning forest of the edges ``(u, v)`` of an ``n``-node graph:
+    int64 ``(edges, label)``, the forest's edge ids in ascending order and,
+    per node, the smallest node id of its connected component.
 
-    Each pass lowers both ends of every edge to their smaller label and then
-    follows labels one hop (pointer jumping) until nothing changes.
+    Edges are ranked by descending weight ``w`` with ties to the lower edge
+    id, or by edge id alone without ``w``; under that strict order the
+    forest is unique, the one Kruskal's algorithm picks.  The ranking is
+    the default (unstable) argsort of ``-w`` with only the runs of tied
+    weights re-sorted by edge id, cheaper than a stable sort of every
+    weight; ties are common in IRLS (every weight is 1 in its first
+    iteration, and residuals clamped at its floor ``baselines.IRLS_DELTA``
+    share one weight).  Boruvka rounds: each component takes its
+    best-ranked outgoing edge (a segment minimum of the ranks) and hooks
+    onto the component across it; of two components that picked the same
+    edge the smaller label stays a root, and pointer jumping relabels every
+    merged component by its root.  Edges inside a component leave the
+    search.  Last, each component takes its smallest member as its label.
     """
-    u, v = g.endpoint_arrays()
-    label = np.arange(g.n_nodes)
+    if w is None:
+        by_rank = np.arange(u.size)
+        ru, rv = u, v
+    else:
+        by_rank = np.argsort(-w)
+        ranked = w[by_rank]
+        same = ranked[1:] == ranked[:-1]
+        tied = np.zeros(w.size, dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        at = np.flatnonzero(tied)
+        run = np.cumsum(np.append(0, ~same))[at]
+        # keys run * E + id sort each run within its own positions, by edge id
+        by_rank[at] = np.sort(run * w.size + by_rank[at]) % w.size
+        ru, rv = u[by_rank], v[by_rank]
+    live = np.arange(u.size)  # ranks of the edges between components
+    label = np.arange(n)
+    ids = np.arange(n)
+    picked = np.zeros(u.size, dtype=bool)
     while True:
-        low = np.minimum(label[u], label[v])
-        new = label.copy()
-        np.minimum.at(new, u, low)
-        np.minimum.at(new, v, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
+        lu, lv = label[ru[live]], label[rv[live]]
+        cross = lu != lv
+        if not cross.any():
+            low = np.full(n, n)
+            np.minimum.at(low, label, ids)  # each root's smallest member
+            return np.flatnonzero(picked), low[label]
+        live, lu, lv = live[cross], lu[cross], lv[cross]
+        best = np.full(n, u.size)
+        np.minimum.at(best, lu, live)
+        np.minimum.at(best, lv, live)
+        comp = np.flatnonzero(best < u.size)
+        pick = best[comp]
+        picked[by_rank[pick]] = True
+        hook = ids.copy()
+        hook[comp] = label[ru[pick]] + label[rv[pick]] - comp  # the component across
+        hook = np.where((hook[hook] == ids) & (ids < hook), ids, hook)
+        while not np.array_equal(hook[hook], hook):
+            hook = hook[hook]
+        label = hook[label]
 
 
 def is_connected(g: ViewGraph) -> bool:
-    return not np.any(_component_labels(g))
+    return spanning_forest(g.n_nodes, *g.endpoint_arrays())[0].size >= g.n_nodes - 1
 
 
 def induced_subgraph(g: ViewGraph, nodes: ArrayLike) -> ViewGraph:
@@ -641,7 +687,7 @@ def largest_component(g: ViewGraph) -> tuple[ViewGraph, np.ndarray]:
     its int64 node ids: new id ``i`` is old id ``node_ids[i]``, ascending."""
     if g.n_nodes == 0:
         return g, np.zeros(0, dtype=np.int64)
-    label = _component_labels(g)
+    label = spanning_forest(g.n_nodes, *g.endpoint_arrays())[1]
     sizes = np.bincount(label, minlength=g.n_nodes)  # nonzero only at each component's smallest id
     node_ids = np.flatnonzero(label == np.argmax(sizes))
     return induced_subgraph(g, node_ids), node_ids
@@ -748,7 +794,7 @@ def orientation_rows(g: ViewGraph, orientations: ArrayLike) -> np.ndarray:
     if rows is None or rows.shape != (g.n_nodes, 4):
         got = "" if rows is None else f", got {rows.shape}"
         raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4){got}: rows covering every node")
-    if not np.all(np.isfinite(rows)) or np.any(so3.rownorm(rows) < 1e-12):
+    if not np.all(np.isfinite(rows)) or np.any(so3.rownorm(rows) < so3.ZERO_NORM_TOL):
         raise ViewGraphError("orientations must be finite nonzero rows")
     return so3.qcanon(rows)
 

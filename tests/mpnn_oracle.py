@@ -35,7 +35,8 @@ import numpy as np
 
 import so3_oracle
 from rotavg import cleaning, mpnn, refinement, so3, viewgraph
-from rotavg.autodiff import QUAT_NORM_FLOOR, AutodiffError, _segment_sum
+from rotavg.autodiff import AutodiffError, _segment_sum
+from rotavg.so3 import ZERO_NORM_TOL
 from rotavg.viewgraph import ViewGraphError
 
 
@@ -238,7 +239,7 @@ class OracleTape(GenericTape):
         if x.values.ndim != 2 or x.shape[1] != 4:
             raise AutodiffError("quat_normalize expects rows of 4")
         norms = so3.rownorm(x.values, keepdims=True)
-        if np.any(norms < QUAT_NORM_FLOOR):
+        if np.any(norms < ZERO_NORM_TOL):
             raise AutodiffError("quat_normalize: row norm below 1e-12")
         y = x.values / norms
         out = Tensor(y)
@@ -297,9 +298,9 @@ class OracleTape(GenericTape):
         def pull(g):
             chosen = np.where(take_minus[:, None], d_minus, d_plus)
             norms = np.where(take_minus, n_minus, n_plus)
-            safe = np.maximum(norms, QUAT_NORM_FLOOR)
+            safe = np.maximum(norms, ZERO_NORM_TOL)
             direction = np.where(
-                (norms > QUAT_NORM_FLOOR)[:, None], chosen / safe[:, None], 0.0
+                (norms > ZERO_NORM_TOL)[:, None], chosen / safe[:, None], 0.0
             )
             accumulate(a, g[:, None] * direction)
             sign_b = np.where(take_minus, -1.0, 1.0)

@@ -78,10 +78,12 @@ def normal_equations_oracle(u, v, w, resid, n, root):
 
 def irls_on(path, g, init, **kwargs):
     """``irls_mra`` with its dense solve (``"direct"``) or its CG solve
-    (``"cg"``) taken at every graph size from N = 2 on; a one-node graph takes
-    the dense solve whatever the ratio."""
+    (``"cg"``) taken at every graph size from N = 2 on: a ratio of 0 fails
+    the cost test ``(N - 1)**3 <= ratio * E`` for every N >= 2.  A one-node
+    graph has no edge and passes it at any finite ratio, so it takes the
+    dense solve on either path."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "DENSE_SOLVE_RATIO", {"direct": 1 << 62, "cg": -math.inf}[path])
+        mp.setattr(baselines, "DENSE_SOLVE_RATIO", {"direct": 1 << 62, "cg": 0}[path])
         return baselines.irls_mra(g, init, **kwargs)
 
 
@@ -262,6 +264,24 @@ def weighted_graphs(draw):
     return u, v, w, n, int(rng.integers(0, n))
 
 
+@st.composite
+def disconnected_weighted_graphs(draw):
+    """1-4 of ``weighted_graphs``' connected graphs side by side, plus 0-3
+    isolated nodes, node ids and edge order shuffled: ``(u, v, w, n,
+    parts)``, ``parts`` the number of connected components."""
+    graphs = draw(st.lists(weighted_graphs(), min_size=1, max_size=4))
+    isolated = draw(st.integers(0, 3))
+    n = sum(g[3] for g in graphs) + isolated
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    offsets = np.cumsum([0] + [g[3] for g in graphs])
+    u, v, w = (np.concatenate([g[k] + (offsets[i] if k < 2 else 0) for i, g in enumerate(graphs)])
+               for k in range(3))
+    order = rng.permutation(u.size)
+    u, v = perm[u[order]], perm[v[order]]
+    return np.minimum(u, v), np.maximum(u, v), w[order], n, len(graphs) + isolated
+
+
 def assert_precond_matches_dense_solve(u, v, w, n, root, seed=0):
     """The apply is 0 at the root, whatever ``r`` holds there, and elsewhere
     equals ``np.linalg.solve`` on the dense ``M`` of ``r`` with its root
@@ -289,7 +309,7 @@ class TestTreePreconditioner:
     @given(weighted_graphs())
     def test_tree_matches_kruskal(self, case):
         u, v, w, n, root = case
-        tree = baselines._max_spanning_tree(u, v, w, n)
+        tree, _ = viewgraph.spanning_forest(n, u, v, w)
         assert tree.tolist() == kruskal_oracle(u, v, w, n)
         # it spans: every node reaches the root over tree edges
         _, depth = viewgraph.bfs_levels(n, u[tree], v[tree], root)
@@ -300,7 +320,7 @@ class TestTreePreconditioner:
         g = make_graph(seed=9, n=60, edge_fraction=0.2)
         u, v = g.endpoint_arrays()
         w = np.ones(u.size)
-        tree = baselines._max_spanning_tree(u, v, w, g.n_nodes)
+        tree, _ = viewgraph.spanning_forest(g.n_nodes, u, v, w)
         assert tree.tolist() == kruskal_oracle(u, v, w, g.n_nodes)
         assert np.sum(w[tree]) == g.n_nodes - 1
         _, depth = viewgraph.bfs_levels(g.n_nodes, u[tree], v[tree], viewgraph.select_root(g))
@@ -317,10 +337,18 @@ class TestTreePreconditioner:
         w = 1.0 / np.maximum(np.linalg.norm(resid, axis=1), baselines.IRLS_DELTA)
         clamped = np.flatnonzero(w == 1.0 / baselines.IRLS_DELTA)
         assert clamped.size == g.n_nodes - 1 and np.unique(w).size > g.n_nodes
-        tree = baselines._max_spanning_tree(u, v, w, g.n_nodes)
+        tree, _ = viewgraph.spanning_forest(g.n_nodes, u, v, w)
         assert tree.tolist() == kruskal_oracle(u, v, w, g.n_nodes) == clamped.tolist()
         _, depth = viewgraph.bfs_levels(g.n_nodes, u[tree], v[tree], root)
         assert np.all(depth >= 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(disconnected_weighted_graphs())
+    def test_forest_of_disconnected_graph_matches_kruskal(self, case):
+        u, v, w, n, parts = case
+        tree, label = viewgraph.spanning_forest(n, u, v, w)
+        assert tree.tolist() == kruskal_oracle(u, v, w, n)
+        assert tree.size == n - parts == n - np.unique(label).size
 
     @settings(max_examples=150, deadline=None)
     @given(weighted_graphs())

@@ -841,6 +841,32 @@ class TestConnectivity:
             assert (tree.depth.tolist(), tree.parent.tolist()) == deque_tree(sub, root)
 
 
+def assert_forest_matches_deque_oracle(g: ViewGraph) -> None:
+    """Each node's label is the smallest id of its ``deque_components``
+    component, and the unweighted forest picks N minus their count edges,
+    those of all-equal weights."""
+    n, (u, v) = g.n_nodes, g.endpoint_arrays()
+    tree, label = viewgraph.spanning_forest(n, u, v)
+    want = np.empty(n, dtype=np.int64)
+    comps = deque_components(g)
+    for comp in comps:
+        want[comp] = comp[0]
+    assert label.dtype == np.int64 and label.tolist() == want.tolist()
+    assert tree.dtype == np.int64 and tree.size == n - len(comps)
+    assert np.array_equal(tree, viewgraph.spanning_forest(n, u, v, np.full(u.size, 2.5))[0])
+
+
+class TestSpanningForest:
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_labels_match_deque_oracle(self, g):
+        assert_forest_matches_deque_oracle(g)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_graphs(self, n):
+        assert_forest_matches_deque_oracle(edge_graph(n, []))
+
+
 def desk_graph() -> ViewGraph:
     cfg = synthgen.SynthConfig(n_cameras=(60, 150), seed=3)
     return synthgen.generate_graph(cfg, np.random.default_rng(3))
