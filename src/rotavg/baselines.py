@@ -89,23 +89,20 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     valid)``, the nodes of one colour and their incoming candidates padded
     to the batch's maximum degree.
 
-    Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, in edge
-    order, over both directions of every edge (``q_in`` the measurement or
-    its conjugate); ``q_in`` is (n, D, 4) and ``_candidates`` turns it into
-    left-multiplication matrices when the sweep reads the batch.
-    ``so3.padded_runs`` cuts each colour's nodes, by ascending degree, into
-    batches padded by repeats of the first candidate, masked by ``valid``.
+    Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, over
+    both directions of every edge in ``viewgraph.in_edges`` order (``q_in``
+    the measurement or its conjugate); ``q_in`` is (n, D, 4) and
+    ``_candidates`` turns it into left-multiplication matrices when the
+    sweep reads the batch.  ``so3.padded_runs`` cuts each colour's nodes, by
+    ascending degree, into batches padded by repeats of the first candidate,
+    masked by ``valid``.
     """
-    n = g.n_nodes
     (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    by_target = np.lexsort((np.tile(np.arange(u.size), 2), dst))
-    src = src.take(by_target)
+    by_target, src, bounds = viewgraph.in_edges(g.n_nodes, u, v)
     q_in = np.concatenate([q, so3.qconj(q)]).take(by_target, axis=0)
-    bounds = np.searchsorted(dst.take(by_target), np.arange(n + 1))
     degree = np.diff(bounds)
     colour = _weiszfeld_colours(src, bounds, root)
-    order = np.lexsort((degree, colour))  # by colour, then by degree
+    order = np.argsort(colour * g.n_nodes + degree, kind="stable")  # by colour, then by degree < N
     cuts = np.searchsorted(colour[order], np.arange(colour.max() + 2))
     plan = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -297,21 +294,18 @@ def _cg_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
     Returns ``system(w, resid) -> (apply_op, precond, rhs)``: the normal
     equations of one IRLS step with edge weights ``w`` on (3, n) arrays and
     their maximum-spanning-tree preconditioner.  The off-diagonal entries,
-    kept in both directions, are sorted by row with a stable sort, so each
-    row is one contiguous run in edge order; ``apply_op`` gathers ``x`` at
-    their columns, scales by the row-sorted weights and sums each row with
-    one ``np.add.reduceat`` along the contiguous axis.  A connected graph of
-    N >= 2 nodes has no empty row.  The ``root`` is pinned: ``rhs``,
-    ``apply_op`` and ``precond`` are 0 in its row, so CG's iterates stay 0
-    there and its column is never read.
+    kept in both directions, are ``viewgraph.in_edges``' directed edges: row
+    ``t`` is node ``t``'s in-edges, one contiguous run, their sources the
+    columns; ``apply_op`` gathers ``x`` at the columns, scales by the edges'
+    weights and sums each row with one ``np.add.reduceat`` along the
+    contiguous axis.  A connected graph of N >= 2 nodes has no empty row.
+    The ``root`` is pinned: ``rhs``, ``apply_op`` and ``precond`` are 0 in
+    its row, so CG's iterates stay 0 there and its column is never read.
     """
     normal_equations = _normal_equations(u, v, n, root)
-    rows = np.concatenate([u, v])
-    by_row = np.argsort(rows, kind="stable")
-    cols = np.concatenate([v, u])[by_row]
-    off_edge = np.tile(np.arange(u.size), 2)[by_row]
-    count = np.bincount(rows, minlength=n)
-    starts = np.cumsum(count) - count
+    order, cols, bounds = viewgraph.in_edges(n, u, v)
+    off_edge = order % u.size
+    starts = bounds[:-1]
 
     def system(w: np.ndarray, resid: np.ndarray):
         diag, rhs = normal_equations(w, resid)

@@ -18,12 +18,13 @@ node and are then taken per directed edge.
 
 ``forward`` works on arrays and knows no tape: it returns its outputs and
 their pullback, the one implementation for training and inference.  It
-sorts the 2E directed edges by target once and cuts them into runs of whole
-target nodes of at most ``CHUNK_ROWS`` rows, so that one ``np.add.reduceat``
-per run forms each node's sum in one place.  No (2E, M)
-array is built: memory is O(rounds*N*(H+M) + CHUNK_ROWS*M).  With heads
-(CleanNet's per-edge outputs) the final round computes the messages of the
-stored directions only and skips the node update.
+reads the 2E directed edges sorted by target (``viewgraph.in_edges``) once
+and cuts them into runs of whole target nodes of at most ``CHUNK_ROWS``
+rows, so that one ``np.add.reduceat`` per run forms each node's sum in one
+place.  No (2E, M) array is built: memory is O(rounds*N*(H+M) +
+CHUNK_ROWS*M).  With heads (CleanNet's per-edge outputs) the final round
+computes the messages of the stored directions only and skips the node
+update.
 
 The call keeps each round's node states and aggregates; its pullback walks
 the rounds backward and recomputes each run's message layers from them (the
@@ -174,8 +175,8 @@ def check_weights(weights: Mapping[str, np.ndarray], spec: dict[str, tuple[int, 
 @dataclass(frozen=True)
 class _EdgeRuns:
     """The E stored directions, cut into the heads' ``chunks``; and all 2E,
-    the stored ones then their reverses, sorted stably by target into ``runs``
-    of whole target nodes of at most ``CHUNK_ROWS`` rows unless one has more."""
+    in ``viewgraph.in_edges``' order (stably by target), cut into ``runs`` of
+    whole target nodes of at most ``CHUNK_ROWS`` rows unless one has more."""
 
     src: np.ndarray      # the stored directions, the graph's own arrays
     dst: np.ndarray
@@ -192,12 +193,10 @@ class _EdgeRuns:
     @classmethod
     def build(cls, g: viewgraph.ViewGraph, feats: np.ndarray) -> "_EdgeRuns":
         u, v = g.endpoint_arrays()
-        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(dst, kind="stable")
-        counts = np.bincount(dst, minlength=g.n_nodes)
+        order, s_src, bounds = viewgraph.in_edges(g.n_nodes, u, v)
+        counts = np.diff(bounds)
         targets = np.flatnonzero(counts)
-        ends = np.cumsum(counts[targets])
-        starts = ends - counts[targets]
+        starts, ends = bounds[targets], bounds[targets + 1]
         runs = []
         k = 0
         while k < targets.size:
@@ -208,7 +207,8 @@ class _EdgeRuns:
         chunks = [(a, min(a + CHUNK_ROWS, u.size)) for a in range(0, u.size, CHUNK_ROWS)]
         rows = max([end - a for a, end, *_ in runs + chunks] + [0])
         s_feats = np.concatenate([feats, so3.qconj(feats)]).take(order, axis=0)
-        return cls(u, v, feats, src.take(order), dst.take(order), s_feats, targets,
+        s_dst = np.repeat(np.arange(g.n_nodes), counts)
+        return cls(u, v, feats, s_src, s_dst, s_feats, targets,
                    np.maximum(counts, 1).astype(np.float64)[:, None], runs, chunks, rows)
 
 

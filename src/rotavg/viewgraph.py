@@ -13,7 +13,9 @@ them on input, and :class:`~rotavg.so3.Orientations` hands them out.
 left of the object boundary only for the benchmark adapter's reads.
 :func:`spanning_forest` is the package's one connectivity kernel: its
 labels give the components, its size connectivity, and with edge weights
-it is IRLS's maximum spanning tree.
+it is IRLS's maximum spanning tree.  :func:`in_edges` is the package's one
+directed-edge layout, the 2E directed edges sorted by target: ``mpnn``'s
+message runs, the Weiszfeld plan and IRLS's CG Laplacian read it.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -593,6 +595,21 @@ def relative(g: ViewGraph, rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Connectivity
 # ---------------------------------------------------------------------------
+
+def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2E directed edges of the edges ``(u, v)`` of an ``n``-node graph,
+    by target: int64 ``(order, src, bounds)``.  Directed edge ``j < E`` is
+    ``u[j] -> v[j]`` and ``j >= E`` the reverse of edge ``j - E``; ``order``
+    lists them in stable order of their target, ``src`` their sources in
+    that order, and node ``t``'s in-edges are ``order[bounds[t]:bounds[t + 1]]``,
+    so ``np.diff(bounds)`` is the degree.  Over edges sorted by ``(u, v)``
+    each node's in-edges also come in edge-id order.
+    """
+    dst = np.concatenate([v, u])
+    order = np.argsort(dst, kind="stable")
+    bounds = np.append(0, np.cumsum(np.bincount(dst, minlength=n)))
+    return order, np.concatenate([u, v]).take(order), bounds
+
 
 def spanning_forest(n: int, u: np.ndarray, v: np.ndarray,
                     w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

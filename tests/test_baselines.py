@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import so3_oracle
@@ -859,12 +859,15 @@ def test_weiszfeld_objective_never_increases():
 # ---------------------------------------------------------------------------
 
 def incoming_candidates(g, rows, node):
-    """``q_uv * rows[u]`` over the edges at ``node``, in edge order."""
+    """``q_uv * rows[u]`` over the edges at ``node`` in ``viewgraph.in_edges``
+    order: the edges stored into ``node``, then those stored out of it (their
+    measurements inverted), each in edge order.  On edges sorted by ``(u, v)``
+    that is edge order."""
     u, v = g.endpoint_arrays()
     q = g.edge_quat_array()
-    at = np.flatnonzero((u == node) | (v == node))
-    into = (v[at] == node)[:, None]
-    return np.where(into, so3.qmul(q[at], rows[u[at]]), so3.qmul(so3.qconj(q[at]), rows[v[at]]))
+    into, out = np.flatnonzero(v == node), np.flatnonzero(u == node)
+    return np.concatenate([so3.qmul(q[into], rows[u[into]]),
+                           so3.qmul(so3.qconj(q[out]), rows[v[out]])])
 
 
 def neighbours(g, node):
@@ -886,12 +889,10 @@ def first_fit_colours(g, root):
 def by_target(g):
     """The plan's by-target layout ``(src, q_in, bounds)``: node ``v``'s
     incoming sources and measurements are ``[bounds[v], bounds[v + 1])``,
-    in edge order over both directions of every edge."""
+    over both directions of every edge in ``viewgraph.in_edges`` order."""
     (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((np.tile(np.arange(u.size), 2), dst))
-    bounds = np.searchsorted(dst[order], np.arange(g.n_nodes + 1))
-    return src[order], np.concatenate([q, so3.qconj(q)])[order], bounds
+    order, src, bounds = viewgraph.in_edges(g.n_nodes, u, v)
+    return src, np.concatenate([q, so3.qconj(q)])[order], bounds
 
 
 def colours_of(g, root):
@@ -975,12 +976,27 @@ def weiszfeld_cases(draw):
     return g, so3.qcanon(init), draw(st.integers(0, 3)), draw(st.integers(0, 10))
 
 
+def shuffled_path_case():
+    """A noisy 4-node path rooted at node 1, stored as edges (2, 3), (0, 1),
+    (1, 2), and one sweep: node 2's first candidate comes from edge (1, 2)
+    by target but from edge (2, 3) by edge id, and a median of two
+    candidates is the first."""
+    rng = np.random.default_rng(5)
+    u, v = np.array([2, 0, 1]), np.array([3, 1, 2])
+    gt = so3.sample_uniform_rows(rng, 4)
+    noise = so3.qexp(rng.normal(scale=0.2, size=(3, 3)))
+    q = so3.qmul(noise, so3.qmul(gt[v], so3.qconj(gt[u])))
+    init = so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(4, 3))))
+    return ViewGraph(4, u, v, so3.qcanon(q)), so3.qcanon(init), 1, 4
+
+
 class TestWeiszfeldLevelSchedule:
     """The sweep's schedule: first-fit colour classes, one batch each, run
     in colour order; the per-node sweep in (colour, id) order is its oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(weiszfeld_cases())
+    @example(shuffled_path_case())
     def test_matches_per_node_sweep(self, case):
         g, init, sweeps, median_iters = case
         # hypothesis runs every example inside one call, so the constant is

@@ -65,7 +65,8 @@ def scale_record() -> dict:
         "neurora": {"s": 0.4, "err_median_deg": 0.494, "err_mean_deg": 0.6,
                     "fingerprints": ["0123456789abcdef"] * 3},
         "irls": {"s": 2.0, "err_median_deg": 0.5, "err_mean_deg": 0.6, "iterations": 25,
-                 "converged": True, "cg_iterations": 400, "fingerprints": ["a" * 16] * 3},
+                 "converged": True, "cg_iterations": 400, "cg_iterations_per_step": [16] * 25,
+                 "fingerprints": ["a" * 16] * 3},
         "weiszfeld_sweep": {"s": 1.0, "err_median_deg": 2.0, "err_mean_deg": 3.0,
                             "fingerprints": ["b" * 16] * 3},
         "peak_rss_mb": 400.0, "host": {"kernel_median_s": 0.01, "scale": 1.0},

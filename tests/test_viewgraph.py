@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import re
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -865,6 +867,89 @@ class TestSpanningForest:
     @pytest.mark.parametrize("n", [0, 1])
     def test_smallest_graphs(self, n):
         assert_forest_matches_deque_oracle(edge_graph(n, []))
+
+
+def assert_in_edges_match_sorts(g: ViewGraph) -> None:
+    """``in_edges`` is the stable sort of the 2E directed edges (the stored
+    ones, then their reverses) by target, with their sources, and its
+    bounds step by each node's degree."""
+    n, (u, v) = g.n_nodes, g.endpoint_arrays()
+    order, src, bounds = viewgraph.in_edges(n, u, v)
+    want = np.argsort(np.concatenate([v, u]), kind="stable")
+    for got, expected in ((order, want), (src, np.concatenate([u, v])[want]),
+                          (np.diff(bounds), g.degree_array())):
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert bounds.shape == (n + 1,) and bounds[0] == 0
+
+
+def sorted_edges(g: ViewGraph) -> ViewGraph:
+    """``g`` with its edges reordered by ``(u, v)``, as every benchmark,
+    ``synthgen`` and cleaned graph stores them."""
+    (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
+    by_pair = np.lexsort((v, u))
+    return ViewGraph(g.n_nodes, u[by_pair], v[by_pair], q[by_pair])
+
+
+def is_call_of(node, name: str) -> bool:
+    """``node`` calls an attribute or a name ``name``."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == name
+        or isinstance(node.func, ast.Name) and node.func.id == name)
+
+
+def endpoint_sorts(paths) -> list[str]:
+    """Every ``lexsort`` call in the modules ``paths``, and every ``argsort``
+    outside ``in_edges`` of a ``concatenate`` call or of a name bound to
+    one in the same function: the sorts that lay out directed edges."""
+    found = []
+    for path in paths:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or func.name == "in_edges":
+                continue
+            joined = set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        both = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                        pairs = zip(target.elts, node.value.elts) if both else [(target, node.value)]
+                        joined |= {t.id for t, value in pairs
+                                   if isinstance(t, ast.Name) and is_call_of(value, "concatenate")}
+            for node in ast.walk(func):
+                if is_call_of(node, "lexsort"):
+                    found.append(f"{path.name}:{node.lineno} lexsort")
+                elif is_call_of(node, "argsort"):
+                    arg = node.args[0] if node.args else node.func.value
+                    if is_call_of(arg, "concatenate") or (isinstance(arg, ast.Name)
+                                                          and arg.id in joined):
+                        found.append(f"{path.name}:{node.lineno} argsort of concatenated ends")
+    return sorted(set(found))
+
+
+class TestInEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_matches_stable_sort_by_target(self, g):
+        # random graphs store their edges shuffled and often have isolated nodes
+        assert_in_edges_match_sorts(g)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_graphs(self, n):
+        assert_in_edges_match_sorts(edge_graph(n, []))
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_sorted_edges_come_in_edge_order(self, g):
+        # on (u, v)-sorted edges each node's in-edges are also in edge-id
+        # order, so the Weiszfeld plan keeps its candidate order
+        g = sorted_edges(g)
+        u, v = g.endpoint_arrays()
+        order = viewgraph.in_edges(g.n_nodes, u, v)[0]
+        assert np.array_equal(order, np.lexsort((np.tile(np.arange(u.size), 2),
+                                                 np.concatenate([v, u]))))
+
+    def test_layout_is_built_only_here(self):
+        # the package lays out directed edges in ``in_edges`` alone
+        assert endpoint_sorts(sorted(Path(viewgraph.__file__).parent.glob("*.py"))) == []
 
 
 def desk_graph() -> ViewGraph:

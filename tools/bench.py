@@ -21,7 +21,9 @@ that ``benchmark/hostspeed.py`` samples before and after the call.  Each
 call of a solve leaves a :func:`fingerprint` of its output: NeuRoRA's rows
 and node ids, IRLS's rows, iteration count and summed CG iterations, or
 Weiszfeld's rows and objective trace; equal fingerprints across commits mean
-equal outputs, bit for bit.  Errors are ``benchmark/score.errors_deg``:
+equal outputs, bit for bit.  The IRLS record also keeps the CG iterations of
+each inner solve (0 for a dense one), so that the CG path, whose rows may
+move at rounding level, can be compared step by step.  Errors are ``benchmark/score.errors_deg``:
 median and mean, in degrees, over the returned nodes.  Every child process
 runs with one BLAS thread.
 
@@ -177,7 +179,9 @@ def scale_record(name: str) -> dict:
                     "fingerprints": neurora_prints},
         "irls": {"s": irls_s, **errors(score, irls.q, gt), "iterations": irls.iterations,
                  "converged": bool(irls_raw.converged),
-                 "cg_iterations": int(sum(irls_raw.cg_iterations)), "fingerprints": irls_prints},
+                 "cg_iterations": int(sum(irls_raw.cg_iterations)),
+                 "cg_iterations_per_step": [int(k) for k in irls_raw.cg_iterations],
+                 "fingerprints": irls_prints},
         "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.q, gt),
                             "fingerprints": weiszfeld_prints},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
