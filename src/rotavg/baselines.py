@@ -90,8 +90,9 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     to the batch's maximum degree.
 
     Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, over
-    both directions of every edge in ``viewgraph.in_edges`` order (``q_in``
-    the measurement or its conjugate); ``q_in`` is (n, D, 4) and
+    both directions of every edge in ``viewgraph.in_edges`` order, by source,
+    whatever order the graph stores its edges in (``q_in`` the measurement
+    or its conjugate); ``q_in`` is (n, D, 4) and
     ``_candidates`` turns it into left-multiplication matrices when the
     sweep reads the batch.  ``so3.padded_runs`` cuts each colour's nodes, by
     ascending degree, into batches padded by repeats of the first candidate,

@@ -175,8 +175,9 @@ def check_weights(weights: Mapping[str, np.ndarray], spec: dict[str, tuple[int, 
 @dataclass(frozen=True)
 class _EdgeRuns:
     """The E stored directions, cut into the heads' ``chunks``; and all 2E,
-    in ``viewgraph.in_edges``' order (stably by target), cut into ``runs`` of
-    whole target nodes of at most ``CHUNK_ROWS`` rows unless one has more."""
+    in ``viewgraph.in_edges``' order (by target, then source), cut into
+    ``runs`` of whole target nodes of at most ``CHUNK_ROWS`` rows unless one
+    has more."""
 
     src: np.ndarray      # the stored directions, the graph's own arrays
     dst: np.ndarray

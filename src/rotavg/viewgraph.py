@@ -29,23 +29,15 @@ direction is flipped (its orientation inverted) on construction.
 
 :func:`parse` reads the text in blocks of whole lines
 (``PARSE_BLOCK_CHARS``), cut at any line end, and converts each block's NODE
-and EDGE records to arrays before it reads the next.  A block's lines that
-start with ``"NODE "`` go to numpy's C line reader (``np.loadtxt``) in one
-call, and those that start with ``"EDGE "`` in another; a call is kept only
-where it reads every line as Python's converters would (ASCII without NUL,
-one token count, valid tokens).  A refused group is split by its lines'
-count of spaces (labelled from unlabelled edges, say) and each part is
-retried.  Every other line, and every line of a refused part, goes through
-:func:`_read_records`, which splits it into tokens and locates the faults
-that need them (an unknown record, a token count, a bad token).  The two
-readers' records are merged in line order, and only one block's lines and
-tokens are alive at once: the ``tracemalloc`` peak is 1.2 times the text,
-at 12 MB (cam1000) as at 0.7 MB.  The whole-file checks then run once as
-masks over the concatenated arrays, through the same edge-structure rule
-(range, self-loop, repeat) as the constructor, and the checked arrays become
-the graph without a second check or copy; a :class:`ParseError` names the
-first offending line, and what it says does not depend on the reader that
-took the line.
+and EDGE records to arrays before it reads the next, so only one block's
+lines and tokens are alive at once: the ``tracemalloc`` peak is 1.2 times
+the text, at 12 MB (cam1000) as at 0.7 MB.  Its docstring says which of its
+two readers takes which line.  The whole-file checks then run once as masks
+over the concatenated arrays, through the same edge-structure rule (range,
+self-loop, repeat) as the constructor, and the checked arrays become the
+graph without a second check or copy; a :class:`ParseError` names the first
+offending line, and what it says does not depend on the reader that took
+the line.
 :func:`serialize` formats ``SERIALIZE_ROWS`` rows per ``%`` call, so its
 peak is about the output and its row slices.
 """
@@ -263,32 +255,6 @@ def _degree_weights(g: ViewGraph) -> np.ndarray:
 # Text interchange
 # ---------------------------------------------------------------------------
 
-def _conversion_error(tokens, dtype) -> Exception | None:
-    """What converting ``tokens`` to ``dtype`` raises, or None."""
-    try:
-        np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError) as exc:
-        return exc
-    return None
-
-
-def _convert(recs: list[list[str]], lo: int, hi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Tokens ``lo:hi`` of each record as a (len(recs), hi - lo) array, and a
-    mask of the records whose tokens do not convert.
-
-    The block converts in one ``np.array`` call over its flattened tokens;
-    only when that fails is each record tried alone, to mark the bad ones,
-    which then read as zeros.
-    """
-    try:
-        flat = np.array([tok for rec in recs for tok in rec[lo:hi]], dtype=dtype)
-        return flat.reshape(len(recs), hi - lo), np.zeros(len(recs), dtype=bool)
-    except (ValueError, OverflowError):
-        bad = np.array([_conversion_error(rec[lo:hi], dtype) is not None for rec in recs])
-        return np.array([["0"] * (hi - lo) if b else rec[lo:hi] for rec, b in zip(recs, bad)],
-                        dtype=dtype), bad
-
-
 def _line_blocks(text: str):
     r"""The lines of ``text`` in blocks: (number of the block's first line, its
     lines with comments cut).  A block is cut after the first line end (any
@@ -310,56 +276,64 @@ def _line_blocks(text: str):
         start = end
 
 
-def _note_first(faults: list, mask: np.ndarray, line_no: np.ndarray, rank: int, reason) -> None:
-    """Note ``(line, rank, reason(i))`` for the first record ``i`` at which
-    ``mask`` holds; ``line_no`` numbers the masked records."""
-    if mask.any():  # the method: ``np.any``'s dispatch costs more than a small block's check
-        i = int(np.argmax(mask))
-        faults.append((int(line_no[i]), rank, reason(i)))
-
-
 _LABELS = {"0": 0, "1": 1}  # any other gt_outlier token reads as 2, a fault
 
 
-def _read_records(recs: list[list[str]], line_no: np.ndarray, faults: list) -> tuple[tuple, tuple]:
+def _converted(tokens: list[str], dtype) -> tuple[np.ndarray, str | None]:
+    """``tokens`` as a ``dtype`` array and None, or zeros and the message of
+    what converting them raised (not the error: its traceback would hold
+    the reader's frame, and with it the block's records, in a cycle)."""
+    try:
+        return np.array(tokens, dtype=dtype), None
+    except (ValueError, OverflowError) as exc:
+        return np.zeros(len(tokens), dtype=dtype), str(exc)
+
+
+def _read_records(recs: list[list[str]], line_no: list[int], faults: list) -> tuple[tuple, tuple]:
     """The NODE and EDGE records among the token lists ``recs`` (on lines
-    ``line_no``) as arrays: ``(lines, ids, has_gt, gt rows)`` and ``(lines,
-    uv, q, label)``.  Notes the faults that need the tokens: an unknown
-    record, a token count, a token that does not convert.  A bad token reads
-    as zeros and a bad label as 2, for :func:`parse` to check at the end."""
-    width = np.array([len(t) for t in recs], dtype=np.int64)
-    kind = np.array([t[0] for t in recs], dtype=object)
-    is_node, is_edge = kind == "NODE", kind == "EDGE"
-    node_ok = is_node & ((width == 2) | (width == 6))
-    edge_ok = is_edge & ((width == 7) | (width == 8))
-    _note_first(faults, ~is_node & ~is_edge, line_no, 0, lambda i: f"unknown record {kind[i]!r}")
-    _note_first(faults, is_node & ~node_ok, line_no, 1,
-                lambda i: "NODE takes an id and optionally 4 quaternion components")
-    _note_first(faults, is_edge & ~edge_ok, line_no, 1,
-                lambda i: "EDGE takes u v qw qx qy qz [gt_outlier]")
-
-    def quaternions(block: list[list[str]], lines: np.ndarray, lo: int) -> np.ndarray:
-        q, bad = _convert(block, lo, lo + 4, np.float64)
-        _note_first(faults, bad, lines, 5, lambda i: "bad quaternion component: "
-                    f"{_conversion_error(block[i][lo:lo + 4], np.float64)}")
-        return q
-
-    node = np.flatnonzero(node_ok)
-    node_recs = [recs[r] for r in node.tolist()]
-    ids, bad = _convert(node_recs, 1, 2, np.int64)
-    _note_first(faults, bad, line_no[node], 2, lambda i: f"bad node id {node_recs[i][1]!r}")
-    has_gt = width[node] == 6
-    gq = quaternions([r for r, h in zip(node_recs, has_gt.tolist()) if h], line_no[node[has_gt]], 2)
-
-    edge = np.flatnonzero(edge_ok)
-    edge_recs = [recs[r] for r in edge.tolist()]
-    uv, bad = _convert(edge_recs, 1, 3, np.int64)
-    _note_first(faults, bad, line_no[edge], 2, lambda i: "bad edge endpoints")
-    q = quaternions(edge_recs, line_no[edge], 3)
-    label = np.full(edge.size, -1, dtype=np.int8)
-    labelled = np.flatnonzero(width[edge] == 8)
-    label[labelled] = [_LABELS.get(edge_recs[i][7], 2) for i in labelled.tolist()]
-    return (line_no[node], ids[:, 0], has_gt, gq), (line_no[edge], uv, q, label)
+    ``line_no``) as arrays, read one record at a time: ``(lines, ids,
+    has_gt, gt rows)``, a row NaN where its line gives none, and ``(lines,
+    uv, q, label)``.  Notes the faults that need the tokens (an unknown
+    record, a token count, a token that does not convert) of the first line
+    that has any, as no later line's can come first.  A bad token reads as
+    zeros and a bad label as 2, for :func:`parse` to check at the end."""
+    node: list[tuple] = []
+    edge: list[tuple] = []
+    noted = False
+    for line, tokens in zip(line_no, recs):
+        kind, width = tokens[0], len(tokens)
+        found, bad_q = [], None  # this line's (rank, reason); its components' error message
+        if kind == "NODE" and width in (2, 6):
+            ids, bad = _converted(tokens[1:2], np.int64)
+            q = np.full(4, np.nan)
+            if width == 6:
+                q, bad_q = _converted(tokens[2:6], np.float64)
+            node.append((line, ids[0], width == 6, q))
+            if bad is not None:
+                found.append((2, f"bad node id {tokens[1]!r}"))
+        elif kind == "EDGE" and width in (7, 8):
+            uv, bad = _converted(tokens[1:3], np.int64)
+            q, bad_q = _converted(tokens[3:7], np.float64)
+            edge.append((line, uv, q, _LABELS.get(tokens[7], 2) if width == 8 else -1))
+            if bad is not None:
+                found.append((2, "bad edge endpoints"))
+        elif kind == "NODE":
+            found.append((1, "NODE takes an id and optionally 4 quaternion components"))
+        elif kind == "EDGE":
+            found.append((1, "EDGE takes u v qw qx qy qz [gt_outlier]"))
+        else:
+            found.append((0, f"unknown record {kind!r}"))
+        if bad_q is not None:
+            found.append((5, f"bad quaternion component: {bad_q}"))
+        if found and not noted:
+            faults += [(line, rank, reason) for rank, reason in found]
+            noted = True
+    (n_line, ids, has_gt, gq), (e_line, uv, q, label) = (tuple(zip(*rows)) or ((),) * 4
+                                                         for rows in (node, edge))
+    return ((np.array(n_line, dtype=np.int64), np.array(ids, dtype=np.int64),
+             np.array(has_gt, dtype=bool), np.array(gq, dtype=np.float64).reshape(-1, 4)),
+            (np.array(e_line, dtype=np.int64), np.array(uv, dtype=np.int64).reshape(-1, 2),
+             np.array(q, dtype=np.float64).reshape(-1, 4), np.array(label, dtype=np.int8)))
 
 
 # The C line reader's record layout for each line prefix and token count.
@@ -396,7 +370,7 @@ def _c_records(lines: list[str], prefix: str, line_no: np.ndarray) -> tuple | No
     fields = rec.dtype.names
     if "id" in fields:
         has_gt = "q" in fields
-        gq = rec["q"].copy() if has_gt else np.zeros((0, 4))
+        gq = rec["q"].copy() if has_gt else np.full((rec.size, 4), np.nan)
         return line_no, rec["id"].copy(), np.full(rec.size, has_gt), gq
     label = np.full(rec.size, -1, dtype=np.int8)
     if "label" in fields:
@@ -436,10 +410,9 @@ def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: 
         if tokens:
             recs.append(tokens)
             line_no.append(first + i)
-    if recs:
-        node, edge = _read_records(recs, np.array(line_no, dtype=np.int64), faults)
-        nodes.append(node)
-        edges.append(edge)
+    node, edge = _read_records(recs, line_no, faults)
+    nodes.append(node)
+    edges.append(edge)
 
 
 def _in_line_order(parts: list[tuple]) -> tuple:
@@ -456,25 +429,25 @@ def parse(text: str) -> ViewGraph:
     """Parse the text format; raises :class:`ParseError` with line numbers.
 
     The text is read in blocks of whole lines of about ``PARSE_BLOCK_CHARS``
-    characters.  A block's lines that start with ``"NODE "`` are converted
-    by numpy's C line reader (``np.loadtxt``) in one call, and so are those
-    that start with ``"EDGE "``, if the call reads them as Python's
-    converters would (ASCII, one token count, every token valid).  A
-    refused group is retried per token count: its lines are split by their
-    count of spaces and each part goes to the C reader again.  The other
-    lines (another prefix, a tab or leading whitespace) and the lines of a
-    refused part go through :func:`_read_records`, which converts the
-    tokens with one ``np.array`` call per column group and notes the faults
-    that need them.  Only one block's tokens and lines are alive at once.
-    Both readers' records are merged in line order, and the whole-file
-    checks then run once, as masks over the concatenated arrays.  The error
-    names the first offending line; within a line the checks rank as the
-    record reads (token count, ids, self-loop, duplicate, quaternion
-    components, norm, label).  An edge whose end is not a declared node is
-    reported at its line, but only after the last line, since nodes may
-    follow edges; non-dense node ids raise :class:`ViewGraphError`.  The
-    checked arrays are flipped to ``u < v`` and canonicalised as the
-    constructor does, and stored as they are.
+    characters, by two readers.  A block's lines that start with ``"NODE "``
+    go to numpy's C line reader (``np.loadtxt``) in one call, and those that
+    start with ``"EDGE "`` in another; a call is kept only where it reads
+    every line as Python's converters would (ASCII without NUL, one token
+    count, every token valid).  A refused group is split by its lines' count
+    of spaces (labelled from unlabelled edges, say) and each part is
+    retried.  Every other line (another prefix, a tab, leading whitespace, a
+    bad token) goes to :func:`_read_records`, one line at a time: the text
+    that ``serialize`` and the benchmark write never reaches it, so it is
+    written to be short, and it converts each record's tokens with the one
+    ``np.array`` call whose error names a bad token.  Both readers' records
+    are merged in line order, and the whole-file checks then run once, as
+    masks over the concatenated arrays.  The error names the first offending
+    line; within a line the checks rank as the record reads (token count,
+    ids, self-loop, duplicate, quaternion components, norm, label).  An edge
+    whose end is not a declared node is reported at its line, but only after
+    the last line, since nodes may follow edges; non-dense node ids raise
+    :class:`ViewGraphError`.  The checked arrays are flipped to ``u < v``
+    and canonicalised as the constructor does, and stored as they are.
     """
     faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
     nodes: list[tuple] = []
@@ -491,16 +464,16 @@ def parse(text: str) -> ViewGraph:
         _read_block(lines, first, nodes, edges, faults)
     if not header:
         raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
-    if not (nodes and edges):  # no records of a kind
-        node, edge = _read_records([], np.zeros(0, dtype=np.int64), faults)
-        nodes, edges = nodes or [node], edges or [edge]
-    node_line, ids, has_gt = _in_line_order([p[:3] for p in nodes])
-    _, gq = _in_line_order([(line[gt], rows) for line, _, gt, rows in nodes])
+    node_line, ids, has_gt, gq = _in_line_order(nodes)
     edge_line, uv, q, label = _in_line_order(edges)
     del nodes, edges
 
     def note(mask: np.ndarray, line_no: np.ndarray, rank: int, reason) -> None:
-        _note_first(faults, mask, line_no, rank, reason)
+        """Note ``(line, rank, reason(i))`` for the first record ``i`` at
+        which ``mask`` holds; ``line_no`` numbers the masked records."""
+        if np.any(mask):
+            i = int(np.argmax(mask))
+            faults.append((int(line_no[i]), rank, reason(i)))
 
     def check_norm(rows: np.ndarray, line_no: np.ndarray) -> None:
         norm = so3.rownorm(rows)
@@ -511,6 +484,7 @@ def parse(text: str) -> ViewGraph:
     dup = np.ones(ids.size, dtype=bool)
     dup[np.unique(ids, return_index=True)[1]] = False  # all but each id's first line
     note(dup, node_line, 4, lambda i: f"duplicate node {ids[i]}")
+    gq = gq[has_gt]  # the rows of the lines that give one
     check_norm(gq, node_line[has_gt])
 
     n = ids.size
@@ -600,15 +574,17 @@ def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The 2E directed edges of the edges ``(u, v)`` of an ``n``-node graph,
     by target: int64 ``(order, src, bounds)``.  Directed edge ``j < E`` is
     ``u[j] -> v[j]`` and ``j >= E`` the reverse of edge ``j - E``; ``order``
-    lists them in stable order of their target, ``src`` their sources in
-    that order, and node ``t``'s in-edges are ``order[bounds[t]:bounds[t + 1]]``,
-    so ``np.diff(bounds)`` is the degree.  Over edges sorted by ``(u, v)``
-    each node's in-edges also come in edge-id order.
+    lists them by target and then by source, ``src`` their sources in that
+    order, and node ``t``'s in-edges are ``order[bounds[t]:bounds[t + 1]]``,
+    so ``np.diff(bounds)`` is the degree.  No two directed edges of a graph
+    share a (target, source) pair, so the layout does not depend on the
+    order the graph stores its edges; over edges sorted by ``(u, v)`` each
+    node's in-edges also come in edge-id order.
     """
-    dst = np.concatenate([v, u])
-    order = np.argsort(dst, kind="stable")
+    dst, src = np.concatenate([v, u]), np.concatenate([u, v])
+    order = np.argsort(dst * n + src)  # distinct keys: any sort gives this order
     bounds = np.append(0, np.cumsum(np.bincount(dst, minlength=n)))
-    return order, np.concatenate([u, v]).take(order), bounds
+    return order, src.take(order), bounds
 
 
 def spanning_forest(n: int, u: np.ndarray, v: np.ndarray,

@@ -6,7 +6,8 @@ memory does not grow with the token lists of the whole file.  ``parse``
 here is the parser it replaced: it splits the whole text at once and checks
 every block of records with masks.  Both must give the same graph, bit for
 bit, or raise the same error type naming the same line with the same
-message.
+message.  It shares no code with ``parse``: its token converter and its
+edge-structure rule are its own.
 """
 
 from __future__ import annotations
@@ -14,8 +15,49 @@ from __future__ import annotations
 import numpy as np
 
 from rotavg import so3
-from rotavg.viewgraph import (FORMAT_HEADER, RENORM_TOL, ParseError, ViewGraph, ViewGraphError,
-                              _conversion_error, _convert, _edge_faults)
+from rotavg.viewgraph import FORMAT_HEADER, RENORM_TOL, ParseError, ViewGraph, ViewGraphError
+
+
+def conversion_error(tokens, dtype) -> Exception | None:
+    """What converting ``tokens`` to ``dtype`` raises, or None."""
+    try:
+        np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        return exc
+    return None
+
+
+def convert(recs: list[list[str]], lo: int, hi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens ``lo:hi`` of each record as a (len(recs), hi - lo) array, and a
+    mask of the records whose tokens do not convert.
+
+    The block converts in one ``np.array`` call over its flattened tokens;
+    only when that fails is each record tried alone, to mark the bad ones,
+    which then read as zeros.
+    """
+    try:
+        flat = np.array([tok for rec in recs for tok in rec[lo:hi]], dtype=dtype)
+        return flat.reshape(len(recs), hi - lo), np.zeros(len(recs), dtype=bool)
+    except (ValueError, OverflowError):
+        bad = np.array([conversion_error(rec[lo:hi], dtype) is not None for rec in recs])
+        return np.array([["0"] * (hi - lo) if b else rec[lo:hi] for rec, b in zip(recs, bad)],
+                        dtype=dtype), bad
+
+
+def edge_faults(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks over the edges ``(u[i], v[i])``: an end outside ``[0, n)``, a
+    self-loop, and a repeat of an earlier in-range pair in either direction;
+    an out-of-range pair is never a repeat."""
+    out_of_range = np.zeros(u.size, dtype=bool)
+    repeat = np.zeros(u.size, dtype=bool)
+    seen: set[tuple[int, int]] = set()
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        pair = (min(a, b), max(a, b))
+        out_of_range[i] = pair[0] < 0 or pair[1] >= n
+        if not out_of_range[i]:
+            repeat[i] = pair in seen
+            seen.add(pair)
+    return out_of_range, u == v, repeat
 
 
 def parse(text: str) -> ViewGraph:
@@ -52,9 +94,9 @@ def parse(text: str) -> ViewGraph:
             faults.append((int(line_no[rows[i]]), rank, reason(i)))
 
     def quaternions(block: list[list[str]], rows: np.ndarray, lo: int) -> np.ndarray:
-        q, bad = _convert(block, lo, lo + 4, np.float64)
+        q, bad = convert(block, lo, lo + 4, np.float64)
         first(bad, rows, 5, lambda i: "bad quaternion component: "
-              f"{_conversion_error(block[i][lo:lo + 4], np.float64)}")
+              f"{conversion_error(block[i][lo:lo + 4], np.float64)}")
         norm = so3.rownorm(q)
         first(~(np.abs(norm - 1.0) <= RENORM_TOL), rows, 6,  # so that a NaN norm fails too
               lambda i: f"quaternion norm {norm[i]:.9g} deviates from 1 beyond {RENORM_TOL}")
@@ -69,7 +111,7 @@ def parse(text: str) -> ViewGraph:
 
     node = np.flatnonzero(node_ok)
     node_recs = [recs[r] for r in node.tolist()]
-    ids, bad = _convert(node_recs, 1, 2, np.int64)
+    ids, bad = convert(node_recs, 1, 2, np.int64)
     ids = ids[:, 0]
     first(bad, node, 2, lambda i: f"bad node id {node_recs[i][1]!r}")
     first(ids < 0, node, 3, lambda i: "node ids must be non-negative")
@@ -82,10 +124,10 @@ def parse(text: str) -> ViewGraph:
     n = node.size
     edge = np.flatnonzero(edge_ok)
     edge_recs = [recs[r] for r in edge.tolist()]
-    uv, bad = _convert(edge_recs, 1, 3, np.int64)
+    uv, bad = convert(edge_recs, 1, 3, np.int64)
     u, v = uv[:, 0], uv[:, 1]
     first(bad, edge, 2, lambda i: "bad edge endpoints")
-    undeclared, loop, repeat = _edge_faults(n, u, v)
+    undeclared, loop, repeat = edge_faults(n, u, v)
     first(loop, edge, 3, lambda i: f"self-loop at node {u[i]}")
     first(repeat, edge, 4, lambda i: f"duplicate edge ({u[i]}, {v[i]})")
     q = quaternions(edge_recs, edge, 3)

@@ -860,14 +860,15 @@ def test_weiszfeld_objective_never_increases():
 
 def incoming_candidates(g, rows, node):
     """``q_uv * rows[u]`` over the edges at ``node`` in ``viewgraph.in_edges``
-    order: the edges stored into ``node``, then those stored out of it (their
-    measurements inverted), each in edge order.  On edges sorted by ``(u, v)``
-    that is edge order."""
+    order: by the neighbour ``u``, the edges stored into ``node`` with their
+    measurements and those stored out of it with theirs inverted.  On edges
+    sorted by ``(u, v)`` that is edge order."""
     u, v = g.endpoint_arrays()
     q = g.edge_quat_array()
     into, out = np.flatnonzero(v == node), np.flatnonzero(u == node)
-    return np.concatenate([so3.qmul(q[into], rows[u[into]]),
-                           so3.qmul(so3.qconj(q[out]), rows[v[out]])])
+    cands = np.concatenate([so3.qmul(q[into], rows[u[into]]),
+                            so3.qmul(so3.qconj(q[out]), rows[v[out]])])
+    return cands[np.argsort(np.concatenate([u[into], v[out]]))]
 
 
 def neighbours(g, node):
@@ -979,7 +980,7 @@ def weiszfeld_cases(draw):
 def shuffled_path_case():
     """A noisy 4-node path rooted at node 1, stored as edges (2, 3), (0, 1),
     (1, 2), and one sweep: node 2's first candidate comes from edge (1, 2)
-    by target but from edge (2, 3) by edge id, and a median of two
+    by source but from edge (2, 3) by edge id, and a median of two
     candidates is the first."""
     rng = np.random.default_rng(5)
     u, v = np.array([2, 0, 1]), np.array([3, 1, 2])

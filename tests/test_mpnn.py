@@ -280,7 +280,7 @@ class TestEdgeRuns:
         runs = mpnn._EdgeRuns.build(g, feats)
         u, v = g.endpoint_arrays()
         src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(dst, kind="stable")
+        order = np.lexsort((src, dst))  # by target, then source
         for got, want in ((runs.s_src, src[order]), (runs.s_dst, dst[order]),
                           (runs.s_feats, np.concatenate([feats, so3.qconj(feats)])[order])):
             assert got.dtype == want.dtype and got.shape == want.shape

@@ -10,11 +10,15 @@ chain, and ``test_benchmark_adapter.py`` runs the adapter itself.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import so3_oracle
-from rotavg import baselines, cleaning, refinement, so3, synthgen, viewgraph
+from rotavg import autodiff, baselines, cleaning, refinement, so3, synthgen, viewgraph
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import UnitQuaternion
 
@@ -108,3 +112,72 @@ def test_orientation_rows_canonicalises():
     assert np.max(np.abs(viewgraph.orientation_rows(g, 2.0 * rows) - rows)) < 1e-15
     # the items of a view are plain tuples of the row's floats, so a list of them is rows
     assert np.array_equal(viewgraph.orientation_rows(g, list(so3.Orientations(rows))), rows)
+
+
+CHECKPOINTS = Path(__file__).resolve().parents[1] / "benchmark" / "checkpoints"
+
+
+@pytest.fixture(scope="module")
+def desk_weights():
+    """The committed CleanNet and FineNet weights, loaded against the weight specs."""
+    return (autodiff.load_checkpoint(CHECKPOINTS / "cleannet.json", cleaning.weight_spec()),
+            autodiff.load_checkpoint(CHECKPOINTS / "finenet.json", refinement.weight_spec()))
+
+
+def restored(g: ViewGraph, rng: np.random.Generator) -> ViewGraph:
+    """``g`` rebuilt from its own edges in a random order, a random half of
+    them given reversed (``v -> u`` with the inverse measurement)."""
+    (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
+    perm = rng.permutation(g.n_edges)
+    flip = (rng.random(g.n_edges) < 0.5)[perm]
+    u, v, q = u[perm], v[perm], q[perm]
+    return ViewGraph(g.n_nodes, np.where(flip, v, u), np.where(flip, u, v),
+                     np.where(flip[:, None], so3.qconj(q), q), g.edge_labels()[perm], g.gt)
+
+
+def by_key(g: ViewGraph, per_edge: np.ndarray) -> np.ndarray:
+    """``per_edge`` in the order of the edges' keys ``u * N + v``."""
+    u, v = g.endpoint_arrays()
+    return per_edge[np.argsort(u * g.n_nodes + v)]
+
+
+def angles_rad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.radians(so3.angle_deg(so3.qmul(so3.qconj(a), b)))
+
+
+def neurora(g: ViewGraph, clean_store, fine_store):
+    """The benchmark's NeuRoRA chain: the kept node ids, the removal mask and the refined rows."""
+    pred = cleaning.clean_forward(g, clean_store)
+    cleaned = cleaning.clean_graph(g, pred)
+    boot = bootstrap(cleaned.graph)
+    rows = refinement.refine_forward(cleaned.graph, boot.orientations, fine_store, boot.root)
+    return cleaned.node_ids, pred.outlier_prob > cleaning.EPSILON_DEFAULT, np.asarray(rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.sampled_from([0.15, 0.3, 0.6]))
+def test_solvers_ignore_the_edge_storage_order(desk_weights, seed, n, edge_fraction):
+    # the directed-edge layout sorts by (target, source), which no two
+    # directed edges share, so each node reads its in-edges in one order
+    cfg = synthgen.SynthConfig(n_cameras=(n, n), edge_fraction=(edge_fraction, edge_fraction),
+                               sigma_deg=(10.0, 10.0), outlier_fraction=(0.1, 0.1), seed=seed)
+    g = synthgen.generate_graph(cfg, np.random.default_rng(seed))
+    shuffled = restored(g, np.random.default_rng(seed))
+    for arrays in (ViewGraph.edge_quat_array, ViewGraph.edge_labels):
+        assert np.array_equal(by_key(g, arrays(g)), by_key(shuffled, arrays(shuffled)))
+    init = bootstrap(g).orientations
+    assert np.array_equal(np.asarray(bootstrap(shuffled).orientations), np.asarray(init))
+
+    weiszfeld = [np.asarray(baselines.weiszfeld_mra(x, init, sweeps=3).orientations)
+                 for x in (g, shuffled)]
+    assert weiszfeld[0].tobytes() == weiszfeld[1].tobytes()
+
+    ids, removed, rows = neurora(g, *desk_weights)
+    s_ids, s_removed, s_rows = neurora(shuffled, *desk_weights)
+    assert np.array_equal(s_ids, ids)
+    assert np.array_equal(by_key(shuffled, s_removed), by_key(g, removed))
+    assert np.max(angles_rad(s_rows, rows), initial=0.0) <= 1e-12
+
+    irls, s_irls = (baselines.irls_mra(x, init, max_iters=(5, 20)) for x in (g, shuffled))
+    assert s_irls.iterations == irls.iterations
+    assert np.max(angles_rad(*(np.asarray(x.orientations) for x in (s_irls, irls)))) <= 1e-9

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
+import sys
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -513,11 +515,21 @@ def assert_matches_oracle(text: str, blocks=BLOCKS) -> None:
 @st.composite
 def mangled_texts(draw, text: str) -> str:
     """``text`` with blank and comment-only lines between its lines, comments
-    after some, a line end drawn per line, and at random no final one."""
+    after some, a line end drawn per line, and at random no final one; a
+    NODE or EDGE line may get a tab between two tokens or leading spaces,
+    which send it, or a group of its token count, to the per-line reader."""
     fillers = st.lists(st.sampled_from(["", "   ", "# note", " # note # two"]), max_size=2)
     out = []
     for line in text.splitlines():
         out += draw(fillers)
+        if line.startswith(("NODE ", "EDGE ")):
+            how = draw(st.sampled_from(["", "tab", "lead"]))
+            if how == "tab":
+                tokens = line.split(" ")
+                at = draw(st.integers(1, len(tokens) - 1))
+                line = " ".join(tokens[:at]) + "\t" + " ".join(tokens[at:])
+            elif how == "lead":
+                line = "  " + line
         out.append(line + draw(st.sampled_from(["", "", " # after"])))
     ends = [draw(st.sampled_from(LINE_ENDS)) for _ in out]
     if draw(st.booleans()):
@@ -579,6 +591,33 @@ READER_TEXTS = {
 }
 
 
+def fallback_records(monkeypatch) -> list[str]:
+    """The record names that reach ``viewgraph._read_records`` from here on."""
+    fallback: list[str] = []
+    read_records = viewgraph._read_records
+
+    def spy(recs, line_no, faults):
+        fallback.extend(rec[0] for rec in recs)
+        return read_records(recs, line_no, faults)
+
+    monkeypatch.setattr(viewgraph, "_read_records", spy)
+    return fallback
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def benchmark_module(name: str, monkeypatch):
+    """``benchmark/<name>.py`` as it stands, loaded from its file under its
+    own name for the test's time, so that its dataclasses and its sibling
+    imports find their modules."""
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBlockReading:
     """``parse`` reads the text in blocks of whole lines; the whole-text
     parser it replaced (``parse_oracle``) is its reference."""
@@ -597,15 +636,27 @@ class TestBlockReading:
         gt = so3.sample_uniform_rows(rng, n)
         gt[::3] = np.nan
         g = ViewGraph(n, u, v, so3.sample_uniform_rows(rng, u.size), rng.integers(-1, 2, u.size), gt)
-        fallback = []
-        read_records = viewgraph._read_records
-
-        def spy(recs, line_no, faults):
-            fallback.extend(rec[0] for rec in recs)
-            return read_records(recs, line_no, faults)
-
-        monkeypatch.setattr(viewgraph, "_read_records", spy)
+        fallback = fallback_records(monkeypatch)
         assert_matches_oracle(viewgraph.serialize(g))
+        assert fallback == []
+
+    def test_canonical_texts_never_fall_back(self, monkeypatch):
+        # the benchmark's generator (repr floats) and serialize, with and
+        # without labels and ground truth: every line goes to the C reader
+        benchmark_module("quat", monkeypatch)
+        inputs = benchmark_module("inputs", monkeypatch)
+        texts = [inputs.make_graph(shape, 15.0, np.random.default_rng(seed)).text
+                 for shape in (inputs.Shape(150, 0.66, 0.1), inputs.Shape(250, 0.1, 0.1),
+                               inputs.DESK)
+                 for seed in (1, 7, 11)]
+        cfg = synthgen.SynthConfig(n_cameras=(40, 40), edge_fraction=(0.3, 0.3), seed=2)
+        g = synthgen.generate_graph(cfg, np.random.default_rng(2))
+        (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
+        texts += [viewgraph.serialize(ViewGraph(g.n_nodes, u, v, q, label, gt))
+                  for label in (g.edge_labels(), None) for gt in (g.gt, None)]
+        fallback = fallback_records(monkeypatch)
+        for text in texts:
+            assert stored_arrays(viewgraph.parse(text)) == parse_outcome(parse_oracle.parse, text)
         assert fallback == []
 
     @settings(max_examples=150, deadline=None)
@@ -621,6 +672,30 @@ class TestBlockReading:
         text, _ = corrupted_text(g, how, data)
         assert_matches_oracle(text)
         assert_matches_oracle(data.draw(mangled_texts(text)))
+
+    def test_oracle_shares_no_code_with_the_parser(self):
+        # a fault in a helper both used would go unseen: the oracle reads no
+        # private name of the package
+        tree = ast.parse(Path(parse_oracle.__file__).read_text(encoding="utf-8"))
+        package, private = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rotavg"):
+                package |= {alias.asname or alias.name for alias in node.names}
+                private += [f"{node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+            elif isinstance(node, ast.Import):
+                names = [alias for alias in node.names if alias.name.startswith("rotavg")]
+                package |= {(alias.asname or alias.name).split(".")[0] for alias in names}
+                private += [alias.name for alias in names if "._" in alias.name]
+        assert package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in package:
+                    private.append(ast.unparse(node))
+        assert private == []
 
     @pytest.mark.parametrize("text", CUT_TEXTS)
     def test_matches_oracle_at_every_cut(self, text):
@@ -660,18 +735,29 @@ class TestBlockReading:
         # text).  parse holds one block's tokens at a time, beyond the record
         # arrays, their concatenation and their canonical copies (whole-text
         # token lists peaked at 9x); serialize holds its row slices' text and
-        # the joined copy (one "%" call over every row peaked at 4.5x)
+        # the joined copy (one "%" call over every row peaked at 4.5x).  With
+        # a bad component on every EDGE line, every edge goes through the
+        # per-line reader, and the first is named (2.0x; a reader that kept
+        # each conversion error held each block's records in a cycle, 8.2x)
         cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
                                    sigma_deg=(5.0, 5.0), outlier_fraction=(0.1, 0.1))
         g = synthgen.generate_graph(cfg, np.random.default_rng(0))
         text = viewgraph.serialize(g)
-        for run, arg in ((viewgraph.parse, text), (viewgraph.serialize, g)):
+        broken = re.sub(r"^(EDGE \S+ \S+ )\S+", r"\1x", text, flags=re.MULTILINE)
+        first_edge = 2 + g.n_nodes
+        assert broken.splitlines()[first_edge - 1].startswith("EDGE")
+        for run, arg, error_line in ((viewgraph.parse, text, None), (viewgraph.serialize, g, None),
+                                     (viewgraph.parse, broken, first_edge)):
+            line = None
             tracemalloc.start()
             try:
                 run(arg)
-                peak = tracemalloc.get_traced_memory()[1]
+            except ParseError as exc:
+                line = exc.line_no
             finally:
+                peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
+            assert line == error_line, run.__name__
             assert peak < 3 * len(text), run.__name__
 
     def test_carriage_return_text_keeps_the_block_bound(self):
@@ -870,12 +956,12 @@ class TestSpanningForest:
 
 
 def assert_in_edges_match_sorts(g: ViewGraph) -> None:
-    """``in_edges`` is the stable sort of the 2E directed edges (the stored
-    ones, then their reverses) by target, with their sources, and its
-    bounds step by each node's degree."""
+    """``in_edges`` is the sort of the 2E directed edges (the stored ones,
+    then their reverses) by target and then by source, with their sources,
+    and its bounds step by each node's degree."""
     n, (u, v) = g.n_nodes, g.endpoint_arrays()
     order, src, bounds = viewgraph.in_edges(n, u, v)
-    want = np.argsort(np.concatenate([v, u]), kind="stable")
+    want = np.lexsort((np.concatenate([u, v]), np.concatenate([v, u])))
     for got, expected in ((order, want), (src, np.concatenate([u, v])[want]),
                           (np.diff(bounds), g.degree_array())):
         assert got.dtype == np.int64 and np.array_equal(got, expected)

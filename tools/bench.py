@@ -28,13 +28,8 @@ median and mean, in degrees, over the returned nodes.  Every child process
 runs with one BLAS thread.
 
 It measures the checkout that holds it; a copy placed in a checkout of an
-earlier commit measures that commit.  It exits 1 (:func:`problems`) unless
-every declared workload ran, exited 0 and is correct with no failed
-operation in both runs, every declared end-to-end metric is a finite number
-in the untraced run and every declared per-layer metric in the traced one,
-every scale graph ran and every number it gives is finite, every solve's
-repeats left one fingerprint, and NeuRoRA's median error on cam1000, where
-it runs, is under ``MAX_CAM1000_MEDIAN_DEG``.
+earlier commit measures that commit.  It exits 1 when :func:`problems`,
+whose docstring lists the gate's checks, finds a fault.
 """
 
 from __future__ import annotations
@@ -214,7 +209,16 @@ def is_finite_number(value) -> bool:
 
 
 def problems(bench: dict) -> list[str]:
-    """Why ``bench`` fails the file's gate; empty if it passes."""
+    """Why ``bench`` fails the file's gate; empty if it passes.
+
+    It passes if every declared workload ran, exited 0 and is correct with
+    no failed operation in both runs; every declared end-to-end metric is a
+    finite number in the untraced run and every declared per-layer metric in
+    the traced one; every scale graph ran and every number it gives is
+    finite; every solve's ``REPEATS`` calls left one fingerprint, a
+    determinism gate; and NeuRoRA's median error on cam1000, where it runs,
+    is under ``MAX_CAM1000_MEDIAN_DEG``.
+    """
     spec = declared()
     found = []
     for workload in spec["workloads"]:
