@@ -11,10 +11,16 @@ baselines operating on the same view-graph inputs as the networks.
   left-multiplication matrices and one stacked product.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
-  solve of the weighted graph Laplacian with the root's row pinned: one
-  dense LAPACK solve while ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``, above it
-  CG preconditioned by a maximum-weight spanning tree
+  solve of the weighted graph Laplacian with the root's row pinned.  Both
+  solve paths read one set of normal equations, laid out once per solve on
+  ``viewgraph.in_edges`` and summed per node over its in-edges: one dense
+  LAPACK solve while ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``, above it CG
+  preconditioned by a maximum-weight spanning tree
   (``viewgraph.spanning_forest`` of each iteration's weights).
+
+Neither solver's output depends on the order a graph stores its edges in:
+every per-node sum runs over ``in_edges``' (target, source) order and every
+sum over edges, as Weiszfeld's objective, over the edges' (u, v) order.
 
 Both pin the gauge at the root camera, which they never update, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view of rows (its
@@ -59,9 +65,11 @@ class WeiszfeldResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
-    """The summed angle, in degrees, of the edge residuals of ``rows``."""
-    return float(np.sum(so3.angle_deg(viewgraph.discrepancy(g, rows))))
+def _consistency_objective(g: ViewGraph, rows: np.ndarray, by_uv: np.ndarray) -> float:
+    """The summed angle, in degrees, of the edge residuals of ``rows``, summed
+    in the edges' order ``by_uv`` (``viewgraph.uv_order``), so that the sum
+    does not depend on the order the graph stores its edges in."""
+    return float(np.sum(so3.angle_deg(viewgraph.discrepancy(g, rows)).take(by_uv)))
 
 
 def _weiszfeld_colours(src: np.ndarray, bounds: np.ndarray, root: int) -> np.ndarray:
@@ -156,12 +164,13 @@ def weiszfeld_mra(
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)
     plan = _weiszfeld_plan(g, viewgraph.select_root(g))
-    trace = [_consistency_objective(g, rows)]
+    by_uv = viewgraph.uv_order(g.n_nodes, *g.endpoint_arrays())
+    trace = [_consistency_objective(g, rows, by_uv)]
     for _ in range(sweeps):
         for nodes, src, q_in, valid in plan:
             cands = _candidates(q_in, rows.take(src, axis=0))
             rows[nodes] = so3.l1_medians(cands, valid, WEISZFELD_MEDIAN_ITERS)
-        trace.append(_consistency_objective(g, rows))
+        trace.append(_consistency_objective(g, rows, by_uv))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 
 
@@ -217,7 +226,7 @@ def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.n
 
     # N^(2^k) maps node c to its ancestor 2^k levels up; the root is a sink.
     # The tables index flat (3 * n) arrays: row k of a (3, n) array is the
-    # index range [k * n, (k + 1) * n), as in ``_normal_equations``.
+    # index range [k * n, (k + 1) * n) of its flat view.
     anc = parent
     mult = np.where(depth > 1, w_up / pivot, 0.0)
     rows = np.arange(3)[:, None] * n
@@ -243,44 +252,52 @@ def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.n
     return precond
 
 
-def _normal_equations(u: np.ndarray, v: np.ndarray, n: int, root: int):
-    """``normal_equations(w, resid) -> (diag, rhs)`` of the graph Laplacian
-    with edge weights ``w``: its diagonal and the (3, n) right-hand side of
-    the (3, E) component-major residual, 0 at the pinned ``root``.
+def _in_edge_system(u: np.ndarray, v: np.ndarray, n: int, root: int):
+    """IRLS's normal equations on ``viewgraph.in_edges``, laid out once per
+    solve: the directed edges' sources ``cols`` and node offsets ``bounds``
+    and ``normal_equations(w, resid) -> (w_dir, diag, rhs)``.
+
+    A step gathers the weights ``w`` and the (3, E) component-major residual
+    to the 2E directed edges, the residual negated on the reversed half
+    (edge ``u -> v`` adds ``w r`` at ``v`` and takes it from ``u``), and sums
+    both over each node's run of in-edges, one ``np.add.reduceat`` each: in
+    source order, whatever the edges' storage order.  ``rhs`` is 0 at the
+    ``root``.  Only N = 1 has an empty run, and no edge: both are 0.
     """
-    inc_node = np.concatenate([v, u])  # +1 at each edge's v end, -1 at its u end
-    # one bincount serves all three tangent components: row k of a (3, n)
-    # array is the flat index range [k * n, (k + 1) * n)
-    inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
+    order, cols, bounds = viewgraph.in_edges(n, u, v)
+    edge = order % u.size  # empty, with no modulo, when E = 0
+    sign = np.where(order < u.size, 1.0, -1.0)
+    starts = bounds[:-1]
 
     def normal_equations(w: np.ndarray, resid: np.ndarray):
-        diag = np.bincount(inc_node, np.concatenate([w, w]), n)
-        wr = resid * w
-        swr = np.concatenate([wr, -wr], axis=1)  # (3, 2E), component-major like ``inc_bins``
-        # float64 even when empty (N = 1), where bincount returns int64
-        rhs = np.bincount(inc_bins, swr.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
+        w_dir = w.take(edge)
+        if not w_dir.size:
+            return w_dir, np.zeros(n), np.zeros((3, n))
+        terms = resid.take(edge, axis=1)
+        terms *= w_dir * sign
+        rhs = np.add.reduceat(terms, starts, axis=1)
         rhs[:, root] = 0.0
-        return diag, rhs
+        return w_dir, np.add.reduceat(w_dir, starts), rhs
 
-    return normal_equations
+    return cols, bounds, normal_equations
 
 
 def _dense_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
     """``dense_system(w, resid) -> (lap, rhs)``: the normal equations of one
-    IRLS step as one (n, n) buffer that every step of a solve rewrites,
-    ``diag`` on its diagonal and each off-diagonal weight, negated, in its
-    two cells, then the identity in the row and column of the pinned
-    ``root``.  No other edge shares a cell, since a ``ViewGraph`` has no
-    repeated edge, so the cells are scattered in edge order, with no sort.
+    IRLS step (``_in_edge_system``) as one (n, n) buffer that every step of a
+    solve rewrites, ``diag`` on its diagonal and each directed edge's weight,
+    negated, in its cell ``target * n + source``, then the identity in the
+    row and column of the pinned ``root``.  No two directed edges share a
+    cell, since a ``ViewGraph`` has no repeated edge.
     """
-    normal_equations = _normal_equations(u, v, n, root)
-    cells = np.stack([u * n + v, v * n + u])  # (2, E) flat cells of each weight
+    cols, bounds, normal_equations = _in_edge_system(u, v, n, root)
+    cells = np.repeat(np.arange(n) * n, np.diff(bounds)) + cols
     lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
     flat = lap.reshape(-1)
 
     def dense_system(w: np.ndarray, resid: np.ndarray):
-        diag, rhs = normal_equations(w, resid)
-        flat[cells] = -w
+        w_dir, diag, rhs = normal_equations(w, resid)
+        flat[cells] = -w_dir
         flat[::n + 1] = diag
         lap[root] = lap[:, root] = 0.0
         lap[root, root] = 1.0
@@ -293,33 +310,34 @@ def _cg_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
     """Index the graph Laplacian for CG once per solve.
 
     Returns ``system(w, resid) -> (apply_op, precond, rhs)``: the normal
-    equations of one IRLS step with edge weights ``w`` on (3, n) arrays and
-    their maximum-spanning-tree preconditioner.  The off-diagonal entries,
-    kept in both directions, are ``viewgraph.in_edges``' directed edges: row
-    ``t`` is node ``t``'s in-edges, one contiguous run, their sources the
-    columns; ``apply_op`` gathers ``x`` at the columns, scales by the edges'
-    weights and sums each row with one ``np.add.reduceat`` along the
-    contiguous axis.  A connected graph of N >= 2 nodes has no empty row.
-    The ``root`` is pinned: ``rhs``, ``apply_op`` and ``precond`` are 0 in
-    its row, so CG's iterates stay 0 there and its column is never read.
+    equations of one IRLS step (``_in_edge_system``) with edge weights ``w``
+    on (3, n) arrays and their maximum-spanning-tree preconditioner.  The
+    off-diagonal entries, kept in both directions, are the layout's directed
+    edges: row ``t`` is node ``t``'s in-edges, one contiguous run, their
+    sources the columns; ``apply_op`` gathers ``x`` at the columns, scales by
+    the step's ``w_dir`` and sums each row with one ``np.add.reduceat``
+    along the contiguous axis.  The tree is built from the edges in
+    ``viewgraph.uv_order``, so that its ties break the same way whatever the
+    storage order.  The ``root`` is pinned: ``rhs``, ``apply_op`` and
+    ``precond`` are 0 in its row, so CG's iterates stay 0 there and its
+    column is never read.
     """
-    normal_equations = _normal_equations(u, v, n, root)
-    order, cols, bounds = viewgraph.in_edges(n, u, v)
-    off_edge = order % u.size
+    cols, bounds, normal_equations = _in_edge_system(u, v, n, root)
+    by_uv = viewgraph.uv_order(n, u, v)
+    tree_u, tree_v = u.take(by_uv), v.take(by_uv)
     starts = bounds[:-1]
 
     def system(w: np.ndarray, resid: np.ndarray):
-        diag, rhs = normal_equations(w, resid)
-        w_off = w[off_edge]
+        w_dir, diag, rhs = normal_equations(w, resid)
 
         def apply_op(x: np.ndarray) -> np.ndarray:
             entries = x.take(cols, axis=1)
-            entries *= w_off
+            entries *= w_dir
             ax = diag * x - np.add.reduceat(entries, starts, axis=1)
             ax[:, root] = 0.0
             return ax
 
-        return apply_op, _tree_preconditioner(u, v, w, diag, root), rhs
+        return apply_op, _tree_preconditioner(tree_u, tree_v, w.take(by_uv), diag, root), rhs
 
     return system
 
@@ -389,12 +407,14 @@ def irls_mra(
     and solves the weighted normal equations, with the root held fixed: a
     graph Laplacian with 3-dof blocks, each ``w * I3``, so the three tangent
     components share one N x N matrix, whose root row and column are pinned
-    and whose root step is 0.  Which solve runs is chosen once per call from
-    the cost of each:
+    and whose root step is 0.  Both paths form them as segment sums over
+    the directed edges of ``viewgraph.in_edges`` (``_in_edge_system``).
+    Which solve runs is chosen once per call from the cost of each:
 
-    * ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``: the matrix is scattered dense
-      and each step is one ``np.linalg.solve`` with three right-hand sides,
-      and no spanning tree is built.  Its O(N^3) LU costs less than CG's
+    * ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``: the directed edges' weights
+      are scattered dense and each step is one ``np.linalg.solve`` with
+      three right-hand sides, and no spanning tree is built.  Its O(N^3) LU
+      costs less than CG's
       O(E) work per iteration over its iterations while that ratio stays
       below about 2.2e4.  CPU s of an IRLS (5, 20) solve from the BFS
       bootstrap, dense against CG, one BLAS thread, with the ratio:
@@ -414,11 +434,12 @@ def irls_mra(
 
       The benchmark's graphs (ratios about 450 and 5,000) are dense;
       ``cam5000`` (4.0e5) takes CG.
-    * Above it: conjugate gradient with the Laplacian applied as row-sorted
-      ``np.add.reduceat`` segment sums.  The preconditioner is a support
-      graph rebuilt every iteration: the full diagonal plus the
-      off-diagonals of a maximum-weight spanning tree of the current
-      weights, grounded at the root, which factors exactly with no fill.
+    * Above it: conjugate gradient with the Laplacian applied as segment
+      sums over the same directed edges and weights.  The preconditioner
+      is a support graph rebuilt every iteration: the full diagonal plus
+      the off-diagonals of a maximum-weight spanning tree of the current
+      weights, over the edges in (u, v) order, grounded at the root, which
+      factors exactly with no fill.
 
     An iteration reads the residual component-major: the log body takes
     ``viewgraph.discrepancy_parts`` of the (4, E) edge quaternions,

@@ -15,7 +15,8 @@ left of the object boundary only for the benchmark adapter's reads.
 labels give the components, its size connectivity, and with edge weights
 it is IRLS's maximum spanning tree.  :func:`in_edges` is the package's one
 directed-edge layout, the 2E directed edges sorted by target: ``mpnn``'s
-message runs, the Weiszfeld plan and IRLS's CG Laplacian read it.
+message runs, the Weiszfeld plan and IRLS's normal equations, on its dense
+and its CG path, read it.  A sum over edges runs in :func:`uv_order`.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -585,6 +586,13 @@ def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     order = np.argsort(dst * n + src)  # distinct keys: any sort gives this order
     bounds = np.append(0, np.cumsum(np.bincount(dst, minlength=n)))
     return order, src.take(order), bounds
+
+
+def uv_order(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ids of the edges ``(u, v)`` of an ``n``-node graph sorted by
+    ``(u, v)``: the one order of a sum over edges that does not depend on
+    the order the graph stores them in, the identity over sorted edges."""
+    return np.argsort(u * n + v)  # distinct keys: any sort gives this order
 
 
 def spanning_forest(n: int, u: np.ndarray, v: np.ndarray,

@@ -98,7 +98,8 @@ def assert_system_matches_oracle(u, v, n, root, seed=0):
     also its whole matrix on them; the operator maps 0 to exactly 0, which
     CG's ``r = rhs`` start relies on; and the scattered dense matrix of the
     direct solve is the oracle's, identity row and column included, also
-    when a later step rewrites its buffer with other weights.  The systems
+    when a later step rewrites its buffer with other weights.  The two paths
+    share their diagonal and right-hand side bit for bit.  The systems
     take the residual component-major, (3, E), as IRLS passes it; the
     oracle reads its (E, 3) rows."""
     rng = np.random.default_rng(seed)
@@ -124,6 +125,12 @@ def assert_system_matches_oracle(u, v, n, root, seed=0):
     lap, dense_rhs = dense_system(w, cols)
     assert_rel_close(lap, ref_dense)
     assert np.array_equal(lap, lap.T) and np.array_equal(dense_rhs, rhs)
+    # both paths read one set of normal equations: the CG operator is the
+    # dense matrix bit for bit, diagonal included, but for the root's row
+    # (0 there, the identity's in the dense one)
+    lap_free = lap.copy()
+    lap_free[root] = 0.0
+    assert np.array_equal(dense, lap_free)
     w_next = rng.uniform(0.1, 10.0, size=len(u))
     fresh = baselines._dense_laplacian(u, v, n, root)(w_next, cols)[0]
     assert np.array_equal(dense_system(w_next, cols)[0], fresh)
@@ -611,24 +618,34 @@ class TestDenseSolve:
         assert res.cg_iterations == [0] * iterations and res.cg_residual == 0.0
 
 
+def run_sum(terms):
+    """A run's sum as ``np.add.reduceat`` takes it: its first term plus
+    numpy's pairwise sum of the rest."""
+    return np.add.reduce(terms[1:], initial=terms[0])
+
+
 def irls_frozen(g, init, path, max_iters=(5, 20)):
     """``irls_mra``'s step as it stood before the fused step, on the path
     ``"direct"`` or ``"cg"``: ``so3_oracle``'s log, exp and canonicalization,
-    ``np.linalg.norm``, the E gathered rows conjugated, the right-hand side
-    scattered from its transposed copy and the dense matrix by one
-    ``np.bincount`` over the diagonal and the off-diagonal cells, and the
-    relative residual recomputed after every step.  The parts the fused step
-    left alone are the package's: ``_dense_solve``, ``_cg_multi`` and the CG
-    operator and preconditioner of ``_cg_laplacian``, which reads the
-    residual component-major.  The system is assembled on the graph's own
-    node ids with the root pinned: 0 in the root's right-hand side and the
-    identity in its row and column of the dense matrix.  Returns ``(rows, max_step_trace,
-    cg_residual, cg_iterations)``."""
+    ``np.linalg.norm``, the E gathered rows conjugated, the relative residual
+    recomputed after every step, and the normal equations summed per node:
+    each node's in-edges (both directions of every edge, ``+w r`` at ``v``
+    and ``-w r`` at ``u``) by source, from a lexsort of (target, source),
+    each run summed by ``run_sum``, and the dense matrix by one
+    ``np.bincount`` over the diagonal and the off-diagonal cells.  The parts
+    the fused step left alone are the package's: ``_dense_solve``,
+    ``_cg_multi`` and the CG operator and preconditioner of
+    ``_cg_laplacian``, which reads the residual component-major.  The system
+    is assembled on the graph's own node ids with the root pinned: 0 in the
+    root's right-hand side and the identity in its row and column of the
+    dense matrix.  Returns ``(rows, max_step_trace, cg_residual,
+    cg_iterations)``."""
     rows = so3_oracle.qcanon(np.asarray(init, dtype=np.float64))
     u, v, n, root = root_index(g)
-    inc_node, inc_edge = np.concatenate([v, u]), np.tile(np.arange(u.size), 2)
-    inc_sign = np.repeat([1.0, -1.0], u.size)
-    inc_bins = (np.arange(3)[:, None] * n + inc_node).ravel()
+    dst, src = np.concatenate([v, u]), np.concatenate([u, v])
+    by_target = np.lexsort((src, dst))  # by target, then by source
+    inc_edge, inc_sign = by_target % u.size, np.where(by_target < u.size, 1.0, -1.0)
+    runs = [np.flatnonzero(dst[by_target] == t) for t in range(n)]
     cells = np.concatenate([np.arange(n) * (n + 1), u * n + v, v * n + u])
     system = baselines._cg_laplacian(u, v, n, root)
     trace, cg_iterations, cg_residual = [], [], 0.0
@@ -637,9 +654,10 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
             resid = so3_oracle.qlog(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
             norms = np.linalg.norm(resid, axis=1)
             w = 1.0 / np.maximum(norms**exponent, baselines.IRLS_DELTA) if trace else np.ones_like(norms)
-            diag = np.bincount(inc_node, w[inc_edge], n)
-            swr = (inc_sign * w[inc_edge])[:, None] * resid[inc_edge]
-            rhs = np.bincount(inc_bins, swr.T.ravel(), 3 * n).reshape(3, n).astype(np.float64, copy=False)
+            w_in = w[inc_edge]
+            swr = ((inc_sign * w_in)[:, None] * resid[inc_edge]).T.copy()  # (3, 2E)
+            diag = np.array([run_sum(w_in[run]) for run in runs])
+            rhs = np.array([[run_sum(row[run]) for run in runs] for row in swr])
             rhs[:, root] = 0.0
             if path == "direct":
                 lap = np.bincount(cells, np.concatenate([diag, -w, -w]), n * n).reshape(n, n)
@@ -1188,9 +1206,9 @@ class TestWeiszfeldPlan:
         monkeypatch.setattr(so3, "MEDOID_CELLS", cells)
         g = make_graph(seed=8, n=30, sigma=10.0, outliers=0.1)
         assert len(baselines._weiszfeld_plan(g, viewgraph.select_root(g))) > 1
-        init = bootstrap(g)
+        init, by_uv = bootstrap(g), viewgraph.uv_order(g.n_nodes, *g.endpoint_arrays())
         with mock.patch.object(so3, "qmul_parts", wraps=so3.qmul_parts) as qmul:
-            baselines._consistency_objective(g, np.asarray(init))
+            baselines._consistency_objective(g, np.asarray(init), by_uv)
             per_objective = qmul.call_count
             qmul.reset_mock()
             baselines.weiszfeld_mra(g, init, sweeps=sweeps)

@@ -4,19 +4,25 @@
 non-zero or is not correct, a failed operation, a declared end-to-end or
 per-layer metric that is missing, ``None`` or not finite, a scale graph that
 did not run, a scale solve whose repeated calls left different (or missing)
-fingerprints, and NeuRoRA's cam1000 median error at or above 1 degree.
-:func:`main` must run every workload that ``BENCHMARK.json`` declares.  The
-tool is loaded from its path with the environment restored after its import,
-and no test starts a process.
+fingerprints, NeuRoRA's cam1000 median error at or above 1 degree, and a
+paired run that is not correct.  :func:`main` must run every workload that
+``BENCHMARK.json`` declares.  The paired runs of ``--against`` alternate
+which side goes first, their statistics are checked on known values, and
+the base commit's temporary tree is removed also when a run or the
+checkout fails.  The tool is loaded from
+its path with the environment restored after its import, and no test starts
+a process: git and the runs are injected.
 """
 
 from __future__ import annotations
 
 import copy
 import importlib.util
+import io
 import json
 import os
 import subprocess
+import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END = [m["name"] for m in SPEC["end_to_end"]]
 PER_LAYER = [m["name"] for m in SPEC["per_layer"]]
+SPEC_BY_NAME = {m["name"]: m for m in SPEC["end_to_end"]}
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +243,154 @@ def test_timed_takes_the_median_of_the_repeats(bench):
     record["scale"]["cam1000"]["irls"]["fingerprints"] = prints
     assert bench.problems(record) == [f"cam1000.irls: repeats' fingerprints {prints}"]
     assert bench.timed(FakeSpeed([0.3, 0.1, 0.2]), lambda: 7) == (7, 0.2, [])
+
+
+def test_pairs_alternate_which_side_runs_first(bench):
+    calls = []
+
+    def run(workload, seconds, trace, root):
+        calls.append((workload, seconds, trace, root))
+        return {"side": root, "n": len(calls)}
+
+    base = Path("/base-checkout")
+    base_runs, runs = bench.paired_runs("dense", 4, 0.5, base, run)
+    sides = [root for *_, root in calls]
+    assert sides == [base, bench.ROOT, bench.ROOT, base, base, bench.ROOT, bench.ROOT, base]
+    assert all(call[:3] == ("dense", 0.5, 0) for call in calls)  # untraced runs only
+    # each side's runs in pair order, one per pair
+    assert [r["n"] for r in base_runs] == [1, 4, 5, 8] and [r["n"] for r in runs] == [2, 3, 6, 7]
+
+
+def test_paired_stats(bench):
+    base = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 2.0, 3.0, 4.0]
+    lower = bench.paired_stats(base, change, "lower")
+    assert lower["pairs"] == 5 and lower["won"] == 4  # the second pair is lost
+    assert lower["base"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert lower["change"] == {"median": 2.5, "q1": 2.0, "q3": 3.0}
+    assert lower["ratio"] == 2.5 / 3.0
+    higher = bench.paired_stats(base, change, "higher")
+    assert higher["won"] == 1 and higher["base"] == lower["base"]
+    # a tie is not a win, and a pair with a missing or non-finite side is left out
+    kept = bench.paired_stats([1.0, 2.0, None, 4.0], [1.0, float("nan"), 1.0, 3.0], "lower")
+    assert kept["pairs"] == 2 and kept["won"] == 1 and kept["base"]["median"] == 2.5
+    assert bench.paired_stats([None], [1.0], "lower") == {"pairs": 0}
+    assert bench.paired_stats([0.0, 0.0], [1.0, 1.0], "lower")["ratio"] is None
+
+
+def tar_of(files: dict[str, str]) -> bytes:
+    """A tar archive of the text ``files``, as ``git archive`` writes one."""
+    out = io.BytesIO()
+    with tarfile.open(fileobj=out, mode="w") as tar:
+        for name, text in files.items():
+            data = text.encode()
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    return out.getvalue()
+
+
+class FakeGit:
+    """``subprocess.run`` for ``git``: records each command, resolves every
+    revision to one commit id and archives ``archive`` as that commit."""
+
+    def __init__(self, archive: bytes = b""):
+        self.calls = []
+        self.archive = archive or tar_of({"benchmark/run.py": "# the base commit\n"})
+
+    def __call__(self, cmd, **kwargs):
+        assert cmd[0] == "git" and kwargs["cwd"] == ROOT and kwargs["check"] is True
+        self.calls.append(cmd[1:])
+        return completed(0, b"0123abc\n" if cmd[1] == "rev-parse" else self.archive)
+
+
+def paired_run(workload, seconds, trace, root):
+    good = run_record(0)
+    good["metrics"] = {name: (2.0 if root == ROOT else 3.0) for name in END_TO_END}
+    return good
+
+
+def test_paired_record_runs_in_a_removed_tree(bench, monkeypatch):
+    fake = FakeGit()
+    monkeypatch.setattr(bench.subprocess, "run", fake)
+    roots = set()
+
+    def run(workload, seconds, trace, root):
+        roots.add(root)
+        if root != ROOT:  # the base commit's files exist while it runs
+            assert (root / "benchmark" / "run.py").read_text() == "# the base commit\n"
+        return paired_run(workload, seconds, trace, root)
+
+    record = bench.paired_record("HEAD~1", 3, 0.1, run)
+    (base,) = roots - {ROOT}
+    assert fake.calls == [["rev-parse", "--verify", "HEAD~1^{commit}"], ["archive", "0123abc"]]
+    assert not base.exists()
+    assert record["against"] == {"rev": "HEAD~1", "commit": "0123abc"} and record["pairs"] == 3
+    assert list(record["workloads"]) == WORKLOADS
+    for rec in record["workloads"].values():
+        assert rec["correct"] is True and list(rec["metrics"]) == END_TO_END
+        for name, entry in SPEC_BY_NAME.items():
+            stats = rec["metrics"][name]
+            assert stats["ratio"] == 2.0 / 3.0
+            assert stats["won"] == (3 if entry["better"] == "lower" else 0)
+    bench_file = complete_bench()
+    bench_file["paired"] = record
+    assert bench.problems(bench_file) == []
+    record["workloads"][WORKLOADS[0]]["correct"] = False
+    assert bench.problems(bench_file) == [
+        f"paired.{WORKLOADS[0]}: a run not correct or with a failed operation"]
+
+
+def made_dirs(bench, monkeypatch) -> list[Path]:
+    """Every directory ``tempfile.mkdtemp`` makes from now on."""
+    made, mkdtemp = [], bench.tempfile.mkdtemp
+
+    def record(**kwargs):
+        made.append(Path(mkdtemp(**kwargs)))
+        return str(made[-1])
+
+    monkeypatch.setattr(bench.tempfile, "mkdtemp", record)
+    return made
+
+
+def test_paired_record_removes_the_tree_when_a_run_fails(bench, monkeypatch):
+    monkeypatch.setattr(bench.subprocess, "run", FakeGit())
+    made = made_dirs(bench, monkeypatch)
+    bases = []
+
+    def run(workload, seconds, trace, root):
+        bases.append(root)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        bench.paired_record("HEAD~1", 2, 0.1, run)
+    assert bases == made and not made[0].exists()
+
+
+@pytest.mark.parametrize("step", ["rev-parse", "archive", "extract"])
+def test_a_failed_checkout_leaves_no_directory(bench, monkeypatch, step):
+    fake = FakeGit(b"not a tar archive" if step == "extract" else b"")
+
+    def git(cmd, **kwargs):
+        if cmd[1] == step:
+            raise subprocess.CalledProcessError(128, cmd)
+        return fake(cmd, **kwargs)
+
+    monkeypatch.setattr(bench.subprocess, "run", git)
+    made = made_dirs(bench, monkeypatch)
+    with pytest.raises(tarfile.ReadError if step == "extract" else subprocess.CalledProcessError):
+        bench.paired_record("no-such-rev", 2, 0.1, paired_run)
+    assert len(made) == 1 and not made[0].exists()
+
+
+def test_main_adds_the_paired_section(bench, monkeypatch, tmp_path):
+    asked = []
+    monkeypatch.setattr(bench, "run_workload", lambda workload, seconds, trace: run_record(trace))
+    monkeypatch.setattr(bench, "run_scale", lambda name: scale_record())
+    monkeypatch.setattr(bench, "paired_record",
+                        lambda rev, pairs, seconds: asked.append((rev, pairs, seconds)) or {})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--seconds", "0.1", "--scale", "--out", str(out),
+                       "--against", "HEAD~1"]) == 0
+    assert asked == [("HEAD~1", bench.PAIRS, 0.1)] and bench.PAIRS >= 10
+    assert json.loads(out.read_text(encoding="utf-8"))["paired"] == {}

@@ -158,7 +158,8 @@ def neurora(g: ViewGraph, clean_store, fine_store):
 @given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.sampled_from([0.15, 0.3, 0.6]))
 def test_solvers_ignore_the_edge_storage_order(desk_weights, seed, n, edge_fraction):
     # the directed-edge layout sorts by (target, source), which no two
-    # directed edges share, so each node reads its in-edges in one order
+    # directed edges share, so each node reads its in-edges in one order,
+    # and its reversed half is the edges by (u, v), the order of sums over edges
     cfg = synthgen.SynthConfig(n_cameras=(n, n), edge_fraction=(edge_fraction, edge_fraction),
                                sigma_deg=(10.0, 10.0), outlier_fraction=(0.1, 0.1), seed=seed)
     g = synthgen.generate_graph(cfg, np.random.default_rng(seed))
@@ -168,9 +169,10 @@ def test_solvers_ignore_the_edge_storage_order(desk_weights, seed, n, edge_fract
     init = bootstrap(g).orientations
     assert np.array_equal(np.asarray(bootstrap(shuffled).orientations), np.asarray(init))
 
-    weiszfeld = [np.asarray(baselines.weiszfeld_mra(x, init, sweeps=3).orientations)
-                 for x in (g, shuffled)]
-    assert weiszfeld[0].tobytes() == weiszfeld[1].tobytes()
+    weiszfeld, s_weiszfeld = (baselines.weiszfeld_mra(x, init, sweeps=3) for x in (g, shuffled))
+    assert (np.asarray(s_weiszfeld.orientations).tobytes()
+            == np.asarray(weiszfeld.orientations).tobytes())
+    assert s_weiszfeld.objective_trace == weiszfeld.objective_trace
 
     ids, removed, rows = neurora(g, *desk_weights)
     s_ids, s_removed, s_rows = neurora(shuffled, *desk_weights)
@@ -178,6 +180,14 @@ def test_solvers_ignore_the_edge_storage_order(desk_weights, seed, n, edge_fract
     assert np.array_equal(by_key(shuffled, s_removed), by_key(g, removed))
     assert np.max(angles_rad(s_rows, rows), initial=0.0) <= 1e-12
 
-    irls, s_irls = (baselines.irls_mra(x, init, max_iters=(5, 20)) for x in (g, shuffled))
-    assert s_irls.iterations == irls.iterations
-    assert np.max(angles_rad(*(np.asarray(x.orientations) for x in (s_irls, irls)))) <= 1e-9
+    # IRLS sums each node's normal equations over its in-edges in the same
+    # order, and its CG preconditioner's tree reads the edges by (u, v), on
+    # the dense path (these sizes' own) and on CG, forced by a ratio of 0
+    for ratio in (baselines.DENSE_SOLVE_RATIO, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "DENSE_SOLVE_RATIO", ratio)
+            irls, s_irls = (baselines.irls_mra(x, init, max_iters=(5, 20)) for x in (g, shuffled))
+        assert s_irls.iterations == irls.iterations and s_irls.cg_iterations == irls.cg_iterations
+        assert any(irls.cg_iterations) == (ratio == 0)
+        assert (np.asarray(s_irls.orientations).tobytes()
+                == np.asarray(irls.orientations).tobytes())

@@ -1033,6 +1033,18 @@ class TestInEdges:
         assert np.array_equal(order, np.lexsort((np.tile(np.arange(u.size), 2),
                                                  np.concatenate([v, u]))))
 
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_uv_order_sorts_by_pair(self, g):
+        # the edge ids by (u, v) whatever the storage order; on sorted edges
+        # the identity, so a sum in this order keeps its storage-order bits
+        u, v = g.endpoint_arrays()
+        by_uv = viewgraph.uv_order(g.n_nodes, u, v)
+        assert by_uv.dtype == np.int64 and np.array_equal(by_uv, np.lexsort((v, u)))
+        s = sorted_edges(g)
+        by_uv = viewgraph.uv_order(s.n_nodes, *s.endpoint_arrays())
+        assert np.array_equal(by_uv, np.arange(u.size))
+
     def test_layout_is_built_only_here(self):
         # the package lays out directed edges in ``in_edges`` alone
         assert endpoint_sorts(sorted(Path(viewgraph.__file__).parent.glob("*.py"))) == []

@@ -30,19 +30,36 @@ runs with one BLAS thread.
 It measures the checkout that holds it; a copy placed in a checkout of an
 earlier commit measures that commit.  It exits 1 when :func:`problems`,
 whose docstring lists the gate's checks, finds a fault.
+
+    python3 tools/bench.py --out FILE --against REV [--scale]
+
+adds a ``paired`` section that compares this checkout with the commit REV,
+whose files ``git archive`` writes into a temporary directory that is
+removed afterwards, also on failure (:func:`checkout`).  Each declared
+workload runs ``benchmark/run.py --trace 0`` in both trees ``PAIRS``
+times, alternating which side goes first (:func:`paired_runs`); per
+end-to-end metric the section gives both sides' medians and quartiles, the
+ratio of the medians and the number of pairs the checkout won
+(:func:`paired_stats`).  The scale section measures this checkout alone
+(``--scale`` with no name skips it).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 from time import process_time
 
@@ -53,6 +70,7 @@ SEED = 1
 SCALE_CONFIGS = ("sparse2.5", "cam1000", "cam5000")
 MAX_CAM1000_MEDIAN_DEG = 1.0
 REPEATS = 3  # calls of each scale stage
+PAIRS = 10  # --against's pairs of runs per workload, the fewest a claim rests on
 SOLVES = ("neurora", "irls", "weiszfeld_sweep")  # the scale stages that leave fingerprints
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -65,12 +83,13 @@ def declared() -> dict[str, list[str]]:
             for kind in ("workloads", "end_to_end", "per_layer")}
 
 
-def run_workload(workload: str, seconds: float, trace: int) -> dict:
-    """One ``benchmark/run.py`` call, read from its ``env``, ``host`` and last JSON lines."""
+def run_workload(workload: str, seconds: float, trace: int, root: Path = ROOT) -> dict:
+    """One ``benchmark/run.py`` call in the checkout ``root``, read from its
+    ``env``, ``host`` and last JSON lines."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
+        cwd=root, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
     lines = {}
     for line in proc.stdout.splitlines():
         if line.startswith("{"):
@@ -93,6 +112,84 @@ def workload_record(workload: str, seconds: float) -> dict:
         "correct": untraced["correct"] is True and traced["correct"] is True,
         "failed": [untraced["failed"], traced["failed"]],
     }
+
+
+def git(*args: str) -> bytes:
+    """``git args`` in this checkout; its standard output."""
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+@contextlib.contextmanager
+def checkout(rev: str):
+    """The files of the commit ``rev``, written by ``git archive`` into a
+    temporary directory, yielded as ``(path, commit id)``; the directory is
+    removed afterwards, also when the body fails.  The tree is no git
+    checkout, so git holds no record of it and removing the directory
+    cannot fail halfway."""
+    tmp = Path(tempfile.mkdtemp(prefix="bench-against-"))
+    try:
+        commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+        with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tree:
+            tree.extractall(tmp, filter="data")
+        yield tmp, commit
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def paired_runs(workload: str, pairs: int, seconds: float, base: Path,
+                run=run_workload) -> tuple[list[dict], list[dict]]:
+    """``pairs`` untraced runs of ``workload`` in the tree ``base`` and in
+    this one, each pair run back to back, the base first in even pairs and
+    this checkout first in odd ones: ``(base_runs, runs)``."""
+    base_runs, runs = [], []
+    for i in range(pairs):
+        sides = [(base_runs, base), (runs, ROOT)]
+        for out, root in sides[::-1] if i % 2 else sides:
+            out.append(run(workload, seconds, 0, root))
+    return base_runs, runs
+
+
+def quartiles(values: list[float]) -> dict:
+    """The median and the quartiles of ``values`` (numpy's linear percentiles)."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def paired_stats(base: list, change: list, better: str) -> dict:
+    """One metric over paired runs: both sides' median and quartiles, the
+    ratio of the medians (this checkout over the base) and the number of
+    pairs this checkout won, strictly better in the direction ``better``
+    (``"lower"`` or ``"higher"``).  Pairs with a missing or non-finite value
+    on either side are left out."""
+    kept = [(b, c) for b, c in zip(base, change) if is_finite_number(b) and is_finite_number(c)]
+    if not kept:
+        return {"pairs": 0}
+    b, c = (list(side) for side in zip(*kept))
+    stats = {"pairs": len(kept), "base": quartiles(b), "change": quartiles(c),
+             "won": sum(y < x if better == "lower" else y > x for x, y in kept)}
+    base_median = stats["base"]["median"]
+    stats["ratio"] = stats["change"]["median"] / base_median if base_median else None
+    return stats
+
+
+def paired_record(rev: str, pairs: int, seconds: float, run=run_workload) -> dict:
+    """The ``paired`` section: every declared workload's :func:`paired_runs`
+    against the commit ``rev`` and each end-to-end metric's :func:`paired_stats`."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    record = {"pairs": pairs, "seconds": seconds, "workloads": {}}
+    with checkout(rev) as (base, commit):
+        record["against"] = {"rev": rev, "commit": commit}
+        for workload in declared()["workloads"]:
+            base_runs, runs = paired_runs(workload, pairs, seconds, base, run)
+            record["workloads"][workload] = {
+                "correct": all(r["correct"] is True and r["failed"] == 0
+                               for r in base_runs + runs),
+                "metrics": {name: paired_stats([r["metrics"].get(name) for r in base_runs],
+                                               [r["metrics"].get(name) for r in runs], direction)
+                            for name, direction in better.items()},
+            }
+    return record
 
 
 def errors(score, q: np.ndarray, gt: np.ndarray) -> dict:
@@ -216,8 +313,9 @@ def problems(bench: dict) -> list[str]:
     finite number in the untraced run and every declared per-layer metric in
     the traced one; every scale graph ran and every number it gives is
     finite; every solve's ``REPEATS`` calls left one fingerprint, a
-    determinism gate; and NeuRoRA's median error on cam1000, where it runs,
-    is under ``MAX_CAM1000_MEDIAN_DEG``.
+    determinism gate; NeuRoRA's median error on cam1000, where it runs,
+    is under ``MAX_CAM1000_MEDIAN_DEG``; and, with a ``paired`` section,
+    every paired run on both sides is correct with no failed operation.
     """
     spec = declared()
     found = []
@@ -243,6 +341,9 @@ def problems(bench: dict) -> list[str]:
                 found.append(f"{name}.{solve}: repeats' fingerprints {prints}")
     found += [f"scale.{path} = {value}" for path, value in numbers(bench["scale"])
               if not math.isfinite(value)]
+    found += [f"paired.{workload}: a run not correct or with a failed operation"
+              for workload, rec in bench.get("paired", {}).get("workloads", {}).items()
+              if rec["correct"] is not True]
     median = bench["scale"].get("cam1000", {}).get("neurora", {}).get("err_median_deg", 0.0)
     if not median < MAX_CAM1000_MEDIAN_DEG:
         found.append(f"NeuRoRA's cam1000 median error {median} deg >= {MAX_CAM1000_MEDIAN_DEG}")
@@ -256,6 +357,8 @@ def main(argv=None) -> int:
                         help="benchmark/run.py --seconds of each workload run")
     parser.add_argument("--scale", nargs="*", default=list(SCALE_CONFIGS),
                         help="robustness-suite graphs of the scale section")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run the workloads in pairs against the commit REV")
     parser.add_argument("--scale-one", help=argparse.SUPPRESS)  # run_scale's child process
     args = parser.parse_args(argv)
     if args.scale_one:
@@ -269,6 +372,8 @@ def main(argv=None) -> int:
         "workloads": {w: workload_record(w, args.seconds) for w in declared()["workloads"]},
         "scale": {name: run_scale(name) for name in args.scale},
     }
+    if args.against:
+        bench["paired"] = paired_record(args.against, PAIRS, args.seconds)
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     found = problems(bench)
     for line in found:
