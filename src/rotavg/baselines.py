@@ -18,9 +18,8 @@ baselines operating on the same view-graph inputs as the networks.
   preconditioned by a maximum-weight spanning tree
   (``viewgraph.spanning_forest`` of each iteration's weights).
 
-Neither solver's output depends on the order a graph stores its edges in:
-every per-node sum runs over ``in_edges``' (target, source) order and every
-sum over edges, as Weiszfeld's objective, over the edges' (u, v) order.
+Every per-node sum runs over ``in_edges``' (target, source) order, and every
+sum over edges, as Weiszfeld's objective, over the graph's (u, v) order.
 
 Both pin the gauge at the root camera, which they never update, take (N, 4)
 initial rows and return a read-only ``so3.Orientations`` view of rows (its
@@ -65,11 +64,9 @@ class WeiszfeldResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _consistency_objective(g: ViewGraph, rows: np.ndarray, by_uv: np.ndarray) -> float:
-    """The summed angle, in degrees, of the edge residuals of ``rows``, summed
-    in the edges' order ``by_uv`` (``viewgraph.uv_order``), so that the sum
-    does not depend on the order the graph stores its edges in."""
-    return float(np.sum(so3.angle_deg(viewgraph.discrepancy(g, rows)).take(by_uv)))
+def _consistency_objective(g: ViewGraph, rows: np.ndarray) -> float:
+    """The summed angle, in degrees, of the edge residuals of ``rows``."""
+    return float(np.sum(so3.angle_deg(viewgraph.discrepancy(g, rows))))
 
 
 def _weiszfeld_colours(src: np.ndarray, bounds: np.ndarray, root: int) -> np.ndarray:
@@ -98,9 +95,8 @@ def _weiszfeld_plan(g: ViewGraph, root: int) -> list[tuple[np.ndarray, ...]]:
     to the batch's maximum degree.
 
     Candidate ``j`` of node ``v`` is ``q_in[v, j] * rows[src[v, j]]``, over
-    both directions of every edge in ``viewgraph.in_edges`` order, by source,
-    whatever order the graph stores its edges in (``q_in`` the measurement
-    or its conjugate); ``q_in`` is (n, D, 4) and
+    both directions of every edge in ``viewgraph.in_edges`` order, by source
+    (``q_in`` the measurement or its conjugate); ``q_in`` is (n, D, 4) and
     ``_candidates`` turns it into left-multiplication matrices when the
     sweep reads the batch.  ``so3.padded_runs`` cuts each colour's nodes, by
     ascending degree, into batches padded by repeats of the first candidate,
@@ -164,13 +160,12 @@ def weiszfeld_mra(
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)
     plan = _weiszfeld_plan(g, viewgraph.select_root(g))
-    by_uv = viewgraph.uv_order(g.n_nodes, *g.endpoint_arrays())
-    trace = [_consistency_objective(g, rows, by_uv)]
+    trace = [_consistency_objective(g, rows)]
     for _ in range(sweeps):
         for nodes, src, q_in, valid in plan:
             cands = _candidates(q_in, rows.take(src, axis=0))
             rows[nodes] = so3.l1_medians(cands, valid, WEISZFELD_MEDIAN_ITERS)
-        trace.append(_consistency_objective(g, rows, by_uv))
+        trace.append(_consistency_objective(g, rows))
     return WeiszfeldResult(orientations=so3.Orientations(so3.qcanon(rows)), objective_trace=trace)
 
 
@@ -260,8 +255,8 @@ def _in_edge_system(u: np.ndarray, v: np.ndarray, n: int, root: int):
     A step gathers the weights ``w`` and the (3, E) component-major residual
     to the 2E directed edges, the residual negated on the reversed half
     (edge ``u -> v`` adds ``w r`` at ``v`` and takes it from ``u``), and sums
-    both over each node's run of in-edges, one ``np.add.reduceat`` each: in
-    source order, whatever the edges' storage order.  ``rhs`` is 0 at the
+    both over each node's run of in-edges, one ``np.add.reduceat`` each, in
+    source order over a graph's (u, v)-sorted edges.  ``rhs`` is 0 at the
     ``root``.  Only N = 1 has an empty run, and no edge: both are 0.
     """
     order, cols, bounds = viewgraph.in_edges(n, u, v)
@@ -316,15 +311,12 @@ def _cg_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
     edges: row ``t`` is node ``t``'s in-edges, one contiguous run, their
     sources the columns; ``apply_op`` gathers ``x`` at the columns, scales by
     the step's ``w_dir`` and sums each row with one ``np.add.reduceat``
-    along the contiguous axis.  The tree is built from the edges in
-    ``viewgraph.uv_order``, so that its ties break the same way whatever the
-    storage order.  The ``root`` is pinned: ``rhs``, ``apply_op`` and
+    along the contiguous axis.  The tree is built from the edges in their
+    stored (u, v) order.  The ``root`` is pinned: ``rhs``, ``apply_op`` and
     ``precond`` are 0 in its row, so CG's iterates stay 0 there and its
     column is never read.
     """
     cols, bounds, normal_equations = _in_edge_system(u, v, n, root)
-    by_uv = viewgraph.uv_order(n, u, v)
-    tree_u, tree_v = u.take(by_uv), v.take(by_uv)
     starts = bounds[:-1]
 
     def system(w: np.ndarray, resid: np.ndarray):
@@ -337,7 +329,7 @@ def _cg_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
             ax[:, root] = 0.0
             return ax
 
-        return apply_op, _tree_preconditioner(tree_u, tree_v, w.take(by_uv), diag, root), rhs
+        return apply_op, _tree_preconditioner(u, v, w, diag, root), rhs
 
     return system
 

@@ -1,11 +1,12 @@
 """View-graph data model, text interchange format, connectivity and tree
 bootstrapping.
 
-A :class:`ViewGraph` stores its E measured edges as arrays: int64 endpoints
-``u < v``, an (E, 4) array of canonical orientation rows ``q`` (``u -> v``)
-and an int8 ground-truth label (-1 unknown, 0 inlier, 1 outlier); ground
-truth is (N, 4) canonical rows, NaN where unknown.  Every solver and network
-reads these arrays; :func:`discrepancy` is their one per-edge residual, and
+A :class:`ViewGraph` stores its E measured edges as arrays sorted by
+``(u, v)``, the order of every sum over edges: int64 endpoints ``u < v``, an
+(E, 4) array of canonical orientation rows ``q`` (``u -> v``) and an int8
+ground-truth label (-1 unknown, 0 inlier, 1 outlier); ground truth is (N, 4)
+canonical rows, NaN where unknown.  Every solver and network reads these
+arrays; :func:`discrepancy` is their one per-edge residual, and
 :func:`discrepancy_parts` its four component arrays, the form IRLS reads.
 Solver orientations are (N, 4) rows too: :func:`orientation_rows` checks
 them on input, and :class:`~rotavg.so3.Orientations` hands them out.
@@ -14,9 +15,9 @@ left of the object boundary only for the benchmark adapter's reads.
 :func:`spanning_forest` is the package's one connectivity kernel: its
 labels give the components, its size connectivity, and with edge weights
 it is IRLS's maximum spanning tree.  :func:`in_edges` is the package's one
-directed-edge layout, the 2E directed edges sorted by target: ``mpnn``'s
-message runs, the Weiszfeld plan and IRLS's normal equations, on its dense
-and its CG path, read it.  A sum over edges runs in :func:`uv_order`.
+directed-edge layout, the 2E directed edges sorted by target, then
+source: ``mpnn``'s message runs, the Weiszfeld plan and IRLS's normal
+equations, on its dense and its CG path, read it.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
 
@@ -72,29 +73,33 @@ class ParseError(ViewGraphError):
         self.line_no = line_no
 
 
-def _edge_faults(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edge_faults(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """The edge-structure rule, as masks over edges ``(u[i], v[i])``: an end
     outside ``[0, n)``, a self-loop, and a repeat of an earlier in-range pair
-    (either direction).  Out-of-range pairs get distinct negative keys, so
-    ``lo * n + hi`` cannot alias one with a valid pair."""
+    (either direction); and the stable sort of the keys ``lo * n + hi``, over
+    valid edges their ids by ``(lo, hi)``.  Out-of-range pairs get distinct
+    negative keys, so that none aliases a valid pair."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     out_of_range = (lo < 0) | (hi >= n)
     keys = np.where(out_of_range, -1 - np.arange(u.size), lo * n + hi)
     order = np.argsort(keys, kind="stable")
     repeat = np.zeros(u.size, dtype=bool)
     repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    return out_of_range, u == v, repeat
+    return out_of_range, u == v, repeat, order
 
 
 class ViewGraph:
-    """Immutable view-graph: nodes with optional ground truth, measured edges."""
+    """Immutable view-graph: nodes with optional ground truth, measured edges
+    stored by ``(u, v)``.  For an unsorted input, edge ``i`` of the graph is not
+    edge ``i`` of the input: edge-ordered outputs (``CleanPrediction``, removal
+    masks, :meth:`relative_gt_array`) follow the graph's order."""
 
     def __init__(self, n_nodes: int, u: ArrayLike, v: ArrayLike, q: ArrayLike,
                  label: ArrayLike | None = None, gt: ArrayLike | None = None):
         """Graph over integer edges ``(u[i], v[i])`` with numeric orientation
         rows ``q[i]`` and bool or integer labels ``label[i]`` (default -1),
-        validated and flipped to ``u < v``; ``gt`` is (N, 4) numeric rows, each
-        all NaN (unknown) or finite and nonzero.  Stores read-only copies."""
+        validated, flipped to ``u < v`` and sorted; ``gt`` is (N, 4) numeric
+        rows, each all NaN or finite nonzero.  Stores read-only copies."""
         try:
             n = as_index(n_nodes)
         except TypeError:
@@ -118,7 +123,7 @@ class ViewGraph:
             raise ViewGraphError("edge labels must be -1 (unknown), 0 or 1")
         if not np.all(np.isfinite(q)) or np.any(so3.rownorm(q) < so3.ZERO_NORM_TOL):
             raise ViewGraphError("edge orientations must be finite nonzero rows")
-        out_of_range, loop, repeat = _edge_faults(n, u, v)
+        out_of_range, loop, repeat, order = _edge_faults(n, u, v)
         bad = out_of_range | loop | repeat
         if np.any(bad):
             i = int(np.argmax(bad))  # the first offending edge, in input order
@@ -127,13 +132,14 @@ class ViewGraph:
             if loop[i]:
                 raise ViewGraphError(f"self-loop at node {u[i]}")
             raise ViewGraphError(f"duplicate edge ({min(u[i], v[i])}, {max(u[i], v[i])})")
-        self._keep(n, *_canonical_edges(u, v, q), label.astype(np.int8), gt)
+        self._keep(n, *_canonical_edges(u, v, q, label.astype(np.int8), order), gt)
 
     @classmethod
     def _from_valid(cls, n_nodes: int, u, v, q, label, gt) -> "ViewGraph":
         """Graph over arrays that already hold every invariant the constructor
-        establishes (rows taken from a valid graph, or built valid), stored
-        read-only as given, without checks or copies."""
+        establishes (sorted by ``(u, v)`` too: built so, or taken from a valid
+        graph by a mask and an order-keeping relabelling), stored read-only
+        as given, without checks or copies."""
         g = cls.__new__(cls)
         g._keep(n_nodes, u, v, q, label, gt)
         return g
@@ -203,13 +209,16 @@ class ViewGraph:
         return relative(self, self.gt_array())
 
 
-def _canonical_edges(u: np.ndarray, v: np.ndarray, q: np.ndarray):
-    """Valid edges flipped to ``u < v``: ``(lo, hi, canonical rows)``, the row
-    of a flipped edge the canonical conjugate of its own."""
+def _canonical_edges(u: np.ndarray, v: np.ndarray, q: np.ndarray, label: np.ndarray, order):
+    """Valid edges in :func:`_edge_faults`' ``order``, flipped to ``u < v``:
+    ``(lo, hi, canonical rows, label)``, a flipped edge's row the canonical
+    conjugate of its own.  Edges given sorted are not copied."""
+    if np.any(order[1:] < order[:-1]):  # not the identity
+        u, v, q, label = (x.take(order, axis=0) for x in (u, v, q, label))
     q = so3.qcanon(q)
     flip = u > v
     q[flip] = so3.qcanon(so3.qconj(q[flip]))
-    return np.minimum(u, v), np.maximum(u, v), q
+    return np.minimum(u, v), np.maximum(u, v), q, label
 
 
 def _array(values: ArrayLike, kinds: str, what: str, dtype) -> np.ndarray:
@@ -447,8 +456,8 @@ def parse(text: str) -> ViewGraph:
     ids, self-loop, duplicate, quaternion components, norm, label).  An edge
     whose end is not a declared node is reported at its line, but only after
     the last line, since nodes may follow edges; non-dense node ids raise
-    :class:`ViewGraphError`.  The checked arrays are flipped to ``u < v``
-    and canonicalised as the constructor does, and stored as they are.
+    :class:`ViewGraphError`.  The checked arrays are sorted, flipped to
+    ``u < v`` and canonicalised as the constructor does, and stored.
     """
     faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
     nodes: list[tuple] = []
@@ -490,7 +499,7 @@ def parse(text: str) -> ViewGraph:
 
     n = ids.size
     u, v = uv[:, 0], uv[:, 1]
-    undeclared, loop, repeat = _edge_faults(n, u, v)
+    undeclared, loop, repeat, order = _edge_faults(n, u, v)
     note(loop, edge_line, 3, lambda i: f"self-loop at node {u[i]}")
     note(repeat, edge_line, 4, lambda i: f"duplicate edge ({u[i]}, {v[i]})")
     check_norm(q, edge_line)
@@ -507,7 +516,7 @@ def parse(text: str) -> ViewGraph:
     gt = np.full((n, 4), np.nan)
     gt[ids[has_gt]] = so3.qcanon(gq)
     # the checks above cover the constructor's, so its copies and checks are skipped
-    return ViewGraph._from_valid(n, *_canonical_edges(u, v, q), label, gt)
+    return ViewGraph._from_valid(n, *_canonical_edges(u, v, q, label, order), gt)
 
 
 def serialize(g: ViewGraph) -> str:
@@ -575,24 +584,17 @@ def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The 2E directed edges of the edges ``(u, v)`` of an ``n``-node graph,
     by target: int64 ``(order, src, bounds)``.  Directed edge ``j < E`` is
     ``u[j] -> v[j]`` and ``j >= E`` the reverse of edge ``j - E``; ``order``
-    lists them by target and then by source, ``src`` their sources in that
-    order, and node ``t``'s in-edges are ``order[bounds[t]:bounds[t + 1]]``,
-    so ``np.diff(bounds)`` is the degree.  No two directed edges of a graph
-    share a (target, source) pair, so the layout does not depend on the
-    order the graph stores its edges; over edges sorted by ``(u, v)`` each
-    node's in-edges also come in edge-id order.
+    is their stable sort by target (a radix sort for N <= 65,536), ``src``
+    their sources in that order, and node ``t``'s in-edges are
+    ``order[bounds[t]:bounds[t + 1]]``, so ``np.diff(bounds)`` is the degree.
+    Over edges stored as a :class:`ViewGraph` stores them, each node's
+    in-edges come by source: the forward ones (sources ``u < t``) in ``u``
+    order, then the reversed ones (sources ``v > t``) in ``v`` order.
     """
     dst, src = np.concatenate([v, u]), np.concatenate([u, v])
-    order = np.argsort(dst * n + src)  # distinct keys: any sort gives this order
+    order = np.argsort(dst.astype(np.min_scalar_type(n)), kind="stable")
     bounds = np.append(0, np.cumsum(np.bincount(dst, minlength=n)))
     return order, src.take(order), bounds
-
-
-def uv_order(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The ids of the edges ``(u, v)`` of an ``n``-node graph sorted by
-    ``(u, v)``: the one order of a sum over edges that does not depend on
-    the order the graph stores them in, the identity over sorted edges."""
-    return np.argsort(u * n + v)  # distinct keys: any sort gives this order
 
 
 def spanning_forest(n: int, u: np.ndarray, v: np.ndarray,
@@ -762,21 +764,20 @@ def bootstrap_orientations(g: ViewGraph, tree: SpanningTreeInit) -> SpanningTree
     if parent.shape != (n,) or depth.shape != (n,):
         raise ViewGraphError(f"tree parent and depth must have one entry per node ({n})")
     u, v = g.endpoint_arrays()
-    keys = u * n + v
-    order = np.argsort(keys)
-    sorted_keys = np.append(keys[order], -1)  # padding, so a search past the end reads a value
+    keys = u * n + v  # ascending: the graph stores its edges by (u, v)
+    padded = np.append(keys, -1)  # so that a search past the end reads a value
     rows = np.full((n, 4), np.nan)
     rows[root] = (1.0, 0.0, 0.0, 0.0)
     for d in range(1, int(depth.max(initial=0)) + 1):
         child = np.flatnonzero(depth == d)
         par = parent[child]
         want = np.minimum(par, child) * n + np.maximum(par, child)
-        pos = np.searchsorted(sorted_keys[:-1], want)
-        missing = (pos == keys.size) | (sorted_keys[pos] != want)
+        pos = np.searchsorted(keys, want)
+        missing = padded[pos] != want
         if np.any(missing):
             i = int(np.argmax(missing))
             raise ViewGraphError(f"no stored measurement between {par[i]} and {child[i]}")
-        q_pc = g.edge_quat_array()[order[pos]]
+        q_pc = g.edge_quat_array()[pos]
         q_pc = np.where((par > child)[:, None], so3.qconj(q_pc), q_pc)
         rows[child] = so3.qcanon(so3.qmul(q_pc, rows[par]))
     if np.any(np.isnan(rows)):

@@ -297,7 +297,8 @@ class TestGradients:
         store = tiny_weights(cfg, seed=2)
         rng = np.random.default_rng(102)
         g = graph(3, TRIANGLE)
-        feats = rng.normal(size=(3, 4))
+        # the rows drawn for TRIANGLE's edges, in the graph's (u, v) order
+        feats = rng.normal(size=(3, 4))[[0, 2, 1]]
         init = rng.normal(size=(3, 2))
         params = {name: arr for name, arr in store.params.items()}
         params["head.w"] = rng.normal(size=(3, 2))

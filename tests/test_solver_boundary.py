@@ -10,15 +10,13 @@ chain, and ``test_benchmark_adapter.py`` runs the adapter itself.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import so3_oracle
-from rotavg import autodiff, baselines, cleaning, refinement, so3, synthgen, viewgraph
+from rotavg import baselines, cleaning, refinement, so3, synthgen, trainer, viewgraph
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import UnitQuaternion
 
@@ -114,16 +112,6 @@ def test_orientation_rows_canonicalises():
     assert np.array_equal(viewgraph.orientation_rows(g, list(so3.Orientations(rows))), rows)
 
 
-CHECKPOINTS = Path(__file__).resolve().parents[1] / "benchmark" / "checkpoints"
-
-
-@pytest.fixture(scope="module")
-def desk_weights():
-    """The committed CleanNet and FineNet weights, loaded against the weight specs."""
-    return (autodiff.load_checkpoint(CHECKPOINTS / "cleannet.json", cleaning.weight_spec()),
-            autodiff.load_checkpoint(CHECKPOINTS / "finenet.json", refinement.weight_spec()))
-
-
 def restored(g: ViewGraph, rng: np.random.Generator) -> ViewGraph:
     """``g`` rebuilt from its own edges in a random order, a random half of
     them given reversed (``v -> u`` with the inverse measurement)."""
@@ -135,59 +123,46 @@ def restored(g: ViewGraph, rng: np.random.Generator) -> ViewGraph:
                      np.where(flip[:, None], so3.qconj(q), q), g.edge_labels()[perm], g.gt)
 
 
-def by_key(g: ViewGraph, per_edge: np.ndarray) -> np.ndarray:
-    """``per_edge`` in the order of the edges' keys ``u * N + v``."""
+def noisy_suite_graph(seed: int, n: int, edge_fraction: float) -> ViewGraph:
+    cfg = synthgen.SynthConfig(n_cameras=(n, n), edge_fraction=(edge_fraction, edge_fraction),
+                               sigma_deg=(10.0, 10.0), outlier_fraction=(0.1, 0.1), seed=seed)
+    return synthgen.generate_graph(cfg, np.random.default_rng(seed))
+
+
+def stored_arrays(g: ViewGraph) -> list[bytes]:
+    return [x.tobytes() for x in (*g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels(), g.gt)]
+
+
+def assert_stored_by_pair(g: ViewGraph) -> None:
+    """``g`` stores its edges ``u < v`` with strictly increasing keys ``u * N + v``."""
     u, v = g.endpoint_arrays()
-    return per_edge[np.argsort(u * g.n_nodes + v)]
-
-
-def angles_rad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.radians(so3.angle_deg(so3.qmul(so3.qconj(a), b)))
-
-
-def neurora(g: ViewGraph, clean_store, fine_store):
-    """The benchmark's NeuRoRA chain: the kept node ids, the removal mask and the refined rows."""
-    pred = cleaning.clean_forward(g, clean_store)
-    cleaned = cleaning.clean_graph(g, pred)
-    boot = bootstrap(cleaned.graph)
-    rows = refinement.refine_forward(cleaned.graph, boot.orientations, fine_store, boot.root)
-    return cleaned.node_ids, pred.outlier_prob > cleaning.EPSILON_DEFAULT, np.asarray(rows)
+    keys = u * g.n_nodes + v
+    assert np.all(u < v) and np.all(keys[1:] > keys[:-1])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.sampled_from([0.15, 0.3, 0.6]))
-def test_solvers_ignore_the_edge_storage_order(desk_weights, seed, n, edge_fraction):
-    # the directed-edge layout sorts by (target, source), which no two
-    # directed edges share, so each node reads its in-edges in one order,
-    # and its reversed half is the edges by (u, v), the order of sums over edges
-    cfg = synthgen.SynthConfig(n_cameras=(n, n), edge_fraction=(edge_fraction, edge_fraction),
-                               sigma_deg=(10.0, 10.0), outlier_fraction=(0.1, 0.1), seed=seed)
-    g = synthgen.generate_graph(cfg, np.random.default_rng(seed))
+def test_shuffled_flipped_input_builds_the_same_graph(seed, n, edge_fraction):
+    # a graph stores its edges by (u, v), whatever order and direction its
+    # input gives them in, so no solver can see that order
+    g = noisy_suite_graph(seed, n, edge_fraction)
     shuffled = restored(g, np.random.default_rng(seed))
-    for arrays in (ViewGraph.edge_quat_array, ViewGraph.edge_labels):
-        assert np.array_equal(by_key(g, arrays(g)), by_key(shuffled, arrays(shuffled)))
-    init = bootstrap(g).orientations
-    assert np.array_equal(np.asarray(bootstrap(shuffled).orientations), np.asarray(init))
+    assert shuffled.n_nodes == g.n_nodes and stored_arrays(shuffled) == stored_arrays(g)
 
-    weiszfeld, s_weiszfeld = (baselines.weiszfeld_mra(x, init, sweeps=3) for x in (g, shuffled))
-    assert (np.asarray(s_weiszfeld.orientations).tobytes()
-            == np.asarray(weiszfeld.orientations).tobytes())
-    assert s_weiszfeld.objective_trace == weiszfeld.objective_trace
 
-    ids, removed, rows = neurora(g, *desk_weights)
-    s_ids, s_removed, s_rows = neurora(shuffled, *desk_weights)
-    assert np.array_equal(s_ids, ids)
-    assert np.array_equal(by_key(shuffled, s_removed), by_key(g, removed))
-    assert np.max(angles_rad(s_rows, rows), initial=0.0) <= 1e-12
-
-    # IRLS sums each node's normal equations over its in-edges in the same
-    # order, and its CG preconditioner's tree reads the edges by (u, v), on
-    # the dense path (these sizes' own) and on CG, forced by a ratio of 0
-    for ratio in (baselines.DENSE_SOLVE_RATIO, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baselines, "DENSE_SOLVE_RATIO", ratio)
-            irls, s_irls = (baselines.irls_mra(x, init, max_iters=(5, 20)) for x in (g, shuffled))
-        assert s_irls.iterations == irls.iterations and s_irls.cg_iterations == irls.cg_iterations
-        assert any(irls.cg_iterations) == (ratio == 0)
-        assert (np.asarray(s_irls.orientations).tobytes()
-                == np.asarray(irls.orientations).tobytes())
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.sampled_from([0.15, 0.3, 0.6]))
+def test_every_graph_is_stored_by_pair(seed, n, edge_fraction):
+    g = noisy_suite_graph(seed, n, edge_fraction)
+    rng = np.random.default_rng(seed)
+    header, *lines = viewgraph.serialize(g).splitlines()
+    nodes, edges = lines[:n], lines[n:]
+    parsed = viewgraph.parse("\n".join([header, *nodes, *rng.permutation(edges)]))
+    sub = viewgraph.induced_subgraph(restored(g, rng), rng.permutation(n)[:n // 2])
+    prob = rng.random(g.n_edges)
+    prob[0] = 0.0  # one edge stays
+    pred = cleaning.CleanPrediction(rect=g.edge_quat_array(), outlier_prob=prob, logits=prob)
+    for made in (g, restored(g, rng), parsed, sub, viewgraph.largest_component(sub)[0],
+                 cleaning.clean_graph(g, pred).graph, trainer._dropout_subgraph(g, 0.5, rng)):
+        assert_stored_by_pair(made)
+    assert stored_arrays(parsed) == stored_arrays(g)

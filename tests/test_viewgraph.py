@@ -121,7 +121,8 @@ def random_graphs(draw) -> ViewGraph:
 
 
 def loop_canonical(n: int, edges: list[Edge]) -> list[Edge]:
-    # per-edge validation loop of the Edge-list constructor, kept as the oracle
+    # per-edge validation loop of the Edge-list constructor, kept as the
+    # oracle; the graph stores the checked edges sorted by (u, v)
     seen: set[tuple[int, int]] = set()
     out = []
     for e in edges:
@@ -135,7 +136,7 @@ def loop_canonical(n: int, edges: list[Edge]) -> list[Edge]:
             raise ViewGraphError(f"duplicate edge ({e.u}, {e.v})")
         seen.add((e.u, e.v))
         out.append(e)
-    return out
+    return sorted(out, key=lambda e: (e.u, e.v))
 
 
 @st.composite
@@ -955,25 +956,17 @@ class TestSpanningForest:
         assert_forest_matches_deque_oracle(edge_graph(n, []))
 
 
-def assert_in_edges_match_sorts(g: ViewGraph) -> None:
-    """``in_edges`` is the sort of the 2E directed edges (the stored ones,
-    then their reverses) by target and then by source, with their sources,
-    and its bounds step by each node's degree."""
-    n, (u, v) = g.n_nodes, g.endpoint_arrays()
+def assert_in_edges_match_sorts(n: int, u: np.ndarray, v: np.ndarray) -> None:
+    """``in_edges`` is the stable sort of the 2E directed edges (the given
+    ones, then their reverses) by target, with their sources, and its bounds
+    step by each node's degree."""
     order, src, bounds = viewgraph.in_edges(n, u, v)
-    want = np.lexsort((np.concatenate([u, v]), np.concatenate([v, u])))
-    for got, expected in ((order, want), (src, np.concatenate([u, v])[want]),
-                          (np.diff(bounds), g.degree_array())):
+    dst, ends = np.concatenate([v, u]), np.concatenate([u, v])
+    want = np.lexsort((np.arange(dst.size), dst))
+    degree = np.bincount(dst, minlength=n)
+    for got, expected in ((order, want), (src, ends[want]), (np.diff(bounds), degree)):
         assert got.dtype == np.int64 and np.array_equal(got, expected)
     assert bounds.shape == (n + 1,) and bounds[0] == 0
-
-
-def sorted_edges(g: ViewGraph) -> ViewGraph:
-    """``g`` with its edges reordered by ``(u, v)``, as every benchmark,
-    ``synthgen`` and cleaned graph stores them."""
-    (u, v), q = g.endpoint_arrays(), g.edge_quat_array()
-    by_pair = np.lexsort((v, u))
-    return ViewGraph(g.n_nodes, u[by_pair], v[by_pair], q[by_pair])
 
 
 def is_call_of(node, name: str) -> bool:
@@ -983,31 +976,66 @@ def is_call_of(node, name: str) -> bool:
         or isinstance(node.func, ast.Name) and node.func.id == name)
 
 
+EDGE_SORTERS = {"_edge_faults", "in_edges"}  # the functions that may sort edge keys
+
+
+def edge_values(expr, ends: set[str]) -> bool:
+    """``expr`` is computed from edge endpoints: a name in ``ends``, a
+    graph's ``_u`` or ``_v``, an ``endpoint_arrays`` call, or arithmetic,
+    indexing, a tuple or a ``concatenate``, ``minimum``, ``maximum``,
+    ``take`` or ``astype`` of such values.  The result of any other call is
+    not, so the generator's sort of the pair keys it draws is none."""
+    if isinstance(expr, ast.Name):
+        return expr.id in ends
+    if isinstance(expr, ast.Attribute):
+        return expr.attr in ("_u", "_v")
+    if isinstance(expr, ast.Call):
+        func = expr.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        parts = [*expr.args, *([func.value] if isinstance(func, ast.Attribute) else [])]
+        return name == "endpoint_arrays" or name in (
+            "concatenate", "minimum", "maximum", "take", "astype") and any(
+            edge_values(a, ends) for a in parts)
+    if isinstance(expr, ast.BinOp):
+        return edge_values(expr.left, ends) or edge_values(expr.right, ends)
+    if isinstance(expr, ast.UnaryOp):
+        return edge_values(expr.operand, ends)
+    if isinstance(expr, ast.Subscript):
+        return edge_values(expr.value, ends)
+    if isinstance(expr, (ast.Tuple, ast.List)):
+        return any(edge_values(e, ends) for e in expr.elts)
+    return False
+
+
 def endpoint_sorts(paths) -> list[str]:
-    """Every ``lexsort`` call in the modules ``paths``, and every ``argsort``
-    outside ``in_edges`` of a ``concatenate`` call or of a name bound to
-    one in the same function: the sorts that lay out directed edges."""
+    """Every sort of edge keys in the modules ``paths`` outside
+    ``EDGE_SORTERS``: a ``lexsort``, and an ``argsort`` or ``sort`` of
+    ``edge_values``, where ``ends`` are a function's ``u`` and ``v``
+    arguments and the names it binds to edge values.  A sort of node keys,
+    as the Weiszfeld plan's of ``colour * n + degree``, is none."""
     found = []
     for path in paths:
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(func, ast.FunctionDef) or func.name == "in_edges":
+            if not isinstance(func, ast.FunctionDef) or func.name in EDGE_SORTERS:
                 continue
-            joined = set()
-            for node in ast.walk(func):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        both = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
-                        pairs = zip(target.elts, node.value.elts) if both else [(target, node.value)]
-                        joined |= {t.id for t, value in pairs
-                                   if isinstance(t, ast.Name) and is_call_of(value, "concatenate")}
+            ends = {a.arg for a in func.args.args if a.arg in ("u", "v")}
+            assigns = sorted((n for n in ast.walk(func) if isinstance(n, ast.Assign)),
+                             key=lambda n: (n.lineno, n.col_offset))
+            for node in assigns:
+                for target in node.targets:
+                    pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                             or not isinstance(node.value, ast.Tuple)
+                             else zip(target.elts, node.value.elts))
+                    for t, value in pairs:
+                        if edge_values(value, ends):
+                            ends |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
             for node in ast.walk(func):
                 if is_call_of(node, "lexsort"):
                     found.append(f"{path.name}:{node.lineno} lexsort")
-                elif is_call_of(node, "argsort"):
+                elif is_call_of(node, "argsort") or is_call_of(node, "sort"):
                     arg = node.args[0] if node.args else node.func.value
-                    if is_call_of(arg, "concatenate") or (isinstance(arg, ast.Name)
-                                                          and arg.id in joined):
-                        found.append(f"{path.name}:{node.lineno} argsort of concatenated ends")
+                    if edge_values(arg, ends):
+                        found.append(f"{path.name}:{node.lineno} sort of edge keys")
     return sorted(set(found))
 
 
@@ -1015,39 +1043,65 @@ class TestInEdges:
     @settings(max_examples=300, deadline=None)
     @given(random_graphs())
     def test_matches_stable_sort_by_target(self, g):
-        # random graphs store their edges shuffled and often have isolated nodes
-        assert_in_edges_match_sorts(g)
+        # random graphs often have isolated nodes
+        assert_in_edges_match_sorts(g.n_nodes, *g.endpoint_arrays())
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(), st.integers(0, 2**32 - 1))
+    def test_groups_any_edges_by_target(self, g, seed):
+        # edges in another order or direction than a graph stores them
+        rng = np.random.default_rng(seed)
+        (u, v), perm = g.endpoint_arrays(), rng.permutation(g.n_edges)
+        flip = rng.random(g.n_edges) < 0.5
+        u, v = np.where(flip, v, u)[perm], np.where(flip, u, v)[perm]
+        assert_in_edges_match_sorts(g.n_nodes, u, v)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_smallest_graphs(self, n):
-        assert_in_edges_match_sorts(edge_graph(n, []))
+        assert_in_edges_match_sorts(n, *edge_graph(n, []).endpoint_arrays())
 
     @settings(max_examples=300, deadline=None)
     @given(random_graphs())
     def test_sorted_edges_come_in_edge_order(self, g):
-        # on (u, v)-sorted edges each node's in-edges are also in edge-id
-        # order, so the Weiszfeld plan keeps its candidate order
-        g = sorted_edges(g)
+        # a graph stores its edges by (u, v), so each node's in-edges come by
+        # source and in edge-id order: the Weiszfeld plan keeps its candidate order
         u, v = g.endpoint_arrays()
         order = viewgraph.in_edges(g.n_nodes, u, v)[0]
-        assert np.array_equal(order, np.lexsort((np.tile(np.arange(u.size), 2),
-                                                 np.concatenate([v, u]))))
-
-    @settings(max_examples=300, deadline=None)
-    @given(random_graphs())
-    def test_uv_order_sorts_by_pair(self, g):
-        # the edge ids by (u, v) whatever the storage order; on sorted edges
-        # the identity, so a sum in this order keeps its storage-order bits
-        u, v = g.endpoint_arrays()
-        by_uv = viewgraph.uv_order(g.n_nodes, u, v)
-        assert by_uv.dtype == np.int64 and np.array_equal(by_uv, np.lexsort((v, u)))
-        s = sorted_edges(g)
-        by_uv = viewgraph.uv_order(s.n_nodes, *s.endpoint_arrays())
-        assert np.array_equal(by_uv, np.arange(u.size))
+        dst = np.concatenate([v, u])
+        for tie in (np.concatenate([u, v]), np.tile(np.arange(u.size), 2)):
+            assert np.array_equal(order, np.lexsort((tie, dst)))
 
     def test_layout_is_built_only_here(self):
-        # the package lays out directed edges in ``in_edges`` alone
+        # the package sorts edge keys in ``_edge_faults`` and ``in_edges`` alone
         assert endpoint_sorts(sorted(Path(viewgraph.__file__).parent.glob("*.py"))) == []
+
+    def test_guard_finds_sorts_of_edge_keys(self, tmp_path):
+        # a second sort of edge keys is found, however its keys are built;
+        # sorts of node keys and of other numbers are not
+        source = tmp_path / "sorts.py"
+        source.write_text(
+            "def uv_order(n, u, v):\n"
+            "    return np.argsort(u * n + v)\n"
+            "def bootstrap(g, n):\n"
+            "    a, b = g.endpoint_arrays()\n"
+            "    keys = a * n + b\n"
+            "    return np.argsort(keys)\n"
+            "def layout(g, n, u, v):\n"
+            "    dst, src = np.concatenate([v, g._u]), np.concatenate([u, v])\n"
+            "    return np.argsort(dst * n + src), np.lexsort((src, dst))\n"
+            "def pairs(n, u, v):\n"
+            "    lo = np.minimum(u, v)\n"
+            "    return np.sort(lo.astype(np.int32))\n"
+            "def plan(g, n, colour, depth, w, keys, new):\n"
+            "    u, v = g.endpoint_arrays()\n"
+            "    bounds = viewgraph.in_edges(n, u, v)[2]\n"
+            "    return (np.argsort(colour * n + np.diff(bounds)), np.argsort(depth),\n"
+            "            np.sort(-w), np.sort(np.concatenate([keys, new])))\n",
+            encoding="utf-8")
+        assert endpoint_sorts([source]) == [
+            "sorts.py:12 sort of edge keys", "sorts.py:2 sort of edge keys",
+            "sorts.py:6 sort of edge keys", "sorts.py:9 lexsort",
+            "sorts.py:9 sort of edge keys"]
 
 
 def desk_graph() -> ViewGraph:
@@ -1059,11 +1113,12 @@ class TestInducedSubgraph:
     def test_new_ids_are_sorted_old_ids(self):
         g = small_graph()
         sub = viewgraph.induced_subgraph(g, np.array([3, 0, 2]))
-        # new ids 0, 1, 2 are old ids 0, 2, 3: edges (0, 2) and (2, 3) survive
+        # new ids 0, 1, 2 are old ids 0, 2, 3: edges (0, 2) and (2, 3), the
+        # second and fourth of the graph's (u, v) order, survive
         assert sub.n_nodes == 3
-        assert sub.edges.tolist() == [[1, 2], [0, 1]]
+        assert sub.edges.tolist() == [[0, 1], [1, 2]]
         assert np.array_equal(sub.gt, g.gt[[0, 2, 3]])
-        assert np.array_equal(sub.edge_quat_array(), g.edge_quat_array()[[2, 3]])
+        assert np.array_equal(sub.edge_quat_array(), g.edge_quat_array()[[1, 3]])
 
     @pytest.mark.parametrize("nodes, match", [
         ([0, 0, 1, 2], "repeated node id"),
@@ -1229,10 +1284,6 @@ class TestBootstrap:
         for seed in range(6):
             cfg = synthgen.SynthConfig(n_cameras=(5, 30), edge_fraction=(0.1, 0.5), seed=seed)
             g = synthgen.generate_graph(cfg, np.random.default_rng(seed + 900))
-            # stored order need not be sorted: shuffle the edges
-            perm = np.random.default_rng(seed).permutation(len(g.edges))
-            records = edge_records(g)
-            g = edge_graph(g.n_nodes, [records[i] for i in perm], gt_quats(g))
             for root in (0, viewgraph.select_root(g)):
                 tree = viewgraph.shortest_path_tree(g, root)
                 boot = viewgraph.bootstrap_orientations(g, tree)
