@@ -11,12 +11,13 @@ baselines operating on the same view-graph inputs as the networks.
   left-multiplication matrices and one stacked product.
 * ``irls_mra`` -- iteratively reweighted least squares in the rotation
   tangent space, an L1 phase followed by an L1/2 phase, each inner step one
-  solve of the weighted graph Laplacian with the root's row pinned.  Both
-  solve paths read one set of normal equations, laid out once per solve on
-  ``viewgraph.in_edges`` and summed per node over its in-edges: one dense
-  LAPACK solve while ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``, above it CG
-  preconditioned by a maximum-weight spanning tree
-  (``viewgraph.spanning_forest`` of each iteration's weights).
+  solve of the weighted graph Laplacian with the root's row pinned.  One
+  step solver (``_step_solver``) lays the normal equations out once per
+  solve on ``viewgraph.in_edges``, sums them per node over its in-edges and
+  takes the path chosen once per solve: one dense LAPACK solve while
+  ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``, above it CG preconditioned by a
+  maximum-weight spanning tree (``viewgraph.spanning_forest`` of each
+  iteration's weights).
 
 Every per-node sum runs over ``in_edges``' (target, source) order, and every
 sum over edges, as Weiszfeld's objective, over the graph's (u, v) order.
@@ -183,7 +184,7 @@ class IrlsResult:
     # it above CG_TOL on either path (CG stops on its recurrence residual)
     cg_residual: float = 0.0
     converged: bool = False  # the last step was below IRLS_STEP_TOL, not cut by max_iters
-    # one per inner solve: CG iterations, 0 for a dense solve
+    # one per inner solve: CG iterations, 0 for a dense solve or a zero right-hand side
     cg_iterations: list[int] = field(default_factory=list)
 
 
@@ -247,93 +248,6 @@ def _tree_preconditioner(u: np.ndarray, v: np.ndarray, w: np.ndarray, diag: np.n
     return precond
 
 
-def _in_edge_system(u: np.ndarray, v: np.ndarray, n: int, root: int):
-    """IRLS's normal equations on ``viewgraph.in_edges``, laid out once per
-    solve: the directed edges' sources ``cols`` and node offsets ``bounds``
-    and ``normal_equations(w, resid) -> (w_dir, diag, rhs)``.
-
-    A step gathers the weights ``w`` and the (3, E) component-major residual
-    to the 2E directed edges, the residual negated on the reversed half
-    (edge ``u -> v`` adds ``w r`` at ``v`` and takes it from ``u``), and sums
-    both over each node's run of in-edges, one ``np.add.reduceat`` each, in
-    source order over a graph's (u, v)-sorted edges.  ``rhs`` is 0 at the
-    ``root``.  Only N = 1 has an empty run, and no edge: both are 0.
-    """
-    order, cols, bounds = viewgraph.in_edges(n, u, v)
-    edge = order % u.size  # empty, with no modulo, when E = 0
-    sign = np.where(order < u.size, 1.0, -1.0)
-    starts = bounds[:-1]
-
-    def normal_equations(w: np.ndarray, resid: np.ndarray):
-        w_dir = w.take(edge)
-        if not w_dir.size:
-            return w_dir, np.zeros(n), np.zeros((3, n))
-        terms = resid.take(edge, axis=1)
-        terms *= w_dir * sign
-        rhs = np.add.reduceat(terms, starts, axis=1)
-        rhs[:, root] = 0.0
-        return w_dir, np.add.reduceat(w_dir, starts), rhs
-
-    return cols, bounds, normal_equations
-
-
-def _dense_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
-    """``dense_system(w, resid) -> (lap, rhs)``: the normal equations of one
-    IRLS step (``_in_edge_system``) as one (n, n) buffer that every step of a
-    solve rewrites, ``diag`` on its diagonal and each directed edge's weight,
-    negated, in its cell ``target * n + source``, then the identity in the
-    row and column of the pinned ``root``.  No two directed edges share a
-    cell, since a ``ViewGraph`` has no repeated edge.
-    """
-    cols, bounds, normal_equations = _in_edge_system(u, v, n, root)
-    cells = np.repeat(np.arange(n) * n, np.diff(bounds)) + cols
-    lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
-    flat = lap.reshape(-1)
-
-    def dense_system(w: np.ndarray, resid: np.ndarray):
-        w_dir, diag, rhs = normal_equations(w, resid)
-        flat[cells] = -w_dir
-        flat[::n + 1] = diag
-        lap[root] = lap[:, root] = 0.0
-        lap[root, root] = 1.0
-        return lap, rhs
-
-    return dense_system
-
-
-def _cg_laplacian(u: np.ndarray, v: np.ndarray, n: int, root: int):
-    """Index the graph Laplacian for CG once per solve.
-
-    Returns ``system(w, resid) -> (apply_op, precond, rhs)``: the normal
-    equations of one IRLS step (``_in_edge_system``) with edge weights ``w``
-    on (3, n) arrays and their maximum-spanning-tree preconditioner.  The
-    off-diagonal entries, kept in both directions, are the layout's directed
-    edges: row ``t`` is node ``t``'s in-edges, one contiguous run, their
-    sources the columns; ``apply_op`` gathers ``x`` at the columns, scales by
-    the step's ``w_dir`` and sums each row with one ``np.add.reduceat``
-    along the contiguous axis.  The tree is built from the edges in their
-    stored (u, v) order.  The ``root`` is pinned: ``rhs``, ``apply_op`` and
-    ``precond`` are 0 in its row, so CG's iterates stay 0 there and its
-    column is never read.
-    """
-    cols, bounds, normal_equations = _in_edge_system(u, v, n, root)
-    starts = bounds[:-1]
-
-    def system(w: np.ndarray, resid: np.ndarray):
-        w_dir, diag, rhs = normal_equations(w, resid)
-
-        def apply_op(x: np.ndarray) -> np.ndarray:
-            entries = x.take(cols, axis=1)
-            entries *= w_dir
-            ax = diag * x - np.add.reduceat(entries, starts, axis=1)
-            ax[:, root] = 0.0
-            return ax
-
-        return apply_op, _tree_preconditioner(u, v, w, diag, root), rhs
-
-    return system
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of two (k, n) arrays."""
     return np.einsum("ij,ij->i", a, b)
@@ -385,6 +299,74 @@ def _dense_solve(lap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverError(f"dense solve failed: {exc}") from exc
 
 
+def _step_solver(u: np.ndarray, v: np.ndarray, n: int, root: int):
+    """``solve(w, resid) -> (x, cg_iterations, rhs, matvec)``: one IRLS step
+    with edge weights ``w`` and the (3, E) component-major residual, on the
+    layout of ``viewgraph.in_edges`` worked out once per solve.  ``matvec``
+    applies the step's matrix to (3, n) arrays until the next ``solve``.
+
+    A step gathers ``w`` and the residual to the 2E directed edges, the
+    residual negated on the reversed half (edge ``u -> v`` adds ``w r`` at
+    ``v`` and takes it from ``u``), and sums both over each node's run of
+    in-edges, one ``np.add.reduceat`` each, in source order over a graph's
+    (u, v)-sorted edges: ``diag`` and ``rhs``, 0 at the ``root``.  Only N = 1
+    has an empty run, and no edge: both are 0.  The path is chosen here,
+    once, by ``irls_mra``'s cost test ``(n - 1)**3 <= DENSE_SOLVE_RATIO * E``:
+
+    * dense: one (n, n) buffer that every step rewrites, ``diag`` on its
+      diagonal and each directed edge's weight, negated, in its cell
+      ``target * n + source``, then the identity in the root's row and
+      column (no two directed edges share a cell, since a ``ViewGraph`` has
+      no repeated edge); ``_dense_solve`` takes it, 0 CG iterations, and
+      ``matvec`` is ``y @ lap``.
+    * CG: ``matvec`` gathers ``x`` at the in-edges' sources, scales by the
+      step's directed weights and sums each node's run with one
+      ``np.add.reduceat``; ``_cg_multi`` solves with it, preconditioned by
+      ``_tree_preconditioner`` of ``w`` over the edges in stored (u, v)
+      order.  ``rhs``, ``matvec`` and the preconditioner are 0 in the root's
+      row, so CG's iterates stay 0 there and its column is never read.
+    """
+    order, cols, bounds = viewgraph.in_edges(n, u, v)
+    edge = order % u.size  # empty, with no modulo, when E = 0
+    sign = np.where(order < u.size, 1.0, -1.0)
+    starts = bounds[:-1]
+    direct = (n - 1) ** 3 <= DENSE_SOLVE_RATIO * u.size
+    if direct:
+        cells = np.repeat(np.arange(n) * n, np.diff(bounds)) + cols
+        lap = np.zeros((n, n))  # np.linalg.solve copies it, so each step may rewrite it
+        flat = lap.reshape(-1)
+
+    def solve(w: np.ndarray, resid: np.ndarray):
+        w_dir = w.take(edge)
+        if w_dir.size:
+            terms = resid.take(edge, axis=1)
+            terms *= w_dir * sign
+            rhs = np.add.reduceat(terms, starts, axis=1)
+            rhs[:, root] = 0.0
+            diag = np.add.reduceat(w_dir, starts)
+        else:
+            diag, rhs = np.zeros(n), np.zeros((3, n))
+        if direct:
+            flat[cells] = -w_dir
+            flat[::n + 1] = diag
+            lap[root] = lap[:, root] = 0.0
+            lap[root, root] = 1.0
+            return _dense_solve(lap, rhs), 0, rhs, lambda y: y @ lap
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            entries = x.take(cols, axis=1)
+            entries *= w_dir
+            ax = diag * x - np.add.reduceat(entries, starts, axis=1)
+            ax[:, root] = 0.0
+            return ax
+
+        precond = _tree_preconditioner(u, v, w, diag, root)
+        x, iterations = _cg_multi(matvec, rhs, precond, max_iter=10 * n, tol=CG_TOL)
+        return x, iterations, rhs, matvec
+
+    return solve
+
+
 def irls_mra(
     g: ViewGraph,
     init: ArrayLike,
@@ -399,9 +381,9 @@ def irls_mra(
     and solves the weighted normal equations, with the root held fixed: a
     graph Laplacian with 3-dof blocks, each ``w * I3``, so the three tangent
     components share one N x N matrix, whose root row and column are pinned
-    and whose root step is 0.  Both paths form them as segment sums over
-    the directed edges of ``viewgraph.in_edges`` (``_in_edge_system``).
-    Which solve runs is chosen once per call from the cost of each:
+    and whose root step is 0.  ``_step_solver`` forms them as segment sums
+    over the directed edges of ``viewgraph.in_edges`` and chooses, once per
+    call, the solve that costs less:
 
     * ``(N - 1)**3 <= DENSE_SOLVE_RATIO * E``: the directed edges' weights
       are scattered dense and each step is one ``np.linalg.solve`` with
@@ -437,8 +419,9 @@ def irls_mra(
     ``viewgraph.discrepancy_parts`` of the (4, E) edge quaternions,
     transposed once per solve, into one (3, E) array.
     Both paths report the relative residual of the last step in
-    ``cg_residual``, computed once after the loop from that step's system;
-    a dense step records 0 in ``cg_iterations``.  With N = 1
+    ``cg_residual``, computed once after the loop from that step's
+    ``matvec``; a dense step, and a CG step whose right-hand side is already
+    0, records 0 in ``cg_iterations``.  With N = 1
     there is no unknown and no edge, so the cost test ``0 <= 0`` picks the
     dense path: each phase with a non-zero budget takes one zero dense
     step, which counts as converged.  ``max_iters`` is two non-negative
@@ -453,12 +436,7 @@ def irls_mra(
     if not viewgraph.is_connected(g):
         raise ViewGraphError("solver requires a connected graph")
     rows = viewgraph.orientation_rows(g, init)
-    n = g.n_nodes
-    root = viewgraph.select_root(g)
-    u_idx, v_idx = g.endpoint_arrays()
-
-    direct = (n - 1) ** 3 <= DENSE_SOLVE_RATIO * g.n_edges
-    system = (_dense_laplacian if direct else _cg_laplacian)(u_idx, v_idx, n, root)
+    solve = _step_solver(*g.endpoint_arrays(), g.n_nodes, viewgraph.select_root(g))
     quats = np.ascontiguousarray(g.edge_quat_array().T)  # (4, E)
 
     trace: list[float] = []
@@ -471,14 +449,7 @@ def irls_mra(
             # plain least squares before any reweighting, as in standard
             # IRLS; otherwise exactly-consistent tree edges pin the init
             w = 1.0 / np.maximum(norms**exponent, IRLS_DELTA) if trace else np.ones_like(norms)
-
-            if direct:
-                lap, rhs = system(w, resid)
-                x = _dense_solve(lap, rhs)
-                cg_its = 0
-            else:
-                apply_op, precond, rhs = system(w, resid)
-                x, cg_its = _cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
+            x, cg_its, rhs, matvec = solve(w, resid)
             cg_iterations.append(cg_its)
             step = x.T  # 0 at the root
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
@@ -486,8 +457,8 @@ def irls_mra(
             trace.append(max_step)
             if max_step < IRLS_STEP_TOL:
                 break
-    # the last step's system is still bound: ``lap`` is only rewritten by a next step
-    cg_residual = _relative_residual(rhs, x @ lap if direct else apply_op(x)) if trace else 0.0
+    # the last step's matrix is still bound: ``solve`` rewrites it only at a next step
+    cg_residual = _relative_residual(rhs, matvec(x)) if trace else 0.0
     return IrlsResult(
         orientations=so3.Orientations(rows),
         iterations=len(trace),

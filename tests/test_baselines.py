@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -76,15 +79,26 @@ def normal_equations_oracle(u, v, w, resid, n, root):
     return apply_laplacian, diag, rhs
 
 
-def irls_on(path, g, init, **kwargs):
-    """``irls_mra`` with its dense solve (``"direct"``) or its CG solve
-    (``"cg"``) taken at every graph size from N = 2 on: a ratio of 0 fails
-    the cost test ``(N - 1)**3 <= ratio * E`` for every N >= 2.  A one-node
-    graph has no edge and passes it at any finite ratio, so it takes the
-    dense solve on either path."""
+def on_path(path, solver, *args, **kwargs):
+    """``solver(*args, **kwargs)`` with IRLS's dense solve (``"direct"``) or
+    its CG solve (``"cg"``) taken at every graph size from N = 2 on: a ratio
+    of 0 fails the cost test ``(N - 1)**3 <= ratio * E`` for every N >= 2.
+    A one-node graph has no edge and passes it at any finite ratio, so it
+    takes the dense solve on either path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "DENSE_SOLVE_RATIO", {"direct": 1 << 62, "cg": 0}[path])
-        return baselines.irls_mra(g, init, **kwargs)
+        return solver(*args, **kwargs)
+
+
+def irls_on(path, g, init, **kwargs):
+    """``irls_mra`` on the path ``path`` (``on_path``)."""
+    return on_path(path, baselines.irls_mra, g, init, **kwargs)
+
+
+def step_solver_on(path, u, v, n, root):
+    """``_step_solver``'s ``solve`` on the path ``path`` (``on_path``), which
+    it chooses when it is built."""
+    return on_path(path, baselines._step_solver, u, v, n, root)
 
 
 def assert_rel_close(actual, expected, rtol=1e-12):
@@ -92,17 +106,18 @@ def assert_rel_close(actual, expected, rtol=1e-12):
 
 
 def assert_system_matches_oracle(u, v, n, root, seed=0):
-    """The segment-sum system against ``normal_equations_oracle``: the right-
-    hand side; the CG operator, which is 0 in the root's row and is applied
-    only to vectors that are 0 there, as the oracle's matrix on such vectors,
-    also its whole matrix on them; the operator maps 0 to exactly 0, which
-    CG's ``r = rhs`` start relies on; and the scattered dense matrix of the
-    direct solve is the oracle's, identity row and column included, also
-    when a later step rewrites its buffer with other weights.  The two paths
-    share their diagonal and right-hand side bit for bit.  The systems
-    take the residual component-major, (3, E), as IRLS passes it; the
-    oracle reads its (E, 3) rows.  The ends are those a graph stores: u < v,
-    by (u, v)."""
+    """The step solver's segment-sum system against
+    ``normal_equations_oracle``: the right-hand side; the CG ``matvec``,
+    which is 0 in the root's row and is applied only to vectors that are 0
+    there, as the oracle's matrix on such vectors, also its whole matrix on
+    them; the operator maps 0 to exactly 0, which CG's ``r = rhs`` start
+    relies on; and the scattered dense matrix of the direct solve, read as
+    its ``matvec`` of the identity, is the oracle's, identity row and column
+    included, also when a later step rewrites its buffer with other
+    weights.  The two paths share their diagonal and right-hand side bit
+    for bit.  The solvers take the residual component-major, (3, E), as
+    IRLS passes it; the oracle reads its (E, 3) rows.  The ends are those a
+    graph stores: u < v, by (u, v)."""
     u, v = ViewGraph(n, u, v, np.tile([1.0, 0.0, 0.0, 0.0], (len(u), 1))).endpoint_arrays()
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.1, 10.0, size=len(u))
@@ -110,9 +125,8 @@ def assert_system_matches_oracle(u, v, n, root, seed=0):
     cols = np.ascontiguousarray(resid.T)
     x = rng.normal(size=(n, 3))
     x[root] = 0.0
-    system = baselines._cg_laplacian(u, v, n, root)
-    dense_system = baselines._dense_laplacian(u, v, n, root)
-    apply_op, _, rhs = system(w, cols)
+    dense_solve = step_solver_on("direct", u, v, n, root)
+    _, _, rhs, apply_op = step_solver_on("cg", u, v, n, root)(w, cols)
     ref_op, _, ref_rhs = normal_equations_oracle(u, v, w, resid, n, root)
     free = np.eye(n)
     free[root, root] = 0.0  # the directions CG moves in: 0 at the root
@@ -124,7 +138,8 @@ def assert_system_matches_oracle(u, v, n, root, seed=0):
     assert_rel_close(apply_op(x.T).T, ref_op(x))
     zero = apply_op(np.zeros((3, n)))
     assert zero.shape == (3, n) and not np.any(zero)
-    lap, dense_rhs = dense_system(w, cols)
+    _, _, dense_rhs, matvec = dense_solve(w, cols)
+    lap = matvec(np.eye(n))
     assert_rel_close(lap, ref_dense)
     assert np.array_equal(lap, lap.T) and np.array_equal(dense_rhs, rhs)
     # both paths read one set of normal equations: the CG operator is the
@@ -134,8 +149,8 @@ def assert_system_matches_oracle(u, v, n, root, seed=0):
     lap_free[root] = 0.0
     assert np.array_equal(dense, lap_free)
     w_next = rng.uniform(0.1, 10.0, size=len(u))
-    fresh = baselines._dense_laplacian(u, v, n, root)(w_next, cols)[0]
-    assert np.array_equal(dense_system(w_next, cols)[0], fresh)
+    fresh = step_solver_on("direct", u, v, n, root)(w_next, cols)[3](np.eye(n))
+    assert np.array_equal(dense_solve(w_next, cols)[3](np.eye(n)), fresh)
 
 
 @st.composite
@@ -195,20 +210,24 @@ class TestReducedLaplacian:
     def test_nodes_touching_only_the_root(self, case, seed):
         assert_system_matches_oracle(*case, seed)
 
-    def test_cg_iteration_cap_raises(self):
+    def test_cg_iteration_cap_raises(self, monkeypatch):
         g = make_graph(seed=3, n=40, edge_fraction=0.2)
         u, v, n, root = root_index(g)
         rng = np.random.default_rng(3)
         w, resid = rng.uniform(0.1, 10.0, size=len(u)), rng.normal(size=(len(u), 3))
-        apply_op, precond, rhs = baselines._cg_laplacian(u, v, n, root)(w, resid.T)
-        with pytest.raises(SolverError, match="did not converge"):
-            baselines._cg_multi(apply_op, rhs, precond, max_iter=2, tol=CG_TOL)
-        x, iters = baselines._cg_multi(apply_op, rhs, precond, max_iter=10 * n, tol=CG_TOL)
+        solve = step_solver_on("cg", u, v, n, root)
+        x, iters, rhs, apply_op = solve(w, resid.T)
         assert baselines._relative_residual(rhs, apply_op(x)) <= CG_TOL and 2 <= iters < 10 * n
         assert not np.any(x[:, root])
         ref_op = normal_equations_oracle(u, v, w, resid, n, root)[0]
         dense = np.stack([ref_op(np.tile(e[:, None], (1, 3)))[:, 0] for e in np.eye(n)], axis=1)
         assert_rel_close(x.T, np.linalg.solve(dense, rhs.T), rtol=1e-9)
+        # the same step with CG capped at 2 iterations, not 10 N
+        cg_multi = baselines._cg_multi
+        monkeypatch.setattr(baselines, "_cg_multi", lambda *args, max_iter, tol:
+                            cg_multi(*args, max_iter=2, tol=tol))
+        with pytest.raises(SolverError, match="did not converge"):
+            solve(w, resid.T)
 
 
 # ---------------------------------------------------------------------------
@@ -525,32 +544,34 @@ DRIFTING_SEEDS = [33]
 
 @pytest.fixture
 def dense_steps(monkeypatch):
-    """The dense path's steps, recorded as ``[w, resid, lap, rhs, x]``."""
-    steps = []
-    dense_laplacian, dense_solve = baselines._dense_laplacian, baselines._dense_solve
+    """The dense path's steps, recorded as ``[w, resid, lap, rhs, x]``: each
+    step's arguments as its solver takes them, kept when it reaches
+    ``_dense_solve``."""
+    steps, arguments = [], []
+    step_solver, dense_solve = baselines._step_solver, baselines._dense_solve
 
-    def recording_laplacian(u, v, n, root):
-        system = dense_laplacian(u, v, n, root)
+    def recording_solver(u, v, n, root):
+        solve = step_solver(u, v, n, root)
 
         def recording(w, resid):
-            steps.append([w, resid])
-            return system(w, resid)
+            arguments[:] = [w, resid]
+            return solve(w, resid)
 
         return recording
 
     def recording_solve(lap, rhs):
         x = dense_solve(lap, rhs)
-        steps[-1] += [lap.copy(), rhs, x]
+        steps.append([*arguments, lap.copy(), rhs, x])
         return x
 
-    monkeypatch.setattr(baselines, "_dense_laplacian", recording_laplacian)
+    monkeypatch.setattr(baselines, "_step_solver", recording_solver)
     monkeypatch.setattr(baselines, "_dense_solve", recording_solve)
     return steps
 
 
 def assert_dense_matches_cg(seed, steps):
     """The dense and CG paths on ``irls_case(seed)``: equal iteration counts,
-    each dense step's system solved by ``_cg_multi`` to the same step within
+    each dense step's system solved by the CG path to the same step within
     1e-9 deg, the dense residual within its rounding floor, and then the
     whole runs' rows within 1e-9 deg."""
     g, init = irls_case(seed)
@@ -558,12 +579,9 @@ def assert_dense_matches_cg(seed, steps):
     direct, cg = irls_on("direct", g, init), irls_on("cg", g, init)
     assert direct.iterations == cg.iterations == len(steps), seed
     assert direct.cg_iterations == [0] * direct.iterations
-    u, v = g.endpoint_arrays()
-    cg_system = baselines._cg_laplacian(u, v, g.n_nodes, viewgraph.select_root(g))
+    cg_solve = step_solver_on("cg", *root_index(g))
     for w, resid, lap, rhs, x in steps:
-        apply_op, precond, cg_rhs = cg_system(w, resid)
-        x_cg, _ = baselines._cg_multi(apply_op, cg_rhs, precond, 10 * g.n_nodes, CG_TOL)
-        assert np.degrees(np.max(np.abs(x - x_cg))) <= 1e-9, seed
+        assert np.degrees(np.max(np.abs(x - cg_solve(w, resid)[0]))) <= 1e-9, seed
     # The dense residual ends near its rounding floor eps * |L| |x_k| / |b_k|
     # per tangent component k, which passes CG_TOL where clamped weights make
     # L ill-conditioned (about 1 run in 1000 of this family, up to 1.1e-12).
@@ -575,6 +593,25 @@ def assert_dense_matches_cg(seed, steps):
     assert direct.cg_residual <= max(CG_TOL, floor), seed
     angles = so3_oracle.qangle_deg(np.asarray(direct.orientations), np.asarray(cg.orientations))
     assert np.max(angles) <= 1e-9, seed
+
+
+def ratio_readers(paths) -> list[str]:
+    """``file:function`` of every read of ``DENSE_SOLVE_RATIO``, as a name or
+    an attribute, in the modules ``paths``: the innermost function around
+    the read, or ``<module>``."""
+    found = set()
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "id", getattr(child, "attr", None)) == "DENSE_SOLVE_RATIO":
+                if isinstance(child.ctx, ast.Load):
+                    found.add(f"{path.name}:{where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if inner else where)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return sorted(found)
 
 
 class TestDenseSolve:
@@ -600,6 +637,28 @@ class TestDenseSolve:
         monkeypatch.setattr(baselines, "DENSE_SOLVE_RATIO", cut - Fraction(1, g.n_edges))
         res = baselines.irls_mra(g, bootstrap(g))
         assert res.iterations > 0 and all(k > 0 for k in res.cg_iterations)
+
+    def test_ratio_is_read_only_in_the_step_solver(self):
+        # the dense-or-CG choice is made once per solve, where its layout is built
+        modules = sorted(Path(baselines.__file__).parent.glob("*.py"))
+        assert ratio_readers(modules) == ["baselines.py:_step_solver"]
+
+    def test_guard_finds_ratio_reads(self, tmp_path):
+        # reads at module level, in nested functions and through the module
+        # are found; assignments and the name as a string are not
+        source = tmp_path / "reads.py"
+        source.write_text(
+            "DENSE_SOLVE_RATIO = 2.2e4\n"
+            "CUT = DENSE_SOLVE_RATIO * 2\n"
+            "def solver(n, e):\n"
+            "    def solve():\n"
+            "        return n ** 3 <= baselines.DENSE_SOLVE_RATIO * e\n"
+            "    return solve\n"
+            "def patch(mp):\n"
+            "    mp.setattr(baselines, 'DENSE_SOLVE_RATIO', 0)\n"
+            "    baselines.DENSE_SOLVE_RATIO = 1\n",
+            encoding="utf-8")
+        assert ratio_readers([source]) == ["reads.py:<module>", "reads.py:solve"]
 
     def test_singular_matrix_raises_solver_error(self):
         with pytest.raises(SolverError, match="dense solve failed"):
@@ -636,11 +695,11 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
     each run summed by ``run_sum``, and the dense matrix by one
     ``np.bincount`` over the diagonal and the off-diagonal cells.  The parts
     the fused step left alone are the package's: ``_dense_solve``,
-    ``_cg_multi`` and the CG operator and preconditioner of
-    ``_cg_laplacian``, which reads the residual component-major.  The system
-    is assembled on the graph's own node ids with the root pinned: 0 in the
-    root's right-hand side and the identity in its row and column of the
-    dense matrix.  Returns ``(rows, max_step_trace, cg_residual,
+    ``_cg_multi``, ``_tree_preconditioner`` and the CG path's ``matvec``
+    from ``_step_solver``, which reads the residual component-major.  The
+    system is assembled on the graph's own node ids with the root pinned: 0
+    in the root's right-hand side and the identity in its row and column of
+    the dense matrix.  Returns ``(rows, max_step_trace, cg_residual,
     cg_iterations)``."""
     rows = so3_oracle.qcanon(np.asarray(init, dtype=np.float64))
     u, v, n, root = root_index(g)
@@ -649,7 +708,7 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
     inc_edge, inc_sign = by_target % u.size, np.where(by_target < u.size, 1.0, -1.0)
     runs = [np.flatnonzero(dst[by_target] == t) for t in range(n)]
     cells = np.concatenate([np.arange(n) * (n + 1), u * n + v, v * n + u])
-    system = baselines._cg_laplacian(u, v, n, root)
+    cg_solve = step_solver_on("cg", u, v, n, root)
     trace, cg_iterations, cg_residual = [], [], 0.0
     for phase_iters, exponent in ((max_iters[0], 1.0), (max_iters[1], 1.5)):
         for _ in range(phase_iters):
@@ -668,7 +727,8 @@ def irls_frozen(g, init, path, max_iters=(5, 20)):
                 x = baselines._dense_solve(lap, rhs)
                 ax, its = x @ lap, 0
             else:
-                apply_op, precond, _ = system(w, resid.T)
+                apply_op = cg_solve(w, resid.T)[3]
+                precond = baselines._tree_preconditioner(u, v, w, diag, root)
                 x, its = baselines._cg_multi(apply_op, rhs, precond, 10 * n, CG_TOL)
                 ax = apply_op(x)
             norm_b = np.maximum(np.sqrt(np.einsum("ij,ij->i", rhs, rhs)), 1e-300)
@@ -744,6 +804,22 @@ class TestSquareLayouts:
 
 
 class TestNoiseFreeRecovery:
+    def test_cg_takes_no_iteration_from_the_ground_truth(self):
+        # ground truth in the binary tetrahedral group, whose products are
+        # exact: every residual, so every right-hand side, is exactly 0, and
+        # CG stops before its first iteration
+        group = np.concatenate([np.eye(4), -np.eye(4),
+                                0.5 * np.array(list(itertools.product([-1.0, 1.0], repeat=4)))])
+        for seed in range(3):
+            g = make_graph(seed=seed)
+            (u, v), n = g.endpoint_arrays(), g.n_nodes
+            gt = group[np.random.default_rng(seed).integers(0, len(group), n)]
+            g = ViewGraph(n, u, v, so3.qmul(gt[v], so3.qconj(gt[u])))
+            res = irls_on("cg", g, gt)
+            assert res.cg_iterations == [0, 0] and res.converged
+            assert res.max_step_trace == [0.0, 0.0] and res.cg_residual == 0.0
+            assert np.array_equal(np.asarray(res.orientations), so3.qcanon(gt))
+
     def test_irls_recovers_from_perturbed_init(self):
         for seed in range(3):
             g = make_graph(seed=seed)

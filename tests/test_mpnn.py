@@ -287,32 +287,68 @@ class TestEdgeRuns:
             assert np.array_equal(got, want)
 
 
+def gradient_check_case(order):
+    """Four rounds on the triangle, with the edge rows drawn for TRIANGLE's
+    edges given in the order ``order`` and a linear head: ``(store, g,
+    feats, init, params)``, ``params`` the stack's arrays and the head's."""
+    store = tiny_weights(MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3), seed=2)
+    rng = np.random.default_rng(102)
+    feats = rng.normal(size=(3, 4))[order]
+    init = rng.normal(size=(3, 2))
+    params = dict(store.params)
+    params["head.w"] = rng.normal(size=(3, 2))
+    params["head.b"] = rng.normal(size=2)
+    return store, graph(3, TRIANGLE), feats, init, params
+
+
+def relu_inputs(store, g, feats, init):
+    """Every relu input of ``mpnn_oracle.forward`` on these arrays, flat."""
+    seen = []
+    relu = mpnn_oracle.OracleTape.relu
+
+    def recording(tape, x):
+        seen.append(x.values.ravel())
+        return relu(tape, x)
+
+    tape = mpnn_oracle.OracleTape()
+    weights = {name: tape.leaf(w) for name, w in store.params.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpnn_oracle.OracleTape, "relu", recording)
+        mpnn_oracle.forward(tape, weights, g, feats, init)
+    return np.concatenate(seen)
+
+
+def full_network_gradient_error(store, g, feats, init, params):
+    """``fd_gradients``' worst relative error over the stack's and the
+    head's gradients of the summed squared node states plus the summed
+    head outputs."""
+    def build(tape, p):
+        weights = {k: p[k] for k in store.params}
+        h = mpnn_oracle.taped_forward(tape, weights, g, feats, init)
+        (out,) = mpnn_oracle.taped_forward(tape, weights, g, feats, init,
+                                           [(p["head.w"], p["head.b"])])
+        return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
+
+    return fd_gradients(lambda p: mpnn_oracle.loss_and_grads(build, p), params)
+
+
 class TestGradients:
     def test_full_network_gradient_check(self):
-        cfg = MpnnConfig(rounds=4, hidden_dim=3, msg_dim=3)
-        # seed keeps every relu pre-activation away from the kink, where the
-        # central difference would straddle the non-differentiability; with
-        # zero biases, an edge whose first message layer is all dead puts the
-        # second layer's pre-activations on it
-        store = tiny_weights(cfg, seed=2)
-        rng = np.random.default_rng(102)
-        g = graph(3, TRIANGLE)
-        # the rows drawn for TRIANGLE's edges, in the graph's (u, v) order
-        feats = rng.normal(size=(3, 4))[[0, 2, 1]]
-        init = rng.normal(size=(3, 2))
-        params = {name: arr for name, arr in store.params.items()}
-        params["head.w"] = rng.normal(size=(3, 2))
-        params["head.b"] = rng.normal(size=2)
+        # central differences hold only where no relu input is within the
+        # step of the kink; with zero biases, an edge whose first message
+        # layer is all dead puts the second layer's inputs on it.  Each of
+        # TRIANGLE's edges, stored by (u, v), gets the row drawn for it
+        case = gradient_check_case([0, 2, 1])
+        assert np.min(np.abs(relu_inputs(*case[:4]))) >= 1e-3
+        assert full_network_gradient_error(*case) < 1e-3
 
-        def build(tape, p):
-            weights = {k: p[k] for k in store.params}
-            h = mpnn_oracle.taped_forward(tape, weights, g, feats, init)
-            (out,) = mpnn_oracle.taped_forward(tape, weights, g, feats, init,
-                                               [(p["head.w"], p["head.b"])])
-            return tape.add(tape.sum(tape.mul(h, h)), tape.sum(out))
-
-        err = fd_gradients(lambda p: mpnn_oracle.loss_and_grads(build, p), params)
-        assert err < 1e-3
+    def test_kink_check_rejects_a_draw_on_the_kink(self):
+        # the rows in the order drawn, given to the edges in (u, v) order, so
+        # (0, 2) and (1, 2) swap rows: a relu input lies exactly on 0, and
+        # the central difference misses the gradient there
+        case = gradient_check_case([0, 1, 2])
+        assert np.min(np.abs(relu_inputs(*case[:4]))) == 0.0
+        assert full_network_gradient_error(*case) > 0.1
 
 
 class TestConfigOf:
