@@ -97,7 +97,12 @@ def clean_forward(g: ViewGraph, store: ParamStore) -> CleanPrediction:
     delta_raw, logits = _heads(g, store.params)[0]
     rect = so3._left_correct(delta_raw, g.edge_quat_array())
     logits = logits.reshape(g.n_edges)
-    return CleanPrediction(rect=rect, outlier_prob=1.0 / (1.0 + np.exp(-logits)), logits=logits)
+    return CleanPrediction(rect=rect, outlier_prob=_sigmoid(logits), logits=logits)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))``, its exponent capped below overflow: under 1e-307 for x < -709."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
 
 
 def gt_outlier_labels(g: ViewGraph) -> np.ndarray:
@@ -115,18 +120,13 @@ def _loss_terms(rect: np.ndarray, logits: np.ndarray, g: ViewGraph):
     cross-entropy of the (E,) ``logits``; and the pullback to their gradients."""
     if not g.has_full_gt or g.n_edges == 0:  # the mean cross-entropy needs an edge
         raise ViewGraphError("loss requires full ground truth and at least one edge")
-    rel_gt = g.relative_gt_array()
-    dists, dists_pull = autodiff.quat_dist(rect, rel_gt)
+    dists, dists_pull = autodiff.quat_dist(rect, g.relative_gt_array())
     edge_w = viewgraph._degree_weights(g)
     targets = gt_outlier_labels(g)
     bce = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     loss = (dists * edge_w).sum() + bce.mean() * float(BCE_WEIGHT)
-
-    def pull():
-        sig = 1.0 / (1.0 + np.exp(-logits))
-        return dists_pull(edge_w), float(BCE_WEIGHT) / logits.size * (sig - targets)
-
-    return loss, pull
+    return loss, lambda: (dists_pull(edge_w),
+                          float(BCE_WEIGHT) / logits.size * (_sigmoid(logits) - targets))
 
 
 def clean_loss_graph(g: ViewGraph, weights: dict[str, np.ndarray]) -> Tape:

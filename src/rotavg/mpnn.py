@@ -29,12 +29,13 @@ update.
 The call keeps each round's node states and aggregates; its pullback walks
 the rounds backward and recomputes each run's message layers from them (the
 recompute-in-backward trade of Chen et al., *Training Deep Nets with
-Sublinear Memory Cost*, 2016).  It sums edge
-gradients into target rows with the same ``reduceat`` runs (the CSR segment
-reduction of PyTorch Geometric) and into source rows with one ``bincount``
-per run.  A network's training step composes that pullback with its loss's
-into the one pullback of its ``autodiff.Tape``; inference drops it.  The
-tests keep the former loop of generic tape primitives as the oracle.
+Sublinear Memory Cost*, 2016).  It sums edge gradients into target rows with
+the same ``reduceat`` runs (the CSR segment reduction of PyTorch Geometric)
+and into source rows with one ``autodiff._segment_sum`` per run over all N
+rows; the heads' round sums both ends so.  A network's training step
+composes that pullback with its loss's into the one pullback of its
+``autodiff.Tape``; inference drops it.  The tests keep the former loop of
+generic tape primitives as the oracle.
 
 Per-round (unshared) weights land the two networks plus their heads at ~43K
 parameters, with serialized checkpoints under half a megabyte.  The sizes
@@ -291,15 +292,13 @@ def _messages(node_d, node_s, dst, src, feats, wt, bufs) -> np.ndarray:
 def _pullback(w, rounds, runs, states, heads, grads):
     """Gradients of the weights, by name in ``w``'s order, and of each
     head's ``w`` and ``b``, from the outputs' gradients ``grads`` (``None``
-    where an output has none)."""
+    where an output has none).  Sources get one ``_segment_sum`` per run over all N rows."""
     hid, msg = w["step0.upd.w"].shape[1], w["step0.msg2.w"].shape[0]
     n_nodes = runs.denom.shape[0]
     g_w = {name: np.zeros(a.shape) for name, a in w.items()}
     g_heads = [(np.zeros_like(hw), np.zeros_like(hb)) for hw, hb in heads]
     bufs = np.empty((3, runs.rows * msg))
     sums = np.empty((runs.targets.size, msg))
-    # each run's distinct sources, found once for all rounds
-    sources = [np.unique(runs.s_src[a:end], return_inverse=True) for a, end, *_ in runs.runs]
     g_h = None if heads else grads[0]
     for t in reversed(range(rounds)):
         h = states[t][:, :hid]
@@ -317,8 +316,8 @@ def _pullback(w, rounds, runs, states, heads, grads):
                         g_hw += msgs @ g_out[a:end]
                         g_hb += g_out[a:end].sum(axis=0)
                 d1 = _message_pullback(feats, wt, bufs, g_w, t)
-                _scatter_add(g_d, *np.unique(dst, return_inverse=True), d1)
-                _scatter_add(g_s, *np.unique(src, return_inverse=True), d1)
+                g_d += _segment_sum(d1, dst, n_nodes)
+                g_s += _segment_sum(d1, src, n_nodes)
             g_h = 0.0  # the heads' round has no node update
         else:
             g_up = g_h * (states[t + 1][:, :hid] > 0.0)
@@ -326,14 +325,14 @@ def _pullback(w, rounds, runs, states, heads, grads):
             g_w[f"step{t}.upd.b"] += g_up.sum(axis=0)
             g_x = g_up @ wt[6].T
             g_sum = np.ascontiguousarray((g_x[:, hid:] / runs.denom).T)  # (M, N), as messages
-            for (a, end, k, k_end, seg), (nodes, inv) in zip(runs.runs, sources):
-                dst, feats = runs.s_dst[a:end], runs.s_feats[a:end]
-                msgs = _messages(node_d, node_s, dst, runs.s_src[a:end], feats, wt, bufs)
+            for a, end, k, k_end, seg in runs.runs:
+                dst, src, feats = runs.s_dst[a:end], runs.s_src[a:end], runs.s_feats[a:end]
+                msgs = _messages(node_d, node_s, dst, src, feats, wt, bufs)
                 np.take(g_sum, dst, axis=1, out=bufs[1, :msgs.size].reshape(msgs.shape),
                         mode="clip")
                 d1 = _message_pullback(feats, wt, bufs, g_w, t)
                 np.add.reduceat(d1, seg, axis=0, out=sums[k:k_end])
-                _scatter_add(g_s, nodes, inv, d1)
+                g_s += _segment_sum(d1, src, n_nodes)
             g_d[runs.targets] = sums
             g_h = g_x[:, :hid]
         # the node rows and bias of the first message layer; each edge has one target
@@ -362,9 +361,3 @@ def _message_pullback(feats, wt, bufs, g_w, t) -> np.ndarray:
     d1 *= x > 0.0
     g_w[f"step{t}.msg1.w"][-feats.shape[1]:] += feats.T @ d1
     return d1
-
-
-def _scatter_add(out: np.ndarray, nodes: np.ndarray, inv: np.ndarray, d: np.ndarray) -> None:
-    """``out[nodes[inv[i]]] += d[i]``, one segment sum over the run's
-    distinct ``nodes``, so its cost follows the run's length, not N."""
-    out[nodes] += _segment_sum(d, inv, nodes.size)

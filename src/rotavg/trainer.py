@@ -21,7 +21,7 @@ import numbers
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -41,11 +41,13 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Epochs, learning rate and seed; ``weight_decay`` and ``edge_dropout`` are constants."""
+
     epochs: int = 250
     lr: float = 0.5e-4
-    weight_decay: float = 1e-4
-    edge_dropout: float = 0.25
     seed: int = 0
+    weight_decay: ClassVar[float] = 1e-4  # Adam's decoupled weight decay
+    edge_dropout: ClassVar[float] = 0.25  # share of a training graph's edges each epoch drops
 
     def __post_init__(self):
         # a negative lr would run gradient ascent; NaN would surface an epoch
@@ -53,8 +55,6 @@ class TrainConfig:
         for name, kind, ok, rule in (
             ("epochs", numbers.Integral, lambda x: x >= 1, "an integer >= 1"),
             ("lr", numbers.Real, lambda x: 0.0 < x < math.inf, "a finite number > 0"),
-            ("weight_decay", numbers.Real, lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
-            ("edge_dropout", numbers.Real, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"),
             ("seed", numbers.Integral, lambda x: x >= 0, "a non-negative integer"),
         ):
             value = getattr(self, name)
@@ -83,11 +83,8 @@ def _checked(split: str, i: int, g: ViewGraph) -> ViewGraph:
 
 def _dropout_subgraph(g: ViewGraph, dropout: float, rng: np.random.Generator) -> ViewGraph:
     """Drop a fraction of undirected edges (both directions together)."""
-    if dropout == 0.0:
-        return g
-    m = g.n_edges
-    keep = max(1, int(round((1.0 - dropout) * m)))
-    idx = np.sort(rng.choice(m, size=keep, replace=False))
+    keep = max(1, int(round((1.0 - dropout) * g.n_edges)))
+    idx = np.sort(rng.choice(g.n_edges, size=keep, replace=False))
     u, v = g.endpoint_arrays()
     return ViewGraph._from_valid(g.n_nodes, u[idx], v[idx], g.edge_quat_array()[idx],
                                  g.edge_labels()[idx], g.gt)

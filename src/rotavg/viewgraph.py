@@ -110,9 +110,8 @@ class ViewGraph:
         if gt.shape != (n, 4):
             raise ViewGraphError("ground truth must have one (w, x, y, z) row per node")
         known = ~np.all(np.isnan(gt), axis=1)
-        if not np.all(np.isfinite(gt[known])) or np.any(so3.rownorm(gt[known]) < so3.ZERO_NORM_TOL):
-            raise ViewGraphError("ground-truth rows must be all NaN or finite nonzero")
-        gt[known] = so3.qcanon(gt[known])
+        gt[known] = so3.qcanon(_finite_nonzero(
+            gt[known], "ground-truth rows must be all NaN or finite nonzero"))
         u, v = (_array(x, "iu", "edge endpoints", np.int64).reshape(-1) for x in (u, v))
         m = u.size
         q = _array(q, "iuf", "edge orientations", np.float64) if m else np.zeros((0, 4))
@@ -121,8 +120,7 @@ class ViewGraph:
             raise ViewGraphError("edge arrays must have one entry per edge")
         if not np.all(np.isin(label, (-1, 0, 1))):
             raise ViewGraphError("edge labels must be -1 (unknown), 0 or 1")
-        if not np.all(np.isfinite(q)) or np.any(so3.rownorm(q) < so3.ZERO_NORM_TOL):
-            raise ViewGraphError("edge orientations must be finite nonzero rows")
+        q = _finite_nonzero(q, "edge orientations must be finite nonzero rows")
         out_of_range, loop, repeat, order = _edge_faults(n, u, v)
         bad = out_of_range | loop | repeat
         if np.any(bad):
@@ -219,6 +217,19 @@ def _canonical_edges(u: np.ndarray, v: np.ndarray, q: np.ndarray, label: np.ndar
     flip = u > v
     q[flip] = so3.qcanon(so3.qconj(q[flip]))
     return np.minimum(u, v), np.maximum(u, v), q, label
+
+
+def _finite_nonzero(rows: np.ndarray, message: str) -> np.ndarray:
+    """``rows`` for ``so3.qcanon``, a row whose norm overflows divided in place by
+    its largest |component|; a :class:`ViewGraphError` with ``message`` unless
+    every row is finite and of norm at least ``so3.ZERO_NORM_TOL``."""
+    with np.errstate(over="ignore"):
+        norms = so3.rownorm(rows)
+    if not np.all(np.isfinite(rows)) or np.any(norms < so3.ZERO_NORM_TOL):
+        raise ViewGraphError(message)
+    big = np.isinf(norms)
+    rows[big] /= np.abs(rows[big]).max(axis=1, keepdims=True)
+    return rows
 
 
 def _array(values: ArrayLike, kinds: str, what: str, dtype) -> np.ndarray:
@@ -796,9 +807,7 @@ def orientation_rows(g: ViewGraph, orientations: ArrayLike) -> np.ndarray:
     if rows is None or rows.shape != (g.n_nodes, 4):
         got = "" if rows is None else f", got {rows.shape}"
         raise ViewGraphError(f"orientations must be ({g.n_nodes}, 4){got}: rows covering every node")
-    if not np.all(np.isfinite(rows)) or np.any(so3.rownorm(rows) < so3.ZERO_NORM_TOL):
-        raise ViewGraphError("orientations must be finite nonzero rows")
-    return so3.qcanon(rows)
+    return so3.qcanon(_finite_nonzero(rows, "orientations must be finite nonzero rows"))
 
 
 def rereference(rows: np.ndarray, c: int) -> np.ndarray:

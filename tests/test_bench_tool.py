@@ -4,8 +4,8 @@
 non-zero or is not correct, a failed operation, a declared end-to-end or
 per-layer metric that is missing, ``None`` or not finite, a scale graph that
 did not run, a scale solve whose repeated calls left different (or missing)
-fingerprints, NeuRoRA's cam1000 median error at or above 1 degree, and a
-paired run that is not correct.  :func:`main` must run every workload that
+fingerprints, NeuRoRA's cam1000 median error at or above 1 degree, a
+paired run that is not correct, and paired runs of more than one seed.  :func:`main` must run every workload that
 ``BENCHMARK.json`` declares.  The paired runs of ``--against`` alternate
 which side goes first, their statistics are checked on known values, and
 the base commit's temporary tree is removed also when a run or the
@@ -17,6 +17,7 @@ a process: git and the runs are injected.
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.util
 import io
 import json
@@ -339,6 +340,32 @@ def test_paired_record_runs_in_a_removed_tree(bench, monkeypatch):
     record["workloads"][WORKLOADS[0]]["correct"] = False
     assert bench.problems(bench_file) == [
         f"paired.{WORKLOADS[0]}: a run not correct or with a failed operation"]
+
+
+def test_a_partial_runs_at_another_seed(bench, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda cmd, **kwargs: calls.append(cmd) or completed(0, ""))
+    functools.partial(bench.run_workload, seed=7)("dense", 0.1, 0, ROOT)
+    assert calls[0][1:] == ["benchmark/run.py", "--workload", "dense", "--seed", "7",
+                            "--seconds", "0.1", "--trace", "0"]
+
+
+@pytest.mark.parametrize("base_seed, seeds", [(7, [7]), (1, [1, 7])])
+def test_paired_record_keeps_the_printed_seeds(bench, monkeypatch, base_seed, seeds):
+    monkeypatch.setattr(bench.subprocess, "run", FakeGit())
+
+    def run(workload, seconds, trace, root):
+        out = paired_run(workload, seconds, trace, root)
+        out["env"] = {"seed": 7 if root == ROOT else base_seed}
+        return out
+
+    bench_file = complete_bench()
+    bench_file["paired"] = bench.paired_record("HEAD~1", 2, 0.1, run)
+    # the base runs first in the first pair
+    assert bench_file["paired"]["seeds"] == seeds
+    assert bench.problems(bench_file) == ([] if len(seeds) == 1 else
+                                          [f"paired: runs of seeds {seeds}"])
 
 
 def made_dirs(bench, monkeypatch) -> list[Path]:

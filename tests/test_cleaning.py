@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ class TestLoss:
             return step.loss, step.backward()
 
         assert fd_gradients(loss_and_grads, params) < 1e-3
+
+    def test_very_negative_logits_do_not_overflow(self):
+        # zero head weights: every logit is the bias, far below exp's overflow at -709.78
+        g = noisy_graph(seed=5)
+        store = cleaning.new_weights(5)
+        store.params["head_out.b"][0] = -1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = cleaning.clean_forward(g, store).outlier_prob
+            step = cleaning.clean_loss_graph(g, store.params)
+            grads = step.backward()
+        assert np.all(np.isfinite(prob)) and np.all(prob < 1e-300)
+        assert np.isfinite(step.loss)
+        assert all(np.all(np.isfinite(grad)) for grad in grads.values())
 
     def test_requires_gt(self):
         g = edge_graph(2, [Edge(0, 1, UnitQuaternion.identity())])

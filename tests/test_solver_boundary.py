@@ -102,6 +102,16 @@ def test_orientation_rows_rejects_bad_input(solver, case):
         SOLVERS[solver](g, rows)
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_rows_whose_norm_overflows_are_accepted(solver):
+    # a 1e200 component's square overflows, so each row's norm is inf
+    g = noisy_graph(seed=1, n=12)
+    good = np.array(bootstrap(g).orientations)
+    outs = [SOLVERS[solver](g, rows) for rows in (good, 1e200 * good)]
+    unit, big = (np.asarray(getattr(out, "orientations", out)) for out in outs)
+    assert np.max(so3_oracle.qangle_deg(unit, big)) < 1e-12
+
+
 def test_orientation_rows_canonicalises():
     g = noisy_graph(seed=2, n=6)
     rows = so3.sample_uniform_rows(np.random.default_rng(2), g.n_nodes)

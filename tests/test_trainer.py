@@ -57,22 +57,22 @@ def same_run(a, b) -> bool:
 class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
-        ("weight_decay", -1.0), ("weight_decay", math.inf), ("weight_decay", math.nan),
     ])
     def test_bad_optimizer_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [
-        ("lr", "0.1"), ("weight_decay", "x"), ("edge_dropout", None), ("lr", True),
-        ("epochs", True),
-    ])
+    @pytest.mark.parametrize("field, value", [("lr", "0.1"), ("lr", True), ("epochs", True)])
     def test_non_numbers_are_named(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             TrainConfig(**{field: value})
 
-    def test_zero_weight_decay_accepted(self):
-        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+    @pytest.mark.parametrize("name, value", [("weight_decay", 1e-4), ("edge_dropout", 0.25)])
+    def test_decay_and_dropout_are_constants(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            TrainConfig(epochs=1, **{name: 0.0})
+        assert getattr(TrainConfig(epochs=1), name) == value
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["epochs", "lr", "seed"]
 
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, 0, -1])
     def test_epochs_must_be_a_positive_integer(self, value):

@@ -273,6 +273,17 @@ class TestArrayStore:
         with pytest.raises(ViewGraphError, match="finite nonzero"):
             ViewGraph(2, [0], [1], q * 0.0)
 
+    def test_rows_whose_norm_overflows_are_normalised(self):
+        # a 1e200 component's square overflows, so its row's norm is inf
+        rows = so3.sample_uniform_rows(np.random.default_rng(0), 3)
+        g = ViewGraph(3, [0, 1], [1, 2], 1e200 * rows[:2], gt=-1e200 * rows)
+        assert np.max(np.abs(g.edge_quat_array() - rows[:2])) < 1e-15
+        assert np.max(np.abs(g.gt - rows)) < 1e-15
+        g = ViewGraph(2, [0], [1], [[-1e200, 0.0, 0.0, 0.0]],
+                      gt=[[0.0, 0.0, 1e300, 0.0], [1e200] * 4])
+        assert np.array_equal(g.edge_quat_array(), [[1.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(g.gt, [[0.0, 0.0, 1.0, 0.0], [0.5] * 4])
+
 
 @st.composite
 def labelled_graphs(draw) -> ViewGraph:

@@ -40,8 +40,11 @@ workload runs ``benchmark/run.py --trace 0`` in both trees ``PAIRS``
 times, alternating which side goes first (:func:`paired_runs`); per
 end-to-end metric the section gives both sides' medians and quartiles, the
 ratio of the medians and the number of pairs the checkout won
-(:func:`paired_stats`).  The scale section measures this checkout alone
-(``--scale`` with no name skips it).
+(:func:`paired_stats`), and it records the seeds that the runs printed.
+The scale section measures this checkout alone (``--scale`` with no name
+skips it).  A paired section at a held-out seed needs no flag:
+
+    paired_record(rev, PAIRS, seconds, run=functools.partial(run_workload, seed=7))
 """
 
 from __future__ import annotations
@@ -83,11 +86,12 @@ def declared() -> dict[str, list[str]]:
             for kind in ("workloads", "end_to_end", "per_layer")}
 
 
-def run_workload(workload: str, seconds: float, trace: int, root: Path = ROOT) -> dict:
-    """One ``benchmark/run.py`` call in the checkout ``root``, read from its
-    ``env``, ``host`` and last JSON lines."""
+def run_workload(workload: str, seconds: float, trace: int, root: Path = ROOT,
+                 seed: int = SEED) -> dict:
+    """One ``benchmark/run.py --seed seed`` call in the checkout ``root``, read
+    from its ``env``, ``host`` and last JSON lines."""
     proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
     lines = {}
@@ -174,14 +178,17 @@ def paired_stats(base: list, change: list, better: str) -> dict:
 
 def paired_record(rev: str, pairs: int, seconds: float, run=run_workload) -> dict:
     """The ``paired`` section: every declared workload's :func:`paired_runs`
-    against the commit ``rev`` and each end-to-end metric's :func:`paired_stats`."""
+    against the commit ``rev``, each end-to-end metric's :func:`paired_stats`
+    and the ``seeds`` that the runs printed on their ``env`` lines, each once."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
     record = {"pairs": pairs, "seconds": seconds, "workloads": {}}
+    seeds = []
     with checkout(rev) as (base, commit):
         record["against"] = {"rev": rev, "commit": commit}
         for workload in declared()["workloads"]:
             base_runs, runs = paired_runs(workload, pairs, seconds, base, run)
+            seeds += [(r["env"] or {}).get("seed") for r in base_runs + runs]
             record["workloads"][workload] = {
                 "correct": all(r["correct"] is True and r["failed"] == 0
                                for r in base_runs + runs),
@@ -189,6 +196,7 @@ def paired_record(rev: str, pairs: int, seconds: float, run=run_workload) -> dic
                                                [r["metrics"].get(name) for r in runs], direction)
                             for name, direction in better.items()},
             }
+    record["seeds"] = list(dict.fromkeys(seeds))
     return record
 
 
@@ -315,7 +323,8 @@ def problems(bench: dict) -> list[str]:
     finite; every solve's ``REPEATS`` calls left one fingerprint, a
     determinism gate; NeuRoRA's median error on cam1000, where it runs,
     is under ``MAX_CAM1000_MEDIAN_DEG``; and, with a ``paired`` section,
-    every paired run on both sides is correct with no failed operation.
+    every paired run on both sides is correct with no failed operation and
+    all of them printed one seed.
     """
     spec = declared()
     found = []
@@ -344,6 +353,9 @@ def problems(bench: dict) -> list[str]:
     found += [f"paired.{workload}: a run not correct or with a failed operation"
               for workload, rec in bench.get("paired", {}).get("workloads", {}).items()
               if rec["correct"] is not True]
+    seeds = bench.get("paired", {}).get("seeds", [])
+    if len(seeds) > 1:
+        found.append(f"paired: runs of seeds {seeds}")
     median = bench["scale"].get("cam1000", {}).get("neurora", {}).get("err_median_deg", 0.0)
     if not median < MAX_CAM1000_MEDIAN_DEG:
         found.append(f"NeuRoRA's cam1000 median error {median} deg >= {MAX_CAM1000_MEDIAN_DEG}")
