@@ -183,7 +183,7 @@ class IrlsResult:
     # step, computed once after the loop: no bound, since rounding can leave
     # it above CG_TOL on either path (CG stops on its recurrence residual)
     cg_residual: float = 0.0
-    converged: bool = False  # the last step was below IRLS_STEP_TOL, not cut by max_iters
+    converged: bool = False  # the last step was below IRLS_STEP_TOL: no cap or growth stop
     # one per inner solve: CG iterations, 0 for a dense solve or a zero right-hand side
     cg_iterations: list[int] = field(default_factory=list)
 
@@ -427,7 +427,9 @@ def irls_mra(
     step, which counts as converged.  ``max_iters`` is two non-negative
     integers (the L1 and L1/2 budgets).  Residuals are floored at
     ``IRLS_DELTA`` in the weights, and a phase stops once its largest update
-    is below ``IRLS_STEP_TOL``.
+    is below ``IRLS_STEP_TOL``.  The L1/2 phase also stops after its first
+    step larger than the one before, which is kept: IRLS's cost falls at
+    every step (majorize-minimize), so a growing step marks a stall.
     """
     budgets = tuple(max_iters) if np.iterable(max_iters) else ()
     if len(budgets) != 2:
@@ -442,6 +444,7 @@ def irls_mra(
     trace: list[float] = []
     cg_iterations: list[int] = []
     for phase_iters, exponent in zip(budgets, (1.0, 1.5)):
+        previous = np.inf  # the phase's last largest step
         for _ in range(phase_iters):
             # body-frame residual, (3, E); its norm is the edge's geodesic error
             resid = np.stack(so3.qlog_parts(viewgraph.discrepancy_parts(g, rows, quats)))
@@ -455,8 +458,9 @@ def irls_mra(
             rows = so3.qcanon(so3.qmul(rows, so3.qexp(step)))
             max_step = float(np.max(so3.rownorm(step)))
             trace.append(max_step)
-            if max_step < IRLS_STEP_TOL:
+            if max_step < IRLS_STEP_TOL or (exponent > 1.0 and max_step > previous):
                 break
+            previous = max_step
     # the last step's matrix is still bound: ``solve`` rewrites it only at a next step
     cg_residual = _relative_residual(rhs, matvec(x)) if trace else 0.0
     return IrlsResult(

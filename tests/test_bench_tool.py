@@ -4,7 +4,8 @@
 non-zero or is not correct, a failed operation, a declared end-to-end or
 per-layer metric that is missing, ``None`` or not finite, a scale graph that
 did not run, a scale solve whose repeated calls left different (or missing)
-fingerprints, NeuRoRA's cam1000 median error at or above 1 degree, a
+fingerprints, an IRLS step trace whose length is not its iteration count,
+NeuRoRA's cam1000 median error at or above 1 degree, a
 paired run that is not correct, and paired runs of more than one seed.  :func:`main` must run every workload that
 ``BENCHMARK.json`` declares.  The paired runs of ``--against`` alternate
 which side goes first, their statistics are checked on known values, and
@@ -74,6 +75,7 @@ def scale_record() -> dict:
                     "fingerprints": ["0123456789abcdef"] * 3},
         "irls": {"s": 2.0, "err_median_deg": 0.5, "err_mean_deg": 0.6, "iterations": 25,
                  "converged": True, "cg_iterations": 400, "cg_iterations_per_step": [16] * 25,
+                 "max_step_trace": [0.01] * 24 + [5e-4],
                  "fingerprints": ["a" * 16] * 3},
         "weiszfeld_sweep": {"s": 1.0, "err_median_deg": 2.0, "err_mean_deg": 3.0,
                             "fingerprints": ["b" * 16] * 3},
@@ -137,6 +139,8 @@ FAULTS = {
     "a repeat missing": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"].update(
         fingerprints=["b" * 16] * 2),
     "no fingerprints": lambda r: r["scale"]["cam1000"]["neurora"].pop("fingerprints"),
+    "a step short": lambda r: r["scale"]["cam1000"]["irls"]["max_step_trace"].pop(),
+    "no step trace": lambda r: r["scale"]["cam1000"]["irls"].pop("max_step_trace"),
 }
 
 
@@ -145,6 +149,16 @@ def test_fault_is_refused(bench, fault):
     record = complete_bench()
     fault(record)
     assert len(bench.problems(record)) == 1
+
+
+def test_irls_step_trace_has_one_step_per_iteration(bench):
+    # a growth stop ends a run below its budget: the trace shows where
+    record = complete_bench()
+    irls = record["scale"]["cam1000"]["irls"]
+    irls.update(iterations=13, converged=False, max_step_trace=[0.02] * 12 + [0.03])
+    assert bench.problems(record) == []
+    irls["iterations"] = 25
+    assert bench.problems(record) == ["cam1000.irls: 13 steps traced, 25 iterations"]
 
 
 def completed(returncode: int, stdout: str) -> subprocess.CompletedProcess:

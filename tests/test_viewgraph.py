@@ -463,6 +463,14 @@ class TestFormat:
         with pytest.raises(ParseError, match=f"line 6: {reason}"):
             viewgraph.parse(head + record + "\n")
 
+    @pytest.mark.parametrize("record", ["EDGE 1 2 1e200 0 0 0", "NODE 3 1 0 -1e200 0"])
+    def test_overflowing_norm_is_named(self, record):
+        # the squared component overflows, under pytest.ini's error::RuntimeWarning too
+        head = "VIEWGRAPH v1\nNODE 0\nNODE 1\nNODE 2\nEDGE 0 1 1 0 0 0\n"
+        with pytest.raises(ParseError, match="line 6: quaternion norm inf deviates") as info:
+            viewgraph.parse(head + record + "\n")
+        assert info.value.line_no == 6
+
     def test_out_of_range_pairs_do_not_alias(self):
         # with three nodes, the key lo * 3 + hi of (0, 5) is that of (1, 2), and
         # (-1, 4) shares (0, 1)'s: an undeclared end is named, not a duplicate
@@ -651,6 +659,33 @@ class TestBlockReading:
         fallback = fallback_records(monkeypatch)
         assert_matches_oracle(viewgraph.serialize(g))
         assert fallback == []
+
+    def test_a_split_edge_group_stays_split_in_later_blocks(self, monkeypatch):
+        # every 5th edge unlabelled, in 12 blocks: the first block's
+        # whole EDGE group is refused and split by token count, and later
+        # blocks split theirs without that call
+        rng = np.random.default_rng(4)
+        n = 12
+        u, v = np.triu_indices(n, 1)
+        label = rng.integers(0, 2, u.size)
+        label[::5] = -1
+        g = ViewGraph(n, u, v, so3.sample_uniform_rows(rng, u.size), label)
+        text = viewgraph.serialize(g)
+        refused = []
+        c_records = viewgraph._c_records
+
+        def spy(lines, prefix, line_no):
+            part = c_records(lines, prefix, line_no)
+            if part is None:
+                refused.append(prefix)
+            return part
+
+        monkeypatch.setattr(viewgraph, "_c_records", spy)
+        monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 512)
+        fallback = fallback_records(monkeypatch)
+        assert len(list(viewgraph._line_blocks(text))) > 10
+        assert stored_arrays(viewgraph.parse(text)) == parse_outcome(parse_oracle.parse, text)
+        assert refused == ["EDGE "] and fallback == []
 
     def test_canonical_texts_never_fall_back(self, monkeypatch):
         # the benchmark's generator (repr floats) and serialize, with and

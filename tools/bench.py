@@ -23,9 +23,10 @@ and node ids, IRLS's rows, iteration count and summed CG iterations, or
 Weiszfeld's rows and objective trace; equal fingerprints across commits mean
 equal outputs, bit for bit.  The IRLS record also keeps the CG iterations of
 each inner solve (0 for a dense one), so that the CG path, whose rows may
-move at rounding level, can be compared step by step.  Errors are ``benchmark/score.errors_deg``:
-median and mean, in degrees, over the returned nodes.  Every child process
-runs with one BLAS thread.
+move at rounding level, can be compared step by step, and the largest node
+update of each step (``max_step_trace``), which shows where a run stopped.
+Errors are ``benchmark/score.errors_deg``: median and mean, in degrees, over
+the returned nodes.  Every child process runs with one BLAS thread.
 
 It measures the checkout that holds it; a copy placed in a checkout of an
 earlier commit measures that commit.  It exits 1 when :func:`problems`,
@@ -281,6 +282,7 @@ def scale_record(name: str) -> dict:
                  "converged": bool(irls_raw.converged),
                  "cg_iterations": int(sum(irls_raw.cg_iterations)),
                  "cg_iterations_per_step": [int(k) for k in irls_raw.cg_iterations],
+                 "max_step_trace": [float(step) for step in irls_raw.max_step_trace],
                  "fingerprints": irls_prints},
         "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.q, gt),
                             "fingerprints": weiszfeld_prints},
@@ -321,8 +323,9 @@ def problems(bench: dict) -> list[str]:
     finite number in the untraced run and every declared per-layer metric in
     the traced one; every scale graph ran and every number it gives is
     finite; every solve's ``REPEATS`` calls left one fingerprint, a
-    determinism gate; NeuRoRA's median error on cam1000, where it runs,
-    is under ``MAX_CAM1000_MEDIAN_DEG``; and, with a ``paired`` section,
+    determinism gate; IRLS's ``max_step_trace`` has one step per iteration;
+    NeuRoRA's median error on cam1000, where it runs, is under
+    ``MAX_CAM1000_MEDIAN_DEG``; and, with a ``paired`` section,
     every paired run on both sides is correct with no failed operation and
     all of them printed one seed.
     """
@@ -348,6 +351,10 @@ def problems(bench: dict) -> list[str]:
             prints = rec.get(solve, {}).get("fingerprints")
             if not isinstance(prints, list) or len(prints) != REPEATS or len(set(prints)) != 1:
                 found.append(f"{name}.{solve}: repeats' fingerprints {prints}")
+        irls = rec.get("irls", {})
+        steps = len(irls.get("max_step_trace", []))
+        if steps != irls.get("iterations"):
+            found.append(f"{name}.irls: {steps} steps traced, {irls.get('iterations')} iterations")
     found += [f"scale.{path} = {value}" for path, value in numbers(bench["scale"])
               if not math.isfinite(value)]
     found += [f"paired.{workload}: a run not correct or with a failed operation"
