@@ -147,17 +147,20 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(store: ParamStore, path: str | Path) -> None:
-    entries = []
-    for name, arr in store.params.items():
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-            }
-        )
-    payload = {"format": CHECKPOINT_FORMAT, "params": entries}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    """Write ``store`` to a sibling ``.tmp`` file, then move it over ``path``:
+    a save that fails leaves the file at ``path`` as it was."""
+    entries = [{"name": name, "shape": list(arr.shape),
+                "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+               for name, arr in store.params.items()]
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps({"format": CHECKPOINT_FORMAT, "params": entries}),
+                       encoding="utf-8")
+        tmp.replace(path)  # os.replace: atomic within one file system
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> ParamStore:

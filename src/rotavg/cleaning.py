@@ -44,7 +44,7 @@ class CleanedGraph:
 
     graph: ViewGraph
     node_ids: np.ndarray       # (M,) int64, new index -> old node id, ascending
-    removed_edges: int
+    removed: np.ndarray        # (E,) bool, in the input graph's edge order: scored above the threshold
     dropped_nodes: np.ndarray  # int64 ids of the nodes outside the kept component
 
 
@@ -165,5 +165,5 @@ def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:
     full = ViewGraph._from_valid(g.n_nodes, u[keep], v[keep], pred.rect[keep],
                                  np.full(kept, -1, dtype=np.int8), g.gt)
     sub, node_ids = viewgraph.largest_component(full)
-    return CleanedGraph(graph=sub, node_ids=node_ids, removed_edges=m - kept,
+    return CleanedGraph(graph=sub, node_ids=node_ids, removed=~keep,
                         dropped_nodes=np.setdiff1d(np.arange(g.n_nodes), node_ids))

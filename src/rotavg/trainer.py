@@ -25,7 +25,7 @@ from typing import Any, ClassVar
 
 import numpy as np
 
-from . import cleaning, refinement, viewgraph
+from . import cleaning, pipeline, refinement, viewgraph
 from .autodiff import ParamStore, Tape
 from .viewgraph import ViewGraph, ViewGraphError
 
@@ -173,22 +173,18 @@ def prepare_refinement_sample(
 ) -> tuple[ViewGraph, np.ndarray, int]:
     """Build one refinement training/eval sample from a (sub)graph.
 
-    Clean, bootstrap on the cleaned graph, then pair the init with the graph
-    of *observed* measurements over the surviving nodes, its ground truth as
-    it is: the loss re-references it at the tree root.  An untrained cleaner
-    (``cleaning.new_weights``) removes no edge and corrects none, so its
-    sample bootstraps on the noisy graph's largest component.  Returns the
-    observed graph, the (N, 4) initial rows and the root.
+    ``pipeline.prepare``'s bootstrap, paired with the graph of *observed*
+    measurements over the kept nodes, its ground truth as it is: the loss
+    re-references it at the tree root.  Inference (``pipeline.run``) refines
+    on the cleaned graph instead, so FineNet trains on other inputs than it
+    sees at inference.  An untrained cleaner (``cleaning.new_weights``)
+    removes no edge and corrects none, so its sample bootstraps on the noisy
+    graph's largest component.  Returns the observed graph, the (N, 4)
+    initial rows and the root.
     """
-    pred = cleaning.clean_forward(g, clean_store)
-    cleaned = cleaning.clean_graph(g, pred)
-    base = cleaned.graph
-    root = viewgraph.select_root(base)
-    boot = viewgraph.bootstrap_orientations(base, viewgraph.shortest_path_tree(base, root))
-
+    _, cleaned, boot = pipeline.prepare(g, clean_store)
     # new id i is old id cleaned.node_ids[i] in both graphs
-    observed = viewgraph.induced_subgraph(g, cleaned.node_ids)
-    return observed, np.asarray(boot.orientations), root
+    return viewgraph.induced_subgraph(g, cleaned.node_ids), np.asarray(boot.orientations), boot.root
 
 
 def train_finenet(

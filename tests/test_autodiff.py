@@ -588,6 +588,20 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="'layer.w' has non-finite"):
                 load_checkpoint(path, {"layer.w": (3, 2), "layer.b": (2,)})
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        # a lone surrogate cannot be encoded, so the write raises part way
+        store = self._example_store()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(store, path)
+        saved = path.read_bytes()
+        monkeypatch.setattr(autodiff.json, "dumps", lambda payload: "{" + "\ud800" * 9)
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(self._example_store(), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved and list(tmp_path.iterdir()) == [path]
+        loaded = load_checkpoint(path, {name: arr.shape for name, arr in store.params.items()})
+        assert all(np.array_equal(loaded.params[name], arr) for name, arr in store.params.items())
+
     def test_bad_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other", "params": []}')

@@ -8,11 +8,11 @@ fingerprints, an IRLS step trace whose length is not its iteration count,
 NeuRoRA's cam1000 median error at or above 1 degree, a
 paired run that is not correct, and paired runs of more than one seed.  :func:`main` must run every workload that
 ``BENCHMARK.json`` declares.  The paired runs of ``--against`` alternate
-which side goes first, their statistics are checked on known values, and
-the base commit's temporary tree is removed also when a run or the
-checkout fails.  The tool is loaded from
-its path with the environment restored after its import, and no test starts
-a process: git and the runs are injected.
+which side goes first, their statistics are checked on known values, both
+sides run from temporary trees, the checkout's holding its listed files,
+and both trees are removed also when a run or the checkout fails.  The
+tool is loaded from its path with the environment restored after its
+import, and no test starts a process: git and the runs are injected.
 """
 
 from __future__ import annotations
@@ -267,10 +267,10 @@ def test_pairs_alternate_which_side_runs_first(bench):
         calls.append((workload, seconds, trace, root))
         return {"side": root, "n": len(calls)}
 
-    base = Path("/base-checkout")
-    base_runs, runs = bench.paired_runs("dense", 4, 0.5, base, run)
+    base, change = Path("/base-tree"), Path("/change-tree")
+    base_runs, runs = bench.paired_runs("dense", 4, 0.5, base, change, run)
     sides = [root for *_, root in calls]
-    assert sides == [base, bench.ROOT, bench.ROOT, base, base, bench.ROOT, bench.ROOT, base]
+    assert sides == [base, change, change, base, base, change, change, base]
     assert all(call[:3] == ("dense", 0.5, 0) for call in calls)  # untraced runs only
     # each side's runs in pair order, one per pair
     assert [r["n"] for r in base_runs] == [1, 4, 5, 8] and [r["n"] for r in runs] == [2, 3, 6, 7]
@@ -305,9 +305,15 @@ def tar_of(files: dict[str, str]) -> bytes:
     return out.getvalue()
 
 
+# what ``git ls-files`` lists of the checkout: two of its files, and a
+# tracked file deleted from it
+LISTED = ["benchmark/run.py", "tools/bench.py", "deleted.py"]
+
+
 class FakeGit:
     """``subprocess.run`` for ``git``: records each command, resolves every
-    revision to one commit id and archives ``archive`` as that commit."""
+    revision to one commit id, archives ``archive`` as that commit and lists
+    ``LISTED`` as the checkout's files."""
 
     def __init__(self, archive: bytes = b""):
         self.calls = []
@@ -316,12 +322,18 @@ class FakeGit:
     def __call__(self, cmd, **kwargs):
         assert cmd[0] == "git" and kwargs["cwd"] == ROOT and kwargs["check"] is True
         self.calls.append(cmd[1:])
-        return completed(0, b"0123abc\n" if cmd[1] == "rev-parse" else self.archive)
+        out = {"rev-parse": b"0123abc\n", "archive": self.archive,
+               "ls-files": "".join(f"{name}\0" for name in LISTED).encode()}[cmd[1]]
+        return completed(0, out)
+
+
+def is_base(root: Path) -> bool:
+    return (root / "benchmark" / "run.py").read_text() == "# the base commit\n"
 
 
 def paired_run(workload, seconds, trace, root):
     good = run_record(0)
-    good["metrics"] = {name: (2.0 if root == ROOT else 3.0) for name in END_TO_END}
+    good["metrics"] = {name: (3.0 if is_base(root) else 2.0) for name in END_TO_END}
     return good
 
 
@@ -331,15 +343,20 @@ def test_paired_record_runs_in_a_removed_tree(bench, monkeypatch):
     roots = set()
 
     def run(workload, seconds, trace, root):
+        # each side's files exist while it runs: the base commit's, and the
+        # checkout's listed files but the deleted one
         roots.add(root)
-        if root != ROOT:  # the base commit's files exist while it runs
-            assert (root / "benchmark" / "run.py").read_text() == "# the base commit\n"
+        if not is_base(root):
+            files = sorted(str(f.relative_to(root)) for f in root.rglob("*") if f.is_file())
+            assert files == LISTED[:2]
+            assert all((root / name).read_bytes() == (ROOT / name).read_bytes() for name in files)
         return paired_run(workload, seconds, trace, root)
 
     record = bench.paired_record("HEAD~1", 3, 0.1, run)
-    (base,) = roots - {ROOT}
-    assert fake.calls == [["rev-parse", "--verify", "HEAD~1^{commit}"], ["archive", "0123abc"]]
-    assert not base.exists()
+    assert len(roots) == 2 and ROOT not in roots
+    assert fake.calls == [["rev-parse", "--verify", "HEAD~1^{commit}"], ["archive", "0123abc"],
+                          ["ls-files", "-z", "--cached", "--others", "--exclude-standard"]]
+    assert not any(root.exists() for root in roots)
     assert record["against"] == {"rev": "HEAD~1", "commit": "0123abc"} and record["pairs"] == 3
     assert list(record["workloads"]) == WORKLOADS
     for rec in record["workloads"].values():
@@ -371,7 +388,7 @@ def test_paired_record_keeps_the_printed_seeds(bench, monkeypatch, base_seed, se
 
     def run(workload, seconds, trace, root):
         out = paired_run(workload, seconds, trace, root)
-        out["env"] = {"seed": 7 if root == ROOT else base_seed}
+        out["env"] = {"seed": base_seed if is_base(root) else 7}
         return out
 
     bench_file = complete_bench()
@@ -405,10 +422,12 @@ def test_paired_record_removes_the_tree_when_a_run_fails(bench, monkeypatch):
 
     with pytest.raises(KeyboardInterrupt):
         bench.paired_record("HEAD~1", 2, 0.1, run)
-    assert bases == made and not made[0].exists()
+    # the base's run fails first; both trees were made, and both are removed
+    assert len(made) == 2 and bases == made[:1]
+    assert not any(tree.exists() for tree in made)
 
 
-@pytest.mark.parametrize("step", ["rev-parse", "archive", "extract"])
+@pytest.mark.parametrize("step", ["rev-parse", "archive", "extract", "ls-files"])
 def test_a_failed_checkout_leaves_no_directory(bench, monkeypatch, step):
     fake = FakeGit(b"not a tar archive" if step == "extract" else b"")
 
@@ -421,7 +440,9 @@ def test_a_failed_checkout_leaves_no_directory(bench, monkeypatch, step):
     made = made_dirs(bench, monkeypatch)
     with pytest.raises(tarfile.ReadError if step == "extract" else subprocess.CalledProcessError):
         bench.paired_record("no-such-rev", 2, 0.1, paired_run)
-    assert len(made) == 1 and not made[0].exists()
+    # the checkout's tree is made after the base's
+    assert len(made) == (2 if step == "ls-files" else 1)
+    assert not any(tree.exists() for tree in made)
 
 
 def test_main_adds_the_paired_section(bench, monkeypatch, tmp_path):

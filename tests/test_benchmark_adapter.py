@@ -9,7 +9,9 @@ items are bit-equal to ``np.asarray`` of them, and ``corpus_graph`` counts
 the generated graph's edges.  A traced run, with ``benchmark/spans.py`` as
 it stands, must record a span of every traced function and restore them
 all.  The training schedule the checkpoint script reads through the
-adapter is checked against the committed checkpoints' manifest.
+adapter is checked against the committed checkpoints' manifest, and
+``pipeline.run`` against the adapter's NeuRoRA chain on the benchmark's
+solve graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotavg import synthgen, viewgraph
+from rotavg import pipeline, synthgen, viewgraph
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -114,6 +116,44 @@ def test_solver_results_are_the_solvers_rows(adapter, graph):
     result = adapter.weiszfeld_result(raw)
     assert_rows_of(result.q, raw.orientations)
     assert result.objective_ratio == raw.objective_trace[-1] / raw.objective_trace[0]
+
+
+# ``benchmark/run.py``'s solve graphs (it is not imported here: it sets BLAS
+# environment variables at import): per workload N, edge fraction, count and
+# largest noise level, then the outlier fraction and the rng stream
+SOLVE_WORKLOADS = {"dense": (150, 0.66, 6, 15.0), "sparse": (250, 0.1, 4, 30.0)}
+OUTLIER_FRACTION, SOLVE_STREAM = 0.10, 0
+
+
+def benchmark_inputs(monkeypatch):
+    """``benchmark/inputs.py`` as it stands, its sibling ``quat`` registered
+    for the test's time."""
+    for name, filename in (("quat", "quat.py"), ("benchmark_inputs", "inputs.py")):
+        spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", SOLVE_WORKLOADS)
+def test_pipeline_run_is_the_adapters_neurora_chain(adapter, workload, monkeypatch):
+    # bit for bit on the seed-1 solve graphs, so that the adapter can call
+    # ``pipeline.run`` with no change to the benchmark's outputs
+    inputs = benchmark_inputs(monkeypatch)
+    n, edge_fraction, count, sigma_max = SOLVE_WORKLOADS[workload]
+    shape = inputs.Shape(n, edge_fraction, OUTLIER_FRACTION)
+    nets = adapter.load_nets(BENCH_DIR / "checkpoints")
+    removed = 0
+    for solve in inputs.make_graphs(shape, sigma_max, count, 1, SOLVE_STREAM):
+        g = adapter.parse(solve.text)
+        want = adapter.neurora_result(adapter.solve_neurora(g, nets))
+        got = pipeline.run(g, nets.clean, nets.fine)
+        for a, b in ((got.node_ids, want.node_ids), (got.rows, want.q),
+                     (got.boot_rows, want.boot_q), (got.removed, want.removed)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        removed += int(got.removed.sum())
+    assert removed > 0
 
 
 def test_corpus_graph_counts(adapter):

@@ -280,7 +280,8 @@ class TestCleanGraph:
         pred.outlier_prob[:] = 0.0
         cg = cleaning.clean_graph(g, pred)
         assert len(cg.graph.edges) == len(g.edges)
-        assert cg.removed_edges == 0 and cg.dropped_nodes.size == 0
+        assert cg.removed.dtype == bool and cg.removed.shape == (g.n_edges,)
+        assert not cg.removed.any() and cg.dropped_nodes.size == 0
         for e_new, r in zip(edge_records(cg.graph), pred.rect):
             assert so3_oracle.geodesic_deg(e_new.q, UnitQuaternion.from_array(r)) < 1e-12
             assert e_new.gt_outlier is None
@@ -292,7 +293,7 @@ class TestCleanGraph:
         pred.outlier_prob[:] = 0.0
         pred.outlier_prob[3] = 0.9
         cg = cleaning.clean_graph(g, pred)
-        assert cg.removed_edges == 1
+        assert np.flatnonzero(cg.removed).tolist() == [3]
         removed = edge_records(g)[3]
         assert all((e.u, e.v) != (removed.u, removed.v) for e in edge_records(cg.graph))
 
@@ -316,6 +317,8 @@ class TestCleanGraph:
         assert cg.node_ids.dtype == cg.dropped_nodes.dtype == np.int64
         assert cg.node_ids.tolist() == [2, 3, 4]
         assert cg.dropped_nodes.tolist() == [0, 1]
+        # edge 0 passes the threshold; its component is the one dropped
+        assert cg.removed.tolist() == [False, True, False, False]
         assert viewgraph.is_connected(cg.graph)
 
     @pytest.mark.parametrize("field", ["rect", "outlier_prob"])

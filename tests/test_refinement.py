@@ -8,7 +8,7 @@ import pytest
 
 from fd import fd_gradients
 import so3_oracle
-from rotavg import autodiff, cleaning, refinement, so3, synthgen, viewgraph
+from rotavg import autodiff, cleaning, pipeline, refinement, so3, synthgen, viewgraph
 from rotavg.autodiff import AutodiffError, ParamStore
 from rotavg.mpnn import MpnnConfig
 from rotavg.viewgraph import ViewGraph, ViewGraphError
@@ -286,16 +286,6 @@ def desk_weights():
             autodiff.load_checkpoint(CHECKPOINTS / "finenet.json", refinement.weight_spec()))
 
 
-def neurora_chain(g, clean_store, fine_store):
-    """Clean, keep the largest component, BFS bootstrap, refine: the kept
-    node ids and the refined rows."""
-    cleaned = cleaning.clean_graph(g, cleaning.clean_forward(g, clean_store))
-    sub = cleaned.graph
-    tree = viewgraph.shortest_path_tree(sub, viewgraph.select_root(sub))
-    boot = viewgraph.bootstrap_orientations(sub, tree)
-    return cleaned.node_ids, np.asarray(refinement.refine_forward(sub, boot.orientations, fine_store, tree.root))
-
-
 class TestCommonFrame:
     # 100 cameras, 990 edges: the cleaner removes 128 untilted and 733-849
     # under the three frames, which keep 95, 94 and 100 nodes; the last
@@ -311,8 +301,7 @@ class TestCommonFrame:
         turned = ViewGraph(g.n_nodes, *g.endpoint_arrays(),
                            so3.qmul(h, so3.qmul(g.edge_quat_array(), so3.qconj(h))),
                            g.edge_labels(), so3.qmul(h, g.gt))
-        node_ids, out = neurora_chain(g, *desk_weights)
-        turned_ids, turned_out = neurora_chain(turned, *desk_weights)
-        assert turned_ids.tolist() == node_ids.tolist()
-        back = so3.qmul(so3.qconj(h), so3.qmul(turned_out, h))
-        assert np.max(so3_oracle.qangle_deg(back, out)) <= 1e-9
+        out, turned_out = (pipeline.run(graph, *desk_weights) for graph in (g, turned))
+        assert turned_out.node_ids.tolist() == out.node_ids.tolist()
+        back = so3.qmul(so3.qconj(h), so3.qmul(turned_out.rows, h))
+        assert np.max(so3_oracle.qangle_deg(back, out.rows)) <= 1e-9

@@ -1,8 +1,8 @@
 """The solvers' orientation boundary: (N, 4) rows in, ``so3.Orientations`` out.
 
-The benchmark adapter chains clean -> bootstrap -> refine and feeds
-``boot.orientations`` straight into IRLS and Weiszfeld, then reads
-``.w/.x/.y/.z`` from every returned item.  Those items (``so3.Quat``
+The NeuRoRA chain (``pipeline``) hands the bootstrap's ``orientations`` to
+FineNet; the benchmark adapter feeds them straight into IRLS and
+Weiszfeld too, then reads ``.w/.x/.y/.z`` from every returned item.  Those items (``so3.Quat``
 tuples of a row's floats) and ``len(g.edges)`` are all that is left of the
 package's object boundary, kept only for the adapter; these tests run that
 chain, and ``test_benchmark_adapter.py`` runs the adapter itself.
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import so3_oracle
-from rotavg import baselines, cleaning, refinement, so3, synthgen, trainer, viewgraph
+from rotavg import baselines, cleaning, pipeline, refinement, so3, synthgen, trainer, viewgraph
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import UnitQuaternion
 
@@ -38,10 +38,8 @@ def item_rows(orientations) -> np.ndarray:
 
 def test_solver_chain_hands_out_quaternion_items():
     g = noisy_graph()
-    pred = cleaning.clean_forward(g, cleaning.new_weights(0))
-    cleaned = cleaning.clean_graph(g, pred)
+    pred, cleaned, boot = pipeline.prepare(g, cleaning.new_weights(0))
     sub = cleaned.graph
-    boot = bootstrap(sub)
     refined = refinement.refine_forward(sub, boot.orientations, refinement.new_weights(0), boot.root)
     boot_g = bootstrap(g)
     irls = baselines.irls_mra(g, boot_g.orientations, max_iters=(2, 2))

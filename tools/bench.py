@@ -34,9 +34,12 @@ whose docstring lists the gate's checks, finds a fault.
 
     python3 tools/bench.py --out FILE --against REV [--scale]
 
-adds a ``paired`` section that compares this checkout with the commit REV,
-whose files ``git archive`` writes into a temporary directory that is
-removed afterwards, also on failure (:func:`checkout`).  Each declared
+adds a ``paired`` section that compares this checkout with the commit REV.
+Both sides run from the same kind of tree, a temporary directory that is
+removed afterwards, also on failure: ``git archive`` writes REV's files
+(:func:`checkout`), and this checkout's tracked files and its untracked
+files that git does not ignore are copied as they are on disk
+(:func:`working_tree`).  Each declared
 workload runs ``benchmark/run.py --trace 0`` in both trees ``PAIRS``
 times, alternating which side goes first (:func:`paired_runs`); per
 end-to-end metric the section gives both sides' medians and quartiles, the
@@ -141,14 +144,32 @@ def checkout(rev: str):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def paired_runs(workload: str, pairs: int, seconds: float, base: Path,
+@contextlib.contextmanager
+def working_tree():
+    """This checkout's tracked files and its untracked files that git does
+    not ignore, copied as they are on disk into a temporary directory,
+    yielded as its path; a tracked file deleted from the checkout is left
+    out.  The directory is removed afterwards, also when the body fails."""
+    tmp = Path(tempfile.mkdtemp(prefix="bench-against-"))
+    try:
+        names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+        for name in filter(None, names.split("\0")):
+            if (ROOT / name).is_file():
+                (tmp / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, tmp / name)
+        yield tmp
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def paired_runs(workload: str, pairs: int, seconds: float, base: Path, change: Path,
                 run=run_workload) -> tuple[list[dict], list[dict]]:
     """``pairs`` untraced runs of ``workload`` in the tree ``base`` and in
-    this one, each pair run back to back, the base first in even pairs and
-    this checkout first in odd ones: ``(base_runs, runs)``."""
+    the tree ``change``, each pair run back to back, the base first in even
+    pairs and the change first in odd ones: ``(base_runs, runs)``."""
     base_runs, runs = [], []
     for i in range(pairs):
-        sides = [(base_runs, base), (runs, ROOT)]
+        sides = [(base_runs, base), (runs, change)]
         for out, root in sides[::-1] if i % 2 else sides:
             out.append(run(workload, seconds, 0, root))
     return base_runs, runs
@@ -179,16 +200,17 @@ def paired_stats(base: list, change: list, better: str) -> dict:
 
 def paired_record(rev: str, pairs: int, seconds: float, run=run_workload) -> dict:
     """The ``paired`` section: every declared workload's :func:`paired_runs`
-    against the commit ``rev``, each end-to-end metric's :func:`paired_stats`
-    and the ``seeds`` that the runs printed on their ``env`` lines, each once."""
+    of this checkout's :func:`working_tree` against the commit ``rev``, each
+    end-to-end metric's :func:`paired_stats` and the ``seeds`` that the runs
+    printed on their ``env`` lines, each once."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
     record = {"pairs": pairs, "seconds": seconds, "workloads": {}}
     seeds = []
-    with checkout(rev) as (base, commit):
+    with checkout(rev) as (base, commit), working_tree() as change:
         record["against"] = {"rev": rev, "commit": commit}
         for workload in declared()["workloads"]:
-            base_runs, runs = paired_runs(workload, pairs, seconds, base, run)
+            base_runs, runs = paired_runs(workload, pairs, seconds, base, change, run)
             seeds += [(r["env"] or {}).get("seed") for r in base_runs + runs]
             record["workloads"][workload] = {
                 "correct": all(r["correct"] is True and r["failed"] == 0
