@@ -40,7 +40,8 @@ class CleanPrediction:
 
 @dataclass
 class CleanedGraph:
-    """Cleaned view-graph restricted to its largest component."""
+    """Cleaned view-graph restricted to its largest component; ``node_ids``
+    and ``removed`` are read-only."""
 
     graph: ViewGraph
     node_ids: np.ndarray       # (M,) int64, new index -> old node id, ascending
@@ -165,5 +166,7 @@ def clean_graph(g: ViewGraph, pred: CleanPrediction) -> CleanedGraph:
     full = ViewGraph._from_valid(g.n_nodes, u[keep], v[keep], pred.rect[keep],
                                  np.full(kept, -1, dtype=np.int8), g.gt)
     sub, node_ids = viewgraph.largest_component(full)
-    return CleanedGraph(graph=sub, node_ids=node_ids, removed=~keep,
+    removed = ~keep
+    node_ids.flags.writeable = removed.flags.writeable = False
+    return CleanedGraph(graph=sub, node_ids=node_ids, removed=removed,
                         dropped_nodes=np.setdiff1d(np.arange(g.n_nodes), node_ids))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import so3_oracle
-from rotavg import baselines, so3, synthgen, viewgraph
+from rotavg import baselines, pipeline, so3, synthgen, viewgraph
 from rotavg.baselines import CG_TOL, IRLS_STEP_TOL, SolverError
 from rotavg.viewgraph import ViewGraph, ViewGraphError
 from so3_oracle import ROW_TOL, Edge, edge_graph
@@ -25,11 +25,6 @@ def make_graph(seed=0, n=30, edge_fraction=0.3, sigma=0.0, outliers=0.0):
         sigma_deg=(sigma, sigma), outlier_fraction=(outliers, outliers), seed=seed,
     )
     return synthgen.generate_graph(cfg, np.random.default_rng(seed))
-
-
-def bootstrap(g):
-    tree = viewgraph.shortest_path_tree(g, viewgraph.select_root(g))
-    return viewgraph.bootstrap_orientations(g, tree).orientations
 
 
 def log_rows(q):
@@ -359,7 +354,7 @@ class TestTreePreconditioner:
         # are exactly consistent and tie at 1 / delta among spread weights
         g = make_graph(seed=9, n=60, edge_fraction=0.2, sigma=10.0, outliers=0.1)
         root = viewgraph.select_root(g)
-        rows = np.asarray(bootstrap(g))
+        rows = np.asarray(pipeline.bootstrap(g).orientations)
         u, v = g.endpoint_arrays()
         resid = log_rows(so3.qmul(so3.qconj(rows[v]), so3.qmul(g.edge_quat_array(), rows[u])))
         w = 1.0 / np.maximum(np.linalg.norm(resid, axis=1), baselines.IRLS_DELTA)
@@ -471,15 +466,15 @@ class TestIrlsJacobiOracle:
     ])
     def test_matches_jacobi_cg_irls(self, seed, path):
         g = make_graph(seed=seed, n=40, edge_fraction=0.2, sigma=10.0, outliers=0.1)
-        res = irls_on(path, g, bootstrap(g))
-        rows, iterations, _ = irls_oracle(g, bootstrap(g))
+        res = irls_on(path, g, pipeline.bootstrap(g).orientations)
+        rows, iterations, _ = irls_oracle(g, pipeline.bootstrap(g).orientations)
         assert res.iterations == iterations
         assert np.max(so3_oracle.qangle_deg(np.asarray(res.orientations), rows)) <= 1e-9
 
     def test_sparse_graph_needs_a_third_of_the_cg_iterations(self):
         g = make_graph(seed=13, n=120, edge_fraction=0.08, sigma=20.0, outliers=0.1)
-        res = irls_on("cg", g, bootstrap(g))
-        rows, iterations, oracle_cg = irls_oracle(g, bootstrap(g))
+        res = irls_on("cg", g, pipeline.bootstrap(g).orientations)
+        rows, iterations, oracle_cg = irls_oracle(g, pipeline.bootstrap(g).orientations)
         assert res.iterations == iterations
         assert np.max(so3_oracle.qangle_deg(np.asarray(res.orientations), rows)) <= 1e-9
         assert 3 * sum(res.cg_iterations) <= sum(oracle_cg)
@@ -522,7 +517,7 @@ def irls_case(seed, kind=None, n=None, inner_share=None, bootstrap_init=None):
     if bootstrap_init is None:
         bootstrap_init = rng.random() < 0.5
     if bootstrap_init:
-        init = np.asarray(bootstrap(g))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
     else:
         init = so3.qcanon(so3.qmul(gt, so3.qexp(rng.normal(scale=0.2, size=(n, 3)))))
     return g, init
@@ -627,10 +622,10 @@ class TestDenseSolve:
         g = make_graph(seed=5, sigma=10.0, outliers=0.1)
         cut = Fraction((g.n_nodes - 1) ** 3, g.n_edges)
         monkeypatch.setattr(baselines, "DENSE_SOLVE_RATIO", cut)
-        res = baselines.irls_mra(g, bootstrap(g))
+        res = baselines.irls_mra(g, pipeline.bootstrap(g).orientations)
         assert res.iterations > 0 and res.cg_iterations == [0] * res.iterations
         monkeypatch.setattr(baselines, "DENSE_SOLVE_RATIO", cut - Fraction(1, g.n_edges))
-        res = baselines.irls_mra(g, bootstrap(g))
+        res = baselines.irls_mra(g, pipeline.bootstrap(g).orientations)
         assert res.iterations > 0 and all(k > 0 for k in res.cg_iterations)
 
     def test_ratio_is_read_only_in_the_step_solver(self):
@@ -761,7 +756,7 @@ class TestFrozenIrlsStep:
     @pytest.mark.parametrize("seed", [20, 21])
     def test_noisy_graphs_with_outliers(self, path, seed):
         g = make_graph(seed=seed, n=80, edge_fraction=0.3, sigma=15.0, outliers=0.1)
-        assert_matches_frozen_step(g, bootstrap(g), path)
+        assert_matches_frozen_step(g, pipeline.bootstrap(g).orientations, path)
 
 
 def square_graph(pairs, seed):
@@ -855,7 +850,7 @@ class TestNoiseFreeRecovery:
 )
 def test_relative_outputs_are_gauge_invariant(solve):
     g = make_graph(seed=4, sigma=8.0, outliers=0.1)
-    init = bootstrap(g)
+    init = pipeline.bootstrap(g).orientations
     gauge = so3.sample_uniform_rows(np.random.default_rng(4), 1)
     moved = so3.qcanon(so3.qmul(np.asarray(init), gauge))
     a = relative_rows(g, solve(g, init).orientations)
@@ -891,7 +886,7 @@ class TestGauge:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_right_gauge_of_the_init_moves_the_output(self, solver, seed):
         g = make_graph(seed=40 + seed, sigma=8.0, outliers=0.1)
-        init = np.asarray(bootstrap(g))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
         gauge = so3.sample_uniform_rows(np.random.default_rng(seed), 1)
         want = so3.qmul(np.asarray(SOLVERS[solver](g, init)), gauge)
         got = SOLVERS[solver](g, so3.qcanon(so3.qmul(init, gauge)))
@@ -903,9 +898,9 @@ class TestGauge:
         g = make_graph(seed=50 + seed, sigma=8.0, outliers=0.1)
         h = so3.sample_uniform_rows(np.random.default_rng(seed), 1)
         turned = ViewGraph(g.n_nodes, *g.endpoint_arrays(), conjugated(g.edge_quat_array(), h))
-        init = np.asarray(bootstrap(g))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
         if solver == "bootstrap":
-            want, got = conjugated(init, h), bootstrap(turned)
+            want, got = conjugated(init, h), pipeline.bootstrap(turned).orientations
         else:
             want = conjugated(np.asarray(SOLVERS[solver](g, init)), h)
             got = SOLVERS[solver](turned, conjugated(init, h))
@@ -915,7 +910,7 @@ class TestGauge:
 class TestIrlsReport:
     def test_cg_residual_and_iterations(self):
         g = make_graph(seed=5, sigma=10.0, outliers=0.1)
-        res = irls_on("cg", g, bootstrap(g))
+        res = irls_on("cg", g, pipeline.bootstrap(g).orientations)
         assert res.cg_residual <= CG_TOL
         assert len(res.cg_iterations) == res.iterations == len(res.max_step_trace)
         assert all(0 < k < 10 * g.n_nodes for k in res.cg_iterations)
@@ -925,7 +920,7 @@ class TestIrlsReport:
                              [((5, 50), True), ((1, 1), False), ((0, 0), False)])
     def test_converged_matches_step_trace(self, max_iters, converged):
         g = make_graph(seed=2, sigma=10.0, outliers=0.1)
-        res = baselines.irls_mra(g, bootstrap(g), max_iters=max_iters)
+        res = baselines.irls_mra(g, pipeline.bootstrap(g).orientations, max_iters=max_iters)
         assert res.converged == (bool(res.max_step_trace) and res.max_step_trace[-1] < IRLS_STEP_TOL)
         assert res.converged == converged
 
@@ -934,13 +929,14 @@ class TestIrlsReport:
         # the seed-6 graph's L1/2 steps grow at its second, long before
         # its budget of 50 or its tolerance
         g = make_graph(seed=6, sigma=10.0, outliers=0.1)
-        res = irls_on(path, g, bootstrap(g), max_iters=(5, 50))
+        res = irls_on(path, g, pipeline.bootstrap(g).orientations, max_iters=(5, 50))
         trace = res.max_step_trace
         assert res.iterations == len(trace) < 5 + 50 and not res.converged
         assert trace[-1] > trace[-2] and min(trace) >= IRLS_STEP_TOL
         assert all(b <= a for a, b in zip(trace[5:-2], trace[6:-1]))
         # the growing step is applied: the run is the one capped just after it
-        capped = irls_on(path, g, bootstrap(g), max_iters=(5, res.iterations - 5))
+        capped = irls_on(path, g, pipeline.bootstrap(g).orientations,
+                         max_iters=(5, res.iterations - 5))
         assert capped.max_step_trace == trace
         assert np.asarray(capped.orientations).tobytes() == np.asarray(res.orientations).tobytes()
 
@@ -956,7 +952,7 @@ def test_disconnected_graph_rejected(solver):
 def test_weiszfeld_objective_never_increases():
     cfg = synthgen.SynthConfig(n_cameras=(60, 150), seed=2)
     g = synthgen.generate_graph(cfg, np.random.default_rng(2))
-    trace = baselines.weiszfeld_mra(g, bootstrap(g), sweeps=5).objective_trace
+    trace = baselines.weiszfeld_mra(g, pipeline.bootstrap(g).orientations, sweeps=5).objective_trace
     assert len(trace) == 6
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
@@ -1280,7 +1276,7 @@ class TestWeiszfeldPlan:
         monkeypatch.setattr(so3, "MEDOID_CELLS", cells)
         g = make_graph(seed=8, n=30, sigma=10.0, outliers=0.1)
         assert len(baselines._weiszfeld_plan(g, viewgraph.select_root(g))) > 1
-        init = bootstrap(g)
+        init = pipeline.bootstrap(g).orientations
         with mock.patch.object(so3, "qmul_parts", wraps=so3.qmul_parts) as qmul:
             baselines._consistency_objective(g, np.asarray(init))
             per_objective = qmul.call_count
@@ -1344,4 +1340,4 @@ class TestWeiszfeldPlan:
 def test_negative_budget_rejected(solve, name):
     g = make_graph(seed=0, n=10)
     with pytest.raises(ValueError, match=name):
-        solve(g, bootstrap(g))
+        solve(g, pipeline.bootstrap(g).orientations)

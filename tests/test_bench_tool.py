@@ -5,14 +5,16 @@ non-zero or is not correct, a failed operation, a declared end-to-end or
 per-layer metric that is missing, ``None`` or not finite, a scale graph that
 did not run, a scale solve whose repeated calls left different (or missing)
 fingerprints, an IRLS step trace whose length is not its iteration count,
-NeuRoRA's cam1000 median error at or above 1 degree, a
-paired run that is not correct, and paired runs of more than one seed.  :func:`main` must run every workload that
-``BENCHMARK.json`` declares.  The paired runs of ``--against`` alternate
-which side goes first, their statistics are checked on known values, both
-sides run from temporary trees, the checkout's holding its listed files,
-and both trees are removed also when a run or the checkout fails.  The
-tool is loaded from its path with the environment restored after its
-import, and no test starts a process: git and the runs are injected.
+NeuRoRA's cam1000 median error at or above 1 degree, a paired run that is
+not correct, and paired runs of more than one seed.  :func:`main` must run
+every workload that ``BENCHMARK.json`` declares, and the real scale section,
+run in this process on cam250, must pass the gate.  The paired runs of
+``--against`` alternate which side goes first, their statistics are checked
+on known values, both sides run from temporary trees, the checkout's
+holding its listed files, and both trees are removed also when a run or the
+checkout fails.  The tool is loaded from its path with the environment
+restored after its import, and no test starts a process: git and the runs
+are injected.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import subprocess
+import sys
 import tarfile
 from pathlib import Path
 
@@ -258,6 +261,24 @@ def test_timed_takes_the_median_of_the_repeats(bench):
     record["scale"]["cam1000"]["irls"]["fingerprints"] = prints
     assert bench.problems(record) == [f"cam1000.irls: repeats' fingerprints {prints}"]
     assert bench.timed(FakeSpeed([0.3, 0.1, 0.2]), lambda: 7) == (7, 0.2, [])
+
+
+def test_scale_record_runs_in_process(bench, monkeypatch):
+    # the real scale section on the smallest suite graph: each solve's
+    # repeats left one fingerprint, every number is finite and IRLS traced
+    # one step per iteration, the gate's scale checks
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    try:
+        record = bench.scale_record("cam250")
+    finally:  # the benchmark's modules, imported by their bare names
+        for name in set(sys.modules) - before:
+            if Path(getattr(sys.modules[name], "__file__", None) or "").parent == ROOT / "benchmark":
+                del sys.modules[name]
+    assert record["n_nodes"] == 250 and set(bench.SOLVES) <= set(record)
+    bench_record = complete_bench()
+    bench_record["scale"] = {"cam250": record}
+    assert bench.problems(bench_record) == []
 
 
 def test_pairs_alternate_which_side_runs_first(bench):

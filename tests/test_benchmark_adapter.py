@@ -9,9 +9,9 @@ items are bit-equal to ``np.asarray`` of them, and ``corpus_graph`` counts
 the generated graph's edges.  A traced run, with ``benchmark/spans.py`` as
 it stands, must record a span of every traced function and restore them
 all.  The training schedule the checkpoint script reads through the
-adapter is checked against the committed checkpoints' manifest, and
-``pipeline.run`` against the adapter's NeuRoRA chain on the benchmark's
-solve graphs.
+adapter is checked against the committed checkpoints' manifest, and each
+of ``pipeline``'s chains (``run``, ``bootstrap``, ``irls`` and
+``weiszfeld``) against the adapter's own on the benchmark's solve graphs.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ def test_solver_results_are_the_solvers_rows(adapter, graph):
 
 
 # ``benchmark/run.py``'s solve graphs (it is not imported here: it sets BLAS
-# environment variables at import): per workload N, edge fraction, count and
-# largest noise level, then the outlier fraction and the rng stream
-SOLVE_WORKLOADS = {"dense": (150, 0.66, 6, 15.0), "sparse": (250, 0.1, 4, 30.0)}
+# environment variables at import): per workload N, edge fraction, count,
+# largest noise level and Weiszfeld sweeps, then the outlier fraction and
+# the rng stream
+SOLVE_WORKLOADS = {"dense": (150, 0.66, 6, 15.0, 1), "sparse": (250, 0.1, 4, 30.0, 3)}
 OUTLIER_FRACTION, SOLVE_STREAM = 0.10, 0
 
 
@@ -136,24 +137,47 @@ def benchmark_inputs(monkeypatch):
     return module
 
 
+# per solver chain, the result fields compared
+FIELDS = {"bootstrap": ["orientations", "root"],
+          "irls": ["orientations", "iterations", "max_step_trace", "cg_iterations", "converged"],
+          "weiszfeld": ["orientations", "objective_trace"]}
+
+
+def chain_outputs(adapter, chain: str, g, nets, sweeps: int) -> tuple[list, list]:
+    """The arrays compared of ``pipeline``'s ``chain`` on ``g`` and of the
+    adapter's, in the same order."""
+    if chain == "neurora":
+        got = pipeline.run(g, nets.clean, nets.fine)
+        want = adapter.neurora_result(adapter.solve_neurora(g, nets))
+        return ([got.node_ids, got.rows, got.boot_rows, got.removed],
+                [want.node_ids, want.q, want.boot_q, want.removed])
+    if chain == "bootstrap":
+        got, want = pipeline.bootstrap(g), adapter.solve_bootstrap(g)
+    elif chain == "irls":
+        got, want = pipeline.irls(g), adapter.solve_irls(g)
+    else:
+        got, want = pipeline.weiszfeld(g, sweeps), adapter.solve_weiszfeld(g, sweeps)
+    return ([np.asarray(getattr(got, f)) for f in FIELDS[chain]],
+            [np.asarray(getattr(want, f)) for f in FIELDS[chain]])
+
+
 @pytest.mark.parametrize("workload", SOLVE_WORKLOADS)
-def test_pipeline_run_is_the_adapters_neurora_chain(adapter, workload, monkeypatch):
+@pytest.mark.parametrize("chain", ["neurora", *FIELDS])
+def test_pipeline_chains_are_the_adapters(adapter, chain, workload, monkeypatch):
     # bit for bit on the seed-1 solve graphs, so that the adapter can call
-    # ``pipeline.run`` with no change to the benchmark's outputs
+    # ``pipeline``'s chains with no change to the benchmark's outputs
     inputs = benchmark_inputs(monkeypatch)
-    n, edge_fraction, count, sigma_max = SOLVE_WORKLOADS[workload]
+    n, edge_fraction, count, sigma_max, sweeps = SOLVE_WORKLOADS[workload]
     shape = inputs.Shape(n, edge_fraction, OUTLIER_FRACTION)
     nets = adapter.load_nets(BENCH_DIR / "checkpoints")
-    removed = 0
-    for solve in inputs.make_graphs(shape, sigma_max, count, 1, SOLVE_STREAM):
-        g = adapter.parse(solve.text)
-        want = adapter.neurora_result(adapter.solve_neurora(g, nets))
-        got = pipeline.run(g, nets.clean, nets.fine)
-        for a, b in ((got.node_ids, want.node_ids), (got.rows, want.q),
-                     (got.boot_rows, want.boot_q), (got.removed, want.removed)):
+    outputs = [chain_outputs(adapter, chain, adapter.parse(solve.text), nets, sweeps)
+               for solve in inputs.make_graphs(shape, sigma_max, count, 1, SOLVE_STREAM)]
+    for got, want in outputs:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        removed += int(got.removed.sum())
-    assert removed > 0
+    if chain == "neurora":  # the cleaner removed edges of some graph
+        assert any(got[-1].any() for got, _ in outputs)
 
 
 def test_corpus_graph_counts(adapter):

@@ -1,11 +1,14 @@
-"""The NeuRoRA chain, ``pipeline.prepare`` and ``pipeline.run``.
+"""The solve chains: ``pipeline.bootstrap``, ``prepare``, ``run``, ``irls``
+and ``weiszfeld``.
 
 Untrained networks keep every edge and correct none, so on a noise-free,
-outlier-free graph the chain returns the ground truth up to gauge.  With
-the committed weights two runs give the same bytes.  The chain's steps and
-its removal threshold each have one place in the package, which an AST
-guard checks; ``test_benchmark_adapter.py`` checks that ``run`` equals the
-benchmark adapter's own chain.
+outlier-free graph every chain returns the ground truth up to gauge.  Two
+calls of a chain give the same bytes, NeuRoRA's with the committed weights.
+A disconnected graph has no BFS bootstrap, so the solver chains refuse it.
+The chains' steps and the removal threshold each have one place in the
+package, which an AST guard checks, and ``tools/bench.py`` reaches the steps
+only through ``pipeline``; ``test_benchmark_adapter.py`` checks that the
+chains equal the benchmark adapter's own.
 """
 
 from __future__ import annotations
@@ -18,9 +21,19 @@ import pytest
 
 import so3_oracle
 from rotavg import autodiff, cleaning, pipeline, refinement, synthgen, viewgraph
+from rotavg.viewgraph import ViewGraphError
+from so3_oracle import Edge, edge_graph
 
-CHECKPOINTS = Path(__file__).resolve().parents[1] / "benchmark" / "checkpoints"
-CHAIN_STEPS = {"clean_graph", "shortest_path_tree", "bootstrap_orientations"}
+ROOT = Path(__file__).resolve().parents[1]
+CHECKPOINTS = ROOT / "benchmark" / "checkpoints"
+CHAIN_STEPS = {"clean_forward", "clean_graph", "shortest_path_tree", "bootstrap_orientations",
+               "refine_forward", "irls_mra", "weiszfeld_mra"}
+# the benchmark adapter's copies of the chains and its readers of their outputs
+ADAPTER_CHAINS = {"solve_bootstrap", "solve_neurora", "solve_irls", "solve_weiszfeld",
+                  "bootstrap_result", "neurora_result", "irls_result", "weiszfeld_result"}
+# the chains that solve the whole graph from its bootstrap
+SOLVERS = {"bootstrap": pipeline.bootstrap, "irls": pipeline.irls,
+           "weiszfeld": lambda g: pipeline.weiszfeld(g, 3)}
 
 
 def graph(seed, sigma=0.0, outliers=0.0, n=40):
@@ -29,9 +42,10 @@ def graph(seed, sigma=0.0, outliers=0.0, n=40):
     return synthgen.generate_graph(cfg, np.random.default_rng(seed))
 
 
-def as_bytes(out: pipeline.NeuroraRun) -> list:
-    return [(a.dtype.str, a.shape, a.tobytes())
-            for a in (out.node_ids, out.rows, out.boot_rows, out.removed)]
+def as_bytes(out) -> dict:
+    """Every field of a chain's output as its dtype, shape and bytes."""
+    arrays = {name: np.asarray(value) for name, value in vars(out).items()}
+    return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -42,10 +56,13 @@ def test_untrained_nets_recover_a_clean_graph_exactly(seed):
     assert out.node_ids.tolist() == list(range(g.n_nodes))
     assert out.removed.dtype == bool and out.removed.shape == (g.n_edges,)
     assert not out.removed.any()
+    solved = [np.asarray(solve(g).orientations) for solve in SOLVERS.values()]
     want = viewgraph.rereference(g.gt, 0)
-    for rows in (out.rows, out.boot_rows):
-        assert rows.shape == (g.n_nodes, 4) and not rows.flags.writeable
+    for rows in (out.rows, out.boot_rows, *solved):
+        assert rows.shape == (g.n_nodes, 4)
         assert np.max(so3_oracle.qangle_deg(viewgraph.rereference(rows, 0), want)) <= 1e-9
+    for a in (out.node_ids, out.rows, out.boot_rows, out.removed, *solved):
+        assert not a.flags.writeable
 
 
 def test_runs_are_deterministic():
@@ -55,6 +72,16 @@ def test_runs_are_deterministic():
     first = pipeline.run(g, *nets)
     assert first.removed.any()
     assert as_bytes(pipeline.run(g, *nets)) == as_bytes(first)
+    for solve in SOLVERS.values():
+        assert as_bytes(solve(g)) == as_bytes(solve(g))
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_solvers_refuse_a_disconnected_graph(solver):
+    # NeuRoRA keeps the cleaned graph's largest component instead
+    q = so3_oracle.yaw_deg(10.0)
+    with pytest.raises(ViewGraphError, match="disconnected"):
+        SOLVERS[solver](edge_graph(4, [Edge(0, 1, q), Edge(2, 3, q)]))
 
 
 def readers(paths, names) -> list[str]:
@@ -71,10 +98,11 @@ def readers(paths, names) -> list[str]:
 
 
 def test_chain_and_threshold_have_one_place_each():
-    # only the pipeline runs the chain's steps, and only the cleaner reads
-    # the removal threshold
+    # only the pipeline runs the chains' steps, the bench tool reaches them
+    # through it alone, and only the cleaner reads the removal threshold
     modules = sorted(Path(pipeline.__file__).parent.glob("*.py"))
     assert readers(modules, CHAIN_STEPS) == [f"pipeline.py:{name}" for name in sorted(CHAIN_STEPS)]
+    assert readers([ROOT / "tools" / "bench.py"], CHAIN_STEPS | ADAPTER_CHAINS) == []
     assert readers(modules, {"EPSILON_DEFAULT"}) == ["cleaning.py:EPSILON_DEFAULT"]
 
 
@@ -85,19 +113,26 @@ def test_guard_finds_a_planted_call(tmp_path):
     source = tmp_path / "planted.py"
     source.write_text(
         "from .viewgraph import shortest_path_tree\n"
+        "from .baselines import weiszfeld_mra\n"
         "def bootstrap_orientations(g):\n"
         "    return 'clean_graph'\n"
         "def solve(g, pred):\n"
         "    def inner():\n"
-        "        return shortest_path_tree(g, 0)\n"
-        "    cleaning.clean_graph(g, pred)\n"
-        "    return inner, viewgraph.bootstrap_orientations\n"
+        "        return shortest_path_tree(g, 0), weiszfeld_mra(g, None)\n"
+        "    cleaning.clean_graph(cleaning.clean_forward(g, store), pred)\n"
+        "    refine_forward = baselines.irls_mra\n"
+        "    return inner, viewgraph.bootstrap_orientations, adapter.solve_irls\n"
         "EPSILON_DEFAULT = 0.5\n"
         "keep = prob <= cleaning.EPSILON_DEFAULT\n",
         encoding="utf-8")
     assert readers([source], CHAIN_STEPS) == ["planted.py:bootstrap_orientations",
+                                              "planted.py:clean_forward",
                                               "planted.py:clean_graph",
-                                              "planted.py:shortest_path_tree"]
+                                              "planted.py:irls_mra",
+                                              "planted.py:shortest_path_tree",
+                                              "planted.py:weiszfeld_mra"]
+    assert readers([source], ADAPTER_CHAINS) == ["planted.py:solve_irls"]
     assert readers([source], {"EPSILON_DEFAULT"}) == ["planted.py:EPSILON_DEFAULT"]
-    source.write_text("def clean_graph(g):\n    return 'bootstrap_orientations'\n", encoding="utf-8")
-    assert readers([source], CHAIN_STEPS | {"EPSILON_DEFAULT"}) == []
+    source.write_text("def clean_graph(g):\n    return 'bootstrap_orientations'\n"
+                      "refine_forward = solve_neurora = 'irls_mra'\n", encoding="utf-8")
+    assert readers([source], CHAIN_STEPS | ADAPTER_CHAINS | {"EPSILON_DEFAULT"}) == []

@@ -58,10 +58,6 @@ def noisy_rows(g, rng):
     return so3.qcanon(so3.qmul(noise, g.gt))
 
 
-def spt_init(g, root):
-    return viewgraph.bootstrap_orientations(g, viewgraph.shortest_path_tree(g, root)).orientations
-
-
 class TestForward:
     def test_peak_memory_within_edge_budget(self):
         # a dense-shaped graph; as for clean_forward, the final round keeps
@@ -69,12 +65,11 @@ class TestForward:
         cfg = synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
                                    sigma_deg=(5.0, 5.0), outlier_fraction=(0.1, 0.1))
         g = synthgen.generate_graph(cfg, np.random.default_rng(0))
-        root = viewgraph.select_root(g)
-        init = spt_init(g, root)
+        boot = pipeline.bootstrap(g)
         store = refinement.new_weights(0)
         tracemalloc.start()
         try:
-            refinement.refine_forward(g, init, store, root)
+            refinement.refine_forward(g, boot.orientations, store, boot.root)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -88,7 +83,7 @@ class TestForward:
 
     def test_identity_init_head_returns_init(self):
         g, root = referenced_graph(seed=1)
-        init = spt_init(g, root)
+        init = pipeline.bootstrap(g).orientations
         out = refinement.refine_forward(g, init, tiny_refine_weights(1), root)
         for a, b in zip(as_quats(out), as_quats(init)):
             assert so3_oracle.geodesic_deg(a, b) < 1e-9
@@ -97,7 +92,7 @@ class TestForward:
     def test_sizes_come_from_the_weights(self, cfg):
         # no call takes a config: a store of any sizes runs as it was made
         g, root = referenced_graph(seed=1)
-        init = np.asarray(spt_init(g, root))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
         out = refinement.refine_forward(g, init, refinement.new_weights(1, cfg), root)
         assert np.max(so3_oracle.qangle_deg(np.asarray(out), init)) < 1e-9
         refinement.refine_loss_graph(g, init, root, refinement.new_weights(1, cfg).params).backward()
@@ -105,14 +100,14 @@ class TestForward:
     def test_outputs_valid_unit_quaternions_under_random_weights(self):
         g, root = referenced_graph(seed=2)
         store = tiny_refine_weights(2, random_head=True)
-        out = refinement.refine_forward(g, spt_init(g, root), store, root)
+        out = refinement.refine_forward(g, pipeline.bootstrap(g).orientations, store, root)
         for q in out:
             assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
     def test_output_rereferenced_at_root(self):
         g, root = referenced_graph(seed=3)
         store = tiny_refine_weights(3, random_head=True)
-        out = refinement.refine_forward(g, spt_init(g, root), store, root)
+        out = refinement.refine_forward(g, pipeline.bootstrap(g).orientations, store, root)
         assert so3_oracle.geodesic_deg(as_quats(out)[root], UnitQuaternion.identity()) < 1e-9
 
     def test_missing_init_rejected(self):
@@ -123,14 +118,14 @@ class TestForward:
 
     def test_root_out_of_range_rejected(self):
         g, root = referenced_graph(seed=5)
-        init = spt_init(g, root)
+        init = pipeline.bootstrap(g).orientations
         for bad in (g.n_nodes, -1):
             with pytest.raises(ViewGraphError, match=f"root {bad} out of range"):
                 refinement.refine_forward(g, init, tiny_refine_weights(5), bad)
 
     def test_non_integer_root_rejected(self):
         g, root = referenced_graph(seed=5)
-        init = spt_init(g, root)
+        init = pipeline.bootstrap(g).orientations
         # a bool would otherwise run at node 1
         for bad in (float(root) + 0.5, float(root), str(root), None, True, np.True_):
             with pytest.raises(ViewGraphError, match="root must be an integer"):
@@ -140,12 +135,13 @@ class TestForward:
 
     def test_weights_that_do_not_fit_rejected(self):
         g, root = referenced_graph(seed=5)
+        init = pipeline.bootstrap(g).orientations
         with pytest.raises(AutodiffError, match="weight 'head_refine.w' is missing"):
-            refinement.refine_forward(g, spt_init(g, root), cleaning.new_weights(0), root)
+            refinement.refine_forward(g, init, cleaning.new_weights(0), root)
         bad = refinement.new_weights(0)
         bad.params["head_refine.b"] = np.zeros(3)
         with pytest.raises(AutodiffError, match=r"weight 'head_refine.b' has shape \(3,\)"):
-            refinement.refine_forward(g, spt_init(g, root), bad, root)
+            refinement.refine_forward(g, init, bad, root)
 
 
 def loss_value(pred, g, root):
@@ -193,7 +189,7 @@ class TestLoss:
     def test_init_rows_of_another_count_rejected(self):
         # a row short of the graph's 8 nodes once raised numpy's IndexError
         g, root = referenced_graph(seed=13, n=8)
-        init = np.asarray(spt_init(g, root))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
         for rows in (init[:7], np.vstack([init, init[:1]])):
             with pytest.raises(ViewGraphError, match=rf"must be \(8, 4\), got \({len(rows)}, 4\)"):
                 refinement.refine_loss_graph(g, rows, root, tiny_refine_weights().params)
@@ -201,7 +197,7 @@ class TestLoss:
     def test_gradient_vs_finite_differences(self):
         g, root = referenced_graph(seed=12, n=8)
         store = tiny_refine_weights(12, random_head=True)
-        init_rows = np.asarray(spt_init(g, root))
+        init_rows = np.asarray(pipeline.bootstrap(g).orientations)
         params = dict(store.params)
 
         def loss_and_grads(p):
@@ -218,7 +214,7 @@ class TestLoss:
         g = synthgen.generate_graph(cfg, np.random.default_rng(0))
         root = viewgraph.select_root(g)
         g = with_gt(g, viewgraph.rereference(g.gt, root))
-        init = np.asarray(spt_init(g, root))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
         store = refinement.new_weights(0)
         tracemalloc.start()
         try:
@@ -251,7 +247,7 @@ class TestGauge:
     def test_forward_ignores_the_init_gauge(self, seed):
         g = noisy_graph(seed=20 + seed, outliers=0.1)
         root = viewgraph.select_root(g)
-        init = spt_init(g, root)
+        init = pipeline.bootstrap(g).orientations
         store = tiny_refine_weights(seed, random_head=True)
         want = np.asarray(refinement.refine_forward(g, init, store, root))
         got = np.asarray(refinement.refine_forward(g, right_gauge(init, seed), store, root))
@@ -262,7 +258,7 @@ class TestGauge:
     def test_loss_ignores_the_gauge_of_init_and_ground_truth(self, moved, seed):
         g = noisy_graph(seed=30 + seed, n=10, outliers=0.1)
         root = viewgraph.select_root(g)
-        init = np.asarray(spt_init(g, root))
+        init = np.asarray(pipeline.bootstrap(g).orientations)
         store = tiny_refine_weights(seed, random_head=True)
         want_loss, want_grads = loss_and_grads(g, init, root, store)
         if moved == "init":

@@ -1,11 +1,12 @@
 """The solvers' orientation boundary: (N, 4) rows in, ``so3.Orientations`` out.
 
-The NeuRoRA chain (``pipeline``) hands the bootstrap's ``orientations`` to
-FineNet; the benchmark adapter feeds them straight into IRLS and
-Weiszfeld too, then reads ``.w/.x/.y/.z`` from every returned item.  Those items (``so3.Quat``
-tuples of a row's floats) and ``len(g.edges)`` are all that is left of the
-package's object boundary, kept only for the adapter; these tests run that
-chain, and ``test_benchmark_adapter.py`` runs the adapter itself.
+``pipeline``'s chains hand the bootstrap's ``orientations`` to FineNet, IRLS
+and Weiszfeld.  The benchmark adapter, which still chains its own bootstrap
+into IRLS and Weiszfeld, reads ``.w/.x/.y/.z`` from every returned item.
+Those items (``so3.Quat`` tuples of a row's floats) and ``len(g.edges)`` are
+all that is left of the package's object boundary, kept only for the
+adapter; these tests run ``pipeline``'s chains, and
+``test_benchmark_adapter.py`` runs the adapter itself.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ def noisy_graph(seed=0, n=24):
     return synthgen.generate_graph(cfg, np.random.default_rng(seed))
 
 
-def bootstrap(g):
-    tree = viewgraph.shortest_path_tree(g, viewgraph.select_root(g))
-    return viewgraph.bootstrap_orientations(g, tree)
-
-
 def item_rows(orientations) -> np.ndarray:
     return np.array([(q.w, q.x, q.y, q.z) for q in orientations])
 
@@ -41,9 +37,7 @@ def test_solver_chain_hands_out_quaternion_items():
     pred, cleaned, boot = pipeline.prepare(g, cleaning.new_weights(0))
     sub = cleaned.graph
     refined = refinement.refine_forward(sub, boot.orientations, refinement.new_weights(0), boot.root)
-    boot_g = bootstrap(g)
-    irls = baselines.irls_mra(g, boot_g.orientations, max_iters=(2, 2))
-    weiszfeld = baselines.weiszfeld_mra(g, boot_g.orientations, sweeps=1)
+    irls, weiszfeld = pipeline.irls(g), pipeline.weiszfeld(g, 1)
     assert len(cleaned.node_ids) + len(cleaned.dropped_nodes) == g.n_nodes
     assert len(cleaned.node_ids) == sub.n_nodes and len(pred.outlier_prob) == len(g.edges)
     for out, n in ((boot.orientations, sub.n_nodes), (refined, sub.n_nodes),
@@ -93,7 +87,7 @@ def test_orientation_rows_rejects_bad_input(solver, case):
     root = viewgraph.select_root(g)
     g = ViewGraph(g.n_nodes, *g.endpoint_arrays(), g.edge_quat_array(), g.edge_labels(),
                   viewgraph.rereference(g.gt, root))
-    good = np.array(bootstrap(g).orientations)
+    good = np.array(pipeline.bootstrap(g).orientations)
     SOLVERS[solver](g, good)  # the valid rows are accepted
     rows, message = bad_inputs(g, good)[case]
     with pytest.raises(ViewGraphError, match=message):
@@ -104,7 +98,7 @@ def test_orientation_rows_rejects_bad_input(solver, case):
 def test_rows_whose_norm_overflows_are_accepted(solver):
     # a 1e200 component's square overflows, so each row's norm is inf
     g = noisy_graph(seed=1, n=12)
-    good = np.array(bootstrap(g).orientations)
+    good = np.array(pipeline.bootstrap(g).orientations)
     outs = [SOLVERS[solver](g, rows) for rows in (good, 1e200 * good)]
     unit, big = (np.asarray(getattr(out, "orientations", out)) for out in outs)
     assert np.max(so3_oracle.qangle_deg(unit, big)) < 1e-12

@@ -12,21 +12,22 @@ per-layer metric names that each run must report, are those that
 The scale section runs each robustness-suite graph (``--scale``; sparse2.5,
 cam1000 and cam5000 by default) at seed 1 in a process of its own, so that
 its peak RSS is its own.  It times the generation of the graph, its
-serialisation and parse, and three solves of the parsed graph through the
-benchmark's own adapter: NeuRoRA with the benchmark's checkpoints, IRLS
-(5, 20) from the BFS bootstrap, and one Weiszfeld sweep.  Each stage is
-called ``REPEATS`` times, and its time is the median of the calls' CPU
-seconds, each scaled, as the benchmark scales its own, by the host speed
-that ``benchmark/hostspeed.py`` samples before and after the call.  Each
-call of a solve leaves a :func:`fingerprint` of its output: NeuRoRA's rows
-and node ids, IRLS's rows, iteration count and summed CG iterations, or
-Weiszfeld's rows and objective trace; equal fingerprints across commits mean
-equal outputs, bit for bit.  The IRLS record also keeps the CG iterations of
-each inner solve (0 for a dense one), so that the CG path, whose rows may
-move at rounding level, can be compared step by step, and the largest node
-update of each step (``max_step_trace``), which shows where a run stopped.
-Errors are ``benchmark/score.errors_deg``: median and mean, in degrees, over
-the returned nodes.  Every child process runs with one BLAS thread.
+serialisation and parse, and three of ``rotavg.pipeline``'s solve chains on
+the parsed graph: ``run`` (NeuRoRA) with the benchmark's checkpoints,
+``irls`` (5, 20) and ``weiszfeld`` for one sweep, both from the BFS
+bootstrap.  Each stage is called ``REPEATS`` times, and its time is the
+median of the calls' CPU seconds, each scaled, as the benchmark scales its
+own, by the host speed that ``benchmark/hostspeed.py`` samples before and
+after the call.  Each call of a solve leaves a :func:`fingerprint` of its
+output: NeuRoRA's rows and node ids, IRLS's rows, iteration count and summed
+CG iterations, or Weiszfeld's rows and objective trace; equal fingerprints
+across commits mean equal outputs, bit for bit.  The IRLS record also keeps
+the CG iterations of each inner solve (0 for a dense one), so that the CG
+path, whose rows may move at rounding level, can be compared step by step,
+and the largest node update of each step (``max_step_trace``), which shows
+where a run stopped.  Errors are ``benchmark/score.errors_deg``: median and
+mean, in degrees, over the returned nodes.  Every child process runs with
+one BLAS thread.
 
 It measures the checkout that holds it; a copy placed in a checkout of an
 earlier commit measures that commit.  It exits 1 when :func:`problems`,
@@ -265,7 +266,7 @@ def scale_record(name: str) -> dict:
     import adapter  # puts the checkout's src first on sys.path
     import score
     from hostspeed import HostSpeed
-    from rotavg import synthgen, viewgraph
+    from rotavg import pipeline, synthgen, viewgraph
 
     nets = adapter.load_nets(ROOT / "benchmark" / "checkpoints")
     speed = HostSpeed()
@@ -277,36 +278,28 @@ def scale_record(name: str) -> dict:
     del made, text
     gt = g.gt_array()
 
-    def neurora_print(raw):
-        out = adapter.neurora_result(raw)
-        return fingerprint(out.q, out.node_ids)
+    def irls_print(res):
+        return fingerprint(np.asarray(res.orientations), res.iterations, sum(res.cg_iterations))
 
-    def irls_print(raw):
-        return fingerprint(np.asarray(raw.orientations), raw.iterations, sum(raw.cg_iterations))
+    def weiszfeld_print(res):
+        return fingerprint(np.asarray(res.orientations), res.objective_trace)
 
-    def weiszfeld_print(raw):
-        return fingerprint(np.asarray(raw.orientations), raw.objective_trace)
-
-    raw, neurora_s, neurora_prints = timed(speed, adapter.solve_neurora, g, nets,
-                                           digest=neurora_print)
-    neurora = adapter.neurora_result(raw)
-    irls_raw, irls_s, irls_prints = timed(speed, adapter.solve_irls, g, digest=irls_print)
-    irls = adapter.irls_result(irls_raw)
-    raw, weiszfeld_s, weiszfeld_prints = timed(speed, adapter.solve_weiszfeld, g, 1,
-                                               digest=weiszfeld_print)
-    weiszfeld = adapter.weiszfeld_result(raw)
+    neurora, neurora_s, neurora_prints = timed(speed, pipeline.run, g, nets.clean, nets.fine,
+                                               digest=lambda run: fingerprint(run.rows, run.node_ids))
+    irls, irls_s, irls_prints = timed(speed, pipeline.irls, g, digest=irls_print)
+    weiszfeld, weiszfeld_s, weiszfeld_prints = timed(speed, pipeline.weiszfeld, g, 1,
+                                                     digest=weiszfeld_print)
     return {
         "n_nodes": g.n_nodes, "n_edges": g.n_edges,
         "generate_s": generate_s, "serialize_s": serialize_s, "parse_s": parse_s,
-        "neurora": {"s": neurora_s, **errors(score, neurora.q, gt[neurora.node_ids]),
+        "neurora": {"s": neurora_s, **errors(score, neurora.rows, gt[neurora.node_ids]),
                     "fingerprints": neurora_prints},
-        "irls": {"s": irls_s, **errors(score, irls.q, gt), "iterations": irls.iterations,
-                 "converged": bool(irls_raw.converged),
-                 "cg_iterations": int(sum(irls_raw.cg_iterations)),
-                 "cg_iterations_per_step": [int(k) for k in irls_raw.cg_iterations],
-                 "max_step_trace": [float(step) for step in irls_raw.max_step_trace],
+        "irls": {"s": irls_s, **errors(score, irls.orientations, gt), "iterations": irls.iterations,
+                 "converged": bool(irls.converged), "cg_iterations": int(sum(irls.cg_iterations)),
+                 "cg_iterations_per_step": [int(k) for k in irls.cg_iterations],
+                 "max_step_trace": [float(step) for step in irls.max_step_trace],
                  "fingerprints": irls_prints},
-        "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.q, gt),
+        "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.orientations, gt),
                             "fingerprints": weiszfeld_prints},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "host": {"kernel_median_s": statistics.median(speed.samples), "scale": speed.factor()},
