@@ -602,7 +602,8 @@ def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The 2E directed edges of the edges ``(u, v)`` of an ``n``-node graph,
     by target: int64 ``(order, src, bounds)``.  Directed edge ``j < E`` is
     ``u[j] -> v[j]`` and ``j >= E`` the reverse of edge ``j - E``; ``order``
-    is their stable sort by target (a radix sort for N <= 65,536), ``src``
+    is their stable sort by target, numpy's radix sort of 16-bit keys (past
+    N = 65,536 two passes, of the low 16 bits and then the high), ``src``
     their sources in that order, and node ``t``'s in-edges are
     ``order[bounds[t]:bounds[t + 1]]``, so ``np.diff(bounds)`` is the degree.
     Over edges stored as a :class:`ViewGraph` stores them, each node's
@@ -610,7 +611,12 @@ def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     order, then the reversed ones (sources ``v > t``) in ``v`` order.
     """
     dst, src = np.concatenate([v, u]), np.concatenate([u, v])
-    order = np.argsort(dst.astype(np.min_scalar_type(n)), kind="stable")
+    if n - 1 <= 0xFFFF:
+        order = np.argsort(dst.astype(np.min_scalar_type(n - 1)), kind="stable")
+    else:
+        low = np.argsort((dst & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (dst >> 16).take(low).astype(np.min_scalar_type((n - 1) >> 16))
+        order = low.take(np.argsort(high, kind="stable"))
     bounds = np.append(0, np.cumsum(np.bincount(dst, minlength=n)))
     return order, src.take(order), bounds
 

@@ -950,11 +950,20 @@ def test_disconnected_graph_rejected(solver):
 
 
 def test_weiszfeld_objective_never_increases():
-    cfg = synthgen.SynthConfig(n_cameras=(60, 150), seed=2)
-    g = synthgen.generate_graph(cfg, np.random.default_rng(2))
-    trace = baselines.weiszfeld_mra(g, pipeline.bootstrap(g).orientations, sweeps=5).objective_trace
-    assert len(trace) == 6
-    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    # a mixed graph, and the benchmark's dense shape at seeds 2-4: degree
+    # about 98, every medoid past the reference cap
+    mixed = synthgen.SynthConfig(n_cameras=(60, 150), seed=2)
+    dense = [synthgen.SynthConfig(n_cameras=(150, 150), edge_fraction=(0.66, 0.66),
+                                  sigma_deg=(1.0, 15.0), outlier_fraction=(0.1, 0.1), seed=seed)
+             for seed in (2, 3, 4)]
+    for cfg in [mixed, *dense]:
+        g = synthgen.generate_graph(cfg, np.random.default_rng(cfg.seed))
+        degree = np.diff(viewgraph.in_edges(g.n_nodes, *g.endpoint_arrays())[2])
+        assert cfg is mixed or degree.min() > so3.MEDOID_REFERENCES
+        trace = baselines.weiszfeld_mra(g, pipeline.bootstrap(g).orientations,
+                                        sweeps=5).objective_trace
+        assert len(trace) == 6
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1155,19 @@ class TestWeiszfeldLevelSchedule:
         assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= 1e-10
         assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
 
+    def test_sets_past_the_reference_cap_match_sweep(self):
+        # degree about 80: every median starts at the capped medoid
+        g = make_graph(seed=5, n=90, edge_fraction=0.9, sigma=10.0, outliers=0.1)
+        degree = np.diff(viewgraph.in_edges(g.n_nodes, *g.endpoint_arrays())[2])
+        assert degree.min() > so3.MEDOID_REFERENCES
+        rng = np.random.default_rng(5)
+        init = so3.qcanon(so3.qmul(g.gt_array(), so3.qexp(rng.normal(scale=0.2, size=(90, 3)))))
+        res = baselines.weiszfeld_mra(g, init, sweeps=2)
+        rows, trace, margin = weiszfeld_oracle(g, init, 2, baselines.WEISZFELD_MEDIAN_ITERS)
+        assert margin > 1.0
+        assert np.max(np.abs(np.asarray(res.orientations) - rows)) <= ROW_TOL
+        assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
+
     def test_colour_counts_of_path_and_star(self):
         q = np.tile([1.0, 0.0, 0.0, 0.0], (7, 1))
         path = ViewGraph(8, np.arange(7), np.arange(1, 8), q)
@@ -1182,6 +1204,25 @@ class TestWeiszfeldMedians:
         out = so3.l1_medians(cands, valid, iters)
         for i, k in enumerate(degrees):
             assert np.max(np.abs(out[i] - so3_oracle.l1_median(cands[i, :k], iters)[0])) <= ROW_TOL
+
+    @pytest.mark.parametrize("degrees", [[65, 129], [66, 100, 150], [200, 200]])
+    @pytest.mark.parametrize("iters", [0, 1, 10])
+    def test_matches_one_node_median_past_the_reference_cap(self, degrees, iters):
+        # more than MEDOID_REFERENCES candidates: the medoid scores each one
+        # against the set's first 64 alone.  The candidates past the 64th
+        # are turned 1 rad away, so where they outnumber the first 64 the
+        # full score would start the median in their cluster instead.
+        rng = np.random.default_rng(sum(degrees) + iters)
+        cands, valid = so3_oracle.padded_candidates(rng, degrees, [0.0] * len(degrees))
+        turn = so3.qexp(np.array([[1.0, 0.0, 0.0]]))
+        late = np.arange(cands.shape[1]) >= so3.MEDOID_REFERENCES
+        cands[:, late] = so3.qcanon(so3.qmul(turn, cands[:, late]))
+        cands = np.where(valid[:, :, None], cands, cands[:, :1])  # padding: the first again
+        out = so3.l1_medians(cands, valid, iters)
+        for i, k in enumerate(degrees):
+            want, margin = so3_oracle.l1_median(cands[i, :k], iters)
+            assert margin > 1.0
+            assert np.max(np.abs(out[i] - want)) <= ROW_TOL
 
     @pytest.mark.parametrize("degrees", [[4, 6, 3], [1, 5], [2, 4]])
     def test_a_node_that_stops_stays_while_the_others_move(self, degrees):

@@ -5,6 +5,7 @@ non-zero or is not correct, a failed operation, a declared end-to-end or
 per-layer metric that is missing, ``None`` or not finite, a scale graph that
 did not run, a scale solve whose repeated calls left different (or missing)
 fingerprints, an IRLS step trace whose length is not its iteration count,
+a Weiszfeld objective trace without one finite entry more than its sweeps,
 NeuRoRA's cam1000 median error at or above 1 degree, a paired run that is
 not correct, and paired runs of more than one seed.  :func:`main` must run
 every workload that ``BENCHMARK.json`` declares, and the real scale section,
@@ -81,7 +82,7 @@ def scale_record() -> dict:
                  "max_step_trace": [0.01] * 24 + [5e-4],
                  "fingerprints": ["a" * 16] * 3},
         "weiszfeld_sweep": {"s": 1.0, "err_median_deg": 2.0, "err_mean_deg": 3.0,
-                            "fingerprints": ["b" * 16] * 3},
+                            "objective_trace": [9000.0, 4000.0], "fingerprints": ["b" * 16] * 3},
         "peak_rss_mb": 400.0, "host": {"kernel_median_s": 0.01, "scale": 1.0},
     }
 
@@ -144,6 +145,11 @@ FAULTS = {
     "no fingerprints": lambda r: r["scale"]["cam1000"]["neurora"].pop("fingerprints"),
     "a step short": lambda r: r["scale"]["cam1000"]["irls"]["max_step_trace"].pop(),
     "no step trace": lambda r: r["scale"]["cam1000"]["irls"].pop("max_step_trace"),
+    "no objective trace": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"].pop(
+        "objective_trace"),
+    "an entry short": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"]["objective_trace"].pop(),
+    "a NaN objective": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"].update(
+        objective_trace=[9000.0, float("nan")]),
 }
 
 

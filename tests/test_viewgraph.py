@@ -1106,6 +1106,17 @@ class TestInEdges:
     def test_smallest_graphs(self, n):
         assert_in_edges_match_sorts(n, *edge_graph(n, []).endpoint_arrays())
 
+    @pytest.mark.parametrize("n", [65_536, 70_000])
+    def test_targets_past_16_bits(self, n):
+        # one 16-bit radix pass up to N = 65,536, two above it; targets on
+        # both sides of 2**16, each shared by many edges
+        rng = np.random.default_rng(n)
+        nodes = np.array([0, 1, 0xFFFE, 0xFFFF, 0x10000, 0x10001, n - 1, *rng.integers(0, n, 40)])
+        u, v = rng.choice(nodes[nodes < n], size=(2, 3000))
+        order = viewgraph.in_edges(n, u, v)[0]
+        assert np.array_equal(order, np.argsort(np.concatenate([v, u]), kind="stable"))
+        assert_in_edges_match_sorts(n, u, v)
+
     @settings(max_examples=300, deadline=None)
     @given(random_graphs())
     def test_sorted_edges_come_in_edge_order(self, g):

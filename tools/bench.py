@@ -25,9 +25,10 @@ across commits mean equal outputs, bit for bit.  The IRLS record also keeps
 the CG iterations of each inner solve (0 for a dense one), so that the CG
 path, whose rows may move at rounding level, can be compared step by step,
 and the largest node update of each step (``max_step_trace``), which shows
-where a run stopped.  Errors are ``benchmark/score.errors_deg``: median and
-mean, in degrees, over the returned nodes.  Every child process runs with
-one BLAS thread.
+where a run stopped.  The Weiszfeld record keeps its objective before and
+after each sweep (``objective_trace``).  Errors are
+``benchmark/score.errors_deg``: median and mean, in degrees, over the
+returned nodes.  Every child process runs with one BLAS thread.
 
 It measures the checkout that holds it; a copy placed in a checkout of an
 earlier commit measures that commit.  It exits 1 when :func:`problems`,
@@ -78,6 +79,7 @@ SEED = 1
 SCALE_CONFIGS = ("sparse2.5", "cam1000", "cam5000")
 MAX_CAM1000_MEDIAN_DEG = 1.0
 REPEATS = 3  # calls of each scale stage
+WEISZFELD_SWEEPS = 1  # sweeps of the scale section's Weiszfeld solve
 PAIRS = 10  # --against's pairs of runs per workload, the fewest a claim rests on
 SOLVES = ("neurora", "irls", "weiszfeld_sweep")  # the scale stages that leave fingerprints
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -287,8 +289,8 @@ def scale_record(name: str) -> dict:
     neurora, neurora_s, neurora_prints = timed(speed, pipeline.run, g, nets.clean, nets.fine,
                                                digest=lambda run: fingerprint(run.rows, run.node_ids))
     irls, irls_s, irls_prints = timed(speed, pipeline.irls, g, digest=irls_print)
-    weiszfeld, weiszfeld_s, weiszfeld_prints = timed(speed, pipeline.weiszfeld, g, 1,
-                                                     digest=weiszfeld_print)
+    weiszfeld, weiszfeld_s, weiszfeld_prints = timed(speed, pipeline.weiszfeld, g,
+                                                     WEISZFELD_SWEEPS, digest=weiszfeld_print)
     return {
         "n_nodes": g.n_nodes, "n_edges": g.n_edges,
         "generate_s": generate_s, "serialize_s": serialize_s, "parse_s": parse_s,
@@ -300,6 +302,7 @@ def scale_record(name: str) -> dict:
                  "max_step_trace": [float(step) for step in irls.max_step_trace],
                  "fingerprints": irls_prints},
         "weiszfeld_sweep": {"s": weiszfeld_s, **errors(score, weiszfeld.orientations, gt),
+                            "objective_trace": [float(f) for f in weiszfeld.objective_trace],
                             "fingerprints": weiszfeld_prints},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "host": {"kernel_median_s": statistics.median(speed.samples), "scale": speed.factor()},
@@ -339,7 +342,8 @@ def problems(bench: dict) -> list[str]:
     the traced one; every scale graph ran and every number it gives is
     finite; every solve's ``REPEATS`` calls left one fingerprint, a
     determinism gate; IRLS's ``max_step_trace`` has one step per iteration;
-    NeuRoRA's median error on cam1000, where it runs, is under
+    Weiszfeld's ``objective_trace`` has ``WEISZFELD_SWEEPS + 1`` finite
+    entries; NeuRoRA's median error on cam1000, where it runs, is under
     ``MAX_CAM1000_MEDIAN_DEG``; and, with a ``paired`` section,
     every paired run on both sides is correct with no failed operation and
     all of them printed one seed.
@@ -370,6 +374,11 @@ def problems(bench: dict) -> list[str]:
         steps = len(irls.get("max_step_trace", []))
         if steps != irls.get("iterations"):
             found.append(f"{name}.irls: {steps} steps traced, {irls.get('iterations')} iterations")
+        trace = rec.get("weiszfeld_sweep", {}).get("objective_trace")
+        if (not isinstance(trace, list) or len(trace) != WEISZFELD_SWEEPS + 1
+                or not all(map(is_finite_number, trace))):
+            found.append(f"{name}.weiszfeld_sweep: objective trace {trace}, "
+                         f"not {WEISZFELD_SWEEPS + 1} finite entries")
     found += [f"scale.{path} = {value}" for path, value in numbers(bench["scale"])
               if not math.isfinite(value)]
     found += [f"paired.{workload}: a run not correct or with a failed operation"
