@@ -155,7 +155,7 @@ def weiszfeld_mra(
     SOR sweep; the averaging step itself is ``so3.l1_medians`` of each
     node's candidates: its medoid, then ``WEISZFELD_MEDIAN_ITERS`` Weiszfeld
     steps in the Vardi-Zhang form, which leave the medoid at full length.
-    Past ``so3.MEDOID_REFERENCES`` candidates, the medoid is scored against the first alone.
+    The medoid scores each candidate against the first ``so3.MEDOID_REFERENCES``.
     """
     sweeps = _budget("sweeps", sweeps)
     if not viewgraph.is_connected(g):

@@ -36,8 +36,8 @@ and no other module calls ``np.degrees`` (a test keeps it so).
 
 :func:`l1_medians` is its one L1 rotation median (Hartley, Aftab and Trumpf,
 CVPR 2011), batched over padded candidate sets that :func:`padded_runs` cuts.
-Its medoid start scores a set of more than ``MEDOID_REFERENCES`` candidates
-against the first of them alone: O(64 D) arccos per set of D, not O(D^2).
+Its medoid start scores each candidate of a set against the set's first
+``MEDOID_REFERENCES`` alone: O(64 D) arccos per set of D, not O(D^2).
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def qexp(v: np.ndarray) -> np.ndarray:
 # candidate closer than this to the iterate leaves the step (Vardi-Zhang)
 WEISZFELD_FLOOR = 1e-6
 MEDOID_CELLS = 1 << 21   # padded (n, D, min(D, 64)) distances of one batched medoid (16 MB)
-MEDOID_REFERENCES = 64   # a larger set scores its candidates against its first 64 alone
+MEDOID_REFERENCES = 64   # a set scores its candidates against its first 64 alone
 
 # ``(m @ _RIGHT_T).reshape(4, 4)``, from ``qmul`` of the basis rows, is R^T for
 # the R with ``R @ e = e * m``: right multiplication by conj(m).
@@ -259,16 +259,13 @@ def padded_runs(starts: np.ndarray, counts: np.ndarray) -> list[tuple]:
     sets of ascending, positive ``counts``, set ``i`` at the flat positions
     ``starts[i] + range(counts[i])``: a slice of the sets, their (n, D)
     positions padded by repeats of each set's first, and the mask of the real
-    ones.  A batch takes sets on one side of ``MEDOID_REFERENCES``, so each
-    set's medoid rule is its own, while their (n, D, min(D,
-    MEDOID_REFERENCES)) distances fit in ``MEDOID_CELLS``; at least one."""
-    capped = (counts > MEDOID_REFERENCES).tolist()  # lists: the loop reads them one by one
-    cells = (counts * np.minimum(counts, MEDOID_REFERENCES)).tolist()
+    ones.  A batch takes sets while their (n, D, min(D, MEDOID_REFERENCES))
+    distances fit in ``MEDOID_CELLS``; at least one."""
+    cells = (counts * np.minimum(counts, MEDOID_REFERENCES)).tolist()  # a list: read one by one
     runs, lo = [], 0
     while lo < counts.size:
         end = lo + 1
-        while (end < counts.size and capped[end] == capped[lo]
-               and (end + 1 - lo) * cells[end] <= MEDOID_CELLS):
+        while end < counts.size and (end + 1 - lo) * cells[end] <= MEDOID_CELLS:
             end += 1
         col = np.arange(counts[end - 1])
         valid = col < counts[lo:end, None]
@@ -283,12 +280,11 @@ def l1_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
     ``cands`` is (n, D, 4) unit rows and ``valid`` (n, D) marks the real
     ones.  Each median starts at its medoid and takes ``iters`` Weiszfeld
     steps; a set whose step falls below 1e-12 stays where it is.  The
-    medoid minimises the summed distance to and from the other candidates,
-    ``sum_j d_ij + d_ji`` with ``d_ii = 0``: a symmetric score, so rounding in
-    ``d`` cannot break a tie, and an exact tie goes to the first candidate.
-    A batch padded past ``MEDOID_REFERENCES`` scores each candidate against
-    its set's first ``MEDOID_REFERENCES`` alone, ``sum_{j < 64} d_ij``
-    (CLARA's sampled medoid, Kaufman and Rousseeuw 1990); ties as before.
+    medoid minimises the summed distance to the set's first
+    ``MEDOID_REFERENCES`` candidates (all of a smaller set), ``sum_j d_ij``
+    with ``d_ii = 0`` (CLARA's sampled medoid, Kaufman and Rousseeuw 1990):
+    the rule is the set's, whatever the batch's padding, and an exact tie
+    goes to the first candidate.
 
     A step is the Vardi-Zhang modification of Weiszfeld's (Vardi and Zhang,
     PNAS 2000).  The ``eta`` valid candidates within ``WEISZFELD_FLOOR`` of
@@ -322,8 +318,6 @@ def l1_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
     np.arccos(dist, out=dist)
     w = valid.astype(np.float64)
     sums = (dist @ w[:, :k, None])[:, :, 0]
-    if k == d:
-        sums += (w[:, None, :] @ dist)[:, 0]
     m = cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
     frozen = np.zeros(n, dtype=bool)
     stopped = False  # whether ``frozen`` has a set yet

@@ -400,13 +400,10 @@ def _c_records(lines: list[str], prefix: str, line_no: np.ndarray) -> tuple | No
     return line_no, rec["uv"].copy(), rec["q"].copy(), label
 
 
-def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: list,
-                split: set[str]) -> None:
+def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: list) -> None:
     """Append the NODE and EDGE record arrays of ``lines`` (numbered from
     ``first``) to ``nodes`` and ``edges``, in any order, each line read by
-    the reader :func:`parse` names for it.  ``split`` holds the prefixes
-    whose group an earlier block had to split by token count; this block
-    splits them at once, and adds any it has to split."""
+    the reader :func:`parse` names for it."""
     taken: dict[str, list[int]] = {"NODE ": [], "EDGE ": []}
     rest: list[int] = []
     for i, line in enumerate(lines):
@@ -422,10 +419,9 @@ def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: 
         return []
 
     for prefix, rows in taken.items():
-        refused = rows if prefix in split else c_read(rows, prefix)
+        refused = c_read(rows, prefix)
         spaces = [lines[i].count(" ") for i in refused]
-        if prefix in split or len(set(spaces)) > 1:  # e.g. labelled and unlabelled edges
-            split.add(prefix)
+        if len(set(spaces)) > 1:  # e.g. labelled and unlabelled edges
             refused = [i for k in set(spaces)
                        for i in c_read([j for j, c in zip(refused, spaces) if c == k], prefix)]
         rest += refused
@@ -460,8 +456,7 @@ def parse(text: str) -> ViewGraph:
     every line as Python's converters would (ASCII without NUL, one token
     count, every token valid).  A refused group is split by its lines' count
     of spaces (labelled from unlabelled edges, say) and each part is
-    retried; later blocks split that prefix's group without the first call.
-    Every other line (another prefix, a tab, leading whitespace, a
+    retried.  Every other line (another prefix, a tab, leading whitespace, a
     bad token) goes to :func:`_read_records`, one line at a time: the text
     that ``serialize`` and the benchmark write never reaches it, so it is
     written to be short, and it converts each record's tokens with the one
@@ -478,7 +473,6 @@ def parse(text: str) -> ViewGraph:
     faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
     nodes: list[tuple] = []
     edges: list[tuple] = []
-    split: set[str] = set()  # the prefixes whose groups are read by token count
     header = False
     for first, lines in _line_blocks(text):
         if not header:
@@ -488,7 +482,7 @@ def parse(text: str) -> ViewGraph:
             if lines[top].strip() != FORMAT_HEADER:
                 raise ParseError(first + top, f"expected header '{FORMAT_HEADER}'")
             header, first, lines = True, first + top + 1, lines[top + 1:]
-        _read_block(lines, first, nodes, edges, faults, split)
+        _read_block(lines, first, nodes, edges, faults)
     if not header:
         raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
     node_line, ids, has_gt, gq = _in_line_order(nodes)

@@ -150,6 +150,8 @@ FAULTS = {
     "an entry short": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"]["objective_trace"].pop(),
     "a NaN objective": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"].update(
         objective_trace=[9000.0, float("nan")]),
+    "an objective not lowered": lambda r: r["scale"]["cam1000"]["weiszfeld_sweep"].update(
+        objective_trace=[9000.0, 9000.0]),
 }
 
 

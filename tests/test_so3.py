@@ -348,10 +348,10 @@ class TestOrientations:
 # L1 medians (Weiszfeld's node update checks them against the scalar oracle)
 # ---------------------------------------------------------------------------
 
-def full_medoids(cands: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """The medoid start of ``so3.l1_medians`` as it stood before the
-    reference cap, frozen: every candidate scored against every other,
-    ``sum_j d_ij + d_ji``."""
+def row_medoids(cands: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The medoid start of ``so3.l1_medians`` without the reference cap:
+    every candidate scored against every candidate of its set, ``sum_j
+    d_ij``."""
     n, d = valid.shape
     cols = cands.transpose(0, 2, 1).copy()
     dist = cands @ cols
@@ -360,7 +360,7 @@ def full_medoids(cands: np.ndarray, valid: np.ndarray) -> np.ndarray:
     dist[:, np.arange(d), np.arange(d)] = 1.0
     np.arccos(dist, out=dist)
     w = valid.astype(np.float64)
-    sums = (dist @ w[:, :, None])[:, :, 0] + (w[:, None, :] @ dist)[:, 0]
+    sums = (dist @ w[:, :, None])[:, :, 0]
     return cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
 
 
@@ -393,29 +393,23 @@ class TestL1Medians:
         cands = np.repeat(rows[:, None], 7, axis=1)
         assert np.array_equal(so3.l1_medians(cands, valid, iters), rows)
 
-    def test_sets_within_the_reference_cap_keep_the_full_medoid(self):
+    def test_sets_within_the_reference_cap_score_every_candidate(self):
         # sets of up to MEDOID_REFERENCES candidates, some with repeats of
-        # their first: the medoid is the frozen full-score one, bit for bit
+        # their first: the medoid is the one of the full row score, bit for bit
         rng = np.random.default_rng(64)
         for degrees in ([1, 2, 3], [5, 17, 40], [63, 64], [64, 64, 64, 64]):
             for share in (0.0, 0.3):
                 cands, valid = so3_oracle.padded_candidates(rng, degrees, [share] * len(degrees))
-                assert np.array_equal(so3.l1_medians(cands, valid, 0), full_medoids(cands, valid))
+                assert np.array_equal(so3.l1_medians(cands, valid, 0), row_medoids(cands, valid))
 
-    def test_padded_runs_keep_capped_sets_apart(self, monkeypatch):
+    def test_padded_runs_mix_sets_on_either_side_of_the_reference_cap(self, monkeypatch):
+        # each set's medoid rule is its own, whatever the batch: sets at and
+        # past the cap share a batch while their 4 * 6 * min(6, 4) cells fit
         monkeypatch.setattr(so3, "MEDOID_REFERENCES", 4)
-        monkeypatch.setattr(so3, "MEDOID_CELLS", 80)
-        counts = np.array([1, 2, 3, 3, 4, 4, 5, 6, 6, 7, 9, 16, 16])
-        starts = np.cumsum(counts) - counts
-        runs = so3.padded_runs(starts, counts)
-        for run, idx, valid in runs:
-            sets, d = idx.shape
-            assert np.all(counts[run] > 4) or np.all(counts[run] <= 4)
-            assert sets == 1 or sets * d * min(d, 4) <= 80
-        # (1..4, 4) would fit at 6 * 4**2, but 4 and 5 lie on either side of
-        # the cap; 3 sets of 6 fit at 3 * 6 * 4 cells, where 3 * 6**2 would not
-        assert [(r.start, r.stop) for r, _, _ in runs] == [(0, 5), (5, 6), (6, 9), (9, 11),
-                                                            (11, 12), (12, 13)]
+        monkeypatch.setattr(so3, "MEDOID_CELLS", 96)
+        counts = np.array([3, 4, 5, 6])
+        runs = so3.padded_runs(np.cumsum(counts) - counts, counts)
+        assert [(r.start, r.stop) for r, _, _ in runs] == [(0, 4)]
 
     def test_padded_runs_fit_the_medoid_budget(self, monkeypatch):
         monkeypatch.setattr(so3, "MEDOID_CELLS", 40)

@@ -660,33 +660,6 @@ class TestBlockReading:
         assert_matches_oracle(viewgraph.serialize(g))
         assert fallback == []
 
-    def test_a_split_edge_group_stays_split_in_later_blocks(self, monkeypatch):
-        # every 5th edge unlabelled, in 12 blocks: the first block's
-        # whole EDGE group is refused and split by token count, and later
-        # blocks split theirs without that call
-        rng = np.random.default_rng(4)
-        n = 12
-        u, v = np.triu_indices(n, 1)
-        label = rng.integers(0, 2, u.size)
-        label[::5] = -1
-        g = ViewGraph(n, u, v, so3.sample_uniform_rows(rng, u.size), label)
-        text = viewgraph.serialize(g)
-        refused = []
-        c_records = viewgraph._c_records
-
-        def spy(lines, prefix, line_no):
-            part = c_records(lines, prefix, line_no)
-            if part is None:
-                refused.append(prefix)
-            return part
-
-        monkeypatch.setattr(viewgraph, "_c_records", spy)
-        monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 512)
-        fallback = fallback_records(monkeypatch)
-        assert len(list(viewgraph._line_blocks(text))) > 10
-        assert stored_arrays(viewgraph.parse(text)) == parse_outcome(parse_oracle.parse, text)
-        assert refused == ["EDGE "] and fallback == []
-
     def test_canonical_texts_never_fall_back(self, monkeypatch):
         # the benchmark's generator (repr floats) and serialize, with and
         # without labels and ground truth: every line goes to the C reader

@@ -343,10 +343,10 @@ def problems(bench: dict) -> list[str]:
     finite; every solve's ``REPEATS`` calls left one fingerprint, a
     determinism gate; IRLS's ``max_step_trace`` has one step per iteration;
     Weiszfeld's ``objective_trace`` has ``WEISZFELD_SWEEPS + 1`` finite
-    entries; NeuRoRA's median error on cam1000, where it runs, is under
-    ``MAX_CAM1000_MEDIAN_DEG``; and, with a ``paired`` section,
-    every paired run on both sides is correct with no failed operation and
-    all of them printed one seed.
+    entries, the last below the first; NeuRoRA's median error on cam1000,
+    where it runs, is under ``MAX_CAM1000_MEDIAN_DEG``; and, with a
+    ``paired`` section, every paired run on both sides is correct with no
+    failed operation and all of them printed one seed.
     """
     spec = declared()
     found = []
@@ -379,6 +379,8 @@ def problems(bench: dict) -> list[str]:
                 or not all(map(is_finite_number, trace))):
             found.append(f"{name}.weiszfeld_sweep: objective trace {trace}, "
                          f"not {WEISZFELD_SWEEPS + 1} finite entries")
+        elif not trace[-1] < trace[0]:
+            found.append(f"{name}.weiszfeld_sweep: objective {trace[-1]} not below its start {trace[0]}")
     found += [f"scale.{path} = {value}" for path, value in numbers(bench["scale"])
               if not math.isfinite(value)]
     found += [f"paired.{workload}: a run not correct or with a failed operation"
