@@ -168,7 +168,7 @@ def load_checkpoint(path: str | Path, expected: dict[str, tuple[int, ...]]) -> P
     and that every value is finite."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         found = payload.get("format") if isinstance(payload, dict) else type(payload).__name__

@@ -155,7 +155,8 @@ def weiszfeld_mra(
     SOR sweep; the averaging step itself is ``so3.l1_medians`` of each
     node's candidates: its medoid, then ``WEISZFELD_MEDIAN_ITERS`` Weiszfeld
     steps in the Vardi-Zhang form, which leave the medoid at full length.
-    The medoid scores each candidate against the first ``so3.MEDOID_REFERENCES``.
+    The medoid is the one of each node's first ``so3.MEDOID_REFERENCES``
+    candidates, scored among themselves.
     """
     sweeps = _budget("sweeps", sweeps)
     if not viewgraph.is_connected(g):

@@ -36,8 +36,8 @@ and no other module calls ``np.degrees`` (a test keeps it so).
 
 :func:`l1_medians` is its one L1 rotation median (Hartley, Aftab and Trumpf,
 CVPR 2011), batched over padded candidate sets that :func:`padded_runs` cuts.
-Its medoid start scores each candidate of a set against the set's first
-``MEDOID_REFERENCES`` alone: O(64 D) arccos per set of D, not O(D^2).
+Its medoid start is the medoid of each set's first ``MEDOID_REFERENCES``
+candidates alone: at most 32^2 arccos per set, whatever its size D.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def qexp(v: np.ndarray) -> np.ndarray:
 # radians; the coincidence radius of an L1 median step, not a weight cap: a
 # candidate closer than this to the iterate leaves the step (Vardi-Zhang)
 WEISZFELD_FLOOR = 1e-6
-MEDOID_CELLS = 1 << 21   # padded (n, D, min(D, 64)) distances of one batched medoid (16 MB)
-MEDOID_REFERENCES = 64   # a set scores its candidates against its first 64 alone
+MEDOID_CELLS = 1 << 21   # a batch's n * D * min(D, 32) (16 MB): bounds its (n, k, k) medoid block
+MEDOID_REFERENCES = 32   # a set's medoid is the one of its first k <= 32 candidates
 
 # ``(m @ _RIGHT_T).reshape(4, 4)``, from ``qmul`` of the basis rows, is R^T for
 # the R with ``R @ e = e * m``: right multiplication by conj(m).
@@ -259,8 +259,10 @@ def padded_runs(starts: np.ndarray, counts: np.ndarray) -> list[tuple]:
     sets of ascending, positive ``counts``, set ``i`` at the flat positions
     ``starts[i] + range(counts[i])``: a slice of the sets, their (n, D)
     positions padded by repeats of each set's first, and the mask of the real
-    ones.  A batch takes sets while their (n, D, min(D, MEDOID_REFERENCES))
-    distances fit in ``MEDOID_CELLS``; at least one."""
+    ones.  A batch takes sets while n * D * min(D, MEDOID_REFERENCES) fits
+    in ``MEDOID_CELLS``; at least one.  That bounds the batch's (n, k, k)
+    medoid distances, k = min(D, MEDOID_REFERENCES), and past D = k its
+    padded candidates n * D, which the Weiszfeld steps' arrays scale with."""
     cells = (counts * np.minimum(counts, MEDOID_REFERENCES)).tolist()  # a list: read one by one
     runs, lo = [], 0
     while lo < counts.size:
@@ -280,11 +282,13 @@ def l1_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
     ``cands`` is (n, D, 4) unit rows and ``valid`` (n, D) marks the real
     ones.  Each median starts at its medoid and takes ``iters`` Weiszfeld
     steps; a set whose step falls below 1e-12 stays where it is.  The
-    medoid minimises the summed distance to the set's first
-    ``MEDOID_REFERENCES`` candidates (all of a smaller set), ``sum_j d_ij``
-    with ``d_ii = 0`` (CLARA's sampled medoid, Kaufman and Rousseeuw 1990):
-    the rule is the set's, whatever the batch's padding, and an exact tie
-    goes to the first candidate.
+    medoid is the one of the set's first ``MEDOID_REFERENCES`` candidates
+    (all of a smaller set, whose medoid is then its full one): the sampled
+    candidate of least ``sum_j d_ij`` over the sample, with ``d_ii = 0``
+    (CLARA's medoid of a sample, Kaufman and Rousseeuw 1990).  The batch
+    scores one (n, k, k) block, k = min(D, ``MEDOID_REFERENCES``), so the
+    rule is the set's, whatever the batch's padding, and an exact tie goes
+    to the first candidate.
 
     A step is the Vardi-Zhang modification of Weiszfeld's (Vardi and Zhang,
     PNAS 2000).  The ``eta`` valid candidates within ``WEISZFELD_FLOOR`` of
@@ -311,14 +315,14 @@ def l1_medians(cands: np.ndarray, valid: np.ndarray, iters: int) -> np.ndarray:
     n, d = valid.shape
     k = min(d, MEDOID_REFERENCES)
     cols = cands.transpose(0, 2, 1).copy()  # (n, 4, D)
-    dist = cands @ cols[:, :, :k]
+    dist = cands[:, :k] @ cols[:, :, :k]
     np.abs(dist, out=dist)
     np.minimum(dist, 1.0, out=dist)
     dist[:, np.arange(k), np.arange(k)] = 1.0
     np.arccos(dist, out=dist)
     w = valid.astype(np.float64)
     sums = (dist @ w[:, :k, None])[:, :, 0]
-    m = cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
+    m = cands[np.arange(n), np.argmin(np.where(valid[:, :k], sums, np.inf), axis=1)]
     frozen = np.zeros(n, dtype=bool)
     stopped = False  # whether ``frozen`` has a set yet
     for _ in range(iters):

@@ -55,7 +55,7 @@ from numpy.typing import ArrayLike
 
 from . import so3
 
-FORMAT_HEADER = "VIEWGRAPH v1"
+FORMAT_HEADER = "VIEWGRAPH v1"  # parse reads it as tokens, as every record: any whitespace between
 RENORM_TOL = 1e-6  # parser auto-renormalizes below this, errors above
 PARSE_BLOCK_CHARS = 1 << 16  # parse cuts a block after the first line end past this many characters
 SERIALIZE_ROWS = 4096  # serialize formats this many NODE or EDGE rows per "%" call
@@ -479,7 +479,7 @@ def parse(text: str) -> ViewGraph:
             top = next((i for i, line in enumerate(lines) if line.strip()), None)
             if top is None:
                 continue
-            if lines[top].strip() != FORMAT_HEADER:
+            if lines[top].split() != FORMAT_HEADER.split():
                 raise ParseError(first + top, f"expected header '{FORMAT_HEADER}'")
             header, first, lines = True, first + top + 1, lines[top + 1:]
         _read_block(lines, first, nodes, edges, faults)

@@ -77,7 +77,7 @@ def parse(text: str) -> ViewGraph:
     filled = [i for i, t in enumerate(tokens) if t]
     if not filled:
         raise ParseError(1, f"missing header '{FORMAT_HEADER}'")
-    if lines[filled[0]].strip() != FORMAT_HEADER:
+    if tokens[filled[0]] != FORMAT_HEADER.split():
         raise ParseError(filled[0] + 1, f"expected header '{FORMAT_HEADER}'")
     del lines  # the token lists are all that is read from here on: free the line copies
     recs = [tokens[i] for i in filled[1:]]

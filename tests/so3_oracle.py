@@ -382,26 +382,28 @@ ARCCOS_ROUNDING = math.sqrt(2.0 * np.finfo(float).eps)  # arccos error of a dot 
 
 def l1_median(cands, iters):
     """One set's tangent-space Weiszfeld median in the Vardi-Zhang form,
-    scalar step by step, and its medoid's margin.  The medoid start minimises
-    ``sum_j d_ij`` with ``d_ii = 0`` over the set's first
-    ``so3.MEDOID_REFERENCES`` candidates, all of a smaller set (read at each
-    call, so a patched cap holds here too).  The margin is the gap to the
-    best score of a candidate more than ``ROW_TOL`` away from it (either
-    sign), over the tie tolerance: ``TIE_GAP`` of the medoid's score plus the
-    rounding of the score's arccos terms, one per reference.  At a margin of
-    1 or less, two computations of the scores may pick different medoids.
-    Two candidates score alike by symmetry, and every computation takes the
+    scalar step by step, and its medoid's margin.  The medoid start is the
+    medoid of the set's first k = min(D, ``so3.MEDOID_REFERENCES``)
+    candidates, all of a smaller set (the cap is read at each call, so a
+    patched one holds here too): the sample's candidate of least ``sum_j
+    d_ij`` over the sample, with ``d_ii = 0``.  The margin is the gap to the
+    best score of a sampled candidate more than ``ROW_TOL`` away from it
+    (either sign), over the tie tolerance: ``TIE_GAP`` of the medoid's score
+    plus the rounding of the score's k arccos terms.  At a margin of 1 or
+    less, two computations of the scores may pick different medoids.  Two
+    candidates score alike by symmetry, and every computation takes the
     first: their margin is inf."""
     aw, ax, ay, az = cands[:, 0], cands[:, 1], cands[:, 2], cands[:, 3]
-    dist = np.arccos(np.minimum(np.abs(cands @ cands.T), 1.0))
+    sample = cands[:so3.MEDOID_REFERENCES]
+    k = len(sample)
+    dist = np.arccos(np.minimum(np.abs(sample @ sample.T), 1.0))
     np.fill_diagonal(dist, 0.0)
-    refs = dist[:, :so3.MEDOID_REFERENCES]
-    score = refs.sum(axis=1)
-    m = cands[int(np.argmin(score))].copy()
-    other = np.minimum(np.abs(cands - m), np.abs(cands + m)).max(axis=1) > ROW_TOL
+    score = dist.sum(axis=1)
+    m = sample[int(np.argmin(score))].copy()
+    other = np.minimum(np.abs(sample - m), np.abs(sample + m)).max(axis=1) > ROW_TOL
     margin = math.inf
-    if len(cands) > 2 and other.any():
-        tol = TIE_GAP * score.min() + refs.shape[1] * ARCCOS_ROUNDING
+    if k > 2 and other.any():
+        tol = TIE_GAP * score.min() + k * ARCCOS_ROUNDING
         margin = (score[other].min() - score.min()) / tol
     for _ in range(iters):
         w, x, y, z = m

@@ -608,6 +608,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="format"):
             load_checkpoint(path, {})
 
+    def test_unreadable_bytes_name_the_file(self, tmp_path):
+        # not UTF-8, not JSON, and no file at all: each a CheckpointError
+        path = tmp_path / "corrupt.json"
+        for content in (b"\xff\xfe\x00garbage", b"{not json"):
+            path.write_bytes(content)
+            with pytest.raises(CheckpointError, match="cannot read checkpoint .*corrupt.json"):
+                load_checkpoint(path, {})
+        with pytest.raises(CheckpointError, match="cannot read checkpoint .*absent.json"):
+            load_checkpoint(tmp_path / "absent.json", {})
+
 
 def _package_calls():
     """Every call node in ``src/rotavg``, with its file name."""

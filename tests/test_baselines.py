@@ -1156,7 +1156,7 @@ class TestWeiszfeldLevelSchedule:
         assert np.max(np.abs(np.subtract(res.objective_trace, trace))) <= 1e-12 * max(trace)
 
     def test_sets_past_the_reference_cap_match_sweep(self):
-        # degree about 80: every median starts at the capped medoid
+        # degree about 80: every median starts at its sample's medoid
         g = make_graph(seed=5, n=90, edge_fraction=0.9, sigma=10.0, outliers=0.1)
         degree = np.diff(viewgraph.in_edges(g.n_nodes, *g.endpoint_arrays())[2])
         assert degree.min() > so3.MEDOID_REFERENCES
@@ -1208,10 +1208,10 @@ class TestWeiszfeldMedians:
     @pytest.mark.parametrize("degrees", [[65, 129], [66, 100, 150], [200, 200]])
     @pytest.mark.parametrize("iters", [0, 1, 10])
     def test_matches_one_node_median_past_the_reference_cap(self, degrees, iters):
-        # more than MEDOID_REFERENCES candidates: the medoid scores each one
-        # against the set's first 64 alone.  The candidates past the 64th
-        # are turned 1 rad away, so where they outnumber the first 64 the
-        # full score would start the median in their cluster instead.
+        # more than MEDOID_REFERENCES candidates: the medoid is the one of
+        # the set's first 32, scored among themselves.  The candidates past
+        # the 32nd are turned 1 rad away, so where they outnumber the first
+        # 32 the full score would start the median in their cluster instead.
         rng = np.random.default_rng(sum(degrees) + iters)
         cands, valid = so3_oracle.padded_candidates(rng, degrees, [0.0] * len(degrees))
         turn = so3.qexp(np.array([[1.0, 0.0, 0.0]]))

@@ -349,9 +349,10 @@ class TestOrientations:
 # ---------------------------------------------------------------------------
 
 def row_medoids(cands: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """The medoid start of ``so3.l1_medians`` without the reference cap:
-    every candidate scored against every candidate of its set, ``sum_j
-    d_ij``."""
+    """The medoid start of ``so3.l1_medians`` from the full (n, D, D) score
+    block: each set's candidate of least ``sum_j d_ij`` over its first
+    ``so3.MEDOID_REFERENCES`` candidates (all of a smaller set), both i and
+    j among them."""
     n, d = valid.shape
     cols = cands.transpose(0, 2, 1).copy()
     dist = cands @ cols
@@ -359,9 +360,9 @@ def row_medoids(cands: np.ndarray, valid: np.ndarray) -> np.ndarray:
     np.minimum(dist, 1.0, out=dist)
     dist[:, np.arange(d), np.arange(d)] = 1.0
     np.arccos(dist, out=dist)
-    w = valid.astype(np.float64)
-    sums = (dist @ w[:, :, None])[:, :, 0]
-    return cands[np.arange(n), np.argmin(np.where(valid, sums, np.inf), axis=1)]
+    sample = valid & (np.arange(d) < so3.MEDOID_REFERENCES)
+    sums = (dist @ sample[:, :, None].astype(np.float64))[:, :, 0]
+    return cands[np.arange(n), np.argmin(np.where(sample, sums, np.inf), axis=1)]
 
 
 class TestL1Medians:
@@ -372,7 +373,7 @@ class TestL1Medians:
         # and every tangent step are invariant, up to rounding; ``capped``
         # sets have more than MEDOID_REFERENCES candidates
         rng = np.random.default_rng(seed)
-        low, high = (65, 100) if capped else (1, 15)
+        low, high = (33, 100) if capped else (1, 15)
         degrees = rng.integers(low, high, size=rng.integers(1, 5)).tolist()
         repeats = rng.choice([0.0, 0.3], size=len(degrees))
         cands, valid = so3_oracle.padded_candidates(rng, degrees, repeats)
@@ -395,12 +396,32 @@ class TestL1Medians:
 
     def test_sets_within_the_reference_cap_score_every_candidate(self):
         # sets of up to MEDOID_REFERENCES candidates, some with repeats of
-        # their first: the medoid is the one of the full row score, bit for bit
+        # their first: the medoid is the one of the full row score, bit for
+        # bit, also beside sets past the cap that score their sample alone
         rng = np.random.default_rng(64)
-        for degrees in ([1, 2, 3], [5, 17, 40], [63, 64], [64, 64, 64, 64]):
+        for degrees in ([1, 2, 3], [5, 17, 40], [31, 32], [32, 32, 32, 32], [20, 63, 64]):
             for share in (0.0, 0.3):
                 cands, valid = so3_oracle.padded_candidates(rng, degrees, [share] * len(degrees))
                 assert np.array_equal(so3.l1_medians(cands, valid, 0), row_medoids(cands, valid))
+
+    def test_a_set_past_the_cap_takes_its_samples_medoid(self, monkeypatch):
+        # six candidates in one tangent plane, the cap at 4: the sixth lies in
+        # the middle, so it has the least score over the whole set and also
+        # against the first four alone, but the medoid is the one of the
+        # first four scored among themselves
+        monkeypatch.setattr(so3, "MEDOID_REFERENCES", 4)
+        tangent = 0.2 * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                  [1.0, 1.2, 0.0], [0.3, 0.8, 0.0], [0.5, 0.55, 0.0]])
+        centre = so3.sample_uniform_rows(np.random.default_rng(4), 1)
+        cands = so3.qmul(so3.qexp(tangent), centre)
+        dist = np.arccos(np.minimum(np.abs(cands @ cands.T), 1.0))
+        np.fill_diagonal(dist, 0.0)
+        assert np.argmin(dist.sum(axis=1)) == 5
+        assert np.argmin(dist[:, :4].sum(axis=1)) == 5
+        sample = int(np.argmin(dist[:4, :4].sum(axis=1)))
+        assert sample == 2
+        out = so3.l1_medians(cands[None], np.ones((1, 6), dtype=bool), 0)
+        assert np.array_equal(out[0], cands[sample])
 
     def test_padded_runs_mix_sets_on_either_side_of_the_reference_cap(self, monkeypatch):
         # each set's medoid rule is its own, whatever the batch: sets at and

@@ -392,6 +392,15 @@ class TestFormat:
         assert edge_records(g)[0].gt_outlier is True
         assert viewgraph.serialize(g) == body
 
+    @pytest.mark.parametrize("header", ["VIEWGRAPH\tv1", "VIEWGRAPH  v1", "  VIEWGRAPH v1 # x"])
+    def test_header_reads_as_whitespace_separated_tokens(self, header):
+        # as every NODE and EDGE record does, in the parser and its oracle
+        body = "\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0\n"
+        for parse in (viewgraph.parse, parse_oracle.parse):
+            assert stored_arrays(parse(header + body)) == stored_arrays(parse("VIEWGRAPH v1" + body))
+            with pytest.raises(ParseError, match="line 1: expected header"):
+                parse(header.replace("v1", "v2") + body)
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 1"):
             viewgraph.parse("NODE 0\n")
@@ -564,6 +573,8 @@ CUT_TEXTS = (
     "# only a comment\n",
     "# c\n# d\nVIEWGRAPH v2\nNODE 0\n",
     "VIEWGRAPH v1",
+    "VIEWGRAPH\tv1\nNODE 0\n",
+    "# c\n  VIEWGRAPH   v1  # h\nNODE 0\n",
     "VIEWGRAPH v1\nNODE 0\nNODE 1\nEDGE 0 1 1 0 0 0",
     "# c\n\n  \n# d\nVIEWGRAPH v1\n\n# mid\nNODE 0 # x\n\nNODE 1\nEDGE 0 1 1 0 0 0 1\n",
     "VIEWGRAPH v1\r\nNODE 0\r\n\r\nNODE 1\r\nEDGE 0 1 1 0 0 0\r\nEDGE 0 1 1 0 0 0\r\n",
