@@ -15,8 +15,8 @@ left of the object boundary only for the benchmark adapter's reads.
 :func:`spanning_forest` is the package's one connectivity kernel: its
 labels give the components, its size connectivity, and with edge weights
 it is IRLS's maximum spanning tree.  :func:`in_edges` is the package's one
-directed-edge layout, the 2E directed edges sorted by target, then
-source: ``mpnn``'s message runs, the Weiszfeld plan and IRLS's normal
+directed-edge layout, the 2E directed edges in one stable sort by target,
+then source: ``mpnn``'s message runs, the Weiszfeld plan and IRLS's normal
 equations, on its dense and its CG path, read it.
 
 Text format (UTF-8, ``#`` starts a comment, whitespace separated)::
@@ -33,9 +33,11 @@ direction is flipped (its orientation inverted) on construction.
 (``PARSE_BLOCK_CHARS``), cut at any line end, and converts each block's NODE
 and EDGE records to arrays before it reads the next, so only one block's
 lines and tokens are alive at once: the ``tracemalloc`` peak is 1.2 times
-the text, at 12 MB (cam1000) as at 0.7 MB.  Its docstring says which of its
-two readers takes which line.  The whole-file checks then run once as masks
-over the concatenated arrays, through the same edge-structure rule (range,
+the text, at 12 MB (cam1000) as at 0.7 MB.  A block's NODE lines and its
+EDGE lines are each tried once by numpy's C line reader, and a group it
+refuses goes whole to a Python reader; its docstring says which line takes
+which path.  The whole-file checks then run once as masks over the
+concatenated arrays, through the same edge-structure rule (range,
 self-loop, repeat) as the constructor, and the checked arrays become the
 graph without a second check or copy; a :class:`ParseError` names the first
 offending line, and what it says does not depend on the reader that took
@@ -402,29 +404,20 @@ def _c_records(lines: list[str], prefix: str, line_no: np.ndarray) -> tuple | No
 
 def _read_block(lines: list[str], first: int, nodes: list, edges: list, faults: list) -> None:
     """Append the NODE and EDGE record arrays of ``lines`` (numbered from
-    ``first``) to ``nodes`` and ``edges``, in any order, each line read by
-    the reader :func:`parse` names for it."""
+    ``first``) to ``nodes`` and ``edges``, in any order: the lines of each
+    prefix in one :func:`_c_records` call, and the lines of a group it
+    refuses with every other line in one :func:`_read_records` call."""
     taken: dict[str, list[int]] = {"NODE ": [], "EDGE ": []}
     rest: list[int] = []
     for i, line in enumerate(lines):
         taken.get(line[:5], rest).append(i)
-
-    def c_read(rows: list[int], prefix: str) -> list[int]:
-        """Read ``rows`` with the C reader if it takes them; the rows it refuses."""
+    for prefix, rows in taken.items():
         part = _c_records([lines[i] for i in rows], prefix,
                           np.array(rows, dtype=np.int64) + first) if rows else None
         if part is None:
-            return rows
-        (nodes if prefix == "NODE " else edges).append(part)
-        return []
-
-    for prefix, rows in taken.items():
-        refused = c_read(rows, prefix)
-        spaces = [lines[i].count(" ") for i in refused]
-        if len(set(spaces)) > 1:  # e.g. labelled and unlabelled edges
-            refused = [i for k in set(spaces)
-                       for i in c_read([j for j, c in zip(refused, spaces) if c == k], prefix)]
-        rest += refused
+            rest += rows
+        else:
+            (nodes if prefix == "NODE " else edges).append(part)
     recs, line_no = [], []
     for i in sorted(rest):
         tokens = lines[i].split()
@@ -454,21 +447,21 @@ def parse(text: str) -> ViewGraph:
     go to numpy's C line reader (``np.loadtxt``) in one call, and those that
     start with ``"EDGE "`` in another; a call is kept only where it reads
     every line as Python's converters would (ASCII without NUL, one token
-    count, every token valid).  A refused group is split by its lines' count
-    of spaces (labelled from unlabelled edges, say) and each part is
-    retried.  Every other line (another prefix, a tab, leading whitespace, a
-    bad token) goes to :func:`_read_records`, one line at a time: the text
-    that ``serialize`` and the benchmark write never reaches it, so it is
-    written to be short, and it converts each record's tokens with the one
-    ``np.array`` call whose error names a bad token.  Both readers' records
-    are merged in line order, and the whole-file checks then run once, as
-    masks over the concatenated arrays.  The error names the first offending
-    line; within a line the checks rank as the record reads (token count,
-    ids, self-loop, duplicate, quaternion components, norm, label).  An edge
-    whose end is not a declared node is reported at its line, but only after
-    the last line, since nodes may follow edges; non-dense node ids raise
-    :class:`ViewGraphError`.  The checked arrays are sorted, flipped to
-    ``u < v`` and canonicalised as the constructor does, and stored.
+    count, every token valid).  A refused group goes whole, with every
+    other line (another prefix, a tab, leading whitespace), to
+    :func:`_read_records`, one line at a time: the benchmark's texts, and
+    ``serialize``'s of a graph with one token count per record name, never
+    reach it, so it is written to be short, and it converts each record's
+    tokens with the one ``np.array`` call whose error names a bad token.
+    Both readers' records are merged in line order, and the whole-file
+    checks then run once, as masks over the concatenated arrays.  The error
+    names the first offending line; within a line the checks rank as the
+    record reads (token count, ids, self-loop, duplicate, quaternion
+    components, norm, label).  An edge whose end is not a declared node is
+    reported at its line, but only after the last line, since nodes may
+    follow edges; non-dense node ids raise :class:`ViewGraphError`.  The
+    checked arrays are sorted, flipped to ``u < v`` and canonicalised as the
+    constructor does, and stored.
     """
     faults: list[tuple[int, int, str]] = []  # (line, rank within the line, reason)
     nodes: list[tuple] = []
@@ -596,21 +589,17 @@ def in_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """The 2E directed edges of the edges ``(u, v)`` of an ``n``-node graph,
     by target: int64 ``(order, src, bounds)``.  Directed edge ``j < E`` is
     ``u[j] -> v[j]`` and ``j >= E`` the reverse of edge ``j - E``; ``order``
-    is their stable sort by target, numpy's radix sort of 16-bit keys (past
-    N = 65,536 two passes, of the low 16 bits and then the high), ``src``
-    their sources in that order, and node ``t``'s in-edges are
-    ``order[bounds[t]:bounds[t + 1]]``, so ``np.diff(bounds)`` is the degree.
+    is their stable sort by target, one ``np.argsort`` of the targets in
+    their smallest unsigned type (numpy's radix sort up to N = 65,536, its
+    timsort above), ``src`` their sources in that order, and node ``t``'s
+    in-edges are ``order[bounds[t]:bounds[t + 1]]``, so ``np.diff(bounds)``
+    is the degree.
     Over edges stored as a :class:`ViewGraph` stores them, each node's
     in-edges come by source: the forward ones (sources ``u < t``) in ``u``
     order, then the reversed ones (sources ``v > t``) in ``v`` order.
     """
     dst, src = np.concatenate([v, u]), np.concatenate([u, v])
-    if n - 1 <= 0xFFFF:
-        order = np.argsort(dst.astype(np.min_scalar_type(n - 1)), kind="stable")
-    else:
-        low = np.argsort((dst & 0xFFFF).astype(np.uint16), kind="stable")
-        high = (dst >> 16).take(low).astype(np.min_scalar_type((n - 1) >> 16))
-        order = low.take(np.argsort(high, kind="stable"))
+    order = np.argsort(dst.astype(np.min_scalar_type(n - 1)), kind="stable")
     bounds = np.append(0, np.cumsum(np.bincount(dst, minlength=n)))
     return order, src.take(order), bounds
 

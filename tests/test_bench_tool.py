@@ -435,8 +435,8 @@ def made_dirs(bench, monkeypatch) -> list[Path]:
     """Every directory ``tempfile.mkdtemp`` makes from now on."""
     made, mkdtemp = [], bench.tempfile.mkdtemp
 
-    def record(**kwargs):
-        made.append(Path(mkdtemp(**kwargs)))
+    def record(*args, **kwargs):
+        made.append(Path(mkdtemp(*args, **kwargs)))
         return str(made[-1])
 
     monkeypatch.setattr(bench.tempfile, "mkdtemp", record)

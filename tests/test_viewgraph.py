@@ -546,7 +546,7 @@ def mangled_texts(draw, text: str) -> str:
     """``text`` with blank and comment-only lines between its lines, comments
     after some, a line end drawn per line, and at random no final one; a
     NODE or EDGE line may get a tab between two tokens or leading spaces,
-    which send it, or a group of its token count, to the per-line reader."""
+    which may send it to the per-line reader."""
     fillers = st.lists(st.sampled_from(["", "   ", "# note", " # note # two"]), max_size=2)
     out = []
     for line in text.splitlines():
@@ -657,19 +657,52 @@ class TestBlockReading:
     def test_matches_oracle_on_reader_edge_tokens(self, text):
         assert_matches_oracle(text)
 
-    def test_mixed_token_counts_stay_on_the_c_reader(self, monkeypatch):
+    def test_mixed_token_counts_parse_like_the_oracle(self):
         # labelled and unlabelled edges (8 and 7 tokens) and nodes with and
-        # without ground truth (6 and 2) share each block: the C reader takes
-        # each token count in a call of its own, and no record falls back
+        # without ground truth (6 and 2) share each block: the C reader
+        # refuses each such group, and the per-line reader takes it
         rng = np.random.default_rng(3)
         n = 12
         u, v = np.triu_indices(n, 1)
         gt = so3.sample_uniform_rows(rng, n)
         gt[::3] = np.nan
         g = ViewGraph(n, u, v, so3.sample_uniform_rows(rng, u.size), rng.integers(-1, 2, u.size), gt)
-        fallback = fallback_records(monkeypatch)
         assert_matches_oracle(viewgraph.serialize(g))
-        assert fallback == []
+
+    @pytest.mark.parametrize("variant", ["labelled", "mixed token counts", "tab separated"])
+    def test_each_group_reaches_the_c_reader_once(self, monkeypatch, variant):
+        # every block's NODE lines and its EDGE lines go to the C reader in
+        # one call each, whether it takes them or refuses them
+        rng = np.random.default_rng(5)
+        n = 30
+        u, v = np.triu_indices(n, 1)
+        gt = so3.sample_uniform_rows(rng, n)
+        label = rng.integers(0, 2, u.size)
+        if variant == "mixed token counts":
+            gt[::3] = np.nan
+            label[::5] = -1
+        text = viewgraph.serialize(ViewGraph(n, u, v, so3.sample_uniform_rows(rng, u.size), label, gt))
+        if variant == "tab separated":
+            # odd lines all tabs, which no group takes; even ones tabs after the record name
+            tabbed = [line.replace(" ", "\t") for line in text.split("\n")]
+            text = "\n".join(line if i % 2 else line.replace("\t", " ", 1)
+                             for i, line in enumerate(tabbed))
+        monkeypatch.setattr(viewgraph, "PARSE_BLOCK_CHARS", 2000)
+        blocks = list(viewgraph._line_blocks(text))
+        block_of = {first + i: k for k, (first, lines) in enumerate(blocks) for i in range(len(lines))}
+        groups = sorted({(k, line[:5]) for k, (_, lines) in enumerate(blocks) for line in lines
+                         if line[:5] in ("NODE ", "EDGE ")})
+        assert len(blocks) > 3 and len(groups) > 3
+        calls = []
+        c_records = viewgraph._c_records
+
+        def spy(lines, prefix, line_no):
+            calls.append((block_of[int(line_no[0])], prefix))
+            return c_records(lines, prefix, line_no)
+
+        monkeypatch.setattr(viewgraph, "_c_records", spy)
+        assert stored_arrays(viewgraph.parse(text)) == parse_outcome(parse_oracle.parse, text)
+        assert sorted(calls) == groups
 
     def test_canonical_texts_never_fall_back(self, monkeypatch):
         # the benchmark's generator (repr floats) and serialize, with and
@@ -1092,8 +1125,8 @@ class TestInEdges:
 
     @pytest.mark.parametrize("n", [65_536, 70_000])
     def test_targets_past_16_bits(self, n):
-        # one 16-bit radix pass up to N = 65,536, two above it; targets on
-        # both sides of 2**16, each shared by many edges
+        # numpy's radix sort of 16-bit targets up to N = 65,536, its timsort
+        # above; targets on both sides of 2**16, each shared by many edges
         rng = np.random.default_rng(n)
         nodes = np.array([0, 1, 0xFFFE, 0xFFFF, 0x10000, 0x10001, n - 1, *rng.integers(0, n, 40)])
         u, v = rng.choice(nodes[nodes < n], size=(2, 3000))

@@ -138,14 +138,11 @@ def checkout(rev: str):
     removed afterwards, also when the body fails.  The tree is no git
     checkout, so git holds no record of it and removing the directory
     cannot fail halfway."""
-    tmp = Path(tempfile.mkdtemp(prefix="bench-against-"))
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-against-", ignore_cleanup_errors=True) as tmp:
         commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
         with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tree:
             tree.extractall(tmp, filter="data")
-        yield tmp, commit
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        yield Path(tmp), commit
 
 
 @contextlib.contextmanager
@@ -154,16 +151,14 @@ def working_tree():
     not ignore, copied as they are on disk into a temporary directory,
     yielded as its path; a tracked file deleted from the checkout is left
     out.  The directory is removed afterwards, also when the body fails."""
-    tmp = Path(tempfile.mkdtemp(prefix="bench-against-"))
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-against-", ignore_cleanup_errors=True) as path:
+        tmp = Path(path)
         names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
         for name in filter(None, names.split("\0")):
             if (ROOT / name).is_file():
                 (tmp / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(ROOT / name, tmp / name)
         yield tmp
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def paired_runs(workload: str, pairs: int, seconds: float, base: Path, change: Path,
